@@ -25,14 +25,14 @@
 //! [`quantile_by_pivoting`]: crate::quantile::quantile_by_pivoting
 
 use crate::quantile::{
-    keyed_answer_cmp, report_parallel, target_rank, PivotingOptions, QuantileResult, RowBackend,
-    SolveBackend,
+    keyed_answer_cmp, partition_round, report_parallel, target_rank, PivotingOptions,
+    QuantileResult, RowBackend, SolveBackend,
 };
 use crate::trace::{sat64, NoopTracer, PhaseContext, SolvePhase, SolveTracer};
 use crate::trim::Trimmer;
 use crate::{CoreError, Result};
 use qjoin_query::{Instance, Variable};
-use qjoin_ranking::{RankPredicate, Ranking, WeightBound};
+use qjoin_ranking::{Ranking, WeightBound};
 use std::time::Instant;
 
 /// One pending quantile target: the position in the caller's φ slice plus the global
@@ -211,49 +211,12 @@ fn solve_group<B: SolveBackend>(
     report_parallel(state.tracer, SolvePhase::PivotScan, pivot_par);
     let pivot_weight = pivot.weight.clone();
 
-    // Rebuild both partitions from the original instance, restricted to the candidate
-    // region (low, high) — the same construction as the single-φ driver, so trimmed
-    // instances (and therefore subsequent pivots) are identical. The two sides are
-    // independent rebuilds of the same immutable instance, so they run as the two
-    // arms of a `par_join` (sequential at one thread).
+    // The same partition step as the single-φ driver, so trimmed instances (and
+    // therefore subsequent pivots) are identical.
     let trim_started = Instant::now();
     let trim_par = qjoin_par::thread_parallel_nanos();
-    let (lt_result, gt_result) = {
-        let backend = state.backend;
-        let instance = state.instance;
-        let pw_lt = pivot_weight.clone();
-        let pw_gt = pivot_weight.clone();
-        let low_bound = low.clone();
-        let high_bound = high.clone();
-        qjoin_par::par_join(
-            move || -> Result<(B::Inst, u128)> {
-                let first = backend.trim(instance, &RankPredicate::less_than(pw_lt))?;
-                let lt = backend.trim(
-                    &first,
-                    &RankPredicate {
-                        op: qjoin_ranking::CmpOp::Gt,
-                        bound: low_bound,
-                    },
-                )?;
-                let n_lt = backend.count(&lt)?;
-                Ok((lt, n_lt))
-            },
-            move || -> Result<(B::Inst, u128)> {
-                let first = backend.trim(instance, &RankPredicate::greater_than(pw_gt))?;
-                let gt = backend.trim(
-                    &first,
-                    &RankPredicate {
-                        op: qjoin_ranking::CmpOp::Lt,
-                        bound: high_bound,
-                    },
-                )?;
-                let n_gt = backend.count(&gt)?;
-                Ok((gt, n_gt))
-            },
-        )
-    };
-    let (lt, n_lt) = lt_result?;
-    let (gt, n_gt) = gt_result?;
+    let [(lt, n_lt), (gt, n_gt)] =
+        partition_round(state.backend, state.instance, &low, &high, &pivot_weight)?;
     let n_eq = current_count.saturating_sub(n_lt).saturating_sub(n_gt);
     state.tracer.phase_event(
         SolvePhase::TrimRound,

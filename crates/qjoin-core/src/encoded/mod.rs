@@ -5,7 +5,8 @@
 //!
 //! * `weights` precomputes per-code weight tables for the ranking;
 //! * `trim` rebuilds the Section 5 trimmings as view rewrites (selection vectors,
-//!   tagged segments, packed dyadic-interval columns);
+//!   tagged segments, packed dyadic-interval columns); the SUM constructions take
+//!   the whole `(low, high)` window of a partition step in one rewrite;
 //! * `pivot` runs Algorithm 2 over flat code rows;
 //! * this file provides the solve-backend implementation plus the public entry
 //!   points [`exact_quantile_encoded`] and [`exact_quantile_batch_encoded`].
@@ -32,7 +33,7 @@ use crate::quantile::{
 use crate::{CoreError, Result};
 use qjoin_exec::encoded::{self as exec_encoded};
 use qjoin_query::{Assignment, EncodedInstance, Variable};
-use qjoin_ranking::{AggregateKind, RankPredicate, Ranking, Weight};
+use qjoin_ranking::{AggregateKind, CmpOp, RankPredicate, Ranking, Weight, WeightBound};
 use weights::{contribution, CodeWeights};
 
 /// How many projected codes a [`CodeKey`] stores without a heap allocation.
@@ -147,6 +148,24 @@ impl SolveBackend for EncodedBackend<'_> {
             instance,
             self.ranking,
             predicate,
+            self.strategy,
+            &self.weights,
+        )
+    }
+
+    fn trim_between(
+        &self,
+        instance: &EncodedInstance,
+        low: &WeightBound,
+        high: &WeightBound,
+        first: CmpOp,
+    ) -> Result<EncodedInstance> {
+        trim::exact_trim_between_encoded(
+            instance,
+            self.ranking,
+            low,
+            high,
+            first,
             self.strategy,
             &self.weights,
         )

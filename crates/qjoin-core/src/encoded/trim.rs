@@ -10,24 +10,29 @@
 //!   constant synthesized column — no tuple is extended, let alone copied);
 //! * the dyadic SUM construction becomes a selection vector **with repeats** plus a
 //!   per-row synthesized column of packed `(group, level, index)` interval codes,
-//!   bit-packed so that code order equals the row path's composite-value order.
+//!   bit-packed so that code order equals the row path's composite-value order. It
+//!   takes the whole open window `(low, high)` of a partition step, so a round is
+//!   one construction over the original relations — never a second one stacked on
+//!   the first one's log-expanded output.
 //!
 //! Because both paths share the partition plans and the cover search, they partition
 //! the answer set identically; the equivalence suite asserts the resulting quantile
 //! answers are pointwise equal.
 
 use super::weights::CodeWeights;
-use crate::dichotomy::{classify_partial_sum, find_adjacent_cover, SumClassification};
+use crate::dichotomy::find_adjacent_cover;
 use crate::trim::lex::lex_partition_plan;
 use crate::trim::minmax::minmax_partition_plan;
-use crate::trim::sum::{check_sum_ranking, dyadic_cover, levels_for, scalar_bound};
-use crate::trim::{TrimPlan, UnaryConjunction, UnaryWeightPred};
+use crate::trim::sum::{
+    dyadic_cover, intractable_sum_error, levels_for, window_of, SumRange, SumWindow,
+};
+use crate::trim::{two_pass_trim, TrimPlan, UnaryConjunction, UnaryWeightPred};
 use crate::{CoreError, Result};
 use qjoin_data::{EncodedRelation, Segment, SynthCol};
+use qjoin_exec::encoded::KeyMap;
 use qjoin_exec::Key;
 use qjoin_query::{Atom, EncodedInstance, Variable};
-use qjoin_ranking::{CmpOp, RankPredicate, Ranking, SumTupleWeights};
-use std::collections::HashMap;
+use qjoin_ranking::{CmpOp, RankPredicate, Ranking, SumTupleWeights, WeightBound};
 use std::sync::Arc;
 
 /// The exact trimming family a prepared encoded solve uses (the encoded analogue of
@@ -86,8 +91,31 @@ pub(crate) fn exact_trim_encoded(
                 partition_union_trim_encoded(instance, weights, &partitions)
             }
         },
-        ExactStrategy::Sum => sum_trim_encoded(instance, ranking, predicate, weights),
+        ExactStrategy::Sum => {
+            let (low, high) = window_of(predicate);
+            sum_trim_encoded(instance, ranking, &low, &high, weights)
+        }
     }
+}
+
+/// Trims an encoded instance to the open weight window `(low, high)`: SUM runs its
+/// one range construction; the partition-union strategies stack two
+/// [`exact_trim_encoded`] calls through the shared [`two_pass_trim`].
+pub(crate) fn exact_trim_between_encoded(
+    instance: &EncodedInstance,
+    ranking: &Ranking,
+    low: &WeightBound,
+    high: &WeightBound,
+    first: CmpOp,
+    strategy: ExactStrategy,
+    weights: &CodeWeights,
+) -> Result<EncodedInstance> {
+    if strategy == ExactStrategy::Sum {
+        return sum_trim_encoded(instance, ranking, low, high, weights);
+    }
+    two_pass_trim(instance, low, high, first, |instance, predicate| {
+        exact_trim_encoded(instance, ranking, predicate, strategy, weights)
+    })
 }
 
 /// The unary predicates of a conjunction that mention variables of `atom`, resolved
@@ -191,44 +219,31 @@ fn partition_union_trim_encoded(
     Ok(instance.with_rewritten(new_query, replaced)?)
 }
 
-/// Encoded partial-SUM trimming: single-atom filter or the dyadic adjacent-pair
-/// construction, selected per call by the same cover search as the row trimmer.
+/// Encoded partial-SUM trimming to the open window `(low, high)`: single-atom filter
+/// or the dyadic adjacent-pair construction, selected per call by the same cover
+/// search as the row trimmer.
 fn sum_trim_encoded(
     instance: &EncodedInstance,
     ranking: &Ranking,
-    predicate: &RankPredicate,
+    low: &WeightBound,
+    high: &WeightBound,
     weights: &CodeWeights,
 ) -> Result<EncodedInstance> {
-    check_sum_ranking(ranking)?;
-    let bound = scalar_bound(predicate)?;
+    let range = match SumWindow::new(ranking, low, high)? {
+        SumWindow::All => return Ok(instance.clone()),
+        SumWindow::Empty => return Ok(instance.empty_copy()),
+        SumWindow::Range(range) => range,
+    };
     let instance = instance.eliminate_self_joins()?;
     match find_adjacent_cover(instance.query(), ranking.weighted_vars()) {
-        Some(cover) if cover.is_single_atom() => trim_single_atom_encoded(
-            &instance,
-            ranking,
-            weights,
-            predicate.op,
-            bound,
-            cover.atoms.0,
-        ),
-        Some(cover) => trim_adjacent_pair_encoded(
-            &instance,
-            ranking,
-            weights,
-            predicate.op,
-            bound,
-            cover.atoms,
-        ),
-        None => {
-            let witness = classify_partial_sum(instance.query(), ranking.weighted_vars());
-            Err(match witness {
-                SumClassification::UnknownTooLarge => CoreError::QueryTooLarge {
-                    atoms: instance.query().num_atoms(),
-                    limit: qjoin_query::join_tree::MAX_ENUMERATION_ATOMS,
-                },
-                other => CoreError::IntractableSum(format!("{other:?}")),
-            })
+        Some(cover) if cover.is_single_atom() => {
+            trim_single_atom_encoded(&instance, ranking, weights, range, cover.atoms.0)
         }
+        Some(cover) => trim_adjacent_pair_encoded(&instance, ranking, weights, range, cover.atoms),
+        None => Err(intractable_sum_error(
+            instance.query(),
+            ranking.weighted_vars(),
+        )),
     }
 }
 
@@ -282,20 +297,13 @@ fn trim_single_atom_encoded(
     instance: &EncodedInstance,
     ranking: &Ranking,
     weights: &CodeWeights,
-    op: CmpOp,
-    bound: f64,
+    range: SumRange,
     atom_idx: usize,
 ) -> Result<EncodedInstance> {
     let query = instance.query().clone();
     let pairs = weighted_pairs(&query, ranking, &[atom_idx], atom_idx);
     let rel = instance.relation_of_atom(atom_idx);
-    let filtered = rel.filtered(|seg, row| {
-        let s = row_sum(rel, weights, &pairs, seg, row);
-        match op {
-            CmpOp::Lt => s < bound,
-            CmpOp::Gt => s > bound,
-        }
-    });
+    let filtered = rel.filtered(|seg, row| range.admits(row_sum(rel, weights, &pairs, seg, row)));
     Ok(instance.with_rewritten(query, [filtered])?)
 }
 
@@ -307,16 +315,38 @@ const INTERVAL_GID_SHIFT: u64 = 38;
 const INTERVAL_LEVEL_SHIFT: u64 = 32;
 const INTERVAL_MAX_GID: u64 = (1 << 26) - 2;
 
-fn pack_interval(gid: u64, level: u32, index: usize) -> Result<u64> {
-    if gid > INTERVAL_MAX_GID {
+/// Refuses a B-side view whose coordinates overflow the construction's 32-bit
+/// fields: [`BMember`] stores global, segment and row positions as `u32`, and a
+/// group's member positions fill the packed code's 32-bit index (a group of at
+/// most `2³²` members has levels `≤ 32`, inside the 6 level bits).
+fn check_b_view_fits(rows: usize, segments: usize) -> Result<()> {
+    let limit = u32::MAX as usize;
+    if rows > limit || segments > limit {
         return Err(CoreError::EncodedUnsupported(format!(
-            "dyadic SUM construction needs {gid} join groups; the packed interval \
-             code supports at most {INTERVAL_MAX_GID}"
+            "dyadic SUM construction over a view of {rows} rows in {segments} segments; \
+             the packed interval code addresses at most {limit} of each"
         )));
     }
-    debug_assert!(level < 64);
-    debug_assert!(index < (1usize << 32));
-    Ok((gid << INTERVAL_GID_SHIFT) | (u64::from(level) << INTERVAL_LEVEL_SHIFT) | index as u64)
+    Ok(())
+}
+
+/// Refuses more join groups than the packed code's gid field holds.
+fn check_group_count_fits(groups: usize) -> Result<()> {
+    if groups as u64 > INTERVAL_MAX_GID + 1 {
+        return Err(CoreError::EncodedUnsupported(format!(
+            "dyadic SUM construction needs {groups} join groups; the packed interval \
+             code supports at most {}",
+            INTERVAL_MAX_GID + 1
+        )));
+    }
+    Ok(())
+}
+
+/// Packs one interval identifier. The field ranges are established once per
+/// construction by [`check_b_view_fits`] and [`check_group_count_fits`].
+#[inline]
+fn pack_interval(gid: u64, level: u32, index: usize) -> u64 {
+    (gid << INTERVAL_GID_SHIFT) | (u64::from(level) << INTERVAL_LEVEL_SHIFT) | index as u64
 }
 
 /// One B-side row of the dyadic construction: its partial sum, its global position
@@ -327,6 +357,15 @@ struct BMember {
     global: u32,
     seg: u32,
     row: u32,
+}
+
+/// One join group of the B side: its members sorted by `(sum, global)`, and its
+/// identifier — the group's rank among the sorted keys — stored beside them so
+/// an A row finds both with one probe.
+#[derive(Default)]
+struct BGroup {
+    gid: u64,
+    members: Vec<BMember>,
 }
 
 /// Accumulates the output rows of one rewritten view: base-row selections, gathered
@@ -391,14 +430,14 @@ impl ViewBuilder {
     }
 }
 
-/// The dyadic prefix/suffix construction for an adjacent pair of atoms — the
-/// encoded twin of the row path's `trim_adjacent_pair` (Lemma 5.5).
+/// The dyadic range construction for an adjacent pair of atoms — the encoded twin
+/// of the row path's `trim_adjacent_pair` (Lemma 5.5 applied to the contiguous run
+/// of B-side positions the window selects for each A row).
 fn trim_adjacent_pair_encoded(
     instance: &EncodedInstance,
     ranking: &Ranking,
     weights: &CodeWeights,
-    op: CmpOp,
-    bound: f64,
+    range: SumRange,
     (atom_a, atom_b): (usize, usize),
 ) -> Result<EncodedInstance> {
     let query = instance.query().clone();
@@ -423,16 +462,19 @@ fn trim_adjacent_pair_encoded(
     // global row position, matching the row path's tuple-index tie-break). The
     // grouping pass is chunked over the executor pool; chunk-local maps merge in
     // canonical chunk order, keeping each group's members in global-row order
-    // before the (total-ordered, hence order-insensitive) sort.
+    // before the (total-ordered, hence order-insensitive) sort. The maps are only
+    // probed and merged per key, never read in hash order, so the unkeyed
+    // `KeyMap` hasher changes nothing observable.
     let rel_b = instance.relation_of_atom(atom_b);
     let offsets_b = segment_offsets(rel_b);
     let total_b = *offsets_b.last().expect("offsets include the empty prefix");
-    let chunk_maps: Vec<HashMap<Key, Vec<BMember>>> =
-        qjoin_par::par_map_chunks(total_b, qjoin_par::DEFAULT_CHUNK, |_, range| {
-            let mut local: HashMap<Key, Vec<BMember>> = HashMap::new();
+    check_b_view_fits(total_b, rel_b.segments().len())?;
+    let chunk_maps: Vec<KeyMap<BGroup>> =
+        qjoin_par::par_map_chunks(total_b, qjoin_par::DEFAULT_CHUNK, |_, chunk| {
+            let mut local: KeyMap<BGroup> = KeyMap::default();
             let mut key_buf: Vec<u64> = Vec::with_capacity(key_pos_b.len());
-            let mut seg = offsets_b.partition_point(|&o| o <= range.start) - 1;
-            for global in range {
+            let mut seg = offsets_b.partition_point(|&o| o <= chunk.start) - 1;
+            for global in chunk {
                 while global >= offsets_b[seg + 1] {
                     seg += 1;
                 }
@@ -442,6 +484,7 @@ fn trim_adjacent_pair_encoded(
                 local
                     .entry(Key::from_codes(&key_buf))
                     .or_default()
+                    .members
                     .push(BMember {
                         sum: row_sum(rel_b, weights, &pairs_b, seg, row),
                         global: global as u32,
@@ -451,24 +494,26 @@ fn trim_adjacent_pair_encoded(
             }
             local
         });
-    let mut groups: HashMap<Key, Vec<BMember>> = HashMap::new();
+    // The first chunk's map is the base the later ones merge into, so a B side
+    // that fits one chunk is grouped without a second pass over its members.
+    let mut chunk_maps = chunk_maps.into_iter();
+    let mut groups = chunk_maps.next().unwrap_or_default();
     for local in chunk_maps {
-        for (key, members) in local {
-            groups.entry(key).or_default().extend(members);
+        for (key, group) in local {
+            groups.entry(key).or_default().members.extend(group.members);
         }
     }
-    for members in groups.values_mut() {
-        members.sort_by(|a, b| a.sum.total_cmp(&b.sum).then(a.global.cmp(&b.global)));
+    check_group_count_fits(groups.len())?;
+    // Group identifiers in sorted key order: the dictionary assigns codes in value
+    // order, so this matches the row path's sorted `Vec<Value>` keys.
+    let mut by_key: Vec<(&Key, &mut BGroup)> = groups.iter_mut().collect();
+    by_key.sort_unstable_by(|a, b| a.0.cmp(b.0));
+    for (gid, (_, group)) in by_key.into_iter().enumerate() {
+        group.gid = gid as u64;
+        group
+            .members
+            .sort_unstable_by(|a, b| a.sum.total_cmp(&b.sum).then(a.global.cmp(&b.global)));
     }
-    // Stable per-group identifiers in sorted key order: the dictionary assigns codes
-    // in value order, so this matches the row path's sorted `Vec<Value>` keys.
-    let mut ordered_keys: Vec<&Key> = groups.keys().collect();
-    ordered_keys.sort();
-    let group_ids: HashMap<Key, u64> = ordered_keys
-        .into_iter()
-        .enumerate()
-        .map(|(gid, key)| (key.clone(), gid as u64))
-        .collect();
 
     // New variable v shared by the two atoms; its codes are packed interval ids.
     let query_vars = query.variable_set();
@@ -481,78 +526,359 @@ fn trim_adjacent_pair_encoded(
 
     // A-side: connect every A row to the dyadic cover of its qualifying range.
     // Rows are independent, so the scan is chunked; chunk-local builders are
-    // appended in canonical chunk order (and the first packing error in scan
-    // order wins), reproducing the sequential output exactly.
+    // appended in canonical chunk order, reproducing the sequential output exactly.
     let rel_a = instance.relation_of_atom(atom_a);
     let offsets_a = segment_offsets(rel_a);
     let total_a = *offsets_a.last().expect("offsets include the empty prefix");
-    let a_parts: Vec<Result<ViewBuilder>> =
-        qjoin_par::par_map_chunks(total_a, qjoin_par::DEFAULT_CHUNK, |_, range| {
+    let a_parts: Vec<ViewBuilder> =
+        qjoin_par::par_map_chunks(total_a, qjoin_par::DEFAULT_CHUNK, |_, chunk| {
             let mut part = ViewBuilder::new(rel_a.synth_arity());
             let mut key_buf: Vec<u64> = Vec::with_capacity(key_pos_a.len());
-            let mut seg = offsets_a.partition_point(|&o| o <= range.start) - 1;
-            for global in range {
+            let mut seg = offsets_a.partition_point(|&o| o <= chunk.start) - 1;
+            for global in chunk {
                 while global >= offsets_a[seg + 1] {
                     seg += 1;
                 }
                 let row = global - offsets_a[seg];
                 key_buf.clear();
                 key_buf.extend(key_pos_a.iter().map(|&p| rel_a.code(seg, row, p)));
-                let key = Key::from_codes(&key_buf);
-                let Some(members) = groups.get(&key) else {
+                let Some(group) = groups.get(&Key::from_codes(&key_buf)) else {
                     continue;
                 };
-                let gid = group_ids[&key];
                 let wa = row_sum(rel_a, weights, &pairs_a, seg, row);
-                let threshold = bound - wa;
-                let (lo, hi) = match op {
-                    // w_A + w_B < λ ⇔ w_B < λ - w_A: the prefix of strictly smaller sums.
-                    CmpOp::Lt => (0, members.partition_point(|m| m.sum < threshold)),
-                    // w_A + w_B > λ ⇔ w_B > λ - w_A: the suffix of strictly larger sums.
-                    CmpOp::Gt => (
-                        members.partition_point(|m| m.sum <= threshold),
-                        members.len(),
-                    ),
-                };
-                for (level, index) in dyadic_cover(lo, hi) {
-                    part.push(rel_a, seg, row, pack_interval(gid, level, index)?);
-                }
+                let (lo, hi) = range.positions(&group.members, |m| m.sum, wa);
+                dyadic_cover(lo, hi, |level, index| {
+                    part.push(rel_a, seg, row, pack_interval(group.gid, level, index));
+                });
             }
-            Ok(part)
+            part
         });
     let mut new_a = ViewBuilder::new(rel_a.synth_arity());
     for part in a_parts {
-        new_a.append(part?);
+        new_a.append(part);
     }
 
     // B-side: every B row joins the interval containing its position, one copy per
-    // level. Groups are walked in gid order, which is deterministic (the row path
-    // walks its hash map in arbitrary order; the answer set is identical); the
-    // per-group expansions are independent and chunked, appended in gid order.
-    let mut sorted_groups: Vec<(&Key, &Vec<BMember>)> = groups.iter().collect();
-    sorted_groups.sort_by_key(|(key, _)| group_ids[*key]);
-    let b_parts: Vec<Result<ViewBuilder>> =
-        qjoin_par::par_map_chunks(sorted_groups.len(), qjoin_par::DEFAULT_CHUNK, |_, range| {
+    // level. Groups are walked in gid order (the row path does the same), so the
+    // output row order — which feeds the next round's pivot scan — is identical on
+    // both paths; the per-group expansions are independent and chunked, appended
+    // in gid order.
+    let mut ordered: Vec<&BGroup> = groups.values().collect();
+    ordered.sort_unstable_by_key(|group| group.gid);
+    let b_parts: Vec<ViewBuilder> =
+        qjoin_par::par_map_chunks(ordered.len(), qjoin_par::DEFAULT_CHUNK, |_, chunk| {
             let mut part = ViewBuilder::new(rel_b.synth_arity());
-            for g in range {
-                let (key, members) = sorted_groups[g];
-                let gid = group_ids[key];
-                let levels = levels_for(members.len());
-                for (pos, member) in members.iter().enumerate() {
+            for group in &ordered[chunk] {
+                let levels = levels_for(group.members.len());
+                for (pos, member) in group.members.iter().enumerate() {
                     for level in 0..=levels {
-                        let code = pack_interval(gid, level, pos >> level)?;
+                        let code = pack_interval(group.gid, level, pos >> level);
                         part.push(rel_b, member.seg as usize, member.row as usize, code);
                     }
                 }
             }
-            Ok(part)
+            part
         });
     let mut new_b = ViewBuilder::new(rel_b.synth_arity());
     for part in b_parts {
-        new_b.append(part?);
+        new_b.append(part);
     }
 
     let new_a = new_a.build(rel_a)?;
     let new_b = new_b.build(rel_b)?;
     Ok(instance.with_rewritten(new_query, [new_a, new_b])?)
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::encoded::EncodedBackend;
+    use crate::quantile::{materialized_keyed_answers, RowBackend, SolveBackend};
+    use crate::trim::{AdjacentSumTrimmer, Trimmer};
+    use qjoin_data::{Database, Relation, Value};
+    use qjoin_query::variable::vars;
+    use qjoin_query::{Instance, JoinQuery};
+    use qjoin_ranking::Weight;
+    use qjoin_workload::path::PathConfig;
+    use qjoin_workload::social::SocialConfig;
+    use rand::rngs::StdRng;
+    use rand::{Rng, SeedableRng};
+
+    type Answers = Vec<(Weight, Vec<Value>)>;
+
+    /// The answers of a (trimmed) backend instance as sorted `(weight, original
+    /// values)` pairs — a multiset, so a construction that duplicated or dropped an
+    /// answer shows up.
+    fn answers_of<B: SolveBackend>(
+        backend: &B,
+        instance: &B::Inst,
+        original: &[Variable],
+    ) -> Answers {
+        let mut out: Answers = backend
+            .keyed_answers(instance, original)
+            .unwrap()
+            .into_iter()
+            .map(|(weight, key)| {
+                let answer = backend.answer_from_key(original, &key);
+                let values = original
+                    .iter()
+                    .map(|v| answer.get(v).expect("original variable").clone())
+                    .collect();
+                (weight, values)
+            })
+            .collect();
+        out.sort();
+        out
+    }
+
+    /// Windows that exercise every branch of the range construction: the sentinels
+    /// on either or both sides, bounds equal to existing answer weights
+    /// (strictness), bounds between weights, and `low ≥ high` (empty).
+    fn windows(weights: &[f64], seed: u64) -> Vec<(WeightBound, WeightBound)> {
+        let finite = |w: f64| WeightBound::Finite(Weight::num(w));
+        let (min, max) = (weights[0], weights[weights.len() - 1]);
+        let median = weights[weights.len() / 2];
+        let mut out = vec![
+            (WeightBound::NegInf, WeightBound::PosInf),
+            (WeightBound::NegInf, finite(median)),
+            (finite(median), WeightBound::PosInf),
+            (WeightBound::PosInf, WeightBound::PosInf),
+            (WeightBound::NegInf, WeightBound::NegInf),
+            (finite(median), WeightBound::NegInf),
+            (finite(min), finite(max)),
+            (finite(median), finite(median)),
+            (finite(max), finite(min)),
+            (finite(min - 1.0), finite(max + 1.0)),
+            (finite(median - 0.5), finite(median + 0.5)),
+        ];
+        let mut rng = StdRng::seed_from_u64(seed);
+        for _ in 0..6 {
+            let a = weights[rng.random_range(0..weights.len())];
+            let b = weights[rng.random_range(0..weights.len())];
+            out.push((finite(a), finite(b)));
+            out.push((finite(a.min(b) - 0.5), finite(a.max(b) + 0.5)));
+        }
+        out
+    }
+
+    /// `trim_between`, the two-pass composition and a brute-force filter over the
+    /// materialized answers must agree, answer for answer, on one backend.
+    fn assert_window_trims_agree<B: SolveBackend>(
+        backend: &B,
+        instance: &B::Inst,
+        original: &[Variable],
+        all: &Answers,
+        seed: u64,
+        context: &str,
+    ) {
+        let mut weights: Vec<f64> = all.iter().map(|(w, _)| w.as_num().unwrap()).collect();
+        weights.sort_by(f64::total_cmp);
+        for (low, high) in windows(&weights, seed) {
+            let mut expected: Answers = all
+                .iter()
+                .filter(|(w, _)| {
+                    let w = WeightBound::Finite(w.clone());
+                    low < w && w < high
+                })
+                .cloned()
+                .collect();
+            expected.sort();
+            let fused = backend
+                .trim_between(instance, &low, &high, CmpOp::Lt)
+                .unwrap();
+            assert_eq!(
+                backend.count(&fused).unwrap(),
+                expected.len() as u128,
+                "{context}: count of ({low}, {high})"
+            );
+            assert_eq!(
+                answers_of(backend, &fused, original),
+                expected,
+                "{context}: fused ({low}, {high}) against the brute-force filter"
+            );
+            for first in [CmpOp::Lt, CmpOp::Gt] {
+                let stacked = two_pass_trim(instance, &low, &high, first, |instance, predicate| {
+                    backend.trim(instance, predicate)
+                })
+                .unwrap();
+                assert_eq!(
+                    answers_of(backend, &stacked, original),
+                    expected,
+                    "{context}: two-pass {first:?}-first ({low}, {high}) against the brute-force filter"
+                );
+            }
+        }
+    }
+
+    fn assert_both_backends_agree(instance: &Instance, ranking: &Ranking, seed: u64, name: &str) {
+        let original = instance.query().variables();
+        let all = materialized_keyed_answers(instance, ranking, &original).unwrap();
+        assert!(!all.is_empty(), "{name}: instance has no answers");
+        let row = RowBackend {
+            ranking,
+            trimmer: &AdjacentSumTrimmer,
+        };
+        assert_window_trims_agree(
+            &row,
+            instance,
+            &original,
+            &all,
+            seed,
+            &format!("{name} row"),
+        );
+        let encoded_instance = EncodedInstance::from_instance(instance).unwrap();
+        let encoded = EncodedBackend::new(&encoded_instance, ranking);
+        assert_window_trims_agree(
+            &encoded,
+            &encoded_instance,
+            &original,
+            &all,
+            seed,
+            &format!("{name} encoded"),
+        );
+    }
+
+    fn path_instance(atoms: usize, seed: u64) -> Instance {
+        PathConfig {
+            atoms,
+            tuples_per_relation: 14,
+            join_domain: 3,
+            weight_range: 25,
+            skew: 0.3,
+            seed,
+        }
+        .generate()
+    }
+
+    /// `E(x1, x2) ⋈ E(x2, x3)`: both atoms read the same relation, so the trim must
+    /// first split it (the dyadic rewrite gives the two atoms different rows).
+    fn self_join_instance(seed: u64) -> Instance {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let mut edges = Relation::new("E", 2);
+        for _ in 0..16 {
+            edges
+                .push(vec![
+                    Value::from(rng.random_range(0..5i64)),
+                    Value::from(rng.random_range(0..5i64)),
+                ])
+                .unwrap();
+        }
+        let query = JoinQuery::new(vec![
+            Atom::from_names("E", &["x1", "x2"]),
+            Atom::from_names("E", &["x2", "x3"]),
+        ]);
+        Instance::new(query, Database::from_relations([edges]).unwrap()).unwrap()
+    }
+
+    #[test]
+    fn window_trims_match_the_two_pass_composition_and_brute_force() {
+        for seed in 0..6u64 {
+            let two_path = path_instance(2, seed);
+            let full = Ranking::sum(two_path.query().variables());
+            assert_both_backends_agree(&two_path, &full, seed, "2-path");
+            // A single-atom cover goes through the filter, not the dyadic rewrite.
+            let single = Ranking::sum(vars(&["x1", "x2"]));
+            assert_both_backends_agree(&two_path, &single, seed, "2-path single atom");
+
+            let three_path = path_instance(3, seed);
+            let partial = Ranking::sum(vars(&["x1", "x2", "x3"]));
+            assert_both_backends_agree(&three_path, &partial, seed, "3-path");
+
+            let config = SocialConfig {
+                users: 12,
+                events: 4,
+                rows_per_relation: 14,
+                max_likes: 20,
+                seed,
+                ..Default::default()
+            };
+            assert_both_backends_agree(&config.generate(), &config.likes_ranking(), seed, "social");
+
+            let self_join = self_join_instance(seed);
+            let ends = Ranking::sum(vars(&["x1", "x3"]));
+            assert_both_backends_agree(&self_join, &ends, seed, "self-join");
+        }
+    }
+
+    /// The fused construction adds exactly one synthesized column to each of the two
+    /// covered relations — a two-pass composition would add two — and expands B by
+    /// at most one copy per dyadic level of its largest group.
+    #[test]
+    fn fused_adjacent_pair_adds_one_column_and_a_logarithmic_b_side() {
+        let instance = path_instance(2, 7);
+        let ranking = Ranking::sum(instance.query().variables());
+        let encoded = EncodedInstance::from_instance(&instance).unwrap();
+        let backend = EncodedBackend::new(&encoded, &ranking);
+        let (low, high) = (
+            WeightBound::Finite(Weight::num(10.0)),
+            WeightBound::Finite(Weight::num(30.0)),
+        );
+        let trimmed = backend
+            .trim_between(&encoded, &low, &high, CmpOp::Lt)
+            .unwrap();
+        assert!(
+            backend.count(&trimmed).unwrap() > 0,
+            "window must be non-trivial"
+        );
+        assert_eq!(
+            trimmed.query().variables().len(),
+            encoded.query().variables().len() + 1
+        );
+        let b_rows = encoded.relation_of_atom(1).len();
+        for atom in 0..2 {
+            assert_eq!(
+                trimmed.relation_of_atom(atom).synth_arity(),
+                1,
+                "atom {atom}"
+            );
+            assert_eq!(trimmed.query().atom(atom).arity(), 3, "atom {atom}");
+        }
+        assert!(
+            trimmed.relation_of_atom(1).len() <= b_rows * (levels_for(b_rows) as usize + 1),
+            "B side grew past |B|·(levels+1): {} from {b_rows}",
+            trimmed.relation_of_atom(1).len()
+        );
+
+        // The row twin: one extra column on each relation, same B-side bound.
+        let row = AdjacentSumTrimmer
+            .trim_between(&instance, &ranking, &low, &high, CmpOp::Lt)
+            .unwrap();
+        for atom in 0..2 {
+            assert_eq!(row.relation_of_atom(atom).arity(), 3, "row atom {atom}");
+        }
+        assert_eq!(
+            row.relation_of_atom(1).len(),
+            trimmed.relation_of_atom(1).len()
+        );
+        assert_eq!(
+            row.relation_of_atom(0).len(),
+            trimmed.relation_of_atom(0).len()
+        );
+    }
+
+    /// Shapes the packed `gid(26) | level(6) | index(32)` code cannot hold are
+    /// refused with a typed error (they used to be `debug_assert!`s and unchecked
+    /// `as u32` casts, i.e. silent corruption in release builds).
+    #[test]
+    fn oversized_constructions_are_refused_not_truncated() {
+        let limit = u32::MAX as usize;
+        assert!(check_b_view_fits(limit, limit).is_ok());
+        assert!(check_group_count_fits((INTERVAL_MAX_GID + 1) as usize).is_ok());
+        for refused in [
+            check_b_view_fits(limit + 1, 1),
+            check_b_view_fits(1, limit + 1),
+            check_group_count_fits((INTERVAL_MAX_GID + 2) as usize),
+        ] {
+            assert!(matches!(
+                refused.unwrap_err(),
+                CoreError::EncodedUnsupported(_)
+            ));
+        }
+        // The largest admitted fields stay inside their bit ranges and below the
+        // pivot layer's `u64::MAX` sentinel.
+        let top = pack_interval(INTERVAL_MAX_GID, levels_for(limit), limit - 1);
+        assert!(top < u64::MAX);
+        assert_eq!(top >> INTERVAL_GID_SHIFT, INTERVAL_MAX_GID);
+        assert_eq!(top & 0xffff_ffff, (limit - 1) as u64);
+    }
 }

@@ -17,13 +17,13 @@
 use crate::pivot::{select_pivot, PivotResult};
 use crate::selection::select_kth_by;
 use crate::trace::{sat64, NoopTracer, PhaseContext, SolvePhase, SolveTracer};
-use crate::trim::Trimmer;
+use crate::trim::{two_pass_trim, Trimmer};
 use crate::{CoreError, Result};
 use qjoin_data::Value;
 use qjoin_exec::count::count_answers;
 use qjoin_exec::yannakakis::materialize;
 use qjoin_query::{Assignment, Instance, Variable};
-use qjoin_ranking::{RankPredicate, Ranking, Weight, WeightBound};
+use qjoin_ranking::{CmpOp, RankPredicate, Ranking, Weight, WeightBound};
 use std::time::Instant;
 
 /// Tuning knobs for the pivoting driver.
@@ -108,6 +108,23 @@ pub(crate) trait SolveBackend: Sync {
     /// Trims the instance by a ranking predicate (Section 5).
     fn trim(&self, instance: &Self::Inst, predicate: &RankPredicate) -> Result<Self::Inst>;
 
+    /// Trims the instance to the answers whose weight lies strictly inside the open
+    /// window `(low, high)` — the partition primitive of the driver (see
+    /// [`partition_round`]). The default is [`two_pass_trim`] over [`trim`](Self::trim),
+    /// `first` naming the comparison applied first; backends whose construction serves
+    /// both bounds at once (exact SUM) override it.
+    fn trim_between(
+        &self,
+        instance: &Self::Inst,
+        low: &WeightBound,
+        high: &WeightBound,
+        first: CmpOp,
+    ) -> Result<Self::Inst> {
+        two_pass_trim(instance, low, high, first, |instance, predicate| {
+            self.trim(instance, predicate)
+        })
+    }
+
     /// The leaf key a materialized answer is projected onto: the tie-break of the
     /// final direct selection. Must order **identically** to the projected
     /// `original_vars` values — the row backend uses the values themselves, the
@@ -156,6 +173,17 @@ impl SolveBackend for RowBackend<'_> {
         self.trimmer.trim(instance, self.ranking, predicate)
     }
 
+    fn trim_between(
+        &self,
+        instance: &Instance,
+        low: &WeightBound,
+        high: &WeightBound,
+        first: CmpOp,
+    ) -> Result<Instance> {
+        self.trimmer
+            .trim_between(instance, self.ranking, low, high, first)
+    }
+
     type Key = Vec<Value>;
 
     fn keyed_answers(
@@ -169,6 +197,36 @@ impl SolveBackend for RowBackend<'_> {
     fn answer_from_key(&self, original_vars: &[Variable], key: &Vec<Value>) -> Assignment {
         Assignment::from_pairs(original_vars.iter().cloned().zip(key.iter().cloned()))
     }
+}
+
+/// One side of a partition step: the trimmed candidate instance and its answer count.
+pub(crate) type Side<I> = (I, u128);
+
+/// One partition step of Algorithm 1, shared by the single-φ and the batched
+/// driver so their recursions cannot drift: rebuilds, from the *original*
+/// instance, the candidates below the pivot — the window `(low, pivot)` — and
+/// above it — `(pivot, high)` — and returns each with its answer count, less-than
+/// side first. The pivot bound is the one a two-pass backend applies first. The two
+/// sides are independent, so their trim+count pairs run as the two arms of a join
+/// (sequentially, less-than first, when the pool has one thread).
+pub(crate) fn partition_round<B: SolveBackend>(
+    backend: &B,
+    instance: &B::Inst,
+    low: &WeightBound,
+    high: &WeightBound,
+    pivot_weight: &Weight,
+) -> Result<[Side<B::Inst>; 2]> {
+    let pivot = WeightBound::Finite(pivot_weight.clone());
+    let side = |low: &WeightBound, high: &WeightBound, first: CmpOp| -> Result<Side<B::Inst>> {
+        let trimmed = backend.trim_between(instance, low, high, first)?;
+        let count = backend.count(&trimmed)?;
+        Ok((trimmed, count))
+    };
+    let (lt, gt) = qjoin_par::par_join(
+        || side(low, &pivot, CmpOp::Lt),
+        || side(&pivot, high, CmpOp::Gt),
+    );
+    Ok([lt?, gt?])
 }
 
 /// Computes the `φ`-quantile of the instance's answers under the ranking function,
@@ -267,46 +325,10 @@ pub(crate) fn quantile_by_pivoting_backend<B: SolveBackend>(
         report_parallel(tracer, SolvePhase::PivotScan, pivot_par);
         let pivot_weight = pivot.weight.clone();
 
-        // Rebuild both partitions from the original instance, restricted to the
-        // candidate region (low, high). The two partitions are independent, so
-        // their trim+count pairs run as the two arms of a join (sequentially,
-        // lt first, when the pool has one thread — the original order).
         let trim_started = Instant::now();
         let trim_par = qjoin_par::thread_parallel_nanos();
-        let (lt_result, gt_result) = {
-            let pw_lt = pivot_weight.clone();
-            let pw_gt = pivot_weight.clone();
-            let low_bound = low.clone();
-            let high_bound = high.clone();
-            qjoin_par::par_join(
-                move || -> Result<(B::Inst, u128)> {
-                    let first = backend.trim(instance, &RankPredicate::less_than(pw_lt))?;
-                    let lt = backend.trim(
-                        &first,
-                        &RankPredicate {
-                            op: qjoin_ranking::CmpOp::Gt,
-                            bound: low_bound,
-                        },
-                    )?;
-                    let n_lt = backend.count(&lt)?;
-                    Ok((lt, n_lt))
-                },
-                move || -> Result<(B::Inst, u128)> {
-                    let first = backend.trim(instance, &RankPredicate::greater_than(pw_gt))?;
-                    let gt = backend.trim(
-                        &first,
-                        &RankPredicate {
-                            op: qjoin_ranking::CmpOp::Lt,
-                            bound: high_bound,
-                        },
-                    )?;
-                    let n_gt = backend.count(&gt)?;
-                    Ok((gt, n_gt))
-                },
-            )
-        };
-        let (lt, n_lt) = lt_result?;
-        let (gt, n_gt) = gt_result?;
+        let [(lt, n_lt), (gt, n_gt)] =
+            partition_round(backend, instance, &low, &high, &pivot_weight)?;
         let n_eq = current_count.saturating_sub(n_lt).saturating_sub(n_gt);
         tracer.phase_event(
             SolvePhase::TrimRound,

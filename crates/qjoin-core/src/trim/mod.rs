@@ -23,7 +23,7 @@ pub use sum::{AdjacentSumTrimmer, SingleAtomSumTrimmer};
 use crate::Result;
 use qjoin_data::{Database, Relation, Value};
 use qjoin_query::{self_join, Instance, Variable};
-use qjoin_ranking::{RankPredicate, Ranking};
+use qjoin_ranking::{CmpOp, RankPredicate, Ranking, WeightBound};
 
 /// A trimming subroutine for one family of ranking predicates.
 ///
@@ -45,6 +45,26 @@ pub trait Trimmer: Sync {
         predicate: &RankPredicate,
     ) -> Result<Instance>;
 
+    /// Rewrites the instance so that its answers are (a 1-ε fraction of) the original
+    /// answers whose weight lies strictly inside the open window `(low, high)` — one
+    /// side of a partition step of Algorithm 1. The default stacks two
+    /// [`trim`](Self::trim) calls: the `first` comparison (`≺ high` for [`CmpOp::Lt`],
+    /// `≻ low` for [`CmpOp::Gt`]) on the instance, the other on its result —
+    /// Algorithm 1 applies the pivot bound first. A trimmer whose construction serves
+    /// both bounds at once overrides it and has no use for `first`.
+    fn trim_between(
+        &self,
+        instance: &Instance,
+        ranking: &Ranking,
+        low: &WeightBound,
+        high: &WeightBound,
+        first: CmpOp,
+    ) -> Result<Instance> {
+        two_pass_trim(instance, low, high, first, |instance, predicate| {
+            self.trim(instance, ranking, predicate)
+        })
+    }
+
     /// True if this trimmer may lose a bounded fraction of qualifying answers.
     fn is_lossy(&self) -> bool {
         false
@@ -52,6 +72,28 @@ pub trait Trimmer: Sync {
 
     /// A short human-readable name for logs and experiment reports.
     fn name(&self) -> &'static str;
+}
+
+/// The window trim `(low, high)` as two stacked single-bound trims — the one body
+/// behind every backend without a fused construction, row or encoded, so their
+/// recursions see the same intermediate instances. `first` names the comparison
+/// applied to the original instance (`≺ high` for [`CmpOp::Lt`], `≻ low` for
+/// [`CmpOp::Gt`]); the other one runs over its result. Algorithm 1 applies the pivot
+/// bound first: `≺ pivot` on the less-than side, `≻ pivot` on the greater-than side.
+pub(crate) fn two_pass_trim<I>(
+    instance: &I,
+    low: &WeightBound,
+    high: &WeightBound,
+    first: CmpOp,
+    trim: impl Fn(&I, &RankPredicate) -> Result<I>,
+) -> Result<I> {
+    let below = RankPredicate::less_than(high.clone());
+    let above = RankPredicate::greater_than(low.clone());
+    let (first, second) = match first {
+        CmpOp::Lt => (below, above),
+        CmpOp::Gt => (above, below),
+    };
+    trim(&trim(instance, &first)?, &second)
 }
 
 /// Handles the two degenerate predicates every trimmer shares: trivially-true

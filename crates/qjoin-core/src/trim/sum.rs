@@ -1,34 +1,40 @@
 //! Exact trimmings for (partial) SUM (Section 5.3).
 //!
-//! Two constructions cover the tractable side of Theorem 5.6:
+//! Two constructions cover the tractable side of Theorem 5.6. Both trim to an open
+//! weight *window* `(low, high)` — the shape of one partition step of Algorithm 1,
+//! which rebuilds each side of a pivot under the pivot bound and the accumulated
+//! bound — and a single inequality is the window with one side unbounded:
 //!
 //! * **Single atom** — when one atom contains all weighted variables, an additive
 //!   inequality is a property of that atom's tuple alone, so trimming is a linear-time
 //!   filter of one relation ([`SingleAtomSumTrimmer`]).
 //! * **Adjacent pair** — when the weighted variables are covered by two atoms that are
-//!   adjacent in some join tree, the inequality `w_A(t_A) + w_B(t_B) < λ` is trimmed
-//!   with the factorized construction of Lemma 5.5 (from Tziavelis et al.,
-//!   "Beyond Equi-joins"): per join group, sort the `B` tuples by their partial sums,
-//!   and connect every `A` tuple to the *prefix* of qualifying `B` tuples through
-//!   `O(log n)` dyadic-interval identifiers carried by a fresh shared variable `v`.
-//!   Each qualifying `(t_A, t_B)` pair matches through exactly one identifier, so the
-//!   rewriting is a bijection; the database grows by a logarithmic factor and the
-//!   query stays acyclic (and stays inside the tractable class, so the construction
-//!   can be applied again in later iterations).
+//!   adjacent in some join tree, `low < w_A(t_A) + w_B(t_B) < high` is trimmed with
+//!   the factorized construction of Lemma 5.5 (from Tziavelis et al., "Beyond
+//!   Equi-joins"): per join group, sort the `B` tuples by their partial sums; every
+//!   `A` tuple then qualifies with one *contiguous run* of them, and is connected to
+//!   it through the `O(log n)` dyadic-interval identifiers that decompose the run,
+//!   carried by a fresh shared variable `v`. Each qualifying `(t_A, t_B)` pair matches
+//!   through exactly one identifier, so the rewriting is a bijection; the database
+//!   grows by a logarithmic factor and the query stays acyclic (and inside the
+//!   tractable class). Serving both bounds with one construction keeps a partition
+//!   round at `O(n log n)`; composing two single-bound constructions — the second over
+//!   the first one's log-expanded output — is where the paper's `O(n log² n)` comes
+//!   from.
 //!
 //! [`AdjacentSumTrimmer`] dispatches between the two cases per call and reports the
 //! dichotomy witness when neither applies.
 
-use super::{handle_trivial, Trimmer};
+use super::{empty_copy, Trimmer};
 use crate::dichotomy::{classify_partial_sum, find_adjacent_cover, SumClassification};
 use crate::{CoreError, Result};
 use qjoin_data::{Database, Relation, Tuple, Value};
-use qjoin_query::{self_join, Instance, Variable};
-use qjoin_ranking::{AggregateKind, CmpOp, RankPredicate, Ranking, SumTupleWeights};
+use qjoin_query::{self_join, Instance, JoinQuery, Variable};
+use qjoin_ranking::{AggregateKind, CmpOp, RankPredicate, Ranking, SumTupleWeights, WeightBound};
 use std::collections::HashMap;
 
 /// Exact trimmer for additive inequalities whose weighted variables all live in a
-/// single atom.
+/// single atom: [`AdjacentSumTrimmer`] restricted to its filter case.
 #[derive(Clone, Copy, Debug, Default)]
 pub struct SingleAtomSumTrimmer;
 
@@ -39,20 +45,8 @@ impl Trimmer for SingleAtomSumTrimmer {
         ranking: &Ranking,
         predicate: &RankPredicate,
     ) -> Result<Instance> {
-        if let Some(result) = handle_trivial(instance, predicate) {
-            return result;
-        }
-        check_sum_ranking(ranking)?;
-        let bound = scalar_bound(predicate)?;
-        let instance = self_join::eliminate_self_joins(instance)?;
-        let cover = find_adjacent_cover(instance.query(), ranking.weighted_vars())
-            .filter(|c| c.is_single_atom())
-            .ok_or_else(|| {
-                CoreError::IntractableSum(
-                    "no single atom contains all weighted variables".to_string(),
-                )
-            })?;
-        trim_single_atom(&instance, ranking, predicate.op, bound, cover.atoms.0)
+        let (low, high) = window_of(predicate);
+        sum_trim(instance, ranking, &low, &high, false)
     }
 
     fn name(&self) -> &'static str {
@@ -62,6 +56,8 @@ impl Trimmer for SingleAtomSumTrimmer {
 
 /// Exact trimmer for additive inequalities on the tractable side of Theorem 5.6:
 /// single-atom covers are filtered, adjacent-pair covers use the dyadic construction.
+/// Both take the whole window `(low, high)` at once, so one partition step of
+/// Algorithm 1 is one rewriting of the original instance.
 #[derive(Clone, Copy, Debug, Default)]
 pub struct AdjacentSumTrimmer;
 
@@ -72,28 +68,19 @@ impl Trimmer for AdjacentSumTrimmer {
         ranking: &Ranking,
         predicate: &RankPredicate,
     ) -> Result<Instance> {
-        if let Some(result) = handle_trivial(instance, predicate) {
-            return result;
-        }
-        check_sum_ranking(ranking)?;
-        let bound = scalar_bound(predicate)?;
-        let instance = self_join::eliminate_self_joins(instance)?;
-        match find_adjacent_cover(instance.query(), ranking.weighted_vars()) {
-            Some(cover) if cover.is_single_atom() => {
-                trim_single_atom(&instance, ranking, predicate.op, bound, cover.atoms.0)
-            }
-            Some(cover) => trim_adjacent_pair(&instance, ranking, predicate.op, bound, cover.atoms),
-            None => {
-                let witness = classify_partial_sum(instance.query(), ranking.weighted_vars());
-                Err(match witness {
-                    SumClassification::UnknownTooLarge => CoreError::QueryTooLarge {
-                        atoms: instance.query().num_atoms(),
-                        limit: qjoin_query::join_tree::MAX_ENUMERATION_ATOMS,
-                    },
-                    other => CoreError::IntractableSum(format!("{other:?}")),
-                })
-            }
-        }
+        let (low, high) = window_of(predicate);
+        sum_trim(instance, ranking, &low, &high, true)
+    }
+
+    fn trim_between(
+        &self,
+        instance: &Instance,
+        ranking: &Ranking,
+        low: &WeightBound,
+        high: &WeightBound,
+        _first: CmpOp,
+    ) -> Result<Instance> {
+        sum_trim(instance, ranking, low, high, true)
     }
 
     fn name(&self) -> &'static str {
@@ -101,53 +88,157 @@ impl Trimmer for AdjacentSumTrimmer {
     }
 }
 
-pub(crate) fn check_sum_ranking(ranking: &Ranking) -> Result<()> {
-    if ranking.kind() != AggregateKind::Sum {
-        return Err(CoreError::UnsupportedRanking(format!(
-            "SUM trimmers cannot trim {:?} predicates",
-            ranking.kind()
-        )));
+/// The open window a single inequality selects: `≺ λ` is `(⊥, λ)`, `≻ λ` is `(λ, ⊤)`.
+pub(crate) fn window_of(predicate: &RankPredicate) -> (WeightBound, WeightBound) {
+    match predicate.op {
+        CmpOp::Lt => (WeightBound::NegInf, predicate.bound.clone()),
+        CmpOp::Gt => (predicate.bound.clone(), WeightBound::PosInf),
     }
-    Ok(())
 }
 
-pub(crate) fn scalar_bound(predicate: &RankPredicate) -> Result<f64> {
-    predicate
-        .finite_bound()
-        .and_then(|w| w.as_num())
-        .ok_or_else(|| {
-            CoreError::UnsupportedPredicate("SUM trimming requires a scalar bound".to_string())
-        })
+/// The body of both SUM trimmers: reads the window, finds the cover, and runs the
+/// construction for it. `pair_covers` is false for [`SingleAtomSumTrimmer`], which
+/// refuses every query whose weighted variables no single atom contains.
+fn sum_trim(
+    instance: &Instance,
+    ranking: &Ranking,
+    low: &WeightBound,
+    high: &WeightBound,
+    pair_covers: bool,
+) -> Result<Instance> {
+    let range = match SumWindow::new(ranking, low, high)? {
+        SumWindow::All => return Ok(instance.clone()),
+        SumWindow::Empty => return empty_copy(instance),
+        SumWindow::Range(range) => range,
+    };
+    let instance = self_join::eliminate_self_joins(instance)?;
+    match find_adjacent_cover(instance.query(), ranking.weighted_vars()) {
+        Some(cover) if cover.is_single_atom() => {
+            trim_single_atom(&instance, ranking, range, cover.atoms.0)
+        }
+        _ if !pair_covers => Err(CoreError::IntractableSum(
+            "no single atom contains all weighted variables".to_string(),
+        )),
+        Some(cover) => trim_adjacent_pair(&instance, ranking, range, cover.atoms),
+        None => Err(intractable_sum_error(
+            instance.query(),
+            ranking.weighted_vars(),
+        )),
+    }
+}
+
+/// The error for a `(query, U_w)` pair without an adjacent cover: the dichotomy
+/// witness, or the size limit of the exhaustive cover search.
+pub(crate) fn intractable_sum_error(query: &JoinQuery, weighted: &[Variable]) -> CoreError {
+    match classify_partial_sum(query, weighted) {
+        SumClassification::UnknownTooLarge => CoreError::QueryTooLarge {
+            atoms: query.num_atoms(),
+            limit: qjoin_query::join_tree::MAX_ENUMERATION_ATOMS,
+        },
+        other => CoreError::IntractableSum(format!("{other:?}")),
+    }
+}
+
+/// What an open weight window `(low, high)` asks of a SUM trimmer. Shared by the row
+/// trimmers and the encoded trim layer, so both paths read a window identically.
+pub(crate) enum SumWindow {
+    /// `(⊥, ⊤)`: every answer qualifies and the instance is returned unchanged.
+    All,
+    /// `low = ⊤` or `high = ⊥`: no answer qualifies.
+    Empty,
+    /// At least one finite bound: the constructions have work to do.
+    Range(SumRange),
+}
+
+impl SumWindow {
+    /// Reads a window. Sentinel-only windows are resolved before the ranking is
+    /// looked at (trimming them is ranking-independent); finite bounds must be
+    /// scalars of a SUM ranking.
+    pub(crate) fn new(
+        ranking: &Ranking,
+        low: &WeightBound,
+        high: &WeightBound,
+    ) -> Result<SumWindow> {
+        if *low == WeightBound::PosInf || *high == WeightBound::NegInf {
+            return Ok(SumWindow::Empty);
+        }
+        if low.is_infinite() && high.is_infinite() {
+            return Ok(SumWindow::All);
+        }
+        if ranking.kind() != AggregateKind::Sum {
+            return Err(CoreError::UnsupportedRanking(format!(
+                "SUM trimmers cannot trim {:?} predicates",
+                ranking.kind()
+            )));
+        }
+        let scalar = |bound: &WeightBound| match bound.as_finite() {
+            None => Ok(None),
+            Some(weight) => weight.as_num().map(Some).ok_or_else(|| {
+                CoreError::UnsupportedPredicate("SUM trimming requires a scalar bound".to_string())
+            }),
+        };
+        Ok(SumWindow::Range(SumRange {
+            low: scalar(low)?,
+            high: scalar(high)?,
+        }))
+    }
+}
+
+/// The scalar bounds of a non-degenerate SUM window; `None` is the unbounded side.
+#[derive(Clone, Copy, Debug)]
+pub(crate) struct SumRange {
+    low: Option<f64>,
+    high: Option<f64>,
+}
+
+impl SumRange {
+    /// `low < s < high`: the single-atom test on a tuple's partial sum.
+    pub(crate) fn admits(&self, s: f64) -> bool {
+        self.low.is_none_or(|low| s > low) && self.high.is_none_or(|high| s < high)
+    }
+
+    /// The positions `[lo, hi)` of a join group's B-side members — sorted ascending
+    /// by partial sum — that qualify for an A-side tuple of partial sum `wa`:
+    /// `low < w_A + w_B < high ⇔ low − w_A < w_B < high − w_A`, one contiguous run.
+    /// (`hi` is clamped up to `lo`: a window with `low ≥ high` selects nothing.)
+    pub(crate) fn positions<M>(
+        &self,
+        members: &[M],
+        sum_of: impl Fn(&M) -> f64,
+        wa: f64,
+    ) -> (usize, usize) {
+        let lo = self
+            .low
+            .map_or(0, |low| members.partition_point(|m| sum_of(m) <= low - wa));
+        let hi = self.high.map_or(members.len(), |high| {
+            members.partition_point(|m| sum_of(m) < high - wa)
+        });
+        (lo, hi.max(lo))
+    }
 }
 
 /// Filters the relation of the covering atom by the tuple's partial sum.
 fn trim_single_atom(
     instance: &Instance,
     ranking: &Ranking,
-    op: CmpOp,
-    bound: f64,
+    range: SumRange,
     atom_idx: usize,
 ) -> Result<Instance> {
     let tw = SumTupleWeights::with_preferred_atoms(instance.query(), ranking, &[atom_idx]);
     let relation = instance.relation_of_atom(atom_idx);
-    let filtered = relation.filtered(|t| {
-        let s = tw.tuple_sum(ranking, atom_idx, t);
-        match op {
-            CmpOp::Lt => s < bound,
-            CmpOp::Gt => s > bound,
-        }
-    });
+    let filtered = relation.filtered(|t| range.admits(tw.tuple_sum(ranking, atom_idx, t)));
     let mut db = instance.database().clone();
     db.insert_relation(filtered);
     Ok(Instance::new(instance.query().clone(), db)?)
 }
 
-/// The dyadic prefix/suffix construction for an adjacent pair of atoms.
+/// The dyadic range construction for an adjacent pair of atoms (Lemma 5.5, applied
+/// to the contiguous run [`SumRange::positions`] selects instead of a prefix or a
+/// suffix — `dyadic_cover` takes any range, so one construction serves both bounds).
 fn trim_adjacent_pair(
     instance: &Instance,
     ranking: &Ranking,
-    op: CmpOp,
-    bound: f64,
+    range: SumRange,
     (atom_a, atom_b): (usize, usize),
 ) -> Result<Instance> {
     let query = instance.query();
@@ -197,6 +288,7 @@ fn trim_adjacent_pair(
     // A-side: connect every A tuple to the dyadic cover of its qualifying range.
     let rel_a = instance.relation_of_atom(atom_a);
     let mut new_a = Relation::new(rel_a.name(), rel_a.arity() + 1);
+    let mut cover: Vec<(u32, usize)> = Vec::new();
     for t in rel_a.iter() {
         let key: Vec<Value> = key_pos_a.iter().map(|&p| t[p].clone()).collect();
         let Some(members) = groups.get(&key) else {
@@ -204,26 +296,19 @@ fn trim_adjacent_pair(
         };
         let gid = group_ids[&key];
         let wa = tw.tuple_sum(ranking, atom_a, t);
-        let threshold = bound - wa;
-        let (lo, hi) = match op {
-            // w_A + w_B < λ ⇔ w_B < λ - w_A: the prefix of strictly smaller sums.
-            CmpOp::Lt => (0, members.partition_point(|(s, _)| *s < threshold)),
-            // w_A + w_B > λ ⇔ w_B > λ - w_A: the suffix of strictly larger sums.
-            CmpOp::Gt => (
-                members.partition_point(|(s, _)| *s <= threshold),
-                members.len(),
-            ),
-        };
-        for (level, index) in dyadic_cover(lo, hi) {
+        let (lo, hi) = range.positions(members, |(sum, _)| *sum, wa);
+        cover.clear();
+        dyadic_cover(lo, hi, |level, index| cover.push((level, index)));
+        for &(level, index) in &cover {
             new_a.push_tuple(t.extended(interval_id(gid, level, index)))?;
         }
     }
 
     // B-side: every B tuple joins the dyadic interval containing its position, one
     // copy per level. Groups are walked in gid (sorted-key) order, not hash-map
-    // order: the output row order feeds the *next* trim round's in-group sort, so
-    // it must be deterministic — and identical to the encoded path's — for repeated
-    // trims to break partial-sum ties the same way on every run and on both paths.
+    // order: the output row order feeds the next round's pivot scan, so it must be
+    // deterministic — and identical to the encoded path's — for the recursion to
+    // take the same branches on every run and on both paths.
     let mut sorted_groups: Vec<_> = groups.iter().collect();
     sorted_groups.sort_by_key(|(key, _)| group_ids[*key]);
     let mut new_b = Relation::new(rel_b.name(), rel_b.arity() + 1);
@@ -262,10 +347,10 @@ pub(crate) fn levels_for(len: usize) -> u32 {
 }
 
 /// The canonical decomposition of the half-open range `[lo, hi)` into aligned dyadic
-/// intervals `[index · 2^level, (index + 1) · 2^level)`. Every position of the range is
-/// covered by exactly one interval of the decomposition.
-pub(crate) fn dyadic_cover(mut lo: usize, hi: usize) -> Vec<(u32, usize)> {
-    let mut out = Vec::new();
+/// intervals `[index · 2^level, (index + 1) · 2^level)`, handed to `emit` as
+/// `(level, index)` in position order. Every position of the range is covered by
+/// exactly one interval of the decomposition.
+pub(crate) fn dyadic_cover(mut lo: usize, hi: usize, mut emit: impl FnMut(u32, usize)) {
     while lo < hi {
         let align = if lo == 0 {
             u32::MAX
@@ -276,10 +361,9 @@ pub(crate) fn dyadic_cover(mut lo: usize, hi: usize) -> Vec<(u32, usize)> {
         while level > 0 && (1usize << level) > hi - lo {
             level -= 1;
         }
-        out.push((level, lo >> level));
+        emit(level, lo >> level);
         lo += 1usize << level;
     }
-    out
 }
 
 #[cfg(test)]
@@ -328,7 +412,8 @@ mod tests {
             (7, 64),
             (31, 33),
         ] {
-            let cover = dyadic_cover(lo, hi);
+            let mut cover = Vec::new();
+            dyadic_cover(lo, hi, |level, index| cover.push((level, index)));
             let mut covered: Vec<usize> = Vec::new();
             for (level, index) in &cover {
                 let start = index << level;
@@ -505,7 +590,8 @@ mod tests {
 
     #[test]
     fn repeated_trimming_stays_in_the_tractable_class() {
-        // Trim twice, as the quantile driver does (pivot bound + accumulated bound).
+        // Two stacked single-bound trims: what `trim_between`'s default composes, and
+        // what callers chaining `trim` still get.
         let inst = two_path_instance(25);
         let ranking = Ranking::sum(inst.query().variables());
         let first = AdjacentSumTrimmer

@@ -150,6 +150,56 @@ fn social_network_workload_is_pointwise_identical() {
     }
 }
 
+/// Pins the *recursion*, not just the answers: on a social instance large enough
+/// for several pivoting rounds, the encoded and the row solve must take the same
+/// branches (same `iterations`, same tie-broken `answer`) at every φ, including the
+/// rank boundaries, at executor degrees 1 and 4. Each round trims the original
+/// instance to a `(low, high)` window in one dyadic construction; if the two paths
+/// built their candidate instances differently (say one stacked two single-bound
+/// constructions, carrying two `v_sum` columns), Algorithm 2 would pick different —
+/// equally valid — pivots and the weights would still agree while `iterations`
+/// and `answer` drifted apart.
+#[test]
+fn social_sum_multi_round_recursions_are_pointwise_identical() {
+    // Seed 11 is one where a half-fused build (encoded fused, row two-pass) is caught:
+    // it disagrees on `iterations`/`answer` at 4 of the 20 fractions below.
+    let config = SocialConfig {
+        rows_per_relation: 300,
+        seed: 11,
+        ..Default::default()
+    };
+    let instance = config.generate();
+    let ranking = config.likes_ranking();
+    let total = count_answers(&instance).unwrap();
+    let mut phis = boundary_phis(total);
+    phis.extend([
+        0.01, 0.05, 0.1, 0.2, 0.3, 0.4, 0.6, 0.7, 0.8, 0.9, 0.95, 0.99,
+    ]);
+    assert!(phis.len() >= 16);
+    let row: Vec<QuantileResult> = phis
+        .iter()
+        .map(|&phi| exact_quantile_via_rows(&instance, &ranking, phi).unwrap())
+        .collect();
+    assert!(
+        row.iter().filter(|r| r.iterations >= 3).count() >= phis.len() / 2,
+        "the instance must be large enough for multi-round solves: iterations {:?}",
+        row.iter().map(|r| r.iterations).collect::<Vec<_>>()
+    );
+    let row_batch = exact_quantile_batch_via_rows(&instance, &ranking, &phis).unwrap();
+    for (threads, pool) in sweep_pools().iter().filter(|(t, _)| [1, 4].contains(t)) {
+        quantile_joins::par::with_pool(pool, || {
+            for (phi, r) in phis.iter().zip(&row) {
+                let encoded = exact_quantile(&instance, &ranking, *phi).unwrap();
+                assert_pointwise_equal(&encoded, r, &format!("social φ={phi}, T={threads}"));
+            }
+            let batch = exact_quantile_batch(&instance, &ranking, &phis).unwrap();
+            for ((phi, e), r) in phis.iter().zip(&batch).zip(&row_batch) {
+                assert_pointwise_equal(e, r, &format!("social batch φ={phi}, T={threads}"));
+            }
+        });
+    }
+}
+
 /// A database relation the query never references must still count towards the
 /// materialization threshold on both paths (regression: the encoded path once
 /// sized the database from query-referenced views only, diverging from the row
