@@ -23,7 +23,7 @@
 //! The equivalence suite asserts the resulting quantile answers are pointwise
 //! equal across paths, thread counts, and boundary φ values.
 
-use super::trim::{row_sum, segment_offsets, ViewBuilder};
+use super::trim::{row_sum, segment_offsets, weighted_pairs, ViewBuilder};
 use super::weights::CodeWeights;
 use crate::sketch::{sketch, RoundDirection, SketchEntry};
 use crate::{CoreError, Result};
@@ -41,20 +41,6 @@ struct NodeState {
     view: EncodedRelation,
     sums: Vec<f64>,
     mults: Vec<u128>,
-}
-
-/// The weighted `(variable, position)` pairs the mapping `μ` assigns to `atom_idx`
-/// — the same pairs, in the same fold order, as the row path's
-/// [`SumTupleWeights::tuple_sum`].
-fn leaf_pairs(
-    query: &JoinQuery,
-    tuple_weights: &SumTupleWeights,
-    atom_idx: usize,
-) -> Vec<(Variable, usize)> {
-    tuple_weights
-        .vars_of_atom(atom_idx)
-        .map(|v| (v.clone(), query.atom(atom_idx).positions_of(v)[0]))
-        .collect()
 }
 
 /// Trims an encoded instance with the ε-lossy SUM construction (Algorithm 4),
@@ -110,7 +96,7 @@ pub(crate) fn lossy_sum_trim_encoded(
             let atom_idx = tree.node(node).atom_index;
             let atom = query.atom(atom_idx).clone();
             let view = binarized.instance.relation_of_atom(atom_idx).clone();
-            let pairs = leaf_pairs(&query, &tuple_weights, atom_idx);
+            let pairs = weighted_pairs(&query, &tuple_weights, weights, atom_idx);
             let offsets = segment_offsets(&view);
             let total = *offsets.last().expect("offsets include the empty prefix");
             let chunks: Vec<Vec<f64>> =
@@ -122,7 +108,7 @@ pub(crate) fn lossy_sum_trim_encoded(
                             seg += 1;
                         }
                         let row = global - offsets[seg];
-                        local.push(row_sum(&view, weights, &pairs, seg, row));
+                        local.push(row_sum(&view, &pairs, seg, row));
                     }
                     local
                 });

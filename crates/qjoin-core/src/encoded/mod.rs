@@ -33,8 +33,8 @@ use crate::quantile::{
 use crate::{CoreError, Result};
 use qjoin_exec::encoded::{self as exec_encoded};
 use qjoin_query::{Assignment, EncodedInstance, Variable};
-use qjoin_ranking::{AggregateKind, CmpOp, RankPredicate, Ranking, Weight, WeightBound};
-use weights::{contribution, CodeWeights};
+use qjoin_ranking::{CmpOp, RankPredicate, Ranking, Weight, WeightBound};
+use weights::{CodeWeights, WeightFold};
 
 /// How many projected codes a [`CodeKey`] stores without a heap allocation.
 /// Sized for the workloads' widest projections (the star schema projects five
@@ -201,16 +201,8 @@ fn keyed_answers_encoded(
 ) -> Result<Vec<(Weight, CodeKey)>> {
     let ctx = exec_encoded::shared_context(instance)?;
     let schema = ctx.query().variables();
-    let weighted_positions: Vec<(usize, &Variable, &[f64])> = ranking
-        .weighted_vars()
-        .iter()
-        .filter_map(|v| {
-            schema
-                .iter()
-                .position(|s| s == v)
-                .map(|p| (p, v, weights.table(v)))
-        })
-        .collect();
+    // The per-answer weight fold, in the ranking's canonical order.
+    let fold = WeightFold::new(ranking, weights, |v| schema.iter().position(|s| s == v));
     let projected_positions: Vec<usize> = original_vars
         .iter()
         .map(|v| {
@@ -220,28 +212,6 @@ fn keyed_answers_encoded(
                 .expect("trimmed queries retain the original variables")
         })
         .collect();
-    // The per-answer weight fold, with a direct-`f64` fast path for SUM (by far
-    // the hottest ranking at this leaf): `0.0 + w_1 + ... + w_m` in weighted-var
-    // order is exactly the generic `identity`/`combine` fold, bit for bit.
-    let sum_fold = matches!(ranking.kind(), AggregateKind::Sum);
-    let fold = |codes: &[u64]| -> Weight {
-        if sum_fold {
-            let mut s = 0.0f64;
-            for &(pos, _, table) in &weighted_positions {
-                s += table[codes[pos] as usize];
-            }
-            Weight::Num(s)
-        } else {
-            let mut weight = ranking.identity();
-            for &(pos, var, table) in &weighted_positions {
-                weight = ranking.combine(
-                    &weight,
-                    &contribution(ranking, var, table[codes[pos] as usize]),
-                );
-            }
-            weight
-        }
-    };
     // Enumerate in root-row chunks over the executor pool: each chunk's answers
     // accumulate locally and the chunks concatenate in canonical order, so the
     // result is the exact sequence the sequential walk produces (and therefore
@@ -254,7 +224,7 @@ fn keyed_answers_encoded(
         |out: &mut Vec<(Weight, CodeKey)>, codes| {
             let key =
                 CodeKey::from_iter_of_len(key_width, projected_positions.iter().map(|&p| codes[p]));
-            out.push((fold(codes), key));
+            out.push((fold.weight_of(codes), key));
         },
     );
     let mut out = Vec::with_capacity(chunks.iter().map(Vec::len).sum());

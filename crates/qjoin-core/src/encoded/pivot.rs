@@ -2,34 +2,70 @@
 //!
 //! The row implementation ([`crate::pivot`]) carries a `BTreeMap`-backed
 //! [`Assignment`](qjoin_query::Assignment) per message and re-derives ranking
-//! weights inside every comparison. Here a message is a flat slot array of `u64`
-//! codes (one slot per query variable, in sorted variable order, `u64::MAX` for
-//! unbound) plus its canonically-folded [`Weight`]. Comparisons are a weight
-//! comparison followed by a slice comparison — and because dictionary codes are
-//! assigned in value order (and synthesized code spaces are order-compatible), the
-//! slice comparison equals the row path's assignment comparison, so both paths pick
-//! the *same* pivot at every iteration.
+//! weights inside every comparison. Here a node's messages are flat arenas
+//! ([`NodeMsgs`]): one row of `u64` codes per tuple (one slot per query variable,
+//! in sorted variable order, `u64::MAX` for unbound), its canonically-folded
+//! [`Weight`], and its subtree count. A join group's message is the *row index* of
+//! its weighted median plus the group's summed count, stored by the context's
+//! dense group id — so a parent row finds its children's messages by indexing
+//! through [`EncodedContext::links`](qjoin_exec::EncodedContext::links), with no
+//! key built or hashed. Comparisons run over row indices: a weight comparison
+//! followed by a comparison of the two code rows — and because dictionary codes
+//! are assigned in value order (and synthesized code spaces are order-compatible),
+//! the slice comparison equals the row path's assignment comparison, so both
+//! paths pick the *same* pivot at every iteration.
 
-use super::weights::{contribution, CodeWeights};
+use super::weights::{CodeWeights, WeightFold, UNBOUND};
 use crate::pivot::{pivot_quality, PivotResult};
 use crate::selection::weighted_median_by;
 use crate::{CoreError, Result};
 use qjoin_data::Value;
-use qjoin_exec::encoded::Key;
 use qjoin_query::{Assignment, EncodedInstance, Variable};
 use qjoin_ranking::{Ranking, Weight};
+use std::cmp::Ordering;
 use std::collections::HashMap;
-use std::sync::Arc;
 
-/// The unbound-slot sentinel. Dictionary codes are dense (far below this) and the
-/// packed interval codes of the SUM construction are capped strictly below it.
-const UNBOUND: u64 = u64::MAX;
+/// The pivot messages of one join-tree node.
+#[derive(Default)]
+struct NodeMsgs {
+    /// `n_rows × n_slots` candidate codes, row-major.
+    codes: Vec<u64>,
+    /// Per row: the candidate's canonical weight.
+    weights: Vec<Weight>,
+    /// Per row: the subtree's partial-answer count.
+    counts: Vec<u128>,
+    /// Per join group (by gid): the row holding the group's weighted median.
+    medians: Vec<u32>,
+    /// Per join group (by gid): the summed count of its members.
+    totals: Vec<u128>,
+}
 
-/// A pivot candidate: the codes of a partial answer and its canonical weight.
-type Candidate = (Arc<Vec<u64>>, Weight);
+impl NodeMsgs {
+    fn codes_of(&self, row: u32, n_slots: usize) -> &[u64] {
+        &self.codes[row as usize * n_slots..][..n_slots]
+    }
 
-/// One pivot message: a candidate plus the subtree's partial-answer count.
-type Msg = (Arc<Vec<u64>>, Weight, u128);
+    /// The weighted median of the given rows (multiplicity = subtree count) and
+    /// their summed count. Weight order first, then code order — equal to the row
+    /// comparator's `weight_of(a).cmp(weight_of(b)).then(a.cmp(b))` because code
+    /// order equals value order and compared messages always bind the same
+    /// variable set.
+    fn median(
+        &self,
+        rows: impl Iterator<Item = u32>,
+        ranking: &Ranking,
+        n_slots: usize,
+    ) -> (u32, u128) {
+        let items: Vec<(u32, u128)> = rows.map(|i| (i, self.counts[i as usize])).collect();
+        let cmp = |a: &u32, b: &u32| -> Ordering {
+            ranking
+                .compare(&self.weights[*a as usize], &self.weights[*b as usize])
+                .then_with(|| self.codes_of(*a, n_slots).cmp(self.codes_of(*b, n_slots)))
+        };
+        let total = items.iter().map(|(_, count)| count).sum();
+        (weighted_median_by(&items, &cmp), total)
+    }
+}
 
 /// Selects a `c`-pivot of an encoded instance's answers (Lemma 4.1), equal to the
 /// row path's [`select_pivot`](crate::pivot::select_pivot) result.
@@ -50,13 +86,7 @@ pub(crate) fn select_pivot_encoded(
         .map(|(i, v)| (v, i))
         .collect();
     let n_slots = sorted_vars.len();
-    // Weighted variables present in the query, in weighted-variable order — the
-    // order `Ranking::weight_of` folds contributions in.
-    let weighted_slots: Vec<(usize, &Variable)> = ranking
-        .weighted_vars()
-        .iter()
-        .filter_map(|v| slot_of.get(v).map(|&s| (s, v)))
-        .collect();
+    let fold = WeightFold::new(ranking, weights, |v| slot_of.get(v).copied());
     let copy_plan: Vec<Vec<(usize, usize)>> = ctx
         .nodes()
         .iter()
@@ -70,111 +100,81 @@ pub(crate) fn select_pivot_encoded(
         })
         .collect();
 
-    let weight_of = |codes: &[u64]| -> Weight {
-        let mut acc = ranking.identity();
-        for &(slot, var) in &weighted_slots {
-            let code = codes[slot];
-            if code != UNBOUND {
-                acc = ranking.combine(
-                    &acc,
-                    &contribution(ranking, var, weights.code_weight(var, code)),
-                );
-            }
-        }
-        acc
-    };
-    // Weight order first, then code order — equal to the row comparator's
-    // `weight_of(a).cmp(weight_of(b)).then(a.cmp(b))` because code order equals
-    // value order and compared messages always bind the same variable set.
-    let cmp =
-        |a: &Candidate, b: &Candidate| ranking.compare(&a.1, &b.1).then_with(|| a.0.cmp(&b.0));
-
-    let n_nodes = ctx.nodes().len();
-    let mut per_tuple: Vec<Vec<Msg>> = vec![Vec::new(); n_nodes];
-    let mut per_group: Vec<HashMap<Key, Msg>> = vec![HashMap::new(); n_nodes];
-
+    let mut msgs: Vec<NodeMsgs> = (0..ctx.nodes().len())
+        .map(|_| NodeMsgs::default())
+        .collect();
     for &node_id in &ctx.tree().bottom_up_order() {
-        let children = ctx.tree().node(node_id).children.clone();
         let n_rows = ctx.node(node_id).rows.len();
+        let children: Vec<(&[u32], &NodeMsgs)> = ctx
+            .tree()
+            .node(node_id)
+            .children
+            .iter()
+            .map(|&child| (ctx.links(child), &msgs[child]))
+            .collect();
         // Algorithm-2 scan: every row's message (code gather, child merge,
         // weight fold, count product) is independent of every other row's, so
         // the scan is chunked over the executor pool. Each message's weight is
         // still folded in weighted-variable order on its own row, and chunk
-        // partials concatenate in canonical order — the message vector is
+        // partials concatenate in canonical order — the arenas are
         // bit-identical to the sequential scan at any thread count.
-        let chunks: Vec<Vec<Msg>> =
+        let chunks: Vec<NodeMsgs> =
             qjoin_par::par_map_chunks(n_rows, qjoin_par::DEFAULT_CHUNK, |_, range| {
-                range
-                    .map(|i| {
-                        let mut codes = vec![UNBOUND; n_slots];
-                        for &(pos, slot) in &copy_plan[node_id] {
-                            codes[slot] = ctx.code(node_id, i, pos);
-                        }
-                        let mut count: u128 = 1;
-                        for &child in &children {
-                            let key = ctx.key_from_parent(child, i);
-                            let (child_codes, _, child_count) = per_group[child]
-                                .get(&key)
-                                .expect("full reducer guarantees a matching child group");
-                            for slot in 0..n_slots {
-                                if child_codes[slot] != UNBOUND {
-                                    codes[slot] = child_codes[slot];
-                                }
+                let mut part = NodeMsgs::default();
+                part.codes.resize(range.len() * n_slots, UNBOUND);
+                for (codes, i) in part.codes.chunks_exact_mut(n_slots).zip(range) {
+                    for &(pos, slot) in &copy_plan[node_id] {
+                        codes[slot] = ctx.code(node_id, i, pos);
+                    }
+                    let mut count: u128 = 1;
+                    for (links, child) in &children {
+                        let gid = links[i] as usize;
+                        let median = child.codes_of(child.medians[gid], n_slots);
+                        for (own, &theirs) in codes.iter_mut().zip(median) {
+                            if theirs != UNBOUND {
+                                *own = theirs;
                             }
-                            count *= child_count;
                         }
-                        let weight = weight_of(&codes);
-                        (Arc::new(codes), weight, count)
-                    })
-                    .collect()
+                        count *= child.totals[gid];
+                    }
+                    part.weights.push(fold.weight_of(codes));
+                    part.counts.push(count);
+                }
+                part
             });
-        let mut msgs: Vec<Msg> = Vec::with_capacity(n_rows);
-        for chunk in chunks {
-            msgs.extend(chunk);
+        let mut node = NodeMsgs::default();
+        for mut part in chunks {
+            node.codes.append(&mut part.codes);
+            node.weights.append(&mut part.weights);
+            node.counts.append(&mut part.counts);
         }
 
         if node_id != ctx.root() {
             // Independent per-group weighted medians, fanned out in chunks;
             // each median folds its group's members in ascending row order.
-            let entries: Vec<(&Key, &Vec<u32>)> = ctx.node(node_id).groups.iter().collect();
-            let medians: Vec<Vec<Msg>> =
-                qjoin_par::par_map_chunks(entries.len(), qjoin_par::DEFAULT_CHUNK, |_, range| {
+            let n_groups = ctx.num_groups(node_id);
+            let medians: Vec<(u32, u128)> =
+                qjoin_par::par_map_chunks(n_groups, qjoin_par::DEFAULT_CHUNK, |_, range| {
                     range
                         .map(|g| {
-                            let items: Vec<(Candidate, u128)> = entries[g]
-                                .1
-                                .iter()
-                                .map(|&i| {
-                                    let (codes, weight, count) = &msgs[i as usize];
-                                    ((Arc::clone(codes), weight.clone()), *count)
-                                })
-                                .collect();
-                            let total: u128 = items.iter().map(|(_, c)| c).sum();
-                            let median = weighted_median_by(&items, &cmp);
-                            (median.0, median.1, total)
+                            let members = ctx.group(node_id, g as u32).iter().copied();
+                            node.median(members, ranking, n_slots)
                         })
-                        .collect()
-                });
-            let mut groups: HashMap<Key, Msg> = HashMap::with_capacity(entries.len());
-            let mut flat = medians.into_iter().flatten();
-            for (key, _) in entries {
-                groups.insert(key.clone(), flat.next().expect("one median per group"));
-            }
-            per_group[node_id] = groups;
+                        .collect::<Vec<_>>()
+                })
+                .concat();
+            (node.medians, node.totals) = medians.into_iter().unzip();
         }
-        per_tuple[node_id] = msgs;
+        drop(children);
+        msgs[node_id] = node;
     }
 
     // The artificial root V_0 = ∅: the final pivot is the weighted median of the
     // root rows' pivots.
-    let root = ctx.root();
-    let items: Vec<(Candidate, u128)> = per_tuple[root]
-        .iter()
-        .map(|(codes, weight, count)| ((Arc::clone(codes), weight.clone()), *count))
-        .collect();
-    let total: u128 = items.iter().map(|(_, c)| c).sum();
-    let median = weighted_median_by(&items, &cmp);
-    let weight = median.1;
+    let root = &msgs[ctx.root()];
+    let (median, total) = root.median(0..root.counts.len() as u32, ranking, n_slots);
+    let median_codes = root.codes_of(median, n_slots);
+    let weight = root.weights[median as usize].clone();
 
     // Decode the pivot at the boundary. Synthesized variables decode to their raw
     // code (they are dropped by the projection onto the original variables anyway);
@@ -184,9 +184,9 @@ pub(crate) fn select_pivot_encoded(
         sorted_vars
             .iter()
             .enumerate()
-            .filter(|&(slot, _)| median.0[slot] != UNBOUND)
+            .filter(|&(slot, _)| median_codes[slot] != UNBOUND)
             .map(|(slot, var)| {
-                let code = median.0[slot];
+                let code = median_codes[slot];
                 let value = if dict_space[slot] {
                     instance.dictionary().decode(code).clone()
                 } else {
@@ -223,4 +223,291 @@ fn dictionary_space_mask(instance: &EncodedInstance, sorted_vars: &[Variable]) -
                 .unwrap_or(true)
         })
         .collect()
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::encoded::EncodedBackend;
+    use crate::quantile::{RowBackend, SolveBackend};
+    use crate::trim::{AdjacentSumTrimmer, LexTrimmer, Trimmer};
+    use qjoin_data::{Database, Relation};
+    use qjoin_exec::encoded::{
+        count_answers_ctx, for_each_answer_codes, map_answer_code_chunks, shared_context,
+    };
+    use qjoin_exec::{yannakakis, JoinTreeContext};
+    use qjoin_query::variable::vars;
+    use qjoin_query::{Atom, Instance, JoinQuery};
+    use qjoin_ranking::{CmpOp, WeightBound};
+    use qjoin_workload::path::PathConfig;
+    use qjoin_workload::social::SocialConfig;
+    use qjoin_workload::star::StarConfig;
+    use rand::rngs::StdRng;
+    use rand::{Rng, SeedableRng};
+
+    /// The same (possibly trimmed) instance on both representations: reduction,
+    /// adjacency, count, enumeration and the Algorithm-2 pivot must agree. Base
+    /// columns decode to the row path's values; synthesized columns (partition tags,
+    /// packed dyadic intervals) live in their own order-compatible code spaces, so
+    /// they are compared through the answers projected onto `original`.
+    fn assert_twins_agree(
+        row: &Instance,
+        enc: &EncodedInstance,
+        ranking: &Ranking,
+        trimmer: &dyn Trimmer,
+        original: &[Variable],
+        context: &str,
+    ) {
+        assert_eq!(row.query(), enc.query(), "{context}: rewritten queries");
+        let row_ctx = JoinTreeContext::build(row).unwrap();
+        let ctx = shared_context(enc).unwrap();
+        let dict = enc.dictionary();
+
+        for (node, row_node) in ctx.nodes().iter().zip(row_ctx.nodes()) {
+            let id = node.node_id;
+            let base_arity = enc.relation_of_atom(node.atom_index).base_arity();
+            let decoded: Vec<Vec<Value>> = (0..node.rows.len())
+                .map(|i| {
+                    (0..base_arity)
+                        .map(|col| dict.decode(ctx.code(id, i, col)).clone())
+                        .collect()
+                })
+                .collect();
+            let expected: Vec<Vec<Value>> = row_node
+                .tuples
+                .iter()
+                .map(|t| t.values()[..base_arity].to_vec())
+                .collect();
+            assert_eq!(decoded, expected, "{context}: survivors of node {id}");
+
+            let Some(parent) = ctx.tree().node(id).parent else {
+                continue;
+            };
+            for i in 0..ctx.node(parent).rows.len() {
+                let key: Vec<u64> = node
+                    .parent_key_positions
+                    .iter()
+                    .map(|&p| ctx.code(parent, i, p))
+                    .collect();
+                let brute: Vec<u32> = (0..node.rows.len() as u32)
+                    .filter(|&j| {
+                        let own = node.own_key_positions.iter();
+                        own.map(|&p| ctx.code(id, j as usize, p))
+                            .eq(key.iter().copied())
+                    })
+                    .collect();
+                assert_eq!(
+                    ctx.group(id, ctx.link(id, i)),
+                    brute,
+                    "{context}: node {id} row {i}"
+                );
+            }
+        }
+
+        let total = qjoin_exec::count::count_answers_ctx(&row_ctx);
+        assert_eq!(count_answers_ctx(&ctx), total, "{context}: count");
+
+        let schema = ctx.query().variables();
+        let projected: Vec<usize> = original
+            .iter()
+            .map(|v| {
+                schema
+                    .iter()
+                    .position(|s| s == v)
+                    .expect("original variable")
+            })
+            .collect();
+        let mut walked: Vec<Vec<u64>> = Vec::new();
+        for_each_answer_codes(&ctx, |codes| walked.push(codes.to_vec()));
+        let chunked: Vec<Vec<u64>> =
+            map_answer_code_chunks(&ctx, 5, Vec::new, |out, codes| out.push(codes.to_vec()))
+                .concat();
+        assert_eq!(walked, chunked, "{context}: chunked enumeration");
+        let decoded: Vec<Vec<Value>> = walked
+            .iter()
+            .map(|codes| {
+                projected
+                    .iter()
+                    .map(|&p| dict.decode(codes[p]).clone())
+                    .collect()
+            })
+            .collect();
+        let mut row_answers: Vec<Vec<Value>> = Vec::new();
+        yannakakis::for_each_answer(&row_ctx, |values| {
+            row_answers.push(projected.iter().map(|&p| values[p].clone()).collect())
+        });
+        assert_eq!(decoded, row_answers, "{context}: enumeration");
+
+        if total == 0 {
+            return;
+        }
+        let row_pivot = RowBackend { ranking, trimmer }.select_pivot(row).unwrap();
+        let enc_pivot = EncodedBackend::new(enc, ranking).select_pivot(enc).unwrap();
+        assert_eq!(
+            enc_pivot.assignment.project(original),
+            row_pivot.assignment.project(original),
+            "{context}: pivot"
+        );
+        assert_eq!(
+            enc_pivot.weight, row_pivot.weight,
+            "{context}: pivot weight"
+        );
+        assert_eq!(
+            enc_pivot.total_answers, row_pivot.total_answers,
+            "{context}"
+        );
+        assert_eq!(enc_pivot.c, row_pivot.c, "{context}");
+    }
+
+    /// The untrimmed twins, then one window trim — between the answer weights at
+    /// the first and third quartile — applied to both, which for LEX stacks two
+    /// partition unions (segments + two tag columns) and for SUM runs the dyadic
+    /// construction (repeating selection vectors + a packed interval column).
+    fn assert_instance_and_its_trim_agree(
+        instance: &Instance,
+        ranking: &Ranking,
+        trimmer: &dyn Trimmer,
+        context: &str,
+    ) {
+        let original = instance.query().variables();
+        let encoded = EncodedInstance::from_instance(instance).unwrap();
+        assert_twins_agree(instance, &encoded, ranking, trimmer, &original, context);
+
+        let row_backend = RowBackend { ranking, trimmer };
+        let mut weights: Vec<Weight> = (row_backend.keyed_answers(instance, &original).unwrap())
+            .into_iter()
+            .map(|(w, _)| w)
+            .collect();
+        if weights.is_empty() {
+            return;
+        }
+        weights.sort();
+        let low = WeightBound::Finite(weights[weights.len() / 4].clone());
+        let high = WeightBound::Finite(weights[3 * weights.len() / 4].clone());
+        let row = row_backend
+            .trim_between(instance, &low, &high, CmpOp::Lt)
+            .unwrap();
+        let enc = EncodedBackend::new(&encoded, ranking)
+            .trim_between(&encoded, &low, &high, CmpOp::Lt)
+            .unwrap();
+        let context = format!("{context} trimmed to ({low}, {high})");
+        assert_twins_agree(&row, &enc, ranking, trimmer, &original, &context);
+        assert!(
+            enc.query().variables().len() > original.len(),
+            "{context}: the trim must synthesize columns"
+        );
+    }
+
+    fn random_relation(name: &str, arity: usize, rows: usize, rng: &mut StdRng) -> Relation {
+        let mut rel = Relation::new(name, arity);
+        for _ in 0..rows {
+            let row = (0..arity).map(|_| Value::from(rng.random_range(0..4i64)));
+            rel.push(row.collect()).unwrap();
+        }
+        rel
+    }
+
+    #[test]
+    fn contexts_and_pivots_match_the_row_path_through_lex_and_sum_trims() {
+        let pools = [qjoin_par::Pool::new(1), qjoin_par::Pool::new(4)];
+        for seed in 0..4u64 {
+            let mut rng = StdRng::seed_from_u64(seed);
+            let path = PathConfig {
+                atoms: 3,
+                tuples_per_relation: 16,
+                join_domain: 3,
+                weight_range: 25,
+                skew: 0.3,
+                seed,
+            }
+            .generate();
+            let star = StarConfig {
+                arms: 3,
+                tuples_per_relation: 10,
+                center_domain: 3,
+                weight_range: 20,
+                skew: 0.2,
+                seed,
+            }
+            .generate();
+            let social_config = SocialConfig {
+                users: 10,
+                events: 4,
+                rows_per_relation: 14,
+                max_likes: 20,
+                seed,
+                ..Default::default()
+            };
+            // `E(x1, x2) ⋈ E(x2, x3)`: the trims split the self-join first.
+            let self_join = Instance::new(
+                JoinQuery::new(vec![
+                    Atom::from_names("E", &["x1", "x2"]),
+                    Atom::from_names("E", &["x2", "x3"]),
+                ]),
+                Database::from_relations([random_relation("E", 2, 16, &mut rng)]).unwrap(),
+            )
+            .unwrap();
+            // A repeated variable and a two-variable join key.
+            let repeated = Instance::new(
+                JoinQuery::new(vec![
+                    Atom::from_names("R", &["x", "x", "y", "z"]),
+                    Atom::from_names("S", &["y", "z", "w"]),
+                ]),
+                Database::from_relations([
+                    random_relation("R", 4, 40, &mut rng),
+                    random_relation("S", 3, 20, &mut rng),
+                ])
+                .unwrap(),
+            )
+            .unwrap();
+            // Nothing joins: every pass must cope with empty nodes.
+            let empty = Instance::new(
+                qjoin_query::query::path_query(2),
+                Database::from_relations([
+                    Relation::from_rows("R1", &[&[1, 1], &[2, 1]]).unwrap(),
+                    Relation::from_rows("R2", &[&[2, 5]]).unwrap(),
+                ])
+                .unwrap(),
+            )
+            .unwrap();
+            // (instance, LEX variables, SUM variables spanning an adjacent pair)
+            let cases: Vec<(&str, Instance, Vec<Variable>, Vec<Variable>)> = vec![
+                ("path", path, vars(&["x1", "x4"]), vars(&["x1", "x2", "x3"])),
+                ("star", star, vars(&["x1", "x3"]), vars(&["x1", "x2"])),
+                (
+                    "social",
+                    social_config.generate(),
+                    vars(&["l3", "u1"]),
+                    vars(&["l2", "l3"]),
+                ),
+                (
+                    "self-join",
+                    self_join,
+                    vars(&["x3", "x1"]),
+                    vars(&["x1", "x3"]),
+                ),
+                ("repeated", repeated, vars(&["w", "x"]), vars(&["x", "w"])),
+                ("empty", empty, vars(&["x1", "x3"]), vars(&["x1", "x3"])),
+            ];
+            for (name, instance, lex_vars, sum_vars) in &cases {
+                for pool in &pools {
+                    let context = format!("{name} seed {seed} T={}", pool.threads());
+                    qjoin_par::with_pool(pool, || {
+                        assert_instance_and_its_trim_agree(
+                            instance,
+                            &Ranking::lex(lex_vars.clone()),
+                            &LexTrimmer,
+                            &format!("{context} LEX"),
+                        );
+                        assert_instance_and_its_trim_agree(
+                            instance,
+                            &Ranking::sum(sum_vars.clone()),
+                            &AdjacentSumTrimmer,
+                            &format!("{context} SUM"),
+                        );
+                    });
+                }
+            }
+        }
+    }
 }

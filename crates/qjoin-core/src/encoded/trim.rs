@@ -119,29 +119,29 @@ pub(crate) fn exact_trim_between_encoded(
 }
 
 /// The unary predicates of a conjunction that mention variables of `atom`, resolved
-/// to the variable's first position (mirrors the row path's `filtered_database`).
-fn relevant_predicates<'a>(
+/// to the variable's first position (mirrors the row path's `filtered_database`)
+/// and its per-code weight table.
+fn relevant_predicates<'w>(
     atom: &Atom,
-    conjunction: &'a UnaryConjunction,
-) -> Vec<(usize, UnaryWeightPred, &'a Variable)> {
+    conjunction: &UnaryConjunction,
+    weights: &'w CodeWeights,
+) -> Vec<(usize, UnaryWeightPred, &'w [f64])> {
     conjunction
         .iter()
         .filter(|(var, _)| atom.contains(var))
-        .map(|(var, pred)| (atom.positions_of(var)[0], *pred, var))
+        .map(|(var, pred)| (atom.positions_of(var)[0], *pred, weights.table(var)))
         .collect()
 }
 
-/// Filters a view by a conjunction of unary weight predicates (weights looked up
-/// through the per-code tables).
+/// Filters a view by a conjunction of unary weight predicates.
 fn filter_view(
     rel: &EncodedRelation,
-    weights: &CodeWeights,
-    relevant: &[(usize, UnaryWeightPred, &Variable)],
+    relevant: &[(usize, UnaryWeightPred, &[f64])],
 ) -> EncodedRelation {
     rel.filtered(|seg, row| {
         relevant
             .iter()
-            .all(|(pos, pred, var)| pred.holds(weights.code_weight(var, rel.code(seg, row, *pos))))
+            .all(|(pos, pred, table)| pred.holds(table[rel.code(seg, row, *pos) as usize]))
     })
 }
 
@@ -166,11 +166,11 @@ fn partition_union_trim_encoded(
         let filtered: Vec<Option<EncodedRelation>> = qjoin_par::par_map(n_atoms, |atom_idx| {
             let atom = &query.atoms()[atom_idx];
             let rel = instance.relation_of_atom(atom_idx);
-            let relevant = relevant_predicates(atom, &partitions[0]);
+            let relevant = relevant_predicates(atom, &partitions[0], weights);
             if relevant.is_empty() {
                 None // untouched: shared by handle
             } else {
-                Some(filter_view(rel, weights, &relevant))
+                Some(filter_view(rel, &relevant))
             }
         });
         let replaced: Vec<EncodedRelation> = filtered.into_iter().flatten().collect();
@@ -190,11 +190,11 @@ fn partition_union_trim_encoded(
         let rel = instance.relation_of_atom(atom_idx);
         let mut segments: Vec<Segment> = Vec::new();
         for (partition_idx, conjunction) in partitions.iter().enumerate() {
-            let relevant = relevant_predicates(atom, conjunction);
+            let relevant = relevant_predicates(atom, conjunction, weights);
             let filtered = if relevant.is_empty() {
                 rel.clone()
             } else {
-                filter_view(rel, weights, &relevant)
+                filter_view(rel, &relevant)
             };
             for seg in filtered.segments() {
                 let mut synth = seg.synth.clone();
@@ -247,18 +247,18 @@ fn sum_trim_encoded(
     }
 }
 
-/// The weighted variables assigned to `atom_idx` by the tuple-weight mapping `μ`,
-/// with their first positions — the same pairs, in the same order, as the row path's
-/// [`SumTupleWeights`] evaluator.
-fn weighted_pairs(
+/// The weighted variables assigned to `atom_idx` by the tuple-weight mapping `μ`, as
+/// `(per-code weight table, first position)` pairs — the same variables, in the same
+/// order, as the row path's [`SumTupleWeights::tuple_sum`] folds.
+pub(super) fn weighted_pairs<'w>(
     query: &qjoin_query::JoinQuery,
-    ranking: &Ranking,
-    preferred: &[usize],
+    tuple_weights: &SumTupleWeights,
+    weights: &'w CodeWeights,
     atom_idx: usize,
-) -> Vec<(Variable, usize)> {
-    let tw = SumTupleWeights::with_preferred_atoms(query, ranking, preferred);
-    tw.vars_of_atom(atom_idx)
-        .map(|v| (v.clone(), query.atom(atom_idx).positions_of(v)[0]))
+) -> Vec<(&'w [f64], usize)> {
+    tuple_weights
+        .vars_of_atom(atom_idx)
+        .map(|v| (weights.table(v), query.atom(atom_idx).positions_of(v)[0]))
         .collect()
 }
 
@@ -281,14 +281,13 @@ pub(super) fn segment_offsets(rel: &EncodedRelation) -> Vec<usize> {
 #[inline]
 pub(super) fn row_sum(
     rel: &EncodedRelation,
-    weights: &CodeWeights,
-    pairs: &[(Variable, usize)],
+    pairs: &[(&[f64], usize)],
     seg: usize,
     row: usize,
 ) -> f64 {
     pairs
         .iter()
-        .map(|(var, pos)| weights.code_weight(var, rel.code(seg, row, *pos)))
+        .map(|(table, pos)| table[rel.code(seg, row, *pos) as usize])
         .sum()
 }
 
@@ -301,9 +300,10 @@ fn trim_single_atom_encoded(
     atom_idx: usize,
 ) -> Result<EncodedInstance> {
     let query = instance.query().clone();
-    let pairs = weighted_pairs(&query, ranking, &[atom_idx], atom_idx);
+    let tuple_weights = SumTupleWeights::with_preferred_atoms(&query, ranking, &[atom_idx]);
+    let pairs = weighted_pairs(&query, &tuple_weights, weights, atom_idx);
     let rel = instance.relation_of_atom(atom_idx);
-    let filtered = rel.filtered(|seg, row| range.admits(row_sum(rel, weights, &pairs, seg, row)));
+    let filtered = rel.filtered(|seg, row| range.admits(row_sum(rel, &pairs, seg, row)));
     Ok(instance.with_rewritten(query, [filtered])?)
 }
 
@@ -441,9 +441,9 @@ fn trim_adjacent_pair_encoded(
     (atom_a, atom_b): (usize, usize),
 ) -> Result<EncodedInstance> {
     let query = instance.query().clone();
-    let preferred = [atom_a, atom_b];
-    let pairs_a = weighted_pairs(&query, ranking, &preferred, atom_a);
-    let pairs_b = weighted_pairs(&query, ranking, &preferred, atom_b);
+    let tuple_weights = SumTupleWeights::with_preferred_atoms(&query, ranking, &[atom_a, atom_b]);
+    let pairs_a = weighted_pairs(&query, &tuple_weights, weights, atom_a);
+    let pairs_b = weighted_pairs(&query, &tuple_weights, weights, atom_b);
 
     // Join-key positions: the variables shared between the two atoms.
     let a_vars = query.atom(atom_a).variable_set();
@@ -486,7 +486,7 @@ fn trim_adjacent_pair_encoded(
                     .or_default()
                     .members
                     .push(BMember {
-                        sum: row_sum(rel_b, weights, &pairs_b, seg, row),
+                        sum: row_sum(rel_b, &pairs_b, seg, row),
                         global: global as u32,
                         seg: seg as u32,
                         row: row as u32,
@@ -545,7 +545,7 @@ fn trim_adjacent_pair_encoded(
                 let Some(group) = groups.get(&Key::from_codes(&key_buf)) else {
                     continue;
                 };
-                let wa = row_sum(rel_a, weights, &pairs_a, seg, row);
+                let wa = row_sum(rel_a, &pairs_a, seg, row);
                 let (lo, hi) = range.positions(&group.members, |m| m.sum, wa);
                 dyadic_cover(lo, hi, |level, index| {
                     part.push(rel_a, seg, row, pack_interval(group.gid, level, index));

@@ -45,32 +45,77 @@ impl CodeWeights {
         CodeWeights { tables }
     }
 
-    /// The weight `w_var(decode(code))`. Only valid for dictionary codes of weighted
-    /// variables (synthesized variables are never weighted).
-    #[inline]
-    pub(crate) fn code_weight(&self, var: &Variable, code: u64) -> f64 {
-        self.tables[var][code as usize]
-    }
-
-    /// One variable's whole per-code table. Hot loops resolve the table once and
-    /// index it directly instead of re-hashing the variable per answer.
+    /// One variable's whole per-code table: `table[code]` is `w_var(decode(code))`,
+    /// valid for dictionary codes of weighted variables (synthesized variables are
+    /// never weighted). Hot loops resolve the table once per scan and index it
+    /// directly instead of hashing the variable per row.
     pub(crate) fn table(&self, var: &Variable) -> &[f64] {
         &self.tables[var]
     }
 }
 
-/// The contribution of binding one weighted variable to a value of weight `w` —
-/// mirrors [`Ranking::contribution`] with the weight already computed, so the
-/// encoded path's canonical weight folds equal the row path's bit for bit.
-pub(crate) fn contribution(ranking: &Ranking, var: &Variable, w: f64) -> Weight {
-    match ranking.kind() {
-        AggregateKind::Sum | AggregateKind::Min | AggregateKind::Max => Weight::Num(w),
-        AggregateKind::Lex => {
-            let mut vec = vec![0.0; ranking.weighted_vars().len()];
-            if let Some(pos) = ranking.weighted_vars().iter().position(|v| v == var) {
-                vec[pos] = w;
+/// The unbound-slot sentinel of a code row. Dictionary codes are dense (far below
+/// this) and the packed interval codes of the SUM construction are capped strictly
+/// below it.
+pub(crate) const UNBOUND: u64 = u64::MAX;
+
+/// A ranking's canonical weight fold resolved once against a code-row layout: per
+/// weighted variable the layout holds, in weighted-variable order, the variable's
+/// position in the row, its component of a LEX weight vector, and its table.
+pub(crate) struct WeightFold<'a> {
+    kind: AggregateKind,
+    lex_width: usize,
+    terms: Vec<(usize, usize, &'a [f64])>,
+}
+
+impl<'a> WeightFold<'a> {
+    pub(crate) fn new(
+        ranking: &Ranking,
+        weights: &'a CodeWeights,
+        position_of: impl Fn(&Variable) -> Option<usize>,
+    ) -> WeightFold<'a> {
+        let vars = ranking.weighted_vars();
+        let terms = vars
+            .iter()
+            .filter_map(|var| {
+                let component = vars.iter().position(|v| v == var)?;
+                Some((position_of(var)?, component, weights.table(var)))
+            })
+            .collect();
+        WeightFold {
+            kind: ranking.kind(),
+            lex_width: vars.len(),
+            terms,
+        }
+    }
+
+    /// The weight of a code row: `identity ⊕ contribution(v₁) ⊕ …` over its bound
+    /// weighted variables, bit for bit what [`Ranking::identity`],
+    /// [`Ranking::combine`] and [`Ranking::contribution`] compute — the same
+    /// additions (or min/max) in the same order, without their intermediate
+    /// vectors. (A LEX one-hot contribution adds `+0.0` to every other component;
+    /// that changes only a `-0.0`, which an accumulator started at `+0.0` never
+    /// is: a sum is `-0.0` only when both terms are.)
+    #[inline]
+    pub(crate) fn weight_of(&self, codes: &[u64]) -> Weight {
+        let bound = self
+            .terms
+            .iter()
+            .filter(|&&(pos, _, _)| codes[pos] != UNBOUND)
+            .map(|&(pos, component, table)| (component, table[codes[pos] as usize]));
+        match self.kind {
+            AggregateKind::Sum => Weight::Num(bound.fold(0.0, |acc, (_, w)| acc + w)),
+            AggregateKind::Min => Weight::Num(bound.fold(f64::INFINITY, |acc, (_, w)| acc.min(w))),
+            AggregateKind::Max => {
+                Weight::Num(bound.fold(f64::NEG_INFINITY, |acc, (_, w)| acc.max(w)))
             }
-            Weight::Vec(vec)
+            AggregateKind::Lex => {
+                let mut acc = vec![0.0; self.lex_width];
+                for (component, w) in bound {
+                    acc[component] += w;
+                }
+                Weight::Vec(acc)
+            }
         }
     }
 }
@@ -99,20 +144,70 @@ mod tests {
             let code = dict.encode(value).unwrap();
             for var in ranking.weighted_vars() {
                 assert_eq!(
-                    weights.code_weight(var, code).to_bits(),
+                    weights.table(var)[code as usize].to_bits(),
                     ranking.var_weight(var, value).to_bits()
                 );
             }
         }
     }
 
+    fn bits(w: &Weight) -> Vec<u64> {
+        match w {
+            Weight::Num(x) => vec![x.to_bits()],
+            Weight::Vec(v) => v.iter().map(|x| x.to_bits()).collect(),
+        }
+    }
+
+    /// The in-place fold against the allocation-heavy reference it replaced
+    /// (`identity`, then one `combine` with a `contribution` per bound weighted
+    /// variable), bit for bit: every aggregate, weights of both signs and both
+    /// zeros, an unbound slot, and a weighted variable listed twice.
     #[test]
-    fn contribution_mirrors_ranking() {
-        let ranking = Ranking::lex(vars(&["a", "b"]));
-        let got = contribution(&ranking, &Variable::new("b"), 7.0);
-        assert_eq!(
-            got,
-            ranking.contribution(&Variable::new("b"), &Value::from(7))
-        );
+    fn weight_fold_matches_identity_combine_contribution_bit_for_bit() {
+        let values = [-7, -1, 0, 2, 9];
+        let rows: Vec<Vec<i64>> = values.iter().map(|&v| vec![v, v]).collect();
+        let row_refs: Vec<&[i64]> = rows.iter().map(Vec::as_slice).collect();
+        let db = Database::from_relations([Relation::from_rows("R", &row_refs).unwrap()]).unwrap();
+        let dict = Dictionary::from_database(&db);
+        // Scale -0.0 maps non-negative values to -0.0 and negative ones to +0.0.
+        let negative_zero = WeightFn::Affine {
+            scale: -0.0,
+            offset: -0.0,
+        };
+        let layout = vars(&["a", "b", "c"]);
+        let weighted = vars(&["c", "a", "c", "z"]); // `c` twice; `z` not in the layout
+        for kind in [
+            AggregateKind::Sum,
+            AggregateKind::Min,
+            AggregateKind::Max,
+            AggregateKind::Lex,
+        ] {
+            let ranking = Ranking::new(kind, weighted.clone())
+                .with_weight_fn(Variable::new("a"), negative_zero.clone());
+            let weights = CodeWeights::build(&dict, &ranking);
+            let fold = WeightFold::new(&ranking, &weights, |v| layout.iter().position(|l| l == v));
+            let n = dict.len() as u64;
+            for a in (0..n).chain([UNBOUND]) {
+                for c in (0..n).chain([UNBOUND]) {
+                    let codes = [a, UNBOUND, c];
+                    let mut expected = ranking.identity();
+                    for var in ranking.weighted_vars() {
+                        let Some(pos) = layout.iter().position(|l| l == var) else {
+                            continue;
+                        };
+                        if codes[pos] != UNBOUND {
+                            let value: &Value = dict.decode(codes[pos]);
+                            expected =
+                                ranking.combine(&expected, &ranking.contribution(var, value));
+                        }
+                    }
+                    assert_eq!(
+                        bits(&fold.weight_of(&codes)),
+                        bits(&expected),
+                        "{kind:?} codes {codes:?}"
+                    );
+                }
+            }
+        }
     }
 }

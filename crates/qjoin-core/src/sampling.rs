@@ -6,9 +6,10 @@
 //! with probability `1 − δ` (Hoeffding's inequality). This is the randomized baseline
 //! against which the paper's *deterministic* approximation (Theorem 6.2) is positioned.
 //!
-//! The sampler runs on the **encoded** substrate by default
-//! ([`EncodedDirectAccess`](qjoin_exec::EncodedDirectAccess) walks dictionary codes
-//! and decodes only sampled answers), falling back to the row path when the instance
+//! The sampler runs on the **encoded** substrate by default ([`EncodedDirectAccess`]
+//! walks dictionary codes over the instance's shared execution context — a sampled
+//! request reuses the reduction an earlier solve of the same instance built — and
+//! decodes only sampled answers), falling back to the row path when the instance
 //! cannot be encoded. Both paths consume the RNG identically and enumerate answers in
 //! the same fixed order, so a seed fully determines the result regardless of backend.
 //!

@@ -9,7 +9,7 @@
 //! a top-down walk that peels off mixed-radix digits.
 
 use crate::count::subtree_counts;
-use crate::encoded::{self, EncodedContext, Key};
+use crate::encoded::{self, EncodedContext};
 use crate::{ExecError, JoinTreeContext, Result};
 use qjoin_data::{Dictionary, Value};
 use qjoin_query::{Assignment, EncodedInstance, Instance};
@@ -45,20 +45,18 @@ impl GroupPrefix {
     /// Locates the member whose block contains `offset`, returning the member's tuple
     /// index and the offset within its block.
     fn locate(&self, offset: u128) -> (usize, u128) {
-        // prefix[i] = total count of members[0..=i]; find first i with prefix[i] > offset.
-        let mut lo = 0usize;
-        let mut hi = self.prefix.len();
-        while lo < hi {
-            let mid = (lo + hi) / 2;
-            if self.prefix[mid] > offset {
-                hi = mid;
-            } else {
-                lo = mid + 1;
-            }
-        }
-        let before = if lo == 0 { 0 } else { self.prefix[lo - 1] };
-        (self.members[lo], offset - before)
+        let (pos, within) = locate(&self.prefix, offset);
+        (self.members[pos], within)
     }
+}
+
+/// Locates the block of a running-total array that contains `offset`
+/// (`prefix[i]` is the total of blocks `0..=i`): the block's position and the
+/// offset within it.
+fn locate(prefix: &[u128], offset: u128) -> (usize, u128) {
+    let pos = prefix.partition_point(|&total| total <= offset);
+    let before = if pos == 0 { 0 } else { prefix[pos - 1] };
+    (pos, offset - before)
 }
 
 impl DirectAccess {
@@ -141,21 +139,9 @@ impl DirectAccess {
                 total: self.total,
             });
         }
-        // Locate the root tuple whose block contains `index`.
-        let root = self.ctx.root();
-        let mut lo = 0usize;
-        let mut hi = self.root_prefix.len();
-        while lo < hi {
-            let mid = (lo + hi) / 2;
-            if self.root_prefix[mid] > index {
-                hi = mid;
-            } else {
-                lo = mid + 1;
-            }
-        }
-        let before = if lo == 0 { 0 } else { self.root_prefix[lo - 1] };
+        let (root_tuple, offset) = locate(&self.root_prefix, index);
         let mut assignment = Assignment::empty();
-        self.descend(root, lo, index - before, &mut assignment);
+        self.descend(self.ctx.root(), root_tuple, offset, &mut assignment);
         Ok(assignment)
     }
 
@@ -215,75 +201,53 @@ impl DirectAccess {
 /// Precondition: every column of the instance is a dictionary code (no synthesized
 /// columns), i.e. the instance is an un-trimmed encoding of a row database.
 pub struct EncodedDirectAccess {
-    ctx: EncodedContext,
+    ctx: Arc<EncodedContext>,
     dictionary: Arc<Dictionary>,
     /// Prefix sums over the root's surviving rows.
     root_prefix: Vec<u128>,
-    /// For every non-root node: join key → (row indices of the group, prefix sums of
-    /// their subtree counts).
-    group_index: Vec<HashMap<Key, GroupPrefix>>,
+    /// For every non-root node: the running totals of its rows' subtree counts
+    /// within each join group, aligned with the context's group member array
+    /// (group `gid` occupies [`EncodedContext::group_range`]).
+    group_prefix: Vec<Vec<u128>>,
     total: u128,
 }
 
 impl EncodedDirectAccess {
-    /// Builds the index for an acyclic encoded instance.
+    /// Builds the index for an acyclic encoded instance over the instance's
+    /// [shared context](encoded::shared_context): a request that samples an
+    /// instance some solve already reduced reuses that reduction.
     pub fn new(instance: &EncodedInstance) -> Result<Self> {
-        let ctx = EncodedContext::build(instance)?;
+        let ctx = encoded::shared_context(instance)?;
         Ok(Self::from_context(ctx, Arc::clone(instance.dictionary())))
     }
 
-    /// Builds the index from an already-constructed encoded context.
-    pub fn from_context(ctx: EncodedContext, dictionary: Arc<Dictionary>) -> Self {
-        if ctx.has_no_answers() {
-            let n_nodes = ctx.nodes().len();
-            return EncodedDirectAccess {
-                ctx,
-                dictionary,
-                root_prefix: Vec::new(),
-                group_index: vec![HashMap::new(); n_nodes],
-                total: 0,
-            };
-        }
+    /// Builds the index from an already-constructed encoded context (owned or
+    /// shared), e.g. one over a custom join tree.
+    pub fn from_context(ctx: impl Into<Arc<EncodedContext>>, dictionary: Arc<Dictionary>) -> Self {
+        let ctx = ctx.into();
         let counts = encoded::subtree_counts(&ctx).per_tuple;
+        let running = |acc: &mut u128, count: u128| {
+            *acc += count;
+            Some(*acc)
+        };
         let root = ctx.root();
-        let mut root_prefix = Vec::with_capacity(counts[root].len());
-        let mut acc = 0u128;
-        for &c in &counts[root] {
-            acc += c;
-            root_prefix.push(acc);
-        }
-        let total = acc;
-
-        let mut group_index: Vec<HashMap<Key, GroupPrefix>> =
-            vec![HashMap::new(); ctx.nodes().len()];
-        for node in ctx.nodes() {
-            if node.node_id == root {
-                continue;
-            }
-            let mut map = HashMap::with_capacity(node.groups.len());
-            for (key, members) in &node.groups {
-                let mut prefix = Vec::with_capacity(members.len());
-                let mut acc = 0u128;
-                for &m in members {
-                    acc += counts[node.node_id][m as usize];
-                    prefix.push(acc);
-                }
-                map.insert(
-                    key.clone(),
-                    GroupPrefix {
-                        members: members.iter().map(|&m| m as usize).collect(),
-                        prefix,
-                    },
-                );
-            }
-            group_index[node.node_id] = map;
-        }
-
+        let root_prefix: Vec<u128> = counts[root].iter().copied().scan(0, running).collect();
+        let total = root_prefix.last().copied().unwrap_or(0);
+        let group_prefix: Vec<Vec<u128>> = (0..ctx.nodes().len())
+            .map(|node| {
+                (0..ctx.num_groups(node))
+                    .flat_map(|gid| {
+                        let members = ctx.group(node, gid as u32).iter();
+                        members.map(|&m| counts[node][m as usize]).scan(0, running)
+                    })
+                    .collect()
+            })
+            .collect();
         EncodedDirectAccess {
             ctx,
             dictionary,
             root_prefix,
-            group_index,
+            group_prefix,
             total,
         }
     }
@@ -307,20 +271,9 @@ impl EncodedDirectAccess {
                 total: self.total,
             });
         }
-        let root = self.ctx.root();
-        let mut lo = 0usize;
-        let mut hi = self.root_prefix.len();
-        while lo < hi {
-            let mid = (lo + hi) / 2;
-            if self.root_prefix[mid] > index {
-                hi = mid;
-            } else {
-                lo = mid + 1;
-            }
-        }
-        let before = if lo == 0 { 0 } else { self.root_prefix[lo - 1] };
+        let (root_row, offset) = locate(&self.root_prefix, index);
         let mut assignment = Assignment::empty();
-        self.descend(root, lo, index - before, &mut assignment);
+        self.descend(self.ctx.root(), root_row, offset, &mut assignment);
         Ok(assignment)
     }
 
@@ -349,22 +302,26 @@ impl EncodedDirectAccess {
             debug_assert_eq!(offset, 0);
             return;
         }
-        let totals: Vec<u128> = children
+        // Each child's joining group: its member rows and their running totals.
+        let groups: Vec<(&[u32], &[u128])> = children
             .iter()
             .map(|&c| {
-                let key = self.ctx.key_from_parent(c, row_idx);
-                self.group_index[c][&key].total()
+                let gid = self.ctx.link(c, row_idx);
+                let range = self.ctx.group_range(c, gid);
+                (self.ctx.group(c, gid), &self.group_prefix[c][range])
             })
             .collect();
         let mut remainder = offset;
         for (i, &child) in children.iter().enumerate() {
-            let radix_rest: u128 = totals[i + 1..].iter().product();
+            let radix_rest: u128 = groups[i + 1..]
+                .iter()
+                .map(|(_, prefix)| prefix.last().expect("join groups are never empty"))
+                .product();
             let digit = remainder / radix_rest;
             remainder %= radix_rest;
-            let key = self.ctx.key_from_parent(child, row_idx);
-            let group = &self.group_index[child][&key];
-            let (child_row, child_offset) = group.locate(digit);
-            self.descend(child, child_row, child_offset, out);
+            let (members, prefix) = groups[i];
+            let (pos, child_offset) = locate(prefix, digit);
+            self.descend(child, members[pos] as usize, child_offset, out);
         }
     }
 }

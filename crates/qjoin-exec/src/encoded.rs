@@ -7,9 +7,26 @@
 //! and the same algorithms, but every join key is a small array of `u64` codes
 //! ([`Key`]) read straight out of shared columns through selection vectors — no
 //! [`Value`](qjoin_data::Value) hashing, no per-key `Tuple::project` allocation.
-//! The join groups double as the pre-grouped adjacency indexes the counting and
-//! pivoting passes walk, so the per-tuple work of one trim round is a handful of
-//! integer hash lookups.
+//!
+//! # One probe per edge
+//!
+//! [`EncodedContext::build`] resolves every join-tree edge **once** and keeps the
+//! result as arrays. Bottom-up, a child's rows are interned `key → gid` (a dense
+//! `u32`, numbered by first occurrence in row order: one hash insert per child
+//! row) and every parent row probes once, storing the gid it joins in
+//! `child_links[slot][row]`; a miss is the bottom-up semi-join. Top-down, a
+//! `live[gid]` pass over those links drops the child groups no surviving parent
+//! row reaches and renumbers the rest densely — no hashing. The adjacency index
+//! is a CSR (`group_offsets` / `group_members`, members ascending) built by a
+//! counting sort. After the build nothing constructs or hashes a [`Key`] again:
+//! counting, the pivot scan, enumeration and direct access read
+//! [`link`](EncodedContext::link) and [`group`](EncodedContext::group).
+//!
+//! Invariants the equivalence suites pin: `rows` stay in view order, group members
+//! ascend, the survivor set is the full reducer's, and gid numbering — though
+//! deterministic at any thread count (interning is sequential) — is never
+//! observable: gids only ever connect a parent row to its child group, and no
+//! output is emitted in gid order.
 //!
 //! Because the dictionary assigns codes in value order (and synthesized columns use
 //! order-compatible code spaces), every answer, count, and group computed here equals
@@ -17,11 +34,14 @@
 
 use crate::{ExecError, Result};
 use qjoin_query::{acyclicity, EncodedInstance, JoinQuery, JoinTree, Variable};
-use std::collections::{HashMap, HashSet};
+use std::collections::HashMap;
 use std::sync::Arc;
 
 /// A join key: the codes of the variables shared with the parent node, in sorted
-/// variable order. Most keys have one or two components; larger keys box a slice.
+/// variable order. Keys of up to three components are inline (after a two-pass
+/// LEX/MIN/MAX trim every atom carries two partition tags, so every join key is
+/// three wide); larger keys box a slice. Keys are only ever compared within one
+/// arity.
 #[derive(Clone, Debug, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub enum Key {
     /// The empty key (root nodes, cartesian products).
@@ -30,7 +50,9 @@ pub enum Key {
     One(u64),
     /// A two-variable key.
     Two(u64, u64),
-    /// Three or more components.
+    /// A three-variable key.
+    Three(u64, u64, u64),
+    /// Four or more components.
     Many(Box<[u64]>),
 }
 
@@ -41,17 +63,18 @@ impl Key {
             [] => Key::Unit,
             [a] => Key::One(*a),
             [a, b] => Key::Two(*a, *b),
+            [a, b, c] => Key::Three(*a, *b, *c),
             more => Key::Many(more.into()),
         }
     }
 }
 
 /// A fast, deterministic hasher for dictionary-code join keys (the classic
-/// multiply-rotate "Fx" scheme). The reducer and the answer walk hash a key per
-/// row — millions per solve at benchmark scale — and SipHash's keyed security
-/// buys nothing here: key maps are probed for membership and grouped in
-/// canonical row order, never iterated in hash order, so an unkeyed
-/// multiplicative hash changes nothing observable.
+/// multiply-rotate "Fx" scheme). The context build hashes a key per row and join
+/// edge — millions per solve at benchmark scale — and SipHash's keyed security
+/// buys nothing here: key maps are probed and interned in canonical row order,
+/// never iterated in hash order, so an unkeyed multiplicative hash changes
+/// nothing observable.
 #[derive(Clone, Default)]
 pub struct KeyHasher(u64);
 
@@ -94,8 +117,6 @@ impl std::hash::Hasher for KeyHasher {
 
 /// A join-key map with the [`KeyHasher`].
 pub type KeyMap<V> = HashMap<Key, V, std::hash::BuildHasherDefault<KeyHasher>>;
-/// A join-key set with the [`KeyHasher`].
-pub type KeySet = HashSet<Key, std::hash::BuildHasherDefault<KeyHasher>>;
 
 /// Per-node state of an [`EncodedContext`].
 #[derive(Clone, Debug)]
@@ -112,12 +133,21 @@ pub struct EncodedNode {
     pub own_key_positions: Vec<usize>,
     /// Positions of the same variables within the parent node's atom.
     pub parent_key_positions: Vec<usize>,
-    /// Pre-grouped adjacency index: join key → indices into `rows`.
-    pub groups: KeyMap<Vec<u32>>,
+    /// This node's index among its parent's children (0 for the root).
+    slot: usize,
+    /// One column per child, in the tree's child order: `child_links[slot][i]` is
+    /// the gid of the child group joining row `i`.
+    child_links: Vec<Vec<u32>>,
+    /// CSR adjacency towards the parent: group `g` holds the rows
+    /// `group_members[group_offsets[g]..group_offsets[g + 1]]`, ascending. Empty
+    /// for the root.
+    group_offsets: Vec<u32>,
+    group_members: Vec<u32>,
 }
 
 /// A rooted join tree with, per node, the semi-join reduced row set of an encoded
-/// relation view and a code-valued join-group index.
+/// relation view, the resolved links to its children's join groups, and its own
+/// join groups as a CSR index (see the module docs).
 #[derive(Clone, Debug)]
 pub struct EncodedContext {
     query: JoinQuery,
@@ -161,14 +191,21 @@ impl EncodedContext {
                 .collect();
             let own_key_positions: Vec<usize> =
                 shared.iter().map(|v| atom.positions_of(v)[0]).collect();
-            let parent_key_positions: Vec<usize> = match tree.node(node_id).parent {
-                None => Vec::new(),
+            let (slot, parent_key_positions) = match tree.node(node_id).parent {
+                None => (0, Vec::new()),
                 Some(p) => {
                     let parent_atom = query.atom(tree.node(p).atom_index);
-                    shared
-                        .iter()
-                        .map(|v| parent_atom.positions_of(v)[0])
-                        .collect()
+                    let siblings = &tree.node(p).children;
+                    (
+                        siblings
+                            .iter()
+                            .position(|&c| c == node_id)
+                            .expect("a node is among its parent's children"),
+                        shared
+                            .iter()
+                            .map(|v| parent_atom.positions_of(v)[0])
+                            .collect(),
+                    )
                 }
             };
 
@@ -178,7 +215,10 @@ impl EncodedContext {
                 rows,
                 own_key_positions,
                 parent_key_positions,
-                groups: KeyMap::default(),
+                slot,
+                child_links: Vec::new(),
+                group_offsets: Vec::new(),
+                group_members: Vec::new(),
             });
             rels.push(rel);
         }
@@ -190,63 +230,109 @@ impl EncodedContext {
             rels,
         };
 
-        // Full reducer: bottom-up, then top-down semi-joins over code keys. The
-        // key-set builds and survivor scans are chunked over the executor pool;
-        // set membership is order-independent and survivors concatenate in
-        // canonical chunk order, so the reduced row sets match the sequential
-        // pass exactly.
+        // Bottom-up semi-joins, resolving each edge as they go. A child is interned
+        // after its own reduction (sequentially, so gids number its keys by first
+        // occurrence whatever the thread count); its parent's rows then probe all
+        // their children in one chunked pass. Survivors and their links concatenate
+        // in canonical chunk order, so the reduced row sets match a sequential pass.
+        let mut row_gids: Vec<Vec<u32>> = vec![Vec::new(); ctx.nodes.len()];
+        let mut n_groups: Vec<usize> = vec![0; ctx.nodes.len()];
         for &node_id in &ctx.tree.bottom_up_order() {
             let children = ctx.tree.node(node_id).children.clone();
-            for child in children {
-                let child_keys = key_set(|i| ctx.own_key(child, i), ctx.nodes[child].rows.len());
-                let survivors = filter_rows(&ctx.nodes[node_id].rows, |i| {
-                    child_keys.contains(&ctx.key_towards_child(node_id, child, i))
-                });
-                ctx.nodes[node_id].rows = survivors;
-            }
-        }
-        for &node_id in &ctx.tree.top_down_order() {
-            let children = ctx.tree.node(node_id).children.clone();
-            for child in children {
-                let parent_keys = key_set(
-                    |i| ctx.key_towards_child(node_id, child, i),
-                    ctx.nodes[node_id].rows.len(),
-                );
-                let survivors = filter_rows(&ctx.nodes[child].rows, |i| {
-                    parent_keys.contains(&ctx.own_key(child, i))
-                });
-                ctx.nodes[child].rows = survivors;
-            }
-        }
-
-        // Pre-grouped adjacency indexes for non-root nodes: chunk-local maps
-        // merged in chunk order, so every group's member list stays ascending —
-        // exactly what the sequential insertion produced.
-        for node_id in 0..ctx.nodes.len() {
-            if node_id == ctx.tree.root() {
+            if children.is_empty() {
                 continue;
             }
-            let chunk_maps: Vec<KeyMap<Vec<u32>>> = qjoin_par::par_map_chunks(
-                ctx.nodes[node_id].rows.len(),
-                qjoin_par::DEFAULT_CHUNK,
-                |_, range| {
-                    let mut local: KeyMap<Vec<u32>> = KeyMap::default();
-                    for i in range {
-                        local
-                            .entry(ctx.own_key(node_id, i))
-                            .or_default()
-                            .push(i as u32);
+            let mut interned: Vec<KeyMap<u32>> = Vec::with_capacity(children.len());
+            for &child in &children {
+                let positions = &ctx.nodes[child].own_key_positions;
+                let mut gids: KeyMap<u32> = KeyMap::default();
+                row_gids[child] = (0..ctx.nodes[child].rows.len())
+                    .map(|i| {
+                        let next = gids.len() as u32;
+                        *gids
+                            .entry(ctx.key_from_positions(child, i, positions))
+                            .or_insert(next)
+                    })
+                    .collect();
+                n_groups[child] = gids.len();
+                interned.push(gids);
+            }
+            let rows = &ctx.nodes[node_id].rows;
+            let parts =
+                qjoin_par::par_map_chunks(rows.len(), qjoin_par::DEFAULT_CHUNK, |_, range| {
+                    let mut kept = Vec::with_capacity(range.len());
+                    let mut links = vec![Vec::with_capacity(range.len()); children.len()];
+                    let mut found = vec![0u32; children.len()];
+                    'rows: for i in range {
+                        for (slot, &child) in children.iter().enumerate() {
+                            let positions = &ctx.nodes[child].parent_key_positions;
+                            let key = ctx.key_from_positions(node_id, i, positions);
+                            match interned[slot].get(&key) {
+                                Some(&gid) => found[slot] = gid,
+                                None => continue 'rows,
+                            }
+                        }
+                        kept.push(rows[i]);
+                        for (column, &gid) in links.iter_mut().zip(&found) {
+                            column.push(gid);
+                        }
                     }
-                    local
-                },
-            );
-            let mut groups: KeyMap<Vec<u32>> = KeyMap::default();
-            for local in chunk_maps {
-                for (key, members) in local {
-                    groups.entry(key).or_default().extend(members);
+                    (kept, links)
+                });
+            let mut kept = Vec::with_capacity(rows.len());
+            let mut links = vec![Vec::with_capacity(rows.len()); children.len()];
+            for (part_rows, part_links) in parts {
+                kept.extend(part_rows);
+                for (column, part) in links.iter_mut().zip(part_links) {
+                    column.extend(part);
                 }
             }
-            ctx.nodes[node_id].groups = groups;
+            ctx.nodes[node_id].rows = kept;
+            ctx.nodes[node_id].child_links = links;
+        }
+
+        // Top-down semi-joins over the resolved links: a child group survives iff a
+        // surviving parent row links to it. Dead groups take their rows with them,
+        // live ones are renumbered densely in gid order, and the child's final rows
+        // are bucketed by gid (a counting sort, so members stay ascending).
+        for &node_id in &ctx.tree.top_down_order() {
+            for (slot, &child) in ctx.tree.node(node_id).children.iter().enumerate() {
+                let mut links = std::mem::take(&mut ctx.nodes[node_id].child_links[slot]);
+                let mut live = vec![false; n_groups[child]];
+                for &gid in &links {
+                    live[gid as usize] = true;
+                }
+                let mut n_live = 0u32;
+                let remap: Vec<u32> = live
+                    .iter()
+                    .map(|&alive| {
+                        let dense = n_live;
+                        n_live += u32::from(alive);
+                        dense
+                    })
+                    .collect();
+                let mut gids = std::mem::take(&mut row_gids[child]);
+                if (n_live as usize) < live.len() {
+                    for gid in &mut links {
+                        *gid = remap[*gid as usize];
+                    }
+                    let keep: Vec<bool> = gids.iter().map(|&g| live[g as usize]).collect();
+                    let node = &mut ctx.nodes[child];
+                    retain_by(&mut node.rows, &keep);
+                    for column in &mut node.child_links {
+                        retain_by(column, &keep);
+                    }
+                    retain_by(&mut gids, &keep);
+                    for gid in &mut gids {
+                        *gid = remap[*gid as usize];
+                    }
+                }
+                ctx.nodes[node_id].child_links[slot] = links;
+
+                let (offsets, members) = bucket_by_gid(&gids, n_live as usize);
+                ctx.nodes[child].group_offsets = offsets;
+                ctx.nodes[child].group_members = members;
+            }
         }
 
         Ok(ctx)
@@ -284,33 +370,16 @@ impl EncodedContext {
         self.rels[node].code(seg as usize, row as usize, col)
     }
 
-    /// The join key of row `i` of `node` towards its parent.
-    pub fn own_key(&self, node: usize, i: usize) -> Key {
-        let positions = &self.nodes[node].own_key_positions;
-        self.key_from_positions(node, i, positions)
-    }
-
-    /// The join key that row `i` of `parent` exposes towards `child`.
-    pub fn key_from_parent(&self, child: usize, parent_i: usize) -> Key {
-        let parent = self
-            .tree
-            .node(child)
-            .parent
-            .expect("key_from_parent needs a non-root child");
-        let positions = &self.nodes[child].parent_key_positions;
-        self.key_from_positions(parent, parent_i, positions)
-    }
-
-    fn key_towards_child(&self, parent: usize, child: usize, parent_i: usize) -> Key {
-        let positions = &self.nodes[child].parent_key_positions;
-        self.key_from_positions(parent, parent_i, positions)
-    }
-
     fn key_from_positions(&self, node: usize, i: usize, positions: &[usize]) -> Key {
         match positions {
             [] => Key::Unit,
             [a] => Key::One(self.code(node, i, *a)),
             [a, b] => Key::Two(self.code(node, i, *a), self.code(node, i, *b)),
+            [a, b, c] => Key::Three(
+                self.code(node, i, *a),
+                self.code(node, i, *b),
+                self.code(node, i, *c),
+            ),
             more => Key::Many(more.iter().map(|&p| self.code(node, i, p)).collect()),
         }
     }
@@ -320,19 +389,71 @@ impl EncodedContext {
         self.nodes.iter().any(|n| n.rows.is_empty())
     }
 
-    /// The indices (into `child`'s rows) joining with the given key.
-    pub fn child_group(&self, child: usize, key: &Key) -> &[u32] {
-        self.nodes[child]
-            .groups
-            .get(key)
-            .map(|v| v.as_slice())
-            .unwrap_or(&[])
+    /// The resolved edge towards the non-root node `child`: one gid per surviving
+    /// row of its parent, naming the [`group`](Self::group) of `child` that row
+    /// joins (the full reducer guarantees there is one).
+    pub fn links(&self, child: usize) -> &[u32] {
+        let parent = self
+            .tree
+            .node(child)
+            .parent
+            .expect("links need a non-root child");
+        &self.nodes[parent].child_links[self.nodes[child].slot]
+    }
+
+    /// The gid of the group of `child` that row `parent_i` of its parent joins.
+    #[inline]
+    pub fn link(&self, child: usize, parent_i: usize) -> u32 {
+        self.links(child)[parent_i]
+    }
+
+    /// The number of join groups of a non-root node (gids are `0..num_groups`).
+    pub fn num_groups(&self, node: usize) -> usize {
+        self.nodes[node].group_offsets.len().saturating_sub(1)
+    }
+
+    /// Where group `gid` of `node` lies within the node's member array.
+    #[inline]
+    pub fn group_range(&self, node: usize, gid: u32) -> std::ops::Range<usize> {
+        let offsets = &self.nodes[node].group_offsets;
+        offsets[gid as usize] as usize..offsets[gid as usize + 1] as usize
+    }
+
+    /// The indices (into `node`'s rows, ascending) of join group `gid`.
+    #[inline]
+    pub fn group(&self, node: usize, gid: u32) -> &[u32] {
+        &self.nodes[node].group_members[self.group_range(node, gid)]
     }
 
     /// Total surviving rows across all nodes.
     pub fn total_rows(&self) -> usize {
         self.nodes.iter().map(|n| n.rows.len()).sum()
     }
+}
+
+/// Buckets row indices by gid with a counting sort: the CSR `(offsets, members)`
+/// in which group `g` is `members[offsets[g]..offsets[g + 1]]`, ascending.
+fn bucket_by_gid(gids: &[u32], n_groups: usize) -> (Vec<u32>, Vec<u32>) {
+    let mut offsets = vec![0u32; n_groups + 1];
+    for &gid in gids {
+        offsets[gid as usize + 1] += 1;
+    }
+    for g in 0..n_groups {
+        offsets[g + 1] += offsets[g];
+    }
+    let mut cursor = offsets.clone();
+    let mut members = vec![0u32; gids.len()];
+    for (i, &gid) in gids.iter().enumerate() {
+        members[cursor[gid as usize] as usize] = i as u32;
+        cursor[gid as usize] += 1;
+    }
+    (offsets, members)
+}
+
+/// Keeps the elements whose index is marked in `keep`, in order.
+fn retain_by<T>(items: &mut Vec<T>, keep: &[bool]) {
+    let mut marks = keep.iter();
+    items.retain(|_| *marks.next().expect("one mark per element"));
 }
 
 /// Scans a relation view in fixed-size chunks over the executor pool and
@@ -378,33 +499,6 @@ fn consistent_coords(
     rows
 }
 
-/// Builds the set of join keys `key(0) .. key(n - 1)` with chunk-local sets
-/// unioned afterwards (set membership is order-independent).
-fn key_set(key: impl Fn(usize) -> Key + Sync, n: usize) -> KeySet {
-    let parts: Vec<KeySet> = qjoin_par::par_map_chunks(n, qjoin_par::DEFAULT_CHUNK, |_, range| {
-        range.map(&key).collect()
-    });
-    let mut keys = KeySet::default();
-    for part in parts {
-        keys.extend(part);
-    }
-    keys
-}
-
-/// Keeps the rows whose index satisfies `keep`, scanning in chunks and
-/// concatenating survivors in canonical chunk order.
-fn filter_rows(rows: &[(u32, u32)], keep: impl Fn(usize) -> bool + Sync) -> Vec<(u32, u32)> {
-    let parts: Vec<Vec<(u32, u32)>> =
-        qjoin_par::par_map_chunks(rows.len(), qjoin_par::DEFAULT_CHUNK, |_, range| {
-            range.filter(|&i| keep(i)).map(|i| rows[i]).collect()
-        });
-    let mut survivors = Vec::with_capacity(rows.len());
-    for part in parts {
-        survivors.extend(part);
-    }
-    survivors
-}
-
 /// Per-tuple subtree answer counts of an encoded context, plus the per-group
 /// aggregated messages (the encoded analogue of
 /// [`count::subtree_counts`](crate::count::subtree_counts)).
@@ -413,65 +507,57 @@ pub struct EncodedCounts {
     /// `per_tuple[node][i]` is the number of partial answers of the subtree rooted
     /// at row `i` of `node`.
     pub per_tuple: Vec<Vec<u128>>,
-    /// `per_group[node]` maps a join key to the summed count of its group.
-    pub per_group: Vec<KeyMap<u128>>,
+    /// `per_group[node][gid]` is the summed count of join group `gid` of `node`.
+    pub per_group: Vec<Vec<u128>>,
 }
 
 /// Computes per-row subtree counts bottom-up (Example 2.1 of the paper).
 pub fn subtree_counts(ctx: &EncodedContext) -> EncodedCounts {
     let n_nodes = ctx.nodes().len();
     let mut per_tuple: Vec<Vec<u128>> = vec![Vec::new(); n_nodes];
-    let mut per_group: Vec<KeyMap<u128>> = vec![KeyMap::default(); n_nodes];
+    let mut per_group: Vec<Vec<u128>> = vec![Vec::new(); n_nodes];
 
     for &node_id in &ctx.tree().bottom_up_order() {
-        let children = ctx.tree().node(node_id).children.clone();
         let n_rows = ctx.node(node_id).rows.len();
+        let child_msgs: Vec<(&[u32], &[u128])> = ctx
+            .tree()
+            .node(node_id)
+            .children
+            .iter()
+            .map(|&child| (ctx.links(child), per_group[child].as_slice()))
+            .collect();
         // Rows of one node are independent: chunk the per-row child-message
         // products over the executor pool. Concatenating the chunk partials in
         // canonical order reproduces the sequential per-tuple vector exactly
         // (the per-row products themselves are exact u128 arithmetic).
-        let chunks: Vec<Vec<u128>> =
+        let values: Vec<u128> =
             qjoin_par::par_map_chunks(n_rows, qjoin_par::DEFAULT_CHUNK, |_, range| {
                 range
                     .map(|i| {
-                        let mut val: u128 = 1;
-                        for &child in &children {
-                            let key = ctx.key_from_parent(child, i);
-                            // The parent row survived the full reducer iff a
-                            // matching group exists in this child (wrapped in the
-                            // same invariant as the row path's message passing).
-                            let msg = per_group[child]
-                                .get(&key)
-                                .expect("full reducer guarantees a matching child group");
-                            val = val.checked_mul(*msg).expect("answer count overflowed u128");
-                        }
-                        val
+                        child_msgs.iter().fold(1u128, |val, (links, msgs)| {
+                            val.checked_mul(msgs[links[i] as usize])
+                                .expect("answer count overflowed u128")
+                        })
                     })
-                    .collect()
-            });
-        let mut values: Vec<u128> = Vec::with_capacity(n_rows);
-        for chunk in chunks {
-            values.extend(chunk);
-        }
+                    .collect::<Vec<u128>>()
+            })
+            .concat();
 
         if node_id != ctx.root() {
             // Group sums are independent too; each sum folds its members in
             // ascending row order (exact integer arithmetic), so the aggregated
             // messages are identical at any thread count.
-            let entries: Vec<(&Key, &Vec<u32>)> = ctx.node(node_id).groups.iter().collect();
-            let sums: Vec<Vec<u128>> =
-                qjoin_par::par_map_chunks(entries.len(), qjoin_par::DEFAULT_CHUNK, |_, range| {
+            let n_groups = ctx.num_groups(node_id);
+            per_group[node_id] =
+                qjoin_par::par_map_chunks(n_groups, qjoin_par::DEFAULT_CHUNK, |_, range| {
                     range
-                        .map(|g| entries[g].1.iter().map(|&i| values[i as usize]).sum())
-                        .collect()
-                });
-            let mut groups: KeyMap<u128> =
-                KeyMap::with_capacity_and_hasher(entries.len(), Default::default());
-            let mut flat = sums.into_iter().flatten();
-            for (key, _) in entries {
-                groups.insert(key.clone(), flat.next().expect("one sum per group"));
-            }
-            per_group[node_id] = groups;
+                        .map(|g| {
+                            let members = ctx.group(node_id, g as u32);
+                            members.iter().map(|&i| values[i as usize]).sum()
+                        })
+                        .collect::<Vec<u128>>()
+                })
+                .concat();
         }
         per_tuple[node_id] = values;
     }
@@ -498,9 +584,10 @@ pub fn count_answers(instance: &EncodedInstance) -> Result<u128> {
 }
 
 /// The instance's default-tree [`EncodedContext`], built at most once per instance:
-/// the first caller builds (GYO tree, semi-join reduction, group indexes) and parks
+/// the first caller builds (GYO tree, semi-join reduction, edge links, group indexes) and parks
 /// the result in the instance's [exec memo](EncodedInstance::exec_memo); later
-/// callers — count, pivot scan, leaf materialization of the same solve — reuse it.
+/// callers — count, pivot scan, leaf materialization and direct access over the
+/// same instance — reuse it.
 /// Clones share the memo, so the quantile driver's `instance.clone()` at the leaf
 /// still hits the cache. Callers that need a *custom* join tree must use
 /// [`EncodedContext::build_with_tree`] directly and bypass the memo.
@@ -635,8 +722,7 @@ fn descend(
             }
         }
         Some(parent) => {
-            let key = ctx.key_from_parent(node, selected[parent]);
-            for &i in ctx.child_group(node, &key) {
+            for &i in ctx.group(node, ctx.link(node, selected[parent])) {
                 visit(
                     ctx, order, depth, copy_plan, selected, row, f, node, i as usize,
                 );
@@ -670,11 +756,12 @@ fn visit(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::count;
-    use crate::yannakakis;
-    use qjoin_data::{Database, Relation};
+    use crate::{count, yannakakis, DirectAccess, EncodedDirectAccess, JoinTreeContext};
+    use qjoin_data::{Database, Relation, Value};
     use qjoin_query::query::{figure1_query, path_query};
-    use qjoin_query::Instance;
+    use qjoin_query::{Atom, Instance};
+    use rand::rngs::StdRng;
+    use rand::{Rng, SeedableRng};
 
     fn figure1_instance() -> Instance {
         let r = Relation::from_rows("R", &[&[1, 1], &[2, 2]]).unwrap();
@@ -763,11 +850,205 @@ mod tests {
         ));
     }
 
+    /// A random acyclic instance. Atom `k > 0` shares one to four variables with a
+    /// random earlier atom (so join keys are 1–4 wide and the shapes include paths
+    /// and stars) and adds fresh ones; a quarter of the atoms repeat a variable and
+    /// a quarter re-read an earlier atom's relation (a self-join). Values come from
+    /// a two- or three-value domain, so every edge has matching tuples and dangling
+    /// ones on both sides, and some joins are empty.
+    fn random_acyclic_instance(rng: &mut StdRng) -> Instance {
+        let mut fresh = 0usize;
+        let mut fresh_var = || {
+            fresh += 1;
+            Variable::new(format!("v{fresh}"))
+        };
+        let mut atoms: Vec<Atom> = Vec::new();
+        let mut db = Database::new();
+        for k in 0..rng.random_range(1..=4usize) {
+            let mut variables: Vec<Variable> = Vec::new();
+            if k > 0 {
+                let parent = &atoms[rng.random_range(0..k)];
+                let candidates: Vec<Variable> = parent.variable_set().into_iter().collect();
+                let widest = candidates.len().min(4);
+                let width = if rng.random_bool(0.3) {
+                    widest
+                } else {
+                    rng.random_range(1..=widest)
+                };
+                let skip = rng.random_range(0..=candidates.len() - width);
+                variables.extend(candidates[skip..skip + width].iter().cloned());
+            }
+            let n_fresh = if k == 0 {
+                rng.random_range(1..=4)
+            } else {
+                rng.random_range(0..=2)
+            };
+            variables.extend((0..n_fresh).map(|_| fresh_var()));
+            if rng.random_bool(0.25) {
+                variables.push(variables[rng.random_range(0..variables.len())].clone());
+            }
+            let reused = atoms
+                .iter()
+                .find(|a| a.arity() == variables.len() && rng.random_bool(0.25));
+            let name = match reused {
+                Some(earlier) => earlier.relation().to_string(),
+                None => {
+                    let name = format!("R{k}");
+                    let mut rel = Relation::new(name.as_str(), variables.len());
+                    let domain = if variables.len() > 2 { 2 } else { 3 };
+                    for _ in 0..rng.random_range(0..=14usize) {
+                        let row = (0..variables.len())
+                            .map(|_| Value::from(rng.random_range(0..domain)))
+                            .collect();
+                        rel.push(row).unwrap();
+                    }
+                    db.add_relation(rel).unwrap();
+                    name
+                }
+            };
+            atoms.push(Atom::new(name, variables));
+        }
+        Instance::new(JoinQuery::new(atoms), db).unwrap()
+    }
+
+    /// Everything the encoded context computes, against the row path's
+    /// [`JoinTreeContext`] on the same instance and against brute force.
+    fn assert_context_matches_row_path(inst: &Instance, enc: &EncodedInstance, context: &str) {
+        let row_ctx = JoinTreeContext::build(inst).unwrap();
+        let ctx = EncodedContext::build(enc).unwrap();
+        let dict = enc.dictionary();
+        assert_eq!(ctx.has_no_answers(), row_ctx.has_no_answers(), "{context}");
+
+        for (node, row_node) in ctx.nodes().iter().zip(row_ctx.nodes()) {
+            let id = node.node_id;
+            // Survivors: the row path's, in the same (relation) order.
+            let arity = ctx.query().atom(node.atom_index).arity();
+            let decoded: Vec<Vec<Value>> = (0..node.rows.len())
+                .map(|i| {
+                    (0..arity)
+                        .map(|col| dict.decode(ctx.code(id, i, col)).clone())
+                        .collect()
+                })
+                .collect();
+            let expected: Vec<Vec<Value>> = row_node
+                .tuples
+                .iter()
+                .map(|t| t.values().to_vec())
+                .collect();
+            assert_eq!(decoded, expected, "{context}: survivors of node {id}");
+
+            // Adjacency: a parent row's group is exactly the child rows sharing
+            // its join key, ascending; every group is reached and none is empty.
+            let Some(parent) = ctx.tree().node(id).parent else {
+                assert_eq!(ctx.num_groups(id), 0, "{context}: the root has no groups");
+                continue;
+            };
+            let mut reached = vec![false; ctx.num_groups(id)];
+            for i in 0..ctx.node(parent).rows.len() {
+                let key: Vec<u64> = node
+                    .parent_key_positions
+                    .iter()
+                    .map(|&p| ctx.code(parent, i, p))
+                    .collect();
+                let brute: Vec<u32> = (0..node.rows.len() as u32)
+                    .filter(|&j| {
+                        let own = node.own_key_positions.iter();
+                        own.map(|&p| ctx.code(id, j as usize, p))
+                            .eq(key.iter().copied())
+                    })
+                    .collect();
+                assert!(!brute.is_empty(), "{context}: node {id} row {i} dangles");
+                assert_eq!(
+                    ctx.group(id, ctx.link(id, i)),
+                    brute,
+                    "{context}: node {id}"
+                );
+                reached[ctx.link(id, i) as usize] = true;
+            }
+            assert!(
+                reached.iter().all(|&r| r),
+                "{context}: node {id} has a dead group"
+            );
+        }
+
+        assert_eq!(
+            count_answers_ctx(&ctx),
+            count::count_answers_ctx(&row_ctx),
+            "{context}: count"
+        );
+
+        // Enumeration: the sequential walk, the concatenated chunked walk (chunks
+        // of 3 root rows, so several per instance) and the row path's walk agree
+        // answer for answer, in order.
+        let mut walked: Vec<Vec<u64>> = Vec::new();
+        for_each_answer_codes(&ctx, |codes| walked.push(codes.to_vec()));
+        let chunked: Vec<Vec<u64>> =
+            map_answer_code_chunks(&ctx, 3, Vec::new, |out, codes| out.push(codes.to_vec()))
+                .concat();
+        assert_eq!(walked, chunked, "{context}: chunked enumeration");
+        let mut row_answers: Vec<Vec<Value>> = Vec::new();
+        yannakakis::for_each_answer(&row_ctx, |values| row_answers.push(values.to_vec()));
+        let decoded: Vec<Vec<Value>> = walked
+            .iter()
+            .map(|codes| codes.iter().map(|&c| dict.decode(c).clone()).collect())
+            .collect();
+        assert_eq!(decoded, row_answers, "{context}: enumeration");
+
+        // Direct access: the same answer at every index.
+        let access = EncodedDirectAccess::from_context(ctx, Arc::clone(dict));
+        let row_access = DirectAccess::from_context(row_ctx);
+        assert_eq!(access.total(), row_access.total(), "{context}: total");
+        for i in 0..access.total() {
+            assert_eq!(
+                access.answer_at(i).unwrap(),
+                row_access.answer_at(i).unwrap(),
+                "{context}: answer_at({i})"
+            );
+        }
+    }
+
+    #[test]
+    fn random_acyclic_contexts_match_the_row_path_at_one_and_four_threads() {
+        let pools = [qjoin_par::Pool::new(1), qjoin_par::Pool::new(4)];
+        let mut rng = StdRng::seed_from_u64(0x51ab);
+        let (mut empty, mut self_joins) = (0, 0);
+        let mut key_widths = [0usize; 5];
+        for case in 0..300 {
+            let inst = random_acyclic_instance(&mut rng);
+            let enc = EncodedInstance::from_instance(&inst).unwrap();
+            let mut twins = vec![(inst.clone(), enc.clone())];
+            if inst.query().has_self_joins() {
+                self_joins += 1;
+                twins.push((
+                    qjoin_query::self_join::eliminate_self_joins(&inst).unwrap(),
+                    enc.eliminate_self_joins().unwrap(),
+                ));
+            }
+            for pool in &pools {
+                for (inst, enc) in &twins {
+                    let context = format!("case {case} T={}: {}", pool.threads(), inst.query());
+                    qjoin_par::with_pool(pool, || {
+                        assert_context_matches_row_path(inst, enc, &context)
+                    });
+                }
+            }
+            let ctx = EncodedContext::build(&enc).unwrap();
+            empty += usize::from(ctx.has_no_answers());
+            for node in ctx.nodes() {
+                key_widths[node.own_key_positions.len()] += 1;
+            }
+        }
+        // The generator reaches the shapes the test is for.
+        assert!(empty > 10 && self_joins > 10, "{empty} {self_joins}");
+        assert!(key_widths[1..].iter().all(|&n| n > 10), "{key_widths:?}");
+    }
+
     #[test]
     fn keys_pack_small_arities() {
         assert_eq!(Key::from_codes(&[]), Key::Unit);
         assert_eq!(Key::from_codes(&[7]), Key::One(7));
         assert_eq!(Key::from_codes(&[7, 8]), Key::Two(7, 8));
-        assert!(matches!(Key::from_codes(&[1, 2, 3]), Key::Many(_)));
+        assert_eq!(Key::from_codes(&[7, 8, 9]), Key::Three(7, 8, 9));
+        assert!(matches!(Key::from_codes(&[1, 2, 3, 4]), Key::Many(_)));
     }
 }

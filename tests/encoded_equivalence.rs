@@ -334,6 +334,92 @@ proptest! {
 }
 
 // ---------------------------------------------------------------------------
+// The link-resolved context against the row context
+// ---------------------------------------------------------------------------
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(48))]
+
+    /// `EncodedContext` resolves every join-tree edge once into gid links and a
+    /// CSR group index. Whatever the gid numbering, everything read through it
+    /// must equal the row path's `JoinTreeContext` on the same instance, at one
+    /// and at four threads: the surviving rows per node in relation order, the
+    /// group each parent row links to (members ascending), the answer count, the
+    /// enumeration sequence (sequential and chunked), and direct access at every
+    /// index.
+    #[test]
+    fn link_resolved_context_matches_the_row_context(
+        seed in 0u64..3000,
+        atoms in 1usize..5,
+    ) {
+        use quantile_joins::exec::encoded::{
+            count_answers_ctx, for_each_answer_codes, map_answer_code_chunks, EncodedContext,
+        };
+        use quantile_joins::exec::{yannakakis, DirectAccess, EncodedDirectAccess, JoinTreeContext};
+
+        let instance = random_instance(seed, atoms);
+        let encoded = EncodedInstance::from_instance(&instance).unwrap();
+        let dict = encoded.dictionary();
+        let decode = |codes: &[u64]| -> Vec<Value> {
+            codes.iter().map(|&c| dict.decode(c).clone()).collect()
+        };
+        let row_ctx = JoinTreeContext::build(&instance).unwrap();
+        let mut row_answers: Vec<Vec<Value>> = Vec::new();
+        yannakakis::for_each_answer(&row_ctx, |values| row_answers.push(values.to_vec()));
+        let row_access = DirectAccess::new(&instance).unwrap();
+
+        for (threads, pool) in sweep_pools().iter().filter(|(t, _)| *t == 1 || *t == 4) {
+            let ctx = quantile_joins::par::with_pool(pool, || EncodedContext::build(&encoded)).unwrap();
+            for (node, row_node) in ctx.nodes().iter().zip(row_ctx.nodes()) {
+                let id = node.node_id;
+                let arity = ctx.query().atom(node.atom_index).arity();
+                let survivors: Vec<Vec<Value>> = (0..node.rows.len())
+                    .map(|i| (0..arity).map(|col| dict.decode(ctx.code(id, i, col)).clone()).collect())
+                    .collect();
+                let expected: Vec<Vec<Value>> =
+                    row_node.tuples.iter().map(|t| t.values().to_vec()).collect();
+                prop_assert_eq!(survivors, expected, "T={} node {}: survivors", threads, id);
+
+                let Some(parent) = ctx.tree().node(id).parent else { continue };
+                for (i, parent_tuple) in row_ctx.node(parent).tuples.iter().enumerate() {
+                    let members: Vec<usize> =
+                        ctx.group(id, ctx.link(id, i)).iter().map(|&m| m as usize).collect();
+                    prop_assert_eq!(
+                        members.as_slice(),
+                        row_ctx.child_group(id, parent_tuple),
+                        "T={} node {} parent row {}: group", threads, id, i
+                    );
+                }
+            }
+
+            let (count, walked, chunked) = quantile_joins::par::with_pool(pool, || {
+                let mut walked: Vec<Vec<Value>> = Vec::new();
+                for_each_answer_codes(&ctx, |codes| walked.push(decode(codes)));
+                let chunked = map_answer_code_chunks(&ctx, 4, Vec::new, |out, codes| {
+                    out.push(decode(codes))
+                });
+                (count_answers_ctx(&ctx), walked, chunked.concat())
+            });
+            prop_assert_eq!(count, row_answers.len() as u128, "T={}: count", threads);
+            prop_assert_eq!(&walked, &row_answers, "T={}: enumeration", threads);
+            prop_assert_eq!(&chunked, &row_answers, "T={}: chunked enumeration", threads);
+
+            let access = quantile_joins::par::with_pool(pool, || {
+                EncodedDirectAccess::from_context(ctx, std::sync::Arc::clone(dict))
+            });
+            prop_assert_eq!(access.total(), row_access.total(), "T={}: total", threads);
+            for i in 0..access.total() {
+                prop_assert_eq!(
+                    access.answer_at(i).unwrap(),
+                    row_access.answer_at(i).unwrap(),
+                    "T={}: answer_at({})", threads, i
+                );
+            }
+        }
+    }
+}
+
+// ---------------------------------------------------------------------------
 // Approximate path: deterministic lossy trims and the randomized sampler
 // ---------------------------------------------------------------------------
 
