@@ -11,8 +11,9 @@
 //!   partition containing its rank (targets that land on the pivot's equal-to band
 //!   resolve immediately);
 //! * at each leaf (candidate count below the materialization threshold), the
-//!   candidates are materialized and sorted **once**, and every target in the leaf is
-//!   resolved by direct indexing.
+//!   candidates' weights are walked **once**, every target rank in the leaf is
+//!   selected on them together, and only the answers tied with a target weight are
+//!   keyed (`leaf::select_ranks`, the single-φ driver's leaf with more ranks).
 //!
 //! Because pivot selection (Algorithm 2) and the exact trimmings are deterministic,
 //! every target follows *exactly* the path the single-φ driver would take, so batched
@@ -24,9 +25,10 @@
 //!
 //! [`quantile_by_pivoting`]: crate::quantile::quantile_by_pivoting
 
+use crate::leaf::select_ranks;
 use crate::quantile::{
-    keyed_answer_cmp, partition_round, report_parallel, target_rank, PivotingOptions,
-    QuantileResult, RowBackend, SolveBackend,
+    partition_round, report_parallel, target_rank, PivotingOptions, QuantileResult, RowBackend,
+    SolveBackend,
 };
 use crate::trace::{sat64, NoopTracer, PhaseContext, SolvePhase, SolveTracer};
 use crate::trim::Trimmer;
@@ -300,8 +302,7 @@ fn solve_group<B: SolveBackend>(
     )
 }
 
-/// Materializes a leaf's candidates once, sorts them once, and resolves every target
-/// in the leaf by direct indexing.
+/// Resolves every target routed into a leaf with one [`select_ranks`] call.
 fn resolve_leaf<B: SolveBackend>(
     state: &BatchState<'_, B>,
     current: &B::Inst,
@@ -312,30 +313,24 @@ fn resolve_leaf<B: SolveBackend>(
 ) -> Result<()> {
     let materialize_started = Instant::now();
     let materialize_par = qjoin_par::thread_parallel_nanos();
-    let mut keyed = state.backend.keyed_answers(current, state.original_vars)?;
-    if keyed.is_empty() {
-        return Err(CoreError::NoAnswers);
-    }
-    keyed.sort_by(keyed_answer_cmp);
+    let ranks: Vec<u128> = targets.iter().map(|t| t.rank - offset).collect();
+    let leaf = select_ranks(state.backend, current, state.original_vars, &ranks)?;
     state.tracer.phase_event(
         SolvePhase::Materialize,
         materialize_started.elapsed(),
         &PhaseContext {
             round: Some(depth as u64),
-            materialized: Some(keyed.len() as u64),
+            materialized: Some(leaf.walked as u64),
+            keyed: Some(leaf.keyed as u64),
             targets: Some(targets.len() as u64),
             ..PhaseContext::default()
         },
     );
     report_parallel(state.tracer, SolvePhase::Materialize, materialize_par);
-    for t in targets {
-        let k = ((t.rank - offset) as usize).min(keyed.len() - 1);
-        let selected = &keyed[k];
+    for (t, (weight, key)) in targets.iter().zip(leaf.selected) {
         results[t.pos] = Some(QuantileResult {
-            answer: state
-                .backend
-                .answer_from_key(state.original_vars, &selected.1),
-            weight: selected.0.clone(),
+            answer: state.backend.answer_from_key(state.original_vars, &key),
+            weight,
             total_answers: state.total,
             target_index: t.rank,
             iterations: depth,

@@ -323,79 +323,3 @@ pub(crate) fn lossy_sum_trim_encoded(
         relations,
     )?)
 }
-
-/// The approximate solve backend: identical to the exact
-/// [`EncodedBackend`](super::EncodedBackend) except that trimming runs the
-/// ε-lossy construction above. Used by
-/// [`approximate_sum_quantile_encoded`](super::approximate_sum_quantile_encoded).
-pub(crate) struct ApproxSumBackend<'a> {
-    pub(crate) ranking: &'a Ranking,
-    pub(crate) weights: CodeWeights,
-    pub(crate) epsilon: f64,
-    pub(crate) dictionary: std::sync::Arc<qjoin_data::Dictionary>,
-}
-
-impl<'a> ApproxSumBackend<'a> {
-    /// Builds the backend for one approximate solve: precomputes the per-code
-    /// weight tables and captures the per-trim loss budget.
-    pub(crate) fn new(
-        instance: &EncodedInstance,
-        ranking: &'a Ranking,
-        epsilon: f64,
-    ) -> ApproxSumBackend<'a> {
-        ApproxSumBackend {
-            ranking,
-            weights: CodeWeights::build(instance.dictionary(), ranking),
-            epsilon,
-            dictionary: std::sync::Arc::clone(instance.dictionary()),
-        }
-    }
-}
-
-impl crate::quantile::SolveBackend for ApproxSumBackend<'_> {
-    type Inst = EncodedInstance;
-
-    fn count(&self, instance: &EncodedInstance) -> Result<u128> {
-        Ok(qjoin_exec::encoded::count_answers(instance)?)
-    }
-
-    fn database_size(&self, instance: &EncodedInstance) -> usize {
-        instance.total_rows()
-    }
-
-    fn select_pivot(&self, instance: &EncodedInstance) -> Result<crate::pivot::PivotResult> {
-        super::pivot::select_pivot_encoded(instance, self.ranking, &self.weights)
-    }
-
-    fn trim(
-        &self,
-        instance: &EncodedInstance,
-        predicate: &RankPredicate,
-    ) -> Result<EncodedInstance> {
-        lossy_sum_trim_encoded(
-            instance,
-            self.ranking,
-            predicate,
-            self.epsilon,
-            &self.weights,
-        )
-    }
-
-    type Key = super::CodeKey;
-
-    fn keyed_answers(
-        &self,
-        instance: &EncodedInstance,
-        original_vars: &[Variable],
-    ) -> Result<Vec<(qjoin_ranking::Weight, super::CodeKey)>> {
-        super::keyed_answers_encoded(instance, self.ranking, &self.weights, original_vars)
-    }
-
-    fn answer_from_key(
-        &self,
-        original_vars: &[Variable],
-        key: &super::CodeKey,
-    ) -> qjoin_query::Assignment {
-        super::decode_answer_key(&self.dictionary, original_vars, key.as_slice())
-    }
-}

@@ -8,8 +8,11 @@
 //!   tagged segments, packed dyadic-interval columns); the SUM constructions take
 //!   the whole `(low, high)` window of a partition step in one rewrite;
 //! * `pivot` runs Algorithm 2 over flat code rows;
-//! * this file provides the solve-backend implementation plus the public entry
-//!   points [`exact_quantile_encoded`] and [`exact_quantile_batch_encoded`].
+//! * this file provides the solve-backend implementation — including the two passes
+//!   of the leaf (`crate::leaf`): a masked walk that copies only the weighted codes
+//!   and keeps `(weight, root row)`, then a walk of the few root rows holding a tie
+//!   that builds `CodeKey`s — plus the public entry points
+//!   [`exact_quantile_encoded`] and [`exact_quantile_batch_encoded`].
 //!
 //! The encoded path is the **default** for exact solves (see [`crate::solver`]);
 //! its answers are pointwise identical to the row path's — same pivots, same
@@ -26,10 +29,12 @@ pub(crate) mod weights;
 
 pub use trim::ExactStrategy;
 
+use crate::leaf::locator;
 use crate::pivot::PivotResult;
 use crate::quantile::{
-    quantile_by_pivoting_backend, PivotingOptions, QuantileResult, SolveBackend,
+    positions_in, quantile_by_pivoting_backend, PivotingOptions, QuantileResult, SolveBackend,
 };
+use crate::trim::two_pass_trim;
 use crate::{CoreError, Result};
 use qjoin_exec::encoded::{self as exec_encoded};
 use qjoin_query::{Assignment, EncodedInstance, Variable};
@@ -41,10 +46,10 @@ use weights::{CodeWeights, WeightFold};
 /// variables); wider queries spill to a `Vec`.
 const CODE_KEY_INLINE: usize = 6;
 
-/// A leaf answer key: the answer's projected dictionary codes. Keys up to
-/// [`CODE_KEY_INLINE`] codes wide live inline — at a million answers per leaf,
-/// a heap allocation per key is the difference between a compare walking a
-/// contiguous buffer and one chasing a pointer per candidate.
+/// A leaf answer key: the answer's projected dictionary codes, built only for the
+/// answers tied with a target weight. Keys up to [`CODE_KEY_INLINE`] codes wide
+/// live inline, so sorting a wide tie band (every weight equal, say) compares
+/// contiguous buffers instead of chasing a pointer per candidate.
 ///
 /// Ordering (and equality) is the lexicographic order of the code slice,
 /// regardless of representation; codes are order-preserving, so this equals the
@@ -102,11 +107,15 @@ impl Ord for CodeKey {
     }
 }
 
-/// The encoded solve backend: counts, pivots, trims, and materializes over an
-/// [`EncodedInstance`], decoding only at the answer boundary.
+/// The encoded solve backend: counts, pivots, trims, and walks leaves over an
+/// [`EncodedInstance`], decoding only at the answer boundary. It serves the exact
+/// and the ε-lossy solves alike: they differ in the trimming alone.
 pub(crate) struct EncodedBackend<'a> {
     ranking: &'a Ranking,
     strategy: ExactStrategy,
+    /// `Some(ε′)` makes every trim the ε-lossy SUM construction ([`lossy`]) with
+    /// that per-trim loss budget; `None` trims exactly.
+    lossy_epsilon: Option<f64>,
     weights: CodeWeights,
     dictionary: std::sync::Arc<qjoin_data::Dictionary>,
 }
@@ -118,9 +127,53 @@ impl<'a> EncodedBackend<'a> {
         EncodedBackend {
             ranking,
             strategy: ExactStrategy::for_ranking(ranking),
+            lossy_epsilon: None,
             weights: CodeWeights::build(instance.dictionary(), ranking),
             dictionary: std::sync::Arc::clone(instance.dictionary()),
         }
+    }
+
+    /// The same backend trimming with the ε-lossy SUM construction.
+    fn lossy(mut self, per_trim_epsilon: f64) -> Self {
+        self.lossy_epsilon = Some(per_trim_epsilon);
+        self
+    }
+
+    /// One leaf walk: `per_answer(out, root row, weight, codes)` for every answer
+    /// under the root rows `only` lists (under all of them when `None`), in root-row
+    /// chunks over the executor pool. The chunks concatenate in canonical order, so
+    /// the result is the sequence a sequential walk produces at any thread count.
+    /// `weights_only` walks with just the weighted slots of `codes` filled.
+    fn leaf_walk<T: Send>(
+        &self,
+        instance: &EncodedInstance,
+        weights_only: bool,
+        only: Option<&[u32]>,
+        per_answer: impl Fn(&mut Vec<T>, u32, Weight, &[u64]) + Sync,
+    ) -> Result<Vec<T>> {
+        let ctx = exec_encoded::shared_context(instance)?;
+        let schema = ctx.query().variables();
+        let position_of = |v: &Variable| schema.iter().position(|s| s == v);
+        let fold = WeightFold::new(self.ranking, &self.weights, position_of);
+        // Every root row has a 32-bit locator, or the walk does not start.
+        locator(ctx.node(ctx.root()).rows.len())?;
+        let needed = weights_only.then(|| fold.needed_slots(schema.len()));
+        let per_answer = |out: &mut Vec<T>, root: usize, codes: &[u64]| {
+            let root = locator(root).expect("every root row was checked to have one");
+            per_answer(out, root, fold.weight_of(codes), codes)
+        };
+        let chunk = qjoin_par::DEFAULT_CHUNK;
+        let chunks = exec_encoded::walk_answer_chunks(
+            &ctx,
+            needed.as_deref(),
+            only,
+            chunk,
+            Vec::new,
+            per_answer,
+        );
+        let mut out = Vec::with_capacity(chunks.iter().map(Vec::len).sum());
+        chunks.into_iter().for_each(|chunk| out.extend(chunk));
+        Ok(out)
     }
 }
 
@@ -144,13 +197,11 @@ impl SolveBackend for EncodedBackend<'_> {
         instance: &EncodedInstance,
         predicate: &RankPredicate,
     ) -> Result<EncodedInstance> {
-        trim::exact_trim_encoded(
-            instance,
-            self.ranking,
-            predicate,
-            self.strategy,
-            &self.weights,
-        )
+        let (ranking, weights) = (self.ranking, &self.weights);
+        match self.lossy_epsilon {
+            Some(eps) => lossy::lossy_sum_trim_encoded(instance, ranking, predicate, eps, weights),
+            None => trim::exact_trim_encoded(instance, ranking, predicate, self.strategy, weights),
+        }
     }
 
     fn trim_between(
@@ -160,25 +211,47 @@ impl SolveBackend for EncodedBackend<'_> {
         high: &WeightBound,
         first: CmpOp,
     ) -> Result<EncodedInstance> {
-        trim::exact_trim_between_encoded(
-            instance,
-            self.ranking,
-            low,
-            high,
-            first,
-            self.strategy,
-            &self.weights,
-        )
+        match self.lossy_epsilon {
+            Some(_) => two_pass_trim(instance, low, high, first, |i, p| self.trim(i, p)),
+            None => trim::exact_trim_between_encoded(
+                instance,
+                self.ranking,
+                low,
+                high,
+                first,
+                self.strategy,
+                &self.weights,
+            ),
+        }
     }
 
     type Key = CodeKey;
 
-    fn keyed_answers(
+    /// Pass 1 of the leaf: the walk copies only the codes the ranking weighs, and
+    /// nothing is decoded or keyed.
+    fn leaf_weights(&self, instance: &EncodedInstance) -> Result<Vec<(Weight, u32)>> {
+        self.leaf_walk(instance, true, None, |out, root, weight, _| {
+            out.push((weight, root))
+        })
+    }
+
+    /// Pass 2 of the leaf. Nothing is decoded here either: the dictionary's codes
+    /// are order-preserving, so the projected code vectors sort exactly like the
+    /// projected value vectors would, and only a selected answer is decoded.
+    fn leaf_band(
         &self,
         instance: &EncodedInstance,
         original_vars: &[Variable],
+        roots: &[u32],
+        wanted: &(dyn Fn(&Weight) -> bool + Sync),
     ) -> Result<Vec<(Weight, CodeKey)>> {
-        keyed_answers_encoded(instance, self.ranking, &self.weights, original_vars)
+        let projected = positions_in(&instance.query().variables(), original_vars)?;
+        self.leaf_walk(instance, false, Some(roots), |out, _, weight, codes| {
+            if wanted(&weight) {
+                let key = projected.iter().map(|&p| codes[p]);
+                out.push((weight, CodeKey::from_iter_of_len(projected.len(), key)));
+            }
+        })
     }
 
     fn answer_from_key(&self, original_vars: &[Variable], key: &CodeKey) -> Assignment {
@@ -186,57 +259,9 @@ impl SolveBackend for EncodedBackend<'_> {
     }
 }
 
-/// Enumerates an encoded instance's answers as `(weight, projected codes)` pairs:
-/// the encoded twin of the row path's `materialized_keyed_answers`. Weights fold
-/// in the ranking's canonical order. Nothing is decoded here: the dictionary's
-/// codes are order-preserving, so the projected code vectors sort exactly like
-/// the projected value vectors would — the leaf selection runs entirely in code
-/// space and only the answers actually selected are decoded
-/// (via [`decode_answer_key`]).
-fn keyed_answers_encoded(
-    instance: &EncodedInstance,
-    ranking: &Ranking,
-    weights: &CodeWeights,
-    original_vars: &[Variable],
-) -> Result<Vec<(Weight, CodeKey)>> {
-    let ctx = exec_encoded::shared_context(instance)?;
-    let schema = ctx.query().variables();
-    // The per-answer weight fold, in the ranking's canonical order.
-    let fold = WeightFold::new(ranking, weights, |v| schema.iter().position(|s| s == v));
-    let projected_positions: Vec<usize> = original_vars
-        .iter()
-        .map(|v| {
-            schema
-                .iter()
-                .position(|s| s == v)
-                .expect("trimmed queries retain the original variables")
-        })
-        .collect();
-    // Enumerate in root-row chunks over the executor pool: each chunk's answers
-    // accumulate locally and the chunks concatenate in canonical order, so the
-    // result is the exact sequence the sequential walk produces (and therefore
-    // the leaf selection sees identical candidates at any thread count).
-    let key_width = projected_positions.len();
-    let chunks = exec_encoded::map_answer_code_chunks(
-        &ctx,
-        qjoin_par::DEFAULT_CHUNK,
-        Vec::new,
-        |out: &mut Vec<(Weight, CodeKey)>, codes| {
-            let key =
-                CodeKey::from_iter_of_len(key_width, projected_positions.iter().map(|&p| codes[p]));
-            out.push((fold.weight_of(codes), key));
-        },
-    );
-    let mut out = Vec::with_capacity(chunks.iter().map(Vec::len).sum());
-    for chunk in chunks {
-        out.extend(chunk);
-    }
-    Ok(out)
-}
-
 /// Decodes one selected leaf key back to an [`Assignment`] over the original
 /// variables — the encoded paths' single decode point per leaf target.
-pub(crate) fn decode_answer_key(
+fn decode_answer_key(
     dictionary: &qjoin_data::Dictionary,
     original_vars: &[Variable],
     key: &[u64],
@@ -315,7 +340,7 @@ pub fn approximate_sum_quantile_encoded(
     per_trim_epsilon: f64,
     options: &PivotingOptions,
 ) -> Result<QuantileResult> {
-    let backend = lossy::ApproxSumBackend::new(instance, ranking, per_trim_epsilon);
+    let backend = EncodedBackend::new(instance, ranking).lossy(per_trim_epsilon);
     let original_vars = instance.query().variables();
     quantile_by_pivoting_backend(
         &backend,
@@ -356,7 +381,7 @@ pub fn approximate_sum_quantile_batch_encoded_traced(
     options: &PivotingOptions,
     tracer: &dyn crate::trace::SolveTracer,
 ) -> Result<Vec<QuantileResult>> {
-    let backend = lossy::ApproxSumBackend::new(instance, ranking, per_trim_epsilon);
+    let backend = EncodedBackend::new(instance, ranking).lossy(per_trim_epsilon);
     let original_vars = instance.query().variables();
     crate::batch::quantile_batch_backend(&backend, instance, phis, options, &original_vars, tracer)
 }

@@ -374,7 +374,7 @@ mod tests {
         assert_twins_agree(instance, &encoded, ranking, trimmer, &original, context);
 
         let row_backend = RowBackend { ranking, trimmer };
-        let mut weights: Vec<Weight> = (row_backend.keyed_answers(instance, &original).unwrap())
+        let mut weights: Vec<Weight> = (row_backend.leaf_weights(instance).unwrap())
             .into_iter()
             .map(|(w, _)| w)
             .collect();

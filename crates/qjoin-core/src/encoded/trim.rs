@@ -614,8 +614,15 @@ mod tests {
         instance: &B::Inst,
         original: &[Variable],
     ) -> Answers {
+        // Both leaf passes, asked for everything: every locator, any weight.
+        let mut locators: Vec<u32> = (backend.leaf_weights(instance).unwrap())
+            .into_iter()
+            .map(|(_, locator)| locator)
+            .collect();
+        locators.sort_unstable();
+        locators.dedup();
         let mut out: Answers = backend
-            .keyed_answers(instance, original)
+            .leaf_band(instance, original, &locators, &|_| true)
             .unwrap()
             .into_iter()
             .map(|(weight, key)| {

@@ -89,6 +89,16 @@ impl<'a> WeightFold<'a> {
         }
     }
 
+    /// Which slots of a `width`-wide code row the fold reads: the mask a walk that
+    /// only feeds [`weight_of`](Self::weight_of) needs to fill.
+    pub(crate) fn needed_slots(&self, width: usize) -> Vec<bool> {
+        let mut needed = vec![false; width];
+        for &(pos, _, _) in &self.terms {
+            needed[pos] = true;
+        }
+        needed
+    }
+
     /// The weight of a code row: `identity ⊕ contribution(v₁) ⊕ …` over its bound
     /// weighted variables, bit for bit what [`Ranking::identity`],
     /// [`Ranking::combine`] and [`Ranking::contribution`] compute — the same

@@ -39,6 +39,9 @@ pub enum CoreError {
     /// the AQP-hardness regime of Liu & Wang). The payload is the witness;
     /// callers should downgrade to an exact or deterministic-ε solve.
     ApproxRefused(String),
+    /// Two stages of a solve disagreed about something one derives from the other
+    /// (a bug in this crate, reported in place of a panic).
+    Internal(String),
     /// An execution-layer error.
     Exec(qjoin_exec::ExecError),
     /// A query-layer error.
@@ -73,6 +76,7 @@ impl fmt::Display for CoreError {
             CoreError::ApproxRefused(witness) => {
                 write!(f, "approximate solve refused: {witness}")
             }
+            CoreError::Internal(msg) => write!(f, "internal solver error: {msg}"),
             CoreError::Exec(e) => write!(f, "execution error: {e}"),
             CoreError::Query(e) => write!(f, "query error: {e}"),
             CoreError::Data(e) => write!(f, "data error: {e}"),

@@ -46,6 +46,7 @@ pub mod batch;
 pub mod dichotomy;
 pub mod encoded;
 mod error;
+mod leaf;
 pub mod lossy_trim;
 pub mod pivot;
 pub mod quantile;

@@ -9,13 +9,15 @@
 //! 3. counts both partitions in linear time and decides which one holds the target
 //!    index (the equal-to partition means the pivot itself is the answer),
 //!
-//! until the candidate set fits within the materialization threshold, at which point it
-//! falls back to materializing and selecting directly. With exact trimmings the result
+//! until the candidate set fits within the materialization threshold, at which point
+//! the leaf takes over: it walks what is left once for weights, selects the target rank
+//! on those alone and keys only the answers tied with it (`leaf::select_ranks`, shared
+//! with the batched driver). With exact trimmings the result
 //! is an exact `φ`-quantile (Lemma 3.3); with ε′-lossy trimmings it is an approximate
 //! quantile whose rank error is bounded by the accumulated loss (Lemma 3.6).
 
+use crate::leaf::{locator, select_ranks};
 use crate::pivot::{select_pivot, PivotResult};
-use crate::selection::select_kth_by;
 use crate::trace::{sat64, NoopTracer, PhaseContext, SolvePhase, SolveTracer};
 use crate::trim::{two_pass_trim, Trimmer};
 use crate::{CoreError, Result};
@@ -125,20 +127,27 @@ pub(crate) trait SolveBackend: Sync {
         })
     }
 
-    /// The leaf key a materialized answer is projected onto: the tie-break of the
-    /// final direct selection. Must order **identically** to the projected
-    /// `original_vars` values — the row backend uses the values themselves, the
-    /// encoded backends use the projected dictionary codes (order-preserving by
-    /// construction, so the two orders coincide and the selected answer is the
-    /// same on every path).
+    /// The leaf key an answer is projected onto: the tie-break of the final direct
+    /// selection. Must order **identically** to the projected `original_vars`
+    /// values — the row backend uses the values themselves, the encoded backends
+    /// use the projected dictionary codes (order-preserving by construction, so
+    /// the two orders coincide and the selected answer is the same on every path).
     type Key: Ord + Clone + Send;
 
-    /// Materializes the instance's answers as `(weight, key projected onto
-    /// `original_vars`)` pairs for the final direct selection.
-    fn keyed_answers(
+    /// Pass 1 of the leaf: the weight of every answer of the instance, each with a
+    /// locator that [`leaf_band`](Self::leaf_band) can walk again (the encoded
+    /// backends' root row, which many answers share; the row backend's answer index).
+    fn leaf_weights(&self, instance: &Self::Inst) -> Result<Vec<(Weight, u32)>>;
+
+    /// Pass 2 of the leaf: `(weight, key projected onto original_vars)` of every
+    /// answer under `locators` (ascending, distinct) whose weight — recomputed, bit
+    /// for bit as in pass 1 — `wanted` admits.
+    fn leaf_band(
         &self,
         instance: &Self::Inst,
         original_vars: &[Variable],
+        locators: &[u32],
+        wanted: &(dyn Fn(&Weight) -> bool + Sync),
     ) -> Result<Vec<(Weight, Self::Key)>>;
 
     /// Reassembles one selected key into an [`Assignment`] over the original
@@ -186,12 +195,22 @@ impl SolveBackend for RowBackend<'_> {
 
     type Key = Vec<Value>;
 
-    fn keyed_answers(
+    fn leaf_weights(&self, instance: &Instance) -> Result<Vec<(Weight, u32)>> {
+        let all = materialized_keyed_answers(instance, self.ranking, &[])?;
+        let indexed = all.into_iter().enumerate();
+        indexed.map(|(i, (w, _))| Ok((w, locator(i)?))).collect()
+    }
+
+    fn leaf_band(
         &self,
         instance: &Instance,
         original_vars: &[Variable],
+        locators: &[u32],
+        wanted: &(dyn Fn(&Weight) -> bool + Sync),
     ) -> Result<Vec<(Weight, Vec<Value>)>> {
-        materialized_keyed_answers(instance, self.ranking, original_vars)
+        let all = materialized_keyed_answers(instance, self.ranking, original_vars)?;
+        let located = locators.iter().filter_map(|&i| all.get(i as usize));
+        Ok(located.filter(|(w, _)| wanted(w)).cloned().collect())
     }
 
     fn answer_from_key(&self, original_vars: &[Variable], key: &Vec<Value>) -> Assignment {
@@ -375,38 +394,28 @@ pub(crate) fn quantile_by_pivoting_backend<B: SolveBackend>(
         }
     }
 
-    // Materialize the remaining candidates and select directly.
+    // The leaf: select the remaining rank directly.
     let materialize_started = Instant::now();
     let materialize_par = qjoin_par::thread_parallel_nanos();
-    let keyed = backend.keyed_answers(&current, original_vars)?;
-    if keyed.is_empty() {
-        return Err(CoreError::NoAnswers);
-    }
-    let k = (k as usize).min(keyed.len() - 1);
-    // Select by index: the selection machinery clones its working set, and
-    // cloning `usize`s instead of (weight, key) pairs keeps the leaf linear in
-    // practice, not just in theory. Answers with equal (weight, key) are
-    // interchangeable, so index ties cannot change the returned answer.
-    let indices: Vec<usize> = (0..keyed.len()).collect();
-    let selected_idx = select_kth_by(&indices, k, &|&a, &b| {
-        keyed_answer_cmp(&keyed[a], &keyed[b])
-    });
-    let selected = &keyed[selected_idx];
-    let answer = backend.answer_from_key(original_vars, &selected.1);
+    let mut leaf = select_ranks(backend, &current, original_vars, &[k])?;
+    let (weight, key) = (leaf.selected.pop())
+        .ok_or_else(|| CoreError::Internal("the leaf resolved no rank".to_string()))?;
+    let answer = backend.answer_from_key(original_vars, &key);
     tracer.phase_event(
         SolvePhase::Materialize,
         materialize_started.elapsed(),
         &PhaseContext {
             round: Some(iterations as u64),
             candidates: Some(sat64(current_count)),
-            materialized: Some(keyed.len() as u64),
+            materialized: Some(leaf.walked as u64),
+            keyed: Some(leaf.keyed as u64),
             ..PhaseContext::default()
         },
     );
     report_parallel(tracer, SolvePhase::Materialize, materialize_par);
     Ok(QuantileResult {
         answer,
-        weight: selected.0.clone(),
+        weight,
         total_answers: total,
         target_index,
         iterations,
@@ -414,8 +423,8 @@ pub(crate) fn quantile_by_pivoting_backend<B: SolveBackend>(
 }
 
 /// Materializes the instance's answers, projecting each row onto `original_vars` and
-/// keying it by its ranking weight. Shared by the single-φ driver and the batched
-/// multi-φ driver so both resolve leaves from the exact same (weight, values) pairs.
+/// keying it by its ranking weight: both leaf passes of the row backend, and the
+/// differential oracle the encoded leaf is tested against.
 pub(crate) fn materialized_keyed_answers(
     instance: &Instance,
     ranking: &Ranking,
@@ -423,15 +432,7 @@ pub(crate) fn materialized_keyed_answers(
 ) -> Result<Vec<(Weight, Vec<qjoin_data::Value>)>> {
     let answers = materialize(instance)?;
     let schema = answers.variables().to_vec();
-    let positions: Vec<usize> = original_vars
-        .iter()
-        .map(|v| {
-            schema
-                .iter()
-                .position(|s| s == v)
-                .expect("trimmed queries retain the original variables")
-        })
-        .collect();
+    let positions = positions_in(&schema, original_vars)?;
     Ok(answers
         .rows()
         .iter()
@@ -442,6 +443,13 @@ pub(crate) fn materialized_keyed_answers(
             (weight, projected)
         })
         .collect())
+}
+
+/// Where each of `original_vars` sits in a (possibly trimmed) query's schema.
+pub(crate) fn positions_in(schema: &[Variable], original_vars: &[Variable]) -> Result<Vec<usize>> {
+    let lost = |v: &Variable| CoreError::Internal(format!("a trimmed query lost variable {v}"));
+    let position = |v: &Variable| (schema.iter().position(|s| s == v)).ok_or_else(|| lost(v));
+    original_vars.iter().map(position).collect()
 }
 
 /// The total order used when selecting from materialized answers: by weight, ties

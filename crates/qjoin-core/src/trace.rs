@@ -12,8 +12,8 @@
 //!   less-than / greater-than partitions from the original instance and counting
 //!   both (one event per pivoting round, so **round counts** fall out of counting
 //!   these events);
-//! * [`SolvePhase::Materialize`] — materializing a leaf's candidates and selecting
-//!   the answer(s) directly.
+//! * [`SolvePhase::Materialize`] — the leaf: walking its candidates'
+//!   weights, selecting the target ranks and keying their tie band.
 //!
 //! The trait is object-safe and every method defaults to a no-op, so the hooks cost
 //! one virtual call per phase event when a tracer is installed and the untraced
@@ -79,8 +79,12 @@ pub struct PhaseContext {
     pub pivot_slots: Option<u64>,
     /// Number of φ targets routed through this node (batched driver).
     pub targets: Option<u64>,
-    /// Answers materialized at a leaf (a materialize phase).
+    /// Answers walked at a leaf (a materialize phase): the leaf holds one
+    /// `(weight, locator)` record for each.
     pub materialized: Option<u64>,
+    /// Of those, the answers whose key was built — the tie band around the target
+    /// weights (a materialize phase).
+    pub keyed: Option<u64>,
 }
 
 /// Saturates a `u128` count into the `u64` a [`PhaseContext`] field carries.

@@ -1032,6 +1032,7 @@ mod tests {
         assert!(analyzed.contains("analyze: solved in"), "{analyzed}");
         assert!(analyzed.contains("round 0:"), "{analyzed}");
         assert!(analyzed.contains("n_lt="), "{analyzed}");
+        assert!(analyzed.contains("of them keyed"), "{analyzed}");
 
         // The intractable class explains itself and analyzes approximately.
         ok(&session, "open p path atoms=3 rows=40 seed=4");

@@ -14,7 +14,7 @@
 //! rounds are always the plan's own work) and folds the recorded spans back
 //! into per-round observations: pre-trim candidate count and the
 //! `n_lt`/`n_eq`/`n_gt` split of every trim round, the backend that actually
-//! produced the answer, and the materialized leaf size. The trace also lands
+//! produced the answer, and the leaf's size and keyed tie band. The trace also lands
 //! in the flight recorder, so `trace id <id>` / `trace chrome <id>` can replay
 //! exactly the solve the report summarizes.
 
@@ -84,8 +84,11 @@ pub struct AnalyzeReport {
     pub per_round: Vec<AnalyzeRound>,
     /// Whole-solve wall time in microseconds.
     pub solve_us: f64,
-    /// Tuples materialized by the final leaf resolution, when observed.
+    /// Answers the final leaf resolution walked, when observed.
     pub materialized: Option<u64>,
+    /// Of those, the answers it built a key for — the tie band around the target
+    /// weight (the rest were ranked on their weight alone).
+    pub keyed: Option<u64>,
 }
 
 /// One observed trim round.
@@ -198,7 +201,10 @@ impl ExplainReport {
                 );
             }
             if let Some(materialized) = analyze.materialized {
-                let _ = writeln!(out, "    materialized {materialized} leaf tuples");
+                let keyed = (analyze.keyed)
+                    .map(|keyed| format!(", {keyed} of them keyed"))
+                    .unwrap_or_default();
+                let _ = writeln!(out, "    materialized {materialized} leaf tuples{keyed}");
             }
         }
         out
@@ -230,10 +236,11 @@ pub(crate) fn analyze_from_trace(trace: &Trace, accuracy: Accuracy) -> Option<An
         })
         .collect();
     per_round.sort_by_key(|r| r.round);
-    let materialized = trace
-        .spans_named("materialize")
-        .filter_map(|span| span.arg("materialized").and_then(|v| v.as_u64()))
-        .max();
+    let leaf_arg = |key: &str| {
+        (trace.spans_named("materialize"))
+            .filter_map(|span| span.arg(key).and_then(|v| v.as_u64()))
+            .max()
+    };
     Some(AnalyzeReport {
         trace: trace.id,
         backend,
@@ -241,7 +248,8 @@ pub(crate) fn analyze_from_trace(trace: &Trace, accuracy: Accuracy) -> Option<An
         rounds,
         per_round,
         solve_us: solve.dur_ns as f64 / 1_000.0,
-        materialized,
+        materialized: leaf_arg("materialized"),
+        keyed: leaf_arg("keyed"),
     })
 }
 

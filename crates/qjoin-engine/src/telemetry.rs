@@ -83,8 +83,8 @@ impl RegistryTracer {
 /// A [`SolveTracer`] that feeds the per-plan histograms *and* (when a trace is
 /// being recorded) turns every structured phase event into a child span of the
 /// solve span: round index, pre-trim candidate count, `n_lt`/`n_eq`/`n_gt`
-/// split, pivot slot count, routed-target count, and materialized-leaf size all
-/// land as span arguments, so one recorded trace explains where a solve's time
+/// split, pivot slot count, routed-target count, and the leaf's size and keyed tie
+/// band all land as span arguments, so one recorded trace explains where a solve's time
 /// went and why.
 pub(crate) struct RecordingTracer {
     registry: RegistryTracer,
@@ -147,6 +147,7 @@ impl SolveTracer for RecordingTracer {
         push("pivot_slots", ctx.pivot_slots);
         push("targets", ctx.targets);
         push("materialized", ctx.materialized);
+        push("keyed", ctx.keyed);
         self.record_span(phase.label(), elapsed, args);
     }
 

@@ -167,6 +167,14 @@ fn check_cold_trace(engine: &Engine, answer: &EngineAnswer) -> usize {
     // Every solve prepares its backend and materializes its answer.
     assert!(trace.spans_named("prepare").count() >= 1);
     assert!(trace.spans_named("materialize").count() >= 1);
+    // A leaf reports how many answers it walked and how many of them it keyed:
+    // the tie band holds the selected answer and never more than the leaf.
+    for span in trace.spans_named("materialize") {
+        let walked = span.arg("materialized").and_then(|v| v.as_u64());
+        let keyed = span.arg("keyed").and_then(|v| v.as_u64());
+        let (walked, keyed) = walked.zip(keyed).expect("leaf size args");
+        assert!(1 <= keyed && keyed <= walked, "{span:?}");
+    }
     trims
 }
 

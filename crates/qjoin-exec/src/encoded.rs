@@ -21,6 +21,9 @@
 //! counting sort. After the build nothing constructs or hashes a [`Key`] again:
 //! counting, the pivot scan, enumeration and direct access read
 //! [`link`](EncodedContext::link) and [`group`](EncodedContext::group).
+//! Enumeration is one kernel ([`walk_answer_chunks`]): each level's links, groups,
+//! rows and copy list are resolved once per walk, a mask limits the slots copied,
+//! and a walk can be confined to listed root rows.
 //!
 //! Invariants the equivalence suites pin: `rows` stay in view order, group members
 //! ascend, the survivor set is the full reducer's, and gid numbering — though
@@ -600,39 +603,99 @@ pub fn shared_context(instance: &EncodedInstance) -> Result<Arc<EncodedContext>>
     Ok(ctx)
 }
 
-/// The per-enumeration scaffolding shared by the sequential and chunked answer
-/// walks: the top-down node order, per-node code→answer-slot copy plans, and the
-/// answer row width.
-struct AnswerPlan {
-    order: Vec<usize>,
-    copy_plan: Vec<Vec<(usize, usize)>>,
+/// One join-tree node of an [`AnswerWalk`], in top-down order, with everything
+/// the walk reads per step resolved once.
+struct WalkLevel<'a> {
+    /// Walk depth of the parent node (unused at the root).
+    parent: usize,
+    /// Parent row → gid, and this node's groups as a CSR (all empty at the root).
+    links: &'a [u32],
+    group_offsets: &'a [u32],
+    group_members: &'a [u32],
+    rows: &'a [(u32, u32)],
+    rel: &'a qjoin_data::EncodedRelation,
+    /// `(atom column, answer slot)` of each needed variable this node binds first
+    /// (one an ancestor bound already holds the same code: it is in the join key).
+    copy: Vec<(usize, usize)>,
+}
+
+/// The answer-walk kernel behind every enumeration: a depth-first walk of the
+/// join tree that fills an answer row laid out like `ctx.query().variables()`.
+struct AnswerWalk<'a> {
+    levels: Vec<WalkLevel<'a>>,
     n_vars: usize,
 }
 
-fn answer_plan(ctx: &EncodedContext) -> AnswerPlan {
-    let variables = ctx.query().variables();
-    let var_positions: HashMap<Variable, usize> = variables
-        .iter()
-        .cloned()
-        .enumerate()
-        .map(|(i, v)| (v, i))
-        .collect();
-    let copy_plan: Vec<Vec<(usize, usize)>> = ctx
-        .nodes()
-        .iter()
-        .map(|n| {
-            ctx.query()
-                .atom(n.atom_index)
-                .distinct_variable_positions()
-                .into_iter()
-                .map(|(v, atom_pos)| (atom_pos, var_positions[&v]))
-                .collect()
-        })
-        .collect();
-    AnswerPlan {
-        order: ctx.tree().top_down_order().to_vec(),
-        copy_plan,
-        n_vars: variables.len(),
+impl<'a> AnswerWalk<'a> {
+    /// Resolves the walk of `ctx`. Only the slots `needed` marks are filled (all of
+    /// them when `None`); the others hold `u64::MAX`, which is no code.
+    fn new(ctx: &'a EncodedContext, needed: Option<&[bool]>) -> Self {
+        let variables = ctx.query().variables();
+        let order = ctx.tree().top_down_order();
+        let mut bound = vec![false; variables.len()];
+        let levels = order
+            .iter()
+            .map(|&id| {
+                let node = &ctx.nodes[id];
+                let parent = ctx.tree().node(id).parent;
+                let copy = (ctx.query().atom(node.atom_index))
+                    .distinct_variable_positions()
+                    .into_iter()
+                    .filter_map(|(v, col)| {
+                        let slot = variables.iter().position(|s| *s == v)?;
+                        let wanted = needed.is_none_or(|mask| mask[slot]);
+                        (wanted && !std::mem::replace(&mut bound[slot], true))
+                            .then_some((col, slot))
+                    })
+                    .collect();
+                WalkLevel {
+                    parent: parent.map_or(0, |p| {
+                        (order.iter().position(|&o| o == p)).expect("a parent precedes its child")
+                    }),
+                    links: parent.map_or(&[], |_| ctx.links(id)),
+                    group_offsets: &node.group_offsets,
+                    group_members: &node.group_members,
+                    rows: &node.rows,
+                    rel: &ctx.rels[id],
+                    copy,
+                }
+            })
+            .collect();
+        AnswerWalk {
+            levels,
+            n_vars: variables.len(),
+        }
+    }
+
+    /// Fresh per-walker state: the selected row per level and the answer row.
+    fn scratch(&self) -> (Vec<usize>, Vec<u64>) {
+        (vec![0; self.levels.len()], vec![u64::MAX; self.n_vars])
+    }
+
+    /// Binds row `i` of the node at `depth`, then calls `f` once per answer of the
+    /// subtree walk below it (so `visit(0, r, ..)` yields the answers of root row `r`).
+    fn visit(
+        &self,
+        depth: usize,
+        i: usize,
+        selected: &mut [usize],
+        row: &mut [u64],
+        f: &mut impl FnMut(&[u64]),
+    ) {
+        let level = &self.levels[depth];
+        selected[depth] = i;
+        let (seg, r) = level.rows[i];
+        for &(col, slot) in &level.copy {
+            row[slot] = level.rel.code(seg as usize, r as usize, col);
+        }
+        let Some(next) = self.levels.get(depth + 1) else {
+            return f(row);
+        };
+        let gid = next.links[selected[next.parent]] as usize;
+        let members = next.group_offsets[gid] as usize..next.group_offsets[gid + 1] as usize;
+        for &j in &next.group_members[members] {
+            self.visit(depth + 1, j as usize, selected, row, f);
+        }
     }
 }
 
@@ -643,114 +706,57 @@ pub fn for_each_answer_codes(ctx: &EncodedContext, mut f: impl FnMut(&[u64])) {
     if ctx.has_no_answers() {
         return;
     }
-    let plan = answer_plan(ctx);
-    let mut selected: Vec<usize> = vec![0; ctx.nodes().len()];
-    let mut row: Vec<u64> = vec![0; plan.n_vars];
-    descend(
-        ctx,
-        &plan.order,
-        0,
-        &plan.copy_plan,
-        &mut selected,
-        &mut row,
-        &mut f,
-    );
+    let walk = AnswerWalk::new(ctx, None);
+    let (mut selected, mut row) = walk.scratch();
+    for root in 0..walk.levels[0].rows.len() {
+        walk.visit(0, root, &mut selected, &mut row, &mut f);
+    }
 }
 
-/// Chunked answer enumeration for million-answer leaves: the root node's rows are
-/// split into `chunk`-sized ranges over the executor pool; each range gets a fresh
-/// accumulator from `make` and `per_answer` is invoked for every answer rooted in
-/// the range. The accumulators come back in canonical chunk order, so
-/// concatenating them yields exactly the answer sequence of
-/// [`for_each_answer_codes`] — determinism comes from chunk order, not from how
-/// chunks land on threads (the repo-wide parallelism discipline).
+/// Chunked answer enumeration, the general form: the root rows — all of them, or
+/// `only` the listed ones (indices into the root node's rows, walked in the order
+/// given) — are split into `chunk`-sized ranges over the executor pool; each range
+/// gets a fresh accumulator from `make` and `per_answer` sees every answer rooted
+/// in the range as `(accumulator, root row, codes)`, where `codes` holds the slots
+/// `needed` marks (every slot when `None`) and `u64::MAX` elsewhere. The
+/// accumulators come back in canonical chunk order, so concatenating them yields
+/// the answer sequence of [`for_each_answer_codes`] restricted to those root rows
+/// — determinism comes from chunk order, not from how chunks land on threads.
+pub fn walk_answer_chunks<T: Send>(
+    ctx: &EncodedContext,
+    needed: Option<&[bool]>,
+    only: Option<&[u32]>,
+    chunk: usize,
+    make: impl Fn() -> T + Sync,
+    per_answer: impl Fn(&mut T, usize, &[u64]) + Sync,
+) -> Vec<T> {
+    if ctx.has_no_answers() {
+        return Vec::new();
+    }
+    let walk = AnswerWalk::new(ctx, needed);
+    let n_roots = only.map_or(walk.levels[0].rows.len(), <[u32]>::len);
+    qjoin_par::par_map_chunks(n_roots, chunk, |_, range| {
+        let mut acc = make();
+        let (mut selected, mut row) = walk.scratch();
+        for at in range {
+            let root = only.map_or(at, |roots| roots[at] as usize);
+            let mut emit = |codes: &[u64]| per_answer(&mut acc, root, codes);
+            walk.visit(0, root, &mut selected, &mut row, &mut emit);
+        }
+        acc
+    })
+}
+
+/// [`walk_answer_chunks`] over every root row and every slot.
 pub fn map_answer_code_chunks<T: Send>(
     ctx: &EncodedContext,
     chunk: usize,
     make: impl Fn() -> T + Sync,
     per_answer: impl Fn(&mut T, &[u64]) + Sync,
 ) -> Vec<T> {
-    if ctx.has_no_answers() {
-        return Vec::new();
-    }
-    let plan = answer_plan(ctx);
-    let root = plan.order[0];
-    let n_root = ctx.node(root).rows.len();
-    qjoin_par::par_map_chunks(n_root, chunk, |_, range| {
-        let mut acc = make();
-        let mut selected: Vec<usize> = vec![0; ctx.nodes().len()];
-        let mut row: Vec<u64> = vec![0; plan.n_vars];
-        let mut emit = |r: &[u64]| per_answer(&mut acc, r);
-        for i in range {
-            visit(
-                ctx,
-                &plan.order,
-                0,
-                &plan.copy_plan,
-                &mut selected,
-                &mut row,
-                &mut emit,
-                root,
-                i,
-            );
-        }
-        acc
+    walk_answer_chunks(ctx, None, None, chunk, make, |acc, _, codes| {
+        per_answer(acc, codes)
     })
-}
-
-#[allow(clippy::too_many_arguments)]
-fn descend(
-    ctx: &EncodedContext,
-    order: &[usize],
-    depth: usize,
-    copy_plan: &[Vec<(usize, usize)>],
-    selected: &mut Vec<usize>,
-    row: &mut [u64],
-    f: &mut impl FnMut(&[u64]),
-) {
-    if depth == order.len() {
-        f(row);
-        return;
-    }
-    let node = order[depth];
-    // Iterate the candidate groups in place — cloning a group per visit would
-    // allocate once per parent row, which dominates million-answer leaves.
-    match ctx.tree().node(node).parent {
-        None => {
-            for i in 0..ctx.node(node).rows.len() {
-                visit(ctx, order, depth, copy_plan, selected, row, f, node, i);
-            }
-        }
-        Some(parent) => {
-            for &i in ctx.group(node, ctx.link(node, selected[parent])) {
-                visit(
-                    ctx, order, depth, copy_plan, selected, row, f, node, i as usize,
-                );
-            }
-        }
-    }
-}
-
-/// One candidate row of `descend`'s current node: copy its codes into the answer
-/// row and recurse to the next node.
-#[allow(clippy::too_many_arguments)]
-#[inline]
-fn visit(
-    ctx: &EncodedContext,
-    order: &[usize],
-    depth: usize,
-    copy_plan: &[Vec<(usize, usize)>],
-    selected: &mut Vec<usize>,
-    row: &mut [u64],
-    f: &mut impl FnMut(&[u64]),
-    node: usize,
-    i: usize,
-) {
-    selected[node] = i;
-    for &(atom_pos, row_pos) in &copy_plan[node] {
-        row[row_pos] = ctx.code(node, i, atom_pos);
-    }
-    descend(ctx, order, depth + 1, copy_plan, selected, row, f);
 }
 
 #[cfg(test)]
@@ -986,6 +992,7 @@ mod tests {
             map_answer_code_chunks(&ctx, 3, Vec::new, |out, codes| out.push(codes.to_vec()))
                 .concat();
         assert_eq!(walked, chunked, "{context}: chunked enumeration");
+        assert_kernel_modes_agree(&ctx, &walked, context);
         let mut row_answers: Vec<Vec<Value>> = Vec::new();
         yannakakis::for_each_answer(&row_ctx, |values| row_answers.push(values.to_vec()));
         let decoded: Vec<Vec<Value>> = walked
@@ -1004,6 +1011,78 @@ mod tests {
                 row_access.answer_at(i).unwrap(),
                 "{context}: answer_at({i})"
             );
+        }
+    }
+
+    /// The walk kernel's modes against the plain sequential walk `walked`: the
+    /// root row handed to the callback, the needed-slot mask, and the
+    /// only-these-roots mode, each at chunk sizes 1, 5 and 1024.
+    fn assert_kernel_modes_agree(ctx: &EncodedContext, walked: &[Vec<u64>], context: &str) {
+        type Rooted = Vec<(usize, Vec<u64>)>;
+        let collect = |needed: Option<&[bool]>, only: Option<&[u32]>, chunk: usize| -> Rooted {
+            let per_answer = |out: &mut Rooted, root: usize, codes: &[u64]| {
+                out.push((root, codes.to_vec()));
+            };
+            walk_answer_chunks(ctx, needed, only, chunk, Vec::new, per_answer).concat()
+        };
+        let full = collect(None, None, 1024);
+        let codes_of = |rooted: &Rooted| -> Vec<Vec<u64>> {
+            rooted.iter().map(|(_, codes)| codes.clone()).collect()
+        };
+        assert_eq!(codes_of(&full), walked, "{context}: rooted walk");
+        assert!(
+            full.windows(2).all(|pair| pair[0].0 <= pair[1].0),
+            "{context}: root rows ascend along the walk"
+        );
+        // Each answer's root row is the root-node row its codes were read from.
+        let root_slots = AnswerWalk::new(ctx, None).levels[0].copy.clone();
+        for (root, codes) in &full {
+            for &(col, slot) in &root_slots {
+                assert_eq!(codes[slot], ctx.code(ctx.root(), *root, col), "{context}");
+            }
+        }
+
+        let n_vars = ctx.query().variables().len();
+        let n_roots = ctx.node(ctx.root()).rows.len() as u32;
+        let masks: Vec<Vec<bool>> = vec![
+            vec![false; n_vars],
+            (0..n_vars).map(|slot| slot % 2 == 0).collect(),
+            (0..n_vars).map(|slot| slot + 1 == n_vars).collect(),
+        ];
+        let root_sets: Vec<Vec<u32>> = vec![
+            Vec::new(),
+            (0..n_roots).step_by(2).collect(),
+            (0..n_roots).filter(|r| r % 3 == 1).collect(),
+            (0..n_roots).collect(),
+        ];
+        for chunk in [1, 5, 1024] {
+            assert_eq!(collect(None, None, chunk), full, "{context}: chunk {chunk}");
+            for mask in &masks {
+                // An unneeded slot holds the no-code sentinel, never a plausible 0.
+                let expected: Rooted = (full.iter())
+                    .map(|(root, codes)| {
+                        let masked = codes.iter().zip(mask);
+                        let masked = masked.map(|(&c, &keep)| if keep { c } else { u64::MAX });
+                        (*root, masked.collect())
+                    })
+                    .collect();
+                assert_eq!(
+                    collect(Some(mask), None, chunk),
+                    expected,
+                    "{context}: mask {mask:?} chunk {chunk}"
+                );
+            }
+            for roots in &root_sets {
+                let expected: Rooted = (full.iter())
+                    .filter(|(root, _)| roots.contains(&(*root as u32)))
+                    .cloned()
+                    .collect();
+                assert_eq!(
+                    collect(None, Some(roots), chunk),
+                    expected,
+                    "{context}: only {roots:?} chunk {chunk}"
+                );
+            }
         }
     }
 

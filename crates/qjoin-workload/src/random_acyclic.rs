@@ -7,7 +7,9 @@
 //! subset of variables with an existing atom and adds a few fresh ones.
 
 use qjoin_data::{Database, Relation, Value};
+use qjoin_query::query::{path_query, social_network_query, star_query};
 use qjoin_query::{Atom, Instance, JoinQuery, Variable};
+use qjoin_ranking::{AggregateKind, Ranking, WeightFn};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -87,6 +89,79 @@ impl RandomAcyclicConfig {
         }
         Instance::new(query, db).expect("generated instance is consistent")
     }
+}
+
+/// A small instance of a named shape, for property tests that must reach shapes a
+/// random tree rarely produces: `shape` 0 a 3-path, 1 a 3-star, 2 the social-network
+/// query, 3 a self-join `R(a, b), R(b, c)`, 4 an atom repeating a variable
+/// `R(a, a, b), S(b, c)` — each over relations of 4–9 random rows from a
+/// four-value domain (duplicates kept) — and anything else a random acyclic query
+/// of one to three atoms.
+pub fn shaped_instance(shape: usize, seed: u64) -> Instance {
+    let query = match shape {
+        0 => path_query(3),
+        1 => star_query(3),
+        2 => social_network_query(),
+        3 => JoinQuery::new(vec![
+            Atom::from_names("R", &["a", "b"]),
+            Atom::from_names("R", &["b", "c"]),
+        ]),
+        4 => JoinQuery::new(vec![
+            Atom::from_names("R", &["a", "a", "b"]),
+            Atom::from_names("S", &["b", "c"]),
+        ]),
+        _ => {
+            let config = RandomAcyclicConfig {
+                atoms: 1 + (seed % 3) as usize,
+                tuples_per_relation: 12,
+                domain: 5,
+                seed,
+                ..Default::default()
+            };
+            return config.generate();
+        }
+    };
+    let mut rng = StdRng::seed_from_u64(seed);
+    let mut db = Database::new();
+    for atom in query.atoms() {
+        if db.relation(atom.relation()).is_ok() {
+            continue;
+        }
+        let mut rel = Relation::new(atom.relation(), atom.arity());
+        for _ in 0..rng.random_range(4..=9usize) {
+            let row = (0..atom.arity()).map(|_| Value::from(rng.random_range(0..4i64)));
+            rel.push(row.collect()).expect("arity matches");
+        }
+        db.add_relation(rel).expect("distinct names");
+    }
+    Instance::new(query, db).expect("generated instance is consistent")
+}
+
+/// A ranking of the given aggregate over every other variable of the instance whose
+/// answers tie heavily: per variable the weights take one value (`domain` 0, so
+/// every answer weighs the same), the two zeros `-0.0` / `+0.0` (1), two values (2),
+/// three (3), or the values themselves (anything else).
+pub fn tie_heavy_ranking(instance: &Instance, kind: AggregateKind, domain: usize) -> Ranking {
+    let variables = instance.query().variables();
+    let weighted: Vec<Variable> = variables.iter().rev().step_by(2).cloned().collect();
+    let modulo = |modulus: i64| {
+        WeightFn::custom(move |v| v.as_f64().map_or(0.0, |v| (v as i64 % modulus) as f64))
+    };
+    let weight_fn = match domain {
+        0 => WeightFn::Constant(2.5),
+        1 => WeightFn::custom(|v| match v.as_f64() {
+            Some(v) if v as i64 % 2 == 0 => -0.0,
+            _ => 0.0,
+        }),
+        2 => modulo(2),
+        3 => modulo(3),
+        _ => WeightFn::Identity,
+    };
+    weighted
+        .iter()
+        .fold(Ranking::new(kind, weighted.clone()), |ranking, var| {
+            ranking.with_weight_fn(var.clone(), weight_fn.clone())
+        })
 }
 
 #[cfg(test)]

@@ -7,7 +7,9 @@ use proptest::prelude::*;
 use quantile_joins::core::encoded::{exact_quantile_batch_encoded, exact_quantile_encoded};
 use quantile_joins::core::quantile::rank_of_weight;
 use quantile_joins::prelude::*;
-use quantile_joins::workload::random_acyclic::RandomAcyclicConfig;
+use quantile_joins::workload::random_acyclic::{
+    shaped_instance, tie_heavy_ranking, RandomAcyclicConfig,
+};
 
 fn random_instance(seed: u64, atoms: usize) -> Instance {
     RandomAcyclicConfig {
@@ -328,6 +330,74 @@ proptest! {
                         );
                     }
                 }
+            }
+        }
+    }
+}
+
+// ---------------------------------------------------------------------------
+// The leaf alone: weights-first selection against the oracle, on both paths
+// ---------------------------------------------------------------------------
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(60))]
+
+    /// With the materialization threshold lifted every solve is the leaf and
+    /// nothing else, here over the shapes it must handle (path, star, social,
+    /// self-join, repeated variable, random tree) and rankings that tie heavily
+    /// (one weight for the whole leaf, `±0.0`, two, three, many). For **every** rank: the encoded and the row leaf
+    /// return the same answer and weight bits, at one and four threads; the weight
+    /// is the one the materialize-and-sort baseline finds at that rank; and a batch
+    /// of all ranks — reversed, with a duplicate — equals the single solves.
+    #[test]
+    fn leaf_only_solves_agree_on_every_rank_across_paths_and_batches(
+        seed in 0u64..100_000,
+        shape in 0usize..6,
+        kind in 0usize..4,
+        domain in 0usize..5,
+    ) {
+        let instance = shaped_instance(shape, seed);
+        let kind = [AggregateKind::Sum, AggregateKind::Min, AggregateKind::Max, AggregateKind::Lex][kind];
+        let ranking = tie_heavy_ranking(&instance, kind, domain);
+        let total = count_answers(&instance).unwrap();
+        if total == 0 {
+            return Ok(());
+        }
+        let options = PivotingOptions {
+            materialize_threshold: Some(u128::MAX),
+            ..PivotingOptions::default()
+        };
+        let encoded = EncodedInstance::from_instance(&instance).unwrap();
+        let mut phis: Vec<f64> = (0..total).rev().map(|rank| rank as f64 / total as f64).collect();
+        phis.push(phis[0]);
+        let row: Vec<QuantileResult> = phis
+            .iter()
+            .map(|&phi| quantile_by_pivoting(&instance, &ranking, phi, &MinMaxTrimmer, &options).unwrap())
+            .collect();
+        for (phi, r) in phis.iter().zip(&row) {
+            let oracle =
+                quantile_by_materialization(&instance, &ranking, *phi, BaselineStrategy::FullSort).unwrap();
+            prop_assert_eq!(r.target_index, oracle.target_index);
+            prop_assert_eq!(weight_bits(&r.weight), weight_bits(&oracle.weight), "{} φ={}", &ranking, phi);
+            prop_assert_eq!(r.iterations, 0);
+        }
+        let row_batch =
+            quantile_batch_by_pivoting(&instance, &ranking, &phis, &MinMaxTrimmer, &options).unwrap();
+        for (threads, pool) in sweep_pools().iter().filter(|(t, _)| *t == 1 || *t == 4) {
+            let (singles, batch) = quantile_joins::par::with_pool(pool, || {
+                let singles: Vec<QuantileResult> = phis
+                    .iter()
+                    .map(|&phi| exact_quantile_encoded(&encoded, &ranking, phi, &options).unwrap())
+                    .collect();
+                let batch = exact_quantile_batch_encoded(&encoded, &ranking, &phis, &options).unwrap();
+                (singles, batch)
+            });
+            for (i, phi) in phis.iter().enumerate() {
+                let context = format!("{ranking} leaf φ={phi} T={threads}");
+                assert_pointwise_equal(&singles[i], &row[i], &context);
+                prop_assert_eq!(weight_bits(&singles[i].weight), weight_bits(&row[i].weight), "{}", &context);
+                assert_pointwise_equal(&batch[i], &singles[i], &format!("{context}: batch"));
+                assert_pointwise_equal(&row_batch[i], &row[i], &format!("{context}: row batch"));
             }
         }
     }
