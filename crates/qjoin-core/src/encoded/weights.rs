@@ -133,7 +133,7 @@ impl<'a> WeightFold<'a> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use qjoin_data::{Database, Relation, Value};
+    use qjoin_data::{Database, EncodedDatabase, Relation, Value};
     use qjoin_query::variable::vars;
     use qjoin_ranking::WeightFn;
 
@@ -141,7 +141,8 @@ mod tests {
     fn tables_match_direct_weighting() {
         let r = Relation::from_rows("R", &[&[3, 10], &[5, 20]]).unwrap();
         let db = Database::from_relations([r]).unwrap();
-        let dict = Dictionary::from_database(&db);
+        let encoded = EncodedDatabase::encode(&db).unwrap();
+        let dict = encoded.dictionary();
         let ranking = Ranking::sum(vars(&["x", "y"])).with_weight_fn(
             Variable::new("y"),
             WeightFn::Affine {
@@ -149,7 +150,7 @@ mod tests {
                 offset: 1.0,
             },
         );
-        let weights = CodeWeights::build(&dict, &ranking);
+        let weights = CodeWeights::build(dict, &ranking);
         for value in dict.values() {
             let code = dict.encode(value).unwrap();
             for var in ranking.weighted_vars() {
@@ -178,7 +179,8 @@ mod tests {
         let rows: Vec<Vec<i64>> = values.iter().map(|&v| vec![v, v]).collect();
         let row_refs: Vec<&[i64]> = rows.iter().map(Vec::as_slice).collect();
         let db = Database::from_relations([Relation::from_rows("R", &row_refs).unwrap()]).unwrap();
-        let dict = Dictionary::from_database(&db);
+        let encoded = EncodedDatabase::encode(&db).unwrap();
+        let dict = encoded.dictionary();
         // Scale -0.0 maps non-negative values to -0.0 and negative ones to +0.0.
         let negative_zero = WeightFn::Affine {
             scale: -0.0,
@@ -194,7 +196,7 @@ mod tests {
         ] {
             let ranking = Ranking::new(kind, weighted.clone())
                 .with_weight_fn(Variable::new("a"), negative_zero.clone());
-            let weights = CodeWeights::build(&dict, &ranking);
+            let weights = CodeWeights::build(dict, &ranking);
             let fold = WeightFold::new(&ranking, &weights, |v| layout.iter().position(|l| l == v));
             let n = dict.len() as u64;
             for a in (0..n).chain([UNBOUND]) {

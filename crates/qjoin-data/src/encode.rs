@@ -11,7 +11,9 @@
 //!   database is assigned a dense `u64` code such that `code(a) < code(b)` iff
 //!   `a < b`. Equality and ordering of codes therefore coincide with equality and
 //!   ordering of the values they stand for, so join keys, group keys, and
-//!   lexicographic tie-breaks can all operate on plain integers.
+//!   lexicographic tie-breaks can all operate on plain integers. It is built,
+//!   with the columns, by [`EncodedDatabase::encode`]: one hash probe per cell
+//!   and a sort of the distinct values only.
 //! * [`EncodedColumns`] — one relation's tuples transposed into column-major
 //!   `Vec<u64>` code columns, shared behind `Arc`s.
 //! * [`EncodedRelation`] — a *view* over encoded columns: a list of [`Segment`]s,
@@ -41,24 +43,6 @@ pub struct Dictionary {
 }
 
 impl Dictionary {
-    /// Builds the dictionary of every distinct value appearing in the database.
-    pub fn from_database(db: &Database) -> Dictionary {
-        let mut values: Vec<Value> = Vec::new();
-        for rel in db.relations() {
-            for tuple in rel.iter() {
-                values.extend(tuple.values().iter().cloned());
-            }
-        }
-        values.sort_unstable();
-        values.dedup();
-        let index = values
-            .iter()
-            .enumerate()
-            .map(|(i, v)| (v.clone(), i as u64))
-            .collect();
-        Dictionary { values, index }
-    }
-
     /// The code of a value, if it belongs to the dictionary.
     pub fn encode(&self, value: &Value) -> Option<u64> {
         self.index.get(value).copied()
@@ -94,34 +78,6 @@ pub struct EncodedColumns {
 }
 
 impl EncodedColumns {
-    /// Encodes a relation against a dictionary that contains all of its values.
-    pub fn encode(relation: &crate::Relation, dict: &Dictionary) -> Result<EncodedColumns> {
-        if relation.len() > u32::MAX as usize {
-            return Err(DataError::EncodingOverflow(format!(
-                "relation {} has {} tuples; the encoded layer indexes rows with u32",
-                relation.name(),
-                relation.len()
-            )));
-        }
-        let mut columns: Vec<Vec<u64>> = vec![Vec::with_capacity(relation.len()); relation.arity()];
-        for tuple in relation.iter() {
-            for (col, value) in tuple.values().iter().enumerate() {
-                let code = dict.encode(value).ok_or_else(|| {
-                    DataError::EncodingOverflow(format!(
-                        "value {value:?} of relation {} is missing from the dictionary",
-                        relation.name()
-                    ))
-                })?;
-                columns[col].push(code);
-            }
-        }
-        Ok(EncodedColumns {
-            name: relation.name().to_string(),
-            len: relation.len(),
-            columns: columns.into_iter().map(Arc::new).collect(),
-        })
-    }
-
     /// The relational symbol.
     pub fn name(&self) -> &str {
         &self.name
@@ -159,22 +115,64 @@ pub struct EncodedDatabase {
 }
 
 impl EncodedDatabase {
-    /// Encodes a database: builds the dictionary, then every relation's columns.
-    /// Relations encode independently, so they are fanned out over the current
-    /// executor pool; results are gathered in relation order, so the encoding
-    /// (and the first error reported, if any) is identical at any thread count.
+    /// Encodes a database in one pass over its cells: every cell is interned once
+    /// into a provisional id (first occurrence wins), only the **distinct** values
+    /// are sorted, and the provisional columns are remapped in place through an
+    /// array to the final, order-preserving codes. The pass is sequential, so the
+    /// encoding is identical at any thread count.
     pub fn encode(db: &Database) -> Result<EncodedDatabase> {
-        let dictionary = Arc::new(Dictionary::from_database(db));
-        let rels: Vec<_> = db.relations().collect();
-        let encoded = qjoin_par::par_map(rels.len(), |i| {
-            EncodedColumns::encode(rels[i], &dictionary).map(Arc::new)
-        });
-        let mut relations = BTreeMap::new();
-        for (rel, columns) in rels.iter().zip(encoded) {
-            relations.insert(rel.name().to_string(), columns?);
+        if let Some(rel) = db.relations().find(|rel| rel.len() > u32::MAX as usize) {
+            return Err(DataError::EncodingOverflow(format!(
+                "relation {} has {} tuples; the encoded layer indexes rows with u32",
+                rel.name(),
+                rel.len()
+            )));
         }
+        let mut index: HashMap<Value, u64> = HashMap::new();
+        let mut relations: Vec<Vec<Vec<u64>>> = Vec::new();
+        for rel in db.relations() {
+            let mut columns = vec![Vec::with_capacity(rel.len()); rel.arity()];
+            for tuple in rel.iter() {
+                for (column, value) in columns.iter_mut().zip(tuple.values()) {
+                    let id = match index.get(value) {
+                        Some(&id) => id,
+                        None => {
+                            let id = index.len() as u64;
+                            index.insert(value.clone(), id);
+                            id
+                        }
+                    };
+                    column.push(id);
+                }
+            }
+            relations.push(columns);
+        }
+        // A distinct value's code is its position in sorted order.
+        let mut sorted: Vec<(&Value, u64)> = index.iter().map(|(v, &id)| (v, id)).collect();
+        sorted.sort_unstable_by(|a, b| a.0.cmp(b.0));
+        let mut remap = vec![0u64; sorted.len()];
+        for (code, &(_, id)) in sorted.iter().enumerate() {
+            remap[id as usize] = code as u64;
+        }
+        let values: Vec<Value> = sorted.into_iter().map(|(v, _)| v.clone()).collect();
+        let provisional = relations.iter_mut().flatten().flatten();
+        for id in index.values_mut().chain(provisional) {
+            *id = remap[*id as usize];
+        }
+        let relations = db
+            .relations()
+            .zip(relations)
+            .map(|(rel, columns)| {
+                let encoded = EncodedColumns {
+                    name: rel.name().to_string(),
+                    len: rel.len(),
+                    columns: columns.into_iter().map(Arc::new).collect(),
+                };
+                (encoded.name.clone(), Arc::new(encoded))
+            })
+            .collect();
         Ok(EncodedDatabase {
-            dictionary,
+            dictionary: Arc::new(Dictionary { values, index }),
             relations,
         })
     }
@@ -495,6 +493,114 @@ impl EncodedRelation {
 mod tests {
     use super::*;
     use crate::Relation;
+    use proptest::prelude::*;
+    use rand::rngs::StdRng;
+    use rand::{Rng, SeedableRng};
+
+    /// The sort-everything construction [`EncodedDatabase::encode`] replaced, kept
+    /// as the oracle of `one_pass_encoding_matches_the_sort_everything_oracle`:
+    /// clone every cell, sort and dedup them all, then hash every cell again.
+    impl Dictionary {
+        fn from_database(db: &Database) -> Dictionary {
+            let mut values: Vec<Value> = Vec::new();
+            for rel in db.relations() {
+                for tuple in rel.iter() {
+                    values.extend(tuple.values().iter().cloned());
+                }
+            }
+            values.sort_unstable();
+            values.dedup();
+            let index = values
+                .iter()
+                .enumerate()
+                .map(|(i, v)| (v.clone(), i as u64))
+                .collect();
+            Dictionary { values, index }
+        }
+    }
+
+    impl EncodedColumns {
+        fn encode(relation: &Relation, dict: &Dictionary) -> EncodedColumns {
+            let mut columns = vec![Vec::with_capacity(relation.len()); relation.arity()];
+            for tuple in relation.iter() {
+                for (col, value) in tuple.values().iter().enumerate() {
+                    columns[col].push(dict.encode(value).expect("the oracle saw every cell"));
+                }
+            }
+            EncodedColumns {
+                name: relation.name().to_string(),
+                len: relation.len(),
+                columns: columns.into_iter().map(Arc::new).collect(),
+            }
+        }
+    }
+
+    /// Ints of both signs, strings and composites over a small domain, so values
+    /// repeat inside and across relations.
+    fn random_value(rng: &mut StdRng, domain: i64) -> Value {
+        match rng.random_range(0..4u32) {
+            0 | 1 => Value::from(rng.random_range(-domain..=domain)),
+            2 => Value::str(format!("s{}", rng.random_range(0..domain))),
+            _ => Value::pair(
+                Value::from(rng.random_range(0..domain)),
+                Value::str(format!("c{}", rng.random_range(0..3))),
+            ),
+        }
+    }
+
+    /// One to four relations of arity 1–4 with 0–40 rows each (about one in five
+    /// is empty).
+    fn random_database(seed: u64) -> Database {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let domain = rng.random_range(1..=12i64);
+        let relations = (0..rng.random_range(1..=4usize)).map(|i| {
+            let mut rel = Relation::new(format!("R{i}"), rng.random_range(1..=4usize));
+            let rows = if rng.random_bool(0.2) {
+                0
+            } else {
+                rng.random_range(1..=40usize)
+            };
+            for _ in 0..rows {
+                let row = (0..rel.arity()).map(|_| random_value(&mut rng, domain));
+                rel.push(row.collect()).unwrap();
+            }
+            rel
+        });
+        Database::from_relations(relations.collect::<Vec<_>>()).unwrap()
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// The one-pass encoding yields the oracle's dictionary (sorted, distinct),
+        /// the oracle's code columns and order-preserving codes, at 1 and 4 threads.
+        #[test]
+        fn one_pass_encoding_matches_the_sort_everything_oracle(seed in 0u64..1_000_000) {
+            let db = random_database(seed);
+            let oracle = Dictionary::from_database(&db);
+            for threads in [1usize, 4] {
+                let pool = qjoin_par::Pool::new(threads);
+                let enc = qjoin_par::with_pool(&pool, || EncodedDatabase::encode(&db)).unwrap();
+                let dict = enc.dictionary();
+                prop_assert_eq!(dict.values(), oracle.values(), "T={}", threads);
+                for (i, a) in dict.values().iter().enumerate() {
+                    prop_assert_eq!(dict.encode(a), Some(i as u64));
+                    for b in dict.values() {
+                        prop_assert_eq!(dict.encode(a) < dict.encode(b), a < b, "{:?} vs {:?}", a, b);
+                    }
+                }
+                prop_assert_eq!(enc.relations().count(), db.num_relations());
+                for rel in db.relations() {
+                    let want = EncodedColumns::encode(rel, &oracle);
+                    let got = enc.relation(rel.name()).unwrap();
+                    prop_assert_eq!((got.name(), got.len(), got.arity()), (want.name(), want.len(), want.arity()));
+                    for col in 0..want.arity() {
+                        prop_assert_eq!(got.column(col), want.column(col), "{} column {}", rel.name(), col);
+                    }
+                }
+            }
+        }
+    }
 
     fn small_db() -> Database {
         let r = Relation::from_rows("R", &[&[3, 1], &[1, 2], &[3, 2]]).unwrap();
@@ -504,8 +610,8 @@ mod tests {
 
     #[test]
     fn dictionary_is_order_preserving() {
-        let db = small_db();
-        let dict = Dictionary::from_database(&db);
+        let enc = EncodedDatabase::encode(&small_db()).unwrap();
+        let dict = enc.dictionary();
         // Distinct values: 1, 2, 3, 7, 9.
         assert_eq!(dict.len(), 5);
         for (a, b) in dict.values().iter().zip(dict.values().iter().skip(1)) {
@@ -524,8 +630,8 @@ mod tests {
         r.push(vec![Value::from("b")]).unwrap();
         r.push(vec![Value::from(5)]).unwrap();
         r.push(vec![Value::from("a")]).unwrap();
-        let db = Database::from_relations([r]).unwrap();
-        let dict = Dictionary::from_database(&db);
+        let enc = EncodedDatabase::encode(&Database::from_relations([r]).unwrap()).unwrap();
+        let dict = enc.dictionary();
         let ci = dict.encode(&Value::from(5)).unwrap();
         let ca = dict.encode(&Value::from("a")).unwrap();
         let cb = dict.encode(&Value::from("b")).unwrap();

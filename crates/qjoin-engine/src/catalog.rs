@@ -41,57 +41,46 @@ impl Catalog {
         Catalog::default()
     }
 
-    /// Adds a database under a fresh name. Fails if the name is taken. Accepts an
-    /// owned [`Database`] or an already-shared `Arc<Database>`.
+    /// Adds a database, with its already-encoded form, under a fresh name. Fails if
+    /// the name is taken. (The engine encodes before it takes the state lock.)
     pub fn create(
-        &mut self,
-        name: &str,
-        database: impl Into<Arc<Database>>,
-    ) -> Result<(), EngineError> {
-        if self.entries.contains_key(name) {
-            return Err(EngineError::DuplicateDatabase(name.to_string()));
-        }
-        let database: Arc<Database> = database.into();
-        let encoded = EncodedDatabase::encode(&database).ok().map(Arc::new);
-        self.entries.insert(
-            name.to_string(),
-            CatalogEntry {
-                database,
-                encoded,
-                generation: 1,
-            },
-        );
-        Ok(())
-    }
-
-    /// Replaces an existing database, bumping its generation. Returns the new
-    /// generation. Fails if the name is unknown.
-    pub fn replace(
-        &mut self,
-        name: &str,
-        database: impl Into<Arc<Database>>,
-    ) -> Result<u64, EngineError> {
-        let database: Arc<Database> = database.into();
-        let encoded = EncodedDatabase::encode(&database).ok().map(Arc::new);
-        self.replace_with(name, database, encoded)
-    }
-
-    /// [`Catalog::replace`] with an already-encoded form (the engine encodes once
-    /// per replacement and shares the result with every recompiled plan).
-    pub fn replace_with(
         &mut self,
         name: &str,
         database: Arc<Database>,
         encoded: Option<Arc<EncodedDatabase>>,
-    ) -> Result<u64, EngineError> {
+    ) -> Result<(), EngineError> {
+        if self.entries.contains_key(name) {
+            return Err(EngineError::DuplicateDatabase(name.to_string()));
+        }
+        let entry = CatalogEntry {
+            database,
+            encoded,
+            generation: 1,
+        };
+        self.entries.insert(name.to_string(), entry);
+        Ok(())
+    }
+
+    /// Replaces an existing database and its encoded form, bumping the generation.
+    /// Returns the previous generation's entry, so the caller decides where its
+    /// storage is dropped. Fails if the name is unknown.
+    pub fn replace(
+        &mut self,
+        name: &str,
+        database: Arc<Database>,
+        encoded: Option<Arc<EncodedDatabase>>,
+    ) -> Result<CatalogEntry, EngineError> {
         let entry = self
             .entries
             .get_mut(name)
             .ok_or_else(|| EngineError::UnknownDatabase(name.to_string()))?;
-        entry.database = database;
-        entry.encoded = encoded;
-        entry.generation += 1;
-        Ok(entry.generation)
+        let generation = entry.generation + 1;
+        let next = CatalogEntry {
+            database,
+            encoded,
+            generation,
+        };
+        Ok(std::mem::replace(entry, next))
     }
 
     /// Looks up a database by name.
@@ -127,17 +116,28 @@ mod tests {
     use super::*;
     use qjoin_data::Relation;
 
-    fn db(rows: &[&[i64]]) -> Database {
-        Database::from_relations([Relation::from_rows("R", rows).unwrap()]).unwrap()
+    fn db(rows: &[&[i64]]) -> Arc<Database> {
+        Arc::new(Database::from_relations([Relation::from_rows("R", rows).unwrap()]).unwrap())
+    }
+
+    /// The encoded form the engine hands over beside a database.
+    fn coded(db: &Database) -> Option<Arc<EncodedDatabase>> {
+        Some(Arc::new(EncodedDatabase::encode(db).unwrap()))
     }
 
     #[test]
     fn create_then_replace_bumps_generation() {
         let mut catalog = Catalog::new();
-        catalog.create("d", db(&[&[1, 2]])).unwrap();
+        let (first, second) = (db(&[&[1, 2]]), db(&[&[3, 4], &[5, 6]]));
+        catalog.create("d", first.clone(), coded(&first)).unwrap();
         assert_eq!(catalog.get("d").unwrap().generation, 1);
-        let generation = catalog.replace("d", db(&[&[3, 4]])).unwrap();
-        assert_eq!(generation, 2);
+        let previous = catalog
+            .replace("d", second.clone(), coded(&second))
+            .unwrap();
+        assert!(Arc::ptr_eq(&previous.database, &first));
+        assert_eq!(previous.generation, 1);
+        assert_eq!(catalog.get("d").unwrap().generation, 2);
+        assert!(catalog.get("d").unwrap().encoded.is_some());
         assert_eq!(
             catalog
                 .get("d")
@@ -146,20 +146,22 @@ mod tests {
                 .relation("R")
                 .unwrap()
                 .len(),
-            1
+            2
         );
     }
 
     #[test]
     fn duplicate_create_and_unknown_replace_fail() {
         let mut catalog = Catalog::new();
-        catalog.create("d", db(&[&[1, 2]])).unwrap();
+        catalog.create("d", db(&[&[1, 2]]), None).unwrap();
         assert!(matches!(
-            catalog.create("d", db(&[&[1, 2]])).unwrap_err(),
+            catalog.create("d", db(&[&[1, 2]]), None).unwrap_err(),
             EngineError::DuplicateDatabase(_)
         ));
         assert!(matches!(
-            catalog.replace("missing", db(&[&[1, 2]])).unwrap_err(),
+            catalog
+                .replace("missing", db(&[&[1, 2]]), None)
+                .unwrap_err(),
             EngineError::UnknownDatabase(_)
         ));
         assert!(matches!(

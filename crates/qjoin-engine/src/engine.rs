@@ -28,13 +28,21 @@
 //! * The result cache is **sharded by plan id** ([`ShardedLru`]): each shard has its
 //!   own mutex, so concurrent requests against different plans never serialize on
 //!   one cache lock, and a hot plan only contends on its own shard.
-//! * Writers (`register`, `replace_database`, `drop_plan`) take the write lock and
-//!   keep the existing atomic generation-bump semantics: a replacement recompiles
-//!   every dependent plan before anything becomes visible, so a concurrent reader
-//!   sees either the old generation's plan handle or the new one — never a mix. An
-//!   in-flight solve that grabbed the old handle finishes against the old
-//!   generation's immutable data and caches under the old generation's key, which
-//!   can never satisfy a post-replacement lookup.
+//! * Writers (`create_database`, `register`, `replace_database`, `drop_plan`)
+//!   serialise on one **writer mutex** and do their work in three steps: snapshot
+//!   what they need under a read lock; encode and compile with **no state lock
+//!   held** (a compile counts `|Q(D)|` on the encoded context, so it also builds
+//!   and memoises the context the generation's first reader would otherwise pay
+//!   for); then take the write lock only to swap `Arc`s and bump the generation.
+//!   Cache entries are invalidated, and the old generation dropped, after the
+//!   write lock is released. Because writers are serialised, a snapshot cannot go
+//!   stale before its swap: a replacement recompiles every plan registered at its
+//!   swap, so a concurrent reader sees either the old generation's plan handle or
+//!   the new one — never a mix. An in-flight solve that grabbed the old handle
+//!   finishes against the old generation's immutable data; its cache insert is
+//!   refused (or swept) because the handle is no longer the registered one.
+//!   `qjoin_replace_seconds{phase="encode"|"compile"|"swap"}` records where a
+//!   replacement's time went; `swap` is the write-lock hold.
 //! * Serving counters are relaxed atomics ([`EngineCounters`] snapshots them).
 
 use crate::cache::{CacheStats, ShardedLru};
@@ -45,7 +53,7 @@ use crate::plan::{Accuracy, PreparedPlan};
 use crate::telemetry::{RecordingTracer, RegistryTracer};
 use qjoin_core::batch::quantile_batch_by_pivoting_traced;
 use qjoin_core::{CoreError, PivotingOptions, QuantileResult};
-use qjoin_data::Database;
+use qjoin_data::{Database, EncodedDatabase};
 use qjoin_query::JoinQuery;
 use qjoin_ranking::Ranking;
 use qjoin_telemetry::{
@@ -55,7 +63,7 @@ use qjoin_telemetry::{
 use std::collections::BTreeMap;
 use std::fmt;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, RwLock};
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError, RwLock};
 use std::time::Instant;
 
 /// `(plan id, database generation, φ bits, accuracy bits)`.
@@ -242,6 +250,8 @@ struct EngineState {
 pub struct Engine {
     config: EngineConfig,
     state: RwLock<EngineState>,
+    /// Serialises the catalog/plan writers, which compile outside `state`'s lock.
+    writer: Mutex<()>,
     cache: ShardedLru<CacheKey, QuantileResult>,
     counters: AtomicCounters,
     /// In-flight gate coalescing concurrent cold exact solves per
@@ -313,6 +323,7 @@ impl Engine {
         Engine {
             config,
             state: RwLock::new(EngineState::default()),
+            writer: Mutex::new(()),
             cache,
             counters: AtomicCounters::default(),
             gate: Gate::new(),
@@ -364,7 +375,7 @@ impl Engine {
 
     /// Runs `f` with the engine's executor pool installed as the thread's current
     /// pool: the engine's own pool when `config.threads` is set, the process-wide
-    /// one otherwise. Every compute entry point (solving, encoding) goes through
+    /// one otherwise. Every compute entry point (solving, compiling) goes through
     /// here so the `threads` knob governs all intra-engine parallelism.
     fn run_pooled<R>(&self, f: impl FnOnce() -> R) -> R {
         match &self.pool {
@@ -390,6 +401,34 @@ impl Engine {
         self.state.write().expect("engine state lock poisoned")
     }
 
+    /// The writers' serialisation point. The mutex guards no data, so a writer
+    /// that panicked while holding it left nothing behind to distrust.
+    fn writer(&self) -> MutexGuard<'_, ()> {
+        self.writer.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
+    /// One dictionary-coding pass over a database; `None` when it exceeds the
+    /// encoded layer's limits (plans then use the row path).
+    fn encode(database: &Database) -> Option<Arc<EncodedDatabase>> {
+        EncodedDatabase::encode(database).ok().map(Arc::new)
+    }
+
+    /// Runs one phase of a replacement, timed into `qjoin_replace_seconds{phase}`
+    /// and, when a trace is live, recorded as a child span of it.
+    fn replace_phase<R>(&self, phase: &'static str, f: impl FnOnce() -> R) -> R {
+        let started = Instant::now();
+        let result = f();
+        let elapsed = started.elapsed();
+        self.registry
+            .histogram("qjoin_replace_seconds", &[("phase", phase)])
+            .record_duration(elapsed);
+        if let Some(ctx) = current_trace_context() {
+            ctx.builder
+                .record_new(Some(ctx.parent), phase, started, elapsed, Vec::new());
+        }
+        result
+    }
+
     /// Adds a database to the catalog under a fresh name. Accepts an owned
     /// [`Database`] or an `Arc<Database>` that is already shared.
     pub fn create_database(
@@ -397,7 +436,13 @@ impl Engine {
         name: &str,
         database: impl Into<Arc<Database>>,
     ) -> Result<(), EngineError> {
-        self.write_state().catalog.create(name, database)
+        let _writer = self.writer();
+        if self.read_state().catalog.contains(name) {
+            return Err(EngineError::DuplicateDatabase(name.to_string()));
+        }
+        let database: Arc<Database> = database.into();
+        let encoded = Self::encode(&database);
+        self.write_state().catalog.create(name, database, encoded)
     }
 
     /// Replaces a catalogued database, recompiling every dependent plan against the
@@ -406,28 +451,32 @@ impl Engine {
     /// matter how many plans depend on it. The operation is atomic: if any dependent
     /// plan fails to recompile (e.g. the new database no longer matches a registered
     /// query's schema), nothing changes. Concurrent readers see either the old
-    /// generation's plans or the new ones, never a mixture.
+    /// generation's plans or the new ones, never a mixture, and are never blocked
+    /// by the encoding or the recompilation (see the module docs).
     pub fn replace_database(
         &self,
         name: &str,
         database: impl Into<Arc<Database>>,
     ) -> Result<(), EngineError> {
         let database: Arc<Database> = database.into();
-        // Validate the name before paying the encoding pass (the write path below
-        // re-checks under the lock).
+        let args = vec![("database", ArgValue::Str(name.to_string()))];
+        self.with_request_trace("replace", args, || self.replace_inner(name, database))
+    }
+
+    fn replace_inner(&self, name: &str, database: Arc<Database>) -> Result<(), EngineError> {
+        // Validate the name before paying the encoding pass.
         self.read_state().catalog.get(name)?;
         // One encoding pass per generation, shared by every recompiled plan.
-        let encoded = self.run_pooled(|| {
-            qjoin_data::EncodedDatabase::encode(&database)
-                .ok()
-                .map(Arc::new)
-        });
-        let mut state = self.write_state();
-        let entry = state.catalog.get(name)?;
-        let new_generation = entry.generation + 1;
-        let mut recompiled = Vec::new();
-        for plan in state.plans.values().filter(|p| p.database == name) {
-            recompiled.push(self.run_pooled(|| {
+        let encoded = self.replace_phase("encode", || Self::encode(&database));
+        let _writer = self.writer();
+        let (new_generation, dependents) = {
+            let state = self.read_state();
+            let dependents: Vec<Arc<PreparedPlan>> =
+                (state.plans.values().filter(|p| p.database == name).cloned()).collect();
+            (state.catalog.get(name)?.generation + 1, dependents)
+        };
+        let recompiled = self.replace_phase("compile", || {
+            let compile = |plan: &Arc<PreparedPlan>| {
                 PreparedPlan::compile(
                     &plan.name,
                     plan.id,
@@ -438,16 +487,33 @@ impl Engine {
                     &database,
                     encoded.as_ref(),
                 )
-            })?);
+                .map(Arc::new)
+            };
+            self.run_pooled(|| {
+                dependents
+                    .iter()
+                    .map(compile)
+                    .collect::<Result<Vec<_>, _>>()
+            })
+        })?;
+        // The swap: the only step that excludes readers. The previous generation
+        // comes out of it alive: it and `dependents` are dropped when this function
+        // returns, outside the lock.
+        let mut state = self.write_state();
+        let _previous = self.replace_phase("swap", move || {
+            let previous = state.catalog.replace(name, database, encoded)?;
+            for plan in &recompiled {
+                state.plans.insert(plan.name.clone(), Arc::clone(plan));
+            }
+            Ok::<_, EngineError>(previous)
+        })?;
+        for plan in &dependents {
+            self.cache
+                .invalidate(|key| key.0 == plan.id && key.1 < new_generation);
         }
-        state.catalog.replace_with(name, database, encoded)?;
-        for plan in recompiled {
-            self.cache.invalidate(|key| key.0 == plan.id);
-            self.counters
-                .plan_compilations
-                .fetch_add(1, Ordering::Relaxed);
-            state.plans.insert(plan.name.clone(), Arc::new(plan));
-        }
+        self.counters
+            .plan_compilations
+            .fetch_add(dependents.len() as u64, Ordering::Relaxed);
         Ok(())
     }
 
@@ -460,39 +526,43 @@ impl Engine {
         query: JoinQuery,
         ranking: Ranking,
     ) -> Result<Arc<PreparedPlan>, EngineError> {
-        let mut state = self.write_state();
-        if state.plans.contains_key(plan_name) {
-            return Err(EngineError::DuplicatePlan(plan_name.to_string()));
-        }
-        let entry = state.catalog.get(database_name)?;
-        let (generation, database) = (entry.generation, Arc::clone(&entry.database));
-        let encoded = entry.encoded.clone();
-        let id = state.next_plan_id;
+        let _writer = self.writer();
+        let (id, entry) = {
+            let state = self.read_state();
+            if state.plans.contains_key(plan_name) {
+                return Err(EngineError::DuplicatePlan(plan_name.to_string()));
+            }
+            (
+                state.next_plan_id,
+                state.catalog.get(database_name)?.clone(),
+            )
+        };
         let plan = Arc::new(self.run_pooled(|| {
             PreparedPlan::compile(
                 plan_name,
                 id,
                 database_name,
-                generation,
+                entry.generation,
                 query,
                 ranking,
-                &database,
-                encoded.as_ref(),
+                &entry.database,
+                entry.encoded.as_ref(),
             )
         })?);
+        let mut state = self.write_state();
         state.next_plan_id += 1;
+        state.plans.insert(plan_name.to_string(), Arc::clone(&plan));
+        drop(state);
         self.counters
             .plan_compilations
             .fetch_add(1, Ordering::Relaxed);
-        state.plans.insert(plan_name.to_string(), Arc::clone(&plan));
         Ok(plan)
     }
 
     /// Drops a plan and its cached results.
     pub fn drop_plan(&self, plan_name: &str) -> Result<(), EngineError> {
-        let mut state = self.write_state();
-        let plan = state
-            .plans
+        let _writer = self.writer();
+        let plan = (self.write_state().plans)
             .remove(plan_name)
             .ok_or_else(|| EngineError::UnknownPlan(plan_name.to_string()))?;
         self.cache.invalidate(|key| key.0 == plan.id);
@@ -869,16 +939,16 @@ impl Engine {
         result
     }
 
-    /// Caches a solved result — but only if the plan's generation is still the
-    /// catalog's current one. A solve that raced `replace_database` must not
-    /// resurrect a dead-generation entry after the replacement's invalidation
-    /// sweep: the sweep runs under the state write lock, so holding the read lock
-    /// across the generation check *and* the insert makes the two atomic with
-    /// respect to any replacement.
+    /// Caches a solved result — but only if `plan` is still the registered handle
+    /// of its name. A solve that raced `replace_database` (or `drop_plan`) must not
+    /// resurrect a dead entry after the writer's invalidation sweep. The sweep runs
+    /// after the swap, and holding the read lock across the check *and* the insert
+    /// orders the pair against the swap: an insert before it is swept, a check
+    /// after it refuses.
     fn insert_cached(&self, plan: &PreparedPlan, key: CacheKey, result: QuantileResult) {
         let state = self.read_state();
-        let current = state.catalog.get(&plan.database).map(|e| e.generation);
-        if current == Ok(plan.generation) {
+        let current = state.plans.get(&plan.name);
+        if current.is_some_and(|c| c.id == plan.id && c.generation == plan.generation) {
             self.cache.insert(plan.id, key, result);
         }
     }
@@ -1186,6 +1256,7 @@ impl Engine {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::plan::tests::wide;
     use qjoin_core::solver::exact_quantile;
     use qjoin_query::query::{path_query, social_network_query};
     use qjoin_query::variable::vars;
@@ -1300,6 +1371,113 @@ mod tests {
         assert_eq!(engine.plan("likes").unwrap().generation, before_gen);
         assert_eq!(engine.catalog().get("social").unwrap().generation, 1);
         assert!(engine.quantile("likes", 0.5).is_ok());
+    }
+
+    #[test]
+    fn an_uncountable_plan_is_a_typed_refusal_not_a_poisoned_engine() {
+        let (engine, _) = social_engine(60, 3);
+        // 8192^10 = 2^130 answers: the counting pass would overflow and panic
+        // (under the state lock, before this PR, wedging every later request).
+        let (query, huge) = wide(8192, 10);
+        let ranking = Ranking::max(query.variables());
+        engine.create_database("huge", huge.clone()).unwrap();
+        let refused = engine.register("wide", "huge", query.clone(), ranking.clone());
+        let too_large = EngineError::TooLarge {
+            plan: "wide".into(),
+        };
+        assert_eq!(refused.unwrap_err(), too_large);
+        assert!(matches!(
+            engine.plan("wide").unwrap_err(),
+            EngineError::UnknownPlan(_)
+        ));
+
+        // 2^10 answers register fine; replacing the database with the huge one is
+        // refused, and atomically: generation, plan and answers stay put.
+        engine.create_database("w", wide(2, 10).1).unwrap();
+        engine.register("wide", "w", query, ranking).unwrap();
+        let before = engine.quantile("wide", 0.5).unwrap();
+        assert_eq!(before.result.total_answers, 1024);
+        assert_eq!(engine.replace_database("w", huge).unwrap_err(), too_large);
+        assert_eq!(engine.catalog().get("w").unwrap().generation, 1);
+        assert_eq!(engine.plan("wide").unwrap().generation, 1);
+        let after = engine.quantile("wide", 0.5).unwrap();
+        assert!(
+            after.from_cache,
+            "the refused replacement invalidated nothing"
+        );
+        // Other plans, and later writers, keep working.
+        assert!(engine.quantile("likes", 0.5).is_ok());
+        engine.replace_database("w", wide(3, 10).1).unwrap();
+        assert_eq!(
+            engine.quantile("wide", 0.5).unwrap().result.total_answers,
+            3u128.pow(10)
+        );
+    }
+
+    #[test]
+    fn a_replacement_holds_the_write_lock_for_a_sliver_of_its_work() {
+        // Two plans over a 21 000-tuple database, five replacements. The ratio is
+        // of the engine's own numbers: encode and compile run with no state lock
+        // held, `swap` is the whole write-lock hold.
+        let database = |seed| {
+            let config = SocialConfig {
+                rows_per_relation: 7_000,
+                seed,
+                ..Default::default()
+            };
+            config.generate().into_parts().1
+        };
+        let engine = Engine::with_config(EngineConfig {
+            flight_recorder_capacity: 8,
+            ..Default::default()
+        });
+        engine.create_database("social", database(1)).unwrap();
+        for (plan, ranking) in [
+            ("likes", Ranking::sum(vars(&["l2", "l3"]))),
+            ("max", Ranking::max(social_network_query().variables())),
+        ] {
+            engine
+                .register(plan, "social", social_network_query(), ranking)
+                .unwrap();
+        }
+        assert!(
+            engine
+                .catalog()
+                .get("social")
+                .unwrap()
+                .database
+                .total_tuples()
+                >= 20_000
+        );
+        for seed in 2..7 {
+            engine.replace_database("social", database(seed)).unwrap();
+        }
+        let snapshot = engine.metrics_snapshot();
+        let phase = |phase: &str| {
+            let histogram = snapshot.histogram("qjoin_replace_seconds", &[("phase", phase)]);
+            let histogram = histogram.unwrap_or_else(|| panic!("no {phase} histogram"));
+            assert_eq!(histogram.count(), 5, "{phase}");
+            histogram.sum()
+        };
+        let (encode, compile, swap) = (phase("encode"), phase("compile"), phase("swap"));
+        assert!(
+            swap * 20 < encode + compile,
+            "swap {swap} ns vs encode {encode} ns + compile {compile} ns"
+        );
+
+        // With the flight recorder on, each replacement is a `replace` trace whose
+        // children are the three phases, in order and inside the root.
+        let trace = engine.recorder().last(1).pop().expect("a replace trace");
+        let root = trace.root().expect("root span");
+        assert_eq!(root.name, "replace");
+        let phases: Vec<&str> = (trace.spans.iter())
+            .filter(|span| span.parent == Some(root.id))
+            .map(|span| span.name)
+            .collect();
+        assert_eq!(phases, ["encode", "compile", "swap"]);
+        for span in trace.spans.iter().filter(|span| span.parent.is_some()) {
+            assert!(span.start_ns >= root.start_ns && span.end_ns() <= root.end_ns());
+        }
     }
 
     #[test]

@@ -22,6 +22,12 @@ pub enum EngineError {
         /// Why the request cannot be served, and what to do instead.
         reason: String,
     },
+    /// The plan's answer count cannot be bounded below `2^128`: the product of its
+    /// atoms' relation sizes overflows `u128`, so the counting pass could too.
+    TooLarge {
+        /// The plan name.
+        plan: String,
+    },
     /// An algorithmic error from `qjoin-core`.
     Core(CoreError),
 }
@@ -43,6 +49,11 @@ impl fmt::Display for EngineError {
             EngineError::PlanCannotServe { plan, reason } => {
                 write!(f, "plan {plan:?} cannot serve this request: {reason}")
             }
+            EngineError::TooLarge { plan } => write!(
+                f,
+                "plan {plan:?} is too large: the product of its relation sizes exceeds \
+                 2^128, so its answers cannot be counted"
+            ),
             EngineError::Core(e) => write!(f, "{e}"),
         }
     }

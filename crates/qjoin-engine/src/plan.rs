@@ -4,12 +4,18 @@
 //!
 //! 1. schema validation (the query's atoms match the database's relations),
 //! 2. acyclicity via GYO, caching the resulting join tree,
-//! 3. a Yannakakis counting pass, caching `|Q(D)|`,
+//! 3. one counting pass (Example 2.1), caching `|Q(D)|` — on the generation's
+//!    dictionary-coded form, which builds and memoises the plan's link-resolved
+//!    execution context, so the first request of a generation does not pay for it
+//!    (the row-representation pass runs only for a generation that is not encoded),
 //! 4. the §5 dichotomy (Theorem 5.6), selecting the trimming strategy.
 //!
-//! Every subsequent quantile request against the plan skips straight to the §3
-//! recursion with the pre-selected trimmer. A plan remembers the database generation
-//! it was compiled against; the engine recompiles it when the database is replaced.
+//! A registration whose answer count cannot be bounded below `2^128` is refused
+//! with [`EngineError::TooLarge`] before any counting. Every subsequent quantile
+//! request against the plan skips straight to the §3 recursion with the
+//! pre-selected trimmer. A plan remembers the database generation it was compiled
+//! against; the engine recompiles it — with no state lock held — when the
+//! database is replaced.
 
 use crate::error::EngineError;
 use qjoin_core::dichotomy::{classify_partial_sum, SumClassification};
@@ -139,7 +145,7 @@ pub struct PreparedPlan {
     pub ranking: Ranking,
     /// The cached GYO join tree.
     pub join_tree: JoinTree,
-    /// `|Q(D)|` from the compile-time Yannakakis counting pass.
+    /// `|Q(D)|` from the compile-time counting pass.
     pub total_answers: u128,
     /// The trimming strategy selected by the dichotomy.
     pub strategy: PlanStrategy,
@@ -166,10 +172,20 @@ impl PreparedPlan {
         let join_tree = acyclicity::gyo_join_tree(&query)
             .ok_or_else(|| EngineError::Core(CoreError::CyclicQuery(query.to_string())))?;
         let instance = Instance::new(query, Arc::clone(database))?;
+        // If the product of relation sizes fits in `u128`, no intermediate product
+        // or group sum of either counting pass can overflow (they `expect` it).
+        if instance.answer_count_upper_bound().is_none() {
+            return Err(EngineError::TooLarge {
+                plan: name.to_string(),
+            });
+        }
         let encoded_instance = encoded.and_then(|db| {
             EncodedInstance::from_encoded_database(instance.query().clone(), db).ok()
         });
-        let total_answers = count_answers(&instance)?;
+        let total_answers = match &encoded_instance {
+            Some(encoded) => qjoin_exec::encoded::count_answers(encoded)?,
+            None => count_answers(&instance)?,
+        };
         let strategy = match ranking.kind() {
             AggregateKind::Min | AggregateKind::Max => PlanStrategy::MinMax,
             AggregateKind::Lex => PlanStrategy::Lex,
@@ -264,7 +280,7 @@ impl PreparedPlan {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use qjoin_data::Relation;
     use qjoin_query::query::{path_query, triangle_query};
@@ -285,6 +301,18 @@ mod tests {
         Database::from_relations([r1, r2, r3]).unwrap()
     }
 
+    /// `atoms` variable-disjoint atoms over one unary relation of `rows` rows:
+    /// `rows^atoms` answers.
+    pub(crate) fn wide(rows: i64, atoms: usize) -> (JoinQuery, Database) {
+        let mut relation = Relation::new("W", 1);
+        for i in 0..rows {
+            relation.push(vec![i.into()]).unwrap();
+        }
+        let atoms = (0..atoms).map(|i| qjoin_query::Atom::new("W", vars(&[&format!("v{i}")])));
+        let database = Database::from_relations([relation]).unwrap();
+        (JoinQuery::new(atoms.collect()), database)
+    }
+
     #[test]
     fn compile_caches_counts_and_selects_strategies() {
         let db = Arc::new(three_path_db(12));
@@ -303,18 +331,55 @@ mod tests {
                 false,
             ),
         ];
+        // Without an encoded generation `compile` counts on rows; with one it
+        // counts on the encoded context and leaves that context memoised.
+        let encoded = Arc::new(EncodedDatabase::encode(&db).unwrap());
         for (i, (ranking, label, exact)) in cases.into_iter().enumerate() {
-            let plan =
-                PreparedPlan::compile("p", i as u64, "db", 1, path_query(3), ranking, &db, None)
-                    .unwrap();
-            assert_eq!(plan.strategy.label(), label);
-            assert_eq!(plan.strategy.supports_exact(), exact);
-            assert!(plan.total_answers > 0);
+            for encoded in [None, Some(&encoded)] {
+                let (query, ranking) = (path_query(3), ranking.clone());
+                let plan =
+                    PreparedPlan::compile("p", i as u64, "db", 1, query, ranking, &db, encoded)
+                        .unwrap();
+                assert_eq!(plan.strategy.label(), label);
+                assert_eq!(plan.strategy.supports_exact(), exact);
+                assert!(plan.total_answers > 0);
+                assert_eq!(
+                    plan.total_answers,
+                    count_answers(&plan.instance).unwrap(),
+                    "cached count must match a fresh Yannakakis pass"
+                );
+                assert_eq!(plan.encoded_instance.is_some(), encoded.is_some());
+                if let Some(instance) = &plan.encoded_instance {
+                    let memo = instance.exec_memo().get::<qjoin_exec::EncodedContext>();
+                    let ctx = memo.expect("compile memoises the encoded context");
+                    let shared = qjoin_exec::encoded::shared_context(instance).unwrap();
+                    assert!(Arc::ptr_eq(&ctx, &shared), "the first reader reuses it");
+                    let recount = qjoin_exec::encoded::count_answers_ctx(&ctx);
+                    assert_eq!(plan.total_answers, recount);
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn an_unboundable_answer_count_is_refused_before_counting() {
+        // Ten variable-disjoint atoms over one 8 192-row unary relation: 2^130
+        // answers. Either counting pass would overflow its `u128` and panic.
+        let (query, db) = wide(8192, 10);
+        let db = Arc::new(db);
+        let ranking = Ranking::max(query.variables());
+        let encoded = Arc::new(EncodedDatabase::encode(&db).unwrap());
+        for encoded in [None, Some(&encoded)] {
+            let (query, ranking) = (query.clone(), ranking.clone());
+            let err = PreparedPlan::compile("wide", 0, "db", 1, query, ranking, &db, encoded)
+                .unwrap_err();
             assert_eq!(
-                plan.total_answers,
-                count_answers(&plan.instance).unwrap(),
-                "cached count must match a fresh Yannakakis pass"
+                err,
+                EngineError::TooLarge {
+                    plan: "wide".into()
+                }
             );
+            assert!(err.to_string().contains("2^128"), "{err}");
         }
     }
 

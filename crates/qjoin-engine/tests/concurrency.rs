@@ -8,7 +8,10 @@
 //! * interleaved `replace_database` is atomic: every concurrently-served answer
 //!   belongs entirely to one database generation (no mixed-generation results), and
 //!   the generation recorded on the answer identifies which database produced it;
-//! * cache accounting stays exact under concurrency (no lost updates).
+//! * cache accounting stays exact under concurrency (no lost updates);
+//! * writers compile outside the state lock, yet racing `replace_database`,
+//!   `register` and `drop_plan` never leave a plan compiled against a generation
+//!   other than the catalog's.
 
 use qjoin_engine::{Engine, EngineConfig};
 use qjoin_query::query::social_network_query;
@@ -239,6 +242,120 @@ fn interleaved_replace_never_mixes_generations() {
     // registrations on the ground-truth engines, not counted here).
     assert_eq!(engine.stats().counters.plan_compilations, 11);
     assert_eq!(engine.catalog().get("social").unwrap().generation, 11);
+}
+
+#[test]
+fn racing_writers_never_leave_a_plan_behind_its_catalog_generation() {
+    // Four writers mix replacements, registrations and drops on one database
+    // while four readers solve. Writers compile with no state lock held, so the
+    // dangerous interleaving is a plan registered between a replacement's
+    // snapshot and its swap: it would survive compiled against the old generation.
+    let rows = 120;
+    let engine = engine_with_plan(rows, 1);
+    let ranking = |w: usize| match w % 2 {
+        0 => Ranking::sum(vars(&["l2", "l3"])),
+        _ => Ranking::max(social_network_query().variables()),
+    };
+    let start = Arc::new(std::sync::Barrier::new(8));
+    let stop = Arc::new(AtomicBool::new(false));
+
+    // Each writer owns one plan name and cycles register → replace → drop over
+    // it, ending registered; odd writers lead with an extra replacement, so
+    // registrations and swaps of different writers overlap.
+    let replacements = Arc::new(std::sync::atomic::AtomicU64::new(0));
+    let writers: Vec<_> = (0..4usize)
+        .map(|w| {
+            let (engine, start) = (Arc::clone(&engine), Arc::clone(&start));
+            let replacements = Arc::clone(&replacements);
+            std::thread::spawn(move || {
+                let name = format!("p{w}");
+                let cycle = ["register", "replace", "drop"].into_iter().cycle().take(13);
+                let ops = (w % 2 == 1).then_some("replace").into_iter().chain(cycle);
+                start.wait();
+                for (step, op) in ops.enumerate() {
+                    match op {
+                        "register" => {
+                            let query = social_network_query();
+                            engine.register(&name, "social", query, ranking(w)).unwrap();
+                        }
+                        "replace" => {
+                            let seed = (100 + 10 * step + w) as u64;
+                            engine
+                                .replace_database("social", social_database(rows, seed))
+                                .unwrap();
+                            replacements.fetch_add(1, Ordering::SeqCst);
+                        }
+                        _ => engine.drop_plan(&name).unwrap(),
+                    }
+                }
+            })
+        })
+        .collect();
+
+    let readers: Vec<_> = (0..4usize)
+        .map(|r| {
+            let (engine, start) = (Arc::clone(&engine), Arc::clone(&start));
+            let stop = Arc::clone(&stop);
+            std::thread::spawn(move || {
+                start.wait();
+                let mut served = 0u64;
+                while !stop.load(Ordering::SeqCst) || served == 0 {
+                    // One read lock sees the plan table and the catalog together:
+                    // at every instant, every plan reads the catalog's database.
+                    for stats in engine.plan_storage_stats() {
+                        assert_eq!(stats.owned_relations, 0, "stale plan {}", stats.plan);
+                    }
+                    for name in ["likes", "p0", "p1", "p2", "p3"] {
+                        let phi = 0.1 + 0.2 * r as f64;
+                        match engine.quantile(name, phi) {
+                            // An answer belongs to one generation: its count is
+                            // that generation's plan's count.
+                            Ok(answer) => {
+                                served += 1;
+                                if let Ok(plan) = engine.plan(name) {
+                                    if plan.generation == answer.generation {
+                                        assert_eq!(answer.result.total_answers, plan.total_answers);
+                                    }
+                                }
+                            }
+                            Err(qjoin_engine::EngineError::UnknownPlan(_)) => {}
+                            Err(e) => panic!("reader {r}, plan {name}: {e}"),
+                        }
+                    }
+                }
+                served
+            })
+        })
+        .collect();
+
+    for writer in writers {
+        writer.join().unwrap();
+    }
+    stop.store(true, Ordering::SeqCst);
+    for reader in readers {
+        assert!(reader.join().unwrap() > 0);
+    }
+
+    // Every replacement was applied, and all five plans survive at its generation.
+    let entry = engine.catalog().get("social").unwrap().clone();
+    assert_eq!(entry.generation, 1 + replacements.load(Ordering::SeqCst));
+    let plans = engine.plans();
+    assert_eq!(plans.len(), 5, "likes and one plan per writer");
+    for plan in plans {
+        assert_eq!(plan.generation, entry.generation, "plan {}", plan.name);
+        assert!(Arc::ptr_eq(
+            plan.instance.shared_database(),
+            &entry.database
+        ));
+        let fresh =
+            qjoin_query::Instance::new(plan.instance.query().clone(), entry.database.clone());
+        assert_eq!(
+            plan.total_answers,
+            qjoin_exec::count::count_answers(&fresh.unwrap()).unwrap(),
+            "plan {} must count the catalog's current database",
+            plan.name
+        );
+    }
 }
 
 #[test]

@@ -56,7 +56,7 @@ impl Conn {
         })
     }
 
-    /// The underlying stream (for readiness probing).
+    /// The underlying stream (its descriptor is what the reactor polls).
     pub fn stream(&self) -> &TcpStream {
         &self.stream
     }

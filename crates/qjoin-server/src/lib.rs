@@ -6,20 +6,23 @@
 //! quantiles at once — the serving workload the paper's near-linear per-query
 //! bounds make attractive.
 //!
-//! Everything is **std-only**: `std::net` sockets, `std::thread` workers, a
-//! libc-free readiness layer, and a line-delimited text protocol. Connections are
-//! **multiplexed**: a reactor thread parks nonblocking connections and dispatches
-//! complete request lines to the worker pool, so idle connections cost zero
-//! worker threads, and concurrent cold requests for the same quantile coalesce
-//! into one shared batched solve inside the engine. The pieces:
+//! Everything is **std plus one libc call**: `std::net` sockets, `std::thread`
+//! workers, a line-delimited text protocol, and `poll(2)` — declared as the
+//! crate's single `extern "C"` item and called from its single `unsafe` block
+//! (std already links libc; no dependency is added). The crate is **unix-only**.
+//! Connections are **multiplexed**: a reactor parks nonblocking connections,
+//! sleeps in the kernel while they are quiet, and dispatches complete request
+//! lines to the worker pool, so idle connections cost zero worker threads and an
+//! idle server costs no CPU; concurrent cold requests for the same quantile
+//! coalesce into one shared batched solve inside the engine. The pieces:
 //!
 //! | Component | Module |
 //! |---|---|
 //! | wire format (framing, verbs, errors) | [`protocol`] |
-//! | readiness probing + wakeable parking (std-only) | [`poll`] |
+//! | `poll(2)` blocking and the wake descriptor | [`poll`] |
 //! | nonblocking connection + line assembly | [`conn`] |
 //! | bounded worker thread pool | [`pool`] |
-//! | accept loop + reactor + graceful drain | [`server`] |
+//! | reactor (accept, park, dispatch) + graceful drain | [`server`] |
 //! | request lifecycle timing + slow-query log | [`metrics`] |
 //! | blocking client library | [`client`] |
 //!
@@ -45,11 +48,11 @@
 //! client.send("register likes s").unwrap();
 //! let answer = client.quantile("likes", 0.5).unwrap();
 //! assert!(answer.contains("phi=0.5000"));
-//! client.shutdown().unwrap();   // drains workers and stops the accept loop
+//! client.shutdown().unwrap();   // drains workers and stops the reactor
 //! join.join().unwrap();
 //! ```
 
-#![forbid(unsafe_code)]
+#![deny(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod client;
@@ -63,7 +66,7 @@ pub mod server;
 pub use client::{Client, ClientError};
 pub use conn::{Conn, MAX_LINE_BYTES};
 pub use metrics::ServerMetrics;
-pub use poll::{Poller, Readiness, Waker};
+pub use poll::{Poller, Waker};
 pub use pool::WorkerPool;
 pub use protocol::{ProtocolError, Response, MAX_PAYLOAD_LINES};
 pub use server::{Server, ServerConfig, ServerHandle, ServerSummary};

@@ -18,6 +18,10 @@
 //! * `qjoin_queue_depth` — dispatched-but-unstarted jobs currently sitting in
 //!   the worker pool queue (the live backlog behind the reactor's
 //!   backpressure), updated on every enqueue/pickup.
+//! * `qjoin_connections_parked` — connections idle in the reactor's registry
+//!   (a connection whose request a worker is executing is not parked);
+//! * `qjoin_reactor_blocking_polls_total` — how often the reactor went to sleep
+//!   in `poll(2)`. It sleeps without a timeout, so an idle server does not move it.
 //!
 //! Requests whose queue-wait + execute time reaches the configured threshold
 //! additionally land in a bounded ring buffer, dumped on demand by the
@@ -43,6 +47,8 @@ pub struct ServerMetrics {
     /// backlog the reactor's backpressure is holding.
     queue_depth: AtomicU64,
     queue_depth_gauge: Arc<Gauge>,
+    parked: Arc<Gauge>,
+    blocking_polls: Arc<Counter>,
     slow: SlowLog,
 }
 
@@ -57,6 +63,8 @@ impl ServerMetrics {
             write: registry.histogram("qjoin_write_seconds", &[]),
             queue_depth: AtomicU64::new(0),
             queue_depth_gauge: registry.gauge("qjoin_queue_depth", &[]),
+            parked: registry.gauge("qjoin_connections_parked", &[]),
+            blocking_polls: registry.counter("qjoin_reactor_blocking_polls_total", &[]),
             slow: SlowLog::new(slow_threshold, slow_capacity),
         }
     }
@@ -74,6 +82,16 @@ impl ServerMetrics {
             .fetch_sub(1, Ordering::Relaxed)
             .saturating_sub(1);
         self.queue_depth_gauge.set(depth as f64);
+    }
+
+    /// The reactor's registry holds this many idle connections.
+    pub fn set_parked(&self, connections: usize) {
+        self.parked.set(connections as f64);
+    }
+
+    /// The reactor is about to block in `poll(2)`.
+    pub fn blocking_poll(&self) {
+        self.blocking_polls.inc();
     }
 
     /// Records one served request: bumps the live counter, feeds the three

@@ -2,7 +2,7 @@
 //!
 //! Jobs are fed through an [`mpsc::sync_channel`], so [`WorkerPool::submit`] blocks
 //! once the queue holds `queue_depth` unstarted jobs — natural backpressure for the
-//! accept loop instead of unbounded connection pile-up. Workers share the receiver
+//! reactor's dispatch instead of an unbounded pile-up. Workers share the receiver
 //! behind a mutex and run the (shared) handler on each job.
 //!
 //! Dropping or [`WorkerPool::join`]ing the pool closes the channel; workers drain

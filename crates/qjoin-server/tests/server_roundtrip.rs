@@ -5,15 +5,16 @@
 //! test runs and CI jobs can never collide on a port.
 
 use qjoin_engine::cli::CliSession;
+use qjoin_engine::Engine;
 use qjoin_server::{
     Client, ClientError, Response, Server, ServerConfig, ServerHandle, ServerSummary,
     MAX_LINE_BYTES,
 };
-use std::io::{BufReader, Read, Write};
+use std::io::{BufReader, ErrorKind, Read, Write};
 use std::net::{SocketAddr, TcpStream};
 use std::sync::Arc;
 use std::thread::JoinHandle;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 fn start_server(workers: usize) -> (SocketAddr, ServerHandle, JoinHandle<ServerSummary>) {
     let config = ServerConfig {
@@ -617,4 +618,202 @@ fn replace_over_the_wire_invalidates_caches() {
     client.shutdown().unwrap();
     handle.shutdown();
     join.join().unwrap();
+}
+
+// ---- the reactor's three states: servicing, spinning, blocked in poll(2) --------
+
+/// A server whose engine (and so its metric registry) the test keeps a handle on.
+fn start_observed_server() -> (Arc<Engine>, ServerHandle, JoinHandle<ServerSummary>) {
+    let engine = Arc::new(Engine::new());
+    let session = Arc::new(CliSession::with_engine(Arc::clone(&engine)));
+    let config = ServerConfig {
+        workers: 2,
+        ..Default::default()
+    };
+    let server = Server::bind("127.0.0.1:0", session, config).unwrap();
+    let handle = server.handle().unwrap();
+    let join = std::thread::spawn(move || server.run().unwrap());
+    (engine, handle, join)
+}
+
+/// `(qjoin_reactor_blocking_polls_total, qjoin_connections_parked)`, read from the
+/// registry directly: no request is sent.
+fn reactor_counters(engine: &Engine) -> (u64, f64) {
+    let snapshot = engine.registry().snapshot();
+    let polls = snapshot.counter("qjoin_reactor_blocking_polls_total", &[]);
+    let parked = snapshot.gauge("qjoin_connections_parked", &[]);
+    (polls.unwrap_or(0), parked.unwrap_or(-1.0))
+}
+
+/// Waits until the reactor is blocked with `parked` connections: it has gone to
+/// sleep at least once and stayed there for 50 ms (a spin lasts microseconds).
+fn wait_until_blocked(engine: &Engine, parked: usize) -> u64 {
+    let deadline = Instant::now() + Duration::from_secs(10);
+    loop {
+        let before = reactor_counters(engine);
+        std::thread::sleep(Duration::from_millis(50));
+        if before.0 > 0 && before == reactor_counters(engine) && before.1 == parked as f64 {
+            return before.0;
+        }
+        assert!(Instant::now() < deadline, "never blocked: {before:?}");
+    }
+}
+
+fn connect_and_ping(addr: SocketAddr, connections: usize) -> Vec<Client> {
+    (0..connections)
+        .map(|_| {
+            let mut client = Client::connect(addr).unwrap();
+            client
+                .set_read_timeout(Some(Duration::from_secs(5)))
+                .unwrap();
+            client.ping().unwrap();
+            client
+        })
+        .collect()
+}
+
+#[test]
+fn an_idle_server_sleeps_and_a_parked_hangup_wakes_it() {
+    let (engine, handle, join) = start_observed_server();
+    let mut clients = connect_and_ping(handle.addr(), 4);
+    // A connection whose request is executing is not parked — not even in the
+    // scrape that request itself makes of an otherwise sleeping server.
+    wait_until_blocked(&engine, 4);
+    let scrape = clients[0].send("metrics").unwrap().join("\n");
+    assert!(scrape.contains("\nqjoin_connections_parked 3"), "{scrape}");
+    let asleep = wait_until_blocked(&engine, 4);
+    // Idle for 300 ms with four parked connections: the reactor sleeps in the
+    // kernel, it does not tick. (The parent's 1 ms tick would sweep ~300 times.)
+    std::thread::sleep(Duration::from_millis(300));
+    assert_eq!(reactor_counters(&engine), (asleep, 4.0));
+
+    // A client that disconnects while parked is an event, not something the next
+    // request or tick discovers: the gauge drops with no request sent.
+    drop(clients.pop());
+    assert!(wait_until_blocked(&engine, 3) > asleep);
+
+    handle.shutdown();
+    let summary = join.join().unwrap();
+    assert_eq!((summary.connections, summary.requests), (4, 5));
+}
+
+#[test]
+fn shutdown_ends_a_blocked_reactor_by_handle_and_by_verb() {
+    for parked in [0usize, 8] {
+        for by_verb in [false, true] {
+            let (engine, handle, join) = start_observed_server();
+            let mut clients = connect_and_ping(handle.addr(), parked);
+            wait_until_blocked(&engine, parked);
+            if by_verb {
+                Client::connect(handle.addr()).unwrap().shutdown().unwrap();
+            } else {
+                handle.shutdown();
+            }
+            // A reactor that missed the wake would sleep forever: join through a
+            // channel so that is a failure, not a hang.
+            let (done, joined) = std::sync::mpsc::channel();
+            std::thread::spawn(move || done.send(join.join().unwrap()));
+            let summary = joined
+                .recv_timeout(Duration::from_secs(10))
+                .unwrap_or_else(|_| panic!("parked={parked} by_verb={by_verb}: still running"));
+            // Exactly the connections that were made: no dial woke the listener.
+            let extra = u64::from(by_verb);
+            let expected = (parked as u64 + extra, parked as u64 + extra);
+            assert_eq!((summary.connections, summary.requests), expected);
+            // Parked connections were dropped: their clients see the end.
+            for client in &mut clients {
+                assert!(client.ping().is_err());
+            }
+        }
+    }
+}
+
+#[test]
+fn a_line_split_by_silence_gets_exactly_one_reply() {
+    let (engine, handle, join) = start_observed_server();
+    let mut stream = TcpStream::connect(handle.addr()).unwrap();
+    stream.set_nodelay(true).unwrap();
+    stream.write_all(b"pi").unwrap();
+    // Long enough for the reactor to read the half, find no line, and block.
+    wait_until_blocked(&engine, 1);
+    std::thread::sleep(Duration::from_millis(50));
+    stream.write_all(b"ng\n").unwrap();
+    let mut reader = BufReader::new(stream.try_clone().unwrap());
+    let pong = Response::Ok(vec!["pong".into()]);
+    assert_eq!(Response::read_from(&mut reader).unwrap(), pong);
+    // Nothing else arrives on its own …
+    stream
+        .set_read_timeout(Some(Duration::from_millis(200)))
+        .unwrap();
+    let mut byte = [0u8; 1];
+    let silence = reader.read(&mut byte).unwrap_err();
+    assert!(
+        matches!(silence.kind(), ErrorKind::WouldBlock | ErrorKind::TimedOut),
+        "{silence}"
+    );
+    // … and the next reply answers the next request.
+    stream
+        .set_read_timeout(Some(Duration::from_secs(5)))
+        .unwrap();
+    stream.write_all(b"quit\n").unwrap();
+    let bye = Response::Ok(vec!["bye".into()]);
+    assert_eq!(Response::read_from(&mut reader).unwrap(), bye);
+    handle.shutdown();
+    assert_eq!(join.join().unwrap().requests, 2);
+}
+
+/// Deterministic xorshift64*: the think times reproduce.
+struct Rng(u64);
+
+impl Rng {
+    fn next(&mut self) -> u64 {
+        self.0 ^= self.0 << 13;
+        self.0 ^= self.0 >> 7;
+        self.0 ^= self.0 << 17;
+        self.0.wrapping_mul(0x2545_f491_4f6c_dd1d)
+    }
+}
+
+#[test]
+fn no_wake_is_lost_between_spinning_and_blocking() {
+    // 20 000 request cycles. Think times (0–300 µs, seeded) straddle the
+    // reactor's spin, so requests arrive at every point of the spin → announce →
+    // second look → block sequence; and the requests take from microseconds
+    // (`ping`) to a few hundred (`replace` of 1–48 rows), so workers hand
+    // connections back at every point of it too. A lost wake parks the reactor
+    // on a message it never reads, and the next request on that connection dies
+    // on the 5 s read timeout.
+    let (_engine, handle, join) = start_observed_server();
+    let addr = handle.addr();
+    let hammer = move |cycles: usize, seed: u64| {
+        let mut rng = Rng(seed);
+        let mut client = connect_and_ping(addr, 1).remove(0);
+        let db = format!("d{seed}");
+        client.send(&format!("open {db} social rows=4")).unwrap();
+        for cycle in 0..cycles {
+            let sent = match rng.next() % 4 {
+                0 => client.send(&format!("replace {db} social rows={}", 1 + rng.next() % 48)),
+                1 => client.send("stats"),
+                _ => client.send("ping"),
+            };
+            if let Err(e) = sent {
+                panic!("seed {seed}, cycle {cycle} of {cycles}: {e}");
+            }
+            match rng.next() % 301 {
+                0 => {}
+                think => std::thread::sleep(Duration::from_micros(think)),
+            }
+        }
+    };
+    hammer(10_000, 0x9e37_79b9_7f4a_7c15);
+    let four: Vec<_> = (1..=4u64)
+        .map(|seed| std::thread::spawn(move || hammer(2_500, seed)))
+        .collect();
+    for thread in four {
+        thread.join().unwrap();
+    }
+    handle.shutdown();
+    let summary = join.join().unwrap();
+    // Each connection's ping and `open`, then its cycles.
+    assert_eq!((summary.connections, summary.requests), (5, 20_010));
 }
