@@ -14,7 +14,8 @@
 //!   ε-sketch path;
 //! * **approx/row** — the same request forced onto the materialized-row
 //!   reference path (`approximate_sum_quantile_via_rows`); its answer is
-//!   asserted pointwise identical to the encoded one, and the encoded/row ratio
+//!   asserted pointwise identical to the encoded one (the star schema's join
+//!   groups are far too small for a sketch to compress), and the encoded/row ratio
 //!   is the PR's cold approximate-solve speedup.
 //!
 //! A sampling column (`quantile_by_sampling`, Hoeffding budget at ε=0.05,

@@ -34,11 +34,12 @@ use crate::pivot::PivotResult;
 use crate::quantile::{
     positions_in, quantile_by_pivoting_backend, PivotingOptions, QuantileResult, SolveBackend,
 };
-use crate::trim::two_pass_trim;
 use crate::{CoreError, Result};
+use lossy::LossyConstruction;
 use qjoin_exec::encoded::{self as exec_encoded};
 use qjoin_query::{Assignment, EncodedInstance, Variable};
-use qjoin_ranking::{CmpOp, RankPredicate, Ranking, Weight, WeightBound};
+use qjoin_ranking::{CmpOp, Ranking, Weight, WeightBound};
+use std::sync::OnceLock;
 use weights::{CodeWeights, WeightFold};
 
 /// How many projected codes a [`CodeKey`] stores without a heap allocation.
@@ -113,9 +114,10 @@ impl Ord for CodeKey {
 pub(crate) struct EncodedBackend<'a> {
     ranking: &'a Ranking,
     strategy: ExactStrategy,
-    /// `Some(ε′)` makes every trim the ε-lossy SUM construction ([`lossy`]) with
-    /// that per-trim loss budget; `None` trims exactly.
-    lossy_epsilon: Option<f64>,
+    /// `Some((ε′, construction))` makes every trim a window of the ε-lossy SUM
+    /// construction ([`lossy`]) with that per-trim loss budget, built by the solve's
+    /// first trim; `None` trims exactly.
+    lossy: Option<(f64, OnceLock<LossyConstruction>)>,
     weights: CodeWeights,
     dictionary: std::sync::Arc<qjoin_data::Dictionary>,
 }
@@ -127,7 +129,7 @@ impl<'a> EncodedBackend<'a> {
         EncodedBackend {
             ranking,
             strategy: ExactStrategy::for_ranking(ranking),
-            lossy_epsilon: None,
+            lossy: None,
             weights: CodeWeights::build(instance.dictionary(), ranking),
             dictionary: std::sync::Arc::clone(instance.dictionary()),
         }
@@ -135,8 +137,36 @@ impl<'a> EncodedBackend<'a> {
 
     /// The same backend trimming with the ε-lossy SUM construction.
     fn lossy(mut self, per_trim_epsilon: f64) -> Self {
-        self.lossy_epsilon = Some(per_trim_epsilon);
+        self.lossy = Some((per_trim_epsilon, OnceLock::new()));
         self
+    }
+
+    /// The window `(low, high)` of the solve's one lossy construction, building it
+    /// on first use. `instance` must be the instance it was built from.
+    fn lossy_window(
+        &self,
+        (epsilon, cell): &(f64, OnceLock<LossyConstruction>),
+        instance: &EncodedInstance,
+        low: &WeightBound,
+        high: &WeightBound,
+    ) -> Result<EncodedInstance> {
+        let construction = match cell.get() {
+            Some(built) => built,
+            // Not inside `get_or_init`: the build runs pool regions, and a thread
+            // waiting on one may be handed the round's other arm, which would
+            // re-enter the cell. Two arms racing here build identical values.
+            None => {
+                let built =
+                    LossyConstruction::build(instance, self.ranking, *epsilon, &self.weights)?;
+                cell.get_or_init(|| built)
+            }
+        };
+        if !construction.is_of(instance) {
+            let what =
+                "a lossy trim of an instance other than the one its construction was built from";
+            return Err(CoreError::Internal(what.to_string()));
+        }
+        construction.window(low, high)
     }
 
     /// One leaf walk: `per_answer(out, root row, weight, codes)` for every answer
@@ -192,14 +222,18 @@ impl SolveBackend for EncodedBackend<'_> {
         pivot::select_pivot_encoded(instance, self.ranking, &self.weights)
     }
 
+    #[cfg(test)]
     fn trim(
         &self,
         instance: &EncodedInstance,
-        predicate: &RankPredicate,
+        predicate: &qjoin_ranking::RankPredicate,
     ) -> Result<EncodedInstance> {
         let (ranking, weights) = (self.ranking, &self.weights);
-        match self.lossy_epsilon {
-            Some(eps) => lossy::lossy_sum_trim_encoded(instance, ranking, predicate, eps, weights),
+        match &self.lossy {
+            Some(lossy) => {
+                let (low, high) = crate::trim::sum::window_of(predicate);
+                self.lossy_window(lossy, instance, &low, &high)
+            }
             None => trim::exact_trim_encoded(instance, ranking, predicate, self.strategy, weights),
         }
     }
@@ -211,8 +245,8 @@ impl SolveBackend for EncodedBackend<'_> {
         high: &WeightBound,
         first: CmpOp,
     ) -> Result<EncodedInstance> {
-        match self.lossy_epsilon {
-            Some(_) => two_pass_trim(instance, low, high, first, |i, p| self.trim(i, p)),
+        match &self.lossy {
+            Some(lossy) => self.lossy_window(lossy, instance, low, high),
             None => trim::exact_trim_between_encoded(
                 instance,
                 self.ranking,
@@ -326,13 +360,13 @@ pub fn exact_quantile_batch_encoded_traced(
 }
 
 /// Computes an ε-approximate SUM `φ`-quantile over an encoded instance: the same
-/// pivoting driver as [`exact_quantile_encoded`], but every trim runs the encoded
-/// ε-lossy construction (Algorithm 4 over selection-vector views).
+/// pivoting driver as [`exact_quantile_encoded`], but every trim is a window of one
+/// ε-lossy construction of `instance` (Algorithm 4, built once: see `lossy`).
 ///
 /// `per_trim_epsilon` is the *per-invocation* loss budget — callers (see
 /// [`crate::solver::approximate_sum_quantile`]) divide the end-to-end ε across
-/// the expected trim count. Answers are pointwise identical to the row path's
-/// [`LossySumTrimmer`](crate::lossy_trim::LossySumTrimmer) solve.
+/// the expected trim count. The row path's two-pass `LossySumTrimmer` solve returns
+/// the same answers while no sketch compresses, and answers within ε of these beyond.
 pub fn approximate_sum_quantile_encoded(
     instance: &EncodedInstance,
     ranking: &Ranking,

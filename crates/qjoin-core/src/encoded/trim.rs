@@ -276,6 +276,21 @@ pub(super) fn segment_offsets(rel: &EncodedRelation) -> Vec<usize> {
     offsets
 }
 
+/// The rows `range` of a view with the given [`segment_offsets`], as `(global index,
+/// segment, row in segment)` — the coordinates of a chunked scan.
+pub(super) fn rows_in(
+    offsets: &[usize],
+    range: std::ops::Range<usize>,
+) -> impl Iterator<Item = (usize, usize, usize)> + '_ {
+    let mut seg = offsets.partition_point(|&o| o <= range.start) - 1;
+    range.map(move |global| {
+        while global >= offsets[seg + 1] {
+            seg += 1;
+        }
+        (global, seg, global - offsets[seg])
+    })
+}
+
 /// The partial sum carried by one view row (mirrors `SumTupleWeights::tuple_sum`,
 /// including the fold order).
 #[inline]
@@ -473,12 +488,7 @@ fn trim_adjacent_pair_encoded(
         qjoin_par::par_map_chunks(total_b, qjoin_par::DEFAULT_CHUNK, |_, chunk| {
             let mut local: KeyMap<BGroup> = KeyMap::default();
             let mut key_buf: Vec<u64> = Vec::with_capacity(key_pos_b.len());
-            let mut seg = offsets_b.partition_point(|&o| o <= chunk.start) - 1;
-            for global in chunk {
-                while global >= offsets_b[seg + 1] {
-                    seg += 1;
-                }
-                let row = global - offsets_b[seg];
+            for (global, seg, row) in rows_in(&offsets_b, chunk) {
                 key_buf.clear();
                 key_buf.extend(key_pos_b.iter().map(|&p| rel_b.code(seg, row, p)));
                 local
@@ -534,12 +544,7 @@ fn trim_adjacent_pair_encoded(
         qjoin_par::par_map_chunks(total_a, qjoin_par::DEFAULT_CHUNK, |_, chunk| {
             let mut part = ViewBuilder::new(rel_a.synth_arity());
             let mut key_buf: Vec<u64> = Vec::with_capacity(key_pos_a.len());
-            let mut seg = offsets_a.partition_point(|&o| o <= chunk.start) - 1;
-            for global in chunk {
-                while global >= offsets_a[seg + 1] {
-                    seg += 1;
-                }
-                let row = global - offsets_a[seg];
+            for (_, seg, row) in rows_in(&offsets_a, chunk) {
                 key_buf.clear();
                 key_buf.extend(key_pos_a.iter().map(|&p| rel_a.code(seg, row, p)));
                 let Some(group) = groups.get(&Key::from_codes(&key_buf)) else {
@@ -590,7 +595,7 @@ fn trim_adjacent_pair_encoded(
 }
 
 #[cfg(test)]
-mod tests {
+pub(super) mod tests {
     use super::*;
     use crate::encoded::EncodedBackend;
     use crate::quantile::{materialized_keyed_answers, RowBackend, SolveBackend};
@@ -609,7 +614,7 @@ mod tests {
     /// The answers of a (trimmed) backend instance as sorted `(weight, original
     /// values)` pairs — a multiset, so a construction that duplicated or dropped an
     /// answer shows up.
-    fn answers_of<B: SolveBackend>(
+    pub(in crate::encoded) fn answers_of<B: SolveBackend>(
         backend: &B,
         instance: &B::Inst,
         original: &[Variable],

@@ -129,7 +129,7 @@ mod tests {
     use proptest::prelude::*;
     use qjoin_data::Value;
     use qjoin_query::{Assignment, EncodedInstance};
-    use qjoin_ranking::{AggregateKind, RankPredicate};
+    use qjoin_ranking::{AggregateKind, CmpOp, RankPredicate, WeightBound};
     use qjoin_workload::random_acyclic::{shaped_instance, tie_heavy_ranking};
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
@@ -173,6 +173,9 @@ mod tests {
             unreachable!("the leaf does not pivot")
         }
         fn trim(&self, _: &(), _: &RankPredicate) -> Result<()> {
+            unreachable!("the leaf does not trim")
+        }
+        fn trim_between(&self, _: &(), _: &WeightBound, _: &WeightBound, _: CmpOp) -> Result<()> {
             unreachable!("the leaf does not trim")
         }
         fn answer_from_key(&self, _: &[Variable], _: &u64) -> Assignment {

@@ -14,6 +14,12 @@
 //! every child tuple to join exactly the copy holding its bucket. Finally, root tuples
 //! whose accumulated sum violates the inequality are removed.
 //!
+//! This is the paper-literal construction, one bound per pass, and the oracle of the
+//! encoded path ([`crate::encoded`]), which builds the rewrite once per solve with both
+//! roundings and filters its root per window. The two agree answer for answer while no
+//! sketch bucket holds two sources; where sketches compress they bucket differently and
+//! agree within ε only.
+//!
 //! Rounding direction matters for soundness: for `< λ` the sketch rounds **up**, so a
 //! retained answer's true sum is at most the recorded sum and therefore below `λ`; for
 //! `> λ` it rounds **down**, symmetrically.
@@ -143,8 +149,8 @@ impl Trimmer for LossySumTrimmer {
                 // Per child tuple: the id of the bucket it was assigned to.
                 let mut child_bucket: Vec<i64> = vec![0; states[child].tuples.len()];
                 // Iterate groups in sorted key order so bucket ids are deterministic
-                // (and identical to the encoded construction, whose dictionary codes
-                // are order-preserving).
+                // (the encoded construction walks groups in the same order: its
+                // dictionary codes are order-preserving).
                 let mut sorted_keys: Vec<&Vec<Value>> = group_members.keys().collect();
                 sorted_keys.sort();
                 for key in sorted_keys {

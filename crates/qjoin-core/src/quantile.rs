@@ -19,13 +19,15 @@
 use crate::leaf::{locator, select_ranks};
 use crate::pivot::{select_pivot, PivotResult};
 use crate::trace::{sat64, NoopTracer, PhaseContext, SolvePhase, SolveTracer};
-use crate::trim::{two_pass_trim, Trimmer};
+use crate::trim::Trimmer;
 use crate::{CoreError, Result};
 use qjoin_data::Value;
 use qjoin_exec::count::count_answers;
 use qjoin_exec::yannakakis::materialize;
 use qjoin_query::{Assignment, Instance, Variable};
-use qjoin_ranking::{CmpOp, RankPredicate, Ranking, Weight, WeightBound};
+#[cfg(test)]
+use qjoin_ranking::RankPredicate;
+use qjoin_ranking::{CmpOp, Ranking, Weight, WeightBound};
 use std::time::Instant;
 
 /// Tuning knobs for the pivoting driver.
@@ -107,25 +109,23 @@ pub(crate) trait SolveBackend: Sync {
     /// A `c`-pivot of the instance's answers (Algorithm 2).
     fn select_pivot(&self, instance: &Self::Inst) -> Result<PivotResult>;
 
-    /// Trims the instance by a ranking predicate (Section 5).
+    /// Trims the instance by a single ranking predicate (Section 5). The driver only
+    /// trims to windows; this is the oracle the window constructions are tested against.
+    #[cfg(test)]
     fn trim(&self, instance: &Self::Inst, predicate: &RankPredicate) -> Result<Self::Inst>;
 
     /// Trims the instance to the answers whose weight lies strictly inside the open
     /// window `(low, high)` — the partition primitive of the driver (see
-    /// [`partition_round`]). The default is [`two_pass_trim`] over [`trim`](Self::trim),
-    /// `first` naming the comparison applied first; backends whose construction serves
-    /// both bounds at once (exact SUM) override it.
+    /// [`partition_round`]). `first` names the comparison a backend that stacks two
+    /// single-bound passes applies first; one whose construction serves both
+    /// bounds at once (exact SUM, the ε-lossy construction) has no use for it.
     fn trim_between(
         &self,
         instance: &Self::Inst,
         low: &WeightBound,
         high: &WeightBound,
         first: CmpOp,
-    ) -> Result<Self::Inst> {
-        two_pass_trim(instance, low, high, first, |instance, predicate| {
-            self.trim(instance, predicate)
-        })
-    }
+    ) -> Result<Self::Inst>;
 
     /// The leaf key an answer is projected onto: the tie-break of the final direct
     /// selection. Must order **identically** to the projected `original_vars`
@@ -178,6 +178,7 @@ impl SolveBackend for RowBackend<'_> {
         select_pivot(instance, self.ranking)
     }
 
+    #[cfg(test)]
     fn trim(&self, instance: &Instance, predicate: &RankPredicate) -> Result<Instance> {
         self.trimmer.trim(instance, self.ranking, predicate)
     }

@@ -169,7 +169,7 @@ pub fn exact_quantile_batch_with_options(
 /// Validates the approximate-SUM request and derives the per-trim loss budget
 /// from the requested overall ε. Shared by the encoded and row entry points so
 /// both paths sketch with literally the same ε′.
-fn per_trim_epsilon_for(
+pub(crate) fn per_trim_epsilon_for(
     instance: &Instance,
     ranking: &Ranking,
     epsilon: f64,
@@ -204,9 +204,12 @@ fn per_trim_epsilon_for(
 /// exactly.
 ///
 /// Like the exact solvers, the approximation runs on the **encoded** execution
-/// layer by default (ε-sketches over per-code weight tables, trim output as
-/// selection-vector views); instances the encoded representation cannot express
-/// fall back to the row path. Both paths return pointwise-identical answers.
+/// layer by default (ε-sketches over per-code weight tables; one Algorithm-4
+/// construction per solve, every trim a window of it); instances the encoded
+/// representation cannot express fall back to the row path, the paper-literal
+/// two-pass trimmer. The two return identical answers while no sketch compresses
+/// (join groups under about 16ℓ/ε′ elements for the per-trim ε′) and answers within
+/// ε of each other beyond: they bucket differently there.
 pub fn approximate_sum_quantile(
     instance: &Instance,
     ranking: &Ranking,

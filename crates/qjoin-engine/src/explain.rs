@@ -200,6 +200,22 @@ impl ExplainReport {
                     round.round, round.candidates, round.n_lt, round.n_eq, round.n_gt, round.dur_us
                 );
             }
+            if let Accuracy::Approximate { epsilon } = analyze.accuracy {
+                // A round's inferred n_eq is the pivot plus whatever its two lossy
+                // windows dropped, so the solve missed its rank by at most their sum.
+                let dropped: u64 = (analyze.per_round.iter())
+                    .map(|round| round.n_eq.saturating_sub(1))
+                    .sum();
+                let _ = writeln!(
+                    out,
+                    "    certified rank error ≤ Σ_rounds (n_eq − 1) / |Q(D)| = {} / {} = {:.6}  \
+                     (requested ε = {})",
+                    dropped,
+                    self.total_answers,
+                    dropped as f64 / self.total_answers.max(1) as f64,
+                    epsilon
+                );
+            }
             if let Some(materialized) = analyze.materialized {
                 let keyed = (analyze.keyed)
                     .map(|keyed| format!(", {keyed} of them keyed"))
@@ -301,6 +317,66 @@ impl Engine {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use qjoin_core::quantile::rank_of_weight;
+    use qjoin_ranking::Ranking;
+    use qjoin_workload::path::PathConfig;
+
+    /// On an instance whose upper join groups (1 600 rows) are large enough for the
+    /// ε = 0.05 sketches to merge sources, the printed certificate covers the
+    /// answer's true rank error. (It need not be ≤ ε: the engine spends the request's
+    /// ε on every trim, and the line is what reports the sum.)
+    #[test]
+    fn analyze_prints_a_certificate_that_covers_the_true_rank_error() {
+        let config = PathConfig {
+            atoms: 3,
+            tuples_per_relation: 80,
+            join_domain: 2,
+            weight_range: 1000,
+            skew: 0.0,
+            seed: 11,
+        };
+        let instance = config.generate();
+        let ranking = Ranking::sum(instance.query().variables());
+        let engine = Engine::new();
+        let (query, database) = instance.clone().into_parts();
+        engine.create_database("p", database).unwrap();
+        engine
+            .register("fullsum", "p", query, ranking.clone())
+            .unwrap();
+        for phi in [0.2, 0.5, 0.8] {
+            let rendered = engine.explain("fullsum", phi, true).unwrap().render();
+            let line = (rendered.lines())
+                .find(|line| line.contains("certified rank error ≤"))
+                .unwrap_or_else(|| panic!("no certificate line in:\n{rendered}"));
+            assert!(line.ends_with("(requested ε = 0.05)"), "{line}");
+            let mut numbers = line.split(" = ").skip(1);
+            let (dropped, total) = numbers.next().unwrap().split_once(" / ").unwrap();
+            let (dropped, total): (u128, u128) = (dropped.parse().unwrap(), total.parse().unwrap());
+            let printed: f64 = (numbers.next().unwrap().split_whitespace().next().unwrap())
+                .parse()
+                .unwrap();
+            assert!(
+                (printed - dropped as f64 / total as f64).abs() < 1e-6,
+                "{line}"
+            );
+
+            let accuracy = Accuracy::Approximate {
+                epsilon: EXPLAIN_ANALYZE_EPSILON,
+            };
+            let answer = engine
+                .quantile_with("fullsum", phi, accuracy)
+                .unwrap()
+                .result;
+            assert_eq!(answer.total_answers, total);
+            let (below, equal) = rank_of_weight(&instance, &ranking, &answer.weight).unwrap();
+            let target = answer.target_index;
+            let error = below.saturating_sub(target) + target.saturating_sub(below + equal - 1);
+            assert!(
+                error <= dropped,
+                "phi {phi}: off by {error}, certified {dropped}"
+            );
+        }
+    }
 
     #[test]
     fn dichotomy_sentences_name_their_class() {

@@ -503,12 +503,14 @@ fn full_sum_ranking(instance: &Instance) -> Ranking {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
-    /// The encoded lossy solve (`approximate_sum_quantile`, ε-sketches over
-    /// per-code weight tables, selection-vector trim views) is pointwise
-    /// identical to the row `LossySumTrimmer` solve — same answer, same weight,
-    /// same iteration count — across ε values, boundary φ, and executor degrees
-    /// 1 and 4. The trims are deterministic, so this is exact equality, not an
-    /// error-bound check.
+    /// The encoded lossy solve (`approximate_sum_quantile`: one Algorithm-4
+    /// construction per solve, every trim a window of it) is pointwise identical
+    /// to the row `LossySumTrimmer` solve (two stacked passes per window) — same
+    /// answer, same weight, same iteration count — across ε values, boundary φ,
+    /// and executor degrees 1 and 4. Identical because at these sizes no join
+    /// group is large enough for a sketch bucket to hold two sources, so both
+    /// constructions are exact; where sketches compress the two bucket differently
+    /// and `qjoin-core`'s `encoded/lossy_tests.rs` holds the encoded one within ε.
     #[test]
     fn lossy_encoded_and_row_solves_are_pointwise_identical(
         seed in 0u64..3000,
