@@ -3,68 +3,165 @@
 //! The row implementation ([`crate::pivot`]) carries a `BTreeMap`-backed
 //! [`Assignment`](qjoin_query::Assignment) per message and re-derives ranking
 //! weights inside every comparison. Here a node's messages are flat arenas
-//! ([`NodeMsgs`]): one row of `u64` codes per tuple (one slot per query variable,
-//! in sorted variable order, `u64::MAX` for unbound), its canonically-folded
-//! [`Weight`], and its subtree count. A join group's message is the *row index* of
-//! its weighted median plus the group's summed count, stored by the context's
+//! ([`NodeMsgs`]), sized once and filled in place: one row of `u64` codes per
+//! tuple (one slot per query variable, in sorted variable order, `u64::MAX` for
+//! unbound) and its canonically-folded weight as `f64`s
+//! ([`WeightFold::write_weight`]) — no per-row allocation. Subtree counts are
+//! not the scan's business: it takes the counting pass's arrays
+//! ([`subtree_counts`](qjoin_exec::encoded::subtree_counts)) as the medians'
+//! multiplicities, so scan and count cannot disagree. A join group's
+//! message is the *row index* of its weighted median, stored by the context's
 //! dense group id — so a parent row finds its children's messages by indexing
 //! through [`EncodedContext::links`](qjoin_exec::EncodedContext::links), with no
-//! key built or hashed. Comparisons run over row indices: a weight comparison
-//! followed by a comparison of the two code rows — and because dictionary codes
-//! are assigned in value order (and synthesized code spaces are order-compatible),
-//! the slice comparison equals the row path's assignment comparison, so both
-//! paths pick the *same* pivot at every iteration.
+//! key built or hashed, and copies exactly the slots the child's subtree binds.
+//! Medians are taken by [`weighted_median_by`] over a permutation of row indices:
+//! a weight comparison ([`cmp_flat`]) followed by a comparison of the two code
+//! rows — and because dictionary codes are assigned in value order (and
+//! synthesized code spaces are order-compatible), the slice comparison equals the
+//! row path's assignment comparison, so both paths pick the *same* pivot at every
+//! iteration. A [`Weight`](qjoin_ranking::Weight) is built once, for the pivot
+//! returned.
 
-use super::weights::{CodeWeights, WeightFold, UNBOUND};
+use super::weights::{cmp_flat, CodeWeights, WeightFold, UNBOUND};
 use crate::pivot::{pivot_quality, PivotResult};
 use crate::selection::weighted_median_by;
 use crate::{CoreError, Result};
 use qjoin_data::Value;
+use qjoin_exec::EncodedContext;
 use qjoin_query::{Assignment, EncodedInstance, Variable};
-use qjoin_ranking::{Ranking, Weight};
-use std::cmp::Ordering;
-use std::collections::HashMap;
+use qjoin_ranking::Ranking;
+use std::sync::Mutex;
 
 /// The pivot messages of one join-tree node.
 #[derive(Default)]
 struct NodeMsgs {
+    n_slots: usize,
+    /// `f64`s per weight ([`WeightFold::width`]).
+    width: usize,
     /// `n_rows × n_slots` candidate codes, row-major.
     codes: Vec<u64>,
-    /// Per row: the candidate's canonical weight.
-    weights: Vec<Weight>,
-    /// Per row: the subtree's partial-answer count.
-    counts: Vec<u128>,
+    /// `n_rows × width` canonical candidate weights, row-major.
+    weights: Vec<f64>,
     /// Per join group (by gid): the row holding the group's weighted median.
     medians: Vec<u32>,
-    /// Per join group (by gid): the summed count of its members.
-    totals: Vec<u128>,
 }
 
 impl NodeMsgs {
-    fn codes_of(&self, row: u32, n_slots: usize) -> &[u64] {
-        &self.codes[row as usize * n_slots..][..n_slots]
+    fn codes_of(&self, row: u32) -> &[u64] {
+        &self.codes[row as usize * self.n_slots..][..self.n_slots]
     }
 
-    /// The weighted median of the given rows (multiplicity = subtree count) and
-    /// their summed count. Weight order first, then code order — equal to the row
-    /// comparator's `weight_of(a).cmp(weight_of(b)).then(a.cmp(b))` because code
-    /// order equals value order and compared messages always bind the same
-    /// variable set.
-    fn median(
-        &self,
-        rows: impl Iterator<Item = u32>,
-        ranking: &Ranking,
-        n_slots: usize,
-    ) -> (u32, u128) {
-        let items: Vec<(u32, u128)> = rows.map(|i| (i, self.counts[i as usize])).collect();
-        let cmp = |a: &u32, b: &u32| -> Ordering {
-            ranking
-                .compare(&self.weights[*a as usize], &self.weights[*b as usize])
-                .then_with(|| self.codes_of(*a, n_slots).cmp(self.codes_of(*b, n_slots)))
-        };
-        let total = items.iter().map(|(_, count)| count).sum();
-        (weighted_median_by(&items, &cmp), total)
+    fn weight_of(&self, row: u32) -> &[f64] {
+        &self.weights[row as usize * self.width..][..self.width]
     }
+
+    /// The weighted median of `rows` (multiplicity `counts[row]`; reordered in
+    /// place) and their summed count. Weight order first, then code order — equal
+    /// to the row comparator's `weight_of(a).cmp(weight_of(b)).then(a.cmp(b))`
+    /// because code order equals value order and compared messages always bind the
+    /// same variable set.
+    fn median(&self, rows: &mut [u32], counts: &[u128]) -> (u32, u128) {
+        let (at, total) = weighted_median_by(
+            rows,
+            |&row| counts[row as usize],
+            |&a, &b| {
+                cmp_flat(self.weight_of(a), self.weight_of(b))
+                    .then_with(|| self.codes_of(a).cmp(self.codes_of(b)))
+            },
+        );
+        (rows[at], total)
+    }
+}
+
+/// The Algorithm-2 scan: every node's messages, bottom-up, indexed by node id.
+/// Rows are scanned and group medians taken `chunk` at a time over the executor
+/// pool; every row's message (code gather, child merge, weight fold) and every
+/// group's median is independent of every other's and lands in its own place, so
+/// the arenas are bit-identical at any chunk size and thread count.
+fn pivot_messages(
+    ctx: &EncodedContext,
+    fold: &WeightFold,
+    sorted_vars: &[Variable],
+    counts: &[Vec<u128>],
+    chunk: usize,
+) -> Vec<NodeMsgs> {
+    let (n_slots, width) = (sorted_vars.len(), fold.width());
+    let slot_of = |v: &Variable| sorted_vars.binary_search(v).expect("a query variable");
+    let mut msgs: Vec<NodeMsgs> = ctx.nodes().iter().map(|_| NodeMsgs::default()).collect();
+    // Per node: the slots its subtree's messages bind.
+    let mut bound: Vec<Vec<usize>> = vec![Vec::new(); msgs.len()];
+    for &node_id in &ctx.tree().bottom_up_order() {
+        let n_rows = ctx.node(node_id).rows.len();
+        let atom = ctx.query().atom(ctx.node(node_id).atom_index);
+        let own: Vec<(usize, usize)> = (atom.distinct_variable_positions().into_iter())
+            .map(|(v, pos)| (pos, slot_of(&v)))
+            .collect();
+        // Per child: parent row → gid, its messages, and the slots to take from its
+        // group's median (those this node's own atom binds hold the join key).
+        let children: Vec<(&[u32], &NodeMsgs, Vec<usize>)> = (ctx.tree().node(node_id).children)
+            .iter()
+            .map(|&child| {
+                let theirs = bound[child].iter().copied();
+                let fresh = theirs.filter(|slot| own.iter().all(|(_, mine)| mine != slot));
+                (ctx.links(child), &msgs[child], fresh.collect())
+            })
+            .collect();
+        bound[node_id] = own.iter().map(|&(_, slot)| slot).collect();
+        for (_, _, fresh) in &children {
+            bound[node_id].extend(fresh);
+        }
+
+        let mut node = NodeMsgs {
+            n_slots,
+            width,
+            codes: vec![UNBOUND; n_rows * n_slots],
+            weights: vec![0.0; n_rows * width],
+            ..NodeMsgs::default()
+        };
+        let parts: Vec<Mutex<(&mut [u64], &mut [f64])>> = (node.codes.chunks_mut(chunk * n_slots))
+            .zip(node.weights.chunks_mut(chunk * width))
+            .map(Mutex::new)
+            .collect();
+        qjoin_par::par_map(parts.len(), |part| {
+            let mut arenas = parts[part].lock().expect("one task per arena chunk");
+            let (codes, weights) = &mut *arenas;
+            let rows = codes
+                .chunks_exact_mut(n_slots)
+                .zip(weights.chunks_exact_mut(width));
+            for ((codes, weight), i) in rows.zip(part * chunk..) {
+                for &(pos, slot) in &own {
+                    codes[slot] = ctx.code(node_id, i, pos);
+                }
+                for (links, child, fresh) in &children {
+                    let median = child.codes_of(child.medians[links[i] as usize]);
+                    for &slot in fresh {
+                        codes[slot] = median[slot];
+                    }
+                }
+                fold.write_weight(codes, weight);
+            }
+        });
+        drop(parts);
+
+        if node_id != ctx.root() {
+            // Each median folds its group's members in ascending row order.
+            let n_groups = ctx.num_groups(node_id);
+            node.medians = qjoin_par::par_map_chunks(n_groups, chunk, |_, range| {
+                let mut members: Vec<u32> = Vec::new();
+                range
+                    .map(|g| {
+                        members.clear();
+                        members.extend_from_slice(ctx.group(node_id, g as u32));
+                        node.median(&mut members, &counts[node_id]).0
+                    })
+                    .collect::<Vec<u32>>()
+            })
+            .concat();
+        }
+        drop(children);
+        msgs[node_id] = node;
+    }
+    msgs
 }
 
 /// Selects a `c`-pivot of an encoded instance's answers (Lemma 4.1), equal to the
@@ -78,103 +175,18 @@ pub(crate) fn select_pivot_encoded(
     if ctx.has_no_answers() {
         return Err(CoreError::NoAnswers);
     }
-    let query = ctx.query();
-    let sorted_vars: Vec<Variable> = query.variable_set().into_iter().collect();
-    let slot_of: HashMap<&Variable, usize> = sorted_vars
-        .iter()
-        .enumerate()
-        .map(|(i, v)| (v, i))
-        .collect();
-    let n_slots = sorted_vars.len();
-    let fold = WeightFold::new(ranking, weights, |v| slot_of.get(v).copied());
-    let copy_plan: Vec<Vec<(usize, usize)>> = ctx
-        .nodes()
-        .iter()
-        .map(|n| {
-            query
-                .atom(n.atom_index)
-                .distinct_variable_positions()
-                .into_iter()
-                .map(|(v, pos)| (pos, slot_of[&v]))
-                .collect()
-        })
-        .collect();
-
-    let mut msgs: Vec<NodeMsgs> = (0..ctx.nodes().len())
-        .map(|_| NodeMsgs::default())
-        .collect();
-    for &node_id in &ctx.tree().bottom_up_order() {
-        let n_rows = ctx.node(node_id).rows.len();
-        let children: Vec<(&[u32], &NodeMsgs)> = ctx
-            .tree()
-            .node(node_id)
-            .children
-            .iter()
-            .map(|&child| (ctx.links(child), &msgs[child]))
-            .collect();
-        // Algorithm-2 scan: every row's message (code gather, child merge,
-        // weight fold, count product) is independent of every other row's, so
-        // the scan is chunked over the executor pool. Each message's weight is
-        // still folded in weighted-variable order on its own row, and chunk
-        // partials concatenate in canonical order — the arenas are
-        // bit-identical to the sequential scan at any thread count.
-        let chunks: Vec<NodeMsgs> =
-            qjoin_par::par_map_chunks(n_rows, qjoin_par::DEFAULT_CHUNK, |_, range| {
-                let mut part = NodeMsgs::default();
-                part.codes.resize(range.len() * n_slots, UNBOUND);
-                for (codes, i) in part.codes.chunks_exact_mut(n_slots).zip(range) {
-                    for &(pos, slot) in &copy_plan[node_id] {
-                        codes[slot] = ctx.code(node_id, i, pos);
-                    }
-                    let mut count: u128 = 1;
-                    for (links, child) in &children {
-                        let gid = links[i] as usize;
-                        let median = child.codes_of(child.medians[gid], n_slots);
-                        for (own, &theirs) in codes.iter_mut().zip(median) {
-                            if theirs != UNBOUND {
-                                *own = theirs;
-                            }
-                        }
-                        count *= child.totals[gid];
-                    }
-                    part.weights.push(fold.weight_of(codes));
-                    part.counts.push(count);
-                }
-                part
-            });
-        let mut node = NodeMsgs::default();
-        for mut part in chunks {
-            node.codes.append(&mut part.codes);
-            node.weights.append(&mut part.weights);
-            node.counts.append(&mut part.counts);
-        }
-
-        if node_id != ctx.root() {
-            // Independent per-group weighted medians, fanned out in chunks;
-            // each median folds its group's members in ascending row order.
-            let n_groups = ctx.num_groups(node_id);
-            let medians: Vec<(u32, u128)> =
-                qjoin_par::par_map_chunks(n_groups, qjoin_par::DEFAULT_CHUNK, |_, range| {
-                    range
-                        .map(|g| {
-                            let members = ctx.group(node_id, g as u32).iter().copied();
-                            node.median(members, ranking, n_slots)
-                        })
-                        .collect::<Vec<_>>()
-                })
-                .concat();
-            (node.medians, node.totals) = medians.into_iter().unzip();
-        }
-        drop(children);
-        msgs[node_id] = node;
-    }
+    let sorted_vars: Vec<Variable> = ctx.query().variable_set().into_iter().collect();
+    let fold = WeightFold::new(ranking, weights, |v| sorted_vars.binary_search(v).ok());
+    let counts = qjoin_exec::encoded::subtree_counts(&ctx).per_tuple;
+    let msgs = pivot_messages(&ctx, &fold, &sorted_vars, &counts, qjoin_par::DEFAULT_CHUNK);
 
     // The artificial root V_0 = ∅: the final pivot is the weighted median of the
     // root rows' pivots.
     let root = &msgs[ctx.root()];
-    let (median, total) = root.median(0..root.counts.len() as u32, ranking, n_slots);
-    let median_codes = root.codes_of(median, n_slots);
-    let weight = root.weights[median as usize].clone();
+    let mut rows: Vec<u32> = (0..ctx.node(ctx.root()).rows.len() as u32).collect();
+    let (median, total) = root.median(&mut rows, &counts[ctx.root()]);
+    let median_codes = root.codes_of(median);
+    let weight = fold.weight_of(median_codes);
 
     // Decode the pivot at the boundary. Synthesized variables decode to their raw
     // code (they are dropped by the projection onto the original variables anyway);
@@ -238,7 +250,7 @@ mod tests {
     use qjoin_exec::{yannakakis, JoinTreeContext};
     use qjoin_query::variable::vars;
     use qjoin_query::{Atom, Instance, JoinQuery};
-    use qjoin_ranking::{CmpOp, WeightBound};
+    use qjoin_ranking::{CmpOp, Weight, WeightBound};
     use qjoin_workload::path::PathConfig;
     use qjoin_workload::social::SocialConfig;
     use qjoin_workload::star::StarConfig;
@@ -341,6 +353,17 @@ mod tests {
         if total == 0 {
             return;
         }
+        // The Algorithm-2 arenas, byte for byte: one thread and whole-node chunks
+        // against four threads and three-row chunks.
+        let arenas = |threads: usize, chunk: usize| {
+            let pool = qjoin_par::Pool::new(threads);
+            qjoin_par::with_pool(&pool, || arena_bytes(enc, ranking, chunk))
+        };
+        assert_eq!(
+            arenas(1, qjoin_par::DEFAULT_CHUNK),
+            arenas(4, 3),
+            "{context}: node arenas"
+        );
         let row_pivot = RowBackend { ranking, trimmer }.select_pivot(row).unwrap();
         let enc_pivot = EncodedBackend::new(enc, ranking).select_pivot(enc).unwrap();
         assert_eq!(
@@ -357,6 +380,51 @@ mod tests {
             "{context}"
         );
         assert_eq!(enc_pivot.c, row_pivot.c, "{context}");
+    }
+
+    /// Every node's message arenas — codes, weight bits, group medians.
+    fn arena_bytes(
+        enc: &EncodedInstance,
+        ranking: &Ranking,
+        chunk: usize,
+    ) -> Vec<(Vec<u64>, Vec<u64>, Vec<u32>)> {
+        let ctx = shared_context(enc).unwrap();
+        let sorted_vars: Vec<Variable> = ctx.query().variable_set().into_iter().collect();
+        let weights = CodeWeights::build(enc.dictionary(), ranking);
+        let fold = WeightFold::new(ranking, &weights, |v| sorted_vars.binary_search(v).ok());
+        let counts = qjoin_exec::encoded::subtree_counts(&ctx).per_tuple;
+        pivot_messages(&ctx, &fold, &sorted_vars, &counts, chunk)
+            .into_iter()
+            .map(|node| {
+                let weight_bits = node.weights.iter().map(|w| w.to_bits()).collect();
+                (node.codes, weight_bits, node.medians)
+            })
+            .collect()
+    }
+
+    /// A 6-atom cartesian product of one 8 192-row relation has 2^78 answers and
+    /// 2^65 per root row: the scan reports the counting pass's total, which
+    /// neither a `u64` sum nor a `u64` / wrapping per-row product can hold.
+    #[test]
+    fn the_pivot_scan_shares_the_counting_pass_beyond_u64() {
+        let rows: Vec<[i64; 1]> = (0..8192).map(|i| [i]).collect();
+        let rows: Vec<&[i64]> = rows.iter().map(|row| row.as_slice()).collect();
+        let atoms = (0..6).map(|i| Atom::from_names("W", &[format!("v{i}").as_str()]));
+        let instance = Instance::new(
+            JoinQuery::new(atoms.collect()),
+            Database::from_relations([Relation::from_rows("W", &rows).unwrap()]).unwrap(),
+        )
+        .unwrap();
+        let ranking = Ranking::max(instance.query().variables());
+        for threads in [1, 4] {
+            qjoin_par::with_pool(&qjoin_par::Pool::new(threads), || {
+                let enc = EncodedInstance::from_instance(&instance).unwrap();
+                let pivot = EncodedBackend::new(&enc, &ranking).select_pivot(&enc);
+                let total = qjoin_exec::encoded::count_answers(&enc).unwrap();
+                assert_eq!(total, 1u128 << 78);
+                assert_eq!(pivot.unwrap().total_answers, total, "T={threads}");
+            });
+        }
     }
 
     /// The untrimmed twins, then one window trim — between the answer weights at

@@ -99,35 +99,66 @@ impl<'a> WeightFold<'a> {
         needed
     }
 
-    /// The weight of a code row: `identity ⊕ contribution(v₁) ⊕ …` over its bound
-    /// weighted variables, bit for bit what [`Ranking::identity`],
-    /// [`Ranking::combine`] and [`Ranking::contribution`] compute — the same
-    /// additions (or min/max) in the same order, without their intermediate
-    /// vectors. (A LEX one-hot contribution adds `+0.0` to every other component;
-    /// that changes only a `-0.0`, which an accumulator started at `+0.0` never
-    /// is: a sum is `-0.0` only when both terms are.)
+    /// How many `f64`s a weight takes in a flat arena: one for SUM/MIN/MAX, one
+    /// per weighted variable for LEX (and one unused `0.0` for a LEX over no
+    /// variables, so that an arena's row stride is never zero).
+    pub(crate) fn width(&self) -> usize {
+        match self.kind {
+            AggregateKind::Lex => self.lex_width.max(1),
+            _ => 1,
+        }
+    }
+
+    /// Writes the weight of a code row into `out` (`width()` long):
+    /// `identity ⊕ contribution(v₁) ⊕ …` over its bound weighted variables, bit
+    /// for bit what [`Ranking::identity`], [`Ranking::combine`] and
+    /// [`Ranking::contribution`] compute — the same additions (or min/max) in the
+    /// same order, without their intermediate vectors. (A LEX one-hot contribution
+    /// adds `+0.0` to every other component; that changes only a `-0.0`, which an
+    /// accumulator started at `+0.0` never is: a sum is `-0.0` only when both
+    /// terms are.) Flat weights order by [`cmp_flat`].
     #[inline]
-    pub(crate) fn weight_of(&self, codes: &[u64]) -> Weight {
+    pub(crate) fn write_weight(&self, codes: &[u64], out: &mut [f64]) {
         let bound = self
             .terms
             .iter()
             .filter(|&&(pos, _, _)| codes[pos] != UNBOUND)
             .map(|&(pos, component, table)| (component, table[codes[pos] as usize]));
         match self.kind {
-            AggregateKind::Sum => Weight::Num(bound.fold(0.0, |acc, (_, w)| acc + w)),
-            AggregateKind::Min => Weight::Num(bound.fold(f64::INFINITY, |acc, (_, w)| acc.min(w))),
-            AggregateKind::Max => {
-                Weight::Num(bound.fold(f64::NEG_INFINITY, |acc, (_, w)| acc.max(w)))
-            }
+            AggregateKind::Sum => out[0] = bound.fold(0.0, |acc, (_, w)| acc + w),
+            AggregateKind::Min => out[0] = bound.fold(f64::INFINITY, |acc, (_, w)| acc.min(w)),
+            AggregateKind::Max => out[0] = bound.fold(f64::NEG_INFINITY, |acc, (_, w)| acc.max(w)),
             AggregateKind::Lex => {
-                let mut acc = vec![0.0; self.lex_width];
+                out.fill(0.0);
                 for (component, w) in bound {
-                    acc[component] += w;
+                    out[component] += w;
                 }
-                Weight::Vec(acc)
             }
         }
     }
+
+    /// The weight of a code row, as a [`Weight`].
+    #[inline]
+    pub(crate) fn weight_of(&self, codes: &[u64]) -> Weight {
+        if self.kind != AggregateKind::Lex {
+            let mut flat = [0.0];
+            self.write_weight(codes, &mut flat);
+            return Weight::Num(flat[0]);
+        }
+        let mut flat = vec![0.0; self.lex_width];
+        self.write_weight(codes, &mut flat);
+        Weight::Vec(flat)
+    }
+}
+
+/// The order of two flat weights of one fold: component-wise [`f64::total_cmp`],
+/// which is [`Weight`]'s order on the weights they stand for (so `-0.0 < +0.0`).
+#[inline]
+pub(crate) fn cmp_flat(a: &[f64], b: &[f64]) -> std::cmp::Ordering {
+    let mut components = a.iter().zip(b).map(|(x, y)| x.total_cmp(y));
+    components
+        .find(|ord| ord.is_ne())
+        .unwrap_or(std::cmp::Ordering::Equal)
 }
 
 #[cfg(test)]
@@ -169,10 +200,12 @@ mod tests {
         }
     }
 
-    /// The in-place fold against the allocation-heavy reference it replaced
-    /// (`identity`, then one `combine` with a `contribution` per bound weighted
-    /// variable), bit for bit: every aggregate, weights of both signs and both
-    /// zeros, an unbound slot, and a weighted variable listed twice.
+    /// The in-place fold and the flat writer against the allocation-heavy
+    /// reference they replaced (`identity`, then one `combine` with a
+    /// `contribution` per bound weighted variable), bit for bit: every aggregate,
+    /// weights of both signs and both zeros, an unbound slot, and a weighted
+    /// variable listed twice. The flat order is [`Weight`]'s on the same rows — a
+    /// `partial_cmp` / `<` on components would call `-0.0` and `+0.0` equal.
     #[test]
     fn weight_fold_matches_identity_combine_contribution_bit_for_bit() {
         let values = [-7, -1, 0, 2, 9];
@@ -188,6 +221,7 @@ mod tests {
         };
         let layout = vars(&["a", "b", "c"]);
         let weighted = vars(&["c", "a", "c", "z"]); // `c` twice; `z` not in the layout
+        let mut zero_signs_ordered = false;
         for kind in [
             AggregateKind::Sum,
             AggregateKind::Min,
@@ -198,7 +232,9 @@ mod tests {
                 .with_weight_fn(Variable::new("a"), negative_zero.clone());
             let weights = CodeWeights::build(dict, &ranking);
             let fold = WeightFold::new(&ranking, &weights, |v| layout.iter().position(|l| l == v));
+            assert_eq!(fold.width(), if kind == AggregateKind::Lex { 4 } else { 1 });
             let n = dict.len() as u64;
+            let mut seen: Vec<(Vec<f64>, Weight)> = Vec::new();
             for a in (0..n).chain([UNBOUND]) {
                 for c in (0..n).chain([UNBOUND]) {
                     let codes = [a, UNBOUND, c];
@@ -218,8 +254,30 @@ mod tests {
                         bits(&expected),
                         "{kind:?} codes {codes:?}"
                     );
+                    // A dirty arena row: the writer overwrites, never accumulates.
+                    let mut flat = vec![f64::NAN; fold.width()];
+                    fold.write_weight(&codes, &mut flat);
+                    let flat_bits: Vec<u64> = flat.iter().map(|x| x.to_bits()).collect();
+                    assert_eq!(flat_bits, bits(&expected), "{kind:?} codes {codes:?}: flat");
+                    seen.push((flat, expected));
+                }
+            }
+            for (flat_a, weight_a) in &seen {
+                for (flat_b, weight_b) in &seen {
+                    assert_eq!(cmp_flat(flat_a, flat_b), weight_a.cmp(weight_b), "{kind:?}");
+                    zero_signs_ordered |= flat_a == flat_b && cmp_flat(flat_a, flat_b).is_ne();
                 }
             }
         }
+        assert!(zero_signs_ordered, "no pair differed in a zero's sign only");
+
+        // A LEX over no variables: one unused arena cell, an empty weight vector.
+        let ranking = Ranking::lex(Vec::new());
+        let weights = CodeWeights::build(dict, &ranking);
+        let fold = WeightFold::new(&ranking, &weights, |_| None);
+        let mut flat = vec![f64::NAN; fold.width()];
+        fold.write_weight(&[UNBOUND], &mut flat);
+        assert_eq!(flat.iter().map(|x| x.to_bits()).collect::<Vec<_>>(), [0]);
+        assert_eq!(fold.weight_of(&[UNBOUND]), ranking.identity());
     }
 }

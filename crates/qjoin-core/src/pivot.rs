@@ -60,20 +60,8 @@ impl MessageAlgebra for PivotAlgebra<'_> {
         _node: usize,
         group: &[(usize, PivotMsg)],
     ) -> PivotMsg {
-        let items: Vec<(Assignment, u128)> = group
-            .iter()
-            .map(|(_, m)| (m.pivot.clone(), m.count))
-            .collect();
-        let total: u128 = items.iter().map(|(_, c)| c).sum();
-        let median = weighted_median_by(&items, &|a: &Assignment, b: &Assignment| {
-            self.ranking
-                .compare(&self.ranking.weight_of(a), &self.ranking.weight_of(b))
-                .then_with(|| a.cmp(b))
-        });
-        PivotMsg {
-            pivot: median,
-            count: total,
-        }
+        let members: Vec<&PivotMsg> = group.iter().map(|(_, msg)| msg).collect();
+        weighted_median_msg(members, self.ranking)
     }
 
     fn absorb(
@@ -113,25 +101,34 @@ pub fn select_pivot_ctx(ctx: &JoinTreeContext, ranking: &Ranking) -> Result<Pivo
     // The artificial root V_0 = ∅ joins with every root tuple: its single join group is
     // the whole root relation, so the final pivot is the weighted median of the root
     // tuples' pivots.
-    let root = ctx.root();
-    let root_msgs: Vec<(Assignment, u128)> = result.per_tuple[root]
-        .iter()
-        .map(|m| (m.pivot.clone(), m.count))
-        .collect();
-    let total: u128 = root_msgs.iter().map(|(_, c)| c).sum();
-    let pivot = weighted_median_by(&root_msgs, &|a: &Assignment, b: &Assignment| {
-        ranking
-            .compare(&ranking.weight_of(a), &ranking.weight_of(b))
-            .then_with(|| a.cmp(b))
-    });
+    let PivotMsg { pivot, count } =
+        weighted_median_msg(result.per_tuple[ctx.root()].iter().collect(), ranking);
     let weight = ranking.weight_of(&pivot);
     let c = pivot_quality(ctx.tree());
     Ok(PivotResult {
         assignment: pivot,
         weight,
         c,
-        total_answers: total,
+        total_answers: count,
     })
+}
+
+/// The weighted median of a join group's messages (multiplicity = subtree count)
+/// under weight order, then assignment order, with the group's summed count.
+fn weighted_median_msg(mut members: Vec<&PivotMsg>, ranking: &Ranking) -> PivotMsg {
+    let (at, count) = weighted_median_by(
+        &mut members,
+        |msg| msg.count,
+        |a, b| {
+            ranking
+                .compare(&ranking.weight_of(&a.pivot), &ranking.weight_of(&b.pivot))
+                .then_with(|| a.pivot.cmp(&b.pivot))
+        },
+    );
+    PivotMsg {
+        pivot: members[at].pivot.clone(),
+        count,
+    }
 }
 
 /// The pivot quality guaranteed by the join-tree shape (Algorithm 2, lines 7–11 and

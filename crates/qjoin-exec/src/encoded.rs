@@ -38,7 +38,7 @@
 use crate::{ExecError, Result};
 use qjoin_query::{acyclicity, EncodedInstance, JoinQuery, JoinTree, Variable};
 use std::collections::HashMap;
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
 /// A join key: the codes of the variables shared with the parent node, in sorted
 /// variable order. Keys of up to three components are inline (after a two-pass
@@ -157,6 +157,8 @@ pub struct EncodedContext {
     tree: JoinTree,
     nodes: Vec<EncodedNode>,
     rels: Vec<qjoin_data::EncodedRelation>,
+    /// `|Q(D)|`, once some caller has counted (see [`count_answers_ctx`]).
+    total: OnceLock<u128>,
 }
 
 impl EncodedContext {
@@ -231,6 +233,7 @@ impl EncodedContext {
             tree,
             nodes,
             rels,
+            total: OnceLock::new(),
         };
 
         // Bottom-up semi-joins, resolving each edge as they go. A child is interned
@@ -571,13 +574,23 @@ pub fn subtree_counts(ctx: &EncodedContext) -> EncodedCounts {
     }
 }
 
-/// The number of answers `|Q(D)|` of the context's instance.
+/// The number of answers `|Q(D)|` of the context's instance. The first call runs
+/// the counting pass and leaves the total with the context (16 bytes, not the
+/// per-row arrays: a plan's context lives as long as its generation), so the
+/// engine's compile and every solve's `prepare` on the same context count once.
+/// The pass runs *outside* the cell and is stored first-wins — it fans out over
+/// the executor pool, and a thread waiting on a pool region can be handed work
+/// that asks for the same total, which would re-enter a running `get_or_init`.
 pub fn count_answers_ctx(ctx: &EncodedContext) -> u128 {
     if ctx.has_no_answers() {
         return 0;
     }
-    let counts = subtree_counts(ctx);
-    counts.per_tuple[ctx.root()].iter().sum()
+    if let Some(&total) = ctx.total.get() {
+        return total;
+    }
+    let total = subtree_counts(ctx).per_tuple[ctx.root()].iter().sum();
+    let _ = ctx.total.set(total);
+    total
 }
 
 /// The number of answers `|Q(D)|` of an acyclic encoded instance, in linear time.
