@@ -1,9 +1,8 @@
 //! # qjoin-bench
 //!
-//! The experiment harness reproducing the paper's claims (see `EXPERIMENTS.md` at the
-//! workspace root for the experiment index). Criterion benches live in `benches/`;
-//! table-printing experiment binaries live in `src/bin/` and regenerate the rows
-//! recorded in `EXPERIMENTS.md`.
+//! The paper's experiments: criterion benches in `benches/` and table-printing
+//! experiment binaries in `src/bin/` (`exp_dichotomy`, `exp_pivot_quality`,
+//! `exp_approx_sum`). The system's benchmark is `perfbench/`, its own workspace.
 //!
 //! The helpers here are shared between the two: wall-clock measurement, rank-error
 //! measurement against the brute-force ground truth, and the standard workload
@@ -62,15 +61,6 @@ pub fn scaling_path_config(tuples: usize, seed: u64) -> PathConfig {
     }
 }
 
-/// The standard binary-join workload (tractable full SUM), same knobs as
-/// [`scaling_path_config`].
-pub fn scaling_binary_config(tuples: usize, seed: u64) -> PathConfig {
-    PathConfig {
-        atoms: 2,
-        ..scaling_path_config(tuples, seed)
-    }
-}
-
 /// The standard social-network workload of experiment E-INTRO.
 pub fn scaling_social_config(rows: usize, seed: u64) -> SocialConfig {
     SocialConfig {
@@ -95,8 +85,8 @@ mod tests {
 
     #[test]
     fn rank_error_is_zero_for_exact_results() {
-        let instance = scaling_binary_config(100, 3).generate();
-        let ranking = Ranking::sum(instance.query().variables());
+        let instance = scaling_path_config(100, 3).generate();
+        let ranking = Ranking::sum(qjoin_query::variable::vars(&["x1", "x2", "x3"]));
         let result = exact_quantile(&instance, &ranking, 0.5).unwrap();
         assert_eq!(rank_error(&instance, &ranking, &result), 0);
         assert_eq!(relative_rank_error(&instance, &ranking, &result), 0.0);
@@ -112,7 +102,6 @@ mod tests {
     #[test]
     fn standard_configs_have_the_requested_size() {
         assert_eq!(scaling_path_config(500, 0).database_size(), 1500);
-        assert_eq!(scaling_binary_config(500, 0).database_size(), 1000);
         assert_eq!(scaling_social_config(500, 0).database_size(), 1500);
     }
 

@@ -1,4 +1,5 @@
-//! Batched multi-φ quantile solving: one shared divide-and-conquer pass.
+//! The one quantile driver: Algorithm 1 for any number of fractions, in one shared
+//! divide-and-conquer pass.
 //!
 //! The §3 recursion (Algorithm 1) narrows the candidate answer set around a single
 //! target rank, but nothing in the recursion is specific to *one* rank: the pivot,
@@ -13,17 +14,15 @@
 //! * at each leaf (candidate count below the materialization threshold), the
 //!   candidates' weights are walked **once**, every target rank in the leaf is
 //!   selected on them together, and only the answers tied with a target weight are
-//!   keyed (`leaf::select_ranks`, the single-φ driver's leaf with more ranks).
+//!   keyed (`leaf::select_ranks`).
 //!
-//! Because pivot selection (Algorithm 2) and the exact trimmings are deterministic,
-//! every target follows *exactly* the path the single-φ driver would take, so batched
-//! results are pointwise identical to `k` independent [`quantile_by_pivoting`] calls —
-//! a property the cross-crate test-suite asserts over random acyclic instances. The
-//! cost, however, is one traversal plus `O(k)` leaf resolutions instead of `k` full
-//! solves: the expensive near-root trims (which operate on the largest instances) are
-//! shared by all targets on their side of the pivot.
-//!
-//! [`quantile_by_pivoting`]: crate::quantile::quantile_by_pivoting
+//! A single-φ solve is this driver with one target. Pivot selection (Algorithm 2)
+//! and the exact trimmings are deterministic, so a target's path depends on its
+//! rank alone, never on the targets routed beside it: a batch is pointwise
+//! identical to one-fraction solves. Its cost, however, is one traversal plus
+//! `O(k)` leaf resolutions instead of `k` full solves: the expensive near-root trims
+//! (which operate on the largest instances) are shared by all targets on their side
+//! of the pivot.
 
 use crate::leaf::select_ranks;
 use crate::quantile::{
@@ -64,12 +63,12 @@ struct BatchState<'a, B: SolveBackend> {
 }
 
 /// Computes the `φ`-quantiles of the instance's answers for **all** fractions in
-/// `phis` with a single shared divide-and-conquer pass (see the module docs).
+/// `phis` with a single shared divide-and-conquer pass (see the module docs), on the
+/// row representation with an explicit trimmer: the reference the encoded layer is
+/// tested against.
 ///
 /// `phis` may be in any order and may contain duplicates; results are returned in the
-/// same order as the input. Batched results are identical to independent
-/// [`quantile_by_pivoting`](crate::quantile::quantile_by_pivoting) calls with the same
-/// trimmer and options. An empty `phis` returns an empty vector (after validating
+/// same order as the input. An empty `phis` returns an empty vector (after validating
 /// that the instance has answers at all).
 pub fn quantile_batch_by_pivoting(
     instance: &Instance,
@@ -78,26 +77,19 @@ pub fn quantile_batch_by_pivoting(
     trimmer: &dyn Trimmer,
     options: &PivotingOptions,
 ) -> Result<Vec<QuantileResult>> {
-    quantile_batch_by_pivoting_traced(instance, ranking, phis, trimmer, options, &NoopTracer)
-}
-
-/// [`quantile_batch_by_pivoting`] with per-phase timing reported to `tracer` (see
-/// [`crate::trace`]). Results are identical to the untraced entry point.
-pub fn quantile_batch_by_pivoting_traced(
-    instance: &Instance,
-    ranking: &Ranking,
-    phis: &[f64],
-    trimmer: &dyn Trimmer,
-    options: &PivotingOptions,
-    tracer: &dyn SolveTracer,
-) -> Result<Vec<QuantileResult>> {
     let backend = RowBackend { ranking, trimmer };
     let original_vars = instance.query().variables();
-    quantile_batch_backend(&backend, instance, phis, options, &original_vars, tracer)
+    quantile_batch_backend(
+        &backend,
+        instance,
+        phis,
+        options,
+        &original_vars,
+        &NoopTracer,
+    )
 }
 
-/// The generic batched driver behind [`quantile_batch_by_pivoting`]: one shared
-/// recursion over any [`SolveBackend`].
+/// The driver: one shared recursion over any [`SolveBackend`].
 pub(crate) fn quantile_batch_backend<B: SolveBackend>(
     backend: &B,
     instance: &B::Inst,
@@ -176,7 +168,7 @@ pub(crate) fn quantile_batch_backend<B: SolveBackend>(
 /// Resolves every target in `targets` against the candidate instance `current`, which
 /// holds the answers of global ranks `[offset, offset + current_count)` within the
 /// accumulated weight bounds `(low, high)`. `depth` counts the pivoting iterations
-/// performed on the path from the root, matching the single-φ driver's `iterations`.
+/// performed on the path from the root: a result's `iterations`.
 #[allow(clippy::too_many_arguments)]
 fn solve_group<B: SolveBackend>(
     state: &BatchState<'_, B>,
@@ -213,8 +205,6 @@ fn solve_group<B: SolveBackend>(
     report_parallel(state.tracer, SolvePhase::PivotScan, pivot_par);
     let pivot_weight = pivot.weight.clone();
 
-    // The same partition step as the single-φ driver, so trimmed instances (and
-    // therefore subsequent pivots) are identical.
     let trim_started = Instant::now();
     let trim_par = qjoin_par::thread_parallel_nanos();
     let [(lt, n_lt), (gt, n_gt)] =
@@ -255,9 +245,8 @@ fn solve_group<B: SolveBackend>(
         }
     }
 
-    // Lossy trimmings may drop a targeted partition entirely; fall back to the pivot,
-    // which is within the accumulated error budget of those targets (Lemma 3.6) —
-    // mirroring the single-φ driver's empty-partition fallback.
+    // Lossy trimmings may drop a targeted partition entirely; answer with the pivot,
+    // which is within the accumulated error budget of those targets (Lemma 3.6).
     let resolve_with_pivot = |group: &[Target], results: &mut [Option<QuantileResult>]| {
         for t in group {
             results[t.pos] = Some(QuantileResult {
@@ -342,7 +331,8 @@ fn resolve_leaf<B: SolveBackend>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::quantile::{quantile_by_pivoting, rank_of_weight};
+    use crate::baseline::{quantile_by_materialization, BaselineStrategy};
+    use crate::quantile::rank_of_weight;
     use crate::trim::{AdjacentSumTrimmer, LexTrimmer, MinMaxTrimmer};
     use qjoin_data::{Database, Relation, Value};
     use qjoin_query::query::path_query;
@@ -381,26 +371,40 @@ mod tests {
 
     const PHIS: [f64; 7] = [0.0, 0.05, 0.25, 0.5, 0.75, 0.95, 1.0];
 
+    /// Every batched result against the materialize-and-sort oracle: the same total,
+    /// target rank and weight, and an answer that carries that weight.
+    fn assert_matches_the_oracle(
+        inst: &Instance,
+        ranking: &Ranking,
+        phis: &[f64],
+        batched: &[QuantileResult],
+    ) {
+        assert_eq!(batched.len(), phis.len());
+        for (phi, b) in phis.iter().zip(batched) {
+            let oracle =
+                quantile_by_materialization(inst, ranking, *phi, BaselineStrategy::FullSort)
+                    .unwrap();
+            let context = format!("ranking {ranking}, phi {phi}");
+            assert_eq!(b.total_answers, oracle.total_answers, "{context}");
+            assert_eq!(b.target_index, oracle.target_index, "{context}");
+            assert_eq!(b.weight, oracle.weight, "{context}");
+            assert_eq!(ranking.weight_of(&b.answer), b.weight, "{context}");
+        }
+    }
+
     #[test]
-    fn batched_matches_independent_solves_for_sum() {
+    fn batched_matches_the_oracle_for_sum() {
         let inst = two_path_instance(50);
         let ranking = Ranking::sum(inst.query().variables());
         let options = PivotingOptions::default();
         let batched =
             quantile_batch_by_pivoting(&inst, &ranking, &PHIS, &AdjacentSumTrimmer, &options)
                 .unwrap();
-        for (phi, b) in PHIS.iter().zip(&batched) {
-            let single =
-                quantile_by_pivoting(&inst, &ranking, *phi, &AdjacentSumTrimmer, &options).unwrap();
-            assert_eq!(b.weight, single.weight, "phi {phi}");
-            assert_eq!(b.answer, single.answer, "phi {phi}");
-            assert_eq!(b.target_index, single.target_index, "phi {phi}");
-            assert_eq!(b.total_answers, single.total_answers, "phi {phi}");
-        }
+        assert_matches_the_oracle(&inst, &ranking, &PHIS, &batched);
     }
 
     #[test]
-    fn batched_matches_independent_solves_for_minmax_and_lex() {
+    fn batched_matches_the_oracle_for_minmax_and_lex() {
         let inst = three_path_instance(20);
         let options = PivotingOptions::default();
         let cases: Vec<(Ranking, &dyn Trimmer)> = vec![
@@ -411,12 +415,7 @@ mod tests {
         for (ranking, trimmer) in cases {
             let batched =
                 quantile_batch_by_pivoting(&inst, &ranking, &PHIS, trimmer, &options).unwrap();
-            for (phi, b) in PHIS.iter().zip(&batched) {
-                let single =
-                    quantile_by_pivoting(&inst, &ranking, *phi, trimmer, &options).unwrap();
-                assert_eq!(b.weight, single.weight, "ranking {ranking}, phi {phi}");
-                assert_eq!(b.answer, single.answer, "ranking {ranking}, phi {phi}");
-            }
+            assert_matches_the_oracle(&inst, &ranking, &PHIS, &batched);
         }
     }
 
@@ -464,21 +463,13 @@ mod tests {
         assert_eq!(batched[1].weight, batched[3].weight);
         assert!(batched[1].weight <= batched[2].weight);
         assert!(batched[2].weight <= batched[0].weight);
-        for (phi, b) in phis.iter().zip(&batched) {
-            let single = quantile_by_pivoting(
-                &inst,
-                &ranking,
-                *phi,
-                &AdjacentSumTrimmer,
-                &PivotingOptions::default(),
-            )
-            .unwrap();
-            assert_eq!(b.weight, single.weight, "phi {phi}");
-        }
+        assert_matches_the_oracle(&inst, &ranking, &phis, &batched);
     }
 
+    /// With a threshold of one every target recurses until a pivot's equal band or
+    /// a one-answer leaf holds it, and still lands on the oracle's weight.
     #[test]
-    fn tiny_threshold_still_matches_independent_solves() {
+    fn tiny_threshold_still_matches_the_oracle() {
         let inst = two_path_instance(30);
         let ranking = Ranking::sum(inst.query().variables());
         let options = PivotingOptions {
@@ -488,12 +479,8 @@ mod tests {
         let batched =
             quantile_batch_by_pivoting(&inst, &ranking, &PHIS, &AdjacentSumTrimmer, &options)
                 .unwrap();
-        for (phi, b) in PHIS.iter().zip(&batched) {
-            let single =
-                quantile_by_pivoting(&inst, &ranking, *phi, &AdjacentSumTrimmer, &options).unwrap();
-            assert_eq!(b.weight, single.weight, "phi {phi}");
-            assert_eq!(b.iterations, single.iterations, "phi {phi}");
-        }
+        assert_matches_the_oracle(&inst, &ranking, &PHIS, &batched);
+        assert!(batched.iter().all(|b| b.iterations >= 1));
     }
 
     #[test]

@@ -4,7 +4,7 @@
 
 use super::*;
 use crate::encoded::trim::tests::answers_of;
-use crate::encoded::{approximate_sum_quantile_batch_encoded, EncodedBackend};
+use crate::encoded::{approximate_sum_quantile_batch_encoded_traced, EncodedBackend};
 use crate::quantile::{materialized_keyed_answers, PivotingOptions, QuantileResult, SolveBackend};
 use crate::solver::{approximate_sum_quantile, per_trim_epsilon_for, ErrorBudget};
 use proptest::prelude::*;
@@ -200,10 +200,12 @@ proptest! {
             };
             let mut results: Vec<QuantileResult> = phis.iter().map(single).collect::<Result<_>>().unwrap();
             let per_trim = per_trim_epsilon_for(&case.instance, &case.ranking, epsilon, budget).unwrap();
-            let options = PivotingOptions::default();
+            let (options, tracer) = (PivotingOptions::default(), crate::trace::NoopTracer);
             results.extend(
-                approximate_sum_quantile_batch_encoded(&case.encoded, &case.ranking, &phis, per_trim, &options)
-                    .unwrap(),
+                approximate_sum_quantile_batch_encoded_traced(
+                    &case.encoded, &case.ranking, &phis, per_trim, &options, &tracer,
+                )
+                .unwrap(),
             );
             results
         };
@@ -347,15 +349,15 @@ fn a_zero_round_solve_builds_nothing() {
         ..PivotingOptions::default()
     };
     let tracer = crate::trace::NoopTracer;
-    let solved = crate::quantile::quantile_by_pivoting_backend(
+    let solved = crate::batch::quantile_batch_backend(
         &backend,
         &case.encoded,
-        0.5,
+        &[0.5],
         &options,
         &original,
         &tracer,
     );
-    assert_eq!(solved.unwrap().iterations, 0);
+    assert_eq!(solved.unwrap()[0].iterations, 0);
     let (_, cell) = backend.lossy.as_ref().expect("lossy mode");
     assert!(cell.get().is_none());
 }

@@ -1,5 +1,5 @@
 //! The encoded execution layer: the §3 recursion over dictionary codes and
-//! selection-vector views.
+//! selection-vector views — the one representation production solves run on.
 //!
 //! This module wires the encoded substrate into the quantile driver:
 //!
@@ -11,16 +11,17 @@
 //! * this file provides the solve-backend implementation — including the two passes
 //!   of the leaf (`crate::leaf`): a masked walk that copies only the weighted codes
 //!   and keeps `(weight, root row)`, then a walk of the few root rows holding a tie
-//!   that builds `CodeKey`s — plus the public entry points
-//!   [`exact_quantile_encoded`] and [`exact_quantile_batch_encoded`].
+//!   that builds `CodeKey`s — plus the entry points
+//!   [`exact_quantile_batch_encoded_traced`] and
+//!   [`approximate_sum_quantile_batch_encoded_traced`].
 //!
-//! The encoded path is the **default** for exact solves (see [`crate::solver`]);
-//! its answers are pointwise identical to the row path's — same pivots, same
-//! partition counts, same final answer — which the cross-crate equivalence suite
-//! asserts over random instances, all ranking families, and boundary φ values.
-//! Constructions the encoded representation cannot express (e.g. more dyadic join
-//! groups than the packed interval code holds) surface as
-//! [`CoreError::EncodedUnsupported`], and callers fall back to the row path.
+//! Its answers are pointwise identical to the row reference backend's
+//! ([`crate::quantile`]) — same pivots, same partition counts, same final answer —
+//! which the cross-crate equivalence suite asserts over random instances, all
+//! ranking families, and boundary φ values. An instance or construction past the
+//! representation's fixed-width limits (more rows than `u32` indexes, more dyadic
+//! join groups than the packed interval code holds) is refused with
+//! [`CoreError::TooLarge`].
 
 pub(crate) mod lossy;
 pub(crate) mod pivot;
@@ -31,9 +32,7 @@ pub use trim::ExactStrategy;
 
 use crate::leaf::locator;
 use crate::pivot::PivotResult;
-use crate::quantile::{
-    positions_in, quantile_by_pivoting_backend, PivotingOptions, QuantileResult, SolveBackend,
-};
+use crate::quantile::{positions_in, PivotingOptions, QuantileResult, SolveBackend};
 use crate::{CoreError, Result};
 use lossy::LossyConstruction;
 use qjoin_exec::encoded::{self as exec_encoded};
@@ -308,45 +307,15 @@ fn decode_answer_key(
     )
 }
 
-/// Computes an exact `φ`-quantile over an already-encoded instance (the engine's
-/// prepared-plan path: encode once per catalog generation, solve many times).
+/// Computes exact `φ`-quantiles for every fraction in `phis` over an already-encoded
+/// instance, reporting per-phase timing to `tracer` (see [`crate::trace`]): the
+/// engine's prepared-plan path (encode once per catalog generation, solve many
+/// times) and the exact half of [`crate::solver`].
 ///
 /// Results are pointwise identical to
-/// [`quantile_by_pivoting`](crate::quantile::quantile_by_pivoting) with the
-/// corresponding exact trimmer. Returns [`CoreError::EncodedUnsupported`] when the
-/// instance exceeds the encoded representation; callers fall back to the row path.
-pub fn exact_quantile_encoded(
-    instance: &EncodedInstance,
-    ranking: &Ranking,
-    phi: f64,
-    options: &PivotingOptions,
-) -> Result<QuantileResult> {
-    let backend = EncodedBackend::new(instance, ranking);
-    let original_vars = instance.query().variables();
-    quantile_by_pivoting_backend(
-        &backend,
-        instance,
-        phi,
-        options,
-        &original_vars,
-        &crate::trace::NoopTracer,
-    )
-}
-
-/// Batched multi-φ variant of [`exact_quantile_encoded`]: one shared recursion for
-/// all fractions, pointwise identical to independent encoded solves (and to the row
-/// path's batch solver).
-pub fn exact_quantile_batch_encoded(
-    instance: &EncodedInstance,
-    ranking: &Ranking,
-    phis: &[f64],
-    options: &PivotingOptions,
-) -> Result<Vec<QuantileResult>> {
-    exact_quantile_batch_encoded_traced(instance, ranking, phis, options, &crate::trace::NoopTracer)
-}
-
-/// [`exact_quantile_batch_encoded`] with per-phase timing reported to `tracer` (see
-/// [`crate::trace`]). Results are identical to the untraced entry point.
+/// [`quantile_batch_by_pivoting`](crate::batch::quantile_batch_by_pivoting) with the
+/// corresponding exact trimmer. A construction past the representation's
+/// fixed-width limits is refused with [`CoreError::TooLarge`].
 pub fn exact_quantile_batch_encoded_traced(
     instance: &EncodedInstance,
     ranking: &Ranking,
@@ -359,54 +328,15 @@ pub fn exact_quantile_batch_encoded_traced(
     crate::batch::quantile_batch_backend(&backend, instance, phis, options, &original_vars, tracer)
 }
 
-/// Computes an ε-approximate SUM `φ`-quantile over an encoded instance: the same
-/// pivoting driver as [`exact_quantile_encoded`], but every trim is a window of one
-/// ε-lossy construction of `instance` (Algorithm 4, built once: see `lossy`).
+/// Computes ε-approximate SUM `φ`-quantiles over an encoded instance: the same
+/// driver as [`exact_quantile_batch_encoded_traced`], but every trim is a window of
+/// one ε-lossy construction of `instance` (Algorithm 4, built once: see `lossy`).
 ///
 /// `per_trim_epsilon` is the *per-invocation* loss budget — callers (see
 /// [`crate::solver::approximate_sum_quantile`]) divide the end-to-end ε across
-/// the expected trim count. The row path's two-pass `LossySumTrimmer` solve returns
-/// the same answers while no sketch compresses, and answers within ε of these beyond.
-pub fn approximate_sum_quantile_encoded(
-    instance: &EncodedInstance,
-    ranking: &Ranking,
-    phi: f64,
-    per_trim_epsilon: f64,
-    options: &PivotingOptions,
-) -> Result<QuantileResult> {
-    let backend = EncodedBackend::new(instance, ranking).lossy(per_trim_epsilon);
-    let original_vars = instance.query().variables();
-    quantile_by_pivoting_backend(
-        &backend,
-        instance,
-        phi,
-        options,
-        &original_vars,
-        &crate::trace::NoopTracer,
-    )
-}
-
-/// Batched multi-φ variant of [`approximate_sum_quantile_encoded`]: one shared
-/// recursion for all fractions.
-pub fn approximate_sum_quantile_batch_encoded(
-    instance: &EncodedInstance,
-    ranking: &Ranking,
-    phis: &[f64],
-    per_trim_epsilon: f64,
-    options: &PivotingOptions,
-) -> Result<Vec<QuantileResult>> {
-    approximate_sum_quantile_batch_encoded_traced(
-        instance,
-        ranking,
-        phis,
-        per_trim_epsilon,
-        options,
-        &crate::trace::NoopTracer,
-    )
-}
-
-/// [`approximate_sum_quantile_batch_encoded`] with per-phase timing reported to
-/// `tracer`. Results are identical to the untraced entry point.
+/// the expected trim count. The row reference's two-pass `LossySumTrimmer` solve
+/// returns the same answers while no sketch compresses, and answers within ε of
+/// these beyond.
 pub fn approximate_sum_quantile_batch_encoded_traced(
     instance: &EncodedInstance,
     ranking: &Ranking,
@@ -418,22 +348,4 @@ pub fn approximate_sum_quantile_batch_encoded_traced(
     let backend = EncodedBackend::new(instance, ranking).lossy(per_trim_epsilon);
     let original_vars = instance.query().variables();
     crate::batch::quantile_batch_backend(&backend, instance, phis, options, &original_vars, tracer)
-}
-
-/// Convenience: encode a row instance and solve on the encoded path, surfacing any
-/// encoding failure as [`CoreError::EncodedUnsupported`].
-pub fn encode_instance(instance: &qjoin_query::Instance) -> Result<EncodedInstance> {
-    EncodedInstance::from_instance(instance)
-        .map_err(|e| CoreError::EncodedUnsupported(e.to_string()))
-}
-
-/// The encoded-default dispatch policy, stated once for every caller (solver and
-/// engine, single-φ and batch): keep the encoded result unless the encoded
-/// representation was [unsupported](CoreError::EncodedUnsupported), in which case
-/// run the row fallback; every other error propagates.
-pub fn or_row_fallback<T>(encoded: Result<T>, row: impl FnOnce() -> Result<T>) -> Result<T> {
-    match encoded {
-        Err(CoreError::EncodedUnsupported(_)) => row(),
-        other => other,
-    }
 }

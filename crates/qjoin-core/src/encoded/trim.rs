@@ -337,7 +337,7 @@ const INTERVAL_MAX_GID: u64 = (1 << 26) - 2;
 fn check_b_view_fits(rows: usize, segments: usize) -> Result<()> {
     let limit = u32::MAX as usize;
     if rows > limit || segments > limit {
-        return Err(CoreError::EncodedUnsupported(format!(
+        return Err(CoreError::TooLarge(format!(
             "dyadic SUM construction over a view of {rows} rows in {segments} segments; \
              the packed interval code addresses at most {limit} of each"
         )));
@@ -348,7 +348,7 @@ fn check_b_view_fits(rows: usize, segments: usize) -> Result<()> {
 /// Refuses more join groups than the packed code's gid field holds.
 fn check_group_count_fits(groups: usize) -> Result<()> {
     if groups as u64 > INTERVAL_MAX_GID + 1 {
-        return Err(CoreError::EncodedUnsupported(format!(
+        return Err(CoreError::TooLarge(format!(
             "dyadic SUM construction needs {groups} join groups; the packed interval \
              code supports at most {}",
             INTERVAL_MAX_GID + 1
@@ -876,15 +876,19 @@ pub(super) mod tests {
         let limit = u32::MAX as usize;
         assert!(check_b_view_fits(limit, limit).is_ok());
         assert!(check_group_count_fits((INTERVAL_MAX_GID + 1) as usize).is_ok());
-        for refused in [
-            check_b_view_fits(limit + 1, 1),
-            check_b_view_fits(1, limit + 1),
-            check_group_count_fits((INTERVAL_MAX_GID + 2) as usize),
+        let at_most = |n: u64| format!("at most {n}");
+        for (refused, limit) in [
+            (check_b_view_fits(limit + 1, 1), at_most(u32::MAX.into())),
+            (check_b_view_fits(1, limit + 1), at_most(u32::MAX.into())),
+            (
+                check_group_count_fits((INTERVAL_MAX_GID + 2) as usize),
+                at_most(INTERVAL_MAX_GID + 1),
+            ),
         ] {
-            assert!(matches!(
-                refused.unwrap_err(),
-                CoreError::EncodedUnsupported(_)
-            ));
+            match refused {
+                Err(CoreError::TooLarge(message)) => assert!(message.contains(&limit), "{message}"),
+                other => panic!("expected TooLarge naming {limit}, got {other:?}"),
+            }
         }
         // The largest admitted fields stay inside their bit ranges and below the
         // pivot layer's `u64::MAX` sentinel.

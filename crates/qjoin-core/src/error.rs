@@ -1,5 +1,6 @@
 //! Error types for the quantile algorithms.
 
+use qjoin_data::DataError;
 use std::fmt;
 
 /// Errors raised by the quantile-over-joins algorithms.
@@ -30,9 +31,11 @@ pub enum CoreError {
         /// Maximum supported by exhaustive search.
         limit: usize,
     },
-    /// The encoded (dictionary-coded) execution path cannot represent this
-    /// instance or construction; the caller should fall back to the row path.
-    EncodedUnsupported(String),
+    /// The instance, or a construction a solve builds from it, exceeds one of the
+    /// execution layer's fixed-width limits (`u32` row and leaf indexing, the packed
+    /// interval code's join-group field). The payload names the limit. A typed
+    /// refusal: no other path serves the request.
+    TooLarge(String),
     /// The approximate (sampling) path refuses this error/join regime: the
     /// requested guarantee would cost at least as much as solving exactly
     /// (e.g. the Hoeffding sample budget meets or exceeds the join size —
@@ -70,9 +73,7 @@ impl fmt::Display for CoreError {
                 f,
                 "query has {atoms} atoms; exhaustive join-tree search supports at most {limit}"
             ),
-            CoreError::EncodedUnsupported(msg) => {
-                write!(f, "encoded execution path unavailable: {msg}")
-            }
+            CoreError::TooLarge(limit) => write!(f, "instance too large: {limit}"),
             CoreError::ApproxRefused(witness) => {
                 write!(f, "approximate solve refused: {witness}")
             }
@@ -98,13 +99,20 @@ impl From<qjoin_exec::ExecError> for CoreError {
 
 impl From<qjoin_query::QueryError> for CoreError {
     fn from(e: qjoin_query::QueryError) -> Self {
-        CoreError::Query(e)
+        match e {
+            qjoin_query::QueryError::Data(e @ DataError::EncodingOverflow(_)) => e.into(),
+            other => CoreError::Query(other),
+        }
     }
 }
 
-impl From<qjoin_data::DataError> for CoreError {
-    fn from(e: qjoin_data::DataError) -> Self {
-        CoreError::Data(e)
+/// A database the dictionary encoding cannot index is [`CoreError::TooLarge`].
+impl From<DataError> for CoreError {
+    fn from(e: DataError) -> Self {
+        match e {
+            DataError::EncodingOverflow(limit) => CoreError::TooLarge(limit),
+            other => CoreError::Data(other),
+        }
     }
 }
 
@@ -127,5 +135,14 @@ mod tests {
         assert_eq!(e, CoreError::NoAnswers);
         let c: CoreError = qjoin_exec::ExecError::CyclicQuery("Q".into()).into();
         assert!(matches!(c, CoreError::CyclicQuery(_)));
+    }
+
+    #[test]
+    fn an_encoding_overflow_is_too_large_from_either_layer() {
+        let overflow = DataError::EncodingOverflow("R has 2^32 tuples".into());
+        let via_query: CoreError = qjoin_query::QueryError::Data(overflow.clone()).into();
+        assert_eq!(via_query, CoreError::TooLarge("R has 2^32 tuples".into()));
+        assert_eq!(CoreError::from(overflow), via_query);
+        assert!(via_query.to_string().contains("2^32"));
     }
 }

@@ -36,7 +36,7 @@ pub(crate) struct Leaf<K> {
 
 /// A pass-1 locator for index `index`; refuses what the 32 bits cannot address.
 pub(crate) fn locator(index: usize) -> Result<u32> {
-    let refuse = |_| CoreError::EncodedUnsupported(format!("leaf locator {index} exceeds 32 bits"));
+    let refuse = |_| CoreError::TooLarge(format!("leaf locator {index} exceeds 32 bits"));
     u32::try_from(index).map_err(refuse)
 }
 
@@ -295,8 +295,10 @@ mod tests {
         let empty = select_ranks(&Listed(Vec::new()), &(), &[], &[0]);
         assert!(matches!(empty, Err(CoreError::NoAnswers)));
         assert!(matches!(locator(u32::MAX as usize), Ok(u32::MAX)));
-        let too_far = locator(u32::MAX as usize + 1);
-        assert!(matches!(too_far, Err(CoreError::EncodedUnsupported(_))));
+        match locator(u32::MAX as usize + 1) {
+            Err(CoreError::TooLarge(limit)) => assert!(limit.contains("32 bits"), "{limit}"),
+            other => panic!("expected TooLarge, got {other:?}"),
+        }
     }
 
     proptest! {

@@ -5,11 +5,19 @@
 //! implemented on top of the `qjoin-data` / `qjoin-query` / `qjoin-exec` /
 //! `qjoin-ranking` substrate crates.
 //!
+//! Every production solve runs one driver ([`batch`]) over one representation, the
+//! dictionary-coded [`encoded`] layer; an instance past that layer's fixed-width
+//! limits is refused with [`CoreError::TooLarge`]. The row representation — the
+//! [`trim`] trimmers, [`lossy_trim`], row [`pivot`] selection and the
+//! [`quantile`] row backend — stays as the reference oracle the encoded layer is
+//! tested against, reached through [`quantile_by_pivoting`](quantile::quantile_by_pivoting)
+//! and [`quantile_batch_by_pivoting`] with an explicit trimmer.
+//!
 //! ## What's inside
 //!
 //! | Paper section | Module |
 //! |---|---|
-//! | §3 divide-and-conquer framework (Algorithm 1) | [`quantile`] |
+//! | §3 divide-and-conquer framework (Algorithm 1) | [`batch`], [`quantile`] |
 //! | §4 generic pivot selection (Algorithm 2) | [`pivot`], [`selection`] |
 //! | §5.1 MIN/MAX trimming (Algorithm 3, Theorem 5.3) | [`trim::MinMaxTrimmer`] |
 //! | §5.2 LEX trimming | [`trim::LexTrimmer`] |
@@ -17,8 +25,8 @@
 //! | §6 ε-sketches and lossy trimming (Algorithm 4, Theorem 6.2) | [`sketch`], [`lossy_trim`] |
 //! | §3.1 randomized sampling approximation | [`sampling`] |
 //! | §1 "direct way" baseline | [`baseline`] |
+//! | the encoded execution layer | [`encoded`] |
 //! | high-level routing | [`solver`] |
-//! | batched multi-φ solving (shared recursion tree) | [`batch`] |
 //! | per-phase solve tracing hooks | [`trace`] |
 //!
 //! ## Quick example
@@ -57,7 +65,7 @@ pub mod solver;
 pub mod trace;
 pub mod trim;
 
-pub use batch::{quantile_batch_by_pivoting, quantile_batch_by_pivoting_traced};
+pub use batch::quantile_batch_by_pivoting;
 pub use error::CoreError;
 pub use quantile::{PivotingOptions, QuantileResult};
 pub use trace::{NoopTracer, PhaseContext, SolvePhase, SolveTracer};

@@ -1,4 +1,6 @@
-//! The divide-and-conquer quantile driver (Section 3, Algorithm 1).
+//! The divide-and-conquer quantile algorithm (Section 3, Algorithm 1): its options,
+//! results and target rank, the `SolveBackend` interface its one driver
+//! ([`crate::batch`]) recurses through, and the partition step.
 //!
 //! Given an acyclic instance, a subset-monotone ranking function, a fraction `φ`, and a
 //! trimming subroutine for the ranking's inequality predicates, the driver repeatedly:
@@ -11,14 +13,20 @@
 //!
 //! until the candidate set fits within the materialization threshold, at which point
 //! the leaf takes over: it walks what is left once for weights, selects the target rank
-//! on those alone and keys only the answers tied with it (`leaf::select_ranks`, shared
-//! with the batched driver). With exact trimmings the result
-//! is an exact `φ`-quantile (Lemma 3.3); with ε′-lossy trimmings it is an approximate
-//! quantile whose rank error is bounded by the accumulated loss (Lemma 3.6).
+//! on those alone and keys only the answers tied with it (`leaf::select_ranks`). With
+//! exact trimmings the result is an exact `φ`-quantile (Lemma 3.3); with ε′-lossy
+//! trimmings it is an approximate quantile whose rank error is bounded by the
+//! accumulated loss (Lemma 3.6).
+//!
+//! Production solves run on the encoded backend ([`crate::encoded`]). The row
+//! backend here — materialized [`Instance`]s trimmed by a [`Trimmer`] — is the
+//! reference oracle the encoded layer is tested against, reached through
+//! [`quantile_by_pivoting`] and [`quantile_batch_by_pivoting`].
 
-use crate::leaf::{locator, select_ranks};
+use crate::batch::quantile_batch_by_pivoting;
+use crate::leaf::locator;
 use crate::pivot::{select_pivot, PivotResult};
-use crate::trace::{sat64, NoopTracer, PhaseContext, SolvePhase, SolveTracer};
+use crate::trace::{SolvePhase, SolveTracer};
 use crate::trim::Trimmer;
 use crate::{CoreError, Result};
 use qjoin_data::Value;
@@ -28,7 +36,6 @@ use qjoin_query::{Assignment, Instance, Variable};
 #[cfg(test)]
 use qjoin_ranking::RankPredicate;
 use qjoin_ranking::{CmpOp, Ranking, Weight, WeightBound};
-use std::time::Instant;
 
 /// Tuning knobs for the pivoting driver.
 #[derive(Clone, Debug)]
@@ -88,11 +95,11 @@ pub fn target_rank(phi: f64, total: u128) -> u128 {
 }
 
 /// The operations the divide-and-conquer driver needs from an execution
-/// representation. Implemented by the **row** backend (materialized
-/// [`Instance`]s + a [`Trimmer`]) and by the **encoded** backend
-/// (dictionary-coded views, [`crate::encoded`]). The driver logic is written once
-/// and shared, so both representations take branch-for-branch identical recursions
-/// — the backbone of the paths' pointwise-equality guarantee.
+/// representation. Implemented by the **encoded** backend (dictionary-coded views,
+/// [`crate::encoded`]) and by the **row** reference backend (materialized
+/// [`Instance`]s + a [`Trimmer`]). The driver logic is written once and shared, so
+/// both representations take branch-for-branch identical recursions — what lets
+/// the row backend serve as the encoded layer's differential oracle.
 /// (`Sync` on the backend and `Send + Sync` on the instances lets the driver
 /// rebuild the less-than and greater-than partitions as the two arms of a
 /// [`qjoin_par::par_join`]; both backends are plain shared data.)
@@ -157,7 +164,7 @@ pub(crate) trait SolveBackend: Sync {
     fn answer_from_key(&self, original_vars: &[Variable], key: &Self::Key) -> Assignment;
 }
 
-/// The row backend: materialized instances trimmed by a [`Trimmer`].
+/// The row reference backend: materialized instances trimmed by a [`Trimmer`].
 pub(crate) struct RowBackend<'a> {
     pub ranking: &'a Ranking,
     pub trimmer: &'a dyn Trimmer,
@@ -222,8 +229,7 @@ impl SolveBackend for RowBackend<'_> {
 /// One side of a partition step: the trimmed candidate instance and its answer count.
 pub(crate) type Side<I> = (I, u128);
 
-/// One partition step of Algorithm 1, shared by the single-φ and the batched
-/// driver so their recursions cannot drift: rebuilds, from the *original*
+/// One partition step of Algorithm 1: rebuilds, from the *original*
 /// instance, the candidates below the pivot — the window `(low, pivot)` — and
 /// above it — `(pivot, high)` — and returns each with its answer count, less-than
 /// side first. The pivot bound is the one a two-pass backend applies first. The two
@@ -250,7 +256,9 @@ pub(crate) fn partition_round<B: SolveBackend>(
 }
 
 /// Computes the `φ`-quantile of the instance's answers under the ranking function,
-/// using the supplied trimming subroutine (Algorithm 1).
+/// using the supplied trimming subroutine (Algorithm 1) on the row representation:
+/// the batch driver with one fraction. The reference the encoded layer is tested
+/// against; production solves go through [`crate::solver`] or the engine.
 pub fn quantile_by_pivoting(
     instance: &Instance,
     ranking: &Ranking,
@@ -258,22 +266,14 @@ pub fn quantile_by_pivoting(
     trimmer: &dyn Trimmer,
     options: &PivotingOptions,
 ) -> Result<QuantileResult> {
-    quantile_by_pivoting_traced(instance, ranking, phi, trimmer, options, &NoopTracer)
+    let results = quantile_batch_by_pivoting(instance, ranking, &[phi], trimmer, options)?;
+    Ok(only(results))
 }
 
-/// [`quantile_by_pivoting`] with per-phase timing reported to `tracer` (see
-/// [`crate::trace`]). Results are identical to the untraced entry point.
-pub fn quantile_by_pivoting_traced(
-    instance: &Instance,
-    ranking: &Ranking,
-    phi: f64,
-    trimmer: &dyn Trimmer,
-    options: &PivotingOptions,
-    tracer: &dyn SolveTracer,
-) -> Result<QuantileResult> {
-    let backend = RowBackend { ranking, trimmer };
-    let original_vars = instance.query().variables();
-    quantile_by_pivoting_backend(&backend, instance, phi, options, &original_vars, tracer)
+/// The result of a one-fraction batch: every single-φ entry point is the batch
+/// driver asked for one fraction.
+pub(crate) fn only(mut results: Vec<QuantileResult>) -> QuantileResult {
+    results.pop().expect("one φ in, one result out")
 }
 
 /// Reports the executor time a phase accrued on this thread since `before` (a
@@ -284,143 +284,6 @@ pub(crate) fn report_parallel(tracer: &dyn SolveTracer, phase: SolvePhase, befor
     if delta > 0 {
         tracer.parallel(phase, std::time::Duration::from_nanos(delta));
     }
-}
-
-/// The generic driver behind [`quantile_by_pivoting`]: Algorithm 1 over any
-/// [`SolveBackend`].
-pub(crate) fn quantile_by_pivoting_backend<B: SolveBackend>(
-    backend: &B,
-    instance: &B::Inst,
-    phi: f64,
-    options: &PivotingOptions,
-    original_vars: &[Variable],
-    tracer: &dyn SolveTracer,
-) -> Result<QuantileResult> {
-    if !(0.0..=1.0).contains(&phi) || phi.is_nan() {
-        return Err(CoreError::InvalidPhi(phi));
-    }
-    let prepare_started = Instant::now();
-    let prepare_par = qjoin_par::thread_parallel_nanos();
-    let total = backend.count(instance)?;
-    tracer.phase_event(
-        SolvePhase::Prepare,
-        prepare_started.elapsed(),
-        &PhaseContext {
-            candidates: Some(sat64(total)),
-            ..PhaseContext::default()
-        },
-    );
-    report_parallel(tracer, SolvePhase::Prepare, prepare_par);
-    if total == 0 {
-        return Err(CoreError::NoAnswers);
-    }
-    let target_index = target_rank(phi, total);
-    let threshold = options
-        .materialize_threshold
-        .unwrap_or(backend.database_size(instance) as u128)
-        .max(1);
-
-    let mut current = instance.clone();
-    let mut current_count = total;
-    let mut k = target_index;
-    let mut low = WeightBound::NegInf;
-    let mut high = WeightBound::PosInf;
-    let mut iterations = 0usize;
-
-    while current_count > threshold && iterations < options.max_iterations {
-        iterations += 1;
-        let pivot_started = Instant::now();
-        let pivot_par = qjoin_par::thread_parallel_nanos();
-        let pivot = backend.select_pivot(&current)?;
-        tracer.phase_event(
-            SolvePhase::PivotScan,
-            pivot_started.elapsed(),
-            &PhaseContext {
-                round: Some(iterations as u64 - 1),
-                candidates: Some(sat64(current_count)),
-                pivot_slots: Some(pivot.assignment.len() as u64),
-                ..PhaseContext::default()
-            },
-        );
-        report_parallel(tracer, SolvePhase::PivotScan, pivot_par);
-        let pivot_weight = pivot.weight.clone();
-
-        let trim_started = Instant::now();
-        let trim_par = qjoin_par::thread_parallel_nanos();
-        let [(lt, n_lt), (gt, n_gt)] =
-            partition_round(backend, instance, &low, &high, &pivot_weight)?;
-        let n_eq = current_count.saturating_sub(n_lt).saturating_sub(n_gt);
-        tracer.phase_event(
-            SolvePhase::TrimRound,
-            trim_started.elapsed(),
-            &PhaseContext {
-                round: Some(iterations as u64 - 1),
-                candidates: Some(sat64(current_count)),
-                n_lt: Some(sat64(n_lt)),
-                n_eq: Some(sat64(n_eq)),
-                n_gt: Some(sat64(n_gt)),
-                ..PhaseContext::default()
-            },
-        );
-        report_parallel(tracer, SolvePhase::TrimRound, trim_par);
-
-        if k < n_lt {
-            current = lt;
-            current_count = n_lt;
-            high = WeightBound::Finite(pivot_weight);
-        } else if k < n_lt + n_eq {
-            return Ok(QuantileResult {
-                answer: pivot.assignment.project(original_vars),
-                weight: pivot_weight,
-                total_answers: total,
-                target_index,
-                iterations,
-            });
-        } else {
-            k -= n_lt + n_eq;
-            current = gt;
-            current_count = n_gt;
-            low = WeightBound::Finite(pivot_weight);
-        }
-        if current_count == 0 {
-            // Lossy trimmings may drop the targeted answers entirely; fall back to the
-            // pivot, which is within the accumulated error budget of the target.
-            return Ok(QuantileResult {
-                answer: pivot.assignment.project(original_vars),
-                weight: pivot.weight,
-                total_answers: total,
-                target_index,
-                iterations,
-            });
-        }
-    }
-
-    // The leaf: select the remaining rank directly.
-    let materialize_started = Instant::now();
-    let materialize_par = qjoin_par::thread_parallel_nanos();
-    let mut leaf = select_ranks(backend, &current, original_vars, &[k])?;
-    let (weight, key) = (leaf.selected.pop())
-        .ok_or_else(|| CoreError::Internal("the leaf resolved no rank".to_string()))?;
-    let answer = backend.answer_from_key(original_vars, &key);
-    tracer.phase_event(
-        SolvePhase::Materialize,
-        materialize_started.elapsed(),
-        &PhaseContext {
-            round: Some(iterations as u64),
-            candidates: Some(sat64(current_count)),
-            materialized: Some(leaf.walked as u64),
-            keyed: Some(leaf.keyed as u64),
-            ..PhaseContext::default()
-        },
-    );
-    report_parallel(tracer, SolvePhase::Materialize, materialize_par);
-    Ok(QuantileResult {
-        answer,
-        weight,
-        total_answers: total,
-        target_index,
-        iterations,
-    })
 }
 
 /// Materializes the instance's answers, projecting each row onto `original_vars` and

@@ -6,12 +6,11 @@
 //! with probability `1 − δ` (Hoeffding's inequality). This is the randomized baseline
 //! against which the paper's *deterministic* approximation (Theorem 6.2) is positioned.
 //!
-//! The sampler runs on the **encoded** substrate by default ([`EncodedDirectAccess`]
-//! walks dictionary codes over the instance's shared execution context — a sampled
-//! request reuses the reduction an earlier solve of the same instance built — and
-//! decodes only sampled answers), falling back to the row path when the instance
-//! cannot be encoded. Both paths consume the RNG identically and enumerate answers in
-//! the same fixed order, so a seed fully determines the result regardless of backend.
+//! The sampler runs on the **encoded** substrate ([`EncodedDirectAccess`] walks
+//! dictionary codes over the instance's shared execution context — a sampled request
+//! reuses the reduction an earlier solve of the same instance built — and decodes
+//! only sampled answers). It enumerates answers in a fixed order and consumes the
+//! RNG identically at any thread count, so a seed fully determines the result.
 //!
 //! When the Hoeffding budget `m` meets or exceeds the answer count — the regime where
 //! approximate query processing provably cannot beat exact evaluation (cf. Liu & Wang's
@@ -19,9 +18,9 @@
 //! [`CoreError::ApproxRefused`] rather than burning more work than an exact solve;
 //! callers should downgrade to an exact or deterministic-ε solve.
 
-use crate::quantile::{target_rank, QuantileResult};
+use crate::quantile::{only, target_rank, QuantileResult};
 use crate::{CoreError, Result};
-use qjoin_exec::{DirectAccess, EncodedDirectAccess};
+use qjoin_exec::EncodedDirectAccess;
 use qjoin_query::{Assignment, EncodedInstance, Instance};
 use qjoin_ranking::Ranking;
 use rand::rngs::StdRng;
@@ -56,19 +55,19 @@ impl SamplingOptions {
     }
 }
 
-/// Computes a randomized `(φ ± ε)`-approximate quantile by uniform sampling, on the
-/// encoded path when the instance encodes and on the row path otherwise.
+/// Computes a randomized `(φ ± ε)`-approximate quantile by uniform sampling.
 pub fn quantile_by_sampling(
     instance: &Instance,
     ranking: &Ranking,
     phi: f64,
     options: &SamplingOptions,
 ) -> Result<QuantileResult> {
-    Ok(
-        quantile_by_sampling_batch(instance, ranking, &[phi], options)?
-            .pop()
-            .expect("one phi in, one result out"),
-    )
+    Ok(only(quantile_by_sampling_batch(
+        instance,
+        ranking,
+        &[phi],
+        options,
+    )?))
 }
 
 /// Batched multi-φ sampling: the Hoeffding sample is drawn and sorted **once** (it
@@ -82,44 +81,12 @@ pub fn quantile_by_sampling_batch(
     options: &SamplingOptions,
 ) -> Result<Vec<QuantileResult>> {
     validate(phis, options)?;
-    crate::encoded::or_row_fallback(
-        crate::encoded::encode_instance(instance)
-            .and_then(|enc| quantile_by_sampling_batch_encoded(&enc, ranking, phis, options)),
-        || quantile_by_sampling_batch_via_rows(instance, ranking, phis, options),
-    )
+    let encoded = EncodedInstance::from_instance(instance)?;
+    quantile_by_sampling_batch_encoded(&encoded, ranking, phis, options)
 }
 
-/// [`quantile_by_sampling_batch`] forced onto the row path (the benchmark and
-/// equivalence-test baseline).
-pub fn quantile_by_sampling_batch_via_rows(
-    instance: &Instance,
-    ranking: &Ranking,
-    phis: &[f64],
-    options: &SamplingOptions,
-) -> Result<Vec<QuantileResult>> {
-    validate(phis, options)?;
-    let access = DirectAccess::new(instance)?;
-    sampled_quantiles(access.total(), ranking, phis, options, |rng| {
-        Ok(access.sample(rng)?)
-    })
-}
-
-/// Computes a randomized `(φ ± ε)`-approximate quantile over an already-encoded
-/// instance (the engine's prepared-plan path). Seed-identical to the row sampler.
-pub fn quantile_by_sampling_encoded(
-    instance: &EncodedInstance,
-    ranking: &Ranking,
-    phi: f64,
-    options: &SamplingOptions,
-) -> Result<QuantileResult> {
-    Ok(
-        quantile_by_sampling_batch_encoded(instance, ranking, &[phi], options)?
-            .pop()
-            .expect("one phi in, one result out"),
-    )
-}
-
-/// Batched multi-φ variant of [`quantile_by_sampling_encoded`].
+/// [`quantile_by_sampling_batch`] over an already-encoded instance (the engine's
+/// prepared-plan path).
 pub fn quantile_by_sampling_batch_encoded(
     instance: &EncodedInstance,
     ranking: &Ranking,
@@ -280,28 +247,6 @@ mod tests {
         let b = quantile_by_sampling(&inst, &ranking, 0.5, &options).unwrap();
         assert_eq!(a.weight, b.weight);
         assert_eq!(a.answer, b.answer);
-    }
-
-    #[test]
-    fn encoded_and_row_samplers_are_seed_identical() {
-        let inst = instance(40);
-        let ranking = Ranking::sum(inst.query().variables());
-        let options = SamplingOptions {
-            epsilon: 0.15,
-            delta: 0.1,
-            seed: 42,
-        };
-        let phis = [0.0, 0.25, 0.5, 0.9, 1.0];
-        let row = quantile_by_sampling_batch_via_rows(&inst, &ranking, &phis, &options).unwrap();
-        let enc_inst = EncodedInstance::from_instance(&inst).unwrap();
-        let enc = quantile_by_sampling_batch_encoded(&enc_inst, &ranking, &phis, &options).unwrap();
-        assert_eq!(row.len(), enc.len());
-        for (r, e) in row.iter().zip(&enc) {
-            assert_eq!(r.answer, e.answer);
-            assert_eq!(r.weight, e.weight);
-            assert_eq!(r.total_answers, e.total_answers);
-            assert_eq!(r.target_index, e.target_index);
-        }
     }
 
     #[test]

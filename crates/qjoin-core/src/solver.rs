@@ -1,23 +1,27 @@
 //! High-level entry points: pick the right algorithm for a ranking function.
 //!
 //! This is the API most users of the library want: hand over an instance, a ranking
-//! function and a fraction `φ`, and get the quantile back. The solver routes the
-//! request through the dichotomy:
+//! function and a fraction `φ`, and get the quantile back. Each entry validates,
+//! encodes the instance (a database past the encoded layer's limits is refused with
+//! [`CoreError::TooLarge`]) and makes one call into [`crate::encoded`]. The solver
+//! routes the request through the dichotomy:
 //!
-//! * MIN / MAX → exact pivoting with the [`MinMaxTrimmer`] (Theorem 5.3),
-//! * LEX → exact pivoting with the [`LexTrimmer`] (Section 5.2),
-//! * SUM → classify under Theorem 5.6; tractable cases use the exact
-//!   [`AdjacentSumTrimmer`], intractable ones report the witness and point at the
-//!   deterministic ε-approximation ([`approximate_sum_quantile`], Theorem 6.2) or the
-//!   randomized sampling approximation (Section 3.1).
+//! * MIN / MAX → exact pivoting with MIN/MAX trims (Theorem 5.3),
+//! * LEX → exact pivoting with LEX trims (Section 5.2),
+//! * SUM → classify under Theorem 5.6; tractable cases use the exact adjacent-pair
+//!   trims, intractable ones report the witness and point at the deterministic
+//!   ε-approximation ([`approximate_sum_quantile`], Theorem 6.2) or the randomized
+//!   sampling approximation (Section 3.1).
 
 use crate::dichotomy::classify_partial_sum;
-use crate::lossy_trim::LossySumTrimmer;
+use crate::encoded::{
+    approximate_sum_quantile_batch_encoded_traced, exact_quantile_batch_encoded_traced,
+};
 use crate::pivot::pivot_quality;
-use crate::quantile::{quantile_by_pivoting, PivotingOptions, QuantileResult};
-use crate::trim::{AdjacentSumTrimmer, LexTrimmer, MinMaxTrimmer, Trimmer};
+use crate::quantile::{only, PivotingOptions, QuantileResult};
+use crate::trace::NoopTracer;
 use crate::{CoreError, Result};
-use qjoin_query::{acyclicity, Instance};
+use qjoin_query::{acyclicity, EncodedInstance, Instance};
 use qjoin_ranking::{AggregateKind, Ranking};
 
 /// How the per-trim loss budget of the deterministic SUM approximation is derived from
@@ -34,96 +38,10 @@ pub enum ErrorBudget {
     Direct,
 }
 
-/// Selects the exact trimming subroutine for a (query, ranking) pair according to the
-/// dichotomy of Theorem 5.6. Shared by the single-φ and batched solvers. (The engine's
-/// prepared plans precompute the same mapping from their stored classification instead
-/// of re-running it per request; the engine test suite asserts both paths return
-/// identical answers.)
-pub fn select_exact_trimmer(instance: &Instance, ranking: &Ranking) -> Result<Box<dyn Trimmer>> {
-    Ok(match ranking.kind() {
-        AggregateKind::Min | AggregateKind::Max => Box::new(MinMaxTrimmer),
-        AggregateKind::Lex => Box::new(LexTrimmer),
-        AggregateKind::Sum => {
-            let classification = classify_partial_sum(instance.query(), ranking.weighted_vars());
-            if !classification.is_tractable() {
-                return Err(CoreError::IntractableSum(format!("{classification:?}")));
-            }
-            Box::new(AdjacentSumTrimmer)
-        }
-    })
-}
-
 /// Computes an **exact** `φ`-quantile, choosing the trimming subroutine according to
 /// the ranking function and the dichotomy of Theorem 5.6.
 pub fn exact_quantile(instance: &Instance, ranking: &Ranking, phi: f64) -> Result<QuantileResult> {
-    exact_quantile_with_options(instance, ranking, phi, &PivotingOptions::default())
-}
-
-/// [`exact_quantile`] with explicit driver options.
-///
-/// The solve runs on the **encoded** execution layer by default (dictionary-coded
-/// join keys and selection-vector views, see [`crate::encoded`]); instances the
-/// encoded representation cannot express fall back to the row path. Both paths
-/// return pointwise-identical answers.
-pub fn exact_quantile_with_options(
-    instance: &Instance,
-    ranking: &Ranking,
-    phi: f64,
-    options: &PivotingOptions,
-) -> Result<QuantileResult> {
-    if acyclicity::gyo_join_tree(instance.query()).is_none() {
-        return Err(CoreError::CyclicQuery(instance.query().to_string()));
-    }
-    // The §5.6 gate must run before solving on either path: even solves that never
-    // trim (instances small enough to materialize directly) must refuse intractable
-    // SUM rankings with a witness rather than quietly answering.
-    let trimmer = select_exact_trimmer(instance, ranking)?;
-    crate::encoded::or_row_fallback(
-        crate::encoded::encode_instance(instance)
-            .and_then(|enc| crate::encoded::exact_quantile_encoded(&enc, ranking, phi, options)),
-        || quantile_by_pivoting(instance, ranking, phi, trimmer.as_ref(), options),
-    )
-}
-
-/// [`exact_quantile`] forced onto the row (materialized-tuple) path. The reference
-/// implementation the encoded default is property-tested against, and the baseline
-/// the `exp_solve` experiment measures speedups over.
-pub fn exact_quantile_via_rows(
-    instance: &Instance,
-    ranking: &Ranking,
-    phi: f64,
-) -> Result<QuantileResult> {
-    if acyclicity::gyo_join_tree(instance.query()).is_none() {
-        return Err(CoreError::CyclicQuery(instance.query().to_string()));
-    }
-    let trimmer = select_exact_trimmer(instance, ranking)?;
-    quantile_by_pivoting(
-        instance,
-        ranking,
-        phi,
-        trimmer.as_ref(),
-        &PivotingOptions::default(),
-    )
-}
-
-/// [`exact_quantile_batch`] forced onto the row path (see
-/// [`exact_quantile_via_rows`]).
-pub fn exact_quantile_batch_via_rows(
-    instance: &Instance,
-    ranking: &Ranking,
-    phis: &[f64],
-) -> Result<Vec<QuantileResult>> {
-    if acyclicity::gyo_join_tree(instance.query()).is_none() {
-        return Err(CoreError::CyclicQuery(instance.query().to_string()));
-    }
-    let trimmer = select_exact_trimmer(instance, ranking)?;
-    crate::batch::quantile_batch_by_pivoting(
-        instance,
-        ranking,
-        phis,
-        trimmer.as_ref(),
-        &PivotingOptions::default(),
-    )
+    Ok(only(exact_quantile_batch(instance, ranking, &[phi])?))
 }
 
 /// Computes **exact** `φ`-quantiles for every fraction in `phis` with one shared
@@ -135,40 +53,25 @@ pub fn exact_quantile_batch(
     ranking: &Ranking,
     phis: &[f64],
 ) -> Result<Vec<QuantileResult>> {
-    exact_quantile_batch_with_options(instance, ranking, phis, &PivotingOptions::default())
-}
-
-/// [`exact_quantile_batch`] with explicit driver options. Runs on the encoded
-/// execution layer by default, like [`exact_quantile_with_options`].
-pub fn exact_quantile_batch_with_options(
-    instance: &Instance,
-    ranking: &Ranking,
-    phis: &[f64],
-    options: &PivotingOptions,
-) -> Result<Vec<QuantileResult>> {
     if acyclicity::gyo_join_tree(instance.query()).is_none() {
         return Err(CoreError::CyclicQuery(instance.query().to_string()));
     }
-    let trimmer = select_exact_trimmer(instance, ranking)?;
-    crate::encoded::or_row_fallback(
-        crate::encoded::encode_instance(instance).and_then(|enc| {
-            crate::encoded::exact_quantile_batch_encoded(&enc, ranking, phis, options)
-        }),
-        || {
-            crate::batch::quantile_batch_by_pivoting(
-                instance,
-                ranking,
-                phis,
-                trimmer.as_ref(),
-                options,
-            )
-        },
-    )
+    // The §5.6 gate runs before solving: even solves that never trim (instances
+    // small enough to materialize directly) must refuse intractable SUM rankings
+    // with a witness rather than quietly answering.
+    if ranking.kind() == AggregateKind::Sum {
+        let classification = classify_partial_sum(instance.query(), ranking.weighted_vars());
+        if !classification.is_tractable() {
+            return Err(CoreError::IntractableSum(format!("{classification:?}")));
+        }
+    }
+    let encoded = EncodedInstance::from_instance(instance)?;
+    let options = PivotingOptions::default();
+    exact_quantile_batch_encoded_traced(&encoded, ranking, phis, &options, &NoopTracer)
 }
 
 /// Validates the approximate-SUM request and derives the per-trim loss budget
-/// from the requested overall ε. Shared by the encoded and row entry points so
-/// both paths sketch with literally the same ε′.
+/// from the requested overall ε.
 pub(crate) fn per_trim_epsilon_for(
     instance: &Instance,
     ranking: &Ranking,
@@ -183,15 +86,13 @@ pub(crate) fn per_trim_epsilon_for(
     if !(epsilon > 0.0 && epsilon < 1.0) {
         return Err(CoreError::InvalidEpsilon(epsilon));
     }
-    if acyclicity::gyo_join_tree(instance.query()).is_none() {
-        return Err(CoreError::CyclicQuery(instance.query().to_string()));
-    }
+    let tree = acyclicity::gyo_join_tree(instance.query())
+        .ok_or_else(|| CoreError::CyclicQuery(instance.query().to_string()))?;
     Ok(match budget {
         ErrorBudget::Direct => epsilon,
         ErrorBudget::Guaranteed => {
             let n = instance.database_size().max(2) as f64;
             let ell = instance.query().num_atoms() as f64;
-            let tree = acyclicity::gyo_join_tree(instance.query()).expect("checked acyclic above");
             let c = pivot_quality(&tree).clamp(1e-6, 0.5);
             let iterations = (ell * n.ln() / (1.0 / (1.0 - c)).ln()).ceil().max(1.0);
             (epsilon / (2.0 * iterations)).max(1e-6)
@@ -201,15 +102,8 @@ pub(crate) fn per_trim_epsilon_for(
 
 /// Computes a deterministic `(φ ± ε)`-approximate quantile for SUM ranking functions
 /// on arbitrary acyclic queries (Theorem 6.2), including the ones that are intractable
-/// exactly.
-///
-/// Like the exact solvers, the approximation runs on the **encoded** execution
-/// layer by default (ε-sketches over per-code weight tables; one Algorithm-4
-/// construction per solve, every trim a window of it); instances the encoded
-/// representation cannot express fall back to the row path, the paper-literal
-/// two-pass trimmer. The two return identical answers while no sketch compresses
-/// (join groups under about 16ℓ/ε′ elements for the per-trim ε′) and answers within
-/// ε of each other beyond: they bucket differently there.
+/// exactly: ε-sketches over per-code weight tables, one Algorithm-4 construction per
+/// solve, every trim a window of it.
 pub fn approximate_sum_quantile(
     instance: &Instance,
     ranking: &Ranking,
@@ -218,43 +112,16 @@ pub fn approximate_sum_quantile(
     budget: ErrorBudget,
 ) -> Result<QuantileResult> {
     let per_trim_epsilon = per_trim_epsilon_for(instance, ranking, epsilon, budget)?;
+    let encoded = EncodedInstance::from_instance(instance)?;
     let options = PivotingOptions::default();
-    crate::encoded::or_row_fallback(
-        crate::encoded::encode_instance(instance).and_then(|enc| {
-            crate::encoded::approximate_sum_quantile_encoded(
-                &enc,
-                ranking,
-                phi,
-                per_trim_epsilon,
-                &options,
-            )
-        }),
-        || {
-            let trimmer = LossySumTrimmer::new(per_trim_epsilon);
-            quantile_by_pivoting(instance, ranking, phi, &trimmer, &options)
-        },
-    )
-}
-
-/// [`approximate_sum_quantile`] forced onto the row (materialized-tuple) path.
-/// The reference implementation the encoded default is property-tested against,
-/// and the baseline `exp_approx_sum` / `exp_scaling` measure speedups over.
-pub fn approximate_sum_quantile_via_rows(
-    instance: &Instance,
-    ranking: &Ranking,
-    phi: f64,
-    epsilon: f64,
-    budget: ErrorBudget,
-) -> Result<QuantileResult> {
-    let per_trim_epsilon = per_trim_epsilon_for(instance, ranking, epsilon, budget)?;
-    let trimmer = LossySumTrimmer::new(per_trim_epsilon);
-    quantile_by_pivoting(
-        instance,
+    Ok(only(approximate_sum_quantile_batch_encoded_traced(
+        &encoded,
         ranking,
-        phi,
-        &trimmer,
-        &PivotingOptions::default(),
-    )
+        &[phi],
+        per_trim_epsilon,
+        &options,
+        &NoopTracer,
+    )?))
 }
 
 #[cfg(test)]

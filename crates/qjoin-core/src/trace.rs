@@ -1,7 +1,8 @@
-//! Per-phase tracing hooks for the divide-and-conquer solve drivers.
+//! Per-phase tracing hooks for the divide-and-conquer solve driver.
 //!
-//! Both the single-φ driver ([`crate::quantile::quantile_by_pivoting_traced`]) and
-//! the batched driver ([`crate::batch::quantile_batch_by_pivoting_traced`]) accept a
+//! The driver's traced entry points
+//! ([`crate::encoded::exact_quantile_batch_encoded_traced`] and
+//! [`crate::encoded::approximate_sum_quantile_batch_encoded_traced`]) accept a
 //! [`SolveTracer`] and report how long each algorithmic phase took:
 //!
 //! * [`SolvePhase::Prepare`] — the up-front `|Q(D)|` counting pass (one event per
@@ -63,9 +64,8 @@ impl SolvePhase {
 /// sizes). Counts larger than `u64::MAX` saturate.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct PhaseContext {
-    /// Zero-based pivoting-round index (the recursion depth in the batched
-    /// driver). `None` for the one-shot prepare/materialize phases of the
-    /// single-φ driver's straight-line prologue.
+    /// Zero-based pivoting-round index (the recursion depth). `None` for the
+    /// one-shot prepare phase.
     pub round: Option<u64>,
     /// Candidate answers entering the phase (pre-trim size).
     pub candidates: Option<u64>,
@@ -77,7 +77,7 @@ pub struct PhaseContext {
     pub n_gt: Option<u64>,
     /// Variable slots in the pivot assignment (a pivot-scan phase).
     pub pivot_slots: Option<u64>,
-    /// Number of φ targets routed through this node (batched driver).
+    /// Number of φ targets routed through this node.
     pub targets: Option<u64>,
     /// Answers walked at a leaf (a materialize phase): the leaf holds one
     /// `(weight, locator)` record for each.
@@ -92,7 +92,7 @@ pub(crate) fn sat64(value: u128) -> u64 {
     value.min(u64::MAX as u128) as u64
 }
 
-/// Receives per-phase timing events from the solve drivers. All methods default to
+/// Receives per-phase timing events from the solve driver. All methods default to
 /// no-ops; implementations record into whatever sink they like. Methods take `&self`
 /// so a tracer can be shared across the recursion — use interior mutability
 /// (atomics, `Cell`) to accumulate.
@@ -104,7 +104,7 @@ pub trait SolveTracer {
     }
 
     /// A phase event with structured context (round index, pre/post-trim
-    /// sizes, pivot slot counts, routed-target counts). The drivers emit
+    /// sizes, pivot slot counts, routed-target counts). The driver emits
     /// *this* method; the default forwards to [`SolveTracer::phase`] so
     /// duration-only tracers keep working unchanged and [`NoopTracer`] stays
     /// zero-cost.

@@ -317,10 +317,11 @@ impl EncodedRelation {
         let name = name.into();
         for seg in &segments {
             if seg.synth.len() != synth_arity {
-                return Err(DataError::EncodingOverflow(format!(
-                    "segment of {name} has {} synthesized columns, expected {synth_arity}",
-                    seg.synth.len()
-                )));
+                return Err(DataError::ArityMismatch {
+                    relation: name,
+                    expected: synth_arity,
+                    found: seg.synth.len(),
+                });
             }
         }
         Ok(EncodedRelation {

@@ -18,9 +18,9 @@ pub enum DataError {
     DuplicateRelation(String),
     /// A relation with this name does not exist in the database.
     UnknownRelation(String),
-    /// The database cannot be represented in encoded (dictionary-coded) form, e.g.
-    /// a relation exceeds the encoded layer's `u32` row indexing or a value is
-    /// missing from the dictionary it is encoded against.
+    /// The database cannot be represented in encoded (dictionary-coded) form: a
+    /// relation exceeds the encoded layer's `u32` row indexing. The payload names
+    /// the limit.
     EncodingOverflow(String),
 }
 

@@ -21,10 +21,9 @@ use std::sync::Arc;
 pub struct CatalogEntry {
     /// The database contents, shared with every plan compiled against this generation.
     pub database: Arc<Database>,
-    /// The dictionary-coded form of the same generation (`None` only when the
-    /// database cannot be encoded, e.g. it exceeds the encoded layer's row limits);
-    /// plans then fall back to the row path.
-    pub encoded: Option<Arc<EncodedDatabase>>,
+    /// The dictionary-coded form of the same generation, which every plan's solves
+    /// run on. (A database the encoding cannot index is refused before it gets here.)
+    pub encoded: Arc<EncodedDatabase>,
     /// Bumped every time the database is replaced; generation 1 is the initial load.
     pub generation: u64,
 }
@@ -47,7 +46,7 @@ impl Catalog {
         &mut self,
         name: &str,
         database: Arc<Database>,
-        encoded: Option<Arc<EncodedDatabase>>,
+        encoded: Arc<EncodedDatabase>,
     ) -> Result<(), EngineError> {
         if self.entries.contains_key(name) {
             return Err(EngineError::DuplicateDatabase(name.to_string()));
@@ -68,7 +67,7 @@ impl Catalog {
         &mut self,
         name: &str,
         database: Arc<Database>,
-        encoded: Option<Arc<EncodedDatabase>>,
+        encoded: Arc<EncodedDatabase>,
     ) -> Result<CatalogEntry, EngineError> {
         let entry = self
             .entries
@@ -121,8 +120,8 @@ mod tests {
     }
 
     /// The encoded form the engine hands over beside a database.
-    fn coded(db: &Database) -> Option<Arc<EncodedDatabase>> {
-        Some(Arc::new(EncodedDatabase::encode(db).unwrap()))
+    fn coded(db: &Database) -> Arc<EncodedDatabase> {
+        Arc::new(EncodedDatabase::encode(db).unwrap())
     }
 
     #[test]
@@ -137,7 +136,6 @@ mod tests {
         assert!(Arc::ptr_eq(&previous.database, &first));
         assert_eq!(previous.generation, 1);
         assert_eq!(catalog.get("d").unwrap().generation, 2);
-        assert!(catalog.get("d").unwrap().encoded.is_some());
         assert_eq!(
             catalog
                 .get("d")
@@ -153,14 +151,15 @@ mod tests {
     #[test]
     fn duplicate_create_and_unknown_replace_fail() {
         let mut catalog = Catalog::new();
-        catalog.create("d", db(&[&[1, 2]]), None).unwrap();
+        let d = db(&[&[1, 2]]);
+        catalog.create("d", d.clone(), coded(&d)).unwrap();
         assert!(matches!(
-            catalog.create("d", db(&[&[1, 2]]), None).unwrap_err(),
+            catalog.create("d", d.clone(), coded(&d)).unwrap_err(),
             EngineError::DuplicateDatabase(_)
         ));
         assert!(matches!(
             catalog
-                .replace("missing", db(&[&[1, 2]]), None)
+                .replace("missing", d.clone(), coded(&d))
                 .unwrap_err(),
             EngineError::UnknownDatabase(_)
         ));

@@ -51,8 +51,11 @@ use crate::coalesce::Gate;
 use crate::error::EngineError;
 use crate::plan::{Accuracy, PreparedPlan};
 use crate::telemetry::{RecordingTracer, RegistryTracer};
-use qjoin_core::batch::quantile_batch_by_pivoting_traced;
-use qjoin_core::{CoreError, PivotingOptions, QuantileResult};
+use qjoin_core::encoded::{
+    approximate_sum_quantile_batch_encoded_traced, exact_quantile_batch_encoded_traced,
+};
+use qjoin_core::sampling::{quantile_by_sampling_batch_encoded, SamplingOptions};
+use qjoin_core::{PivotingOptions, QuantileResult};
 use qjoin_data::{Database, EncodedDatabase};
 use qjoin_query::JoinQuery;
 use qjoin_ranking::Ranking;
@@ -407,10 +410,10 @@ impl Engine {
         self.writer.lock().unwrap_or_else(PoisonError::into_inner)
     }
 
-    /// One dictionary-coding pass over a database; `None` when it exceeds the
-    /// encoded layer's limits (plans then use the row path).
-    fn encode(database: &Database) -> Option<Arc<EncodedDatabase>> {
-        EncodedDatabase::encode(database).ok().map(Arc::new)
+    /// One dictionary-coding pass over a database. A database the encoding cannot
+    /// index is refused with [`qjoin_core::CoreError::TooLarge`].
+    fn encode(database: &Database) -> Result<Arc<EncodedDatabase>, EngineError> {
+        Ok(Arc::new(EncodedDatabase::encode(database)?))
     }
 
     /// Runs one phase of a replacement, timed into `qjoin_replace_seconds{phase}`
@@ -441,7 +444,7 @@ impl Engine {
             return Err(EngineError::DuplicateDatabase(name.to_string()));
         }
         let database: Arc<Database> = database.into();
-        let encoded = Self::encode(&database);
+        let encoded = Self::encode(&database)?;
         self.write_state().catalog.create(name, database, encoded)
     }
 
@@ -450,7 +453,7 @@ impl Engine {
     /// the replacement database by handle — the relation data is stored once, no
     /// matter how many plans depend on it. The operation is atomic: if any dependent
     /// plan fails to recompile (e.g. the new database no longer matches a registered
-    /// query's schema), nothing changes. Concurrent readers see either the old
+    /// query's schema), or the new database cannot be encoded, nothing changes. Concurrent readers see either the old
     /// generation's plans or the new ones, never a mixture, and are never blocked
     /// by the encoding or the recompilation (see the module docs).
     pub fn replace_database(
@@ -467,7 +470,7 @@ impl Engine {
         // Validate the name before paying the encoding pass.
         self.read_state().catalog.get(name)?;
         // One encoding pass per generation, shared by every recompiled plan.
-        let encoded = self.replace_phase("encode", || Self::encode(&database));
+        let encoded = self.replace_phase("encode", || Self::encode(&database))?;
         let _writer = self.writer();
         let (new_generation, dependents) = {
             let state = self.read_state();
@@ -485,7 +488,7 @@ impl Engine {
                     plan.instance.query().clone(),
                     plan.ranking.clone(),
                     &database,
-                    encoded.as_ref(),
+                    &encoded,
                 )
                 .map(Arc::new)
             };
@@ -546,7 +549,7 @@ impl Engine {
                 query,
                 ranking,
                 &entry.database,
-                entry.encoded.as_ref(),
+                &entry.encoded,
             )
         })?);
         let mut state = self.write_state();
@@ -704,20 +707,12 @@ impl Engine {
         phis: &[f64],
         accuracy: Accuracy,
     ) -> Result<Vec<QuantileResult>, EngineError> {
-        // Validate up front; randomized sampling requests have no trimmer (the
-        // sampler serves them directly), so the trimmer is only selected for the
-        // exact and deterministic-ε routes.
-        let trimmer = match accuracy {
-            Accuracy::Bounded { epsilon, delta, .. } => {
-                plan.validate_bounded(epsilon, delta)?;
-                None
-            }
-            _ => Some(plan.trimmer_for(accuracy)?),
-        };
+        plan.check_accuracy(accuracy)?;
+        let encoded = plan.encoded()?;
         // When a request trace is live, allocate the solve span up front so the
-        // per-phase child spans the drivers emit can parent to it; the span
-        // itself is recorded below once the solve's duration and backend are
-        // known (children may be recorded before their parent).
+        // per-phase child spans the driver emits can parent to it; the span
+        // itself is recorded below once the solve's duration is known (children
+        // may be recorded before their parent).
         let ambient = current_trace_context();
         let solve_span = ambient
             .as_ref()
@@ -730,98 +725,32 @@ impl Engine {
         );
         let _inflight = InflightGuard::enter(self.inflight_cell(&plan.name));
         let solve_started = Instant::now();
-        // Exact and deterministic-ε requests run on the plan's cached encoded
-        // instance (built once per catalog generation); un-encodable instances use
-        // the row path. Both return pointwise-identical answers. Randomized
-        // sampling requests run on the encoded direct-access structure, with a
-        // seed-identical row fallback.
-        let row_solve = || {
-            quantile_batch_by_pivoting_traced(
-                &plan.instance,
-                &plan.ranking,
-                phis,
-                trimmer
-                    .as_deref()
-                    .expect("row solves serve trimmer-based accuracies"),
-                &self.config.pivoting,
-                &tracer,
-            )
-        };
-        // The `or_row_fallback` dispatch policy, inlined so the tracer can
-        // attribute the solve to whichever path actually produced the answers.
-        // The whole solve runs with the engine's executor pool installed, so the
-        // `threads` knob (and `QJOIN_THREADS`) governs every chunked hot loop.
-        let (results, used_encoded_path) =
-            self.run_pooled(|| -> Result<(Vec<QuantileResult>, bool), EngineError> {
-                match (&accuracy, &plan.encoded_instance) {
-                    (Accuracy::Exact, Some(encoded)) => {
-                        match qjoin_core::encoded::exact_quantile_batch_encoded_traced(
-                            encoded,
-                            &plan.ranking,
-                            phis,
-                            &self.config.pivoting,
-                            &tracer,
-                        ) {
-                            Err(CoreError::EncodedUnsupported(_)) => Ok((row_solve()?, false)),
-                            other => Ok((other?, true)),
-                        }
-                    }
-                    (Accuracy::Approximate { epsilon }, Some(encoded)) => {
-                        match qjoin_core::encoded::approximate_sum_quantile_batch_encoded_traced(
-                            encoded,
-                            &plan.ranking,
-                            phis,
-                            *epsilon,
-                            &self.config.pivoting,
-                            &tracer,
-                        ) {
-                            Err(CoreError::EncodedUnsupported(_)) => Ok((row_solve()?, false)),
-                            other => Ok((other?, true)),
-                        }
-                    }
-                    (
-                        Accuracy::Bounded {
-                            epsilon,
-                            delta,
-                            seed,
-                        },
-                        encoded,
-                    ) => {
-                        let options = qjoin_core::sampling::SamplingOptions {
-                            epsilon: *epsilon,
-                            delta: *delta,
-                            seed: *seed,
-                        };
-                        let row_sample = || {
-                            qjoin_core::sampling::quantile_by_sampling_batch_via_rows(
-                                &plan.instance,
-                                &plan.ranking,
-                                phis,
-                                &options,
-                            )
-                        };
-                        match encoded {
-                            Some(encoded) => {
-                                match qjoin_core::sampling::quantile_by_sampling_batch_encoded(
-                                    encoded,
-                                    &plan.ranking,
-                                    phis,
-                                    &options,
-                                ) {
-                                    Err(CoreError::EncodedUnsupported(_)) => {
-                                        Ok((row_sample()?, false))
-                                    }
-                                    other => Ok((other?, true)),
-                                }
-                            }
-                            None => Ok((row_sample()?, false)),
-                        }
-                    }
-                    _ => Ok((row_solve()?, false)),
-                }
-            })?;
+        // Every request runs on the plan's encoded instance (built once per catalog
+        // generation), with the engine's executor pool installed, so the `threads`
+        // knob (and `QJOIN_THREADS`) governs every chunked hot loop.
+        let (ranking, pivoting) = (&plan.ranking, &self.config.pivoting);
+        let results = self.run_pooled(|| match accuracy {
+            Accuracy::Exact => {
+                exact_quantile_batch_encoded_traced(encoded, ranking, phis, pivoting, &tracer)
+            }
+            Accuracy::Approximate { epsilon } => approximate_sum_quantile_batch_encoded_traced(
+                encoded, ranking, phis, epsilon, pivoting, &tracer,
+            ),
+            Accuracy::Bounded {
+                epsilon,
+                delta,
+                seed,
+            } => {
+                let options = SamplingOptions {
+                    epsilon,
+                    delta,
+                    seed,
+                };
+                quantile_by_sampling_batch_encoded(encoded, ranking, phis, &options)
+            }
+        })?;
         let solve_elapsed = solve_started.elapsed();
-        tracer.registry().finish(solve_elapsed, used_encoded_path);
+        tracer.registry().finish(solve_elapsed);
         if let Some((builder, parent, span)) = solve_span {
             builder.record(
                 span,
@@ -831,12 +760,6 @@ impl Engine {
                 solve_elapsed,
                 vec![
                     ("plan", ArgValue::Str(plan.name.clone())),
-                    (
-                        "backend",
-                        ArgValue::Str(
-                            if used_encoded_path { "encoded" } else { "row" }.to_string(),
-                        ),
-                    ),
                     ("phis", ArgValue::U64(phis.len() as u64)),
                     ("rounds", ArgValue::U64(tracer.registry().rounds())),
                 ],
@@ -1258,6 +1181,7 @@ mod tests {
     use super::*;
     use crate::plan::tests::wide;
     use qjoin_core::solver::exact_quantile;
+    use qjoin_core::CoreError;
     use qjoin_query::query::{path_query, social_network_query};
     use qjoin_query::variable::vars;
     use qjoin_workload::social::SocialConfig;
@@ -1548,9 +1472,8 @@ mod tests {
         assert_eq!(
             snapshot.counter("qjoin_solve_encoded_total", &plan),
             Some(1),
-            "approximate solves must run on the encoded backend"
+            "one approximate solve was counted"
         );
-        assert_eq!(snapshot.counter("qjoin_solve_row_total", &plan), Some(0));
     }
 
     #[test]
@@ -1588,7 +1511,6 @@ mod tests {
             snapshot.counter("qjoin_solve_encoded_total", &plan),
             Some(2)
         );
-        assert_eq!(snapshot.counter("qjoin_solve_row_total", &plan), Some(0));
     }
 
     #[test]
@@ -1768,7 +1690,6 @@ mod tests {
             snapshot.counter("qjoin_solve_encoded_total", &plan),
             Some(1)
         );
-        assert_eq!(snapshot.counter("qjoin_solve_row_total", &plan), Some(0));
         // Cache lookups were timed (one miss + one hit).
         assert_eq!(
             snapshot

@@ -82,13 +82,13 @@ impl From<qjoin_exec::ExecError> for EngineError {
 
 impl From<qjoin_query::QueryError> for EngineError {
     fn from(e: qjoin_query::QueryError) -> Self {
-        EngineError::Core(CoreError::Query(e))
+        EngineError::Core(CoreError::from(e))
     }
 }
 
 impl From<qjoin_data::DataError> for EngineError {
     fn from(e: qjoin_data::DataError) -> Self {
-        EngineError::Core(CoreError::Data(e))
+        EngineError::Core(CoreError::from(e))
     }
 }
 
@@ -115,5 +115,10 @@ mod tests {
     fn core_errors_convert() {
         let e: EngineError = CoreError::NoAnswers.into();
         assert_eq!(e, EngineError::Core(CoreError::NoAnswers));
+        // What `create_database` / `replace_database` return for a database the
+        // dictionary encoding cannot index.
+        let overflow = qjoin_data::DataError::EncodingOverflow("u32 rows".into());
+        let e: EngineError = overflow.into();
+        assert_eq!(e, EngineError::Core(CoreError::TooLarge("u32 rows".into())));
     }
 }

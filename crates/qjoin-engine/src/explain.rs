@@ -4,17 +4,16 @@
 //! The static half reads only compile-time facts off the
 //! [`PreparedPlan`](crate::plan::PreparedPlan): the
 //! §5 dichotomy class the registration landed in (and why), the join-tree
-//! shape the §3 recursion will walk, whether the gap-encoded fast path is
-//! available, `|Q(D)|`, and the target rank `⌈φ·|Q(D)|⌉` the pivoting search
-//! will steer toward. It never touches tuple data, so `explain` is safe to run
+//! shape the §3 recursion will walk, `|Q(D)|`, and the target rank
+//! `⌈φ·|Q(D)|⌉` the pivoting search will steer toward. It never touches tuple data, so `explain` is safe to run
 //! against a plan of any size.
 //!
 //! The analyze half runs one real **uncached** solve under a dedicated span
 //! trace (bypassing the result cache and the coalescing gate, so the observed
 //! rounds are always the plan's own work) and folds the recorded spans back
 //! into per-round observations: pre-trim candidate count and the
-//! `n_lt`/`n_eq`/`n_gt` split of every trim round, the backend that actually
-//! produced the answer, and the leaf's size and keyed tie band. The trace also lands
+//! `n_lt`/`n_eq`/`n_gt` split of every trim round, and the leaf's size and keyed
+//! tie band. The trace also lands
 //! in the flight recorder, so `trace id <id>` / `trace chrome <id>` can replay
 //! exactly the solve the report summarizes.
 
@@ -52,9 +51,6 @@ pub struct ExplainReport {
     pub join_tree_height: usize,
     /// True when every node has at most two children.
     pub join_tree_binary: bool,
-    /// True when the gap-encoded instance compiled, i.e. the encoded solve
-    /// path is available for exact requests.
-    pub encoded_available: bool,
     /// `|Q(D)|` from the compile-time Yannakakis counting pass.
     pub total_answers: u128,
     /// The requested fraction.
@@ -72,8 +68,6 @@ pub struct AnalyzeReport {
     /// The trace id the solve recorded under (replayable via `trace id` /
     /// `trace chrome` while it stays in the flight recorder).
     pub trace: TraceId,
-    /// Which execution path produced the answer: `encoded` or `row`.
-    pub backend: String,
     /// The accuracy the analyze solve ran at (approximate for plans whose
     /// exact path is intractable).
     pub accuracy: Accuracy,
@@ -158,15 +152,6 @@ impl ExplainReport {
                 "non-binary"
             }
         );
-        let _ = writeln!(
-            out,
-            "  encoded fast path: {}",
-            if self.encoded_available {
-                "available"
-            } else {
-                "unavailable (row path only)"
-            }
-        );
         let _ = writeln!(out, "  |Q(D)| = {} answers", self.total_answers);
         match self.target_rank {
             Some(rank) => {
@@ -179,9 +164,8 @@ impl ExplainReport {
         if let Some(analyze) = &self.analyze {
             let _ = writeln!(
                 out,
-                "  analyze: solved in {:.3}us on the {} path ({} round{}, {}, trace {})",
+                "  analyze: solved in {:.3}us ({} round{}, {}, trace {})",
                 analyze.solve_us,
-                analyze.backend,
                 analyze.rounds,
                 if analyze.rounds == 1 { "" } else { "s" },
                 match analyze.accuracy {
@@ -231,11 +215,6 @@ impl ExplainReport {
 /// Returns `None` when the trace holds no solve span (tracing disabled).
 pub(crate) fn analyze_from_trace(trace: &Trace, accuracy: Accuracy) -> Option<AnalyzeReport> {
     let solve = trace.spans_named("solve").next()?;
-    let backend = solve
-        .arg("backend")
-        .and_then(|v| v.as_str())
-        .unwrap_or("unknown")
-        .to_string();
     let rounds = solve.arg("rounds").and_then(|v| v.as_u64()).unwrap_or(0);
     let mut per_round: Vec<AnalyzeRound> = trace
         .spans_named("trim-round")
@@ -259,7 +238,6 @@ pub(crate) fn analyze_from_trace(trace: &Trace, accuracy: Accuracy) -> Option<An
     };
     Some(AnalyzeReport {
         trace: trace.id,
-        backend,
         accuracy,
         rounds,
         per_round,
@@ -271,8 +249,7 @@ pub(crate) fn analyze_from_trace(trace: &Trace, accuracy: Accuracy) -> Option<An
 
 impl Engine {
     /// Explains how `plan` would serve a φ-quantile: the §5 dichotomy class it
-    /// compiled into, the join-tree shape, encoded-path availability, and the
-    /// target rank. With `analyze`, additionally runs one real uncached solve
+    /// compiled into, the join-tree shape, and the target rank. With `analyze`, additionally runs one real uncached solve
     /// under a span trace (exact when the plan supports it, ε-approximate
     /// otherwise) and reports the observed rounds and per-round trim sizes.
     pub fn explain(
@@ -292,7 +269,6 @@ impl Engine {
             join_tree_atoms: plan.join_tree.num_nodes(),
             join_tree_height: plan.join_tree.height(),
             join_tree_binary: plan.join_tree.is_binary(),
-            encoded_available: plan.encoded_instance.is_some(),
             total_answers: plan.total_answers,
             phi,
             target_rank: (plan.total_answers > 0)

@@ -6,24 +6,20 @@
 //! 2. acyclicity via GYO, caching the resulting join tree,
 //! 3. one counting pass (Example 2.1), caching `|Q(D)|` — on the generation's
 //!    dictionary-coded form, which builds and memoises the plan's link-resolved
-//!    execution context, so the first request of a generation does not pay for it
-//!    (the row-representation pass runs only for a generation that is not encoded),
+//!    execution context, so the first request of a generation does not pay for it,
 //! 4. the §5 dichotomy (Theorem 5.6), selecting the trimming strategy.
 //!
 //! A registration whose answer count cannot be bounded below `2^128` is refused
 //! with [`EngineError::TooLarge`] before any counting. Every subsequent quantile
-//! request against the plan skips straight to the §3 recursion with the
-//! pre-selected trimmer. A plan remembers the database generation it was compiled
-//! against; the engine recompiles it — with no state lock held — when the
-//! database is replaced.
+//! request against the plan is checked against the strategy
+//! (`PreparedPlan::check_accuracy`) and skips straight to the §3 recursion. A plan
+//! remembers the database generation it was compiled against; the engine
+//! recompiles it — with no state lock held — when the database is replaced.
 
 use crate::error::EngineError;
 use qjoin_core::dichotomy::{classify_partial_sum, SumClassification};
-use qjoin_core::lossy_trim::LossySumTrimmer;
-use qjoin_core::trim::{AdjacentSumTrimmer, LexTrimmer, MinMaxTrimmer, Trimmer};
 use qjoin_core::CoreError;
 use qjoin_data::{Database, EncodedDatabase};
-use qjoin_exec::count::count_answers;
 use qjoin_query::{acyclicity, EncodedInstance, Instance, JoinQuery, JoinTree};
 use qjoin_ranking::{AggregateKind, Ranking};
 use std::sync::Arc;
@@ -50,7 +46,7 @@ pub enum Accuracy {
         epsilon: f64,
         /// The failure probability δ ∈ (0, 1).
         delta: f64,
-        /// RNG seed; equal seeds give pointwise-identical answers on every backend.
+        /// RNG seed; equal seeds give pointwise-identical answers at any thread count.
         seed: u64,
     },
 }
@@ -137,9 +133,9 @@ pub struct PreparedPlan {
     /// plan's generation — shared, not copied, across all plans of that generation.
     pub instance: Instance,
     /// The instance over the catalog's dictionary-coded form of the same generation
-    /// (shared across all plans of the generation). Exact solves run on it by
-    /// default; `None` when the generation could not be encoded, in which case
-    /// solves use the row path.
+    /// (shared across all plans of the generation): every solve runs on it. Always
+    /// `Some` — [`PreparedPlan::compile`] fails instead — and an `Option` only
+    /// because the benchmark (`perfbench/`, its own workspace) unwraps it.
     pub encoded_instance: Option<EncodedInstance>,
     /// The plan's ranking function.
     pub ranking: Ranking,
@@ -166,7 +162,7 @@ impl PreparedPlan {
         query: JoinQuery,
         ranking: Ranking,
         database: &Arc<Database>,
-        encoded: Option<&Arc<EncodedDatabase>>,
+        encoded: &EncodedDatabase,
     ) -> Result<PreparedPlan, EngineError> {
         let start = std::time::Instant::now();
         let join_tree = acyclicity::gyo_join_tree(&query)
@@ -179,13 +175,9 @@ impl PreparedPlan {
                 plan: name.to_string(),
             });
         }
-        let encoded_instance = encoded.and_then(|db| {
-            EncodedInstance::from_encoded_database(instance.query().clone(), db).ok()
-        });
-        let total_answers = match &encoded_instance {
-            Some(encoded) => qjoin_exec::encoded::count_answers(encoded)?,
-            None => count_answers(&instance)?,
-        };
+        let encoded_instance =
+            EncodedInstance::from_encoded_database(instance.query().clone(), encoded)?;
+        let total_answers = qjoin_exec::encoded::count_answers(&encoded_instance)?;
         let strategy = match ranking.kind() {
             AggregateKind::Min | AggregateKind::Max => PlanStrategy::MinMax,
             AggregateKind::Lex => PlanStrategy::Lex,
@@ -209,7 +201,7 @@ impl PreparedPlan {
             database: database_name.to_string(),
             generation,
             instance,
-            encoded_instance,
+            encoded_instance: Some(encoded_instance),
             ranking,
             join_tree,
             total_answers,
@@ -218,64 +210,49 @@ impl PreparedPlan {
         })
     }
 
-    /// Selects the trimmer serving a request of the given accuracy, or explains why
-    /// the plan cannot serve it.
-    pub fn trimmer_for(&self, accuracy: Accuracy) -> Result<Box<dyn Trimmer>, EngineError> {
-        match accuracy {
-            Accuracy::Exact => match &self.strategy {
-                PlanStrategy::MinMax => Ok(Box::new(MinMaxTrimmer)),
-                PlanStrategy::Lex => Ok(Box::new(LexTrimmer)),
-                PlanStrategy::SumSingleAtom { .. } | PlanStrategy::SumAdjacentPair { .. } => {
-                    Ok(Box::new(AdjacentSumTrimmer))
-                }
-                PlanStrategy::SumApproximateOnly { witness } => Err(EngineError::PlanCannotServe {
-                    plan: self.name.clone(),
-                    reason: format!(
-                        "exact SUM solving is intractable ({witness}); request an \
-                         approximate quantile with an ε budget instead"
-                    ),
-                }),
-            },
-            Accuracy::Approximate { epsilon } => {
-                if self.ranking.kind() != AggregateKind::Sum {
-                    return Err(EngineError::PlanCannotServe {
-                        plan: self.name.clone(),
-                        reason: format!(
-                            "ε-approximation targets SUM rankings; this plan ranks by {:?} \
-                             (exact solving is already quasilinear)",
-                            self.ranking.kind()
-                        ),
-                    });
-                }
-                if !(epsilon > 0.0 && epsilon < 1.0) {
-                    return Err(EngineError::Core(CoreError::InvalidEpsilon(epsilon)));
-                }
-                Ok(Box::new(LossySumTrimmer::new(epsilon)))
-            }
-            Accuracy::Bounded { .. } => Err(EngineError::PlanCannotServe {
-                plan: self.name.clone(),
-                reason: "randomized sampling requests are served by the sampler, not a \
-                         trimmer"
-                    .to_string(),
-            }),
-        }
+    /// The encoded instance every solve runs on.
+    pub(crate) fn encoded(&self) -> Result<&EncodedInstance, EngineError> {
+        let missing = || CoreError::Internal(format!("plan {} has no encoded instance", self.name));
+        Ok(self.encoded_instance.as_ref().ok_or_else(missing)?)
     }
 
-    /// Validates the parameters of a randomized sampling request (which has no
-    /// trimmer to select — the sampler serves it directly).
-    pub(crate) fn validate_bounded(&self, epsilon: f64, delta: f64) -> Result<(), EngineError> {
-        if !(epsilon > 0.0 && epsilon < 1.0) {
-            return Err(EngineError::Core(CoreError::InvalidEpsilon(epsilon)));
-        }
-        if !(delta > 0.0 && delta < 1.0) {
-            return Err(EngineError::PlanCannotServe {
+    /// Checks that the plan can serve a request of the given accuracy, or explains
+    /// why it cannot: exact requests need a tractable strategy, ε-approximate ones a
+    /// SUM ranking, and every ε and δ must lie in `(0, 1)`. Randomized sampling
+    /// serves any plan.
+    pub(crate) fn check_accuracy(&self, accuracy: Accuracy) -> Result<(), EngineError> {
+        let cannot = |reason: String| {
+            Err(EngineError::PlanCannotServe {
                 plan: self.name.clone(),
-                reason: format!(
-                    "sampling failure probability delta must be in (0, 1), got {delta}"
-                ),
-            });
+                reason,
+            })
+        };
+        let in_unit_interval = |x: f64| x > 0.0 && x < 1.0;
+        match accuracy {
+            Accuracy::Exact => match &self.strategy {
+                PlanStrategy::SumApproximateOnly { witness } => cannot(format!(
+                    "exact SUM solving is intractable ({witness}); request an \
+                     approximate quantile with an ε budget instead"
+                )),
+                _ => Ok(()),
+            },
+            Accuracy::Approximate { .. } if self.ranking.kind() != AggregateKind::Sum => {
+                cannot(format!(
+                    "ε-approximation targets SUM rankings; this plan ranks by {:?} \
+                     (exact solving is already quasilinear)",
+                    self.ranking.kind()
+                ))
+            }
+            Accuracy::Approximate { epsilon } | Accuracy::Bounded { epsilon, .. }
+                if !in_unit_interval(epsilon) =>
+            {
+                Err(EngineError::Core(CoreError::InvalidEpsilon(epsilon)))
+            }
+            Accuracy::Bounded { delta, .. } if !in_unit_interval(delta) => cannot(format!(
+                "sampling failure probability delta must be in (0, 1), got {delta}"
+            )),
+            Accuracy::Approximate { .. } | Accuracy::Bounded { .. } => Ok(()),
         }
-        Ok(())
     }
 }
 
@@ -283,6 +260,7 @@ impl PreparedPlan {
 pub(crate) mod tests {
     use super::*;
     use qjoin_data::Relation;
+    use qjoin_exec::count::count_answers;
     use qjoin_query::query::{path_query, triangle_query};
     use qjoin_query::variable::vars;
 
@@ -331,56 +309,47 @@ pub(crate) mod tests {
                 false,
             ),
         ];
-        // Without an encoded generation `compile` counts on rows; with one it
-        // counts on the encoded context and leaves that context memoised.
-        let encoded = Arc::new(EncodedDatabase::encode(&db).unwrap());
+        // `compile` counts on the encoded context and leaves that context memoised.
+        let encoded = EncodedDatabase::encode(&db).unwrap();
         for (i, (ranking, label, exact)) in cases.into_iter().enumerate() {
-            for encoded in [None, Some(&encoded)] {
-                let (query, ranking) = (path_query(3), ranking.clone());
-                let plan =
-                    PreparedPlan::compile("p", i as u64, "db", 1, query, ranking, &db, encoded)
-                        .unwrap();
-                assert_eq!(plan.strategy.label(), label);
-                assert_eq!(plan.strategy.supports_exact(), exact);
-                assert!(plan.total_answers > 0);
-                assert_eq!(
-                    plan.total_answers,
-                    count_answers(&plan.instance).unwrap(),
-                    "cached count must match a fresh Yannakakis pass"
-                );
-                assert_eq!(plan.encoded_instance.is_some(), encoded.is_some());
-                if let Some(instance) = &plan.encoded_instance {
-                    let memo = instance.exec_memo().get::<qjoin_exec::EncodedContext>();
-                    let ctx = memo.expect("compile memoises the encoded context");
-                    let shared = qjoin_exec::encoded::shared_context(instance).unwrap();
-                    assert!(Arc::ptr_eq(&ctx, &shared), "the first reader reuses it");
-                    let recount = qjoin_exec::encoded::count_answers_ctx(&ctx);
-                    assert_eq!(plan.total_answers, recount);
-                }
-            }
+            let (query, ranking) = (path_query(3), ranking.clone());
+            let plan = PreparedPlan::compile("p", i as u64, "db", 1, query, ranking, &db, &encoded)
+                .unwrap();
+            assert_eq!(plan.strategy.label(), label);
+            assert_eq!(plan.strategy.supports_exact(), exact);
+            assert!(plan.total_answers > 0);
+            assert_eq!(
+                plan.total_answers,
+                count_answers(&plan.instance).unwrap(),
+                "cached count must match a fresh row Yannakakis pass"
+            );
+            let instance = plan.encoded().unwrap();
+            let memo = instance.exec_memo().get::<qjoin_exec::EncodedContext>();
+            let ctx = memo.expect("compile memoises the encoded context");
+            let shared = qjoin_exec::encoded::shared_context(instance).unwrap();
+            assert!(Arc::ptr_eq(&ctx, &shared), "the first reader reuses it");
+            let recount = qjoin_exec::encoded::count_answers_ctx(&ctx);
+            assert_eq!(plan.total_answers, recount);
         }
     }
 
     #[test]
     fn an_unboundable_answer_count_is_refused_before_counting() {
         // Ten variable-disjoint atoms over one 8 192-row unary relation: 2^130
-        // answers. Either counting pass would overflow its `u128` and panic.
+        // answers. The counting pass would overflow its `u128` and panic.
         let (query, db) = wide(8192, 10);
         let db = Arc::new(db);
         let ranking = Ranking::max(query.variables());
-        let encoded = Arc::new(EncodedDatabase::encode(&db).unwrap());
-        for encoded in [None, Some(&encoded)] {
-            let (query, ranking) = (query.clone(), ranking.clone());
-            let err = PreparedPlan::compile("wide", 0, "db", 1, query, ranking, &db, encoded)
-                .unwrap_err();
-            assert_eq!(
-                err,
-                EngineError::TooLarge {
-                    plan: "wide".into()
-                }
-            );
-            assert!(err.to_string().contains("2^128"), "{err}");
-        }
+        let encoded = EncodedDatabase::encode(&db).unwrap();
+        let err =
+            PreparedPlan::compile("wide", 0, "db", 1, query, ranking, &db, &encoded).unwrap_err();
+        assert_eq!(
+            err,
+            EngineError::TooLarge {
+                plan: "wide".into()
+            }
+        );
+        assert!(err.to_string().contains("2^128"), "{err}");
     }
 
     #[test]
@@ -394,59 +363,57 @@ pub(crate) mod tests {
             .unwrap(),
         );
         let ranking = Ranking::sum(triangle_query().variables());
-        let err = PreparedPlan::compile("p", 0, "db", 1, triangle_query(), ranking, &db, None)
+        let encoded = EncodedDatabase::encode(&db).unwrap();
+        let err = PreparedPlan::compile("p", 0, "db", 1, triangle_query(), ranking, &db, &encoded)
             .unwrap_err();
         assert!(matches!(err, EngineError::Core(CoreError::CyclicQuery(_))));
     }
 
+    /// Every refusal the plan makes before a solve: exact on an intractable SUM
+    /// plan, ε on a non-SUM plan, ε or δ outside `(0, 1)`. Sampling serves any plan.
     #[test]
-    fn trimmer_selection_honors_accuracy() {
+    fn accuracy_check_refuses_what_the_plan_cannot_serve() {
         let db = Arc::new(three_path_db(8));
-        let intractable = PreparedPlan::compile(
-            "p",
-            0,
-            "db",
-            1,
-            path_query(3),
-            Ranking::sum(path_query(3).variables()),
-            &db,
-            None,
-        )
-        .unwrap();
-        assert!(matches!(
-            intractable.trimmer_for(Accuracy::Exact).err().unwrap(),
-            EngineError::PlanCannotServe { .. }
-        ));
-        assert!(intractable
-            .trimmer_for(Accuracy::Approximate { epsilon: 0.1 })
-            .is_ok());
-        assert!(matches!(
-            intractable
-                .trimmer_for(Accuracy::Approximate { epsilon: 1.5 })
-                .err()
-                .unwrap(),
-            EngineError::Core(CoreError::InvalidEpsilon(_))
-        ));
+        let encoded = EncodedDatabase::encode(&db).unwrap();
+        let compile = |name: &str, ranking: Ranking| {
+            PreparedPlan::compile(name, 0, "db", 1, path_query(3), ranking, &db, &encoded).unwrap()
+        };
+        let intractable = compile("p", Ranking::sum(path_query(3).variables()));
+        let minmax = compile("m", Ranking::max(path_query(3).variables()));
+        let approximate = |epsilon| Accuracy::Approximate { epsilon };
+        let bounded = |epsilon, delta| Accuracy::Bounded {
+            epsilon,
+            delta,
+            seed: 7,
+        };
+        let cannot_serve = |refused: Result<(), EngineError>| {
+            matches!(refused, Err(EngineError::PlanCannotServe { .. }))
+        };
+        let invalid_epsilon = |refused: Result<(), EngineError>| {
+            matches!(
+                refused,
+                Err(EngineError::Core(CoreError::InvalidEpsilon(_)))
+            )
+        };
 
-        let minmax = PreparedPlan::compile(
-            "m",
-            1,
-            "db",
-            1,
-            path_query(3),
-            Ranking::max(path_query(3).variables()),
-            &db,
-            None,
-        )
-        .unwrap();
-        assert!(minmax.trimmer_for(Accuracy::Exact).is_ok());
-        assert!(matches!(
-            minmax
-                .trimmer_for(Accuracy::Approximate { epsilon: 0.1 })
-                .err()
-                .unwrap(),
-            EngineError::PlanCannotServe { .. }
+        assert!(cannot_serve(intractable.check_accuracy(Accuracy::Exact)));
+        assert!(intractable.check_accuracy(approximate(0.1)).is_ok());
+        assert!(invalid_epsilon(
+            intractable.check_accuracy(approximate(1.5))
         ));
+        assert!(intractable.check_accuracy(bounded(0.1, 0.05)).is_ok());
+
+        assert!(minmax.check_accuracy(Accuracy::Exact).is_ok());
+        assert!(cannot_serve(minmax.check_accuracy(approximate(0.1))));
+        assert!(minmax.check_accuracy(bounded(0.1, 0.05)).is_ok());
+        for epsilon in [0.0, 1.0, f64::NAN] {
+            assert!(invalid_epsilon(
+                minmax.check_accuracy(bounded(epsilon, 0.05))
+            ));
+        }
+        for delta in [0.0, 1.5, f64::NAN] {
+            assert!(cannot_serve(minmax.check_accuracy(bounded(0.1, delta))));
+        }
     }
 
     #[test]

@@ -12,9 +12,8 @@
 //!   [`RegistryTracer::finish`];
 //! * `qjoin_solve_rounds_total{plan}` — pivoting rounds, counted from
 //!   [`SolvePhase::TrimRound`] events;
-//! * `qjoin_solve_encoded_total{plan}` / `qjoin_solve_row_total{plan}` — which
-//!   execution path actually produced the answers, making encoded-vs-row
-//!   fallback visible per query shape;
+//! * `qjoin_solve_encoded_total{plan}` — solves served, every one on the encoded
+//!   execution layer;
 //! * `qjoin_solve_parallel_seconds{plan, phase}` — wall time each phase spent
 //!   inside chunk-executor regions, so `parallel / phase` approximates how much
 //!   of a phase the work-stealing pool actually covers.
@@ -34,7 +33,6 @@ pub(crate) struct RegistryTracer {
     rounds: AtomicU64,
     rounds_total: Arc<Counter>,
     encoded_total: Arc<Counter>,
-    row_total: Arc<Counter>,
 }
 
 impl RegistryTracer {
@@ -58,20 +56,15 @@ impl RegistryTracer {
             rounds: AtomicU64::new(0),
             rounds_total: registry.counter("qjoin_solve_rounds_total", &labels),
             encoded_total: registry.counter("qjoin_solve_encoded_total", &labels),
-            row_total: registry.counter("qjoin_solve_row_total", &labels),
         }
     }
 
-    /// Records the whole-solve duration, flushes the round count, and attributes
-    /// the solve to the encoded or row path. Call once, after the solve returns.
-    pub(crate) fn finish(&self, elapsed: Duration, used_encoded_path: bool) {
+    /// Records the whole-solve duration, flushes the round count, and counts the
+    /// solve. Call once, after the solve returns.
+    pub(crate) fn finish(&self, elapsed: Duration) {
         self.solve.record_duration(elapsed);
         self.rounds_total.add(self.rounds.load(Ordering::Relaxed));
-        if used_encoded_path {
-            self.encoded_total.inc();
-        } else {
-            self.row_total.inc();
-        }
+        self.encoded_total.inc();
     }
 
     /// Pivoting rounds observed so far (one per [`SolvePhase::TrimRound`] event).
@@ -189,7 +182,7 @@ mod tests {
         tracer.phase(SolvePhase::PivotScan, Duration::from_micros(2));
         tracer.phase(SolvePhase::TrimRound, Duration::from_micros(9));
         tracer.phase(SolvePhase::TrimRound, Duration::from_micros(7));
-        tracer.finish(Duration::from_micros(30), true);
+        tracer.finish(Duration::from_micros(30));
 
         let snapshot = registry.snapshot();
         let plan = [("plan", "likes")];
@@ -215,6 +208,5 @@ mod tests {
             snapshot.counter("qjoin_solve_encoded_total", &plan),
             Some(1)
         );
-        assert_eq!(snapshot.counter("qjoin_solve_row_total", &plan), Some(0));
     }
 }

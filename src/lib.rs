@@ -65,18 +65,14 @@ pub mod prelude {
     pub use qjoin_core::baseline::{quantile_by_materialization, BaselineStrategy};
     pub use qjoin_core::batch::quantile_batch_by_pivoting;
     pub use qjoin_core::dichotomy::{classify_partial_sum, SumClassification};
-    pub use qjoin_core::encoded::{exact_quantile_batch_encoded, exact_quantile_encoded};
     pub use qjoin_core::lossy_trim::LossySumTrimmer;
     pub use qjoin_core::quantile::{quantile_by_pivoting, target_rank, PivotingOptions};
     pub use qjoin_core::sampling::{
-        quantile_by_sampling, quantile_by_sampling_batch, quantile_by_sampling_batch_via_rows,
-        SamplingOptions,
+        quantile_by_sampling, quantile_by_sampling_batch, SamplingOptions,
     };
     pub use qjoin_core::sketch::{sketch, RoundDirection, SketchBucket, SketchEntry};
     pub use qjoin_core::solver::{
-        approximate_sum_quantile, approximate_sum_quantile_via_rows, exact_quantile,
-        exact_quantile_batch, exact_quantile_batch_via_rows, exact_quantile_batch_with_options,
-        exact_quantile_via_rows, exact_quantile_with_options, ErrorBudget,
+        approximate_sum_quantile, exact_quantile, exact_quantile_batch, ErrorBudget,
     };
     pub use qjoin_core::trim::{AdjacentSumTrimmer, LexTrimmer, MinMaxTrimmer, Trimmer};
     pub use qjoin_core::QuantileResult;

@@ -1,11 +1,17 @@
-//! Encoded-vs-row equivalence: the encoded execution layer (the default for exact
-//! solves) must return **pointwise identical** answers to the row path — same
-//! answer assignment, same weight (bit for bit), same target index, same iteration
-//! count — across ranking families, random instances, and boundary φ values.
+//! Encoded-vs-row equivalence: the encoded execution layer — the one representation
+//! production solves run on — must return **pointwise identical** answers to the
+//! row reference oracle (the same driver over materialized instances, with an
+//! explicit `MinMaxTrimmer`, `LexTrimmer`, `AdjacentSumTrimmer` or
+//! `LossySumTrimmer`) — same answer assignment, same weight (bit for bit), same
+//! target index, same iteration count — across ranking families, random instances,
+//! and boundary φ values. Both run one driver, so the batch tests also hold its
+//! answers to the independent materialize-and-sort oracle.
 
 use proptest::prelude::*;
-use quantile_joins::core::encoded::{exact_quantile_batch_encoded, exact_quantile_encoded};
+use quantile_joins::core::encoded::exact_quantile_batch_encoded_traced;
 use quantile_joins::core::quantile::rank_of_weight;
+use quantile_joins::core::sampling::quantile_by_sampling_batch_encoded;
+use quantile_joins::core::NoopTracer;
 use quantile_joins::prelude::*;
 use quantile_joins::workload::random_acyclic::{
     shaped_instance, tie_heavy_ranking, RandomAcyclicConfig,
@@ -40,6 +46,32 @@ fn ranking_for(instance: &Instance, kind: usize) -> Option<Ranking> {
     }
 }
 
+/// The row reference trimmer for an exact ranking (SUM only where the dichotomy
+/// admits it, which is all `ranking_for` and the fixed workloads produce).
+fn row_trimmer(ranking: &Ranking) -> &'static dyn Trimmer {
+    match ranking.kind() {
+        AggregateKind::Min | AggregateKind::Max => &MinMaxTrimmer,
+        AggregateKind::Lex => &LexTrimmer,
+        AggregateKind::Sum => &AdjacentSumTrimmer,
+    }
+}
+
+/// One exact solve on the row reference oracle at default options.
+fn row_quantile(instance: &Instance, ranking: &Ranking, phi: f64) -> QuantileResult {
+    let options = PivotingOptions::default();
+    quantile_by_pivoting(instance, ranking, phi, row_trimmer(ranking), &options).unwrap()
+}
+
+/// The encoded batch solve over a pre-encoded instance (the engine's entry).
+fn encoded_batch(
+    instance: &EncodedInstance,
+    ranking: &Ranking,
+    phis: &[f64],
+    options: &PivotingOptions,
+) -> Vec<QuantileResult> {
+    exact_quantile_batch_encoded_traced(instance, ranking, phis, options, &NoopTracer).unwrap()
+}
+
 fn assert_pointwise_equal(a: &QuantileResult, b: &QuantileResult, context: &str) {
     assert_eq!(a.answer, b.answer, "{context}: answers differ");
     assert_eq!(a.weight, b.weight, "{context}: weights differ");
@@ -70,7 +102,7 @@ fn boundary_phis(total: u128) -> Vec<f64> {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(40))]
 
-    /// `exact_quantile` (encoded default) equals the row path pointwise across
+    /// `exact_quantile` (encoded) equals the row reference oracle pointwise across
     /// MIN/MAX/LEX/SUM rankings and boundary φ values on random acyclic instances.
     #[test]
     fn encoded_and_row_solves_are_pointwise_identical(
@@ -86,7 +118,7 @@ proptest! {
         }
         for phi in boundary_phis(total) {
             let encoded = exact_quantile(&instance, &ranking, phi).unwrap();
-            let row = exact_quantile_via_rows(&instance, &ranking, phi).unwrap();
+            let row = row_quantile(&instance, &ranking, phi);
             assert_pointwise_equal(&encoded, &row, &format!("{ranking} at φ={phi}"));
             // And the answer really is a φ-quantile.
             let (below, equal) = rank_of_weight(&instance, &ranking, &encoded.weight).unwrap();
@@ -99,8 +131,11 @@ proptest! {
         }
     }
 
-    /// Batched multi-φ solving is pointwise identical across the two paths (and to
-    /// the single-φ driver, transitively via the row path's own guarantee).
+    /// Batched multi-φ solving is pointwise identical across the two paths, and at
+    /// every boundary φ each result's target rank and weight bits are the
+    /// materialize-and-sort oracle's — at the default threshold, and again at a
+    /// threshold of one, where every solve recurses. (The oracle is what catches a
+    /// driver bug: both paths run the one driver, so they agree on its mistakes.)
     #[test]
     fn encoded_and_row_batches_are_pointwise_identical(
         seed in 0u64..3000,
@@ -114,18 +149,44 @@ proptest! {
             return Ok(());
         }
         let phis = boundary_phis(total);
-        let encoded = exact_quantile_batch(&instance, &ranking, &phis).unwrap();
-        let row = exact_quantile_batch_via_rows(&instance, &ranking, &phis).unwrap();
-        prop_assert_eq!(encoded.len(), row.len());
-        for ((phi, e), r) in phis.iter().zip(&encoded).zip(&row) {
-            assert_pointwise_equal(e, r, &format!("batch {ranking} at φ={phi}"));
+        let oracle: Vec<QuantileResult> = phis
+            .iter()
+            .map(|&phi| {
+                quantile_by_materialization(&instance, &ranking, phi, BaselineStrategy::FullSort)
+                    .unwrap()
+            })
+            .collect();
+        let encoded_instance = EncodedInstance::from_instance(&instance).unwrap();
+        let recursing = PivotingOptions {
+            materialize_threshold: Some(1),
+            ..PivotingOptions::default()
+        };
+        for options in [PivotingOptions::default(), recursing] {
+            let threshold = options.materialize_threshold;
+            let encoded = encoded_batch(&encoded_instance, &ranking, &phis, &options);
+            let row = quantile_batch_by_pivoting(
+                &instance, &ranking, &phis, row_trimmer(&ranking), &options,
+            )
+            .unwrap();
+            prop_assert_eq!(encoded.len(), row.len());
+            for (((phi, e), r), o) in phis.iter().zip(&encoded).zip(&row).zip(&oracle) {
+                let context = format!("batch {ranking} at φ={phi}, threshold {threshold:?}");
+                assert_pointwise_equal(e, r, &context);
+                prop_assert_eq!(e.target_index, o.target_index, "{}: target", &context);
+                prop_assert_eq!(
+                    weight_bits(&e.weight),
+                    weight_bits(&o.weight),
+                    "{}: weight bits differ from the oracle's",
+                    &context
+                );
+            }
         }
     }
 }
 
 /// The engine's acceptance workload: encoded and row paths agree on the paper's
 /// social-network join at several φ, via both the pre-encoded entry point and the
-/// encode-per-solve default.
+/// encode-per-solve solver.
 #[test]
 fn social_network_workload_is_pointwise_identical() {
     let config = SocialConfig {
@@ -139,14 +200,16 @@ fn social_network_workload_is_pointwise_identical() {
     let options = PivotingOptions::default();
     for phi in [0.0, 0.1, 0.5, 0.9, 1.0] {
         let default_path = exact_quantile(&instance, &ranking, phi).unwrap();
-        let row = exact_quantile_via_rows(&instance, &ranking, phi).unwrap();
-        let pre_encoded = exact_quantile_encoded(&encoded_db, &ranking, phi, &options).unwrap();
+        let row = row_quantile(&instance, &ranking, phi);
+        let pre_encoded = encoded_batch(&encoded_db, &ranking, &[phi], &options).remove(0);
         assert_pointwise_equal(&default_path, &row, &format!("social φ={phi}"));
         assert_pointwise_equal(&pre_encoded, &row, &format!("social pre-encoded φ={phi}"));
     }
     let phis = [0.05, 0.25, 0.5, 0.75, 0.95];
-    let batch_enc = exact_quantile_batch_encoded(&encoded_db, &ranking, &phis, &options).unwrap();
-    let batch_row = exact_quantile_batch_via_rows(&instance, &ranking, &phis).unwrap();
+    let batch_enc = encoded_batch(&encoded_db, &ranking, &phis, &options);
+    let batch_row =
+        quantile_batch_by_pivoting(&instance, &ranking, &phis, &AdjacentSumTrimmer, &options)
+            .unwrap();
     for ((phi, e), r) in phis.iter().zip(&batch_enc).zip(&batch_row) {
         assert_pointwise_equal(e, r, &format!("social batch φ={phi}"));
     }
@@ -180,14 +243,17 @@ fn social_sum_multi_round_recursions_are_pointwise_identical() {
     assert!(phis.len() >= 16);
     let row: Vec<QuantileResult> = phis
         .iter()
-        .map(|&phi| exact_quantile_via_rows(&instance, &ranking, phi).unwrap())
+        .map(|&phi| row_quantile(&instance, &ranking, phi))
         .collect();
     assert!(
         row.iter().filter(|r| r.iterations >= 3).count() >= phis.len() / 2,
         "the instance must be large enough for multi-round solves: iterations {:?}",
         row.iter().map(|r| r.iterations).collect::<Vec<_>>()
     );
-    let row_batch = exact_quantile_batch_via_rows(&instance, &ranking, &phis).unwrap();
+    let options = PivotingOptions::default();
+    let row_batch =
+        quantile_batch_by_pivoting(&instance, &ranking, &phis, &AdjacentSumTrimmer, &options)
+            .unwrap();
     for (threads, pool) in sweep_pools().iter().filter(|(t, _)| [1, 4].contains(t)) {
         quantile_joins::par::with_pool(pool, || {
             for (phi, r) in phis.iter().zip(&row) {
@@ -230,7 +296,7 @@ fn unreferenced_relations_keep_thresholds_identical() {
     let ranking = Ranking::sum(instance.query().variables());
     for phi in [0.0, 0.3, 0.5, 0.8, 1.0] {
         let encoded = exact_quantile(&instance, &ranking, phi).unwrap();
-        let row = exact_quantile_via_rows(&instance, &ranking, phi).unwrap();
+        let row = row_quantile(&instance, &ranking, phi);
         assert_pointwise_equal(&encoded, &row, &format!("unreferenced relation φ={phi}"));
     }
 }
@@ -258,7 +324,7 @@ fn string_keys_are_pointwise_identical() {
     let ranking = Ranking::sum(vars(&["x1", "x3"]));
     for phi in [0.0, 0.3, 0.5, 1.0] {
         let encoded = exact_quantile(&instance, &ranking, phi).unwrap();
-        let row = exact_quantile_via_rows(&instance, &ranking, phi).unwrap();
+        let row = row_quantile(&instance, &ranking, phi);
         assert_pointwise_equal(&encoded, &row, &format!("string keys φ={phi}"));
     }
 }
@@ -387,9 +453,9 @@ proptest! {
             let (singles, batch) = quantile_joins::par::with_pool(pool, || {
                 let singles: Vec<QuantileResult> = phis
                     .iter()
-                    .map(|&phi| exact_quantile_encoded(&encoded, &ranking, phi, &options).unwrap())
+                    .map(|&phi| encoded_batch(&encoded, &ranking, &[phi], &options).remove(0))
                     .collect();
-                let batch = exact_quantile_batch_encoded(&encoded, &ranking, &phis, &options).unwrap();
+                let batch = encoded_batch(&encoded, &ranking, &phis, &options);
                 (singles, batch)
             });
             for (i, phi) in phis.iter().enumerate() {
@@ -505,7 +571,8 @@ proptest! {
 
     /// The encoded lossy solve (`approximate_sum_quantile`: one Algorithm-4
     /// construction per solve, every trim a window of it) is pointwise identical
-    /// to the row `LossySumTrimmer` solve (two stacked passes per window) — same
+    /// to the row reference solve with `LossySumTrimmer::new(ε)` (two stacked
+    /// passes per window; `ErrorBudget::Direct` spends ε on every trim) — same
     /// answer, same weight, same iteration count — across ε values, boundary φ,
     /// and executor degrees 1 and 4. Identical because at these sizes no join
     /// group is large enough for a sketch bucket to hold two sources, so both
@@ -531,8 +598,12 @@ proptest! {
                     let encoded = approximate_sum_quantile(
                         &instance, &ranking, phi, epsilon, ErrorBudget::Direct,
                     )?;
-                    let row = approximate_sum_quantile_via_rows(
-                        &instance, &ranking, phi, epsilon, ErrorBudget::Direct,
+                    let row = quantile_by_pivoting(
+                        &instance,
+                        &ranking,
+                        phi,
+                        &LossySumTrimmer::new(epsilon),
+                        &PivotingOptions::default(),
                     )?;
                     Ok::<_, quantile_joins::CoreError>((encoded, row))
                 })
@@ -555,11 +626,15 @@ proptest! {
         }
     }
 
-    /// The randomized sampler is seed-identical across the encoded and row
-    /// paths: the same `SamplingOptions { seed }` draws the same Hoeffding
-    /// sample on both, so every returned quantile matches exactly. When the
-    /// sample budget reaches the answer count, both paths refuse identically
-    /// with [`CoreError::ApproxRefused`] and a witness naming the regime.
+    /// The randomized sampler is seed-identical across its two entries — encode per
+    /// call, and the engine's pre-encoded instance — and across executor degrees 1
+    /// and 4: the same `SamplingOptions { seed }` draws the same Hoeffding sample,
+    /// so every returned quantile matches exactly. (No row half: both samplers are
+    /// `answer_at(rng.random_range(0..total))`, and
+    /// `link_resolved_context_matches_the_row_context` holds the encoded
+    /// `answer_at` to the row one at every index.) When the sample budget reaches
+    /// the answer count, the sampler refuses with [`CoreError::ApproxRefused`] and a
+    /// witness naming the regime.
     #[test]
     fn sampler_is_seed_identical_across_paths(
         seed in 0u64..3000,
@@ -573,18 +648,20 @@ proptest! {
             return Ok(());
         }
         let phis = boundary_phis(total);
+        let pre_encoded = EncodedInstance::from_instance(&instance).unwrap();
         // Small instances sit under the Hoeffding budget for tight ε; pick a
         // loose ε that samples when possible, and assert the refusal contract
         // when even that budget reaches |Q(D)|.
         let options = SamplingOptions { epsilon: 0.2, delta: 0.1, seed: sample_seed };
+        let mut baseline: Option<Vec<QuantileResult>> = None;
         for (threads, pool) in sweep_pools().iter().filter(|(t, _)| *t == 1 || *t == 4) {
-            let (encoded, row) = quantile_joins::par::with_pool(pool, || {
-                let encoded = quantile_by_sampling_batch(&instance, &ranking, &phis, &options);
-                let row = quantile_by_sampling_batch_via_rows(&instance, &ranking, &phis, &options);
-                (encoded, row)
+            let (per_call, engine) = quantile_joins::par::with_pool(pool, || {
+                let per_call = quantile_by_sampling_batch(&instance, &ranking, &phis, &options);
+                let engine = quantile_by_sampling_batch_encoded(&pre_encoded, &ranking, &phis, &options);
+                (per_call, engine)
             });
             if (options.sample_count() as u128) >= total {
-                for (label, result) in [("encoded", &encoded), ("row", &row)] {
+                for (label, result) in [("per-call", &per_call), ("pre-encoded", &engine)] {
                     match result {
                         Err(quantile_joins::CoreError::ApproxRefused(witness)) => {
                             prop_assert!(
@@ -600,15 +677,16 @@ proptest! {
                 }
                 continue;
             }
-            let encoded = encoded.unwrap();
-            let row = row.unwrap();
-            prop_assert_eq!(encoded.len(), row.len());
-            for ((phi, e), r) in phis.iter().zip(&encoded).zip(&row) {
+            let (per_call, engine) = (per_call.unwrap(), engine.unwrap());
+            let first = baseline.get_or_insert_with(|| per_call.clone());
+            prop_assert_eq!(per_call.len(), phis.len());
+            for (((phi, p), e), b) in phis.iter().zip(&per_call).zip(&engine).zip(first.iter()) {
                 let context = format!("sampler seed={sample_seed} φ={phi} T={threads}");
-                assert_pointwise_equal(e, r, &context);
+                assert_pointwise_equal(p, e, &context);
+                assert_pointwise_equal(p, b, &format!("{context} vs T=1"));
                 prop_assert_eq!(
+                    weight_bits(&p.weight),
                     weight_bits(&e.weight),
-                    weight_bits(&r.weight),
                     "{}: weight bits differ",
                     context
                 );
