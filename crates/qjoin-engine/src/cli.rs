@@ -570,7 +570,30 @@ fn parse_ranking(spec: &str, query: &JoinQuery) -> Result<Ranking, String> {
     Ok(Ranking::new(kind, vars))
 }
 
-/// Generates a workload instance plus its default ranking.
+/// A generator size the generators assert is at least 1.
+fn positive<T: std::str::FromStr + PartialOrd + From<u8>>(
+    params: &BTreeMap<String, String>,
+    key: &str,
+    default: T,
+) -> Result<T, String> {
+    let value = param(params, key, default)?;
+    if value < T::from(1) {
+        return Err(format!("{key} must be at least 1"));
+    }
+    Ok(value)
+}
+
+/// A Zipf skew: any number but NaN, which leaves the sampler an empty range.
+fn skew(params: &BTreeMap<String, String>, default: f64) -> Result<f64, String> {
+    let skew = param(params, "skew", default)?;
+    if skew.is_nan() {
+        return Err("skew must be a number, got NaN".to_string());
+    }
+    Ok(skew)
+}
+
+/// Generates a workload instance plus its default ranking. Every parameter a
+/// generator would panic on is refused here, so a bad `open` is an error reply.
 fn generate_workload(
     kind: &str,
     params: &BTreeMap<String, String>,
@@ -583,11 +606,11 @@ fn generate_workload(
             )?;
             let rows = param(params, "rows", 200usize)?;
             let config = SocialConfig {
-                users: param(params, "users", rows.max(1))?,
-                events: param(params, "events", (rows / 10).max(1))?,
+                users: positive(params, "users", rows.max(1))?,
+                events: positive(params, "events", (rows / 10).max(1))?,
                 rows_per_relation: rows,
                 max_likes: param(params, "likes", 1_000i64)?,
-                event_skew: param(params, "skew", 0.8f64)?,
+                event_skew: skew(params, 0.8)?,
                 seed: param(params, "seed", 7u64)?,
             };
             let ranking = config.likes_ranking();
@@ -600,11 +623,11 @@ fn generate_workload(
             )?;
             let rows = param(params, "rows", 100usize)?;
             let config = PathConfig {
-                atoms: param(params, "atoms", 3usize)?,
+                atoms: positive(params, "atoms", 3usize)?,
                 tuples_per_relation: rows,
-                join_domain: param(params, "domain", (rows / 10).max(2))?,
+                join_domain: positive(params, "domain", (rows / 10).max(2))?,
                 weight_range: param(params, "weights", 1_000_000i64)?,
-                skew: param(params, "skew", 0.2f64)?,
+                skew: skew(params, 0.2)?,
                 seed: param(params, "seed", 7u64)?,
             };
             let instance = config.generate();
@@ -618,11 +641,11 @@ fn generate_workload(
             )?;
             let rows = param(params, "rows", 100usize)?;
             let config = StarConfig {
-                arms: param(params, "arms", 3usize)?,
+                arms: positive(params, "arms", 3usize)?,
                 tuples_per_relation: rows,
-                center_domain: param(params, "domain", (rows / 10).max(2))?,
+                center_domain: positive(params, "domain", (rows / 10).max(2))?,
                 weight_range: param(params, "weights", 1_000_000i64)?,
-                skew: param(params, "skew", 0.2f64)?,
+                skew: skew(params, 0.2)?,
                 seed: param(params, "seed", 7u64)?,
             };
             let instance = config.generate();
@@ -634,12 +657,12 @@ fn generate_workload(
                 params,
                 &["lineitems", "orders", "parts", "weights", "skew", "seed"],
             )?;
-            let lineitems = param(params, "lineitems", 10_000usize)?;
+            let lineitems = positive(params, "lineitems", 10_000usize)?;
             let mut config = StarSchemaConfig::with_scale(lineitems);
-            config.orders = param(params, "orders", config.orders)?;
-            config.parts = param(params, "parts", config.parts)?;
+            config.orders = positive(params, "orders", config.orders)?;
+            config.parts = positive(params, "parts", config.parts)?;
             config.weight_range = param(params, "weights", config.weight_range)?;
-            config.skew = param(params, "skew", config.skew)?;
+            config.skew = skew(params, config.skew)?;
             config.seed = param(params, "seed", config.seed)?;
             let ranking = config.revenue_ranking();
             Ok((config.generate(), ranking))
@@ -647,10 +670,10 @@ fn generate_workload(
         "random" => {
             ensure_known_keys(params, &["atoms", "arity", "rows", "domain", "seed"])?;
             let config = RandomAcyclicConfig {
-                atoms: param(params, "atoms", 3usize)?,
-                max_arity: param(params, "arity", 3usize)?,
+                atoms: positive(params, "atoms", 3usize)?,
+                max_arity: positive(params, "arity", 3usize)?,
                 tuples_per_relation: param(params, "rows", 20usize)?,
-                domain: param(params, "domain", 6i64)?,
+                domain: positive(params, "domain", 6i64)?,
                 seed: param(params, "seed", 7u64)?,
             };
             let instance = config.generate();

@@ -1,457 +1,267 @@
-//! Cross-request coalescing of cold solves: the in-flight gate behind the engine's
-//! serving path.
+//! Cross-request coalescing of cold exact solves: flat combining on the plan handle.
 //!
-//! The paper's §4 batching theorem says one shared divide-and-conquer recursion
-//! answers k quantile targets for far less than k independent solves. The engine's
-//! `quantile_batch` exploits that *within* one request; this module exploits it
-//! *across* requests: concurrent cold exact requests against the same
-//! `(plan id, database generation)` register their φ targets with a [`Gate`], the
-//! first arrival becomes the **leader** and runs one batched solve over the merged
-//! sorted targets, and every other request (**waiter**) receives its answer from the
-//! shared batch — k waiters pay one shared recursion plus O(k) distribution instead
-//! of k full solves.
+//! The paper's §4 batching theorem says one shared recursion answers k quantile
+//! targets for far less than k solves. The batch path exploits that within one
+//! request; a [`Combiner`] exploits it across requests. Every `PreparedPlan` — one
+//! plan at one database generation — carries its own, so different plans or
+//! generations never share a round.
 //!
-//! ## Rounds and leadership handoff
-//!
-//! A [`Flight`] lives in the gate's map while any solve for its key is in progress.
-//! Targets that arrive while a round is already solving accumulate in `pending` and
-//! are merged into the *next* round (the group-commit pattern: the busier the
-//! server, the bigger — and proportionally cheaper — each batch). A leader solves
-//! exactly one round; if new targets accumulated meanwhile it hands leadership to
-//! one of their waiters (`needs_leader`) instead of looping forever, so leader
-//! latency stays bounded by one shared solve. The flight is removed from the map
-//! only when no targets are pending, and waiters register under the map lock, so a
-//! request can never attach to a flight that is about to disappear.
-//!
-//! ## Lock order
-//!
-//! Map lock before flight-state lock, everywhere both are held. Solves run with
-//! neither lock held.
+//! A request pushes one slot per φ onto `pending`, then takes the `turn`. The turn
+//! holder drains `pending`, answers every φ the last solving turn solved from that
+//! turn's answers, solves the rest as one sorted, deduplicated batch, fills every
+//! drained slot, and releases. A request whose slots are filled by the time it gets
+//! the turn returns without solving. Errors fan out to every drained and pending
+//! slot (they are deterministic per plan handle). A combiner that panics leaves the
+//! slots it drained empty; each of their requests solves its own on its turn.
+//! Locks recover from poisoning: nothing they guard is ever left half-written.
 
-use std::collections::HashMap;
-use std::sync::{Arc, Condvar, Mutex};
+use crate::error::EngineError;
+use qjoin_core::CoreError;
+use std::sync::{Arc, Mutex, MutexGuard, OnceLock, PoisonError};
 
-/// The coalescing scope: `(plan id, database generation)`. Requests against
-/// different plans or different generations never share a batch.
-pub(crate) type GateKey = (u64, u64);
+/// One requested φ's answer-to-be, with the tag of the solve that produced it (the
+/// engine passes the combiner's trace id; 0 means none).
+type Slot<R> = Arc<OnceLock<Result<(R, u64), EngineError>>>;
 
-/// How the gate served one request (the caller bumps its counters from this).
+/// The per-plan combiner (see the module docs).
 #[derive(Debug)]
-pub(crate) struct GateOutcome<R, E> {
-    /// This request's answer (an `Err` from the solving leader is fanned out to
-    /// every request whose target it covered).
-    pub result: Result<R, E>,
-    /// Rounds this request led whose shared batch also served at least one waiter
-    /// (0 for waiters and for uncontended solves).
-    pub coalesced_rounds: u64,
-    /// True when the answer came out of a batch solved by *another* request.
-    pub was_follower: bool,
-    /// The opaque tag the serving round's solve returned (the engine passes the
-    /// leader's trace id here, so a follower's span can reference the trace that
-    /// actually did the work). `None` when the solve reported no tag (tag 0).
-    pub leader_tag: Option<u64>,
+pub(crate) struct Combiner<R> {
+    /// Slots pushed by requests and not yet drained by a turn.
+    pending: Mutex<Vec<(f64, Slot<R>)>>,
+    /// The turn, guarding the answers of the last turn that solved: sorted by φ,
+    /// each with that solve's tag.
+    turn: Mutex<Vec<(f64, R, u64)>>,
 }
 
-/// How the gate served one multi-φ request ([`Gate::serve_many`]).
-#[derive(Debug)]
-pub(crate) struct GateBatchOutcome<R, E> {
-    /// One answer per requested φ, in input order (an `Err` from any covering
-    /// round fails the whole request, exactly as an un-gated batch solve would).
-    pub results: Result<Vec<R>, E>,
-    /// Rounds this request led whose shared batch also served at least one waiter.
-    pub coalesced_rounds: u64,
-    /// True when every answer came out of batches solved by *other* requests.
-    pub was_follower: bool,
-    /// The first non-zero solve tag among the rounds that served this request's
-    /// targets (see [`GateOutcome::leader_tag`]).
-    pub leader_tag: Option<u64>,
-}
-
-/// A leader's own answers plus the tag of the round that produced them
-/// (accumulated across the rounds the leader solves; see [`Gate::lead`]).
-type TaggedResults<R, E> = (Result<Vec<R>, E>, Option<u64>);
-
-/// Shared state of one in-flight coalescing group.
-#[derive(Debug)]
-struct FlightState<R, E> {
-    /// φ targets awaiting the next round, deduplicated by bit pattern.
-    pending: Vec<f64>,
-    /// Published answers, keyed by φ bits, each carrying the solve tag of the
-    /// round that produced it (0 when the solve reported none).
-    results: HashMap<u64, Result<(R, u64), E>>,
-    /// Followers that attached since the last publish (leader snapshots this to
-    /// decide whether the round it just solved actually coalesced anything).
-    attached: u64,
-    /// Set by a leader that finished its round with targets still pending: the
-    /// first woken waiter whose φ is unresolved takes over as leader.
-    needs_leader: bool,
-    /// Set when the flight is removed from the map; no further rounds will run.
-    closed: bool,
-}
-
-/// One in-flight coalescing group (see the module docs).
-#[derive(Debug)]
-struct Flight<R, E> {
-    state: Mutex<FlightState<R, E>>,
-    cv: Condvar,
-}
-
-// Manual impls: `derive(Default)` would wrongly require `R: Default, E: Default`.
-impl<R, E> Default for FlightState<R, E> {
+// Manual impl: `derive(Default)` would wrongly require `R: Default`.
+impl<R> Default for Combiner<R> {
     fn default() -> Self {
-        FlightState {
-            pending: Vec::new(),
-            results: HashMap::new(),
-            attached: 0,
-            needs_leader: false,
-            closed: false,
+        Combiner {
+            pending: Mutex::default(),
+            turn: Mutex::default(),
         }
     }
 }
 
-impl<R, E> Default for Flight<R, E> {
-    fn default() -> Self {
-        Flight {
-            state: Mutex::new(FlightState::default()),
-            cv: Condvar::new(),
-        }
-    }
-}
-
-/// The engine-wide in-flight gate: at most one [`Flight`] per key at a time.
+/// How the combiner served one request (the engine bumps its counters from this).
 #[derive(Debug)]
-pub(crate) struct Gate<R, E> {
-    inflight: Mutex<HashMap<GateKey, Arc<Flight<R, E>>>>,
+pub(crate) struct Served<R> {
+    /// One answer per requested φ, in request order, or the first error among them.
+    pub results: Result<Vec<R>, EngineError>,
+    /// True when this request ran no solve of its own.
+    pub waited: bool,
+    /// True when a turn this request held answered at least one other request.
+    pub combined: bool,
+    /// The first non-zero solve tag among this request's answers.
+    pub tag: Option<u64>,
 }
 
-impl<R, E> Default for Gate<R, E> {
-    fn default() -> Self {
-        Gate {
-            inflight: Mutex::new(HashMap::new()),
-        }
-    }
-}
-
-impl<R: Clone, E: Clone> Gate<R, E> {
-    pub fn new() -> Self {
-        Gate {
-            inflight: Mutex::new(HashMap::new()),
-        }
-    }
-
-    /// Serves one φ target through the gate. `solve` receives a sorted, deduplicated
-    /// batch of targets (always containing at least the caller's own φ when the
-    /// caller leads) and must return one result per target, in order, plus an
-    /// opaque tag published alongside the round's answers (the engine passes the
-    /// solve's trace id; 0 means "no tag").
-    ///
-    /// The caller becomes the leader if no flight exists for `key`; otherwise it
-    /// either takes an already-published answer, or registers its φ and waits for a
-    /// round to deliver it (possibly being promoted to leader of that round).
+impl<R: Clone> Combiner<R> {
+    /// Serves a non-empty set of φ targets. `solve` receives a sorted, deduplicated
+    /// batch and must return one result per target, in order, plus the tag
+    /// published with them. It runs at most once per call, with the turn held.
     pub fn serve(
         &self,
-        key: GateKey,
-        phi: f64,
-        solve: impl Fn(&[f64]) -> Result<(Vec<R>, u64), E>,
-    ) -> GateOutcome<R, E> {
-        let outcome = self.serve_many(key, &[phi], solve);
-        GateOutcome {
-            result: outcome
-                .results
-                .map(|mut results| results.pop().expect("one result per requested φ")),
-            coalesced_rounds: outcome.coalesced_rounds,
-            was_follower: outcome.was_follower,
-            leader_tag: outcome.leader_tag,
-        }
-    }
-
-    /// [`Gate::serve`] for a whole batch of φ targets at once: the multi-φ miss
-    /// path of `quantile_batch`. All of the caller's unresolved targets register
-    /// with the flight together, so a batch request folds into an in-flight round
-    /// (or seeds one other requests fold into) instead of running its own solve
-    /// next to it. Returns one answer per φ in input order.
-    pub fn serve_many(
-        &self,
-        key: GateKey,
         phis: &[f64],
-        solve: impl Fn(&[f64]) -> Result<(Vec<R>, u64), E>,
-    ) -> GateBatchOutcome<R, E> {
-        if phis.is_empty() {
-            return GateBatchOutcome {
-                results: Ok(Vec::new()),
-                coalesced_rounds: 0,
-                was_follower: false,
-                leader_tag: None,
-            };
-        }
-        let bits: Vec<u64> = phis.iter().map(|p| p.to_bits()).collect();
-        let flight = {
-            let mut map = self.inflight.lock().expect("gate map lock poisoned");
-            match map.get(&key) {
-                Some(flight) => {
-                    let flight = Arc::clone(flight);
-                    // Register under the map lock: a flight still in the map is
-                    // guaranteed to run at least one more round before closing.
-                    let mut state = flight.state.lock().expect("flight lock poisoned");
-                    if let Some((results, leader_tag)) = collect_results(&state, &bits) {
-                        // Shared batches already answered every target.
-                        return GateBatchOutcome {
-                            results,
-                            coalesced_rounds: 0,
-                            was_follower: true,
-                            leader_tag,
-                        };
-                    }
-                    for (&phi, b) in phis.iter().zip(&bits) {
-                        if !state.results.contains_key(b)
-                            && !state.pending.iter().any(|p| p.to_bits() == *b)
-                        {
-                            state.pending.push(phi);
-                        }
-                    }
-                    state.attached += 1;
-                    drop(state);
-                    drop(map);
-                    flight
-                }
-                None => {
-                    let flight: Arc<Flight<R, E>> = Arc::new(Flight::default());
-                    {
-                        let mut state = flight.state.lock().expect("flight lock poisoned");
-                        for (&phi, b) in phis.iter().zip(&bits) {
-                            if !state.pending.iter().any(|p| p.to_bits() == *b) {
-                                state.pending.push(phi);
-                            }
-                        }
-                    }
-                    map.insert(key, Arc::clone(&flight));
-                    drop(map);
-                    return self.lead(key, &flight, &bits, &solve);
-                }
-            }
-        };
-        // Follower: wait until rounds publish every one of our answers, or until
-        // we are promoted to lead the round that contains the remainder.
-        let mut state = flight.state.lock().expect("flight lock poisoned");
+        solve: impl Fn(&[f64]) -> Result<(Vec<R>, u64), EngineError>,
+    ) -> Served<R> {
+        let mine: Vec<(f64, Slot<R>)> = phis.iter().map(|&phi| (phi, Slot::default())).collect();
+        lock(&self.pending).extend(mine.iter().cloned());
+        let mut last = lock(&self.turn);
+        let (mut waited, mut combined) = (true, false);
         loop {
-            if let Some((results, leader_tag)) = collect_results(&state, &bits) {
-                return GateBatchOutcome {
+            if let Some((results, tag)) = collect(&mine) {
+                return Served {
                     results,
-                    coalesced_rounds: 0,
-                    was_follower: true,
-                    leader_tag,
+                    waited,
+                    combined,
+                    tag,
                 };
             }
-            debug_assert!(!state.closed, "closed flight owes this waiter an answer");
-            if state.needs_leader {
-                state.needs_leader = false;
-                drop(state);
-                return self.lead(key, &flight, &bits, &solve);
-            }
-            state = flight.cv.wait(state).expect("flight lock poisoned");
-        }
-    }
-
-    /// Runs one round as leader (plus close-or-handoff bookkeeping). Reached either
-    /// by the flight's creator or by a waiter promoted via `needs_leader`. Every one
-    /// of the leader's own targets is either already published or registered in
-    /// `pending`, so the round it solves resolves all of them.
-    fn lead(
-        &self,
-        key: GateKey,
-        flight: &Arc<Flight<R, E>>,
-        my_bits: &[u64],
-        solve: &impl Fn(&[f64]) -> Result<(Vec<R>, u64), E>,
-    ) -> GateBatchOutcome<R, E> {
-        let mut coalesced_rounds = 0u64;
-        let mut my_result: Option<TaggedResults<R, E>> = None;
-        loop {
-            // Take the next round, or close the flight if nothing is pending.
-            // Map lock first: removal must be atomic with the last pending check so
-            // no request can register into a flight that is closing.
-            let round: Vec<f64> = {
-                let mut map = self.inflight.lock().expect("gate map lock poisoned");
-                let mut state = flight.state.lock().expect("flight lock poisoned");
-                // Targets an earlier round already published need no re-solve
-                // (answers are deterministic per key); their waiters read the
-                // published results when notified.
-                let taken = std::mem::take(&mut state.pending);
-                let mut round: Vec<f64> = taken
-                    .into_iter()
-                    .filter(|p| !state.results.contains_key(&p.to_bits()))
-                    .collect();
-                if round.is_empty() {
-                    state.closed = true;
-                    map.remove(&key);
-                    flight.cv.notify_all();
-                    break;
-                }
-                round.sort_by(f64::total_cmp);
-                round
-            };
-            match solve(&round) {
-                Ok((results, tag)) => {
-                    let mut state = flight.state.lock().expect("flight lock poisoned");
-                    for (target, result) in round.iter().zip(results) {
-                        state.results.insert(target.to_bits(), Ok((result, tag)));
-                    }
-                    if my_result.is_none() {
-                        my_result = collect_results(&state, my_bits);
-                    }
-                    if state.attached > 0 {
-                        coalesced_rounds += 1;
-                        state.attached = 0;
-                    }
-                    let handoff = !state.pending.is_empty();
-                    if handoff {
-                        // New targets arrived mid-solve; one of their waiters leads
-                        // the next round so our own latency stays bounded.
-                        state.needs_leader = true;
-                    }
-                    flight.cv.notify_all();
-                    drop(state);
-                    if handoff {
-                        break;
-                    }
-                    // Loop once more: either close the flight or serve a round that
-                    // arrived between the publish above and the map lock.
-                }
-                Err(e) => {
-                    // Fan the failure out to this round and everything pending:
-                    // solve errors are deterministic per (plan, generation), so
-                    // rerunning them for each waiter would fail identically.
-                    let mut map = self.inflight.lock().expect("gate map lock poisoned");
-                    let mut state = flight.state.lock().expect("flight lock poisoned");
-                    for target in round.iter().chain(state.pending.clone().iter()) {
-                        state.results.insert(target.to_bits(), Err(e.clone()));
-                    }
-                    state.pending.clear();
-                    state.closed = true;
-                    map.remove(&key);
-                    flight.cv.notify_all();
-                    if my_result.is_none() {
-                        my_result = Some((Err(e), None));
-                    }
-                    break;
+            let mut round = std::mem::take(&mut *lock(&self.pending));
+            // Ours, empty and no longer pending: a combiner that panicked drained it.
+            for (phi, slot) in &mine {
+                if slot.get().is_none() && !round.iter().any(|(_, s)| Arc::ptr_eq(s, slot)) {
+                    round.push((*phi, Arc::clone(slot)));
                 }
             }
-        }
-        let (results, leader_tag) =
-            my_result.expect("a led round always covers the leader's own φs");
-        GateBatchOutcome {
-            results,
-            coalesced_rounds,
-            // A promoted waiter solved its own targets; it never consumed another
-            // request's batch, so it is not a coalesced waiter.
-            was_follower: false,
-            leader_tag,
+            combined |= (round.iter()).any(|(_, s)| !mine.iter().any(|(_, m)| Arc::ptr_eq(m, s)));
+            fill(&round, &last);
+            let mut wanted: Vec<f64> = (round.iter())
+                .filter_map(|(phi, slot)| slot.get().is_none().then_some(*phi))
+                .collect();
+            if wanted.is_empty() {
+                continue;
+            }
+            wanted.sort_by(f64::total_cmp);
+            wanted.dedup_by(|a, b| a.to_bits() == b.to_bits());
+            waited = false;
+            match solve(&wanted) {
+                Ok((results, tag)) if results.len() == wanted.len() => {
+                    let answers = wanted.into_iter().zip(results);
+                    *last = answers.map(|(phi, result)| (phi, result, tag)).collect();
+                    fill(&round, &last);
+                }
+                outcome => {
+                    let error = outcome.err().unwrap_or_else(|| {
+                        CoreError::Internal("a batch solve lost a target".into()).into()
+                    });
+                    round.append(&mut lock(&self.pending));
+                    for (_, slot) in &round {
+                        let _ = slot.set(Err(error.clone()));
+                    }
+                }
+            }
         }
     }
 }
 
-/// `Some` once every requested bit has a published answer: the answers in request
-/// order plus the first non-zero solve tag among them, or the first published
-/// error (errors fan out to the whole flight, so any error fails the whole
-/// request — identical to an un-gated batch solve).
+fn lock<T>(mutex: &Mutex<T>) -> MutexGuard<'_, T> {
+    mutex.lock().unwrap_or_else(PoisonError::into_inner)
+}
+
+/// Answers every slot whose φ `last` solved.
+fn fill<R: Clone>(round: &[(f64, Slot<R>)], last: &[(f64, R, u64)]) {
+    for (phi, slot) in round {
+        if let Ok(i) = last.binary_search_by(|(p, ..)| p.total_cmp(phi)) {
+            let _ = slot.set(Ok((last[i].1.clone(), last[i].2)));
+        }
+    }
+}
+
+/// `Some` once every slot is filled, or any holds an error: the answers in request
+/// order plus their first non-zero tag, or the first error (an error fails the
+/// whole request, as it would an un-coalesced batch solve).
 #[allow(clippy::type_complexity)]
-fn collect_results<R: Clone, E: Clone>(
-    state: &FlightState<R, E>,
-    bits: &[u64],
-) -> Option<(Result<Vec<R>, E>, Option<u64>)> {
-    let mut results = Vec::with_capacity(bits.len());
-    let mut leader_tag = None;
-    for b in bits {
-        match state.results.get(b)? {
-            Ok((result, tag)) => {
-                if leader_tag.is_none() && *tag != 0 {
-                    leader_tag = Some(*tag);
-                }
+fn collect<R: Clone>(
+    mine: &[(f64, Slot<R>)],
+) -> Option<(Result<Vec<R>, EngineError>, Option<u64>)> {
+    let mut results = Vec::with_capacity(mine.len());
+    let mut tag = None;
+    for (_, slot) in mine {
+        match slot.get()? {
+            Ok((result, t)) => {
+                tag = tag.or((*t != 0).then_some(*t));
                 results.push(result.clone());
             }
             Err(e) => return Some((Err(e.clone()), None)),
         }
     }
-    Some((Ok(results), leader_tag))
+    Some((Ok(results), tag))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use std::sync::atomic::{AtomicU64, Ordering};
-    use std::sync::Barrier;
+    use std::sync::{mpsc, Barrier};
     use std::thread;
-    use std::time::Duration;
+    use std::time::{Duration, Instant};
 
-    type TestGate = Gate<f64, String>;
+    type TestCombiner = Combiner<f64>;
+    type Solved = Result<(Vec<f64>, u64), EngineError>;
+
+    fn boom(message: &str) -> EngineError {
+        EngineError::Core(CoreError::Internal(message.to_string()))
+    }
+
+    /// Blocks until `n` slots are pending (the requests behind a held turn have
+    /// pushed), so a test never relies on a sleep being long enough.
+    fn wait_for_pending(combiner: &TestCombiner, n: usize) {
+        let deadline = Instant::now() + Duration::from_secs(10);
+        while lock(&combiner.pending).len() < n {
+            assert!(Instant::now() < deadline, "never saw {n} pending slots");
+            thread::sleep(Duration::from_millis(1));
+        }
+    }
+
+    /// A combiner whose first turn solves `phi` and blocks inside its solve until
+    /// the returned barrier is passed; every later solve runs free. `rounds`
+    /// records every batch solved.
+    fn blocked_leader(
+        combiner: &Arc<TestCombiner>,
+        phi: f64,
+        rounds: &Arc<Mutex<Vec<Vec<f64>>>>,
+    ) -> (thread::JoinHandle<Served<f64>>, Arc<Barrier>) {
+        let (in_solve, release) = (Arc::new(Barrier::new(2)), Arc::new(Barrier::new(2)));
+        let leader = {
+            let (combiner, rounds) = (Arc::clone(combiner), Arc::clone(rounds));
+            let (in_solve, release) = (Arc::clone(&in_solve), Arc::clone(&release));
+            thread::spawn(move || {
+                combiner.serve(&[phi], move |round| {
+                    rounds.lock().unwrap().push(round.to_vec());
+                    in_solve.wait();
+                    release.wait();
+                    Ok((round.to_vec(), 42))
+                })
+            })
+        };
+        in_solve.wait(); // the leader holds the turn, inside its solve
+        (leader, release)
+    }
+
+    /// A request that records its rounds and answers each φ with itself.
+    fn recording(
+        combiner: &Arc<TestCombiner>,
+        phis: Vec<f64>,
+        rounds: &Arc<Mutex<Vec<Vec<f64>>>>,
+    ) -> thread::JoinHandle<(Vec<f64>, Served<f64>)> {
+        let (combiner, rounds) = (Arc::clone(combiner), Arc::clone(rounds));
+        thread::spawn(move || {
+            let served = combiner.serve(&phis, move |round| {
+                rounds.lock().unwrap().push(round.to_vec());
+                Ok((round.to_vec(), 0))
+            });
+            (phis, served)
+        })
+    }
 
     #[test]
     fn uncontended_request_solves_itself() {
-        let gate = TestGate::new();
+        let combiner = TestCombiner::default();
         let calls = AtomicU64::new(0);
-        let out = gate.serve((1, 1), 0.5, |phis| {
+        let out = combiner.serve(&[0.5], |phis| {
             calls.fetch_add(1, Ordering::SeqCst);
             assert_eq!(phis, &[0.5]);
             Ok((phis.iter().map(|p| p * 2.0).collect(), 0))
         });
-        assert_eq!(out.result.unwrap(), 1.0);
-        assert_eq!(out.coalesced_rounds, 0);
-        assert!(!out.was_follower);
+        assert_eq!(out.results.unwrap(), vec![1.0]);
+        assert!(!out.waited && !out.combined);
         assert_eq!(calls.load(Ordering::SeqCst), 1);
-        // The flight is gone: the next request leads its own flight again.
-        assert!(gate.inflight.lock().unwrap().is_empty());
+        assert!(lock(&combiner.pending).is_empty());
     }
 
     #[test]
     fn identical_concurrent_targets_share_one_solve() {
-        let gate = Arc::new(TestGate::new());
-        let solves = Arc::new(AtomicU64::new(0));
-        let in_solve = Arc::new(Barrier::new(2)); // solver + coordinator
-        let release = Arc::new(Barrier::new(2));
-
-        // Leader: its solve blocks until the coordinator releases it, guaranteeing
-        // the followers attach while the round is in flight.
-        let leader = {
-            let (gate, solves) = (Arc::clone(&gate), Arc::clone(&solves));
-            let (in_solve, release) = (Arc::clone(&in_solve), Arc::clone(&release));
-            thread::spawn(move || {
-                gate.serve((7, 3), 0.25, move |phis| {
-                    solves.fetch_add(1, Ordering::SeqCst);
-                    in_solve.wait();
-                    release.wait();
-                    Ok((phis.iter().map(|p| p + 1.0).collect(), 42))
-                })
-            })
-        };
-        in_solve.wait(); // the leader is now inside its solve
+        let combiner = Arc::new(TestCombiner::default());
+        let rounds = Arc::default();
+        let (leader, release) = blocked_leader(&combiner, 0.25, &rounds);
         let followers: Vec<_> = (0..4)
             .map(|_| {
-                let gate = Arc::clone(&gate);
+                let combiner = Arc::clone(&combiner);
                 thread::spawn(move || {
-                    gate.serve((7, 3), 0.25, |_| -> Result<(Vec<f64>, u64), String> {
+                    combiner.serve(&[0.25], |_| -> Solved {
                         panic!("followers of an identical target must never solve")
                     })
                 })
             })
             .collect();
-        // Give the followers time to attach, then let the round finish.
-        thread::sleep(Duration::from_millis(50));
+        wait_for_pending(&combiner, 4);
         release.wait();
 
         let led = leader.join().unwrap();
-        assert_eq!(led.result.unwrap(), 1.25);
-        assert_eq!(led.coalesced_rounds, 1, "the round served waiters");
-        for f in followers {
-            let out = f.join().unwrap();
-            assert_eq!(out.result.unwrap(), 1.25);
-            assert!(out.was_follower);
-            assert_eq!(
-                out.leader_tag,
-                Some(42),
-                "followers learn the leading solve's trace tag"
-            );
+        assert_eq!(led.results.unwrap(), vec![0.25]);
+        assert!(!led.waited);
+        let outs: Vec<_> = followers.into_iter().map(|f| f.join().unwrap()).collect();
+        for out in &outs {
+            assert_eq!(out.results.as_ref().unwrap(), &[0.25]);
+            assert!(out.waited);
+            assert_eq!(out.tag, Some(42), "followers learn the solving turn's tag");
         }
+        // The first follower's turn answered all four from the leader's round.
+        assert_eq!(outs.iter().filter(|o| o.combined).count(), 1);
         assert_eq!(
-            solves.load(Ordering::SeqCst),
+            rounds.lock().unwrap().len(),
             1,
             "one shared solve for all 5"
         );
@@ -459,168 +269,174 @@ mod tests {
 
     #[test]
     fn distinct_targets_merge_into_the_next_round() {
-        let gate = Arc::new(TestGate::new());
-        let rounds = Arc::new(Mutex::new(Vec::<Vec<f64>>::new()));
-        let in_solve = Arc::new(Barrier::new(2));
-        let release = Arc::new(Barrier::new(2));
-
-        let leader = {
-            let (gate, rounds) = (Arc::clone(&gate), Arc::clone(&rounds));
-            let (in_solve, release) = (Arc::clone(&in_solve), Arc::clone(&release));
-            thread::spawn(move || {
-                gate.serve((1, 1), 0.5, move |phis| {
-                    rounds.lock().unwrap().push(phis.to_vec());
-                    if phis == [0.5] {
-                        // Only the first round blocks; the handed-off round runs free.
-                        in_solve.wait();
-                        release.wait();
-                    }
-                    Ok((phis.to_vec(), 0))
-                })
-            })
-        };
-        in_solve.wait();
-        // Three distinct targets arrive mid-round; they must merge into one
-        // sorted second round, led by one promoted waiter.
+        let combiner = Arc::new(TestCombiner::default());
+        let rounds = Arc::default();
+        let (leader, release) = blocked_leader(&combiner, 0.5, &rounds);
+        // Three distinct targets arrive mid-solve; they must merge into one sorted
+        // second round, solved by whichever of them takes the turn first.
         let stragglers: Vec<_> = [0.9, 0.1, 0.7]
             .into_iter()
-            .map(|phi| {
-                let (gate, rounds) = (Arc::clone(&gate), Arc::clone(&rounds));
-                thread::spawn(move || {
-                    gate.serve((1, 1), phi, move |phis| {
-                        rounds.lock().unwrap().push(phis.to_vec());
-                        Ok((phis.to_vec(), 0))
-                    })
-                })
-            })
+            .map(|phi| recording(&combiner, vec![phi], &rounds))
             .collect();
-        thread::sleep(Duration::from_millis(50));
+        wait_for_pending(&combiner, 3);
         release.wait();
 
-        let led = leader.join().unwrap();
-        assert_eq!(led.result.unwrap(), 0.5);
+        assert_eq!(leader.join().unwrap().results.unwrap(), vec![0.5]);
         let outs: Vec<_> = stragglers.into_iter().map(|t| t.join().unwrap()).collect();
-        for out in &outs {
-            assert!(out.result.is_ok());
+        for (phis, out) in &outs {
+            assert_eq!(out.results.as_ref().unwrap(), phis);
         }
         let rounds = rounds.lock().unwrap();
-        assert_eq!(rounds[0], vec![0.5]);
-        assert_eq!(rounds[1], vec![0.1, 0.7, 0.9], "merged and sorted");
-        assert_eq!(rounds.len(), 2, "three stragglers shared one round");
-        // Exactly one straggler was promoted to lead round 2; the other two were
-        // served from its shared batch.
-        assert_eq!(outs.iter().filter(|o| o.was_follower).count(), 2);
+        assert_eq!(
+            *rounds,
+            vec![vec![0.5], vec![0.1, 0.7, 0.9]],
+            "merged, sorted"
+        );
+        assert_eq!(outs.iter().filter(|(_, o)| o.waited).count(), 2);
     }
 
     #[test]
-    fn leader_errors_fan_out_to_every_waiter() {
-        let gate = Arc::new(TestGate::new());
-        let in_solve = Arc::new(Barrier::new(2));
-        let release = Arc::new(Barrier::new(2));
+    fn errors_fan_out_to_every_waiter() {
+        let combiner = Arc::new(TestCombiner::default());
+        let (in_solve, release) = (Arc::new(Barrier::new(2)), Arc::new(Barrier::new(2)));
         let leader = {
-            let gate = Arc::clone(&gate);
+            let combiner = Arc::clone(&combiner);
             let (in_solve, release) = (Arc::clone(&in_solve), Arc::clone(&release));
             thread::spawn(move || {
-                gate.serve((9, 9), 0.5, move |_| -> Result<(Vec<f64>, u64), String> {
+                combiner.serve(&[0.5], move |_| -> Solved {
                     in_solve.wait();
                     release.wait();
-                    Err("boom".to_string())
+                    Err(boom("boom"))
                 })
             })
         };
         in_solve.wait();
+        // A *different* φ pending at error time still gets the error (rerunning
+        // would fail identically).
         let waiter = {
-            let gate = Arc::clone(&gate);
-            // A *different* φ pending at error time still gets the error (rerunning
-            // would fail identically).
-            thread::spawn(move || gate.serve((9, 9), 0.75, |_| Err("later".to_string())))
+            let combiner = Arc::clone(&combiner);
+            thread::spawn(move || combiner.serve(&[0.75], |_| Err(boom("later"))))
         };
-        thread::sleep(Duration::from_millis(50));
+        wait_for_pending(&combiner, 1);
         release.wait();
-        assert_eq!(leader.join().unwrap().result.unwrap_err(), "boom");
-        assert_eq!(waiter.join().unwrap().result.unwrap_err(), "boom");
-        assert!(gate.inflight.lock().unwrap().is_empty());
+        assert_eq!(leader.join().unwrap().results.unwrap_err(), boom("boom"));
+        let waited = waiter.join().unwrap();
+        assert_eq!(waited.results.unwrap_err(), boom("boom"));
+        assert!(waited.waited);
+        assert!(lock(&combiner.pending).is_empty());
     }
 
     #[test]
     fn batch_requests_fold_into_an_in_flight_round() {
-        let gate = Arc::new(TestGate::new());
-        let rounds = Arc::new(Mutex::new(Vec::<Vec<f64>>::new()));
-        let in_solve = Arc::new(Barrier::new(2));
-        let release = Arc::new(Barrier::new(2));
-
-        // A single-φ leader blocks mid-solve while two multi-φ batches attach.
-        let leader = {
-            let (gate, rounds) = (Arc::clone(&gate), Arc::clone(&rounds));
-            let (in_solve, release) = (Arc::clone(&in_solve), Arc::clone(&release));
-            thread::spawn(move || {
-                gate.serve((4, 2), 0.5, move |phis| {
-                    rounds.lock().unwrap().push(phis.to_vec());
-                    if phis == [0.5] {
-                        in_solve.wait();
-                        release.wait();
-                    }
-                    Ok((phis.to_vec(), 0))
-                })
-            })
-        };
-        in_solve.wait();
-        // Two overlapping batches; their union (minus what round 1 answers) must
-        // come out as ONE merged, sorted, deduplicated second round.
+        let combiner = Arc::new(TestCombiner::default());
+        let rounds = Arc::default();
+        let (leader, release) = blocked_leader(&combiner, 0.5, &rounds);
+        // Two overlapping batches; their union, minus what the leader's round
+        // answers, must come out as ONE merged, sorted, deduplicated round.
         let batches: Vec<_> = [vec![0.1, 0.5, 0.9], vec![0.9, 0.3]]
             .into_iter()
-            .map(|phis| {
-                let (gate, rounds) = (Arc::clone(&gate), Arc::clone(&rounds));
-                thread::spawn(move || {
-                    let out = gate.serve_many((4, 2), &phis, move |round| {
-                        rounds.lock().unwrap().push(round.to_vec());
-                        Ok((round.to_vec(), 0))
-                    });
-                    (phis, out)
-                })
-            })
+            .map(|phis| recording(&combiner, phis, &rounds))
             .collect();
-        thread::sleep(Duration::from_millis(50));
+        wait_for_pending(&combiner, 5);
         release.wait();
 
-        assert_eq!(leader.join().unwrap().result.unwrap(), 0.5);
+        assert_eq!(leader.join().unwrap().results.unwrap(), vec![0.5]);
         let outs: Vec<_> = batches.into_iter().map(|t| t.join().unwrap()).collect();
         for (phis, out) in &outs {
             // Answers come back in the request's own input order.
             assert_eq!(out.results.as_ref().unwrap(), phis);
         }
-        // Exactly one batch was promoted to lead round 2; the other followed.
-        assert_eq!(outs.iter().filter(|(_, o)| o.was_follower).count(), 1);
-        let rounds = rounds.lock().unwrap();
-        assert_eq!(rounds[0], vec![0.5]);
+        assert_eq!(outs.iter().filter(|(_, o)| o.waited).count(), 1);
         assert_eq!(
-            rounds[1],
-            vec![0.1, 0.3, 0.9],
+            *rounds.lock().unwrap(),
+            vec![vec![0.5], vec![0.1, 0.3, 0.9]],
             "batch targets merged, deduplicated (0.5, double 0.9), and sorted"
         );
-        assert_eq!(rounds.len(), 2, "two batch requests shared one round");
-        assert!(gate.inflight.lock().unwrap().is_empty());
     }
 
     #[test]
-    fn serve_many_preserves_duplicate_targets_in_order() {
-        let gate = TestGate::new();
-        let out = gate.serve_many((6, 1), &[0.5, 0.2, 0.5], |phis| {
+    fn duplicate_targets_come_back_in_order() {
+        let combiner = TestCombiner::default();
+        let out = combiner.serve(&[0.5, 0.2, 0.5], |phis| {
             assert_eq!(phis, &[0.2, 0.5], "solver sees the deduplicated round");
             Ok((phis.to_vec(), 0))
         });
         assert_eq!(out.results.unwrap(), vec![0.5, 0.2, 0.5]);
-        assert!(!out.was_follower);
+        assert!(!out.waited);
     }
 
     #[test]
-    fn different_keys_never_share_a_flight() {
-        let gate = TestGate::new();
-        let out_a = gate.serve((1, 1), 0.5, |p| Ok((p.to_vec(), 0)));
-        let out_b = gate.serve((1, 2), 0.5, |p| {
-            Ok((p.iter().map(|x| x + 1.0).collect(), 0))
+    fn two_plan_handles_never_share_a_round() {
+        // While `a`'s turn is held inside a solve, a request on `b` takes its own
+        // turn and solves its own round: it neither waits on nor joins `a`'s.
+        let (a, b) = (Arc::new(TestCombiner::default()), TestCombiner::default());
+        let rounds = Arc::default();
+        let (leader, release) = blocked_leader(&a, 0.5, &rounds);
+        let out = b.serve(&[0.5], |p| Ok((p.iter().map(|x| x + 1.0).collect(), 0)));
+        assert_eq!(out.results.unwrap(), vec![1.5]);
+        assert!(!out.waited && !out.combined);
+        release.wait();
+        assert_eq!(leader.join().unwrap().results.unwrap(), vec![0.5]);
+    }
+
+    /// Mutation: drop the `last` lookup and the late 0.25 is solved again.
+    #[test]
+    fn a_target_pushed_mid_solve_is_answered_from_the_last_round() {
+        let combiner = Arc::new(TestCombiner::default());
+        let rounds = Arc::default();
+        let (leader, release) = blocked_leader(&combiner, 0.25, &rounds);
+        let late: Vec<_> = [vec![0.25], vec![0.75]]
+            .into_iter()
+            .map(|phis| recording(&combiner, phis, &rounds))
+            .collect();
+        wait_for_pending(&combiner, 2);
+        release.wait();
+
+        leader.join().unwrap().results.unwrap();
+        for (phis, out) in late.into_iter().map(|t| t.join().unwrap()) {
+            assert_eq!(out.results.unwrap(), phis);
+        }
+        assert_eq!(
+            *rounds.lock().unwrap(),
+            vec![vec![0.25], vec![0.75]],
+            "0.25 came from the leader's round, not a second solve"
+        );
+    }
+
+    /// Mutation: drop the re-add of a request's own unanswered slots and the
+    /// survivor spins on an empty round forever (caught by the bounded wait).
+    #[test]
+    fn a_panicking_combiner_does_not_wedge_a_follower() {
+        let combiner = Arc::new(TestCombiner::default());
+        let rounds: Arc<Mutex<Vec<Vec<f64>>>> = Arc::default();
+        let (done, answers) = mpsc::channel();
+        // Hold the turn so both requests push before either can drain.
+        let held = lock(&combiner.turn);
+        let requests = [0.3, 0.7].map(|phi| {
+            let (combiner, rounds, done) =
+                (Arc::clone(&combiner), Arc::clone(&rounds), done.clone());
+            thread::spawn(move || {
+                let served = combiner.serve(&[phi], |round| {
+                    let mut rounds = lock(&rounds);
+                    rounds.push(round.to_vec());
+                    // Whoever combines first drains both targets and panics.
+                    let first = rounds.len() == 1;
+                    drop(rounds);
+                    assert!(!first, "the first combiner panics mid-solve");
+                    Ok((round.to_vec(), 0))
+                });
+                let _ = done.send((phi, served.results));
+            })
         });
-        assert_eq!(out_a.result.unwrap(), 0.5);
-        assert_eq!(out_b.result.unwrap(), 1.5);
+        wait_for_pending(&combiner, 2);
+        drop(held);
+
+        let (phi, results) = answers
+            .recv_timeout(Duration::from_secs(10))
+            .expect("the follower was wedged by the panicked combiner");
+        assert_eq!(results.unwrap(), vec![phi], "it re-solved its own target");
+        assert_eq!(*lock(&rounds), vec![vec![0.3, 0.7], vec![phi]]);
+        let joined = requests.map(|request| request.join().is_ok());
+        assert_eq!(joined.iter().filter(|&&ok| ok).count(), 1, "one panicked");
     }
 }

@@ -9,7 +9,7 @@
 //! against a plan of any size.
 //!
 //! The analyze half runs one real **uncached** solve under a dedicated span
-//! trace (bypassing the result cache and the coalescing gate, so the observed
+//! trace (bypassing the result cache and the combiner, so the observed
 //! rounds are always the plan's own work) and folds the recorded spans back
 //! into per-round observations: pre-trim candidate count and the
 //! `n_lt`/`n_eq`/`n_gt` split of every trim round, and the leaf's size and keyed

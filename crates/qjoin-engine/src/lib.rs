@@ -26,6 +26,7 @@
 //! | named databases + generations | [`catalog`] |
 //! | compile-once registrations | [`plan`] |
 //! | LRU result cache | [`cache`] |
+//! | cross-request coalescing of cold exact solves, per plan | `coalesce` |
 //! | the serving facade | [`engine`] |
 //! | `explain` / `explain analyze` reports | [`explain`] |
 //! | the `qjoin` CLI session | [`cli`] |

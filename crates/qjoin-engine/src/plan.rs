@@ -16,9 +16,10 @@
 //! remembers the database generation it was compiled against; the engine
 //! recompiles it — with no state lock held — when the database is replaced.
 
+use crate::coalesce::Combiner;
 use crate::error::EngineError;
 use qjoin_core::dichotomy::{classify_partial_sum, SumClassification};
-use qjoin_core::CoreError;
+use qjoin_core::{CoreError, QuantileResult};
 use qjoin_data::{Database, EncodedDatabase};
 use qjoin_query::{acyclicity, EncodedInstance, Instance, JoinQuery, JoinTree};
 use qjoin_ranking::{AggregateKind, Ranking};
@@ -119,7 +120,7 @@ impl PlanStrategy {
 }
 
 /// A compiled registration, ready to serve quantile requests.
-#[derive(Clone, Debug)]
+#[derive(Debug)]
 pub struct PreparedPlan {
     /// The registration name (unique within an engine).
     pub name: String,
@@ -147,6 +148,9 @@ pub struct PreparedPlan {
     pub strategy: PlanStrategy,
     /// Wall-clock time spent compiling the plan.
     pub compile_time: Duration,
+    /// Where concurrent cold exact requests against this handle coalesce (see the
+    /// `coalesce` module).
+    pub(crate) combiner: Combiner<QuantileResult>,
 }
 
 impl PreparedPlan {
@@ -207,6 +211,7 @@ impl PreparedPlan {
             total_answers,
             strategy,
             compile_time: start.elapsed(),
+            combiner: Combiner::default(),
         })
     }
 

@@ -13,8 +13,8 @@
 //! Connections are **multiplexed**: a reactor parks nonblocking connections,
 //! sleeps in the kernel while they are quiet, and dispatches complete request
 //! lines to the worker pool, so idle connections cost zero worker threads and an
-//! idle server costs no CPU; concurrent cold requests for the same quantile
-//! coalesce into one shared batched solve inside the engine. The pieces:
+//! idle server costs no CPU; concurrent cold exact requests against one plan
+//! coalesce into shared batched solves inside the engine. The pieces:
 //!
 //! | Component | Module |
 //! |---|---|

@@ -3,12 +3,15 @@
 //! Jobs are fed through an [`mpsc::sync_channel`], so [`WorkerPool::submit`] blocks
 //! once the queue holds `queue_depth` unstarted jobs — natural backpressure for the
 //! reactor's dispatch instead of an unbounded pile-up. Workers share the receiver
-//! behind a mutex and run the (shared) handler on each job.
+//! behind a mutex and run the (shared) handler on each job. A job that panics
+//! unwinds only itself: what it owned (for the server, the request's connection)
+//! is dropped, and its worker goes on to the next job.
 //!
 //! Dropping or [`WorkerPool::join`]ing the pool closes the channel; workers drain
 //! whatever is already queued, then exit, and `join` waits for them — this is the
 //! mechanism behind the server's graceful shutdown.
 
+use std::panic::{self, AssertUnwindSafe};
 use std::sync::mpsc;
 use std::sync::{Arc, Mutex};
 use std::thread;
@@ -43,7 +46,11 @@ impl<T: Send + 'static> WorkerPool<T> {
                         // handling, so other workers keep draining the queue.
                         let job = receiver.lock().unwrap().recv();
                         match job {
-                            Ok(job) => handler(job),
+                            Ok(job) => {
+                                // The handler shares nothing with the loop, so
+                                // nothing it left half-done is observed here.
+                                let _ = panic::catch_unwind(AssertUnwindSafe(|| handler(job)));
+                            }
                             Err(_) => break, // channel closed and drained
                         }
                     })
@@ -171,6 +178,25 @@ mod tests {
         let pool = Arc::try_unwrap(pool).unwrap_or_else(|_| panic!("pool still shared"));
         pool.join();
         assert_eq!(handled.load(Ordering::SeqCst), 3, "no job was dropped");
+    }
+
+    /// Mutation: drop the `catch_unwind` and the only worker dies with job 0.
+    #[test]
+    fn a_panicking_job_does_not_kill_its_worker() {
+        let (done, ran) = mpsc::channel();
+        let pool = WorkerPool::new("t", 1, 4, move |n: usize| {
+            assert_ne!(n, 0, "job 0 panics");
+            let _ = done.send(n);
+        });
+        for n in 0..4 {
+            let _ = pool.submit(n);
+        }
+        let ran: Vec<usize> = (1..4)
+            .map(|_| ran.recv_timeout(Duration::from_secs(10)))
+            .collect::<Result<_, _>>()
+            .expect("the worker survived job 0");
+        assert_eq!(ran, [1, 2, 3]);
+        pool.join();
     }
 
     #[test]

@@ -94,6 +94,48 @@ fn remote_errors_are_reported_not_fatal() {
     join.join().unwrap();
 }
 
+/// Mutation: drop any one of the CLI's generator checks and that `open` panics its
+/// job, closing the connection before the `err` reply (and the `ping`) can arrive.
+#[test]
+fn bad_generator_parameters_are_error_replies_not_panics() {
+    let (addr, handle, join) = start_server(1);
+    let mut client = Client::connect(addr).unwrap();
+    client
+        .set_read_timeout(Some(Duration::from_secs(30)))
+        .unwrap();
+    let refused = [
+        ("path atoms=0", "atoms"),
+        ("path domain=0", "domain"),
+        ("path skew=nan", "skew"),
+        ("star arms=0", "arms"),
+        ("star domain=0", "domain"),
+        ("star skew=nan", "skew"),
+        ("random atoms=0", "atoms"),
+        ("random arity=0", "arity"),
+        ("random domain=0", "domain"),
+        ("social users=0", "users"),
+        ("social events=0", "events"),
+        ("social skew=nan", "skew"),
+        ("starschema lineitems=0", "lineitems"),
+        ("starschema orders=0", "orders"),
+        ("starschema parts=0", "parts"),
+        ("starschema skew=nan", "skew"),
+    ];
+    for (i, (params, key)) in refused.into_iter().enumerate() {
+        let err = client.send(&format!("open d{i} {params}")).unwrap_err();
+        assert!(
+            matches!(&err, ClientError::Remote(m) if m.contains(key)),
+            "{params}: {err:?}"
+        );
+    }
+    // The connection and the server's only worker both survive.
+    client.ping().unwrap();
+    Client::connect(addr).unwrap().ping().unwrap();
+    client.quit().unwrap();
+    handle.shutdown();
+    join.join().unwrap();
+}
+
 #[test]
 fn concurrent_clients_share_one_engine_and_agree() {
     let (addr, handle, join) = start_server(4);
