@@ -16,7 +16,7 @@
 //! * [`SolvePhase::Materialize`] — the leaf: walking its candidates'
 //!   weights, selecting the target ranks and keying their tie band.
 //!
-//! The trait is object-safe and every method defaults to a no-op, so the hooks cost
+//! The trait is object-safe and both methods default to no-ops, so the hooks cost
 //! one virtual call per phase event when a tracer is installed and the untraced
 //! entry points pay a [`NoopTracer`] whose calls the optimizer deletes. qjoin-core
 //! deliberately does **not** depend on any metrics crate: the engine layer supplies
@@ -92,25 +92,17 @@ pub(crate) fn sat64(value: u128) -> u64 {
     value.min(u64::MAX as u128) as u64
 }
 
-/// Receives per-phase timing events from the solve driver. All methods default to
+/// Receives per-phase timing events from the solve driver. Both methods default to
 /// no-ops; implementations record into whatever sink they like. Methods take `&self`
 /// so a tracer can be shared across the recursion — use interior mutability
 /// (atomics, `Cell`) to accumulate.
 pub trait SolveTracer {
-    /// One phase of the solve took `elapsed`. [`SolvePhase::PivotScan`] and
-    /// [`SolvePhase::TrimRound`] fire once per pivoting round.
-    fn phase(&self, phase: SolvePhase, elapsed: Duration) {
-        let _ = (phase, elapsed);
-    }
-
-    /// A phase event with structured context (round index, pre/post-trim
-    /// sizes, pivot slot counts, routed-target counts). The driver emits
-    /// *this* method; the default forwards to [`SolveTracer::phase`] so
-    /// duration-only tracers keep working unchanged and [`NoopTracer`] stays
-    /// zero-cost.
+    /// One phase of the solve took `elapsed`, with structured context (round
+    /// index, pre/post-trim sizes, pivot slot counts, routed-target counts).
+    /// [`SolvePhase::PivotScan`] and [`SolvePhase::TrimRound`] fire once per
+    /// pivoting round.
     fn phase_event(&self, phase: SolvePhase, elapsed: Duration, ctx: &PhaseContext) {
-        let _ = ctx;
-        self.phase(phase, elapsed);
+        let _ = (phase, elapsed, ctx);
     }
 
     /// Executor time the phase accrued on the driver thread — wall time of
@@ -139,44 +131,41 @@ mod tests {
             labels,
             ["prepare", "pivot-scan", "trim-round", "materialize"]
         );
+        // Tracers index per-phase arrays with `phase as usize`.
+        for (i, phase) in SolvePhase::ALL.into_iter().enumerate() {
+            assert_eq!(phase as usize, i);
+        }
     }
 
     #[test]
     fn default_methods_are_no_ops_and_custom_tracers_accumulate() {
-        NoopTracer.phase(SolvePhase::Prepare, Duration::from_nanos(1));
-
-        struct Recording(RefCell<Vec<SolvePhase>>);
-        impl SolveTracer for Recording {
-            fn phase(&self, phase: SolvePhase, _elapsed: Duration) {
-                self.0.borrow_mut().push(phase);
-            }
-        }
-        let tracer = Recording(RefCell::new(Vec::new()));
-        let dynamic: &dyn SolveTracer = &tracer;
-        dynamic.phase(SolvePhase::TrimRound, Duration::ZERO);
-        dynamic.phase(SolvePhase::TrimRound, Duration::ZERO);
-        assert_eq!(
-            *tracer.0.borrow(),
-            [SolvePhase::TrimRound, SolvePhase::TrimRound]
-        );
-    }
-
-    #[test]
-    fn phase_event_defaults_to_forwarding_durations() {
-        struct DurationOnly(RefCell<Vec<SolvePhase>>);
-        impl SolveTracer for DurationOnly {
-            fn phase(&self, phase: SolvePhase, _elapsed: Duration) {
-                self.0.borrow_mut().push(phase);
-            }
-        }
-        let tracer = DurationOnly(RefCell::new(Vec::new()));
-        let dynamic: &dyn SolveTracer = &tracer;
         let ctx = PhaseContext {
             round: Some(3),
             n_lt: Some(10),
             ..PhaseContext::default()
         };
+        NoopTracer.phase_event(SolvePhase::Prepare, Duration::from_nanos(1), &ctx);
+
+        struct Recording(RefCell<Vec<(SolvePhase, Option<u64>)>>);
+        impl SolveTracer for Recording {
+            fn phase_event(&self, phase: SolvePhase, _elapsed: Duration, ctx: &PhaseContext) {
+                self.0.borrow_mut().push((phase, ctx.round));
+            }
+        }
+        let tracer = Recording(RefCell::new(Vec::new()));
+        let dynamic: &dyn SolveTracer = &tracer;
         dynamic.phase_event(SolvePhase::TrimRound, Duration::ZERO, &ctx);
-        assert_eq!(*tracer.0.borrow(), [SolvePhase::TrimRound]);
+        dynamic.phase_event(
+            SolvePhase::TrimRound,
+            Duration::ZERO,
+            &PhaseContext::default(),
+        );
+        assert_eq!(
+            *tracer.0.borrow(),
+            [
+                (SolvePhase::TrimRound, Some(3)),
+                (SolvePhase::TrimRound, None)
+            ]
+        );
     }
 }

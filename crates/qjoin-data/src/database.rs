@@ -96,16 +96,6 @@ impl Database {
         self.relations.values().map(|r| r.len()).sum()
     }
 
-    /// An estimate of the resident heap bytes across all relations' tuple storage
-    /// (see [`Relation::estimated_tuple_bytes`]). Shared storage is counted once per
-    /// referencing relation, so the estimate is an upper bound.
-    pub fn estimated_tuple_bytes(&self) -> usize {
-        self.relations
-            .values()
-            .map(|r| r.estimated_tuple_bytes())
-            .sum()
-    }
-
     /// True when any relation is empty (the join of a query referencing it is then
     /// trivially empty).
     pub fn has_empty_relation(&self) -> bool {

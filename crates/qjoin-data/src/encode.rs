@@ -102,12 +102,18 @@ impl EncodedColumns {
     pub fn column(&self, col: usize) -> &[u64] {
         &self.columns[col]
     }
+
+    /// The bytes the code columns hold: rows × arity × 8, exactly.
+    pub fn code_bytes(&self) -> usize {
+        self.len * self.arity() * std::mem::size_of::<u64>()
+    }
 }
 
 /// A whole database in encoded form: one dictionary shared by all relations.
 ///
-/// The engine builds (and caches) one of these per catalog generation, so every
-/// prepared plan compiled against that generation amortizes the encoding pass.
+/// The engine builds one of these per catalog generation and keeps only it: every
+/// prepared plan compiled against that generation shares its columns, and the
+/// caller's row [`Database`] is dropped once it is encoded.
 #[derive(Clone, Debug)]
 pub struct EncodedDatabase {
     dictionary: Arc<Dictionary>,
@@ -647,6 +653,7 @@ mod tests {
         let r = enc.relation("R").unwrap();
         assert_eq!(r.arity(), 2);
         assert_eq!(r.len(), 3);
+        assert_eq!(r.code_bytes(), 3 * 2 * 8);
         let original = db.relation("R").unwrap();
         for (row, tuple) in original.iter().enumerate() {
             for col in 0..2 {

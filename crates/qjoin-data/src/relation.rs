@@ -20,8 +20,8 @@ use std::sync::Arc;
 /// shares it whenever the filter keeps every tuple. Mutating methods
 /// ([`Relation::push_tuple`], [`Relation::dedup`], …) copy the storage first if (and
 /// only if) it is currently shared. Sharing is observable through
-/// [`Relation::shares_tuples_with`], which the trim layer's and engine's sharing
-/// invariants are tested against.
+/// [`Relation::shares_tuples_with`], which the row trim layer's sharing invariants
+/// are tested against.
 ///
 /// Duplicate tuples are permitted at this layer (a bag), but every construction in the
 /// stack that relies on set semantics (counting, direct access) deduplicates or asserts
@@ -112,16 +112,6 @@ impl Relation {
     /// [`Relation::shares_tuples_with`].
     pub fn is_storage_shared(&self) -> bool {
         Arc::strong_count(&self.tuples) > 1
-    }
-
-    /// An estimate of the resident heap bytes held by this relation's tuple storage
-    /// (tuple vectors plus value payloads). Interned [`Value::Str`] payloads are
-    /// attributed to every referencing tuple, so the estimate is an upper bound.
-    pub fn estimated_tuple_bytes(&self) -> usize {
-        self.tuples
-            .iter()
-            .map(|t| std::mem::size_of::<Tuple>() + t.estimated_heap_bytes())
-            .sum()
     }
 
     /// Appends a row of values.
@@ -387,13 +377,5 @@ mod tests {
         let r = Relation::new("E", 3);
         assert!(r.is_empty());
         assert_eq!(r.len(), 0);
-    }
-
-    #[test]
-    fn estimated_bytes_grow_with_tuples() {
-        let small = Relation::from_rows("R", &[&[1, 2]]).unwrap();
-        let large = Relation::from_rows("R", &[&[1, 2], &[3, 4], &[5, 6]]).unwrap();
-        assert!(large.estimated_tuple_bytes() > small.estimated_tuple_bytes());
-        assert_eq!(Relation::new("E", 2).estimated_tuple_bytes(), 0);
     }
 }

@@ -66,17 +66,6 @@ impl Tuple {
     pub fn into_values(self) -> Vec<Value> {
         self.values
     }
-
-    /// An estimate of the heap bytes owned by this tuple: its value vector plus any
-    /// heap payloads of the values themselves (see [`Value::estimated_heap_bytes`]).
-    pub fn estimated_heap_bytes(&self) -> usize {
-        self.values.len() * std::mem::size_of::<Value>()
-            + self
-                .values
-                .iter()
-                .map(Value::estimated_heap_bytes)
-                .sum::<usize>()
-    }
 }
 
 impl Index<usize> for Tuple {

@@ -57,22 +57,6 @@ impl Value {
         }
     }
 
-    /// An estimate of the heap bytes owned by this value beyond its inline
-    /// representation. Interned payloads ([`Value::Str`], [`Value::Composite`]) may be
-    /// shared between values; each referencing value is charged the full payload, so
-    /// summing over a relation yields an upper bound on resident bytes.
-    pub fn estimated_heap_bytes(&self) -> usize {
-        match self {
-            Value::Int(_) => 0,
-            Value::Str(s) => s.len(),
-            Value::Composite(pair) => {
-                std::mem::size_of::<(Value, Value)>()
-                    + pair.0.estimated_heap_bytes()
-                    + pair.1.estimated_heap_bytes()
-            }
-        }
-    }
-
     /// Interprets the value as a numeric weight, following the paper's convention of
     /// "attribute weights equal to their values" used in all worked examples.
     ///

@@ -4,25 +4,25 @@
 //! replacement. Prepared plans record the generation they were compiled against and
 //! result-cache keys embed it, so replacing a database atomically invalidates every
 //! cached result derived from the old contents.
+//!
+//! What a generation keeps resident is decided here: its dictionary-coded form and
+//! nothing else. The caller's row database is dropped once it is encoded.
 
 use crate::error::EngineError;
-use qjoin_data::{Database, EncodedDatabase};
+use qjoin_data::EncodedDatabase;
 use std::collections::BTreeMap;
 use std::sync::Arc;
 
-/// One catalog entry: a shared database and its current generation.
+/// One catalog entry: a generation's dictionary-coded database and its number.
 ///
-/// The database is held behind an [`Arc`]: every prepared plan compiled against this
-/// generation shares the same handle, so registering N plans (or recompiling them on
-/// replacement) allocates the tuple storage exactly once. The dictionary-coded form
-/// is built once per generation too, so every plan's encoded solve path amortizes
-/// the encoding pass across all queries of the generation.
+/// The encoded database is held behind an [`Arc`]: every prepared plan compiled
+/// against this generation shares its code columns by handle, so registering N plans
+/// (or recompiling them on replacement) encodes the data exactly once.
 #[derive(Clone, Debug)]
 pub struct CatalogEntry {
-    /// The database contents, shared with every plan compiled against this generation.
-    pub database: Arc<Database>,
-    /// The dictionary-coded form of the same generation, which every plan's solves
-    /// run on. (A database the encoding cannot index is refused before it gets here.)
+    /// The dictionary-coded database, the generation's only copy of its data, which
+    /// every plan's solves run on. (A database the encoding cannot index is refused
+    /// before it gets here.)
     pub encoded: Arc<EncodedDatabase>,
     /// Bumped every time the database is replaced; generation 1 is the initial load.
     pub generation: u64,
@@ -40,19 +40,13 @@ impl Catalog {
         Catalog::default()
     }
 
-    /// Adds a database, with its already-encoded form, under a fresh name. Fails if
-    /// the name is taken. (The engine encodes before it takes the state lock.)
-    pub fn create(
-        &mut self,
-        name: &str,
-        database: Arc<Database>,
-        encoded: Arc<EncodedDatabase>,
-    ) -> Result<(), EngineError> {
+    /// Adds an encoded database under a fresh name. Fails if the name is taken. (The
+    /// engine encodes before it takes the state lock.)
+    pub fn create(&mut self, name: &str, encoded: Arc<EncodedDatabase>) -> Result<(), EngineError> {
         if self.entries.contains_key(name) {
             return Err(EngineError::DuplicateDatabase(name.to_string()));
         }
         let entry = CatalogEntry {
-            database,
             encoded,
             generation: 1,
         };
@@ -60,13 +54,12 @@ impl Catalog {
         Ok(())
     }
 
-    /// Replaces an existing database and its encoded form, bumping the generation.
-    /// Returns the previous generation's entry, so the caller decides where its
-    /// storage is dropped. Fails if the name is unknown.
+    /// Replaces an existing database's encoded form, bumping the generation. Returns
+    /// the previous generation's entry, so the caller decides where its storage is
+    /// dropped. Fails if the name is unknown.
     pub fn replace(
         &mut self,
         name: &str,
-        database: Arc<Database>,
         encoded: Arc<EncodedDatabase>,
     ) -> Result<CatalogEntry, EngineError> {
         let entry = self
@@ -74,12 +67,13 @@ impl Catalog {
             .get_mut(name)
             .ok_or_else(|| EngineError::UnknownDatabase(name.to_string()))?;
         let generation = entry.generation + 1;
-        let next = CatalogEntry {
-            database,
-            encoded,
-            generation,
-        };
-        Ok(std::mem::replace(entry, next))
+        Ok(std::mem::replace(
+            entry,
+            CatalogEntry {
+                encoded,
+                generation,
+            },
+        ))
     }
 
     /// Looks up a database by name.
@@ -113,54 +107,39 @@ impl Catalog {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use qjoin_data::Relation;
+    use qjoin_data::{Database, Relation};
 
-    fn db(rows: &[&[i64]]) -> Arc<Database> {
-        Arc::new(Database::from_relations([Relation::from_rows("R", rows).unwrap()]).unwrap())
-    }
-
-    /// The encoded form the engine hands over beside a database.
-    fn coded(db: &Database) -> Arc<EncodedDatabase> {
-        Arc::new(EncodedDatabase::encode(db).unwrap())
+    /// The encoded form the engine catalogs in place of a database.
+    fn coded(rows: &[&[i64]]) -> Arc<EncodedDatabase> {
+        let db = Database::from_relations([Relation::from_rows("R", rows).unwrap()]).unwrap();
+        Arc::new(EncodedDatabase::encode(&db).unwrap())
     }
 
     #[test]
     fn create_then_replace_bumps_generation() {
         let mut catalog = Catalog::new();
-        let (first, second) = (db(&[&[1, 2]]), db(&[&[3, 4], &[5, 6]]));
-        catalog.create("d", first.clone(), coded(&first)).unwrap();
+        let (first, second) = (coded(&[&[1, 2]]), coded(&[&[3, 4], &[5, 6]]));
+        catalog.create("d", Arc::clone(&first)).unwrap();
         assert_eq!(catalog.get("d").unwrap().generation, 1);
-        let previous = catalog
-            .replace("d", second.clone(), coded(&second))
-            .unwrap();
-        assert!(Arc::ptr_eq(&previous.database, &first));
+        let previous = catalog.replace("d", second).unwrap();
+        assert!(Arc::ptr_eq(&previous.encoded, &first));
         assert_eq!(previous.generation, 1);
-        assert_eq!(catalog.get("d").unwrap().generation, 2);
-        assert_eq!(
-            catalog
-                .get("d")
-                .unwrap()
-                .database
-                .relation("R")
-                .unwrap()
-                .len(),
-            2
-        );
+        let current = catalog.get("d").unwrap();
+        assert_eq!(current.generation, 2);
+        assert_eq!(current.encoded.relation("R").unwrap().len(), 2);
     }
 
     #[test]
     fn duplicate_create_and_unknown_replace_fail() {
         let mut catalog = Catalog::new();
-        let d = db(&[&[1, 2]]);
-        catalog.create("d", d.clone(), coded(&d)).unwrap();
+        let d = coded(&[&[1, 2]]);
+        catalog.create("d", Arc::clone(&d)).unwrap();
         assert!(matches!(
-            catalog.create("d", d.clone(), coded(&d)).unwrap_err(),
+            catalog.create("d", Arc::clone(&d)).unwrap_err(),
             EngineError::DuplicateDatabase(_)
         ));
         assert!(matches!(
-            catalog
-                .replace("missing", d.clone(), coded(&d))
-                .unwrap_err(),
+            catalog.replace("missing", d).unwrap_err(),
             EngineError::UnknownDatabase(_)
         ));
         assert!(matches!(

@@ -264,10 +264,10 @@ impl CliSession {
         lines.join("\n")
     }
 
-    /// Engine counters followed by the storage report: resident bytes per catalogued
-    /// database, and per plan the split between relations shared with the catalog
-    /// (pointer-identical storage) and privately owned copies. With the copy-on-write
-    /// data layer every plan should report `owned=0`.
+    /// Engine counters followed by the storage report: code-column bytes per
+    /// catalogued generation, and per plan the split between relations that read the
+    /// catalog's columns (pointer-identical) and relations with columns of their own.
+    /// Every current plan should report `owned=0`.
     fn cmd_stats(&self) -> String {
         // Sourced from the same registry snapshot as `stats json` / `metrics`,
         // so the human dump and the machine surfaces can never diverge.
@@ -296,12 +296,14 @@ impl CliSession {
             let generation = metrics
                 .gauge("qjoin_db_generation", &[("db", name)])
                 .map_or(entry.generation, |g| g as u64);
+            let encoded = &entry.encoded;
+            let bytes = encoded.relations().map(|(_, c)| c.code_bytes()).sum();
             write!(
                 out,
                 "\ndb {name}: generation={generation} relations={} tuples={} resident≈{}",
-                entry.database.num_relations(),
-                entry.database.total_tuples(),
-                format_bytes(entry.database.estimated_tuple_bytes()),
+                encoded.relations().count(),
+                encoded.total_rows(),
+                format_bytes(bytes),
             )
             .unwrap();
         }
@@ -838,6 +840,16 @@ mod tests {
         // Registry-sourced lines: uptime and per-shard cache occupancy.
         assert!(stats.contains("uptime:             "), "{stats}");
         assert!(stats.contains("cache shards:       occupancy=["), "{stats}");
+        // A replacement moves the plan onto the new generation's code columns:
+        // 120 rows of every relation, 8 columns in all, 8 bytes a code.
+        ok(&session, "replace s social rows=120 seed=4");
+        let stats = ok(&session, "stats");
+        let db = "db s: generation=2 relations=3 tuples=360 resident≈7.5 KiB";
+        assert!(stats.contains(db), "{stats}");
+        assert!(
+            stats.contains("plan likes: db=s relations shared=3 owned=0"),
+            "{stats}"
+        );
     }
 
     #[test]

@@ -25,7 +25,7 @@
 //! * The catalog and plan table live behind one [`RwLock`]. Readers (`quantile`,
 //!   `quantile_batch`, `stats`, …) take a brief read lock to clone the plan's
 //!   `Arc<PreparedPlan>` handle, then solve entirely outside the lock over the
-//!   plan's immutable `Arc`-shared relations.
+//!   plan's immutable `Arc`-shared code columns.
 //! * The result cache is **sharded by plan id** ([`ShardedLru`]): each shard has its
 //!   own mutex, so concurrent requests against different plans never serialize on
 //!   one cache lock, and a hot plan only contends on its own shard.
@@ -50,7 +50,7 @@ use crate::cache::{CacheStats, ShardedLru};
 use crate::catalog::Catalog;
 use crate::error::EngineError;
 use crate::plan::{Accuracy, PreparedPlan};
-use crate::telemetry::{RecordingTracer, RegistryTracer};
+use crate::telemetry::SolveRecorder;
 use qjoin_core::encoded::{
     approximate_sum_quantile_batch_encoded_traced, exact_quantile_batch_encoded_traced,
 };
@@ -173,24 +173,24 @@ impl AtomicCounters {
     }
 }
 
-/// Storage accounting for one prepared plan: how many of its instance's relations
-/// share tuple storage with the catalog database (pointer-identical `Arc`s) versus
-/// privately own a copy, and the estimated resident bytes on each side. With the
-/// copy-on-write data layer every plan should report zero owned relations — a plan
-/// is a view over the catalog's storage, not a snapshot.
+/// Storage accounting for one prepared plan: how many of its instance's relation
+/// views read the catalog generation's code columns (pointer-identical
+/// `Arc<EncodedColumns>`) versus columns of their own, and the code-column bytes on
+/// each side. Every current plan should report zero owned relations — a plan is a
+/// view over the catalog's encoded generation, not a snapshot.
 #[derive(Clone, Debug)]
 pub struct PlanStorageStats {
     /// The plan's registration name.
     pub plan: String,
     /// The catalog database the plan reads.
     pub database: String,
-    /// Relations whose tuple storage is shared with the catalog database.
+    /// Relations whose code columns are the catalog generation's own.
     pub shared_relations: usize,
-    /// Relations holding private tuple storage (copies attributable to this plan).
+    /// Relations reading code columns the catalog does not hold.
     pub owned_relations: usize,
-    /// Estimated tuple bytes of the shared relations (resident once, in the catalog).
+    /// Code-column bytes of the shared relations (resident once, in the catalog).
     pub shared_bytes: usize,
-    /// Estimated tuple bytes of the privately owned relations (extra resident cost).
+    /// Code-column bytes of the owned relations (extra resident cost).
     pub owned_bytes: usize,
 }
 
@@ -432,8 +432,8 @@ impl Engine {
         result
     }
 
-    /// Adds a database to the catalog under a fresh name. Accepts an owned
-    /// [`Database`] or an `Arc<Database>` that is already shared.
+    /// Adds a database to the catalog under a fresh name, keeping only its encoded
+    /// form. Accepts an owned [`Database`] or an `Arc<Database>` already shared.
     pub fn create_database(
         &self,
         name: &str,
@@ -443,19 +443,18 @@ impl Engine {
         if self.read_state().catalog.contains(name) {
             return Err(EngineError::DuplicateDatabase(name.to_string()));
         }
-        let database: Arc<Database> = database.into();
-        let encoded = Self::encode(&database)?;
-        self.write_state().catalog.create(name, database, encoded)
+        let encoded = Self::encode(&database.into())?;
+        self.write_state().catalog.create(name, encoded)
     }
 
     /// Replaces a catalogued database, recompiling every dependent plan against the
     /// new contents and invalidating their cached results. All recompiled plans share
-    /// the replacement database by handle — the relation data is stored once, no
-    /// matter how many plans depend on it. The operation is atomic: if any dependent
-    /// plan fails to recompile (e.g. the new database no longer matches a registered
-    /// query's schema), or the new database cannot be encoded, nothing changes. Concurrent readers see either the old
-    /// generation's plans or the new ones, never a mixture, and are never blocked
-    /// by the encoding or the recompilation (see the module docs).
+    /// the replacement's encoded form by handle, and the caller's database is dropped
+    /// before they compile. The operation is atomic: if any dependent plan fails to
+    /// recompile (e.g. the new database no longer matches a registered query's
+    /// schema), or the new database cannot be encoded, nothing changes. Concurrent
+    /// readers see either the old generation's plans or the new ones, never a mixture,
+    /// and are never blocked by the encoding or the recompilation (see the module docs).
     pub fn replace_database(
         &self,
         name: &str,
@@ -471,6 +470,7 @@ impl Engine {
         self.read_state().catalog.get(name)?;
         // One encoding pass per generation, shared by every recompiled plan.
         let encoded = self.replace_phase("encode", || Self::encode(&database))?;
+        drop(database);
         let _writer = self.writer();
         let (new_generation, dependents) = {
             let state = self.read_state();
@@ -485,9 +485,8 @@ impl Engine {
                     plan.id,
                     name,
                     new_generation,
-                    plan.instance.query().clone(),
+                    plan.encoded()?.query().clone(),
                     plan.ranking.clone(),
-                    &database,
                     &encoded,
                 )
                 .map(Arc::new)
@@ -504,7 +503,7 @@ impl Engine {
         // returns, outside the lock.
         let mut state = self.write_state();
         let _previous = self.replace_phase("swap", move || {
-            let previous = state.catalog.replace(name, database, encoded)?;
+            let previous = state.catalog.replace(name, encoded)?;
             for plan in &recompiled {
                 state.plans.insert(plan.name.clone(), Arc::clone(plan));
             }
@@ -548,7 +547,6 @@ impl Engine {
                 entry.generation,
                 query,
                 ranking,
-                &entry.database,
                 &entry.encoded,
             )
         })?);
@@ -586,9 +584,9 @@ impl Engine {
         self.read_state().plans.values().map(Arc::clone).collect()
     }
 
-    /// A snapshot of the database catalog. Entries hold `Arc<Database>` handles, so
-    /// the snapshot is cheap (no tuple data is copied) and immutable-consistent: it
-    /// reflects one instant of catalog state.
+    /// A snapshot of the database catalog. Entries hold `Arc<EncodedDatabase>`
+    /// handles, so the snapshot is cheap (no column is copied) and
+    /// immutable-consistent: it reflects one instant of catalog state.
     pub fn catalog(&self) -> Catalog {
         self.read_state().catalog.clone()
     }
@@ -639,8 +637,9 @@ impl Engine {
         let solve_span = ambient
             .as_ref()
             .map(|ctx| (ctx.builder.clone(), ctx.parent, ctx.builder.next_span_id()));
-        let tracer = RecordingTracer::new(
-            RegistryTracer::for_plan(&self.registry, &plan.name),
+        let tracer = SolveRecorder::for_plan(
+            &self.registry,
+            &plan.name,
             solve_span
                 .as_ref()
                 .map(|(builder, _, span)| (builder.clone(), *span)),
@@ -672,7 +671,7 @@ impl Engine {
             }
         })?;
         let solve_elapsed = solve_started.elapsed();
-        tracer.registry().finish(solve_elapsed);
+        tracer.finish(solve_elapsed);
         if let Some((builder, parent, span)) = solve_span {
             builder.record(
                 span,
@@ -683,7 +682,7 @@ impl Engine {
                 vec![
                     ("plan", ArgValue::Str(plan.name.clone())),
                     ("phis", ArgValue::U64(phis.len() as u64)),
-                    ("rounds", ArgValue::U64(tracer.registry().rounds())),
+                    ("rounds", ArgValue::U64(tracer.rounds())),
                 ],
             );
         }
@@ -926,21 +925,17 @@ impl Engine {
     }
 
     /// Per-plan storage accounting: for every registered plan, how many of its
-    /// relations share tuple storage with the plan's catalog database and how many
-    /// are private copies, with estimated byte totals. Sharing is checked by pointer
-    /// equality on the underlying storage, so this is a direct observation of the
-    /// copy-on-write invariant from the serving layer.
+    /// relation views read the code columns of the plan's catalog generation and
+    /// how many read columns of their own, with code-column byte totals. Sharing is
+    /// checked by pointer equality on the columns, so this is a direct observation,
+    /// from the serving layer, that every plan is a view over the catalog.
     pub fn plan_storage_stats(&self) -> Vec<PlanStorageStats> {
         let state = self.read_state();
         state
             .plans
             .values()
             .map(|plan| {
-                let catalog_db = state
-                    .catalog
-                    .get(&plan.database)
-                    .map(|entry| Arc::clone(&entry.database))
-                    .ok();
+                let catalog = state.catalog.get(&plan.database).ok();
                 let mut stats = PlanStorageStats {
                     plan: plan.name.clone(),
                     database: plan.database.clone(),
@@ -949,12 +944,11 @@ impl Engine {
                     shared_bytes: 0,
                     owned_bytes: 0,
                 };
-                for rel in plan.instance.database().relations() {
-                    let shared = catalog_db
-                        .as_deref()
-                        .and_then(|db| db.relation(rel.name()).ok())
-                        .is_some_and(|catalog_rel| rel.shares_tuples_with(catalog_rel));
-                    let bytes = rel.estimated_tuple_bytes();
+                for (name, view) in plan.encoded_instance.iter().flat_map(|i| i.relations()) {
+                    let shared = catalog
+                        .and_then(|entry| entry.encoded.relation(name).ok())
+                        .is_some_and(|columns| Arc::ptr_eq(view.base(), columns));
+                    let bytes = view.base().code_bytes();
                     if shared {
                         stats.shared_relations += 1;
                         stats.shared_bytes += bytes;
@@ -1294,15 +1288,7 @@ mod tests {
                 .register(plan, "social", social_network_query(), ranking)
                 .unwrap();
         }
-        assert!(
-            engine
-                .catalog()
-                .get("social")
-                .unwrap()
-                .database
-                .total_tuples()
-                >= 20_000
-        );
+        assert!(engine.catalog().get("social").unwrap().encoded.total_rows() >= 20_000);
         for seed in 2..7 {
             engine.replace_database("social", database(seed)).unwrap();
         }
@@ -1492,10 +1478,15 @@ mod tests {
                 Ranking::max(social_network_query().variables()),
             )
             .unwrap();
-        let catalog_db = Arc::clone(&engine.catalog().get("social").unwrap().database);
+        let catalog_db = Arc::clone(&engine.catalog().get("social").unwrap().encoded);
+        // Every view of every plan reads the catalog generation's own columns.
+        let shares_columns_of = |plan: &PreparedPlan, db: &EncodedDatabase| {
+            (plan.encoded().unwrap().relations())
+                .all(|(name, view)| Arc::ptr_eq(view.base(), db.relation(name).unwrap()))
+        };
         for plan in engine.plans() {
             assert!(
-                Arc::ptr_eq(plan.instance.shared_database(), &catalog_db),
+                shares_columns_of(&plan, &catalog_db),
                 "plan {} must share the catalog database, not copy it",
                 plan.name
             );
@@ -1516,14 +1507,43 @@ mod tests {
         .generate()
         .into_parts();
         engine.replace_database("social", new_db).unwrap();
-        let new_catalog_db = Arc::clone(&engine.catalog().get("social").unwrap().database);
+        let new_catalog_db = Arc::clone(&engine.catalog().get("social").unwrap().encoded);
         assert!(!Arc::ptr_eq(&catalog_db, &new_catalog_db));
         for plan in engine.plans() {
-            assert!(Arc::ptr_eq(
-                plan.instance.shared_database(),
-                &new_catalog_db
-            ));
+            assert!(shares_columns_of(&plan, &new_catalog_db));
+            assert!(!shares_columns_of(&plan, &catalog_db));
         }
+    }
+
+    /// The engine keeps only the encoded generation: once `create_database` or
+    /// `replace_database` returns, successful or refused, the caller's handle is the
+    /// only one left on its tuples.
+    #[test]
+    fn the_engine_holds_no_handle_on_a_callers_database() {
+        let social = |seed| {
+            let config = SocialConfig {
+                rows_per_relation: 60,
+                seed,
+                ..Default::default()
+            };
+            Arc::new(config.generate().into_parts().1)
+        };
+        let (a, b) = (social(1), social(2));
+        let engine = Engine::new();
+        engine.create_database("d", Arc::clone(&a)).unwrap();
+        let likes = Ranking::sum(vars(&["l2", "l3"]));
+        engine
+            .register("likes", "d", social_network_query(), likes)
+            .unwrap();
+        engine.replace_database("d", Arc::clone(&b)).unwrap();
+        // A wrong schema: the registered plan cannot recompile against it.
+        let wrong = Arc::new(Database::new());
+        assert!(engine.replace_database("d", Arc::clone(&wrong)).is_err());
+        assert_eq!(engine.catalog().get("d").unwrap().generation, 2);
+        for db in [&a, &b, &wrong] {
+            assert_eq!(Arc::strong_count(db), 1);
+        }
+        assert!(engine.quantile("likes", 0.5).is_ok());
     }
 
     #[test]

@@ -17,7 +17,7 @@
 //!             │  PreparedPlan (join tree + counts + dichotomy strategy)  │
 //!             │      │ compiled against                                  │
 //!             │      ▼                                                   │
-//!             │  Catalog (named databases with generations)              │
+//!             │  Catalog (named encoded databases with generations)      │
 //!             └──────────────────────────────────────────────────────────┘
 //! ```
 //!

@@ -1,12 +1,13 @@
 //! Prepared plans: a registration compiled once, served many times.
 //!
-//! Registering a `(query, ranking)` pair against a catalog database performs, **once**:
+//! Registering a `(query, ranking)` pair against a catalog database performs, **once**,
+//! on the generation's dictionary-coded form (the only copy the catalog keeps):
 //!
-//! 1. schema validation (the query's atoms match the database's relations),
-//! 2. acyclicity via GYO, caching the resulting join tree,
-//! 3. one counting pass (Example 2.1), caching `|Q(D)|` — on the generation's
-//!    dictionary-coded form, which builds and memoises the plan's link-resolved
-//!    execution context, so the first request of a generation does not pay for it,
+//! 1. acyclicity via GYO, caching the resulting join tree,
+//! 2. schema validation (the query's atoms match the database's relations),
+//! 3. one counting pass (Example 2.1), caching `|Q(D)|`, which builds and memoises
+//!    the plan's link-resolved execution context, so the first request of a
+//!    generation does not pay for it,
 //! 4. the §5 dichotomy (Theorem 5.6), selecting the trimming strategy.
 //!
 //! A registration whose answer count cannot be bounded below `2^128` is refused
@@ -20,10 +21,9 @@ use crate::coalesce::Combiner;
 use crate::error::EngineError;
 use qjoin_core::dichotomy::{classify_partial_sum, SumClassification};
 use qjoin_core::{CoreError, QuantileResult};
-use qjoin_data::{Database, EncodedDatabase};
-use qjoin_query::{acyclicity, EncodedInstance, Instance, JoinQuery, JoinTree};
+use qjoin_data::EncodedDatabase;
+use qjoin_query::{acyclicity, EncodedInstance, JoinQuery, JoinTree};
 use qjoin_ranking::{AggregateKind, Ranking};
-use std::sync::Arc;
 use std::time::Duration;
 
 /// How a quantile request wants its answer: exact, or within a rank-error budget.
@@ -130,13 +130,11 @@ pub struct PreparedPlan {
     pub database: String,
     /// The database generation the plan was compiled against.
     pub generation: u64,
-    /// The validated instance. Its database is the catalog's `Arc<Database>` for the
-    /// plan's generation — shared, not copied, across all plans of that generation.
-    pub instance: Instance,
-    /// The instance over the catalog's dictionary-coded form of the same generation
-    /// (shared across all plans of the generation): every solve runs on it. Always
-    /// `Some` — [`PreparedPlan::compile`] fails instead — and an `Option` only
-    /// because the benchmark (`perfbench/`, its own workspace) unwraps it.
+    /// The validated instance over the catalog's dictionary-coded form of the plan's
+    /// generation, whose code columns every plan of that generation shares by
+    /// handle: every solve runs on it. Always `Some` — [`PreparedPlan::compile`]
+    /// fails instead — and an `Option` only because the benchmark (`perfbench/`,
+    /// its own workspace) unwraps it.
     pub encoded_instance: Option<EncodedInstance>,
     /// The plan's ranking function.
     pub ranking: Ranking,
@@ -154,10 +152,9 @@ pub struct PreparedPlan {
 }
 
 impl PreparedPlan {
-    /// Compiles a registration: validates, derives the join tree, counts, classifies.
-    /// The plan's instance shares `database` by handle — no relation data is copied —
-    /// and its encoded instance shares the generation's dictionary-coded columns.
-    #[allow(clippy::too_many_arguments)]
+    /// Compiles a registration: derives the join tree, validates, counts, classifies.
+    /// The plan's instance shares the generation's dictionary-coded columns by
+    /// handle — no relation data is copied.
     pub fn compile(
         name: &str,
         id: u64,
@@ -165,28 +162,25 @@ impl PreparedPlan {
         generation: u64,
         query: JoinQuery,
         ranking: Ranking,
-        database: &Arc<Database>,
         encoded: &EncodedDatabase,
     ) -> Result<PreparedPlan, EngineError> {
         let start = std::time::Instant::now();
         let join_tree = acyclicity::gyo_join_tree(&query)
             .ok_or_else(|| EngineError::Core(CoreError::CyclicQuery(query.to_string())))?;
-        let instance = Instance::new(query, Arc::clone(database))?;
+        let encoded_instance = EncodedInstance::from_encoded_database(query, encoded)?;
         // If the product of relation sizes fits in `u128`, no intermediate product
         // or group sum of either counting pass can overflow (they `expect` it).
-        if instance.answer_count_upper_bound().is_none() {
+        if encoded_instance.answer_count_upper_bound().is_none() {
             return Err(EngineError::TooLarge {
                 plan: name.to_string(),
             });
         }
-        let encoded_instance =
-            EncodedInstance::from_encoded_database(instance.query().clone(), encoded)?;
         let total_answers = qjoin_exec::encoded::count_answers(&encoded_instance)?;
         let strategy = match ranking.kind() {
             AggregateKind::Min | AggregateKind::Max => PlanStrategy::MinMax,
             AggregateKind::Lex => PlanStrategy::Lex,
             AggregateKind::Sum => {
-                match classify_partial_sum(instance.query(), ranking.weighted_vars()) {
+                match classify_partial_sum(encoded_instance.query(), ranking.weighted_vars()) {
                     SumClassification::TractableSingleAtom { atom } => {
                         PlanStrategy::SumSingleAtom { atom }
                     }
@@ -204,7 +198,6 @@ impl PreparedPlan {
             id,
             database: database_name.to_string(),
             generation,
-            instance,
             encoded_instance: Some(encoded_instance),
             ranking,
             join_tree,
@@ -264,10 +257,12 @@ impl PreparedPlan {
 #[cfg(test)]
 pub(crate) mod tests {
     use super::*;
-    use qjoin_data::Relation;
+    use qjoin_data::{Database, Relation};
     use qjoin_exec::count::count_answers;
     use qjoin_query::query::{path_query, triangle_query};
     use qjoin_query::variable::vars;
+    use qjoin_query::Instance;
+    use std::sync::Arc;
 
     fn three_path_db(n: i64) -> Database {
         let mut r1 = Relation::new("R1", 2);
@@ -298,7 +293,7 @@ pub(crate) mod tests {
 
     #[test]
     fn compile_caches_counts_and_selects_strategies() {
-        let db = Arc::new(three_path_db(12));
+        let db = three_path_db(12);
         let cases: Vec<(Ranking, &str, bool)> = vec![
             (Ranking::max(path_query(3).variables()), "minmax", true),
             (Ranking::lex(vars(&["x1", "x4"])), "lex", true),
@@ -318,14 +313,14 @@ pub(crate) mod tests {
         let encoded = EncodedDatabase::encode(&db).unwrap();
         for (i, (ranking, label, exact)) in cases.into_iter().enumerate() {
             let (query, ranking) = (path_query(3), ranking.clone());
-            let plan = PreparedPlan::compile("p", i as u64, "db", 1, query, ranking, &db, &encoded)
-                .unwrap();
+            let plan =
+                PreparedPlan::compile("p", i as u64, "db", 1, query, ranking, &encoded).unwrap();
             assert_eq!(plan.strategy.label(), label);
             assert_eq!(plan.strategy.supports_exact(), exact);
             assert!(plan.total_answers > 0);
             assert_eq!(
                 plan.total_answers,
-                count_answers(&plan.instance).unwrap(),
+                count_answers(&Instance::new(path_query(3), db.clone()).unwrap()).unwrap(),
                 "cached count must match a fresh row Yannakakis pass"
             );
             let instance = plan.encoded().unwrap();
@@ -343,11 +338,9 @@ pub(crate) mod tests {
         // Ten variable-disjoint atoms over one 8 192-row unary relation: 2^130
         // answers. The counting pass would overflow its `u128` and panic.
         let (query, db) = wide(8192, 10);
-        let db = Arc::new(db);
         let ranking = Ranking::max(query.variables());
         let encoded = EncodedDatabase::encode(&db).unwrap();
-        let err =
-            PreparedPlan::compile("wide", 0, "db", 1, query, ranking, &db, &encoded).unwrap_err();
+        let err = PreparedPlan::compile("wide", 0, "db", 1, query, ranking, &encoded).unwrap_err();
         assert_eq!(
             err,
             EngineError::TooLarge {
@@ -359,17 +352,15 @@ pub(crate) mod tests {
 
     #[test]
     fn cyclic_queries_fail_to_compile() {
-        let db = Arc::new(
-            Database::from_relations([
-                Relation::from_rows("R", &[&[1, 1]]).unwrap(),
-                Relation::from_rows("S", &[&[1, 1]]).unwrap(),
-                Relation::from_rows("T", &[&[1, 1]]).unwrap(),
-            ])
-            .unwrap(),
-        );
+        let db = Database::from_relations([
+            Relation::from_rows("R", &[&[1, 1]]).unwrap(),
+            Relation::from_rows("S", &[&[1, 1]]).unwrap(),
+            Relation::from_rows("T", &[&[1, 1]]).unwrap(),
+        ])
+        .unwrap();
         let ranking = Ranking::sum(triangle_query().variables());
         let encoded = EncodedDatabase::encode(&db).unwrap();
-        let err = PreparedPlan::compile("p", 0, "db", 1, triangle_query(), ranking, &db, &encoded)
+        let err = PreparedPlan::compile("p", 0, "db", 1, triangle_query(), ranking, &encoded)
             .unwrap_err();
         assert!(matches!(err, EngineError::Core(CoreError::CyclicQuery(_))));
     }
@@ -378,10 +369,9 @@ pub(crate) mod tests {
     /// plan, ε on a non-SUM plan, ε or δ outside `(0, 1)`. Sampling serves any plan.
     #[test]
     fn accuracy_check_refuses_what_the_plan_cannot_serve() {
-        let db = Arc::new(three_path_db(8));
-        let encoded = EncodedDatabase::encode(&db).unwrap();
+        let encoded = EncodedDatabase::encode(&three_path_db(8)).unwrap();
         let compile = |name: &str, ranking: Ranking| {
-            PreparedPlan::compile(name, 0, "db", 1, path_query(3), ranking, &db, &encoded).unwrap()
+            PreparedPlan::compile(name, 0, "db", 1, path_query(3), ranking, &encoded).unwrap()
         };
         let intractable = compile("p", Ranking::sum(path_query(3).variables()));
         let minmax = compile("m", Ranking::max(path_query(3).variables()));

@@ -1,7 +1,8 @@
 //! Engine-side telemetry plumbing: the bridge between qjoin-core's
-//! [`SolveTracer`] hooks and the shared [`qjoin_telemetry::Registry`].
+//! [`SolveTracer`] hooks and the shared [`qjoin_telemetry::Registry`] and request
+//! span traces.
 //!
-//! One [`RegistryTracer`] is built per uncached solve. It resolves the per-plan
+//! One [`SolveRecorder`] is built per uncached solve. It resolves the per-plan
 //! histogram handles up front (a few registry lookups on the cold path only),
 //! then records each phase event with a couple of relaxed atomic adds:
 //!
@@ -9,7 +10,7 @@
 //!   [`SolvePhase`], so trim-round blowups and materialize-heavy shapes are
 //!   visible per plan;
 //! * `qjoin_solve_seconds{plan}` — the whole solve, recorded by
-//!   [`RegistryTracer::finish`];
+//!   [`SolveRecorder::finish`];
 //! * `qjoin_solve_rounds_total{plan}` — pivoting rounds, counted from
 //!   [`SolvePhase::TrimRound`] events;
 //! * `qjoin_solve_encoded_total{plan}` — solves served, every one on the encoded
@@ -17,6 +18,12 @@
 //! * `qjoin_solve_parallel_seconds{plan, phase}` — wall time each phase spent
 //!   inside chunk-executor regions, so `parallel / phase` approximates how much
 //!   of a phase the work-stealing pool actually covers.
+//!
+//! When a trace is being recorded, the same event also becomes a child span of the
+//! solve span: round index, pre-trim candidate count, `n_lt`/`n_eq`/`n_gt` split,
+//! pivot slot count, routed-target count, and the leaf's size and keyed tie band
+//! all land as span arguments, so one recorded trace explains where a solve's time
+//! went and why.
 
 use qjoin_core::{PhaseContext, SolvePhase, SolveTracer};
 use qjoin_telemetry::{ArgValue, Counter, Histogram, Registry, SpanId, TraceBuilder};
@@ -24,38 +31,40 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-/// A [`SolveTracer`] that records phase timings into per-plan histograms of a
-/// shared registry (see the module docs).
-pub(crate) struct RegistryTracer {
+/// The one [`SolveTracer`] of an engine solve (see the module docs). Histograms
+/// are indexed by `phase as usize`, the order of [`SolvePhase::ALL`].
+pub(crate) struct SolveRecorder {
     solve: Arc<Histogram>,
     phases: [Arc<Histogram>; 4],
     parallel: [Arc<Histogram>; 4],
     rounds: AtomicU64,
     rounds_total: Arc<Counter>,
     encoded_total: Arc<Counter>,
+    /// `(builder, solve span id)` when spans are being recorded; phases parent
+    /// to the solve span, which the engine records when the solve finishes.
+    recording: Option<(TraceBuilder, SpanId)>,
 }
 
-impl RegistryTracer {
+impl SolveRecorder {
     /// Resolves (or creates) this plan's metric handles in the registry.
-    pub(crate) fn for_plan(registry: &Registry, plan: &str) -> Self {
+    pub(crate) fn for_plan(
+        registry: &Registry,
+        plan: &str,
+        recording: Option<(TraceBuilder, SpanId)>,
+    ) -> Self {
         let labels = [("plan", plan)];
-        RegistryTracer {
+        let per_phase = |name| {
+            SolvePhase::ALL
+                .map(|phase| registry.histogram(name, &[("plan", plan), ("phase", phase.label())]))
+        };
+        SolveRecorder {
             solve: registry.histogram("qjoin_solve_seconds", &labels),
-            phases: SolvePhase::ALL.map(|phase| {
-                registry.histogram(
-                    "qjoin_solve_phase_seconds",
-                    &[("plan", plan), ("phase", phase.label())],
-                )
-            }),
-            parallel: SolvePhase::ALL.map(|phase| {
-                registry.histogram(
-                    "qjoin_solve_parallel_seconds",
-                    &[("plan", plan), ("phase", phase.label())],
-                )
-            }),
+            phases: per_phase("qjoin_solve_phase_seconds"),
+            parallel: per_phase("qjoin_solve_parallel_seconds"),
             rounds: AtomicU64::new(0),
             rounds_total: registry.counter("qjoin_solve_rounds_total", &labels),
             encoded_total: registry.counter("qjoin_solve_encoded_total", &labels),
+            recording,
         }
     }
 
@@ -63,7 +72,7 @@ impl RegistryTracer {
     /// solve. Call once, after the solve returns.
     pub(crate) fn finish(&self, elapsed: Duration) {
         self.solve.record_duration(elapsed);
-        self.rounds_total.add(self.rounds.load(Ordering::Relaxed));
+        self.rounds_total.add(self.rounds());
         self.encoded_total.inc();
     }
 
@@ -73,59 +82,15 @@ impl RegistryTracer {
     }
 }
 
-/// A [`SolveTracer`] that feeds the per-plan histograms *and* (when a trace is
-/// being recorded) turns every structured phase event into a child span of the
-/// solve span: round index, pre-trim candidate count, `n_lt`/`n_eq`/`n_gt`
-/// split, pivot slot count, routed-target count, and the leaf's size and keyed tie
-/// band all land as span arguments, so one recorded trace explains where a solve's time
-/// went and why.
-pub(crate) struct RecordingTracer {
-    registry: RegistryTracer,
-    /// `(builder, solve span id)` when spans are being recorded; phases parent
-    /// to the solve span, which the engine records when the solve finishes.
-    recording: Option<(TraceBuilder, SpanId)>,
-}
-
-impl RecordingTracer {
-    pub(crate) fn new(registry: RegistryTracer, recording: Option<(TraceBuilder, SpanId)>) -> Self {
-        RecordingTracer {
-            registry,
-            recording,
-        }
-    }
-
-    pub(crate) fn registry(&self) -> &RegistryTracer {
-        &self.registry
-    }
-
-    /// Places a span of length `elapsed` ending *now* (phase events are
-    /// reported at phase end, so the start is reconstructed by subtraction).
-    fn record_span(
-        &self,
-        name: &'static str,
-        elapsed: Duration,
-        args: Vec<(&'static str, ArgValue)>,
-    ) {
-        if let Some((builder, solve_span)) = &self.recording {
-            let start = Instant::now()
-                .checked_sub(elapsed)
-                .unwrap_or_else(|| builder.epoch());
-            builder.record_new(Some(*solve_span), name, start, elapsed, args);
-        }
-    }
-}
-
-impl SolveTracer for RecordingTracer {
-    fn phase(&self, phase: SolvePhase, elapsed: Duration) {
-        self.registry.phase(phase, elapsed);
-        self.record_span(phase.label(), elapsed, Vec::new());
-    }
-
+impl SolveTracer for SolveRecorder {
     fn phase_event(&self, phase: SolvePhase, elapsed: Duration, ctx: &PhaseContext) {
-        self.registry.phase(phase, elapsed);
-        if self.recording.is_none() {
-            return;
+        self.phases[phase as usize].record_duration(elapsed);
+        if phase == SolvePhase::TrimRound {
+            self.rounds.fetch_add(1, Ordering::Relaxed);
         }
+        let Some((builder, solve_span)) = &self.recording else {
+            return;
+        };
         let mut args = Vec::with_capacity(8);
         let mut push = |key, value: Option<u64>| {
             if let Some(v) = value {
@@ -141,32 +106,15 @@ impl SolveTracer for RecordingTracer {
         push("targets", ctx.targets);
         push("materialized", ctx.materialized);
         push("keyed", ctx.keyed);
-        self.record_span(phase.label(), elapsed, args);
+        // Phase events arrive at phase end, so the start is reconstructed.
+        let start = Instant::now()
+            .checked_sub(elapsed)
+            .unwrap_or_else(|| builder.epoch());
+        builder.record_new(Some(*solve_span), phase.label(), start, elapsed, args);
     }
 
     fn parallel(&self, phase: SolvePhase, elapsed: Duration) {
-        self.registry.parallel(phase, elapsed);
-    }
-}
-
-impl SolveTracer for RegistryTracer {
-    fn phase(&self, phase: SolvePhase, elapsed: Duration) {
-        let index = SolvePhase::ALL
-            .iter()
-            .position(|p| *p == phase)
-            .expect("SolvePhase::ALL covers every phase");
-        self.phases[index].record_duration(elapsed);
-        if phase == SolvePhase::TrimRound {
-            self.rounds.fetch_add(1, Ordering::Relaxed);
-        }
-    }
-
-    fn parallel(&self, phase: SolvePhase, elapsed: Duration) {
-        let index = SolvePhase::ALL
-            .iter()
-            .position(|p| *p == phase)
-            .expect("SolvePhase::ALL covers every phase");
-        self.parallel[index].record_duration(elapsed);
+        self.parallel[phase as usize].record_duration(elapsed);
     }
 }
 
@@ -177,11 +125,19 @@ mod tests {
     #[test]
     fn tracer_records_per_phase_and_counts_rounds() {
         let registry = Registry::new();
-        let tracer = RegistryTracer::for_plan(&registry, "likes");
-        tracer.phase(SolvePhase::Prepare, Duration::from_micros(5));
-        tracer.phase(SolvePhase::PivotScan, Duration::from_micros(2));
-        tracer.phase(SolvePhase::TrimRound, Duration::from_micros(9));
-        tracer.phase(SolvePhase::TrimRound, Duration::from_micros(7));
+        let tracer = SolveRecorder::for_plan(&registry, "likes", None);
+        let event = |phase, micros| {
+            tracer.phase_event(
+                phase,
+                Duration::from_micros(micros),
+                &PhaseContext::default(),
+            )
+        };
+        event(SolvePhase::Prepare, 5);
+        event(SolvePhase::PivotScan, 2);
+        event(SolvePhase::TrimRound, 9);
+        event(SolvePhase::TrimRound, 7);
+        tracer.parallel(SolvePhase::Materialize, Duration::from_micros(3));
         tracer.finish(Duration::from_micros(30));
 
         let snapshot = registry.snapshot();
@@ -193,16 +149,15 @@ mod tests {
                 .count(),
             1
         );
-        assert_eq!(
-            snapshot
-                .histogram(
-                    "qjoin_solve_phase_seconds",
-                    &[("plan", "likes"), ("phase", "trim-round")]
-                )
-                .unwrap()
-                .count(),
-            2
-        );
+        let per_phase = |name, phase| {
+            let labels = [("plan", "likes"), ("phase", phase)];
+            snapshot.histogram(name, &labels).unwrap().count()
+        };
+        assert_eq!(per_phase("qjoin_solve_phase_seconds", "prepare"), 1);
+        assert_eq!(per_phase("qjoin_solve_phase_seconds", "pivot-scan"), 1);
+        assert_eq!(per_phase("qjoin_solve_phase_seconds", "trim-round"), 2);
+        assert_eq!(per_phase("qjoin_solve_phase_seconds", "materialize"), 0);
+        assert_eq!(per_phase("qjoin_solve_parallel_seconds", "materialize"), 1);
         assert_eq!(snapshot.counter("qjoin_solve_rounds_total", &plan), Some(2));
         assert_eq!(
             snapshot.counter("qjoin_solve_encoded_total", &plan),

@@ -343,15 +343,16 @@ fn racing_writers_never_leave_a_plan_behind_its_catalog_generation() {
     assert_eq!(plans.len(), 5, "likes and one plan per writer");
     for plan in plans {
         assert_eq!(plan.generation, entry.generation, "plan {}", plan.name);
-        assert!(Arc::ptr_eq(
-            plan.instance.shared_database(),
-            &entry.database
-        ));
-        let fresh =
-            qjoin_query::Instance::new(plan.instance.query().clone(), entry.database.clone());
+        let instance = plan.encoded_instance.as_ref().unwrap();
+        for (name, view) in instance.relations() {
+            let columns = entry.encoded.relation(name).unwrap();
+            assert!(Arc::ptr_eq(view.base(), columns), "plan {}", plan.name);
+        }
+        let query = instance.query().clone();
+        let fresh = qjoin_query::EncodedInstance::from_encoded_database(query, &entry.encoded);
         assert_eq!(
             plan.total_answers,
-            qjoin_exec::count::count_answers(&fresh.unwrap()).unwrap(),
+            qjoin_exec::encoded::count_answers(&fresh.unwrap()).unwrap(),
             "plan {} must count the catalog's current database",
             plan.name
         );

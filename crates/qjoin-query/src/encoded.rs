@@ -158,6 +158,13 @@ impl EncodedInstance {
         self.relations.values().map(EncodedRelation::len).sum()
     }
 
+    /// A quick upper bound on the number of query answers: the product of the
+    /// atoms' view lengths (`n^ℓ` in the worst case). `None` on overflow of `u128`.
+    pub fn answer_count_upper_bound(&self) -> Option<u128> {
+        let mut sizes = (0..self.query.num_atoms()).map(|atom| self.relation_of_atom(atom).len());
+        sizes.try_fold(1u128, |bound, size| bound.checked_mul(size as u128))
+    }
+
     /// A copy with the query and some relations replaced (the shape every encoded
     /// trim produces). Relations not mentioned in `replaced` are carried over by
     /// handle.
@@ -267,6 +274,44 @@ mod tests {
                 );
             }
         }
+    }
+
+    #[test]
+    fn answer_count_upper_bound_is_the_product_of_view_lengths() {
+        let enc = EncodedInstance::from_instance(&two_path_instance()).unwrap();
+        assert_eq!(enc.answer_count_upper_bound(), Some(4));
+        let filtered = enc.relation("R1").unwrap().filtered(|_, row| row == 0);
+        let narrowed = enc.with_rewritten(enc.query().clone(), [filtered]).unwrap();
+        assert_eq!(narrowed.answer_count_upper_bound(), Some(2));
+
+        let mut db = Database::new();
+        let mut atoms = Vec::new();
+        for i in 0..3 {
+            let mut rel = Relation::new(format!("R{i}"), 1);
+            for j in 0..10i64 {
+                rel.push(vec![j.into()]).unwrap();
+            }
+            db.add_relation(rel).unwrap();
+            atoms.push(Atom::from_names(format!("R{i}"), &["x"]));
+        }
+        let inst = Instance::new(JoinQuery::new(atoms), db).unwrap();
+        let enc = EncodedInstance::from_instance(&inst).unwrap();
+        assert_eq!(enc.answer_count_upper_bound(), Some(1000));
+    }
+
+    #[test]
+    fn answer_count_upper_bound_handles_overflow() {
+        // `atoms` variable-disjoint atoms over one two-row relation: 2^atoms answers,
+        // and u128 holds 2^127 but not 2^128.
+        let w = Relation::from_rows("W", &[&[0], &[1]]).unwrap();
+        let encoded = EncodedDatabase::encode(&Database::from_relations([w]).unwrap()).unwrap();
+        let wide = |atoms: usize| {
+            let atoms = (0..atoms).map(|i| Atom::from_names("W", &[&format!("v{i}")]));
+            EncodedInstance::from_encoded_database(JoinQuery::new(atoms.collect()), &encoded)
+                .unwrap()
+        };
+        assert_eq!(wide(127).answer_count_upper_bound(), Some(1 << 127));
+        assert_eq!(wide(128).answer_count_upper_bound(), None);
     }
 
     #[test]

@@ -13,11 +13,11 @@ use std::sync::Arc;
 /// [`Instance`]. The pair is validated on construction: every atom must reference an
 /// existing relation of matching arity.
 ///
-/// The database is held behind an [`Arc`], so instances sharing one database (e.g.
-/// every prepared plan compiled against the same catalog generation) reference a
-/// single copy of the relation data. [`Instance::new`] accepts either an owned
-/// [`Database`] or an existing `Arc<Database>`; [`Instance::shared_database`] exposes
-/// the handle for further sharing and for pointer-equality assertions.
+/// The database is held behind an [`Arc`], so instances built over one
+/// `Arc<Database>` reference a single copy of the relation data. [`Instance::new`]
+/// accepts either an owned [`Database`] or an existing `Arc<Database>`;
+/// [`Instance::shared_database`] exposes the handle for further sharing and for
+/// pointer-equality assertions.
 #[derive(Clone, PartialEq)]
 pub struct Instance {
     query: JoinQuery,
@@ -84,21 +84,6 @@ impl Instance {
     /// True if the query is acyclic.
     pub fn is_acyclic(&self) -> bool {
         crate::acyclicity::is_acyclic(&self.query)
-    }
-
-    /// A quick upper bound on the number of query answers: the product of relation
-    /// sizes (`n^ℓ` in the worst case). Returns `None` on overflow of `u128`.
-    pub fn answer_count_upper_bound(&self) -> Option<u128> {
-        let mut bound: u128 = 1;
-        for atom in self.query.atoms() {
-            let size = self
-                .database
-                .relation(atom.relation())
-                .expect("validated")
-                .len() as u128;
-            bound = bound.checked_mul(size)?;
-        }
-        Some(bound)
     }
 }
 
@@ -206,7 +191,6 @@ impl fmt::Debug for Assignment {
 mod tests {
     use super::*;
     use crate::query::path_query;
-    use crate::Atom;
     use qjoin_data::{Relation, Value};
 
     fn two_path_instance() -> Instance {
@@ -243,7 +227,6 @@ mod tests {
         assert_eq!(inst.database_size(), 4);
         assert!(inst.is_acyclic());
         assert_eq!(inst.relation_of_atom(1).name(), "R2");
-        assert_eq!(inst.answer_count_upper_bound(), Some(4));
     }
 
     #[test]
@@ -279,23 +262,5 @@ mod tests {
             Some(Value::from(1))
         );
         assert_eq!(format!("{a:?}"), "{x: 2}");
-    }
-
-    #[test]
-    fn answer_count_upper_bound_handles_overflow() {
-        let mut db = Database::new();
-        let mut atoms = Vec::new();
-        // 50 relations of 10^6 tuples would overflow u128 only at astronomically large
-        // sizes; instead verify the product logic with moderate numbers.
-        for i in 0..3 {
-            let mut rel = Relation::new(format!("R{i}"), 1);
-            for j in 0..10i64 {
-                rel.push(vec![Value::from(j)]).unwrap();
-            }
-            db.add_relation(rel).unwrap();
-            atoms.push(Atom::from_names(format!("R{i}"), &["x"]));
-        }
-        let inst = Instance::new(JoinQuery::new(atoms), db).unwrap();
-        assert_eq!(inst.answer_count_upper_bound(), Some(1000));
     }
 }

@@ -193,13 +193,17 @@ impl Server {
     }
 
     /// Runs the reactor on the calling thread until shutdown (or until the
-    /// listener or `poll` fails, which is returned), then drains: parked idle
-    /// connections are dropped, requests already dispatched to workers finish.
+    /// listener or `poll` fails, which is returned and also sets the shutdown
+    /// flag), then drains: parked idle connections are dropped, requests already
+    /// dispatched to workers finish.
     pub fn run(self) -> io::Result<ServerSummary> {
         let requests = Arc::new(AtomicU64::new(0));
         let (pool, connections, outcome) = {
             let mut reactor = self.into_reactor(Arc::clone(&requests));
             let outcome = reactor.run();
+            if outcome.is_err() {
+                reactor.handle.shutdown();
+            }
             (reactor.pool, reactor.connections, outcome)
             // The rest of the reactor drops here: parked connections see EOF first.
         };
@@ -618,6 +622,20 @@ mod tests {
         assert!(handle.is_shutdown());
         // Shutdown is a flag and a wake: nothing dials the listener.
         assert_eq!(summary, ServerSummary::default());
+    }
+
+    #[test]
+    fn a_fatal_listener_error_leaves_the_handle_shut_down() {
+        // `accept` on a connected, not listening, socket fails with `EINVAL`,
+        // which is fatal to the reactor.
+        let session = Arc::new(CliSession::new());
+        let mut server = Server::bind("127.0.0.1:0", session, ServerConfig::default()).unwrap();
+        let connected = TcpStream::connect(server.local_addr().unwrap()).unwrap();
+        server.listener = TcpListener::from(std::os::fd::OwnedFd::from(connected));
+        let handle = server.handle().unwrap();
+        let err = server.run().unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::InvalidInput, "{err}");
+        assert!(handle.is_shutdown(), "a dead reactor's handle says running");
     }
 
     /// A reactor that is not running yet, and a client connection — with `sent`

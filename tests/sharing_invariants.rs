@@ -1,9 +1,9 @@
 //! Sharing invariants of the copy-on-write data layer.
 //!
-//! The trim layer, the self-join/binarization rewrites, and the engine's prepared
-//! plans are all required to *share* relation storage they do not modify — observable
-//! as pointer equality on the underlying `Arc`s — and the sharing must never change
-//! what the solver computes. These tests pin both halves: pointer identity for
+//! The trim layer and the self-join/binarization rewrites are required to *share*
+//! relation storage they do not modify, and the engine's prepared plans to share the
+//! catalog generation's encoded columns — observable as pointer equality on the
+//! underlying `Arc`s — and the sharing must never change what the solver computes. These tests pin both halves: pointer identity for
 //! untouched relations, and solver results identical to the materialization baseline
 //! across every ranking kind.
 
@@ -116,9 +116,9 @@ fn self_join_elimination_shares_all_storage() {
     }
 }
 
-/// Registering N plans against one catalog database must allocate the tuple storage
-/// exactly once: every plan's instance holds the catalog's own `Arc<Database>`, and
-/// every relation inside is pointer-identical across plans.
+/// Registering N plans against one catalog database must encode the data exactly
+/// once: every relation view of every plan reads the catalog generation's own
+/// `Arc<EncodedColumns>`, so the columns are pointer-identical across plans.
 #[test]
 fn n_plans_share_one_database_allocation() {
     let (_, database) = social_instance(100, 17).into_parts();
@@ -140,15 +140,16 @@ fn n_plans_share_one_database_allocation() {
             )
             .unwrap();
     }
-    let catalog_db = Arc::clone(&engine.catalog().get("social").unwrap().database);
+    let catalog_db = Arc::clone(&engine.catalog().get("social").unwrap().encoded);
     for plan in engine.plans() {
-        assert!(
-            Arc::ptr_eq(plan.instance.shared_database(), &catalog_db),
-            "plan {} holds a copy instead of the shared catalog database",
-            plan.name
-        );
-        for rel in plan.instance.database().relations() {
-            assert!(rel.shares_tuples_with(catalog_db.relation(rel.name()).unwrap()));
+        let instance = plan.encoded_instance.as_ref().unwrap();
+        assert_eq!(instance.relations().count(), 3);
+        for (name, view) in instance.relations() {
+            assert!(
+                Arc::ptr_eq(view.base(), catalog_db.relation(name).unwrap()),
+                "plan {} holds a copy of {name} instead of the catalog's columns",
+                plan.name
+            );
         }
     }
     for stats in engine.plan_storage_stats() {
