@@ -474,6 +474,24 @@ mod paper_case_table {
                 Expected::ChordlessPath,
             ),
             (
+                "4-path: {x2, x3, x4} is covered by the adjacent R2, R3",
+                path_query(4),
+                vars(&["x2", "x3", "x4"]),
+                Expected::AdjacentPair,
+            ),
+            (
+                "star: the centre and one leaf lie in one atom",
+                star_query(3),
+                vars(&["x0", "x1"]),
+                Expected::SingleAtom,
+            ),
+            (
+                "social network, full SUM: three pairwise non-adjacent variables",
+                social_network_query(),
+                social_network_query().variables(),
+                Expected::IndependentSet,
+            ),
+            (
                 "three-atom chain with a covering adjacent pair (A, B)",
                 JoinQuery::new(vec![
                     Atom::from_names("A", &["x", "y", "z"]),

@@ -16,7 +16,8 @@
 //! The full order lists `below(w*)` lighter answers, then the band's answers of
 //! weight `w*` in key order; rank `k` is therefore `band[start(w*) + k − below(w*)]`
 //! — exactly the element a full sort holds at `k`. Every comparison of weights is
-//! [`Weight::cmp`] (`total_cmp`: `-0.0 < +0.0`), never the derived `==`.
+//! [`Weight::cmp`] (`total_cmp`), never the derived `==`. (A ranking's weights hold
+//! no `-0.0`: `Ranking::var_weight` reads a weight function's `-0.0` as `+0.0`.)
 
 use crate::quantile::{keyed_answer_cmp, SolveBackend};
 use crate::{CoreError, Result};

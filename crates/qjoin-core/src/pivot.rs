@@ -150,12 +150,9 @@ pub fn pivot_quality(tree: &JoinTree) -> f64 {
 }
 
 /// Exhaustively verifies that `pivot` is a `c`-pivot of the instance's answers by
-/// materializing them. Intended for tests and experiments (E-PIVOT), not production.
-pub fn verify_pivot(
-    instance: &Instance,
-    ranking: &Ranking,
-    pivot: &PivotResult,
-) -> Result<(f64, f64)> {
+/// materializing them: the fractions of answers ⪯ and ⪰ the pivot.
+#[cfg(test)]
+fn verify_pivot(instance: &Instance, ranking: &Ranking, pivot: &PivotResult) -> Result<(f64, f64)> {
     let answers = qjoin_exec::yannakakis::materialize(instance)?;
     let total = answers.len() as f64;
     if answers.is_empty() {

@@ -88,9 +88,12 @@ impl Ranking {
         self.weight_fns.get(var).unwrap_or(&IDENTITY)
     }
 
-    /// The input weight `w_x(value)` of one variable.
+    /// The input weight `w_x(value)` of one variable, with a weight function's `-0.0`
+    /// read as `+0.0`: §2.2's weights are reals, where the two zeros are one number,
+    /// but the ranking order (`f64::total_cmp`) would rank them apart. Every weight
+    /// a ranking computes starts here, so no aggregate of them is `-0.0` either.
     pub fn var_weight(&self, var: &Variable, value: &Value) -> f64 {
-        self.weight_fn(var).apply(value)
+        self.weight_fn(var).apply(value) + 0.0
     }
 
     /// True if the variable participates in the ranking.

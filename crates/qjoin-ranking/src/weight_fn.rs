@@ -11,6 +11,10 @@ use std::sync::Arc;
 /// The worked examples of the paper use "attribute weights equal to their values",
 /// which is [`WeightFn::Identity`]; the other variants cover constants, affine
 /// re-scaling, explicit lookup tables, and arbitrary user code.
+///
+/// [`apply`](WeightFn::apply) returns what the function computes, `-0.0` included;
+/// a ranking reads it through [`Ranking::var_weight`](crate::Ranking::var_weight),
+/// which canonicalises `-0.0` to `+0.0`.
 #[derive(Clone, Default)]
 pub enum WeightFn {
     /// `w_x(v) = v` for integer values; non-numeric values map to 0.

@@ -93,10 +93,10 @@ impl RandomAcyclicConfig {
 
 /// A small instance of a named shape, for property tests that must reach shapes a
 /// random tree rarely produces: `shape` 0 a 3-path, 1 a 3-star, 2 the social-network
-/// query, 3 a self-join `R(a, b), R(b, c)`, 4 an atom repeating a variable
-/// `R(a, a, b), S(b, c)` — each over relations of 4–9 random rows from a
-/// four-value domain (duplicates kept) — and anything else a random acyclic query
-/// of one to three atoms.
+/// query, 3 a self-join `R(a, b), R(b, c)`, 4 an atom repeating a variable that
+/// another atom shares `R(a, a, b), S(b, c), T(a, d)` — each over relations of 4–9
+/// random rows from a four-value domain (duplicates kept) — and anything else a
+/// random acyclic query of one to three atoms.
 pub fn shaped_instance(shape: usize, seed: u64) -> Instance {
     let query = match shape {
         0 => path_query(3),
@@ -109,6 +109,7 @@ pub fn shaped_instance(shape: usize, seed: u64) -> Instance {
         4 => JoinQuery::new(vec![
             Atom::from_names("R", &["a", "a", "b"]),
             Atom::from_names("S", &["b", "c"]),
+            Atom::from_names("T", &["a", "d"]),
         ]),
         _ => {
             let config = RandomAcyclicConfig {
@@ -139,8 +140,9 @@ pub fn shaped_instance(shape: usize, seed: u64) -> Instance {
 
 /// A ranking of the given aggregate over every other variable of the instance whose
 /// answers tie heavily: per variable the weights take one value (`domain` 0, so
-/// every answer weighs the same), the two zeros `-0.0` / `+0.0` (1), two values (2),
-/// three (3), or the values themselves (anything else).
+/// every answer weighs the same), the two zeros `-0.0` / `+0.0` (1, which the ranking
+/// reads as one weight), two values (2), three (3), or the values themselves
+/// (anything else).
 pub fn tie_heavy_ranking(instance: &Instance, kind: AggregateKind, domain: usize) -> Ranking {
     let variables = instance.query().variables();
     let weighted: Vec<Variable> = variables.iter().rev().step_by(2).cloned().collect();

@@ -1,15 +1,17 @@
 //! Cross-crate integration tests: the full quantile pipeline against the brute-force
 //! baseline on generated workloads, for every ranking function family.
 
-use quantile_joins::core::quantile::rank_of_weight;
+mod common;
+
+use common::Oracle;
 use quantile_joins::core::sampling::{quantile_by_sampling, SamplingOptions};
 use quantile_joins::prelude::*;
 use quantile_joins::CoreError;
 
-/// Asserts that `result` is a valid φ-quantile of the instance under the ranking: the
-/// targeted index falls inside the returned weight's rank window.
-fn assert_valid_quantile(instance: &Instance, ranking: &Ranking, result: &QuantileResult) {
-    let (below, equal) = rank_of_weight(instance, ranking, &result.weight).unwrap();
+/// Asserts that `result` is a valid φ-quantile of the oracle's instance under its
+/// ranking: the targeted index falls inside the returned weight's rank window.
+fn assert_valid_quantile(oracle: &Oracle, result: &QuantileResult) {
+    let (below, equal) = oracle.rank_of(&result.weight);
     assert!(equal >= 1, "returned weight belongs to no answer");
     assert!(
         result.target_index >= below && result.target_index < below + equal,
@@ -32,13 +34,14 @@ fn social_network_partial_sum_quantiles_match_baseline() {
     };
     let instance = config.generate();
     let ranking = config.likes_ranking();
+    let oracle = Oracle::new(&instance, &ranking);
     for phi in [0.1, 0.5, 0.9] {
         let fast = exact_quantile(&instance, &ranking, phi).unwrap();
         let slow =
             quantile_by_materialization(&instance, &ranking, phi, BaselineStrategy::Selection)
                 .unwrap();
         assert_eq!(fast.weight, slow.weight, "phi {phi}");
-        assert_valid_quantile(&instance, &ranking, &fast);
+        assert_valid_quantile(&oracle, &fast);
     }
 }
 
@@ -59,9 +62,10 @@ fn min_max_quantiles_on_generated_paths() {
         Ranking::min(vars(&["x1", "x4"])),
         Ranking::max(vars(&["x2", "x3"])),
     ] {
+        let oracle = Oracle::new(&instance, &ranking);
         for phi in [0.0, 0.25, 0.5, 0.75, 1.0] {
             let fast = exact_quantile(&instance, &ranking, phi).unwrap();
-            assert_valid_quantile(&instance, &ranking, &fast);
+            assert_valid_quantile(&oracle, &fast);
         }
     }
 }
@@ -81,9 +85,10 @@ fn lex_quantiles_on_generated_paths() {
         Ranking::lex(vars(&["x1", "x3"])),
         Ranking::lex(vars(&["x3", "x2", "x1"])),
     ] {
+        let oracle = Oracle::new(&instance, &ranking);
         for phi in [0.2, 0.5, 0.8] {
             let fast = exact_quantile(&instance, &ranking, phi).unwrap();
-            assert_valid_quantile(&instance, &ranking, &fast);
+            assert_valid_quantile(&oracle, &fast);
         }
     }
 }
@@ -100,9 +105,10 @@ fn full_sum_on_binary_join_matches_baseline() {
     }
     .generate();
     let ranking = Ranking::sum(instance.query().variables());
+    let oracle = Oracle::new(&instance, &ranking);
     for phi in [0.05, 0.5, 0.95] {
         let fast = exact_quantile(&instance, &ranking, phi).unwrap();
-        assert_valid_quantile(&instance, &ranking, &fast);
+        assert_valid_quantile(&oracle, &fast);
     }
 }
 
@@ -127,7 +133,7 @@ fn intractable_full_sum_is_refused_and_approximated() {
     let epsilon = 0.1;
     let approx =
         approximate_sum_quantile(&instance, &ranking, 0.5, epsilon, ErrorBudget::Direct).unwrap();
-    let (below, equal) = rank_of_weight(&instance, &ranking, &approx.weight).unwrap();
+    let (below, equal) = Oracle::new(&instance, &ranking).rank_of(&approx.weight);
     // Allow the accumulated error of the iterated lossy trimmings.
     let slack = (2.0 * epsilon * approx.iterations.max(1) as f64 * total as f64).max(1.0);
     let target = approx.target_index as f64;
@@ -156,7 +162,7 @@ fn sampling_approximation_tracks_the_target() {
         seed: 5,
     };
     let result = quantile_by_sampling(&instance, &ranking, 0.5, &options).unwrap();
-    let (below, equal) = rank_of_weight(&instance, &ranking, &result.weight).unwrap();
+    let (below, equal) = Oracle::new(&instance, &ranking).rank_of(&result.weight);
     let total = result.total_answers as f64;
     assert!(
         (below as f64) <= 0.65 * total && (below + equal) as f64 >= 0.35 * total,

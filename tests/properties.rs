@@ -1,8 +1,11 @@
 //! Property-based tests: the algorithms against brute force on random acyclic
 //! instances, and structural invariants of the core data structures.
 
+mod common;
+
+use common::Oracle;
 use proptest::prelude::*;
-use quantile_joins::core::pivot::{select_pivot, verify_pivot};
+use quantile_joins::core::pivot::select_pivot;
 use quantile_joins::core::quantile::rank_of_weight;
 use quantile_joins::core::trim::{AdjacentSumTrimmer, LexTrimmer, MinMaxTrimmer, Trimmer};
 use quantile_joins::exec::yannakakis::materialize;
@@ -66,7 +69,10 @@ proptest! {
             _ => Ranking::lex(all_vars),
         };
         let pivot = select_pivot(&instance, &ranking).unwrap();
-        let (le, ge) = verify_pivot(&instance, &ranking, &pivot).unwrap();
+        let oracle = Oracle::new(&instance, &ranking);
+        let (below, equal) = oracle.rank_of(&pivot.weight);
+        let total = oracle.total() as f64;
+        let (le, ge) = ((below + equal) as f64 / total, (oracle.total() - below) as f64 / total);
         prop_assert!(le >= pivot.c - 1e-12, "{le} < {}", pivot.c);
         prop_assert!(ge >= pivot.c - 1e-12, "{ge} < {}", pivot.c);
     }
@@ -109,7 +115,7 @@ proptest! {
             }
         };
         let result = exact_quantile(&instance, &ranking, phi).unwrap();
-        let (below, equal) = rank_of_weight(&instance, &ranking, &result.weight).unwrap();
+        let (below, equal) = Oracle::new(&instance, &ranking).rank_of(&result.weight);
         prop_assert!(equal >= 1);
         prop_assert!(result.target_index >= below && result.target_index < below + equal);
     }
