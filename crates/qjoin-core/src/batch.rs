@@ -210,6 +210,7 @@ fn solve_group<B: SolveBackend>(
     let [(lt, n_lt), (gt, n_gt)] =
         partition_round(state.backend, state.instance, &low, &high, &pivot_weight)?;
     let n_eq = current_count.saturating_sub(n_lt).saturating_sub(n_gt);
+    let view_rows = state.backend.database_size(&lt) + state.backend.database_size(&gt);
     state.tracer.phase_event(
         SolvePhase::TrimRound,
         trim_started.elapsed(),
@@ -219,6 +220,7 @@ fn solve_group<B: SolveBackend>(
             n_lt: Some(sat64(n_lt)),
             n_eq: Some(sat64(n_eq)),
             n_gt: Some(sat64(n_gt)),
+            view_rows: Some(view_rows as u64),
             targets: Some(targets.len() as u64),
             ..PhaseContext::default()
         },

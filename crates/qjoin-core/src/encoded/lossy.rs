@@ -4,9 +4,14 @@
 //! tree, push ε′-sketches of partial-sum multisets through every edge, rewire each child
 //! row to its sketch bucket through a fresh `v_RS` variable — over selection-vector
 //! views, and with **no bound in it**: Algorithm 4 reads λ only in its final root
-//! filter. [`LossyConstruction::window`] is that filter, so a partition round is two
-//! filters and two counts over one construction of the original instance, where it
-//! used to be four complete rewrites (two stacked single-bound trims per side).
+//! filter. The build then takes, once, what every window needs of the rewritten
+//! instance: its context, the counting pass's per-row counts and every node's
+//! Algorithm-2 message arenas ([`PivotScan`]). A window
+//! ([`LossyConstruction::window`]) is that root filter and nothing more: the ascending
+//! context root rows it keeps. [`LossyBackend`] counts a window as the sum of its rows'
+//! counts, pivots it with one weighted median over its rows' root messages, and walks
+//! its leaf under its rows alone. No view is filtered and no context built after the
+//! construction.
 //!
 //! **One rewrite, both roundings.** `< λ` needs partial sums rounded up (ascending
 //! sketch, bucket maximum) and `> λ` rounded down (descending, minimum), and the two
@@ -37,26 +42,49 @@
 //! differ, each within ε, and the compressing-regime suite (`lossy_tests.rs`), not
 //! pointwise equality, is what holds this one there.
 //!
-//! Traced `path3_approx` (600 tuples, seed 2023, medians of 3 runs per side):
+//! **Why a selection of root rows is exact.** The full reducer of a fresh context
+//! over a window's filtered instance drops a non-root row only when no surviving
+//! parent row joins its group, so it drops whole join groups only. A group some kept
+//! root row reaches keeps every member, and, by induction down the tree, every
+//! subtree below them, exactly as in the construction's own context. Each live
+//! group's median (the same members, in the same ascending order, with the same
+//! subtree counts) and each row's count are therefore the ones a fresh build
+//! computes, and the kept root rows keep view order. So a window's count, pivot
+//! (assignment, weight, `c`, total), leaf enumeration order and answers are
+//! bit-identical to a fresh context's over the filtered instance; `lossy_tests.rs`
+//! checks every window a solve cuts against exactly that (`materialized_window`).
 //!
-//! | | four rewrites a round | one construction |
+//! Traced `path3_approx` (600 tuples, seed 2023, 10 s runs, medians of 3 alternating
+//! runs per side on a 2-core host):
+//!
+//! | | a context per window | one context per solve |
 //! |---|---|---|
-//! | `core.solve_ms` | 61.3 | 12.2 |
-//! | `core.trim_round_ms` (round 0; each later round) | 54.6 (4.4; 8–10) | 6.9 (2.7; 0.5–1.0) |
-//! | `core.pivot_scan_ms` | 6.5 | 5.1 |
-//! | `par.tasks` | 6165 | 3318 |
+//! | `core.solve_ms` | 11.4 | 6.6 |
+//! | `core.trim_round_ms` (round 0; each later round) | 8.8 (3.8; 0.5–1.4) | 5.6 (5.2; 0.05–0.1) |
+//! | `core.pivot_scan_ms` (round 1) | 2.4 (1.05) | 0.67 (0.35) |
+//! | `par.tasks` | 3526 | 1416 |
 //! | `core.rounds`, `.candidates_scanned`, `.materialized` | 6, 44279.17, 351.33 | the same |
+//!
+//! Round 0 builds the construction and, with it, the context, counts and arenas
+//! (about 2.6 ms of its 5.2); each later round is two root-row scans and two sums.
 
+use super::pivot::PivotScan;
 use super::trim::{row_sum, rows_in, segment_offsets, weighted_pairs, ViewBuilder};
 use super::weights::CodeWeights;
+use super::{CodeKey, EncodedBackend};
+use crate::pivot::PivotResult;
+use crate::quantile::SolveBackend;
 use crate::sketch::{sketch, RoundDirection, SketchEntry};
 use crate::{CoreError, Result};
 use qjoin_data::EncodedRelation;
-use qjoin_exec::Key;
-use qjoin_query::{binary, Atom, EncodedInstance, JoinQuery, Variable};
-use qjoin_ranking::{AggregateKind, Ranking, SumTupleWeights, WeightBound};
+use qjoin_exec::encoded as exec_encoded;
+use qjoin_exec::{EncodedContext, Key};
+use qjoin_query::{binary, Assignment, Atom, EncodedInstance, JoinQuery, Variable};
+#[cfg(test)]
+use qjoin_ranking::RankPredicate;
+use qjoin_ranking::{AggregateKind, CmpOp, Ranking, SumTupleWeights, Weight, WeightBound};
 use std::collections::{BTreeMap, HashMap};
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
 /// Per-node state during the bottom-up pass: the (growing) atom, its view, and
 /// the per-row annotations in view scan order — `σ_s` rounded up and rounded down,
@@ -70,19 +98,20 @@ struct NodeState {
 }
 
 /// Algorithm 4's bottom-up rewrite of one instance, built once per solve with no
-/// bound in it; every trim of that solve is a [`window`](Self::window) over its root.
+/// bound in it, and everything a window of it needs, computed over it once: its
+/// context, the counting pass and the Algorithm-2 arenas. Every trim of the solve is
+/// a [`window`](Self::window) — a selection of its root rows.
 pub(crate) struct LossyConstruction {
     /// A handle on the instance this was built from. It pins that instance's
     /// `ExecMemo`, which clones share: the identity [`Self::is_of`] compares.
     source: EncodedInstance,
     /// The rewritten instance, its root unfiltered.
     rewritten: EncodedInstance,
-    root_atom: usize,
-    /// Per root row, by global row index: every answer the row represents has its
-    /// true sum in `[sum_dn, sum_up]`.
-    root_offsets: Vec<usize>,
-    sum_up: Vec<f64>,
-    sum_dn: Vec<f64>,
+    /// Per root row of the context: `(sum_up, sum_dn)`. Every answer the row
+    /// represents has its true sum in `[sum_dn, sum_up]`.
+    root_sums: Vec<(f64, f64)>,
+    /// The rewritten instance's context, per-row counts and message arenas.
+    scan: PivotScan,
 }
 
 impl LossyConstruction {
@@ -310,7 +339,6 @@ impl LossyConstruction {
         // mirroring the row path's fresh database. The root keeps every row; its two
         // sums are what `window` filters by.
         let root = tree.root();
-        let root_atom = tree.node(root).atom_index;
         let root_offsets = segment_offsets(&states[root].view);
         let (sum_up, sum_dn) = (
             std::mem::take(&mut states[root].up),
@@ -328,13 +356,19 @@ impl LossyConstruction {
             Arc::clone(binarized.instance.dictionary()),
             relations,
         )?;
+        let scan = PivotScan::new(&rewritten, ranking, weights)?;
+        let ctx = &scan.ctx;
+        let root_sums = (ctx.node(ctx.root()).rows.iter())
+            .map(|&(seg, row)| {
+                let global = root_offsets[seg as usize] + row as usize;
+                (sum_up[global], sum_dn[global])
+            })
+            .collect();
         Ok(LossyConstruction {
             source: source.clone(),
             rewritten,
-            root_atom,
-            root_offsets,
-            sum_up,
-            sum_dn,
+            root_sums,
+            scan,
         })
     }
 
@@ -343,33 +377,215 @@ impl LossyConstruction {
         std::ptr::eq(self.source.exec_memo(), instance.exec_memo())
     }
 
-    /// The rewritten instance restricted to the root rows with `sum_up < high` and
-    /// `sum_dn > low`; every other relation is shared by handle. `low = ⊤` or
-    /// `high = ⊥` clears the root, two infinite bounds keep all of it.
-    pub(crate) fn window(&self, low: &WeightBound, high: &WeightBound) -> Result<EncodedInstance> {
-        let root = self.rewritten.relation_of_atom(self.root_atom);
-        let kept = if *low == WeightBound::PosInf || *high == WeightBound::NegInf {
-            root.cleared()
-        } else if low.is_infinite() && high.is_infinite() {
-            return Ok(self.rewritten.clone());
-        } else {
-            let scalar = |bound: &WeightBound, infinite: f64| match bound.as_finite() {
-                None => Ok(infinite),
-                Some(weight) => weight.as_num().ok_or_else(|| {
-                    CoreError::UnsupportedPredicate("SUM trimming requires a scalar bound".into())
-                }),
-            };
-            let (low, high) = (
-                scalar(low, f64::NEG_INFINITY)?,
-                scalar(high, f64::INFINITY)?,
-            );
-            root.filtered(|seg, row| {
-                let global = self.root_offsets[seg] + row;
-                self.sum_up[global] < high && self.sum_dn[global] > low
-            })
+    /// The window `(low, high)`: the context's root rows, ascending, with
+    /// `sum_up < high` and `sum_dn > low`. `low = ⊤` or `high = ⊥` keeps none, two
+    /// infinite bounds keep all.
+    pub(crate) fn window(&self, low: &WeightBound, high: &WeightBound) -> Result<Vec<u32>> {
+        let n_rows = self.root_sums.len() as u32;
+        let Some((low, high)) = window_bounds(low, high)? else {
+            return Ok((0..n_rows).collect());
         };
+        // Branch-free: whether a row is kept only decides whether the next row
+        // overwrites its slot.
+        let mut kept = vec![0u32; n_rows as usize];
+        let mut len = 0;
+        for (row, &(up, dn)) in (0..n_rows).zip(&self.root_sums) {
+            kept[len] = row;
+            len += usize::from((up < high) & (dn > low));
+        }
+        kept.truncate(len);
+        Ok(kept)
+    }
+
+    /// The window `(low, high)` as an instance of its own, the oracle a window is
+    /// tested against: the rewritten instance with its root view filtered (a fresh
+    /// instance, so nothing of this construction's context is reused), every other
+    /// relation shared by handle. Root rows the context dropped are dropped here
+    /// too: they join nothing.
+    #[cfg(test)]
+    pub(crate) fn materialized_window(
+        &self,
+        low: &WeightBound,
+        high: &WeightBound,
+    ) -> Result<EncodedInstance> {
+        let bounds = window_bounds(low, high)?;
+        let inside =
+            |&(up, dn): &(f64, f64)| bounds.is_none_or(|(low, high)| up < high && dn > low);
+        let root = self.scan.ctx.node(self.scan.ctx.root());
+        let kept: std::collections::HashSet<(u32, u32)> = (root.rows.iter().zip(&self.root_sums))
+            .filter(|(_, sums)| inside(sums))
+            .map(|(&coords, _)| coords)
+            .collect();
+        let view = self.rewritten.relation_of_atom(root.atom_index);
+        let view = view.filtered(|seg, row| kept.contains(&(seg as u32, row as u32)));
         let query = self.rewritten.query().clone();
-        Ok(self.rewritten.with_rewritten(query, [kept])?)
+        Ok(self.rewritten.with_rewritten(query, [view])?)
+    }
+}
+
+/// The scalar bounds a window's root filter compares the two sums with, or `None`
+/// when it keeps every row.
+fn window_bounds(low: &WeightBound, high: &WeightBound) -> Result<Option<(f64, f64)>> {
+    if *low == WeightBound::PosInf || *high == WeightBound::NegInf {
+        // No sum is above +∞: the filter admits nothing.
+        return Ok(Some((f64::INFINITY, f64::NEG_INFINITY)));
+    }
+    if low.is_infinite() && high.is_infinite() {
+        return Ok(None);
+    }
+    let scalar = |bound: &WeightBound, infinite: f64| match bound.as_finite() {
+        None => Ok(infinite),
+        Some(weight) => weight.as_num().ok_or_else(|| {
+            CoreError::UnsupportedPredicate("SUM trimming requires a scalar bound".into())
+        }),
+    };
+    Ok(Some((
+        scalar(low, f64::NEG_INFINITY)?,
+        scalar(high, f64::INFINITY)?,
+    )))
+}
+
+/// What a lossy solve recurses over: the instance it was asked about, until its
+/// first trim, and windows of that instance's construction after it.
+#[derive(Clone)]
+pub(crate) enum Candidates {
+    Source(EncodedInstance),
+    /// The context root rows of the construction a window keeps, ascending.
+    Window(Arc<LossyConstruction>, Vec<u32>),
+}
+
+/// The ε-lossy SUM solve's backend: the encoded backend on the source instance,
+/// and every trim a window of the one [`LossyConstruction`] its first trim builds.
+/// A window is counted, pivoted and walked through the construction's memo alone:
+/// no view is filtered and no context built after the construction.
+pub(crate) struct LossyBackend<'a> {
+    encoded: EncodedBackend<'a>,
+    /// The per-trim loss budget ε′.
+    epsilon: f64,
+    construction: OnceLock<Arc<LossyConstruction>>,
+}
+
+impl<'a> LossyBackend<'a> {
+    pub(crate) fn new(
+        instance: &EncodedInstance,
+        ranking: &'a Ranking,
+        per_trim_epsilon: f64,
+    ) -> LossyBackend<'a> {
+        LossyBackend {
+            encoded: EncodedBackend::new(instance, ranking),
+            epsilon: per_trim_epsilon,
+            construction: OnceLock::new(),
+        }
+    }
+
+    /// The window `(low, high)` of the solve's one construction, building it on
+    /// first use. `candidates` must be the source it was built from.
+    fn window(
+        &self,
+        candidates: &Candidates,
+        low: &WeightBound,
+        high: &WeightBound,
+    ) -> Result<Candidates> {
+        let built = match (candidates, self.construction.get()) {
+            (Candidates::Source(instance), Some(built)) if built.is_of(instance) => built,
+            // Not inside `get_or_init`: the build runs pool regions, and a thread
+            // waiting on one may be handed the round's other arm, which would
+            // re-enter the cell. Two arms racing here build identical values.
+            (Candidates::Source(instance), None) => {
+                let (ranking, weights) = (self.encoded.ranking, &self.encoded.weights);
+                let built = LossyConstruction::build(instance, ranking, self.epsilon, weights)?;
+                self.construction.get_or_init(|| Arc::new(built))
+            }
+            _ => {
+                let what = "a lossy trim of an instance other than the one its construction \
+                            was built from";
+                return Err(CoreError::Internal(what.to_string()));
+            }
+        };
+        let kept = built.window(low, high)?;
+        Ok(Candidates::Window(Arc::clone(built), kept))
+    }
+
+    /// The context `candidates` live in, and the root rows of it they keep (every
+    /// one when `None`).
+    fn context_of(candidates: &Candidates) -> Result<(Arc<EncodedContext>, Option<&[u32]>)> {
+        Ok(match candidates {
+            Candidates::Source(instance) => (exec_encoded::shared_context(instance)?, None),
+            Candidates::Window(built, kept) => (Arc::clone(&built.scan.ctx), Some(kept)),
+        })
+    }
+}
+
+impl SolveBackend for LossyBackend<'_> {
+    type Inst = Candidates;
+
+    fn count(&self, candidates: &Candidates) -> Result<u128> {
+        match candidates {
+            Candidates::Source(instance) => self.encoded.count(instance),
+            Candidates::Window(built, kept) => Ok(built.scan.count(kept)),
+        }
+    }
+
+    fn database_size(&self, candidates: &Candidates) -> usize {
+        match candidates {
+            Candidates::Source(instance) => self.encoded.database_size(instance),
+            // The construction's other rows stay with every window.
+            Candidates::Window(built, kept) => {
+                let ctx = &built.scan.ctx;
+                ctx.total_rows() - ctx.node(ctx.root()).rows.len() + kept.len()
+            }
+        }
+    }
+
+    fn select_pivot(&self, candidates: &Candidates) -> Result<PivotResult> {
+        match candidates {
+            Candidates::Source(instance) => self.encoded.select_pivot(instance),
+            Candidates::Window(built, kept) => {
+                let (ranking, weights) = (self.encoded.ranking, &self.encoded.weights);
+                built
+                    .scan
+                    .pivot(&built.rewritten, ranking, weights, &mut kept.clone())
+            }
+        }
+    }
+
+    #[cfg(test)]
+    fn trim(&self, candidates: &Candidates, predicate: &RankPredicate) -> Result<Candidates> {
+        let (low, high) = crate::trim::sum::window_of(predicate);
+        self.window(candidates, &low, &high)
+    }
+
+    fn trim_between(
+        &self,
+        candidates: &Candidates,
+        low: &WeightBound,
+        high: &WeightBound,
+        _: CmpOp,
+    ) -> Result<Candidates> {
+        self.window(candidates, low, high)
+    }
+
+    type Key = CodeKey;
+
+    fn leaf_weights(&self, candidates: &Candidates) -> Result<Vec<(Weight, u32)>> {
+        let (ctx, only) = Self::context_of(candidates)?;
+        self.encoded.leaf_weights_in(&ctx, only)
+    }
+
+    fn leaf_band(
+        &self,
+        candidates: &Candidates,
+        original_vars: &[Variable],
+        roots: &[u32],
+        wanted: &(dyn Fn(&Weight) -> bool + Sync),
+    ) -> Result<Vec<(Weight, CodeKey)>> {
+        let (ctx, _) = Self::context_of(candidates)?;
+        self.encoded
+            .leaf_band_in(&ctx, original_vars, roots, wanted)
+    }
+
+    fn answer_from_key(&self, original_vars: &[Variable], key: &CodeKey) -> Assignment {
+        self.encoded.answer_from_key(original_vars, key)
     }
 }
 

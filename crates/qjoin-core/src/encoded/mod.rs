@@ -7,7 +7,10 @@
 //! * `trim` rebuilds the Section 5 trimmings as view rewrites (selection vectors,
 //!   tagged segments, packed dyadic-interval columns); the SUM constructions take
 //!   the whole `(low, high)` window of a partition step in one rewrite;
-//! * `pivot` runs Algorithm 2 over flat code rows;
+//! * `pivot` runs Algorithm 2 over flat code rows, and keeps its arenas for the
+//!   pivot of any set of root rows;
+//! * `lossy` builds Algorithm 4's construction once per ε-lossy solve and serves
+//!   every trim of it as a selection of its root rows (its own backend);
 //! * this file provides the solve-backend implementation — including the two passes
 //!   of the leaf (`crate::leaf`): a masked walk that copies only the weighted codes
 //!   and keeps `(weight, root row)`, then a walk of the few root rows holding a tie
@@ -21,7 +24,7 @@
 //! ranking families, and boundary φ values. An instance or construction past the
 //! representation's fixed-width limits (more rows than `u32` indexes, more dyadic
 //! join groups than the packed interval code holds) is refused with
-//! [`CoreError::TooLarge`].
+//! [`CoreError::TooLarge`](crate::CoreError::TooLarge).
 
 pub(crate) mod lossy;
 pub(crate) mod pivot;
@@ -33,12 +36,12 @@ pub use trim::ExactStrategy;
 use crate::leaf::locator;
 use crate::pivot::PivotResult;
 use crate::quantile::{positions_in, PivotingOptions, QuantileResult, SolveBackend};
-use crate::{CoreError, Result};
-use lossy::LossyConstruction;
+use crate::Result;
+use lossy::{Candidates, LossyBackend};
 use qjoin_exec::encoded::{self as exec_encoded};
+use qjoin_exec::EncodedContext;
 use qjoin_query::{Assignment, EncodedInstance, Variable};
 use qjoin_ranking::{CmpOp, Ranking, Weight, WeightBound};
-use std::sync::OnceLock;
 use weights::{CodeWeights, WeightFold};
 
 /// How many projected codes a [`CodeKey`] stores without a heap allocation.
@@ -108,15 +111,12 @@ impl Ord for CodeKey {
 }
 
 /// The encoded solve backend: counts, pivots, trims, and walks leaves over an
-/// [`EncodedInstance`], decoding only at the answer boundary. It serves the exact
-/// and the ε-lossy solves alike: they differ in the trimming alone.
+/// [`EncodedInstance`], decoding only at the answer boundary. The ε-lossy solve's
+/// backend ([`lossy::LossyBackend`]) wraps it for the instance it starts from and
+/// for its leaf walks.
 pub(crate) struct EncodedBackend<'a> {
     ranking: &'a Ranking,
     strategy: ExactStrategy,
-    /// `Some((ε′, construction))` makes every trim a window of the ε-lossy SUM
-    /// construction ([`lossy`]) with that per-trim loss budget, built by the solve's
-    /// first trim; `None` trims exactly.
-    lossy: Option<(f64, OnceLock<LossyConstruction>)>,
     weights: CodeWeights,
     dictionary: std::sync::Arc<qjoin_data::Dictionary>,
 }
@@ -128,59 +128,23 @@ impl<'a> EncodedBackend<'a> {
         EncodedBackend {
             ranking,
             strategy: ExactStrategy::for_ranking(ranking),
-            lossy: None,
             weights: CodeWeights::build(instance.dictionary(), ranking),
             dictionary: std::sync::Arc::clone(instance.dictionary()),
         }
     }
 
-    /// The same backend trimming with the ε-lossy SUM construction.
-    fn lossy(mut self, per_trim_epsilon: f64) -> Self {
-        self.lossy = Some((per_trim_epsilon, OnceLock::new()));
-        self
-    }
-
-    /// The window `(low, high)` of the solve's one lossy construction, building it
-    /// on first use. `instance` must be the instance it was built from.
-    fn lossy_window(
-        &self,
-        (epsilon, cell): &(f64, OnceLock<LossyConstruction>),
-        instance: &EncodedInstance,
-        low: &WeightBound,
-        high: &WeightBound,
-    ) -> Result<EncodedInstance> {
-        let construction = match cell.get() {
-            Some(built) => built,
-            // Not inside `get_or_init`: the build runs pool regions, and a thread
-            // waiting on one may be handed the round's other arm, which would
-            // re-enter the cell. Two arms racing here build identical values.
-            None => {
-                let built =
-                    LossyConstruction::build(instance, self.ranking, *epsilon, &self.weights)?;
-                cell.get_or_init(|| built)
-            }
-        };
-        if !construction.is_of(instance) {
-            let what =
-                "a lossy trim of an instance other than the one its construction was built from";
-            return Err(CoreError::Internal(what.to_string()));
-        }
-        construction.window(low, high)
-    }
-
-    /// One leaf walk: `per_answer(out, root row, weight, codes)` for every answer
-    /// under the root rows `only` lists (under all of them when `None`), in root-row
-    /// chunks over the executor pool. The chunks concatenate in canonical order, so
-    /// the result is the sequence a sequential walk produces at any thread count.
-    /// `weights_only` walks with just the weighted slots of `codes` filled.
+    /// One leaf walk of `ctx`: `per_answer(out, root row, weight, codes)` for every
+    /// answer under the root rows `only` lists (under all of them when `None`), in
+    /// root-row chunks over the executor pool. The chunks concatenate in canonical
+    /// order, so the result is the sequence a sequential walk produces at any thread
+    /// count. `weights_only` walks with just the weighted slots of `codes` filled.
     fn leaf_walk<T: Send>(
         &self,
-        instance: &EncodedInstance,
+        ctx: &EncodedContext,
         weights_only: bool,
         only: Option<&[u32]>,
         per_answer: impl Fn(&mut Vec<T>, u32, Weight, &[u64]) + Sync,
     ) -> Result<Vec<T>> {
-        let ctx = exec_encoded::shared_context(instance)?;
         let schema = ctx.query().variables();
         let position_of = |v: &Variable| schema.iter().position(|s| s == v);
         let fold = WeightFold::new(self.ranking, &self.weights, position_of);
@@ -193,7 +157,7 @@ impl<'a> EncodedBackend<'a> {
         };
         let chunk = qjoin_par::DEFAULT_CHUNK;
         let chunks = exec_encoded::walk_answer_chunks(
-            &ctx,
+            ctx,
             needed.as_deref(),
             only,
             chunk,
@@ -203,6 +167,39 @@ impl<'a> EncodedBackend<'a> {
         let mut out = Vec::with_capacity(chunks.iter().map(Vec::len).sum());
         chunks.into_iter().for_each(|chunk| out.extend(chunk));
         Ok(out)
+    }
+
+    /// Pass 1 of the leaf over the answers under `only` (every root row when
+    /// `None`): the walk copies only the codes the ranking weighs, and nothing is
+    /// decoded or keyed. Each answer's locator is its root row of `ctx`.
+    fn leaf_weights_in(
+        &self,
+        ctx: &EncodedContext,
+        only: Option<&[u32]>,
+    ) -> Result<Vec<(Weight, u32)>> {
+        self.leaf_walk(ctx, true, only, |out, root, weight, _| {
+            out.push((weight, root))
+        })
+    }
+
+    /// Pass 2 of the leaf over the root rows `roots` of `ctx`. Nothing is decoded
+    /// here either: the dictionary's codes are order-preserving, so the projected
+    /// code vectors sort exactly like the projected value vectors would, and only a
+    /// selected answer is decoded.
+    fn leaf_band_in(
+        &self,
+        ctx: &EncodedContext,
+        original_vars: &[Variable],
+        roots: &[u32],
+        wanted: &(dyn Fn(&Weight) -> bool + Sync),
+    ) -> Result<Vec<(Weight, CodeKey)>> {
+        let projected = positions_in(&ctx.query().variables(), original_vars)?;
+        self.leaf_walk(ctx, false, Some(roots), |out, _, weight, codes| {
+            if wanted(&weight) {
+                let key = projected.iter().map(|&p| codes[p]);
+                out.push((weight, CodeKey::from_iter_of_len(projected.len(), key)));
+            }
+        })
     }
 }
 
@@ -228,13 +225,7 @@ impl SolveBackend for EncodedBackend<'_> {
         predicate: &qjoin_ranking::RankPredicate,
     ) -> Result<EncodedInstance> {
         let (ranking, weights) = (self.ranking, &self.weights);
-        match &self.lossy {
-            Some(lossy) => {
-                let (low, high) = crate::trim::sum::window_of(predicate);
-                self.lossy_window(lossy, instance, &low, &high)
-            }
-            None => trim::exact_trim_encoded(instance, ranking, predicate, self.strategy, weights),
-        }
+        trim::exact_trim_encoded(instance, ranking, predicate, self.strategy, weights)
     }
 
     fn trim_between(
@@ -244,33 +235,24 @@ impl SolveBackend for EncodedBackend<'_> {
         high: &WeightBound,
         first: CmpOp,
     ) -> Result<EncodedInstance> {
-        match &self.lossy {
-            Some(lossy) => self.lossy_window(lossy, instance, low, high),
-            None => trim::exact_trim_between_encoded(
-                instance,
-                self.ranking,
-                low,
-                high,
-                first,
-                self.strategy,
-                &self.weights,
-            ),
-        }
+        trim::exact_trim_between_encoded(
+            instance,
+            self.ranking,
+            low,
+            high,
+            first,
+            self.strategy,
+            &self.weights,
+        )
     }
 
     type Key = CodeKey;
 
-    /// Pass 1 of the leaf: the walk copies only the codes the ranking weighs, and
-    /// nothing is decoded or keyed.
     fn leaf_weights(&self, instance: &EncodedInstance) -> Result<Vec<(Weight, u32)>> {
-        self.leaf_walk(instance, true, None, |out, root, weight, _| {
-            out.push((weight, root))
-        })
+        let ctx = exec_encoded::shared_context(instance)?;
+        self.leaf_weights_in(&ctx, None)
     }
 
-    /// Pass 2 of the leaf. Nothing is decoded here either: the dictionary's codes
-    /// are order-preserving, so the projected code vectors sort exactly like the
-    /// projected value vectors would, and only a selected answer is decoded.
     fn leaf_band(
         &self,
         instance: &EncodedInstance,
@@ -278,13 +260,8 @@ impl SolveBackend for EncodedBackend<'_> {
         roots: &[u32],
         wanted: &(dyn Fn(&Weight) -> bool + Sync),
     ) -> Result<Vec<(Weight, CodeKey)>> {
-        let projected = positions_in(&instance.query().variables(), original_vars)?;
-        self.leaf_walk(instance, false, Some(roots), |out, _, weight, codes| {
-            if wanted(&weight) {
-                let key = projected.iter().map(|&p| codes[p]);
-                out.push((weight, CodeKey::from_iter_of_len(projected.len(), key)));
-            }
-        })
+        let ctx = exec_encoded::shared_context(instance)?;
+        self.leaf_band_in(&ctx, original_vars, roots, wanted)
     }
 
     fn answer_from_key(&self, original_vars: &[Variable], key: &CodeKey) -> Assignment {
@@ -315,7 +292,7 @@ fn decode_answer_key(
 /// Results are pointwise identical to
 /// [`quantile_batch_by_pivoting`](crate::batch::quantile_batch_by_pivoting) with the
 /// corresponding exact trimmer. A construction past the representation's
-/// fixed-width limits is refused with [`CoreError::TooLarge`].
+/// fixed-width limits is refused with [`CoreError::TooLarge`](crate::CoreError::TooLarge).
 pub fn exact_quantile_batch_encoded_traced(
     instance: &EncodedInstance,
     ranking: &Ranking,
@@ -345,7 +322,8 @@ pub fn approximate_sum_quantile_batch_encoded_traced(
     options: &PivotingOptions,
     tracer: &dyn crate::trace::SolveTracer,
 ) -> Result<Vec<QuantileResult>> {
-    let backend = EncodedBackend::new(instance, ranking).lossy(per_trim_epsilon);
+    let backend = LossyBackend::new(instance, ranking, per_trim_epsilon);
+    let source = Candidates::Source(instance.clone());
     let original_vars = instance.query().variables();
-    crate::batch::quantile_batch_backend(&backend, instance, phis, options, &original_vars, tracer)
+    crate::batch::quantile_batch_backend(&backend, &source, phis, options, &original_vars, tracer)
 }

@@ -30,7 +30,7 @@ use qjoin_data::Value;
 use qjoin_exec::EncodedContext;
 use qjoin_query::{Assignment, EncodedInstance, Variable};
 use qjoin_ranking::Ranking;
-use std::sync::Mutex;
+use std::sync::{Arc, Mutex};
 
 /// The pivot messages of one join-tree node.
 #[derive(Default)]
@@ -164,6 +164,88 @@ fn pivot_messages(
     msgs
 }
 
+/// The Algorithm-2 scan of one instance, kept: its context, the counting pass's
+/// per-row counts and every node's message arenas. The pivot of the answers under
+/// any set of its root rows is then one weighted median over their messages.
+pub(crate) struct PivotScan {
+    pub(super) ctx: Arc<EncodedContext>,
+    sorted_vars: Vec<Variable>,
+    /// `subtree_counts(..).per_tuple`: the medians' multiplicities.
+    counts: Vec<Vec<u128>>,
+    msgs: Vec<NodeMsgs>,
+}
+
+impl PivotScan {
+    pub(crate) fn new(
+        instance: &EncodedInstance,
+        ranking: &Ranking,
+        weights: &CodeWeights,
+    ) -> Result<PivotScan> {
+        let ctx = qjoin_exec::encoded::shared_context(instance)?;
+        let sorted_vars: Vec<Variable> = ctx.query().variable_set().into_iter().collect();
+        let fold = WeightFold::new(ranking, weights, |v| sorted_vars.binary_search(v).ok());
+        let counts = qjoin_exec::encoded::subtree_counts(&ctx).per_tuple;
+        let msgs = pivot_messages(&ctx, &fold, &sorted_vars, &counts, qjoin_par::DEFAULT_CHUNK);
+        Ok(PivotScan {
+            ctx,
+            sorted_vars,
+            counts,
+            msgs,
+        })
+    }
+
+    /// The number of answers under the root rows `roots`.
+    pub(crate) fn count(&self, roots: &[u32]) -> u128 {
+        let per_row = &self.counts[self.ctx.root()];
+        roots.iter().map(|&row| per_row[row as usize]).sum()
+    }
+
+    /// A `c`-pivot of the answers under the root rows `roots` (ascending; reordered
+    /// in place) of `instance`, the one scanned, equal to the pivot of an instance
+    /// holding only those root rows.
+    pub(crate) fn pivot(
+        &self,
+        instance: &EncodedInstance,
+        ranking: &Ranking,
+        weights: &CodeWeights,
+        roots: &mut [u32],
+    ) -> Result<PivotResult> {
+        if roots.is_empty() {
+            return Err(CoreError::NoAnswers);
+        }
+        // The artificial root V_0 = ∅: the final pivot is the weighted median of the
+        // root rows' pivots.
+        let root = &self.msgs[self.ctx.root()];
+        let (median, total) = root.median(roots, &self.counts[self.ctx.root()]);
+        let median_codes = root.codes_of(median);
+        let fold = WeightFold::new(ranking, weights, |v| self.sorted_vars.binary_search(v).ok());
+
+        // Decode the pivot at the boundary. Synthesized variables decode to their raw
+        // code (they are dropped by the projection onto the original variables
+        // anyway); base variables decode through the dictionary.
+        let dict_space = dictionary_space_mask(instance, &self.sorted_vars);
+        let assignment = Assignment::from_pairs(
+            (self.sorted_vars.iter().enumerate())
+                .filter(|&(slot, _)| median_codes[slot] != UNBOUND)
+                .map(|(slot, var)| {
+                    let code = median_codes[slot];
+                    let value = if dict_space[slot] {
+                        instance.dictionary().decode(code).clone()
+                    } else {
+                        Value::Int(code as i64)
+                    };
+                    (var.clone(), value)
+                }),
+        );
+        Ok(PivotResult {
+            assignment,
+            weight: fold.weight_of(median_codes),
+            c: pivot_quality(self.ctx.tree()),
+            total_answers: total,
+        })
+    }
+}
+
 /// Selects a `c`-pivot of an encoded instance's answers (Lemma 4.1), equal to the
 /// row path's [`select_pivot`](crate::pivot::select_pivot) result.
 pub(crate) fn select_pivot_encoded(
@@ -171,48 +253,12 @@ pub(crate) fn select_pivot_encoded(
     ranking: &Ranking,
     weights: &CodeWeights,
 ) -> Result<PivotResult> {
-    let ctx = qjoin_exec::encoded::shared_context(instance)?;
-    if ctx.has_no_answers() {
+    if qjoin_exec::encoded::shared_context(instance)?.has_no_answers() {
         return Err(CoreError::NoAnswers);
     }
-    let sorted_vars: Vec<Variable> = ctx.query().variable_set().into_iter().collect();
-    let fold = WeightFold::new(ranking, weights, |v| sorted_vars.binary_search(v).ok());
-    let counts = qjoin_exec::encoded::subtree_counts(&ctx).per_tuple;
-    let msgs = pivot_messages(&ctx, &fold, &sorted_vars, &counts, qjoin_par::DEFAULT_CHUNK);
-
-    // The artificial root V_0 = ∅: the final pivot is the weighted median of the
-    // root rows' pivots.
-    let root = &msgs[ctx.root()];
-    let mut rows: Vec<u32> = (0..ctx.node(ctx.root()).rows.len() as u32).collect();
-    let (median, total) = root.median(&mut rows, &counts[ctx.root()]);
-    let median_codes = root.codes_of(median);
-    let weight = fold.weight_of(median_codes);
-
-    // Decode the pivot at the boundary. Synthesized variables decode to their raw
-    // code (they are dropped by the projection onto the original variables anyway);
-    // base variables decode through the dictionary.
-    let dict_space = dictionary_space_mask(instance, &sorted_vars);
-    let assignment = Assignment::from_pairs(
-        sorted_vars
-            .iter()
-            .enumerate()
-            .filter(|&(slot, _)| median_codes[slot] != UNBOUND)
-            .map(|(slot, var)| {
-                let code = median_codes[slot];
-                let value = if dict_space[slot] {
-                    instance.dictionary().decode(code).clone()
-                } else {
-                    Value::Int(code as i64)
-                };
-                (var.clone(), value)
-            }),
-    );
-    Ok(PivotResult {
-        assignment,
-        weight,
-        c: pivot_quality(ctx.tree()),
-        total_answers: total,
-    })
+    let scan = PivotScan::new(instance, ranking, weights)?;
+    let mut roots: Vec<u32> = (0..scan.ctx.node(scan.ctx.root()).rows.len() as u32).collect();
+    scan.pivot(instance, ranking, weights, &mut roots)
 }
 
 /// For each variable (in `sorted_vars` order): true when its codes live in the

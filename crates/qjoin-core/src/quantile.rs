@@ -110,7 +110,8 @@ pub(crate) trait SolveBackend: Sync {
     /// `|Q(D)|` of an instance (a linear-time Yannakakis counting pass).
     fn count(&self, instance: &Self::Inst) -> Result<u128>;
 
-    /// The database size `n` (the default materialization threshold).
+    /// The rows an instance hands a round: the database size `n` of the original
+    /// (the default materialization threshold), a trimmed side's view rows.
     fn database_size(&self, instance: &Self::Inst) -> usize;
 
     /// A `c`-pivot of the instance's answers (Algorithm 2).

@@ -75,6 +75,9 @@ pub struct PhaseContext {
     pub n_eq: Option<u64>,
     /// Candidates strictly above the pivot after a trim round.
     pub n_gt: Option<u64>,
+    /// View rows the two trimmed sides of a trim round hand the next round (a
+    /// lossy window: the root rows it keeps plus the construction's other rows).
+    pub view_rows: Option<u64>,
     /// Variable slots in the pivot assignment (a pivot-scan phase).
     pub pivot_slots: Option<u64>,
     /// Number of φ targets routed through this node.

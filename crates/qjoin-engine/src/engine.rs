@@ -396,12 +396,24 @@ impl Engine {
         }
     }
 
+    /// The state for reading, recovered from poisoning: see [`Engine::write_state`].
     fn read_state(&self) -> std::sync::RwLockReadGuard<'_, EngineState> {
-        self.state.read().expect("engine state lock poisoned")
+        self.state.read().unwrap_or_else(PoisonError::into_inner)
     }
 
+    /// The state for writing, recovered from poisoning. A panic under this guard
+    /// cannot leave [`EngineState`] half-written, because every write section does
+    /// all its fallible work before its first write and then only moves values:
+    /// - `create_database`: one `Catalog::create`, which checks the name, then inserts;
+    /// - `replace_database`: `Catalog::replace` (a lookup, then one `mem::replace`),
+    ///   then plan inserts;
+    /// - `register`: one id bump, then one insert;
+    /// - `drop_plan`: one remove.
+    ///
+    /// Everything else the writers do runs outside the guard: encoding, compiling,
+    /// timing, tracing and dropping the previous generation.
     fn write_state(&self) -> std::sync::RwLockWriteGuard<'_, EngineState> {
-        self.state.write().expect("engine state lock poisoned")
+        self.state.write().unwrap_or_else(PoisonError::into_inner)
     }
 
     /// The writers' serialisation point. The mutex guards no data, so a writer
@@ -736,10 +748,8 @@ impl Engine {
     /// cells persist so the `qjoin_inflight_solves{plan}` gauge keeps reporting
     /// an explicit zero once a plan has solved at least once).
     fn inflight_cell(&self, plan: &str) -> Arc<AtomicU64> {
-        let mut map = self
-            .inflight_solves
-            .lock()
-            .expect("inflight map never poisoned");
+        // The map only ever gains a cell, so a panic under its lock leaves it whole.
+        let mut map = (self.inflight_solves.lock()).unwrap_or_else(PoisonError::into_inner);
         Arc::clone(
             map.entry(plan.to_string())
                 .or_insert_with(|| Arc::new(AtomicU64::new(0))),
@@ -1042,10 +1052,7 @@ impl Engine {
         );
 
         {
-            let inflight = self
-                .inflight_solves
-                .lock()
-                .expect("inflight map never poisoned");
+            let inflight = (self.inflight_solves.lock()).unwrap_or_else(PoisonError::into_inner);
             for (plan, cell) in inflight.iter() {
                 registry.publish_gauge(
                     "qjoin_inflight_solves",
@@ -1142,6 +1149,35 @@ mod tests {
             assert_eq!(served.result.total_answers, direct.total_answers);
             assert!(!served.from_cache);
         }
+    }
+
+    /// A thread that panics holding the state's write guard (and the in-flight
+    /// map's lock) poisons both; every later request recovers them and succeeds.
+    /// Fails if `read_state`/`write_state` or `inflight_cell` go back to `expect`.
+    #[test]
+    fn a_panic_under_the_state_write_guard_fails_no_later_request() {
+        let (engine, config) = social_engine(60, 4);
+        let before = engine.quantile("likes", 0.5).unwrap();
+        let panicked = std::thread::scope(|scope| {
+            let writer = scope.spawn(|| {
+                let _state = engine.write_state();
+                let _inflight = engine.inflight_solves.lock();
+                panic!("a writer panics under the engine's locks");
+            });
+            writer.join()
+        });
+        assert!(panicked.is_err());
+        assert!(engine.state.is_poisoned() && engine.inflight_solves.is_poisoned());
+
+        let ranking = Ranking::sum(vars(&["l2", "l3"]));
+        (engine.register("again", "social", social_network_query(), ranking)).unwrap();
+        let again = engine.quantile("again", 0.5).unwrap();
+        assert_eq!(again.result.weight, before.result.weight);
+        let (_, database) = SocialConfig { seed: 5, ..config }.generate().into_parts();
+        engine.replace_database("social", database).unwrap();
+        let after = engine.quantile("likes", 0.5).unwrap();
+        assert_eq!((after.generation, after.from_cache), (2, false));
+        engine.metrics_snapshot();
     }
 
     #[test]

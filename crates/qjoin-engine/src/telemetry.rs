@@ -102,6 +102,7 @@ impl SolveTracer for SolveRecorder {
         push("n_lt", ctx.n_lt);
         push("n_eq", ctx.n_eq);
         push("n_gt", ctx.n_gt);
+        push("view_rows", ctx.view_rows);
         push("pivot_slots", ctx.pivot_slots);
         push("targets", ctx.targets);
         push("materialized", ctx.materialized);

@@ -10,9 +10,9 @@
 //! * the number of `trim-round` spans equals the solve's reported pivoting
 //!   iteration count, and the `rounds` arg on the `solve` span agrees;
 //! * round indices on `trim-round` spans are exactly `0..rounds`, each carrying
-//!   its candidate count and three-way split sizes.
+//!   its candidate count, three-way split sizes and the view rows it handed on.
 
-use qjoin_engine::{Engine, EngineAnswer, EngineConfig};
+use qjoin_engine::{Accuracy, Engine, EngineAnswer, EngineConfig};
 use qjoin_query::query::social_network_query;
 use qjoin_query::variable::vars;
 use qjoin_ranking::Ranking;
@@ -159,6 +159,7 @@ fn check_cold_trace(engine: &Engine, answer: &EngineAnswer) -> usize {
         assert!(span.arg("n_lt").is_some(), "{span:?}");
         assert!(span.arg("n_eq").is_some(), "{span:?}");
         assert!(span.arg("n_gt").is_some(), "{span:?}");
+        assert!(span.arg("view_rows").is_some(), "{span:?}");
         seen_rounds.insert(round);
     }
     let expected: BTreeSet<u64> = (0..rounds as u64).collect();
@@ -197,6 +198,20 @@ fn cold_quantile_traces_are_well_formed_trees() {
     // The grid is big enough that at least some solves genuinely pivoted;
     // otherwise the trim-round assertions above were all vacuous.
     assert!(total_trims > 0, "no workload ever pivoted — grid too small");
+}
+
+/// The ε path's trim rounds are windows of one construction; their spans are as
+/// well formed as the exact path's and carry the view rows they hand on too.
+#[test]
+fn approximate_trim_rounds_are_traced_like_exact_ones() {
+    let engine = engine_with_plan(100, 77);
+    let mut total_trims = 0;
+    for phi in [0.1, 0.5, 0.9] {
+        let approximate = Accuracy::Approximate { epsilon: 0.1 };
+        let answer = engine.quantile_with("likes", phi, approximate).unwrap();
+        total_trims += check_cold_trace(&engine, &answer);
+    }
+    assert!(total_trims > 0, "no approximate solve pivoted");
 }
 
 #[test]
