@@ -1,4 +1,4 @@
-//! Encoded ε-lossy trimming: Algorithm 4 built once per solve, every trim a window.
+//! Encoded ε-lossy trimming: Algorithm 4 built once per generation, every trim a window.
 //!
 //! [`LossyConstruction::build`] is Algorithm 4's bottom-up rewrite — binarize the join
 //! tree, push ε′-sketches of partial-sum multisets through every edge, rewire each child
@@ -12,6 +12,13 @@
 //! counts, pivots it with one weighted median over its rows' root messages, and walks
 //! its leaf under its rows alone. No view is filtered and no context built after the
 //! construction.
+//!
+//! **Per generation, per solve.** The construction is a function of (instance,
+//! ranking, ε′) alone, so the source instance's exec memo keeps it beside its context,
+//! in one slot holding the latest (ranking, ε′)'s, and it drops with a plan's encoded
+//! instance, i.e. with its catalog generation (it holds no handle on its source). Per
+//! solve are only the per-code weights, the windows (root-row lists) and their pivots.
+//! Another ranking or ε′ builds its own, outside every lock, and replaces the slot's.
 //!
 //! **One rewrite, both roundings.** `< λ` needs partial sums rounded up (ascending
 //! sketch, bucket maximum) and `> λ` rounded down (descending, minimum), and the two
@@ -55,18 +62,20 @@
 //! checks every window a solve cuts against exactly that (`materialized_window`).
 //!
 //! Traced `path3_approx` (600 tuples, seed 2023, 10 s runs, medians of 3 alternating
-//! runs per side on a 2-core host):
+//! runs per side on a 2-core host; the last column beside the middle one re-run):
 //!
-//! | | a context per window | one context per solve |
-//! |---|---|---|
-//! | `core.solve_ms` | 11.4 | 6.6 |
-//! | `core.trim_round_ms` (round 0; each later round) | 8.8 (3.8; 0.5–1.4) | 5.6 (5.2; 0.05–0.1) |
-//! | `core.pivot_scan_ms` (round 1) | 2.4 (1.05) | 0.67 (0.35) |
-//! | `par.tasks` | 3526 | 1416 |
-//! | `core.rounds`, `.candidates_scanned`, `.materialized` | 6, 44279.17, 351.33 | the same |
+//! | | a context per window | one context per solve | one per generation |
+//! |---|---|---|---|
+//! | `core.solve_ms` | 11.4 | 6.6 (re-run: 5.6) | 1.4 |
+//! | `core.trim_round_ms` (round 0; each later round) | 8.8 (3.8; 0.5–1.4) | 5.6 (5.2; 0.05–0.1) | 0.50 (0.10; 0.05–0.09) |
+//! | `core.pivot_scan_ms` (round 1) | 2.4 (1.05) | 0.67 (0.35) | 0.76 (0.38) |
+//! | `par.tasks` | 3526 | 1416 | 72 |
+//! | `core.rounds`, `.candidates_scanned`, `.materialized` | 6, 44279.17, 351.33 | the same | the same |
 //!
-//! Round 0 builds the construction and, with it, the context, counts and arenas
-//! (about 2.6 ms of its 5.2); each later round is two root-row scans and two sums.
+//! Round 0 of a generation's first `eps=` solve builds the construction (re-run: 4.4
+//! ms); every other solve's round 0 is a memo lookup and two root-row scans. The host
+//! ran at two speeds in the last column's runs; its fast runs read 0.8–0.9 ms per
+//! solve and a 0.44–0.47 ms pivot scan, the middle column's re-run 0.44–0.48.
 
 use super::pivot::PivotScan;
 use super::trim::{row_sum, rows_in, segment_offsets, weighted_pairs, ViewBuilder};
@@ -97,14 +106,14 @@ struct NodeState {
     mults: Vec<u128>,
 }
 
-/// Algorithm 4's bottom-up rewrite of one instance, built once per solve with no
-/// bound in it, and everything a window of it needs, computed over it once: its
-/// context, the counting pass and the Algorithm-2 arenas. Every trim of the solve is
-/// a [`window`](Self::window) — a selection of its root rows.
+/// Algorithm 4's bottom-up rewrite of one instance, built with no bound in it, and
+/// everything a window of it needs, computed over it once: its context, the counting
+/// pass and the Algorithm-2 arenas. Every trim is a [`window`](Self::window) — a
+/// selection of its root rows. The source's exec memo owns it (see the module docs).
 pub(crate) struct LossyConstruction {
-    /// A handle on the instance this was built from. It pins that instance's
-    /// `ExecMemo`, which clones share: the identity [`Self::is_of`] compares.
-    source: EncodedInstance,
+    /// The ranking and `ε.to_bits()` it was built for: its memo key.
+    ranking: Ranking,
+    epsilon: u64,
     /// The rewritten instance, its root unfiltered.
     rewritten: EncodedInstance,
     /// Per root row of the context: `(sum_up, sum_dn)`. Every answer the row
@@ -365,16 +374,17 @@ impl LossyConstruction {
             })
             .collect();
         Ok(LossyConstruction {
-            source: source.clone(),
+            ranking: ranking.clone(),
+            epsilon: epsilon.to_bits(),
             rewritten,
             root_sums,
             scan,
         })
     }
 
-    /// True if `instance` is the one this construction was built from (or a clone).
-    pub(crate) fn is_of(&self, instance: &EncodedInstance) -> bool {
-        std::ptr::eq(self.source.exec_memo(), instance.exec_memo())
+    /// True if this is the construction `build` makes for `ranking` and `epsilon`.
+    fn is_for(&self, ranking: &Ranking, epsilon: f64) -> bool {
+        self.epsilon == epsilon.to_bits() && self.ranking == *ranking
     }
 
     /// The window `(low, high)`: the context's root rows, ascending, with
@@ -455,11 +465,13 @@ pub(crate) enum Candidates {
 }
 
 /// The ε-lossy SUM solve's backend: the encoded backend on the source instance,
-/// and every trim a window of the one [`LossyConstruction`] its first trim builds.
-/// A window is counted, pivoted and walked through the construction's memo alone:
-/// no view is filtered and no context built after the construction.
+/// and every trim a window of the one [`LossyConstruction`] its first trim takes
+/// from the source's exec memo (or builds and leaves there). A window is counted,
+/// pivoted and walked through the construction alone.
 pub(crate) struct LossyBackend<'a> {
     encoded: EncodedBackend<'a>,
+    /// The instance the solve is asked about: every trim is of it.
+    source: EncodedInstance,
     /// The per-trim loss budget ε′.
     epsilon: f64,
     construction: OnceLock<Arc<LossyConstruction>>,
@@ -473,37 +485,58 @@ impl<'a> LossyBackend<'a> {
     ) -> LossyBackend<'a> {
         LossyBackend {
             encoded: EncodedBackend::new(instance, ranking),
+            source: instance.clone(),
             epsilon: per_trim_epsilon,
             construction: OnceLock::new(),
         }
     }
 
-    /// The window `(low, high)` of the solve's one construction, building it on
-    /// first use. `candidates` must be the source it was built from.
+    /// The window `(low, high)` of the solve's construction. `candidates` must be
+    /// the source.
     fn window(
         &self,
         candidates: &Candidates,
         low: &WeightBound,
         high: &WeightBound,
     ) -> Result<Candidates> {
-        let built = match (candidates, self.construction.get()) {
-            (Candidates::Source(instance), Some(built)) if built.is_of(instance) => built,
-            // Not inside `get_or_init`: the build runs pool regions, and a thread
-            // waiting on one may be handed the round's other arm, which would
-            // re-enter the cell. Two arms racing here build identical values.
-            (Candidates::Source(instance), None) => {
-                let (ranking, weights) = (self.encoded.ranking, &self.encoded.weights);
-                let built = LossyConstruction::build(instance, ranking, self.epsilon, weights)?;
-                self.construction.get_or_init(|| Arc::new(built))
+        let built = match candidates {
+            Candidates::Source(instance)
+                if std::ptr::eq(instance.exec_memo(), self.source.exec_memo()) =>
+            {
+                self.construction()?
             }
             _ => {
-                let what = "a lossy trim of an instance other than the one its construction \
-                            was built from";
+                let what = "a lossy trim of an instance other than the one its solve started from";
                 return Err(CoreError::Internal(what.to_string()));
             }
         };
         let kept = built.window(low, high)?;
         Ok(Candidates::Window(Arc::clone(built), kept))
+    }
+
+    /// The solve's construction: the source memo's, if it is for this ranking and
+    /// ε′, or else a new one, which replaces it there. Pinned for the solve, so a
+    /// request for another ε′ that replaces the slot meanwhile costs no second build.
+    fn construction(&self) -> Result<&Arc<LossyConstruction>> {
+        if let Some(built) = self.construction.get() {
+            return Ok(built);
+        }
+        let (ranking, weights) = (self.encoded.ranking, &self.encoded.weights);
+        let memo = self.source.exec_memo();
+        let cached = memo.get::<LossyConstruction>();
+        let built = match cached.filter(|built| built.is_for(ranking, self.epsilon)) {
+            Some(built) => built,
+            // Outside every lock and not inside `get_or_init`: the build runs pool
+            // regions, and a thread waiting on one may be handed the round's other
+            // arm, which would re-enter here. Racing threads build identical values.
+            None => {
+                let built = LossyConstruction::build(&self.source, ranking, self.epsilon, weights)?;
+                let built = Arc::new(built);
+                memo.set(Arc::clone(&built));
+                built
+            }
+        };
+        Ok(self.construction.get_or_init(|| built))
     }
 
     /// The context `candidates` live in, and the root rows of it they keep (every

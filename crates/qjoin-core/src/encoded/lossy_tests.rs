@@ -550,4 +550,145 @@ fn a_zero_round_solve_builds_nothing() {
     );
     assert_eq!(solved.unwrap()[0].iterations, 0);
     assert!(backend.construction.get().is_none());
+    assert!(memoised(&case.encoded).is_none());
+}
+
+/// An ε′-lossy solve of `phis` on `instance` under `case`'s ranking.
+fn lossy_solve(
+    case: &Case,
+    instance: &EncodedInstance,
+    phis: &[f64],
+    epsilon: f64,
+) -> Vec<QuantileResult> {
+    let (options, tracer) = (PivotingOptions::default(), crate::trace::NoopTracer);
+    approximate_sum_quantile_batch_encoded_traced(
+        instance,
+        &case.ranking,
+        phis,
+        epsilon,
+        &options,
+        &tracer,
+    )
+    .unwrap()
+}
+
+/// What a result must repeat bit for bit: its answer, weight bits, rank and
+/// `iterations`.
+fn fingerprint(results: &[QuantileResult]) -> Vec<(Assignment, Vec<u64>, u128, usize)> {
+    let print = |r: &QuantileResult| {
+        (
+            r.answer.clone(),
+            bits(&r.weight),
+            r.target_index,
+            r.iterations,
+        )
+    };
+    results.iter().map(print).collect()
+}
+
+/// The construction `instance`'s memo holds.
+fn memoised(instance: &EncodedInstance) -> Option<Arc<LossyConstruction>> {
+    instance.exec_memo().get::<LossyConstruction>()
+}
+
+const MEMO_PHIS: [f64; 3] = [0.1, 0.5, 0.9];
+
+/// The second and third solves on one instance cut their windows from the first
+/// one's construction and answer bit-identically to a freshly encoded instance, at
+/// one and four threads. Fails if the backend builds without looking at the memo,
+/// or does not leave what it built there.
+#[test]
+fn later_solves_reuse_the_memoised_construction() {
+    let case = small_case();
+    for threads in [1, 4] {
+        qjoin_par::with_pool(&qjoin_par::Pool::new(threads), || {
+            let instance = EncodedInstance::from_instance(&case.instance).unwrap();
+            let first = lossy_solve(&case, &instance, &MEMO_PHIS, 0.25);
+            let built = memoised(&instance).expect("the first solve leaves its construction");
+            for _ in 0..2 {
+                let again = lossy_solve(&case, &instance, &MEMO_PHIS, 0.25);
+                assert!(
+                    Arc::ptr_eq(&built, &memoised(&instance).unwrap()),
+                    "T={threads}"
+                );
+                let fresh = EncodedInstance::from_instance(&case.instance).unwrap();
+                let expected = fingerprint(&lossy_solve(&case, &fresh, &MEMO_PHIS, 0.25));
+                assert_eq!(fingerprint(&again), expected, "T={threads}");
+                assert_eq!(fingerprint(&first), expected, "T={threads}");
+            }
+        });
+    }
+}
+
+/// ε₁, ε₂, ε₁ on one instance: each solve answers like a fresh instance, and the
+/// memo holds one construction, the latest ε′'s — the one it replaced is freed.
+/// Fails if a construction is reused across ε′ (or rankings), or if the memo keeps
+/// a construction per ε′.
+#[test]
+fn another_epsilon_replaces_the_memoised_construction() {
+    let case = small_case();
+    let instance = EncodedInstance::from_instance(&case.instance).unwrap();
+    let mut replaced: Option<std::sync::Weak<LossyConstruction>> = None;
+    for epsilon in [0.25, 0.1, 0.25] {
+        let solved = fingerprint(&lossy_solve(&case, &instance, &MEMO_PHIS, epsilon));
+        let fresh = EncodedInstance::from_instance(&case.instance).unwrap();
+        let expected = fingerprint(&lossy_solve(&case, &fresh, &MEMO_PHIS, epsilon));
+        assert_eq!(solved, expected, "ε′={epsilon}");
+        let built = memoised(&instance).unwrap();
+        assert!(built.is_for(&case.ranking, epsilon), "ε′={epsilon}");
+        if let Some(replaced) = replaced {
+            assert!(
+                replaced.upgrade().is_none(),
+                "ε′={epsilon}: the old one is kept"
+            );
+        }
+        replaced = Some(Arc::downgrade(&built));
+    }
+    let max = Ranking::max(case.instance.query().variables());
+    assert!(!memoised(&instance).unwrap().is_for(&max, 0.25));
+}
+
+/// The construction drops with the last clone of its instance. Fails if it holds a
+/// strong handle on that instance, whose memo owns it: the pair would never drop.
+#[test]
+fn dropping_the_instance_frees_its_construction() {
+    let case = small_case();
+    let instance = EncodedInstance::from_instance(&case.instance).unwrap();
+    lossy_solve(&case, &instance, &MEMO_PHIS, 0.25);
+    let built = Arc::downgrade(&memoised(&instance).unwrap());
+    assert!(built.upgrade().is_some());
+    drop(instance);
+    assert!(
+        built.upgrade().is_none(),
+        "the construction outlives its instance"
+    );
+}
+
+/// Eight threads ask a fresh instance for one φ each at once: every cold solve
+/// races for the construction, and every answer is the sequential one.
+#[test]
+fn concurrent_cold_solves_answer_like_sequential_ones() {
+    let case = small_case();
+    let phis: Vec<f64> = (0..8).map(|i| (i as f64 + 0.5) / 8.0).collect();
+    let sequential = EncodedInstance::from_instance(&case.instance).unwrap();
+    let expected = fingerprint(&lossy_solve(&case, &sequential, &phis, 0.25));
+    let instance = EncodedInstance::from_instance(&case.instance).unwrap();
+    let barrier = std::sync::Barrier::new(phis.len());
+    let solved: Vec<_> = std::thread::scope(|scope| {
+        let solves: Vec<_> = (phis.iter())
+            .map(|&phi| {
+                let (case, instance, barrier) = (&case, &instance, &barrier);
+                scope.spawn(move || {
+                    barrier.wait();
+                    fingerprint(&lossy_solve(case, instance, &[phi], 0.25)).remove(0)
+                })
+            })
+            .collect();
+        solves
+            .into_iter()
+            .map(|solve| solve.join().unwrap())
+            .collect()
+    });
+    assert_eq!(solved, expected);
+    assert!(memoised(&instance).unwrap().is_for(&case.ranking, 0.25));
 }

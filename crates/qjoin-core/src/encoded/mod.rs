@@ -307,7 +307,7 @@ pub fn exact_quantile_batch_encoded_traced(
 
 /// Computes ε-approximate SUM `φ`-quantiles over an encoded instance: the same
 /// driver as [`exact_quantile_batch_encoded_traced`], but every trim is a window of
-/// one ε-lossy construction of `instance` (Algorithm 4, built once: see `lossy`).
+/// one ε-lossy construction of `instance` (Algorithm 4, kept in its exec memo).
 ///
 /// `per_trim_epsilon` is the *per-invocation* loss budget — callers (see
 /// [`crate::solver::approximate_sum_quantile`]) divide the end-to-end ε across

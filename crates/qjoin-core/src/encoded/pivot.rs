@@ -30,6 +30,7 @@ use qjoin_data::Value;
 use qjoin_exec::EncodedContext;
 use qjoin_query::{Assignment, EncodedInstance, Variable};
 use qjoin_ranking::Ranking;
+use std::ops::Range;
 use std::sync::Arc;
 
 /// The pivot messages of one join-tree node.
@@ -111,35 +112,27 @@ fn pivot_messages(
             bound[node_id].extend(fresh);
         }
 
-        // Every task fills the arenas of its own rows; they concatenate in order.
-        let parts = qjoin_par::par_map_chunks(n_rows, chunk, |_, range| {
-            let mut codes = vec![UNBOUND; range.len() * n_slots];
-            let mut weights = vec![0.0; range.len() * width];
-            let rows = codes
-                .chunks_exact_mut(n_slots)
-                .zip(weights.chunks_exact_mut(width));
-            for ((codes, weight), i) in rows.zip(range) {
-                for &(pos, slot) in &own {
-                    codes[slot] = ctx.code(node_id, i, pos);
-                }
-                for (links, child, fresh) in &children {
-                    let median = child.codes_of(child.medians[links[i] as usize]);
-                    for &slot in fresh {
-                        codes[slot] = median[slot];
-                    }
-                }
-                fold.write_weight(codes, weight);
-            }
-            (codes, weights)
-        });
-        let (codes, weights): (Vec<_>, Vec<_>) = parts.into_iter().unzip();
+        // Each row's arenas are filled in place, by the task that owns its half.
         let mut node = NodeMsgs {
             n_slots,
             width,
-            codes: codes.concat(),
-            weights: weights.concat(),
+            codes: vec![UNBOUND; n_rows * n_slots],
+            weights: vec![0.0; n_rows * width],
             ..NodeMsgs::default()
         };
+        let fill = |i: usize, codes: &mut [u64], weight: &mut [f64]| {
+            for &(pos, slot) in &own {
+                codes[slot] = ctx.code(node_id, i, pos);
+            }
+            for (links, child, fresh) in &children {
+                let median = child.codes_of(child.medians[links[i] as usize]);
+                for &slot in fresh {
+                    codes[slot] = median[slot];
+                }
+            }
+            fold.write_weight(codes, weight);
+        };
+        fill_rows(0..n_rows, &mut node.codes, &mut node.weights, chunk, &fill);
 
         if node_id != ctx.root() {
             // Each median folds its group's members in ascending row order.
@@ -160,6 +153,33 @@ fn pivot_messages(
         msgs[node_id] = node;
     }
     msgs
+}
+
+/// Runs `fill(row, its codes, its weight)` for every row of `rows`, whose arenas
+/// `codes` and `weights` are, halving the range over the executor pool until a half
+/// is at most `chunk` rows.
+fn fill_rows<F>(rows: Range<usize>, codes: &mut [u64], weights: &mut [f64], chunk: usize, fill: &F)
+where
+    F: Fn(usize, &mut [u64], &mut [f64]) + Sync,
+{
+    let len = rows.len();
+    if len > chunk.max(1) {
+        let (half, mid) = (len / 2, rows.start + len / 2);
+        let (codes_lo, codes_hi) = codes.split_at_mut(codes.len() / len * half);
+        let (weights_lo, weights_hi) = weights.split_at_mut(weights.len() / len * half);
+        qjoin_par::par_join(
+            || fill_rows(rows.start..mid, codes_lo, weights_lo, chunk, fill),
+            || fill_rows(mid..rows.end, codes_hi, weights_hi, chunk, fill),
+        );
+    } else if let Some(n_slots) = codes.len().checked_div(len) {
+        let width = weights.len() / len;
+        let arenas = codes
+            .chunks_exact_mut(n_slots)
+            .zip(weights.chunks_exact_mut(width));
+        for (i, (codes, weight)) in rows.zip(arenas) {
+            fill(i, codes, weight);
+        }
+    }
 }
 
 /// The Algorithm-2 scan of one instance, kept: its context, the counting pass's

@@ -15,7 +15,7 @@
 //! whose accumulated sum violates the inequality are removed.
 //!
 //! This is the paper-literal construction, one bound per pass, and the oracle of the
-//! encoded path ([`crate::encoded`]), which builds the rewrite once per solve with both
+//! encoded path ([`crate::encoded`]), which builds the rewrite once per generation with both
 //! roundings and filters its root per window. The two agree answer for answer while no
 //! sketch bucket holds two sources; where sketches compress they bucket differently and
 //! agree within ε only.

@@ -72,7 +72,7 @@ pub fn exact_quantile_batch(
 
 /// Validates the approximate-SUM request and derives the per-trim loss budget
 /// from the requested overall ε.
-pub(crate) fn per_trim_epsilon_for(
+pub fn per_trim_epsilon_for(
     instance: &Instance,
     ranking: &Ranking,
     epsilon: f64,

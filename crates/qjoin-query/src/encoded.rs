@@ -20,37 +20,34 @@ use crate::{Instance, JoinQuery, QueryError, Result};
 use qjoin_data::{Dictionary, EncodedDatabase, EncodedRelation};
 use std::any::Any;
 use std::collections::BTreeMap;
-use std::sync::{Arc, OnceLock};
+use std::sync::{Arc, PoisonError, RwLock};
 
-/// A write-once memo slot the execution layer uses to cache per-instance derived
-/// structures (e.g. its reduced join-tree context) without this crate depending on
-/// their types. Clones of an instance share the slot — sound because instances are
-/// immutable after construction, so every clone derives the identical structure.
-/// Rewrites ([`EncodedInstance::with_rewritten`] and friends) construct fresh
-/// instances and therefore fresh, empty slots.
-#[derive(Default)]
-pub struct ExecMemo(OnceLock<Arc<dyn Any + Send + Sync>>);
+/// The memo the execution layer uses to cache per-instance derived structures (its
+/// reduced join-tree context, the ε-lossy construction) without this crate depending
+/// on their types: one value per type. Clones of an instance share the memo — sound
+/// because instances are immutable after construction, so every clone derives the
+/// identical structure. Rewrites ([`EncodedInstance::with_rewritten`] and friends)
+/// construct fresh instances and therefore fresh, empty memos. A value lives until
+/// it is replaced or the last clone of its instance drops.
+#[derive(Debug, Default)]
+pub struct ExecMemo(RwLock<Vec<Arc<dyn Any + Send + Sync>>>);
 
 impl ExecMemo {
-    /// The cached structure, if one of type `T` has been stored.
+    /// The stored value of type `T`, if there is one.
     pub fn get<T: Any + Send + Sync>(&self) -> Option<Arc<T>> {
-        self.0
-            .get()
-            .and_then(|a| Arc::clone(a).downcast::<T>().ok())
+        let values = self.0.read().unwrap_or_else(PoisonError::into_inner);
+        let value = values.iter().find(|value| (***value).is::<T>())?;
+        Arc::clone(value).downcast::<T>().ok()
     }
 
-    /// Stores a structure; the first store wins and later stores are dropped
-    /// (concurrent initializers build identical values, so either is fine).
+    /// Stores `value` as the memo's value of type `T`, replacing any earlier one
+    /// (concurrent initializers build identical values, so either may stay).
     pub fn set<T: Any + Send + Sync>(&self, value: Arc<T>) {
-        let _ = self.0.set(value);
-    }
-}
-
-impl std::fmt::Debug for ExecMemo {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_tuple("ExecMemo")
-            .field(&self.0.get().map(|_| "<cached>"))
-            .finish()
+        let mut values = self.0.write().unwrap_or_else(PoisonError::into_inner);
+        match values.iter_mut().find(|old| (***old).is::<T>()) {
+            Some(old) => *old = value,
+            None => values.push(value),
+        }
     }
 }
 
@@ -127,7 +124,7 @@ impl EncodedInstance {
         &self.dictionary
     }
 
-    /// The instance's execution memo slot (see [`ExecMemo`]).
+    /// The instance's execution memo (see [`ExecMemo`]).
     pub fn exec_memo(&self) -> &ExecMemo {
         &self.memo
     }

@@ -28,7 +28,7 @@ pub enum AggregateKind {
 /// aggregating over the bound variables only; subset-monotonicity makes comparisons of
 /// such partial weights meaningful, which is exactly what the pivot-selection algorithm
 /// exploits.
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct Ranking {
     kind: AggregateKind,
     weighted_vars: Vec<Variable>,

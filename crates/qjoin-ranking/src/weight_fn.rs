@@ -70,6 +70,35 @@ impl WeightFn {
     }
 }
 
+/// Equal when provably the same function: the same variant with bit-identical
+/// parameters, a table or custom function only as the same shared object.
+impl PartialEq for WeightFn {
+    fn eq(&self, other: &WeightFn) -> bool {
+        use WeightFn::*;
+        let same = |a: &f64, b: &f64| a.to_bits() == b.to_bits();
+        match (self, other) {
+            (Identity, Identity) => true,
+            (Constant(a), Constant(b)) => same(a, b),
+            (
+                Affine { scale, offset },
+                Affine {
+                    scale: s,
+                    offset: o,
+                },
+            ) => same(scale, s) && same(offset, o),
+            (
+                Table { table, default },
+                Table {
+                    table: t,
+                    default: d,
+                },
+            ) => Arc::ptr_eq(table, t) && same(default, d),
+            (Custom(f), Custom(g)) => Arc::ptr_eq(f, g),
+            _ => false,
+        }
+    }
+}
+
 impl fmt::Debug for WeightFn {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {

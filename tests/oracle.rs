@@ -8,23 +8,39 @@
 //! Weights are small integers or 2.5, so every SUM is exact in `f64` and the fold
 //! order cannot move a tie.
 //!
+//! Every exact, batch and ε solve runs twice on one encoding — cold, then with the
+//! instance's exec memo warm — each under a [`BoundChecker`], which holds it to the
+//! paper's cost bounds from the phase events the driver emits.
+//!
 //! Mutations that fail here: reading a weight function's `-0.0` as a weight of its
 //! own (MIN/MAX over `tie_heavy_ranking` domain 1), LEX components written in
 //! reverse order by the encoded weight fold, and a GYO ear test that ignores a
-//! variable an atom repeats (`shaped_instance` shape 4).
+//! variable an atom repeats (`shaped_instance` shape 4). The bound checker catches a
+//! join group's pivot message taken from its first row instead of its weighted
+//! median (alone: the answers stay right), and partition copy 0 of a MIN/MAX/LEX
+//! union left unfiltered (before the brute force does).
 
 mod common;
 
 use common::Oracle;
+use quantile_joins::core::encoded::{
+    approximate_sum_quantile_batch_encoded_traced, exact_quantile_batch_encoded_traced,
+};
+use quantile_joins::core::pivot::pivot_quality;
+use quantile_joins::core::solver::per_trim_epsilon_for;
+use quantile_joins::core::{PhaseContext, SolvePhase, SolveTracer};
 use quantile_joins::par::{with_pool, Pool};
 use quantile_joins::prelude::*;
+use quantile_joins::query::{acyclicity::gyo_join_tree, binary::binarize};
 use quantile_joins::workload::random_acyclic::{
     shaped_instance, tie_heavy_ranking, RandomAcyclicConfig,
 };
 use quantile_joins::CoreError;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
+use std::cell::RefCell;
 use std::collections::BTreeMap;
+use std::time::Duration;
 
 /// The fractions every solve is asked for: both ends, and 0.9, where a MIN over
 /// weights of both zero signs once went wrong.
@@ -49,6 +65,130 @@ impl Arms {
     fn hit(&mut self, arm: &'static str) {
         *self.0.entry(arm).or_default() += 1;
     }
+}
+
+/// What a trim round's event reports: `(round, candidates, n_lt, n_eq, n_gt,
+/// view_rows)`.
+type Round = [Option<u64>; 6];
+
+/// The paper's cost bounds, read off one solve's phase events:
+/// every round is a c-pivot round, max(n_lt, n_gt) ≤ (1 − c)·candidates, and the
+/// rounds on any path number at most ⌈log_{1/(1−c)}(|Q(D)| / threshold)⌉ + 1. `c`
+/// is the smaller [`pivot_quality`] of the query's GYO tree and of its
+/// binarization (the ε route pivots over a binarized rewrite). It keeps the rounds,
+/// so a memo-warm solve can be held to a fresh one's.
+struct BoundChecker {
+    c: f64,
+    threshold: u128,
+    what: String,
+    total: RefCell<u128>,
+    rounds: RefCell<Vec<Round>>,
+}
+
+impl BoundChecker {
+    fn new(instance: &Instance, what: &str) -> BoundChecker {
+        let tree = gyo_join_tree(instance.query()).expect("an acyclic query");
+        let binarized = binarize(instance).expect("an acyclic query binarizes");
+        BoundChecker {
+            c: pivot_quality(&tree).min(pivot_quality(&binarized.tree)),
+            threshold: instance.database_size().max(1) as u128,
+            what: what.to_string(),
+            total: RefCell::new(0),
+            rounds: RefCell::default(),
+        }
+    }
+
+    /// The rounds on the deepest path: the largest round index plus one.
+    fn depth(&self) -> u64 {
+        let rounds = self.rounds.borrow();
+        rounds
+            .iter()
+            .map(|round| round[0].unwrap() + 1)
+            .max()
+            .unwrap_or(0)
+    }
+
+    fn assert_rounds_bounded(&self) {
+        let ratio = *self.total.borrow() as f64 / self.threshold as f64;
+        let bound = (ratio.ln() / (1.0 / (1.0 - self.c)).ln()).ceil().max(0.0) + 1.0;
+        let depth = self.depth();
+        assert!(
+            depth as f64 <= bound,
+            "{}: {depth} rounds > {bound}",
+            self.what
+        );
+    }
+}
+
+impl SolveTracer for BoundChecker {
+    fn phase_event(&self, phase: SolvePhase, _: Duration, ctx: &PhaseContext) {
+        match phase {
+            SolvePhase::Prepare => *self.total.borrow_mut() = ctx.candidates.unwrap() as u128,
+            SolvePhase::TrimRound => {
+                let (candidates, n_lt, n_gt) = (ctx.candidates, ctx.n_lt, ctx.n_gt);
+                let larger = n_lt.unwrap().max(n_gt.unwrap()) as f64;
+                let allowed = (1.0 - self.c) * candidates.unwrap() as f64;
+                assert!(
+                    larger <= allowed,
+                    "{}: not a {}-pivot round: {ctx:?}",
+                    self.what,
+                    self.c
+                );
+                let round = [ctx.round, candidates, n_lt, ctx.n_eq, n_gt, ctx.view_rows];
+                self.rounds.borrow_mut().push(round);
+            }
+            SolvePhase::PivotScan | SolvePhase::Materialize => {}
+        }
+    }
+}
+
+/// The two driver routes the checker runs on.
+#[derive(Clone, Copy)]
+enum Route {
+    Exact,
+    /// The ε route, with this per-trim budget.
+    Lossy(f64),
+}
+
+/// Solves `phis` on one fresh encoding of `instance`, cold and then memo-warm,
+/// each under a [`BoundChecker`]. Both solves stay inside the bounds, the warm one
+/// repeats the cold one's rounds (`n_lt`/`n_eq`/`n_gt` and `view_rows` included)
+/// and answers, and the cold results are returned.
+fn checked_solve(
+    instance: &Instance,
+    ranking: &Ranking,
+    phis: &[f64],
+    route: Route,
+    what: &str,
+) -> Vec<QuantileResult> {
+    let encoded = EncodedInstance::from_instance(instance).unwrap();
+    let options = PivotingOptions::default();
+    let solve = |checker: &BoundChecker| match route {
+        Route::Exact => {
+            exact_quantile_batch_encoded_traced(&encoded, ranking, phis, &options, checker)
+        }
+        Route::Lossy(eps) => approximate_sum_quantile_batch_encoded_traced(
+            &encoded, ranking, phis, eps, &options, checker,
+        ),
+    };
+    let (cold, warm) = (
+        BoundChecker::new(instance, what),
+        BoundChecker::new(instance, what),
+    );
+    let results = solve(&cold).unwrap();
+    let again = solve(&warm).unwrap();
+    for checker in [&cold, &warm] {
+        checker.assert_rounds_bounded();
+    }
+    assert_eq!(
+        *cold.rounds.borrow(),
+        *warm.rounds.borrow(),
+        "{what}: warm rounds"
+    );
+    let print = |r: &QuantileResult| format!("{:?} {:?} {}", r.answer, r.weight, r.iterations);
+    let prints = |results: &[QuantileResult]| results.iter().map(print).collect::<Vec<_>>();
+    assert_eq!(prints(&results), prints(&again), "{what}: warm answers");
+    results
 }
 
 /// Runs a suite at 1 and at 4 threads and fails when any of `arms` never ran.
@@ -80,10 +220,15 @@ fn assert_eps_route(
     what: &str,
     arms: &mut Arms,
 ) {
+    let budget = ErrorBudget::Guaranteed;
+    let per_trim = per_trim_epsilon_for(instance, ranking, EPSILON, budget).unwrap();
     for phi in PHIS {
-        let budget = ErrorBudget::Guaranteed;
         let result = approximate_sum_quantile(instance, ranking, phi, EPSILON, budget).unwrap();
-        oracle.assert_within(phi, EPSILON, &result, &format!("{what} ε φ={phi}"));
+        let what = format!("{what} ε φ={phi}");
+        let checked = checked_solve(instance, ranking, &[phi], Route::Lossy(per_trim), &what);
+        for result in [&result, &checked[0]] {
+            oracle.assert_within(phi, EPSILON, result, &what);
+        }
     }
     arms.hit("ε");
 }
@@ -108,11 +253,16 @@ fn assert_every_route(
     } else {
         for phi in PHIS {
             let result = exact_quantile(instance, ranking, phi).unwrap();
-            oracle.assert_exact(phi, &result, &format!("{what} single φ={phi}"));
+            let what = format!("{what} single φ={phi}");
+            let checked = checked_solve(instance, ranking, &[phi], Route::Exact, &what);
+            for result in [&result, &checked[0]] {
+                oracle.assert_exact(phi, result, &what);
+            }
         }
         arms.hit("exact single");
         let batch = exact_quantile_batch(instance, ranking, &PHIS).unwrap();
-        for (phi, result) in PHIS.iter().zip(&batch) {
+        let checked = checked_solve(instance, ranking, &PHIS, Route::Exact, what);
+        for (phi, result) in PHIS.iter().cycle().zip(batch.iter().chain(&checked)) {
             oracle.assert_exact(*phi, result, &format!("{what} batch φ={phi}"));
         }
         arms.hit("exact batch");
@@ -256,7 +406,8 @@ fn dichotomy(threads: usize) -> Arms {
             });
             if classification.is_tractable() {
                 let batch = exact_quantile_batch(&instance, &ranking, &PHIS).unwrap();
-                for (phi, result) in PHIS.iter().zip(&batch) {
+                let checked = checked_solve(&instance, &ranking, &PHIS, Route::Exact, &what);
+                for (phi, result) in PHIS.iter().cycle().zip(batch.iter().chain(&checked)) {
                     oracle.assert_exact(*phi, result, &format!("{what} φ={phi}"));
                 }
             } else {
