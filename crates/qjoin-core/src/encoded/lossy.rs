@@ -37,7 +37,8 @@
 //! answers strictly inside the window, each once. A window loses at most
 //! ε·|{w < high}| + ε·|{w > low}| answers, the bound the two stacked trims had, and
 //! it is cut from the construction of the *original* instance, so nothing compounds
-//! across rounds: Lemma 3.6's accumulation and `ErrorBudget::Guaranteed`'s
+//! across rounds: Lemma 3.6's accumulation and
+//! [`Plan::guaranteed_per_trim_epsilon`](crate::plan::Plan::guaranteed_per_trim_epsilon)'s
 //! ε/(2·iterations) split stand as they were.
 //!
 //! **Against the row path.** [`LossySumTrimmer`](crate::lossy_trim::LossySumTrimmer)

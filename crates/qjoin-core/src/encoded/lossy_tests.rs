@@ -6,8 +6,9 @@
 use super::*;
 use crate::encoded::approximate_sum_quantile_batch_encoded_traced;
 use crate::encoded::trim::tests::answers_of;
-use crate::quantile::{materialized_keyed_answers, PivotingOptions, QuantileResult};
-use crate::solver::{approximate_sum_quantile, per_trim_epsilon_for, ErrorBudget};
+use crate::plan::{Accuracy, Plan};
+use crate::quantile::{materialized_keyed_answers, only, PivotingOptions, QuantileResult};
+use crate::trace::NoopTracer;
 use proptest::prelude::*;
 use qjoin_data::Value;
 use qjoin_exec::encoded::count_answers;
@@ -221,36 +222,36 @@ proptest! {
         let epsilon = EPSILONS[eps_idx];
         let total = case.all.len() as f64;
         let phis = [0.1, 0.5, 0.9];
-        let solve_all = |budget: ErrorBudget| -> Vec<QuantileResult> {
-            let single = |&phi: &f64| {
-                approximate_sum_quantile(&case.instance, &case.ranking, phi, epsilon, budget)
+        // Under the guaranteed budget each trim spends its share of ε; otherwise
+        // every trim spends ε itself.
+        let solve_all = |guaranteed: bool| -> Vec<QuantileResult> {
+            let prepare = |instance| Plan::prepare(instance, case.ranking.clone()).unwrap();
+            let fresh = || prepare(EncodedInstance::from_instance(&case.instance).unwrap());
+            let epsilon = match guaranteed {
+                true => fresh().guaranteed_per_trim_epsilon(epsilon).unwrap(),
+                false => epsilon,
             };
+            let accuracy = Accuracy::Approximate { epsilon };
+            let single = |&phi: &f64| fresh().solve(&[phi], accuracy, &NoopTracer).map(only);
             let mut results: Vec<QuantileResult> = phis.iter().map(single).collect::<Result<_>>().unwrap();
-            let per_trim = per_trim_epsilon_for(&case.instance, &case.ranking, epsilon, budget).unwrap();
-            let (options, tracer) = (PivotingOptions::default(), crate::trace::NoopTracer);
-            results.extend(
-                approximate_sum_quantile_batch_encoded_traced(
-                    &case.encoded, &case.ranking, &phis, per_trim, &options, &tracer,
-                )
-                .unwrap(),
-            );
+            results.extend(prepare(case.encoded.clone()).solve(&phis, accuracy, &NoopTracer).unwrap());
             results
         };
-        for budget in [ErrorBudget::Guaranteed, ErrorBudget::Direct] {
-            let sequential = qjoin_par::with_pool(&qjoin_par::Pool::new(1), || solve_all(budget));
-            let parallel = qjoin_par::with_pool(&qjoin_par::Pool::new(4), || solve_all(budget));
+        for guaranteed in [true, false] {
+            let sequential = qjoin_par::with_pool(&qjoin_par::Pool::new(1), || solve_all(guaranteed));
+            let parallel = qjoin_par::with_pool(&qjoin_par::Pool::new(4), || solve_all(guaranteed));
             for (at_1, at_4) in sequential.iter().zip(&parallel) {
                 let context = format!(
-                    "shape {shape} domain {domain} tied {tied} seed {seed} ε={epsilon} {budget:?} rank {}",
+                    "shape {shape} domain {domain} tied {tied} seed {seed} ε={epsilon} guaranteed {guaranteed} rank {}",
                     at_1.target_index
                 );
                 prop_assert_eq!(&at_1.answer, &at_4.answer, "{}", context);
                 prop_assert_eq!(at_1.weight.as_num().map(f64::to_bits), at_4.weight.as_num().map(f64::to_bits));
                 prop_assert_eq!(at_1.iterations, at_4.iterations, "{}", context);
                 // A round's two windows lose at most 3ε′·|Q(D)| between them.
-                let allowed = match budget {
-                    ErrorBudget::Guaranteed => epsilon,
-                    ErrorBudget::Direct => 3.0 * epsilon * at_1.iterations as f64,
+                let allowed = match guaranteed {
+                    true => epsilon,
+                    false => 3.0 * epsilon * at_1.iterations as f64,
                 };
                 let error = case.rank_error(at_1) as f64;
                 prop_assert!(error <= allowed * total, "{}: off by {} of {}", context, error, total);
@@ -413,8 +414,8 @@ proptest! {
 #[test]
 fn path3_approx_windows_match_their_materialized_instances() {
     let case = Case::new(path3_approx(2023));
-    let budget = ErrorBudget::Guaranteed;
-    let epsilon = per_trim_epsilon_for(&case.instance, &case.ranking, 0.05, budget).unwrap();
+    let plan = Plan::prepare(case.encoded.clone(), case.ranking.clone()).unwrap();
+    let epsilon = plan.guaranteed_per_trim_epsilon(0.05).unwrap();
     for threads in [1, 4] {
         qjoin_par::with_pool(&qjoin_par::Pool::new(threads), || {
             assert_windows_match_their_instances(&case, epsilon, &format!("T={threads}"))

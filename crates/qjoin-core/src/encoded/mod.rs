@@ -31,8 +31,6 @@ pub(crate) mod pivot;
 pub(crate) mod trim;
 pub(crate) mod weights;
 
-pub use trim::ExactStrategy;
-
 use crate::leaf::locator;
 use crate::pivot::PivotResult;
 use crate::quantile::{positions_in, PivotingOptions, QuantileResult, SolveBackend};
@@ -42,6 +40,7 @@ use qjoin_exec::encoded::{self as exec_encoded};
 use qjoin_exec::EncodedContext;
 use qjoin_query::{Assignment, EncodedInstance, Variable};
 use qjoin_ranking::{CmpOp, Ranking, Weight, WeightBound};
+use trim::ExactStrategy;
 use weights::{CodeWeights, WeightFold};
 
 /// How many projected codes a [`CodeKey`] stores without a heap allocation.
@@ -286,8 +285,8 @@ fn decode_answer_key(
 
 /// Computes exact `φ`-quantiles for every fraction in `phis` over an already-encoded
 /// instance, reporting per-phase timing to `tracer` (see [`crate::trace`]): the
-/// engine's prepared-plan path (encode once per catalog generation, solve many
-/// times) and the exact half of [`crate::solver`].
+/// [`Accuracy::Exact`](crate::plan::Accuracy::Exact) route of
+/// [`Plan::solve`](crate::plan::Plan::solve), public only for `perfbench/`.
 ///
 /// Results are pointwise identical to
 /// [`quantile_batch_by_pivoting`](crate::batch::quantile_batch_by_pivoting) with the
@@ -309,11 +308,11 @@ pub fn exact_quantile_batch_encoded_traced(
 /// driver as [`exact_quantile_batch_encoded_traced`], but every trim is a window of
 /// one ε-lossy construction of `instance` (Algorithm 4, kept in its exec memo).
 ///
-/// `per_trim_epsilon` is the *per-invocation* loss budget — callers (see
-/// [`crate::solver::approximate_sum_quantile`]) divide the end-to-end ε across
-/// the expected trim count. The row reference's two-pass `LossySumTrimmer` solve
-/// returns the same answers while no sketch compresses, and answers within ε of
-/// these beyond.
+/// `per_trim_epsilon` is the *per-invocation* loss budget. The row reference's
+/// two-pass `LossySumTrimmer` solve returns the same answers while no sketch
+/// compresses, and answers within ε of these beyond. The
+/// [`Accuracy::Approximate`](crate::plan::Accuracy::Approximate) route of
+/// [`Plan::solve`](crate::plan::Plan::solve), public only for `perfbench/`.
 pub fn approximate_sum_quantile_batch_encoded_traced(
     instance: &EncodedInstance,
     ranking: &Ranking,

@@ -40,7 +40,7 @@ use std::sync::Arc;
 /// The exact trimming family a prepared encoded solve uses (the encoded analogue of
 /// selecting a concrete [`Trimmer`](crate::trim::Trimmer) implementation).
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum ExactStrategy {
+pub(crate) enum ExactStrategy {
     /// MIN/MAX partition-union trimming (Theorem 5.3).
     MinMax,
     /// LEX partition-union trimming (Section 5.2).
@@ -52,7 +52,7 @@ pub enum ExactStrategy {
 impl ExactStrategy {
     /// The strategy serving a ranking kind (SUM tractability is re-checked per trim
     /// call against the current rewritten query, exactly like the row trimmer).
-    pub fn for_ranking(ranking: &Ranking) -> ExactStrategy {
+    pub(crate) fn for_ranking(ranking: &Ranking) -> ExactStrategy {
         match ranking.kind() {
             qjoin_ranking::AggregateKind::Min | qjoin_ranking::AggregateKind::Max => {
                 ExactStrategy::MinMax

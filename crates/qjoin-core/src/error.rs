@@ -10,6 +10,8 @@ pub enum CoreError {
     InvalidPhi(f64),
     /// The approximation parameter is outside `(0, 1)`.
     InvalidEpsilon(f64),
+    /// The sampler's failure probability is outside `(0, 1)`.
+    InvalidDelta(f64),
     /// The query has no answers, so no quantile exists.
     NoAnswers,
     /// The query is cyclic; even answer existence is intractable (Section 2.3).
@@ -59,6 +61,9 @@ impl fmt::Display for CoreError {
             CoreError::InvalidPhi(phi) => write!(f, "quantile fraction {phi} is not in [0, 1]"),
             CoreError::InvalidEpsilon(eps) => {
                 write!(f, "approximation parameter {eps} is not in (0, 1)")
+            }
+            CoreError::InvalidDelta(delta) => {
+                write!(f, "failure probability {delta} is not in (0, 1)")
             }
             CoreError::NoAnswers => write!(f, "the query has no answers over this database"),
             CoreError::CyclicQuery(q) => write!(f, "query is cyclic: {q}"),

@@ -5,7 +5,9 @@
 //! implemented on top of the `qjoin-data` / `qjoin-query` / `qjoin-exec` /
 //! `qjoin-ranking` substrate crates.
 //!
-//! Every production solve runs one driver ([`batch`]) over one representation, the
+//! Every production solve is asked for one way — [`Plan::prepare`] once per
+//! `(instance, ranking)`, then [`Plan::solve`] per request — and runs one driver
+//! ([`batch`]) over one representation, the
 //! dictionary-coded [`encoded`] layer; an instance past that layer's fixed-width
 //! limits is refused with [`CoreError::TooLarge`]. The row representation — the
 //! [`trim`] trimmers, [`lossy_trim`], row [`pivot`] selection and the
@@ -26,15 +28,15 @@
 //! | §3.1 randomized sampling approximation | [`sampling`] |
 //! | §1 "direct way" baseline | [`baseline`] |
 //! | the encoded execution layer | [`encoded`] |
-//! | high-level routing | [`solver`] |
+//! | one way to ask for a quantile: prepare once, solve many | [`plan`] |
 //! | per-phase solve tracing hooks | [`trace`] |
 //!
 //! ## Quick example
 //!
 //! ```
-//! use qjoin_core::solver::exact_quantile;
+//! use qjoin_core::{Accuracy, NoopTracer, Plan};
 //! use qjoin_data::{Database, Relation};
-//! use qjoin_query::{query::path_query, Instance};
+//! use qjoin_query::{query::path_query, EncodedInstance, Instance};
 //! use qjoin_ranking::Ranking;
 //!
 //! // R1(x1, x2) ⋈ R2(x2, x3), median by MAX(x1, x3).
@@ -42,8 +44,9 @@
 //! let r2 = Relation::from_rows("R2", &[&[0, 2], &[0, 7], &[1, 4]]).unwrap();
 //! let instance = Instance::new(path_query(2), Database::from_relations([r1, r2]).unwrap()).unwrap();
 //! let ranking = Ranking::max(qjoin_query::variable::vars(&["x1", "x3"]));
-//! let median = exact_quantile(&instance, &ranking, 0.5).unwrap();
-//! assert_eq!(median.total_answers, 5);
+//! let plan = Plan::prepare(EncodedInstance::from_instance(&instance).unwrap(), ranking).unwrap();
+//! let median = plan.solve(&[0.5], Accuracy::Exact, &NoopTracer).unwrap();
+//! assert_eq!(median[0].total_answers, 5);
 //! ```
 
 #![forbid(unsafe_code)]
@@ -57,16 +60,17 @@ mod error;
 mod leaf;
 pub mod lossy_trim;
 pub mod pivot;
+pub mod plan;
 pub mod quantile;
 pub mod sampling;
 pub mod selection;
 pub mod sketch;
-pub mod solver;
 pub mod trace;
 pub mod trim;
 
 pub use batch::quantile_batch_by_pivoting;
 pub use error::CoreError;
+pub use plan::{Accuracy, Plan, PlanStrategy};
 pub use quantile::{PivotingOptions, QuantileResult};
 pub use trace::{NoopTracer, PhaseContext, SolvePhase, SolveTracer};
 

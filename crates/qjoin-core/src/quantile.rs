@@ -259,7 +259,7 @@ pub(crate) fn partition_round<B: SolveBackend>(
 /// Computes the `φ`-quantile of the instance's answers under the ranking function,
 /// using the supplied trimming subroutine (Algorithm 1) on the row representation:
 /// the batch driver with one fraction. The reference the encoded layer is tested
-/// against; production solves go through [`crate::solver`] or the engine.
+/// against; production solves go through [`Plan::solve`](crate::plan::Plan::solve).
 pub fn quantile_by_pivoting(
     instance: &Instance,
     ranking: &Ranking,

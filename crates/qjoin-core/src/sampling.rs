@@ -18,10 +18,10 @@
 //! [`CoreError::ApproxRefused`] rather than burning more work than an exact solve;
 //! callers should downgrade to an exact or deterministic-ε solve.
 
-use crate::quantile::{only, target_rank, QuantileResult};
+use crate::quantile::{target_rank, QuantileResult};
 use crate::{CoreError, Result};
 use qjoin_exec::EncodedDirectAccess;
-use qjoin_query::{Assignment, EncodedInstance, Instance};
+use qjoin_query::{Assignment, EncodedInstance};
 use qjoin_ranking::Ranking;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -37,16 +37,6 @@ pub struct SamplingOptions {
     pub seed: u64,
 }
 
-impl Default for SamplingOptions {
-    fn default() -> Self {
-        SamplingOptions {
-            epsilon: 0.05,
-            delta: 0.01,
-            seed: 0x5eed,
-        }
-    }
-}
-
 impl SamplingOptions {
     /// The number of samples prescribed by Hoeffding's inequality:
     /// `⌈ln(2/δ) / (2ε²)⌉`.
@@ -55,73 +45,21 @@ impl SamplingOptions {
     }
 }
 
-/// Computes a randomized `(φ ± ε)`-approximate quantile by uniform sampling.
-pub fn quantile_by_sampling(
-    instance: &Instance,
-    ranking: &Ranking,
-    phi: f64,
-    options: &SamplingOptions,
-) -> Result<QuantileResult> {
-    Ok(only(quantile_by_sampling_batch(
-        instance,
-        ranking,
-        &[phi],
-        options,
-    )?))
-}
-
-/// Batched multi-φ sampling: the Hoeffding sample is drawn and sorted **once** (it
-/// does not depend on φ), then each fraction picks its rank from the shared sorted
-/// sample. Results are pointwise identical to independent single-φ calls with the
-/// same seed.
-pub fn quantile_by_sampling_batch(
-    instance: &Instance,
-    ranking: &Ranking,
-    phis: &[f64],
-    options: &SamplingOptions,
-) -> Result<Vec<QuantileResult>> {
-    validate(phis, options)?;
-    let encoded = EncodedInstance::from_instance(instance)?;
-    quantile_by_sampling_batch_encoded(&encoded, ranking, phis, options)
-}
-
-/// [`quantile_by_sampling_batch`] over an already-encoded instance (the engine's
-/// prepared-plan path).
-pub fn quantile_by_sampling_batch_encoded(
+/// The randomized `(φ ± ε)`-approximate quantiles of `phis` (the
+/// [`Accuracy::Bounded`](crate::plan::Accuracy::Bounded) route of
+/// [`Plan::solve`](crate::plan::Plan::solve), which validates the parameters): the
+/// φ-independent Hoeffding sample is drawn and sorted **once**, then every fraction
+/// picks its rank from the shared order, so results are pointwise identical to
+/// single-φ calls with the same seed. Refuses outright when the sample budget is no
+/// smaller than the answer set.
+pub(crate) fn sampled_quantiles(
     instance: &EncodedInstance,
     ranking: &Ranking,
     phis: &[f64],
     options: &SamplingOptions,
 ) -> Result<Vec<QuantileResult>> {
-    validate(phis, options)?;
     let access = EncodedDirectAccess::new(instance)?;
-    sampled_quantiles(access.total(), ranking, phis, options, |rng| {
-        Ok(access.sample(rng)?)
-    })
-}
-
-fn validate(phis: &[f64], options: &SamplingOptions) -> Result<()> {
-    for &phi in phis {
-        if !(0.0..=1.0).contains(&phi) || phi.is_nan() {
-            return Err(CoreError::InvalidPhi(phi));
-        }
-    }
-    if !(options.epsilon > 0.0 && options.epsilon < 1.0) {
-        return Err(CoreError::InvalidEpsilon(options.epsilon));
-    }
-    Ok(())
-}
-
-/// The shared sampling core: draws the φ-independent Hoeffding sample, sorts it once
-/// by weight, and answers every fraction from the shared order. Refuses outright when
-/// the sample budget is no smaller than the answer set.
-fn sampled_quantiles(
-    total: u128,
-    ranking: &Ranking,
-    phis: &[f64],
-    options: &SamplingOptions,
-    mut sample: impl FnMut(&mut StdRng) -> Result<Assignment>,
-) -> Result<Vec<QuantileResult>> {
+    let total = access.total();
     if total == 0 {
         return Err(CoreError::NoAnswers);
     }
@@ -137,7 +75,7 @@ fn sampled_quantiles(
     let mut rng = StdRng::seed_from_u64(options.seed);
     let mut sampled: Vec<(qjoin_ranking::Weight, Assignment)> = Vec::with_capacity(m);
     for _ in 0..m {
-        let answer = sample(&mut rng)?;
+        let answer = access.sample(&mut rng)?;
         sampled.push((ranking.weight_of(&answer), answer));
     }
     sampled.sort_by(|a, b| a.0.cmp(&b.0));
@@ -161,9 +99,12 @@ fn sampled_quantiles(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::quantile::rank_of_weight;
+    use crate::plan::{Accuracy, Plan};
+    use crate::quantile::{only, rank_of_weight};
+    use crate::trace::NoopTracer;
     use qjoin_data::{Database, Relation, Value};
     use qjoin_query::query::path_query;
+    use qjoin_query::Instance;
 
     fn instance(n: i64) -> Instance {
         let mut r1 = Relation::new("R1", 2);
@@ -174,6 +115,36 @@ mod tests {
                 .unwrap();
         }
         Instance::new(path_query(2), Database::from_relations([r1, r2]).unwrap()).unwrap()
+    }
+
+    /// A sampled solve of `phis` through the plan.
+    fn sample(
+        inst: &Instance,
+        ranking: &Ranking,
+        phis: &[f64],
+        options: &SamplingOptions,
+    ) -> Result<Vec<QuantileResult>> {
+        let plan = Plan::prepare(EncodedInstance::from_instance(inst)?, ranking.clone())?;
+        let SamplingOptions {
+            epsilon,
+            delta,
+            seed,
+        } = *options;
+        let accuracy = Accuracy::Bounded {
+            epsilon,
+            delta,
+            seed,
+        };
+        plan.solve(phis, accuracy, &NoopTracer)
+    }
+
+    fn sample_one(
+        inst: &Instance,
+        ranking: &Ranking,
+        phi: f64,
+        options: &SamplingOptions,
+    ) -> Result<QuantileResult> {
+        Ok(only(sample(inst, ranking, &[phi], options)?))
     }
 
     #[test]
@@ -201,7 +172,7 @@ mod tests {
             seed: 7,
         };
         for phi in [0.25, 0.5, 0.75] {
-            let result = quantile_by_sampling(&inst, &ranking, phi, &options).unwrap();
+            let result = sample_one(&inst, &ranking, phi, &options).unwrap();
             let (below, equal) = rank_of_weight(&inst, &ranking, &result.weight).unwrap();
             let total = result.total_answers as f64;
             let lo = (phi - 3.0 * options.epsilon) * total;
@@ -216,24 +187,6 @@ mod tests {
     }
 
     #[test]
-    fn invalid_parameters_are_rejected() {
-        let inst = instance(5);
-        let ranking = Ranking::sum(inst.query().variables());
-        assert!(matches!(
-            quantile_by_sampling(&inst, &ranking, 2.0, &SamplingOptions::default()).unwrap_err(),
-            CoreError::InvalidPhi(_)
-        ));
-        let bad_eps = SamplingOptions {
-            epsilon: 0.0,
-            ..Default::default()
-        };
-        assert!(matches!(
-            quantile_by_sampling(&inst, &ranking, 0.5, &bad_eps).unwrap_err(),
-            CoreError::InvalidEpsilon(_)
-        ));
-    }
-
-    #[test]
     fn deterministic_given_a_seed() {
         let inst = instance(30);
         let ranking = Ranking::sum(inst.query().variables());
@@ -243,8 +196,8 @@ mod tests {
             delta: 0.1,
             seed: 0x5eed,
         };
-        let a = quantile_by_sampling(&inst, &ranking, 0.5, &options).unwrap();
-        let b = quantile_by_sampling(&inst, &ranking, 0.5, &options).unwrap();
+        let a = sample_one(&inst, &ranking, 0.5, &options).unwrap();
+        let b = sample_one(&inst, &ranking, 0.5, &options).unwrap();
         assert_eq!(a.weight, b.weight);
         assert_eq!(a.answer, b.answer);
     }
@@ -259,9 +212,9 @@ mod tests {
             seed: 11,
         };
         let phis = [0.1, 0.5, 0.99];
-        let batch = quantile_by_sampling_batch(&inst, &ranking, &phis, &options).unwrap();
+        let batch = sample(&inst, &ranking, &phis, &options).unwrap();
         for (i, &phi) in phis.iter().enumerate() {
-            let single = quantile_by_sampling(&inst, &ranking, phi, &options).unwrap();
+            let single = sample_one(&inst, &ranking, phi, &options).unwrap();
             assert_eq!(batch[i].answer, single.answer, "phi {phi}");
             assert_eq!(batch[i].weight, single.weight, "phi {phi}");
         }
@@ -269,11 +222,15 @@ mod tests {
 
     #[test]
     fn hopeless_regimes_are_refused_with_a_witness() {
-        // instance(5): ~8 answers, far below the default Hoeffding budget (~1060).
+        // instance(5): ~8 answers, far below the Hoeffding budget (~1060).
         let inst = instance(5);
         let ranking = Ranking::sum(inst.query().variables());
-        let err =
-            quantile_by_sampling(&inst, &ranking, 0.5, &SamplingOptions::default()).unwrap_err();
+        let options = SamplingOptions {
+            epsilon: 0.05,
+            delta: 0.01,
+            seed: 0x5eed,
+        };
+        let err = sample_one(&inst, &ranking, 0.5, &options).unwrap_err();
         match err {
             CoreError::ApproxRefused(witness) => {
                 assert!(witness.contains("Hoeffding"), "witness: {witness}");

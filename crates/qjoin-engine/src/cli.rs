@@ -13,7 +13,8 @@
 //! the same command language against one shared session.
 
 use crate::engine::Engine;
-use crate::plan::{Accuracy, PreparedPlan};
+use crate::plan::PreparedPlan;
+use qjoin_core::Accuracy;
 use qjoin_query::{Instance, JoinQuery, Variable};
 use qjoin_ranking::{AggregateKind, Ranking};
 use qjoin_workload::path::PathConfig;
@@ -425,9 +426,9 @@ fn describe_plan(plan: &PreparedPlan) -> String {
         plan.name,
         plan.database,
         plan.generation,
-        plan.strategy.label(),
-        plan.total_answers,
-        plan.ranking,
+        plan.plan.strategy().label(),
+        plan.plan.total_answers(),
+        plan.plan.ranking(),
         plan.compile_time.as_secs_f64() * 1_000.0
     )
 }

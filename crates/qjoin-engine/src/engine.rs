@@ -49,13 +49,9 @@
 use crate::cache::{CacheStats, ShardedLru};
 use crate::catalog::Catalog;
 use crate::error::EngineError;
-use crate::plan::{Accuracy, PreparedPlan};
+use crate::plan::PreparedPlan;
 use crate::telemetry::SolveRecorder;
-use qjoin_core::encoded::{
-    approximate_sum_quantile_batch_encoded_traced, exact_quantile_batch_encoded_traced,
-};
-use qjoin_core::sampling::{quantile_by_sampling_batch_encoded, SamplingOptions};
-use qjoin_core::{CoreError, PivotingOptions, QuantileResult};
+use qjoin_core::{Accuracy, CoreError, QuantileResult};
 use qjoin_data::{Database, EncodedDatabase};
 use qjoin_query::JoinQuery;
 use qjoin_ranking::Ranking;
@@ -69,11 +65,33 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard, PoisonError, RwLock};
 use std::time::Instant;
 
-/// `(plan id, database generation, φ bits, accuracy bits)`.
-type CacheKey = (u64, u64, u64, Option<u64>);
+/// `(plan id, database generation, φ bits, accuracy)`.
+type CacheKey = (u64, u64, u64, AccuracyKey);
+
+/// An [`Accuracy`] as a cache-key component: the route and every parameter's
+/// exact bit pattern, so two requests share an entry only if they asked for the
+/// same thing.
+type AccuracyKey = (u8, u64, u64, u64);
+
+fn accuracy_key(accuracy: Accuracy) -> AccuracyKey {
+    match accuracy {
+        Accuracy::Exact => (0, 0, 0, 0),
+        Accuracy::Approximate { epsilon } => (1, epsilon.to_bits(), 0, 0),
+        Accuracy::Bounded {
+            epsilon,
+            delta,
+            seed,
+        } => (2, epsilon.to_bits(), delta.to_bits(), seed),
+    }
+}
 
 fn cache_key(plan: &PreparedPlan, phi: f64, accuracy: Accuracy) -> CacheKey {
-    (plan.id, plan.generation, phi.to_bits(), accuracy.key_bits())
+    (
+        plan.id,
+        plan.generation,
+        phi.to_bits(),
+        accuracy_key(accuracy),
+    )
 }
 
 /// Engine tuning knobs.
@@ -85,8 +103,6 @@ pub struct EngineConfig {
     /// Number of independent cache shards (selected by plan id). More shards means
     /// less lock contention between plans; 1 degenerates to a single locked LRU.
     pub cache_shards: usize,
-    /// Options forwarded to the §3 pivoting driver.
-    pub pivoting: PivotingOptions,
     /// Intra-solve parallelism degree. `Some(t)` gives the engine its own
     /// work-stealing pool of `t` threads (`1` is guaranteed purely sequential —
     /// no worker threads are spawned and every parallel surface runs inline);
@@ -105,7 +121,6 @@ impl Default for EngineConfig {
         EngineConfig {
             cache_capacity: 1024,
             cache_shards: 8,
-            pivoting: PivotingOptions::default(),
             threads: None,
             flight_recorder_capacity: 64,
         }
@@ -255,7 +270,6 @@ struct EngineState {
 /// A persistent, thread-safe quantile-query engine (see the module docs).
 #[derive(Debug)]
 pub struct Engine {
-    config: EngineConfig,
     state: RwLock<EngineState>,
     /// Serialises the catalog/plan writers, which compile outside `state`'s lock.
     writer: Mutex<()>,
@@ -325,7 +339,6 @@ impl Engine {
         let pool = config.threads.map(qjoin_par::Pool::new);
         let recorder = Arc::new(FlightRecorder::new(config.flight_recorder_capacity));
         Engine {
-            config,
             state: RwLock::new(EngineState::default()),
             writer: Mutex::new(()),
             cache,
@@ -497,8 +510,8 @@ impl Engine {
                     plan.id,
                     name,
                     new_generation,
-                    plan.encoded()?.query().clone(),
-                    plan.ranking.clone(),
+                    plan.plan.instance().query().clone(),
+                    plan.plan.ranking().clone(),
                     &encoded,
                 )
                 .map(Arc::new)
@@ -639,8 +652,6 @@ impl Engine {
         phis: &[f64],
         accuracy: Accuracy,
     ) -> Result<Vec<QuantileResult>, EngineError> {
-        plan.check_accuracy(accuracy)?;
-        let encoded = plan.encoded()?;
         // When a request trace is live, allocate the solve span up front so the
         // per-phase child spans the driver emits can parent to it; the span
         // itself is recorded below once the solve's duration is known (children
@@ -661,27 +672,7 @@ impl Engine {
         // Every request runs on the plan's encoded instance (built once per catalog
         // generation), with the engine's executor pool installed, so the `threads`
         // knob (and `QJOIN_THREADS`) governs every chunked hot loop.
-        let (ranking, pivoting) = (&plan.ranking, &self.config.pivoting);
-        let results = self.run_pooled(|| match accuracy {
-            Accuracy::Exact => {
-                exact_quantile_batch_encoded_traced(encoded, ranking, phis, pivoting, &tracer)
-            }
-            Accuracy::Approximate { epsilon } => approximate_sum_quantile_batch_encoded_traced(
-                encoded, ranking, phis, epsilon, pivoting, &tracer,
-            ),
-            Accuracy::Bounded {
-                epsilon,
-                delta,
-                seed,
-            } => {
-                let options = SamplingOptions {
-                    epsilon,
-                    delta,
-                    seed,
-                };
-                quantile_by_sampling_batch_encoded(encoded, ranking, phis, &options)
-            }
-        })?;
+        let results = self.run_pooled(|| plan.solve(phis, accuracy, &tracer))?;
         let solve_elapsed = solve_started.elapsed();
         tracer.finish(solve_elapsed);
         if let Some((builder, parent, span)) = solve_span {
@@ -954,7 +945,7 @@ impl Engine {
                     shared_bytes: 0,
                     owned_bytes: 0,
                 };
-                for (name, view) in plan.encoded_instance.iter().flat_map(|i| i.relations()) {
+                for (name, view) in plan.plan.instance().relations() {
                     let shared = catalog
                         .and_then(|entry| entry.encoded.relation(name).ok())
                         .is_some_and(|columns| Arc::ptr_eq(view.base(), columns));
@@ -1111,8 +1102,7 @@ impl Engine {
 mod tests {
     use super::*;
     use crate::plan::tests::wide;
-    use qjoin_core::solver::exact_quantile;
-    use qjoin_core::CoreError;
+    use qjoin_core::{CoreError, NoopTracer, Plan};
     use qjoin_query::query::{path_query, social_network_query};
     use qjoin_query::variable::vars;
     use qjoin_workload::social::SocialConfig;
@@ -1141,10 +1131,13 @@ mod tests {
     fn serves_quantiles_identical_to_the_one_shot_solver() {
         let (engine, config) = social_engine(150, 42);
         let instance = config.generate();
-        let ranking = config.likes_ranking();
+        let encoded = qjoin_query::EncodedInstance::from_instance(&instance).unwrap();
+        let one_shot = Plan::prepare(encoded, config.likes_ranking()).unwrap();
         for phi in [0.1, 0.5, 0.9] {
             let served = engine.quantile("likes", phi).unwrap();
-            let direct = exact_quantile(&instance, &ranking, phi).unwrap();
+            let direct = &one_shot
+                .solve(&[phi], Accuracy::Exact, &NoopTracer)
+                .unwrap()[0];
             assert_eq!(served.result.weight, direct.weight, "phi {phi}");
             assert_eq!(served.result.total_answers, direct.total_answers);
             assert!(!served.from_cache);
@@ -1466,6 +1459,59 @@ mod tests {
     }
 
     #[test]
+    fn accuracy_keys_distinguish_every_parameter() {
+        let bounded = |epsilon, delta, seed| Accuracy::Bounded {
+            epsilon,
+            delta,
+            seed,
+        };
+        let keys = [
+            Accuracy::Exact,
+            Accuracy::Approximate { epsilon: 0.1 },
+            Accuracy::Approximate { epsilon: 0.2 },
+            bounded(0.1, 0.01, 7),
+            bounded(0.2, 0.01, 7),
+            bounded(0.1, 0.05, 7),
+            bounded(0.1, 0.01, 8),
+        ]
+        .map(accuracy_key);
+        for (i, key) in keys.iter().enumerate() {
+            assert!(!keys[..i].contains(key), "{key:?}");
+        }
+    }
+
+    /// Two sampled requests share a cache entry only if every parameter is equal.
+    /// The second seed below is the first xor'd with both ε's bit patterns rotated
+    /// by 42, so a key that mixes (ε, δ, seed) by xor-and-rotate collides on it.
+    #[test]
+    fn sampled_requests_differing_in_epsilon_and_seed_never_share_an_entry() {
+        let (engine, _) = social_engine(150, 42);
+        let bounded = |epsilon: f64, seed| Accuracy::Bounded {
+            epsilon,
+            delta: 0.1,
+            seed,
+        };
+        let colliding_seed =
+            9 ^ 0.2f64.to_bits().rotate_left(42) ^ 0.15f64.to_bits().rotate_left(42);
+        assert_eq!(colliding_seed, 12297822053111343779);
+        let first = engine.quantile_with("likes", 0.5, bounded(0.2, 9)).unwrap();
+        let second = engine
+            .quantile_with("likes", 0.5, bounded(0.15, colliding_seed))
+            .unwrap();
+        assert!(!first.from_cache);
+        assert!(
+            !second.from_cache,
+            "the ε = 0.15 request got the ε = 0.2 sample"
+        );
+        assert!(
+            engine
+                .quantile_with("likes", 0.5, bounded(0.15, colliding_seed))
+                .unwrap()
+                .from_cache
+        );
+    }
+
+    #[test]
     fn bounded_requests_refuse_hopeless_regimes() {
         // 60 rows → few hundred answers, far below the default Hoeffding budget.
         let (engine, _) = social_engine(10, 3);
@@ -1517,7 +1563,7 @@ mod tests {
         let catalog_db = Arc::clone(&engine.catalog().get("social").unwrap().encoded);
         // Every view of every plan reads the catalog generation's own columns.
         let shares_columns_of = |plan: &PreparedPlan, db: &EncodedDatabase| {
-            (plan.encoded().unwrap().relations())
+            (plan.plan.instance().relations())
                 .all(|(name, view)| Arc::ptr_eq(view.base(), db.relation(name).unwrap()))
         };
         for plan in engine.plans() {

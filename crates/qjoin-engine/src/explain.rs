@@ -19,7 +19,7 @@
 
 use crate::engine::Engine;
 use crate::error::EngineError;
-use crate::plan::{Accuracy, PlanStrategy};
+use qjoin_core::{Accuracy, PlanStrategy};
 use qjoin_telemetry::{Trace, TraceId};
 use std::fmt;
 
@@ -258,32 +258,33 @@ impl Engine {
         phi: f64,
         analyze: bool,
     ) -> Result<ExplainReport, EngineError> {
-        let plan = self.plan(plan_name)?;
+        let prepared = self.plan(plan_name)?;
+        let plan = &prepared.plan;
+        let (strategy, tree, total) = (plan.strategy(), plan.join_tree(), plan.total_answers());
         let mut report = ExplainReport {
-            plan: plan.name.clone(),
-            database: plan.database.clone(),
-            generation: plan.generation,
-            strategy: plan.strategy.label(),
-            dichotomy: dichotomy_sentence(&plan.strategy),
-            supports_exact: plan.strategy.supports_exact(),
-            join_tree_atoms: plan.join_tree.num_nodes(),
-            join_tree_height: plan.join_tree.height(),
-            join_tree_binary: plan.join_tree.is_binary(),
-            total_answers: plan.total_answers,
+            plan: prepared.name.clone(),
+            database: prepared.database.clone(),
+            generation: prepared.generation,
+            strategy: strategy.label(),
+            dichotomy: dichotomy_sentence(strategy),
+            supports_exact: strategy.supports_exact(),
+            join_tree_atoms: tree.num_nodes(),
+            join_tree_height: tree.height(),
+            join_tree_binary: tree.is_binary(),
+            total_answers: total,
             phi,
-            target_rank: (plan.total_answers > 0)
-                .then(|| qjoin_core::quantile::target_rank(phi, plan.total_answers)),
+            target_rank: (total > 0).then(|| qjoin_core::quantile::target_rank(phi, total)),
             analyze: None,
         };
         if analyze {
-            let accuracy = if plan.strategy.supports_exact() {
+            let accuracy = if strategy.supports_exact() {
                 Accuracy::Exact
             } else {
                 Accuracy::Approximate {
                     epsilon: EXPLAIN_ANALYZE_EPSILON,
                 }
             };
-            let trace = self.traced_uncached_solve(&plan, phi, accuracy)?;
+            let trace = self.traced_uncached_solve(&prepared, phi, accuracy)?;
             report.analyze = analyze_from_trace(&trace, accuracy);
         }
         Ok(report)

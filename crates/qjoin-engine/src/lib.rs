@@ -11,10 +11,11 @@
 //!  request ──▶│  LRU result cache (plan id, db generation, φ, accuracy)  │
 //!             │      │ miss                                              │
 //!             │      ▼                                                   │
-//!             │  batched multi-φ solver (qjoin-core::batch)              │
-//!             │      │ reads                                             │
+//!             │  PreparedPlan → qjoin-core Plan::solve: checks the       │
+//!             │  request, then one batched solve (exact/ε-lossy/sampled) │
+//!             │      │ reads what Plan::prepare computed once            │
 //!             │      ▼                                                   │
-//!             │  PreparedPlan (join tree + counts + dichotomy strategy)  │
+//!             │  join tree + |Q(D)| + dichotomy class, encoded instance  │
 //!             │      │ compiled against                                  │
 //!             │      ▼                                                   │
 //!             │  Catalog (named encoded databases with generations)      │
@@ -74,4 +75,5 @@ pub use engine::{
 };
 pub use error::EngineError;
 pub use explain::{AnalyzeReport, AnalyzeRound, ExplainReport};
-pub use plan::{Accuracy, PlanStrategy, PreparedPlan};
+pub use plan::PreparedPlan;
+pub use qjoin_core::Accuracy;

@@ -1,123 +1,18 @@
 //! Prepared plans: a registration compiled once, served many times.
 //!
-//! Registering a `(query, ranking)` pair against a catalog database performs, **once**,
-//! on the generation's dictionary-coded form (the only copy the catalog keeps):
-//!
-//! 1. acyclicity via GYO, caching the resulting join tree,
-//! 2. schema validation (the query's atoms match the database's relations),
-//! 3. one counting pass (Example 2.1), caching `|Q(D)|`, which builds and memoises
-//!    the plan's link-resolved execution context, so the first request of a
-//!    generation does not pay for it,
-//! 4. the §5 dichotomy (Theorem 5.6), selecting the trimming strategy.
-//!
-//! A registration whose answer count cannot be bounded below `2^128` is refused
-//! with [`EngineError::TooLarge`] before any counting. Every subsequent quantile
-//! request against the plan is checked against the strategy
-//! (`PreparedPlan::check_accuracy`) and skips straight to the §3 recursion. A plan
-//! remembers the database generation it was compiled against; the engine
-//! recompiles it — with no state lock held — when the database is replaced.
+//! A registration builds its query's instance over the generation's
+//! dictionary-coded form (the only copy the catalog keeps) and prepares a core
+//! [`Plan`] over it: join tree, `|Q(D)|` and dichotomy class, once. Every request
+//! goes through [`Plan::solve`]. The engine recompiles a plan — with no state lock
+//! held — when its database is replaced.
 
 use crate::coalesce::Combiner;
 use crate::error::EngineError;
-use qjoin_core::dichotomy::{classify_partial_sum, SumClassification};
-use qjoin_core::{CoreError, QuantileResult};
+use qjoin_core::{Accuracy, CoreError, Plan, QuantileResult, SolveTracer};
 use qjoin_data::EncodedDatabase;
-use qjoin_query::{acyclicity, EncodedInstance, JoinQuery, JoinTree};
-use qjoin_ranking::{AggregateKind, Ranking};
+use qjoin_query::{EncodedInstance, JoinQuery};
+use qjoin_ranking::Ranking;
 use std::time::Duration;
-
-/// How a quantile request wants its answer: exact, or within a rank-error budget.
-#[derive(Clone, Copy, Debug, PartialEq)]
-pub enum Accuracy {
-    /// An exact φ-quantile (only served by exact plan strategies).
-    Exact,
-    /// A deterministic `(φ ± ε)`-approximation via ε-lossy SUM trimming (Theorem 6.2).
-    Approximate {
-        /// The per-trim loss budget ε ∈ (0, 1) (the practical "direct" budget).
-        epsilon: f64,
-    },
-    /// A randomized `(φ ± ε)`-approximation with failure probability δ, served by
-    /// uniform sampling over a direct-access structure (§3.1, Hoeffding bound).
-    /// Works for **any** ranking kind; the seed makes answers reproducible. Refused
-    /// ([`qjoin_core::CoreError::ApproxRefused`]) when the sample budget meets or
-    /// exceeds the answer count — the regime where sampling cannot beat an exact
-    /// solve.
-    Bounded {
-        /// The rank-error tolerance ε ∈ (0, 1).
-        epsilon: f64,
-        /// The failure probability δ ∈ (0, 1).
-        delta: f64,
-        /// RNG seed; equal seeds give pointwise-identical answers at any thread count.
-        seed: u64,
-    },
-}
-
-impl Accuracy {
-    /// A stable cache-key component: `None` for exact, the ε bit pattern for the
-    /// deterministic approximation, and an (ε, δ, seed) mix with the top bit forced
-    /// for the sampler — a valid deterministic ε is positive, so its sign bit is
-    /// zero and the two routes can never collide at equal ε.
-    pub(crate) fn key_bits(&self) -> Option<u64> {
-        match self {
-            Accuracy::Exact => None,
-            Accuracy::Approximate { epsilon } => Some(epsilon.to_bits()),
-            Accuracy::Bounded {
-                epsilon,
-                delta,
-                seed,
-            } => {
-                let mut bits = epsilon.to_bits();
-                bits = bits.rotate_left(21) ^ delta.to_bits();
-                bits = bits.rotate_left(21) ^ seed;
-                Some(bits | 1 << 63)
-            }
-        }
-    }
-}
-
-/// The trimming strategy selected for a plan by the §5 dichotomy.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub enum PlanStrategy {
-    /// MIN/MAX ranking: exact pivoting with the Algorithm 3 trimmer (Theorem 5.3).
-    MinMax,
-    /// LEX ranking: exact pivoting with the §5.2 trimmer.
-    Lex,
-    /// SUM with all weighted variables in one atom: exact linear-time filter trims.
-    SumSingleAtom {
-        /// Index of the covering atom.
-        atom: usize,
-    },
-    /// SUM covered by two adjacent join-tree nodes: exact `O(n log n)` trims
-    /// (Lemma 5.5).
-    SumAdjacentPair {
-        /// Indices of the two covering atoms.
-        atoms: (usize, usize),
-    },
-    /// SUM on the intractable side of Theorem 5.6: only the ε-approximate path is
-    /// available. The payload is the dichotomy's witness.
-    SumApproximateOnly {
-        /// Why exact solving is intractable (independent set / chordless path / ...).
-        witness: String,
-    },
-}
-
-impl PlanStrategy {
-    /// True when the plan can serve exact quantile requests.
-    pub fn supports_exact(&self) -> bool {
-        !matches!(self, PlanStrategy::SumApproximateOnly { .. })
-    }
-
-    /// A short label for the CLI and stats output.
-    pub fn label(&self) -> &'static str {
-        match self {
-            PlanStrategy::MinMax => "minmax",
-            PlanStrategy::Lex => "lex",
-            PlanStrategy::SumSingleAtom { .. } => "sum-single-atom",
-            PlanStrategy::SumAdjacentPair { .. } => "sum-adjacent-pair",
-            PlanStrategy::SumApproximateOnly { .. } => "sum-approximate-only",
-        }
-    }
-}
 
 /// A compiled registration, ready to serve quantile requests.
 #[derive(Debug)]
@@ -130,20 +25,14 @@ pub struct PreparedPlan {
     pub database: String,
     /// The database generation the plan was compiled against.
     pub generation: u64,
-    /// The validated instance over the catalog's dictionary-coded form of the plan's
+    /// The prepared plan over the catalog's dictionary-coded form of the plan's
     /// generation, whose code columns every plan of that generation shares by
-    /// handle: every solve runs on it. Always `Some` — [`PreparedPlan::compile`]
-    /// fails instead — and an `Option` only because the benchmark (`perfbench/`,
-    /// its own workspace) unwraps it.
+    /// handle: every solve runs on it.
+    pub plan: Plan,
+    /// A handle clone of `plan`'s instance, sharing its exec memo. Always `Some`,
+    /// and public and an `Option` only because the benchmark (`perfbench/`, its
+    /// own workspace) unwraps it.
     pub encoded_instance: Option<EncodedInstance>,
-    /// The plan's ranking function.
-    pub ranking: Ranking,
-    /// The cached GYO join tree.
-    pub join_tree: JoinTree,
-    /// `|Q(D)|` from the compile-time counting pass.
-    pub total_answers: u128,
-    /// The trimming strategy selected by the dichotomy.
-    pub strategy: PlanStrategy,
     /// Wall-clock time spent compiling the plan.
     pub compile_time: Duration,
     /// Where concurrent cold exact requests against this handle coalesce (see the
@@ -152,9 +41,9 @@ pub struct PreparedPlan {
 }
 
 impl PreparedPlan {
-    /// Compiles a registration: derives the join tree, validates, counts, classifies.
-    /// The plan's instance shares the generation's dictionary-coded columns by
-    /// handle — no relation data is copied.
+    /// Compiles a registration: builds the instance and prepares its [`Plan`]. The
+    /// plan's instance shares the generation's dictionary-coded columns by handle —
+    /// no relation data is copied.
     pub fn compile(
         name: &str,
         id: u64,
@@ -165,92 +54,50 @@ impl PreparedPlan {
         encoded: &EncodedDatabase,
     ) -> Result<PreparedPlan, EngineError> {
         let start = std::time::Instant::now();
-        let join_tree = acyclicity::gyo_join_tree(&query)
-            .ok_or_else(|| EngineError::Core(CoreError::CyclicQuery(query.to_string())))?;
-        let encoded_instance = EncodedInstance::from_encoded_database(query, encoded)?;
-        // If the product of relation sizes fits in `u128`, no intermediate product
-        // or group sum of either counting pass can overflow (they `expect` it).
-        if encoded_instance.answer_count_upper_bound().is_none() {
-            return Err(EngineError::TooLarge {
+        let instance = EncodedInstance::from_encoded_database(query, encoded)?;
+        let plan = Plan::prepare(instance, ranking).map_err(|e| match e {
+            CoreError::TooLarge(_) => EngineError::TooLarge {
                 plan: name.to_string(),
-            });
-        }
-        let total_answers = qjoin_exec::encoded::count_answers(&encoded_instance)?;
-        let strategy = match ranking.kind() {
-            AggregateKind::Min | AggregateKind::Max => PlanStrategy::MinMax,
-            AggregateKind::Lex => PlanStrategy::Lex,
-            AggregateKind::Sum => {
-                match classify_partial_sum(encoded_instance.query(), ranking.weighted_vars()) {
-                    SumClassification::TractableSingleAtom { atom } => {
-                        PlanStrategy::SumSingleAtom { atom }
-                    }
-                    SumClassification::TractableAdjacentPair { atoms } => {
-                        PlanStrategy::SumAdjacentPair { atoms }
-                    }
-                    intractable => PlanStrategy::SumApproximateOnly {
-                        witness: format!("{intractable:?}"),
-                    },
-                }
-            }
-        };
+            },
+            other => EngineError::Core(other),
+        })?;
         Ok(PreparedPlan {
             name: name.to_string(),
             id,
             database: database_name.to_string(),
             generation,
-            encoded_instance: Some(encoded_instance),
-            ranking,
-            join_tree,
-            total_answers,
-            strategy,
+            encoded_instance: Some(plan.instance().clone()),
+            plan,
             compile_time: start.elapsed(),
             combiner: Combiner::default(),
         })
     }
 
-    /// The encoded instance every solve runs on.
-    pub(crate) fn encoded(&self) -> Result<&EncodedInstance, EngineError> {
-        let missing = || CoreError::Internal(format!("plan {} has no encoded instance", self.name));
-        Ok(self.encoded_instance.as_ref().ok_or_else(missing)?)
-    }
-
-    /// Checks that the plan can serve a request of the given accuracy, or explains
-    /// why it cannot: exact requests need a tractable strategy, ε-approximate ones a
-    /// SUM ranking, and every ε and δ must lie in `(0, 1)`. Randomized sampling
-    /// serves any plan.
-    pub(crate) fn check_accuracy(&self, accuracy: Accuracy) -> Result<(), EngineError> {
-        let cannot = |reason: String| {
-            Err(EngineError::PlanCannotServe {
-                plan: self.name.clone(),
-                reason,
-            })
+    /// [`Plan::solve`], with the refusals a request can avoid by asking differently
+    /// — exact on an intractable SUM, ε on a non-SUM ranking, δ outside `(0, 1)` —
+    /// reported as [`EngineError::PlanCannotServe`].
+    pub(crate) fn solve(
+        &self,
+        phis: &[f64],
+        accuracy: Accuracy,
+        tracer: &dyn SolveTracer,
+    ) -> Result<Vec<QuantileResult>, EngineError> {
+        let reason = match self.plan.solve(phis, accuracy, tracer) {
+            Ok(results) => return Ok(results),
+            Err(CoreError::IntractableSum(witness)) => format!(
+                "exact SUM solving is intractable ({witness}); request an \
+                 approximate quantile with an ε budget instead"
+            ),
+            Err(CoreError::UnsupportedRanking(reason)) => reason,
+            Err(CoreError::InvalidDelta(delta)) => {
+                format!("sampling failure probability delta must be in (0, 1), got {delta}")
+            }
+            Err(other) => return Err(EngineError::Core(other)),
         };
-        let in_unit_interval = |x: f64| x > 0.0 && x < 1.0;
-        match accuracy {
-            Accuracy::Exact => match &self.strategy {
-                PlanStrategy::SumApproximateOnly { witness } => cannot(format!(
-                    "exact SUM solving is intractable ({witness}); request an \
-                     approximate quantile with an ε budget instead"
-                )),
-                _ => Ok(()),
-            },
-            Accuracy::Approximate { .. } if self.ranking.kind() != AggregateKind::Sum => {
-                cannot(format!(
-                    "ε-approximation targets SUM rankings; this plan ranks by {:?} \
-                     (exact solving is already quasilinear)",
-                    self.ranking.kind()
-                ))
-            }
-            Accuracy::Approximate { epsilon } | Accuracy::Bounded { epsilon, .. }
-                if !in_unit_interval(epsilon) =>
-            {
-                Err(EngineError::Core(CoreError::InvalidEpsilon(epsilon)))
-            }
-            Accuracy::Bounded { delta, .. } if !in_unit_interval(delta) => cannot(format!(
-                "sampling failure probability delta must be in (0, 1), got {delta}"
-            )),
-            Accuracy::Approximate { .. } | Accuracy::Bounded { .. } => Ok(()),
-        }
+        Err(EngineError::PlanCannotServe {
+            plan: self.name.clone(),
+            reason,
+        })
     }
 }
 
@@ -259,7 +106,7 @@ pub(crate) mod tests {
     use super::*;
     use qjoin_data::{Database, Relation};
     use qjoin_exec::count::count_answers;
-    use qjoin_query::query::{path_query, triangle_query};
+    use qjoin_query::query::path_query;
     use qjoin_query::variable::vars;
     use qjoin_query::Instance;
     use std::sync::Arc;
@@ -315,21 +162,22 @@ pub(crate) mod tests {
             let (query, ranking) = (path_query(3), ranking.clone());
             let plan =
                 PreparedPlan::compile("p", i as u64, "db", 1, query, ranking, &encoded).unwrap();
-            assert_eq!(plan.strategy.label(), label);
-            assert_eq!(plan.strategy.supports_exact(), exact);
-            assert!(plan.total_answers > 0);
+            let (strategy, total) = (plan.plan.strategy(), plan.plan.total_answers());
+            assert_eq!(strategy.label(), label);
+            assert_eq!(strategy.supports_exact(), exact);
+            assert!(total > 0);
             assert_eq!(
-                plan.total_answers,
+                total,
                 count_answers(&Instance::new(path_query(3), db.clone()).unwrap()).unwrap(),
                 "cached count must match a fresh row Yannakakis pass"
             );
-            let instance = plan.encoded().unwrap();
+            let instance = plan.plan.instance();
             let memo = instance.exec_memo().get::<qjoin_exec::EncodedContext>();
             let ctx = memo.expect("compile memoises the encoded context");
             let shared = qjoin_exec::encoded::shared_context(instance).unwrap();
             assert!(Arc::ptr_eq(&ctx, &shared), "the first reader reuses it");
             let recount = qjoin_exec::encoded::count_answers_ctx(&ctx);
-            assert_eq!(plan.total_answers, recount);
+            assert_eq!(total, recount);
         }
     }
 
@@ -350,96 +198,45 @@ pub(crate) mod tests {
         assert!(err.to_string().contains("2^128"), "{err}");
     }
 
+    /// Each refusal of `Plan::solve` (tabled in `qjoin-core`'s plan tests) as the
+    /// engine reports it: the ones a request avoids by asking differently are
+    /// `PlanCannotServe`, an ε outside `(0, 1)` stays a core error.
     #[test]
-    fn cyclic_queries_fail_to_compile() {
-        let db = Database::from_relations([
-            Relation::from_rows("R", &[&[1, 1]]).unwrap(),
-            Relation::from_rows("S", &[&[1, 1]]).unwrap(),
-            Relation::from_rows("T", &[&[1, 1]]).unwrap(),
-        ])
-        .unwrap();
-        let ranking = Ranking::sum(triangle_query().variables());
-        let encoded = EncodedDatabase::encode(&db).unwrap();
-        let err = PreparedPlan::compile("p", 0, "db", 1, triangle_query(), ranking, &encoded)
-            .unwrap_err();
-        assert!(matches!(err, EngineError::Core(CoreError::CyclicQuery(_))));
-    }
-
-    /// Every refusal the plan makes before a solve: exact on an intractable SUM
-    /// plan, ε on a non-SUM plan, ε or δ outside `(0, 1)`. Sampling serves any plan.
-    #[test]
-    fn accuracy_check_refuses_what_the_plan_cannot_serve() {
+    fn refusals_map_to_the_engines_errors() {
         let encoded = EncodedDatabase::encode(&three_path_db(8)).unwrap();
         let compile = |name: &str, ranking: Ranking| {
             PreparedPlan::compile(name, 0, "db", 1, path_query(3), ranking, &encoded).unwrap()
         };
         let intractable = compile("p", Ranking::sum(path_query(3).variables()));
         let minmax = compile("m", Ranking::max(path_query(3).variables()));
-        let approximate = |epsilon| Accuracy::Approximate { epsilon };
         let bounded = |epsilon, delta| Accuracy::Bounded {
             epsilon,
             delta,
             seed: 7,
         };
-        let cannot_serve = |refused: Result<(), EngineError>| {
-            matches!(refused, Err(EngineError::PlanCannotServe { .. }))
+        let refusal = |plan: &PreparedPlan, accuracy| {
+            (plan.solve(&[0.5], accuracy, &qjoin_core::NoopTracer)).unwrap_err()
         };
-        let invalid_epsilon = |refused: Result<(), EngineError>| {
-            matches!(
-                refused,
-                Err(EngineError::Core(CoreError::InvalidEpsilon(_)))
-            )
-        };
+        let cannot_serve = |err: EngineError| matches!(err, EngineError::PlanCannotServe { .. });
 
-        assert!(cannot_serve(intractable.check_accuracy(Accuracy::Exact)));
-        assert!(intractable.check_accuracy(approximate(0.1)).is_ok());
-        assert!(invalid_epsilon(
-            intractable.check_accuracy(approximate(1.5))
-        ));
-        assert!(intractable.check_accuracy(bounded(0.1, 0.05)).is_ok());
-
-        assert!(minmax.check_accuracy(Accuracy::Exact).is_ok());
-        assert!(cannot_serve(minmax.check_accuracy(approximate(0.1))));
-        assert!(minmax.check_accuracy(bounded(0.1, 0.05)).is_ok());
-        for epsilon in [0.0, 1.0, f64::NAN] {
-            assert!(invalid_epsilon(
-                minmax.check_accuracy(bounded(epsilon, 0.05))
-            ));
-        }
-        for delta in [0.0, 1.5, f64::NAN] {
-            assert!(cannot_serve(minmax.check_accuracy(bounded(0.1, delta))));
-        }
-    }
-
-    #[test]
-    fn accuracy_key_bits_distinguish_budgets() {
-        assert_eq!(Accuracy::Exact.key_bits(), None);
-        assert_ne!(
-            Accuracy::Approximate { epsilon: 0.1 }.key_bits(),
-            Accuracy::Approximate { epsilon: 0.2 }.key_bits()
+        let exact = refusal(&intractable, Accuracy::Exact);
+        assert!(
+            exact
+                .to_string()
+                .contains("request an approximate quantile"),
+            "{exact}"
         );
-        let bounded = |epsilon, delta, seed| Accuracy::Bounded {
-            epsilon,
-            delta,
-            seed,
-        };
-        // The sampler's key can never collide with a deterministic-ε key, and every
-        // parameter participates in it.
-        assert_ne!(
-            bounded(0.1, 0.01, 7).key_bits(),
-            Accuracy::Approximate { epsilon: 0.1 }.key_bits()
+        assert!(cannot_serve(exact));
+        let eps_on_max = refusal(&minmax, Accuracy::Approximate { epsilon: 0.1 });
+        assert!(
+            eps_on_max.to_string().contains("targets SUM rankings"),
+            "{eps_on_max}"
         );
-        assert_ne!(
-            bounded(0.1, 0.01, 7).key_bits(),
-            bounded(0.2, 0.01, 7).key_bits()
-        );
-        assert_ne!(
-            bounded(0.1, 0.01, 7).key_bits(),
-            bounded(0.1, 0.05, 7).key_bits()
-        );
-        assert_ne!(
-            bounded(0.1, 0.01, 7).key_bits(),
-            bounded(0.1, 0.01, 8).key_bits()
+        assert!(cannot_serve(eps_on_max));
+        assert!(cannot_serve(refusal(&minmax, bounded(0.1, 1.5))));
+        assert_eq!(
+            refusal(&minmax, bounded(0.0, 0.05)),
+            EngineError::Core(CoreError::InvalidEpsilon(0.0))
         );
     }
 }

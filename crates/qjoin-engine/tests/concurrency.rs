@@ -314,7 +314,10 @@ fn racing_writers_never_leave_a_plan_behind_its_catalog_generation() {
                                 served += 1;
                                 if let Ok(plan) = engine.plan(name) {
                                     if plan.generation == answer.generation {
-                                        assert_eq!(answer.result.total_answers, plan.total_answers);
+                                        assert_eq!(
+                                            answer.result.total_answers,
+                                            plan.plan.total_answers()
+                                        );
                                     }
                                 }
                             }
@@ -351,7 +354,7 @@ fn racing_writers_never_leave_a_plan_behind_its_catalog_generation() {
         let query = instance.query().clone();
         let fresh = qjoin_query::EncodedInstance::from_encoded_database(query, &entry.encoded);
         assert_eq!(
-            plan.total_answers,
+            plan.plan.total_answers(),
             qjoin_exec::encoded::count_answers(&fresh.unwrap()).unwrap(),
             "plan {} must count the catalog's current database",
             plan.name

@@ -13,7 +13,6 @@
 //! Run with `cargo run --release --example approximate_median`.
 
 use quantile_joins::core::quantile::rank_of_weight;
-use quantile_joins::core::sampling::{quantile_by_sampling, SamplingOptions};
 use quantile_joins::prelude::*;
 
 fn main() {
@@ -44,10 +43,11 @@ fn main() {
     );
     report(&instance, &ranking, phi, "baseline", &truth);
 
+    let encoded = EncodedInstance::from_instance(&instance).unwrap();
+    let plan = Plan::prepare(encoded, ranking.clone()).unwrap();
+    let solve = |accuracy| plan.solve(&[phi], accuracy, &NoopTracer).unwrap().remove(0);
     for epsilon in [0.25, 0.1, 0.05] {
-        let approx =
-            approximate_sum_quantile(&instance, &ranking, phi, epsilon, ErrorBudget::Direct)
-                .unwrap();
+        let approx = solve(Accuracy::Approximate { epsilon });
         report(
             &instance,
             &ranking,
@@ -57,17 +57,11 @@ fn main() {
         );
     }
     for epsilon in [0.1, 0.05] {
-        let sampled = quantile_by_sampling(
-            &instance,
-            &ranking,
-            phi,
-            &SamplingOptions {
-                epsilon,
-                delta: 0.05,
-                seed: 7,
-            },
-        )
-        .unwrap();
+        let sampled = solve(Accuracy::Bounded {
+            epsilon,
+            delta: 0.05,
+            seed: 7,
+        });
         report(
             &instance,
             &ranking,

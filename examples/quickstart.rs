@@ -52,21 +52,30 @@ fn main() {
 
     // 4. Full SUM over a 3-path is intractable exactly — the solver says so and the
     //    deterministic ε-approximation takes over (Theorem 6.2).
-    let by_full_sum = Ranking::sum(instance.query().variables());
-    match exact_quantile(&instance, &by_full_sum, 0.5) {
+    let full_sum = prepare(&instance, Ranking::sum(instance.query().variables()));
+    match full_sum.solve(&[0.5], Accuracy::Exact, &NoopTracer) {
         Err(err) => println!("full SUM      : exact solver refused: {err}"),
         Ok(_) => unreachable!("the 3-path with full SUM is intractable"),
     }
-    let approx =
-        approximate_sum_quantile(&instance, &by_full_sum, 0.5, 0.1, ErrorBudget::Direct).unwrap();
+    let eps = Accuracy::Approximate { epsilon: 0.1 };
+    let approx = full_sum.solve(&[0.5], eps, &NoopTracer).unwrap().remove(0);
     println!(
         "full SUM      : ε=0.1 approximate median has weight {} (answer {:?})",
         approx.weight, approx.answer
     );
 }
 
+/// Prepares the one plan every request for `ranking` over `instance` goes through.
+fn prepare(instance: &Instance, ranking: Ranking) -> Plan {
+    Plan::prepare(EncodedInstance::from_instance(instance).unwrap(), ranking).unwrap()
+}
+
 fn report(instance: &Instance, ranking: &Ranking, phi: f64) {
-    let fast = exact_quantile(instance, ranking, phi).unwrap();
+    let plan = prepare(instance, ranking.clone());
+    let fast = plan
+        .solve(&[phi], Accuracy::Exact, &NoopTracer)
+        .unwrap()
+        .remove(0);
     let slow =
         quantile_by_materialization(instance, ranking, phi, BaselineStrategy::FullSort).unwrap();
     println!(

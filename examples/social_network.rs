@@ -30,7 +30,12 @@ fn main() {
         let ranking = config.likes_ranking();
 
         let started = Instant::now();
-        let fast = exact_quantile(&instance, &ranking, 0.1).unwrap();
+        let encoded = EncodedInstance::from_instance(&instance).unwrap();
+        let plan = Plan::prepare(encoded, ranking.clone()).unwrap();
+        let fast = plan
+            .solve(&[0.1], Accuracy::Exact, &NoopTracer)
+            .unwrap()
+            .remove(0);
         let pivoting_time = started.elapsed();
 
         let started = Instant::now();

@@ -34,8 +34,9 @@
 //! let config = SocialConfig { rows_per_relation: 300, ..Default::default() };
 //! let instance = config.generate();
 //! let ranking = config.likes_ranking();
-//! let median = exact_quantile(&instance, &ranking, 0.5).unwrap();
-//! assert!(median.total_answers > 0);
+//! let plan = Plan::prepare(EncodedInstance::from_instance(&instance).unwrap(), ranking).unwrap();
+//! let median = plan.solve(&[0.5], Accuracy::Exact, &NoopTracer).unwrap();
+//! assert!(median[0].total_answers > 0);
 //! ```
 
 #![forbid(unsafe_code)]
@@ -52,10 +53,7 @@ pub use qjoin_server as server;
 pub use qjoin_telemetry as telemetry;
 pub use qjoin_workload as workload;
 
-pub use qjoin_core::solver::{
-    approximate_sum_quantile, exact_quantile, exact_quantile_batch, ErrorBudget,
-};
-pub use qjoin_core::{CoreError, PivotingOptions, QuantileResult};
+pub use qjoin_core::{Accuracy, CoreError, NoopTracer, PivotingOptions, Plan, QuantileResult};
 pub use qjoin_engine::{Engine, EngineError};
 pub use qjoin_query::Instance;
 pub use qjoin_ranking::Ranking;
@@ -67,19 +65,14 @@ pub mod prelude {
     pub use qjoin_core::dichotomy::{classify_partial_sum, SumClassification};
     pub use qjoin_core::lossy_trim::LossySumTrimmer;
     pub use qjoin_core::quantile::{quantile_by_pivoting, target_rank, PivotingOptions};
-    pub use qjoin_core::sampling::{
-        quantile_by_sampling, quantile_by_sampling_batch, SamplingOptions,
-    };
+    pub use qjoin_core::sampling::SamplingOptions;
     pub use qjoin_core::sketch::{sketch, RoundDirection, SketchBucket, SketchEntry};
-    pub use qjoin_core::solver::{
-        approximate_sum_quantile, exact_quantile, exact_quantile_batch, ErrorBudget,
-    };
     pub use qjoin_core::trim::{AdjacentSumTrimmer, LexTrimmer, MinMaxTrimmer, Trimmer};
-    pub use qjoin_core::QuantileResult;
+    pub use qjoin_core::{Accuracy, NoopTracer, Plan, PlanStrategy, QuantileResult};
     pub use qjoin_data::{Database, EncodedDatabase, Relation, Tuple, Value};
     pub use qjoin_engine::{
-        Accuracy, Engine, EngineAnswer, EngineConfig, EngineError, EngineStats, PlanStorageStats,
-        PlanStrategy, PreparedPlan,
+        Engine, EngineAnswer, EngineConfig, EngineError, EngineStats, PlanStorageStats,
+        PreparedPlan,
     };
     pub use qjoin_exec::count::count_answers;
     pub use qjoin_query::query::{path_query, social_network_query, star_query};

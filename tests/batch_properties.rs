@@ -1,7 +1,10 @@
 //! Property tests for the batched multi-φ solver: over random acyclic instances, a
-//! batched solve must be (a) pointwise identical to independent `exact_quantile`
+//! batched solve must be (a) pointwise identical to independent single-φ `Plan::solve`
 //! calls and (b) monotone non-decreasing in φ.
 
+mod common;
+
+use common::{exact, solve};
 use proptest::prelude::*;
 use quantile_joins::prelude::*;
 use quantile_joins::workload::random_acyclic::RandomAcyclicConfig;
@@ -54,10 +57,10 @@ proptest! {
         }
         let ranking = ranking_for(&instance, kind);
         let phis = [0.0, phi_lo, 0.5, phi_hi, 1.0];
-        let batched = exact_quantile_batch(&instance, &ranking, &phis).unwrap();
+        let batched = solve(&instance, &ranking, &phis, Accuracy::Exact).unwrap();
         prop_assert_eq!(batched.len(), phis.len());
         for (phi, b) in phis.iter().zip(&batched) {
-            let single = exact_quantile(&instance, &ranking, *phi).unwrap();
+            let single = exact(&instance, &ranking, *phi).unwrap();
             prop_assert_eq!(&b.weight, &single.weight, "phi {}", phi);
             prop_assert_eq!(&b.answer, &single.answer, "phi {}", phi);
             prop_assert_eq!(b.target_index, single.target_index, "phi {}", phi);
@@ -80,7 +83,7 @@ proptest! {
         }
         let ranking = ranking_for(&instance, kind);
         let phis = [0.0, 0.1, 0.25, 0.5, 0.75, 0.9, 1.0];
-        let batched = exact_quantile_batch(&instance, &ranking, &phis).unwrap();
+        let batched = solve(&instance, &ranking, &phis, Accuracy::Exact).unwrap();
         for (prev, next) in batched.iter().zip(batched.iter().skip(1)) {
             prop_assert!(prev.weight <= next.weight, "weights must be monotone in φ");
             prop_assert!(prev.target_index <= next.target_index);

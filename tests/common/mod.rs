@@ -15,14 +15,17 @@
 //!   answer's values in `query.variables()` order.
 //!
 //! The solve contract is in [`Oracle::assert_exact`] and [`Oracle::assert_within`].
+//! The solves under test are asked for through [`solve`]: the one production
+//! entry, a [`Plan`] prepared over a fresh encoding of the instance.
 
 #![allow(dead_code)] // each test binary uses only part of this module
 
 use quantile_joins::core::quantile::target_rank;
+use quantile_joins::core::{Accuracy, NoopTracer, Plan};
 use quantile_joins::data::{Tuple, Value};
-use quantile_joins::query::{Assignment, Instance, Variable};
+use quantile_joins::query::{Assignment, EncodedInstance, Instance, Variable};
 use quantile_joins::ranking::{AggregateKind, Ranking, Weight};
-use quantile_joins::QuantileResult;
+use quantile_joins::{CoreError, QuantileResult};
 use std::cmp::Ordering;
 
 /// An answer's weight: one component for SUM/MIN/MAX, one per weighted variable of LEX.
@@ -197,4 +200,28 @@ fn order(a: &Answer, b: &Answer) -> Ordering {
 
 fn bits(weight: &[f64]) -> Vec<u64> {
     weight.iter().map(|x| x.to_bits()).collect()
+}
+
+/// A plan over a fresh encoding of `instance`.
+pub fn prepare(instance: &Instance, ranking: &Ranking) -> Result<Plan, CoreError> {
+    Plan::prepare(EncodedInstance::from_instance(instance)?, ranking.clone())
+}
+
+/// The quantiles of `phis` at `accuracy`, from a freshly prepared plan.
+pub fn solve(
+    instance: &Instance,
+    ranking: &Ranking,
+    phis: &[f64],
+    accuracy: Accuracy,
+) -> Result<Vec<QuantileResult>, CoreError> {
+    prepare(instance, ranking)?.solve(phis, accuracy, &NoopTracer)
+}
+
+/// One exact φ-quantile.
+pub fn exact(
+    instance: &Instance,
+    ranking: &Ranking,
+    phi: f64,
+) -> Result<QuantileResult, CoreError> {
+    Ok(solve(instance, ranking, &[phi], Accuracy::Exact)?.remove(0))
 }

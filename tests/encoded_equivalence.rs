@@ -7,10 +7,12 @@
 //! and boundary φ values. Both run one driver, so the batch tests also hold its
 //! answers to the independent materialize-and-sort oracle.
 
+mod common;
+
+use common::{exact, solve};
 use proptest::prelude::*;
 use quantile_joins::core::encoded::exact_quantile_batch_encoded_traced;
 use quantile_joins::core::quantile::rank_of_weight;
-use quantile_joins::core::sampling::quantile_by_sampling_batch_encoded;
 use quantile_joins::core::NoopTracer;
 use quantile_joins::prelude::*;
 use quantile_joins::workload::random_acyclic::{
@@ -102,7 +104,7 @@ fn boundary_phis(total: u128) -> Vec<f64> {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(40))]
 
-    /// `exact_quantile` (encoded) equals the row reference oracle pointwise across
+    /// The exact `Plan::solve` (encoded) equals the row reference oracle pointwise across
     /// MIN/MAX/LEX/SUM rankings and boundary φ values on random acyclic instances.
     #[test]
     fn encoded_and_row_solves_are_pointwise_identical(
@@ -117,7 +119,7 @@ proptest! {
             return Ok(());
         }
         for phi in boundary_phis(total) {
-            let encoded = exact_quantile(&instance, &ranking, phi).unwrap();
+            let encoded = exact(&instance, &ranking, phi).unwrap();
             let row = row_quantile(&instance, &ranking, phi);
             assert_pointwise_equal(&encoded, &row, &format!("{ranking} at φ={phi}"));
             // And the answer really is a φ-quantile.
@@ -199,7 +201,7 @@ fn social_network_workload_is_pointwise_identical() {
     let encoded_db = EncodedInstance::from_instance(&instance).unwrap();
     let options = PivotingOptions::default();
     for phi in [0.0, 0.1, 0.5, 0.9, 1.0] {
-        let default_path = exact_quantile(&instance, &ranking, phi).unwrap();
+        let default_path = exact(&instance, &ranking, phi).unwrap();
         let row = row_quantile(&instance, &ranking, phi);
         let pre_encoded = encoded_batch(&encoded_db, &ranking, &[phi], &options).remove(0);
         assert_pointwise_equal(&default_path, &row, &format!("social φ={phi}"));
@@ -257,10 +259,10 @@ fn social_sum_multi_round_recursions_are_pointwise_identical() {
     for (threads, pool) in sweep_pools().iter().filter(|(t, _)| [1, 4].contains(t)) {
         quantile_joins::par::with_pool(pool, || {
             for (phi, r) in phis.iter().zip(&row) {
-                let encoded = exact_quantile(&instance, &ranking, *phi).unwrap();
+                let encoded = exact(&instance, &ranking, *phi).unwrap();
                 assert_pointwise_equal(&encoded, r, &format!("social φ={phi}, T={threads}"));
             }
-            let batch = exact_quantile_batch(&instance, &ranking, &phis).unwrap();
+            let batch = solve(&instance, &ranking, &phis, Accuracy::Exact).unwrap();
             for ((phi, e), r) in phis.iter().zip(&batch).zip(&row_batch) {
                 assert_pointwise_equal(e, r, &format!("social batch φ={phi}, T={threads}"));
             }
@@ -295,7 +297,7 @@ fn unreferenced_relations_keep_thresholds_identical() {
     .unwrap();
     let ranking = Ranking::sum(instance.query().variables());
     for phi in [0.0, 0.3, 0.5, 0.8, 1.0] {
-        let encoded = exact_quantile(&instance, &ranking, phi).unwrap();
+        let encoded = exact(&instance, &ranking, phi).unwrap();
         let row = row_quantile(&instance, &ranking, phi);
         assert_pointwise_equal(&encoded, &row, &format!("unreferenced relation φ={phi}"));
     }
@@ -323,7 +325,7 @@ fn string_keys_are_pointwise_identical() {
     // Weight only the numeric endpoints (strings have no identity weight).
     let ranking = Ranking::sum(vars(&["x1", "x3"]));
     for phi in [0.0, 0.3, 0.5, 1.0] {
-        let encoded = exact_quantile(&instance, &ranking, phi).unwrap();
+        let encoded = exact(&instance, &ranking, phi).unwrap();
         let row = row_quantile(&instance, &ranking, phi);
         assert_pointwise_equal(&encoded, &row, &format!("string keys φ={phi}"));
     }
@@ -378,7 +380,7 @@ proptest! {
         let mut baseline: Option<Vec<QuantileResult>> = None;
         for (threads, pool) in sweep_pools() {
             let results = quantile_joins::par::with_pool(pool, || {
-                exact_quantile_batch(&instance, &ranking, &phis)
+                solve(&instance, &ranking, &phis, Accuracy::Exact)
             })
             .unwrap();
             match &baseline {
@@ -569,10 +571,10 @@ fn full_sum_ranking(instance: &Instance) -> Ranking {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
-    /// The encoded lossy solve (`approximate_sum_quantile`: one Algorithm-4
+    /// The encoded lossy solve (`Accuracy::Approximate`: one Algorithm-4
     /// construction per solve, every trim a window of it) is pointwise identical
     /// to the row reference solve with `LossySumTrimmer::new(ε)` (two stacked
-    /// passes per window; `ErrorBudget::Direct` spends ε on every trim) — same
+    /// passes per window; both spend ε on every trim) — same
     /// answer, same weight, same iteration count — across ε values, boundary φ,
     /// and executor degrees 1 and 4. Identical because at these sizes no join
     /// group is large enough for a sketch bucket to hold two sources, so both
@@ -595,9 +597,8 @@ proptest! {
             let mut baseline: Option<(QuantileResult, QuantileResult)> = None;
             for (threads, pool) in sweep_pools().iter().filter(|(t, _)| *t == 1 || *t == 4) {
                 let (encoded, row) = quantile_joins::par::with_pool(pool, || {
-                    let encoded = approximate_sum_quantile(
-                        &instance, &ranking, phi, epsilon, ErrorBudget::Direct,
-                    )?;
+                    let accuracy = Accuracy::Approximate { epsilon };
+                    let encoded = solve(&instance, &ranking, &[phi], accuracy)?.remove(0);
                     let row = quantile_by_pivoting(
                         &instance,
                         &ranking,
@@ -626,11 +627,11 @@ proptest! {
         }
     }
 
-    /// The randomized sampler is seed-identical across its two entries — encode per
-    /// call, and the engine's pre-encoded instance — and across executor degrees 1
-    /// and 4: the same `SamplingOptions { seed }` draws the same Hoeffding sample,
-    /// so every returned quantile matches exactly. (No row half: both samplers are
-    /// `answer_at(rng.random_range(0..total))`, and
+    /// The randomized sampler is seed-identical across two plans — one prepared per
+    /// call, and one prepared once and reused, as the engine does — and across
+    /// executor degrees 1 and 4: the same `Accuracy::Bounded { seed }` draws the
+    /// same Hoeffding sample, so every returned quantile matches exactly. (No row
+    /// half: both samplers are `answer_at(rng.random_range(0..total))`, and
     /// `link_resolved_context_matches_the_row_context` holds the encoded
     /// `answer_at` to the row one at every index.) When the sample budget reaches
     /// the answer count, the sampler refuses with [`CoreError::ApproxRefused`] and a
@@ -648,20 +649,21 @@ proptest! {
             return Ok(());
         }
         let phis = boundary_phis(total);
-        let pre_encoded = EncodedInstance::from_instance(&instance).unwrap();
+        let prepared = common::prepare(&instance, &ranking).unwrap();
         // Small instances sit under the Hoeffding budget for tight ε; pick a
         // loose ε that samples when possible, and assert the refusal contract
         // when even that budget reaches |Q(D)|.
         let options = SamplingOptions { epsilon: 0.2, delta: 0.1, seed: sample_seed };
+        let sampled = Accuracy::Bounded { epsilon: 0.2, delta: 0.1, seed: sample_seed };
         let mut baseline: Option<Vec<QuantileResult>> = None;
         for (threads, pool) in sweep_pools().iter().filter(|(t, _)| *t == 1 || *t == 4) {
             let (per_call, engine) = quantile_joins::par::with_pool(pool, || {
-                let per_call = quantile_by_sampling_batch(&instance, &ranking, &phis, &options);
-                let engine = quantile_by_sampling_batch_encoded(&pre_encoded, &ranking, &phis, &options);
+                let per_call = solve(&instance, &ranking, &phis, sampled);
+                let engine = prepared.solve(&phis, sampled, &NoopTracer);
                 (per_call, engine)
             });
             if (options.sample_count() as u128) >= total {
-                for (label, result) in [("per-call", &per_call), ("pre-encoded", &engine)] {
+                for (label, result) in [("per-call", &per_call), ("prepared once", &engine)] {
                     match result {
                         Err(quantile_joins::CoreError::ApproxRefused(witness)) => {
                             prop_assert!(

@@ -3,8 +3,7 @@
 
 mod common;
 
-use common::Oracle;
-use quantile_joins::core::sampling::{quantile_by_sampling, SamplingOptions};
+use common::{exact, solve, Oracle};
 use quantile_joins::prelude::*;
 use quantile_joins::CoreError;
 
@@ -36,7 +35,7 @@ fn social_network_partial_sum_quantiles_match_baseline() {
     let ranking = config.likes_ranking();
     let oracle = Oracle::new(&instance, &ranking);
     for phi in [0.1, 0.5, 0.9] {
-        let fast = exact_quantile(&instance, &ranking, phi).unwrap();
+        let fast = exact(&instance, &ranking, phi).unwrap();
         let slow =
             quantile_by_materialization(&instance, &ranking, phi, BaselineStrategy::Selection)
                 .unwrap();
@@ -64,7 +63,7 @@ fn min_max_quantiles_on_generated_paths() {
     ] {
         let oracle = Oracle::new(&instance, &ranking);
         for phi in [0.0, 0.25, 0.5, 0.75, 1.0] {
-            let fast = exact_quantile(&instance, &ranking, phi).unwrap();
+            let fast = exact(&instance, &ranking, phi).unwrap();
             assert_valid_quantile(&oracle, &fast);
         }
     }
@@ -87,7 +86,7 @@ fn lex_quantiles_on_generated_paths() {
     ] {
         let oracle = Oracle::new(&instance, &ranking);
         for phi in [0.2, 0.5, 0.8] {
-            let fast = exact_quantile(&instance, &ranking, phi).unwrap();
+            let fast = exact(&instance, &ranking, phi).unwrap();
             assert_valid_quantile(&oracle, &fast);
         }
     }
@@ -107,7 +106,7 @@ fn full_sum_on_binary_join_matches_baseline() {
     let ranking = Ranking::sum(instance.query().variables());
     let oracle = Oracle::new(&instance, &ranking);
     for phi in [0.05, 0.5, 0.95] {
-        let fast = exact_quantile(&instance, &ranking, phi).unwrap();
+        let fast = exact(&instance, &ranking, phi).unwrap();
         assert_valid_quantile(&oracle, &fast);
     }
 }
@@ -125,14 +124,16 @@ fn intractable_full_sum_is_refused_and_approximated() {
     .generate();
     let ranking = Ranking::sum(instance.query().variables());
     assert!(matches!(
-        exact_quantile(&instance, &ranking, 0.5).unwrap_err(),
+        exact(&instance, &ranking, 0.5).unwrap_err(),
         CoreError::IntractableSum(_)
     ));
 
     let total = count_answers(&instance).unwrap();
     let epsilon = 0.1;
-    let approx =
-        approximate_sum_quantile(&instance, &ranking, 0.5, epsilon, ErrorBudget::Direct).unwrap();
+    let accuracy = Accuracy::Approximate { epsilon };
+    let approx = solve(&instance, &ranking, &[0.5], accuracy)
+        .unwrap()
+        .remove(0);
     let (below, equal) = Oracle::new(&instance, &ranking).rank_of(&approx.weight);
     // Allow the accumulated error of the iterated lossy trimmings.
     let slack = (2.0 * epsilon * approx.iterations.max(1) as f64 * total as f64).max(1.0);
@@ -156,12 +157,14 @@ fn sampling_approximation_tracks_the_target() {
     }
     .generate();
     let ranking = Ranking::sum(instance.query().variables());
-    let options = SamplingOptions {
+    let options = Accuracy::Bounded {
         epsilon: 0.05,
         delta: 0.01,
         seed: 5,
     };
-    let result = quantile_by_sampling(&instance, &ranking, 0.5, &options).unwrap();
+    let result = solve(&instance, &ranking, &[0.5], options)
+        .unwrap()
+        .remove(0);
     let (below, equal) = Oracle::new(&instance, &ranking).rank_of(&result.weight);
     let total = result.total_answers as f64;
     assert!(
@@ -202,7 +205,7 @@ fn quantiles_are_monotone_in_phi() {
     let ranking = Ranking::sum(instance.query().variables());
     let mut previous: Option<Weight> = None;
     for phi in [0.0, 0.2, 0.4, 0.6, 0.8, 1.0] {
-        let result = exact_quantile(&instance, &ranking, phi).unwrap();
+        let result = exact(&instance, &ranking, phi).unwrap();
         if let Some(prev) = &previous {
             assert!(
                 prev <= &result.weight,

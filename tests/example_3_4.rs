@@ -1,6 +1,9 @@
 //! Example 3.4 of the paper, end to end: the median by full SUM of a binary join with
 //! 1001 answers, computed by pivoting and partitioning.
 
+mod common;
+
+use common::exact;
 use quantile_joins::core::quantile::{quantile_by_pivoting, rank_of_weight, PivotingOptions};
 use quantile_joins::core::trim::{AdjacentSumTrimmer, Trimmer};
 use quantile_joins::prelude::*;
@@ -12,7 +15,7 @@ fn the_instance_has_1001_answers_and_the_median_index_is_500() {
     let instance = example_3_4_instance();
     assert_eq!(count_answers(&instance).unwrap(), 1001);
     let ranking = Ranking::sum(instance.query().variables());
-    let result = exact_quantile(&instance, &ranking, 0.5).unwrap();
+    let result = exact(&instance, &ranking, 0.5).unwrap();
     assert_eq!(result.target_index, 500);
     let (below, equal) = rank_of_weight(&instance, &ranking, &result.weight).unwrap();
     assert!(result.target_index >= below && result.target_index < below + equal);

@@ -8,9 +8,10 @@
 //! Weights are small integers or 2.5, so every SUM is exact in `f64` and the fold
 //! order cannot move a tie.
 //!
-//! Every exact, batch and ε solve runs twice on one encoding — cold, then with the
-//! instance's exec memo warm — each under a [`BoundChecker`], which holds it to the
-//! paper's cost bounds from the phase events the driver emits.
+//! Every exact, batch and ε solve is a `Plan::solve` — the route the engine
+//! serves — run twice on one plan, cold and then with the instance's exec memo
+//! warm, each under a [`BoundChecker`], which holds it to the paper's cost bounds
+//! from the phase events the driver emits.
 //!
 //! Mutations that fail here: reading a weight function's `-0.0` as a weight of its
 //! own (MIN/MAX over `tie_heavy_ranking` domain 1), LEX components written in
@@ -22,12 +23,8 @@
 
 mod common;
 
-use common::Oracle;
-use quantile_joins::core::encoded::{
-    approximate_sum_quantile_batch_encoded_traced, exact_quantile_batch_encoded_traced,
-};
+use common::{prepare, solve, Oracle};
 use quantile_joins::core::pivot::pivot_quality;
-use quantile_joins::core::solver::per_trim_epsilon_for;
 use quantile_joins::core::{PhaseContext, SolvePhase, SolveTracer};
 use quantile_joins::par::{with_pool, Pool};
 use quantile_joins::prelude::*;
@@ -46,7 +43,8 @@ use std::time::Duration;
 /// weights of both zero signs once went wrong.
 const PHIS: [f64; 5] = [0.0, 0.25, 0.5, 0.9, 1.0];
 
-/// ε of the deterministic approximation, spent with `ErrorBudget::Guaranteed`.
+/// ε of the deterministic approximation, spent with
+/// `Plan::guaranteed_per_trim_epsilon`.
 const EPSILON: f64 = 0.1;
 
 /// The sampler's budget is m = ⌈ln(2/δ) / 2ε²⌉ = 81 answers, so the instances
@@ -142,41 +140,24 @@ impl SolveTracer for BoundChecker {
     }
 }
 
-/// The two driver routes the checker runs on.
-#[derive(Clone, Copy)]
-enum Route {
-    Exact,
-    /// The ε route, with this per-trim budget.
-    Lossy(f64),
-}
-
-/// Solves `phis` on one fresh encoding of `instance`, cold and then memo-warm,
-/// each under a [`BoundChecker`]. Both solves stay inside the bounds, the warm one
-/// repeats the cold one's rounds (`n_lt`/`n_eq`/`n_gt` and `view_rows` included)
-/// and answers, and the cold results are returned.
+/// Solves `phis` on one freshly prepared plan of `instance`, cold and then
+/// memo-warm, each under a [`BoundChecker`]. Both solves stay inside the bounds,
+/// the warm one repeats the cold one's rounds (`n_lt`/`n_eq`/`n_gt` and
+/// `view_rows` included) and answers, and the cold results are returned.
 fn checked_solve(
     instance: &Instance,
     ranking: &Ranking,
     phis: &[f64],
-    route: Route,
+    accuracy: Accuracy,
     what: &str,
 ) -> Vec<QuantileResult> {
-    let encoded = EncodedInstance::from_instance(instance).unwrap();
-    let options = PivotingOptions::default();
-    let solve = |checker: &BoundChecker| match route {
-        Route::Exact => {
-            exact_quantile_batch_encoded_traced(&encoded, ranking, phis, &options, checker)
-        }
-        Route::Lossy(eps) => approximate_sum_quantile_batch_encoded_traced(
-            &encoded, ranking, phis, eps, &options, checker,
-        ),
-    };
+    let plan = prepare(instance, ranking).unwrap();
     let (cold, warm) = (
         BoundChecker::new(instance, what),
         BoundChecker::new(instance, what),
     );
-    let results = solve(&cold).unwrap();
-    let again = solve(&warm).unwrap();
+    let results = plan.solve(phis, accuracy, &cold).unwrap();
+    let again = plan.solve(phis, accuracy, &warm).unwrap();
     for checker in [&cold, &warm] {
         checker.assert_rounds_bounded();
     }
@@ -204,7 +185,7 @@ fn at_both_thread_counts(suite: impl Fn(usize) -> Arms, arms: &[&str]) {
 
 /// An intractable SUM: the exact route refuses with a witness.
 fn assert_refused(instance: &Instance, ranking: &Ranking, what: &str, arms: &mut Arms) {
-    let refused = exact_quantile(instance, ranking, 0.5).unwrap_err();
+    let refused = solve(instance, ranking, &[0.5], Accuracy::Exact).unwrap_err();
     assert!(
         matches!(refused, CoreError::IntractableSum(_)),
         "{what}: {refused:?}"
@@ -220,15 +201,13 @@ fn assert_eps_route(
     what: &str,
     arms: &mut Arms,
 ) {
-    let budget = ErrorBudget::Guaranteed;
-    let per_trim = per_trim_epsilon_for(instance, ranking, EPSILON, budget).unwrap();
+    let plan = prepare(instance, ranking).unwrap();
+    let epsilon = plan.guaranteed_per_trim_epsilon(EPSILON).unwrap();
     for phi in PHIS {
-        let result = approximate_sum_quantile(instance, ranking, phi, EPSILON, budget).unwrap();
         let what = format!("{what} ε φ={phi}");
-        let checked = checked_solve(instance, ranking, &[phi], Route::Lossy(per_trim), &what);
-        for result in [&result, &checked[0]] {
-            oracle.assert_within(phi, EPSILON, result, &what);
-        }
+        let accuracy = Accuracy::Approximate { epsilon };
+        let checked = checked_solve(instance, ranking, &[phi], accuracy, &what);
+        oracle.assert_within(phi, EPSILON, &checked[0], &what);
     }
     arms.hit("ε");
 }
@@ -252,17 +231,13 @@ fn assert_every_route(
         assert_refused(instance, ranking, what, arms);
     } else {
         for phi in PHIS {
-            let result = exact_quantile(instance, ranking, phi).unwrap();
             let what = format!("{what} single φ={phi}");
-            let checked = checked_solve(instance, ranking, &[phi], Route::Exact, &what);
-            for result in [&result, &checked[0]] {
-                oracle.assert_exact(phi, result, &what);
-            }
+            let checked = checked_solve(instance, ranking, &[phi], Accuracy::Exact, &what);
+            oracle.assert_exact(phi, &checked[0], &what);
         }
         arms.hit("exact single");
-        let batch = exact_quantile_batch(instance, ranking, &PHIS).unwrap();
-        let checked = checked_solve(instance, ranking, &PHIS, Route::Exact, what);
-        for (phi, result) in PHIS.iter().cycle().zip(batch.iter().chain(&checked)) {
+        let checked = checked_solve(instance, ranking, &PHIS, Accuracy::Exact, what);
+        for (phi, result) in PHIS.iter().zip(&checked) {
             oracle.assert_exact(*phi, result, &format!("{what} batch φ={phi}"));
         }
         arms.hit("exact batch");
@@ -281,7 +256,17 @@ fn assert_every_route(
         assert_eps_route(instance, ranking, &oracle, what, arms);
     }
     let refuses = SAMPLING.sample_count() as u128 >= oracle.total();
-    match quantile_by_sampling_batch(instance, ranking, &PHIS, &SAMPLING) {
+    let SamplingOptions {
+        epsilon,
+        delta,
+        seed,
+    } = SAMPLING;
+    let sampling = Accuracy::Bounded {
+        epsilon,
+        delta,
+        seed,
+    };
+    match solve(instance, ranking, &PHIS, sampling) {
         Ok(sampled) => {
             assert!(!refuses, "{what}: sampled although m ≥ N");
             for (phi, result) in PHIS.iter().zip(&sampled) {
@@ -405,9 +390,8 @@ fn dichotomy(threads: usize) -> Arms {
                 _ => panic!("{what}: {classification:?} on an acyclic query of ≤ 4 atoms"),
             });
             if classification.is_tractable() {
-                let batch = exact_quantile_batch(&instance, &ranking, &PHIS).unwrap();
-                let checked = checked_solve(&instance, &ranking, &PHIS, Route::Exact, &what);
-                for (phi, result) in PHIS.iter().cycle().zip(batch.iter().chain(&checked)) {
+                let checked = checked_solve(&instance, &ranking, &PHIS, Accuracy::Exact, &what);
+                for (phi, result) in PHIS.iter().zip(&checked) {
                     oracle.assert_exact(*phi, result, &format!("{what} φ={phi}"));
                 }
             } else {

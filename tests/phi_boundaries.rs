@@ -7,6 +7,9 @@
 //! `target_rank` helper snaps near-integer products before flooring; these tests pin
 //! that behavior end to end.
 
+mod common;
+
+use common::{exact, solve};
 use quantile_joins::prelude::*;
 use quantile_joins::workload::path::PathConfig;
 
@@ -82,8 +85,8 @@ fn target_rank_respects_offsets_between_boundaries() {
 fn phi_zero_and_one_hit_the_extremes_for_every_solver() {
     let instance = three_path(11);
     for ranking in rankings_under_test(&instance) {
-        let min = exact_quantile(&instance, &ranking, 0.0).unwrap();
-        let max = exact_quantile(&instance, &ranking, 1.0).unwrap();
+        let min = exact(&instance, &ranking, 0.0).unwrap();
+        let max = exact(&instance, &ranking, 1.0).unwrap();
         assert_eq!(min.target_index, 0, "ranking {ranking}");
         assert_eq!(max.target_index, max.total_answers - 1, "ranking {ranking}");
         assert!(min.weight <= max.weight, "ranking {ranking}");
@@ -96,9 +99,7 @@ fn phi_zero_and_one_hit_the_extremes_for_every_solver() {
 fn fractions_within_one_over_n_of_a_boundary_are_exact() {
     let instance = three_path(23);
     for ranking in rankings_under_test(&instance) {
-        let total = exact_quantile(&instance, &ranking, 0.0)
-            .unwrap()
-            .total_answers;
+        let total = exact(&instance, &ranking, 0.0).unwrap().total_answers;
         assert!(total > 4, "workload too small to probe boundaries");
         // Probe the first, middle, and last boundary ranks, each from the boundary
         // itself and from half a rank on either side.
@@ -106,14 +107,14 @@ fn fractions_within_one_over_n_of_a_boundary_are_exact() {
             let at = r as f64 / total as f64;
             let below = (r as f64 - 0.5) / total as f64;
             let above = ((r as f64 + 0.5) / total as f64).min(1.0);
-            let result_at = exact_quantile(&instance, &ranking, at).unwrap();
+            let result_at = exact(&instance, &ranking, at).unwrap();
             assert_eq!(
                 result_at.target_index, r,
                 "ranking {ranking}: phi={r}/{total} must target rank {r}"
             );
-            let result_below = exact_quantile(&instance, &ranking, below).unwrap();
+            let result_below = exact(&instance, &ranking, below).unwrap();
             assert_eq!(result_below.target_index, r - 1, "ranking {ranking}");
-            let result_above = exact_quantile(&instance, &ranking, above).unwrap();
+            let result_above = exact(&instance, &ranking, above).unwrap();
             assert!(result_above.target_index >= r, "ranking {ranking}");
             assert!(result_below.weight <= result_at.weight, "ranking {ranking}");
             assert!(result_at.weight <= result_above.weight, "ranking {ranking}");
@@ -134,12 +135,10 @@ fn baseline_agrees_with_exact_at_boundary_fractions() {
     // the same φ, including fractions computed as r/N (where naive flooring drifts).
     let instance = three_path(17);
     let ranking = Ranking::sum(vars(&["x1", "x2", "x3"]));
-    let total = exact_quantile(&instance, &ranking, 0.0)
-        .unwrap()
-        .total_answers;
+    let total = exact(&instance, &ranking, 0.0).unwrap().total_answers;
     for r in [1u128, total / 3, total / 2, total - 1] {
         let phi = r as f64 / total as f64;
-        let exact = exact_quantile(&instance, &ranking, phi).unwrap();
+        let exact = exact(&instance, &ranking, phi).unwrap();
         let baseline =
             quantile_by_materialization(&instance, &ranking, phi, BaselineStrategy::Selection)
                 .unwrap();
@@ -152,9 +151,7 @@ fn baseline_agrees_with_exact_at_boundary_fractions() {
 fn batched_boundaries_agree_with_single_solves() {
     let instance = three_path(5);
     for ranking in rankings_under_test(&instance) {
-        let total = exact_quantile(&instance, &ranking, 0.0)
-            .unwrap()
-            .total_answers;
+        let total = exact(&instance, &ranking, 0.0).unwrap().total_answers;
         let phis = [
             0.0,
             1.0 / total as f64,
@@ -163,9 +160,9 @@ fn batched_boundaries_agree_with_single_solves() {
             (total - 1) as f64 / total as f64,
             1.0,
         ];
-        let batched = exact_quantile_batch(&instance, &ranking, &phis).unwrap();
+        let batched = solve(&instance, &ranking, &phis, Accuracy::Exact).unwrap();
         for (phi, b) in phis.iter().zip(&batched) {
-            let single = exact_quantile(&instance, &ranking, *phi).unwrap();
+            let single = exact(&instance, &ranking, *phi).unwrap();
             assert_eq!(b.target_index, single.target_index, "phi {phi}");
             assert_eq!(b.weight, single.weight, "phi {phi}");
             assert_eq!(b.answer, single.answer, "phi {phi}");

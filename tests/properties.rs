@@ -3,7 +3,7 @@
 
 mod common;
 
-use common::Oracle;
+use common::{exact, Oracle};
 use proptest::prelude::*;
 use quantile_joins::core::pivot::select_pivot;
 use quantile_joins::core::quantile::rank_of_weight;
@@ -114,7 +114,7 @@ proptest! {
                 sum
             }
         };
-        let result = exact_quantile(&instance, &ranking, phi).unwrap();
+        let result = exact(&instance, &ranking, phi).unwrap();
         let (below, equal) = Oracle::new(&instance, &ranking).rank_of(&result.weight);
         prop_assert!(equal >= 1);
         prop_assert!(result.target_index >= below && result.target_index < below + equal);

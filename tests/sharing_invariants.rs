@@ -7,6 +7,9 @@
 //! untouched relations, and solver results identical to the materialization baseline
 //! across every ranking kind.
 
+mod common;
+
+use common::exact;
 use proptest::prelude::*;
 use quantile_joins::core::trim::{MinMaxTrimmer, SingleAtomSumTrimmer, Trimmer};
 use quantile_joins::prelude::*;
@@ -180,7 +183,7 @@ fn figure1_results_match_baseline_for_every_ranking() {
     ];
     for ranking in &rankings {
         for phi in [0.0, 0.25, 0.5, 0.75, 1.0] {
-            let pivoted = exact_quantile(&instance, ranking, phi).unwrap();
+            let pivoted = exact(&instance, ranking, phi).unwrap();
             let baseline =
                 quantile_by_materialization(&instance, ranking, phi, BaselineStrategy::FullSort)
                     .unwrap();
@@ -240,7 +243,7 @@ proptest! {
             2 => Ranking::max(all.clone()),
             _ => Ranking::lex(all.clone()),
         };
-        let pivoted = exact_quantile(&instance, &ranking, phi).unwrap();
+        let pivoted = exact(&instance, &ranking, phi).unwrap();
         let baseline =
             quantile_by_materialization(&instance, &ranking, phi, BaselineStrategy::FullSort)
                 .unwrap();
