@@ -143,6 +143,7 @@ impl LossyConstruction {
         if !(epsilon > 0.0 && epsilon < 1.0) {
             return Err(CoreError::InvalidEpsilon(epsilon));
         }
+        super::weights::refuse_non_finite(source, ranking, weights)?;
         let instance = source.eliminate_self_joins()?;
         let binarized = binary::binarize_encoded(&instance)?;
         let query = binarized.instance.query().clone();
@@ -603,7 +604,7 @@ impl SolveBackend for LossyBackend<'_> {
 
     fn leaf_weights(&self, candidates: &Candidates) -> Result<Vec<(Weight, u32)>> {
         let (ctx, only) = Self::context_of(candidates)?;
-        self.encoded.leaf_weights_in(&ctx, only)
+        self.encoded.leaf_weights_in(&ctx, only, None)
     }
 
     fn leaf_band(
@@ -615,7 +616,7 @@ impl SolveBackend for LossyBackend<'_> {
     ) -> Result<Vec<(Weight, CodeKey)>> {
         let (ctx, _) = Self::context_of(candidates)?;
         self.encoded
-            .leaf_band_in(&ctx, original_vars, roots, wanted)
+            .leaf_band_in(&ctx, original_vars, roots, None, wanted)
     }
 
     fn answer_from_key(&self, original_vars: &[Variable], key: &CodeKey) -> Assignment {

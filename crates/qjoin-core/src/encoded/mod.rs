@@ -4,43 +4,49 @@
 //! This module wires the encoded substrate into the quantile driver:
 //!
 //! * `weights` precomputes per-code weight tables for the ranking;
-//! * `trim` rebuilds the Section 5 trimmings as view rewrites (selection vectors,
-//!   tagged segments, packed dyadic-interval columns); the SUM constructions take
-//!   the whole `(low, high)` window of a partition step in one rewrite;
+//! * `search` serves MIN, MAX and LEX without trimming: every candidate set is a
+//!   weight window of the plan instance, counted by masked passes over its one
+//!   context and pivoted at the window's middle candidate weight (its own backend);
+//! * `trim` rebuilds the SUM trimmings of Section 5 as view rewrites (selection
+//!   vectors, packed dyadic-interval columns), each the whole `(low, high)` window
+//!   of a partition step in one rewrite;
 //! * `pivot` runs Algorithm 2 over flat code rows, and keeps its arenas for the
 //!   pivot of any set of root rows;
 //! * `lossy` builds Algorithm 4's construction once per ε-lossy solve and serves
 //!   every trim of it as a selection of its root rows (its own backend);
-//! * this file provides the solve-backend implementation — including the two passes
-//!   of the leaf (`crate::leaf`): a masked walk that copies only the weighted codes
-//!   and keeps `(weight, root row)`, then a walk of the few root rows holding a tie
-//!   that builds `CodeKey`s — plus the entry points
+//! * this file provides the SUM solve backend — including the two passes of the
+//!   leaf (`crate::leaf`) every backend walks with: a walk that copies only the
+//!   weighted codes and keeps `(weight, root row)`, then a walk of the few root rows
+//!   holding a tie that builds `CodeKey`s — plus the entry points
 //!   [`exact_quantile_batch_encoded_traced`] and
 //!   [`approximate_sum_quantile_batch_encoded_traced`].
 //!
-//! Its answers are pointwise identical to the row reference backend's
+//! Exact SUM answers are pointwise identical to the row reference backend's
 //! ([`crate::quantile`]) — same pivots, same partition counts, same final answer —
-//! which the cross-crate equivalence suite asserts over random instances, all
-//! ranking families, and boundary φ values. An instance or construction past the
+//! and MIN/MAX/LEX ones equal in weight, rank and (with no round) answer, which the
+//! cross-crate equivalence suite asserts over random instances, all ranking
+//! families, and boundary φ values. An instance or construction past the
 //! representation's fixed-width limits (more rows than `u32` indexes, more dyadic
 //! join groups than the packed interval code holds) is refused with
 //! [`CoreError::TooLarge`](crate::CoreError::TooLarge).
 
 pub(crate) mod lossy;
 pub(crate) mod pivot;
+pub(crate) mod search;
 pub(crate) mod trim;
 pub(crate) mod weights;
 
+use crate::batch::quantile_batch_backend;
 use crate::leaf::locator;
 use crate::pivot::PivotResult;
 use crate::quantile::{positions_in, PivotingOptions, QuantileResult, SolveBackend};
 use crate::Result;
 use lossy::{Candidates, LossyBackend};
-use qjoin_exec::encoded::{self as exec_encoded};
+use qjoin_exec::encoded::{self as exec_encoded, EncodedCounts};
 use qjoin_exec::EncodedContext;
 use qjoin_query::{Assignment, EncodedInstance, Variable};
-use qjoin_ranking::{CmpOp, Ranking, Weight, WeightBound};
-use trim::ExactStrategy;
+use qjoin_ranking::{AggregateKind, CmpOp, Ranking, Weight, WeightBound};
+use search::SearchBackend;
 use weights::{CodeWeights, WeightFold};
 
 /// How many projected codes a [`CodeKey`] stores without a heap allocation.
@@ -109,39 +115,42 @@ impl Ord for CodeKey {
     }
 }
 
-/// The encoded solve backend: counts, pivots, trims, and walks leaves over an
-/// [`EncodedInstance`], decoding only at the answer boundary. The ε-lossy solve's
-/// backend ([`lossy::LossyBackend`]) wraps it for the instance it starts from and
-/// for its leaf walks.
+/// The exact SUM solve backend: counts, pivots, trims, and walks leaves over an
+/// [`EncodedInstance`], decoding only at the answer boundary. The ε-lossy and the
+/// MIN/MAX/LEX backends ([`lossy::LossyBackend`], [`SearchBackend`]) wrap it for
+/// their leaf walks (and the ε one for the instance it starts from).
 pub(crate) struct EncodedBackend<'a> {
     ranking: &'a Ranking,
-    strategy: ExactStrategy,
     weights: CodeWeights,
     dictionary: std::sync::Arc<qjoin_data::Dictionary>,
+    /// Whether the SUM trims can order the instance's sums, checked by the first
+    /// trim (a solve that only walks its leaf orders them by `total_cmp`).
+    finite: std::sync::OnceLock<Result<()>>,
 }
 
 impl<'a> EncodedBackend<'a> {
-    /// Builds the backend for one solve: derives the strategy from the ranking kind
-    /// and precomputes the per-code weight tables.
+    /// Builds the backend for one solve: precomputes the per-code weight tables.
     pub(crate) fn new(instance: &EncodedInstance, ranking: &'a Ranking) -> EncodedBackend<'a> {
         EncodedBackend {
             ranking,
-            strategy: ExactStrategy::for_ranking(ranking),
             weights: CodeWeights::build(instance.dictionary(), ranking),
             dictionary: std::sync::Arc::clone(instance.dictionary()),
+            finite: std::sync::OnceLock::new(),
         }
     }
 
     /// One leaf walk of `ctx`: `per_answer(out, root row, weight, codes)` for every
     /// answer under the root rows `only` lists (under all of them when `None`), in
-    /// root-row chunks over the executor pool. The chunks concatenate in canonical
-    /// order, so the result is the sequence a sequential walk produces at any thread
-    /// count. `weights_only` walks with just the weighted slots of `codes` filled.
+    /// root-row chunks over the executor pool, and only the answers of a mask when
+    /// handed its `counts`. The chunks concatenate in canonical order, so the result
+    /// is the sequence a sequential walk produces at any thread count.
+    /// `weights_only` walks with just the weighted slots of `codes` filled.
     fn leaf_walk<T: Send>(
         &self,
         ctx: &EncodedContext,
         weights_only: bool,
         only: Option<&[u32]>,
+        counts: Option<&EncodedCounts>,
         per_answer: impl Fn(&mut Vec<T>, u32, Weight, &[u64]) + Sync,
     ) -> Result<Vec<T>> {
         let schema = ctx.query().variables();
@@ -159,6 +168,7 @@ impl<'a> EncodedBackend<'a> {
             ctx,
             needed.as_deref(),
             only,
+            counts,
             chunk,
             Vec::new,
             per_answer,
@@ -169,14 +179,16 @@ impl<'a> EncodedBackend<'a> {
     }
 
     /// Pass 1 of the leaf over the answers under `only` (every root row when
-    /// `None`): the walk copies only the codes the ranking weighs, and nothing is
-    /// decoded or keyed. Each answer's locator is its root row of `ctx`.
+    /// `None`) that `counts` leaves: the walk copies only the codes the ranking
+    /// weighs, and nothing is decoded or keyed. Each answer's locator is its root
+    /// row of `ctx`.
     fn leaf_weights_in(
         &self,
         ctx: &EncodedContext,
         only: Option<&[u32]>,
+        counts: Option<&EncodedCounts>,
     ) -> Result<Vec<(Weight, u32)>> {
-        self.leaf_walk(ctx, true, only, |out, root, weight, _| {
+        self.leaf_walk(ctx, true, only, counts, |out, root, weight, _| {
             out.push((weight, root))
         })
     }
@@ -190,10 +202,11 @@ impl<'a> EncodedBackend<'a> {
         ctx: &EncodedContext,
         original_vars: &[Variable],
         roots: &[u32],
+        counts: Option<&EncodedCounts>,
         wanted: &(dyn Fn(&Weight) -> bool + Sync),
     ) -> Result<Vec<(Weight, CodeKey)>> {
         let projected = positions_in(&ctx.query().variables(), original_vars)?;
-        self.leaf_walk(ctx, false, Some(roots), |out, _, weight, codes| {
+        self.leaf_walk(ctx, false, Some(roots), counts, |out, _, weight, codes| {
             if wanted(&weight) {
                 let key = projected.iter().map(|&p| codes[p]);
                 out.push((weight, CodeKey::from_iter_of_len(projected.len(), key)));
@@ -223,8 +236,8 @@ impl SolveBackend for EncodedBackend<'_> {
         instance: &EncodedInstance,
         predicate: &qjoin_ranking::RankPredicate,
     ) -> Result<EncodedInstance> {
-        let (ranking, weights) = (self.ranking, &self.weights);
-        trim::exact_trim_encoded(instance, ranking, predicate, self.strategy, weights)
+        let (low, high) = crate::trim::sum::window_of(predicate);
+        trim::sum_trim_encoded(instance, self.ranking, &low, &high, &self.weights)
     }
 
     fn trim_between(
@@ -232,24 +245,18 @@ impl SolveBackend for EncodedBackend<'_> {
         instance: &EncodedInstance,
         low: &WeightBound,
         high: &WeightBound,
-        first: CmpOp,
+        _: CmpOp,
     ) -> Result<EncodedInstance> {
-        trim::exact_trim_between_encoded(
-            instance,
-            self.ranking,
-            low,
-            high,
-            first,
-            self.strategy,
-            &self.weights,
-        )
+        let finite = || weights::refuse_non_finite(instance, self.ranking, &self.weights);
+        self.finite.get_or_init(finite).clone()?;
+        trim::sum_trim_encoded(instance, self.ranking, low, high, &self.weights)
     }
 
     type Key = CodeKey;
 
     fn leaf_weights(&self, instance: &EncodedInstance) -> Result<Vec<(Weight, u32)>> {
         let ctx = exec_encoded::shared_context(instance)?;
-        self.leaf_weights_in(&ctx, None)
+        self.leaf_weights_in(&ctx, None, None)
     }
 
     fn leaf_band(
@@ -260,7 +267,7 @@ impl SolveBackend for EncodedBackend<'_> {
         wanted: &(dyn Fn(&Weight) -> bool + Sync),
     ) -> Result<Vec<(Weight, CodeKey)>> {
         let ctx = exec_encoded::shared_context(instance)?;
-        self.leaf_band_in(&ctx, original_vars, roots, wanted)
+        self.leaf_band_in(&ctx, original_vars, roots, None, wanted)
     }
 
     fn answer_from_key(&self, original_vars: &[Variable], key: &CodeKey) -> Assignment {
@@ -288,10 +295,14 @@ fn decode_answer_key(
 /// [`Accuracy::Exact`](crate::plan::Accuracy::Exact) route of
 /// [`Plan::solve`](crate::plan::Plan::solve), public only for `perfbench/`.
 ///
-/// Results are pointwise identical to
+/// SUM results are pointwise identical to
 /// [`quantile_batch_by_pivoting`](crate::batch::quantile_batch_by_pivoting) with the
-/// corresponding exact trimmer. A construction past the representation's
-/// fixed-width limits is refused with [`CoreError::TooLarge`](crate::CoreError::TooLarge).
+/// adjacent-pair trimmer. MIN/MAX/LEX ones search the weight domain instead
+/// (the `search` module): the same weight and rank as the trimmers', and a tied answer that may
+/// differ once a round has run. A construction past the representation's fixed-width
+/// limits is refused with [`CoreError::TooLarge`](crate::CoreError::TooLarge), a SUM
+/// that trims over a non-finite weight with
+/// [`CoreError::UnsupportedRanking`](crate::CoreError::UnsupportedRanking).
 pub fn exact_quantile_batch_encoded_traced(
     instance: &EncodedInstance,
     ranking: &Ranking,
@@ -299,9 +310,14 @@ pub fn exact_quantile_batch_encoded_traced(
     options: &PivotingOptions,
     tracer: &dyn crate::trace::SolveTracer,
 ) -> Result<Vec<QuantileResult>> {
+    let vars = instance.query().variables();
+    if ranking.kind() != AggregateKind::Sum {
+        let backend = SearchBackend::new(instance, ranking)?;
+        let everything = backend.everything();
+        return quantile_batch_backend(&backend, &everything, phis, options, &vars, tracer);
+    }
     let backend = EncodedBackend::new(instance, ranking);
-    let original_vars = instance.query().variables();
-    crate::batch::quantile_batch_backend(&backend, instance, phis, options, &original_vars, tracer)
+    quantile_batch_backend(&backend, instance, phis, options, &vars, tracer)
 }
 
 /// Computes ε-approximate SUM `φ`-quantiles over an encoded instance: the same
@@ -324,5 +340,5 @@ pub fn approximate_sum_quantile_batch_encoded_traced(
     let backend = LossyBackend::new(instance, ranking, per_trim_epsilon);
     let source = Candidates::Source(instance.clone());
     let original_vars = instance.query().variables();
-    crate::batch::quantile_batch_backend(&backend, &source, phis, options, &original_vars, tracer)
+    quantile_batch_backend(&backend, &source, phis, options, &original_vars, tracer)
 }

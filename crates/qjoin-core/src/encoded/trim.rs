@@ -1,15 +1,10 @@
-//! Encoded trimming: the Section 5 constructions producing selection-vector views.
+//! Encoded SUM trimming: the Section 5 constructions producing selection-vector views.
 //!
-//! Each trimmer here is the encoded twin of a row trimmer in [`crate::trim`]: it
-//! reduces the predicate with the *same* shared partition plan (or the same adjacent
-//! cover for SUM), then rewrites the encoded instance by building views instead of
-//! materialized relations:
+//! Each trimmer here is the encoded twin of the row [`AdjacentSumTrimmer`]: it finds
+//! the *same* adjacent cover, then rewrites the encoded instance by building views
+//! instead of materialized relations:
 //!
-//! * a unary filter becomes a **selection vector** over the shared base columns;
-//! * the partition union becomes **tagged segments per partition** holding the
-//!   input context's rows that survive in the union (the tag is a constant
-//!   synthesized column — no tuple is extended, let alone copied), and its context
-//!   is derived from the input's, not built;
+//! * a single-atom filter becomes a **selection vector** over the shared base columns;
 //! * the dyadic SUM construction becomes a selection vector **with repeats** plus a
 //!   per-row synthesized column of packed `(group, level, index)` interval codes,
 //!   bit-packed so that code order equals the row path's composite-value order. It
@@ -17,174 +12,28 @@
 //!   one construction over the original relations — never a second one stacked on
 //!   the first one's log-expanded output.
 //!
-//! Because both paths share the partition plans and the cover search, they partition
-//! the answer set identically; the equivalence suite asserts the resulting quantile
-//! answers are pointwise equal.
+//! Because both paths share the cover search, they partition the answer set
+//! identically; the equivalence suite asserts the resulting quantile answers are
+//! pointwise equal. (MIN, MAX and LEX trim nothing on the encoded path: see
+//! [`super::search`].)
+//!
+//! [`AdjacentSumTrimmer`]: crate::trim::AdjacentSumTrimmer
 
 use super::weights::CodeWeights;
 use crate::dichotomy::find_adjacent_cover;
-use crate::trim::lex::lex_partition_plan;
-use crate::trim::minmax::minmax_partition_plan;
-use crate::trim::sum::{
-    dyadic_cover, intractable_sum_error, levels_for, window_of, SumRange, SumWindow,
-};
-use crate::trim::{two_pass_trim, TrimPlan, UnaryConjunction, UnaryWeightPred};
+use crate::trim::sum::{dyadic_cover, intractable_sum_error, levels_for, SumRange, SumWindow};
 use crate::{CoreError, Result};
 use qjoin_data::{EncodedRelation, Segment, SynthCol};
-use qjoin_exec::encoded::{shared_context, KeyMap};
+use qjoin_exec::encoded::KeyMap;
 use qjoin_exec::Key;
-use qjoin_query::{Atom, EncodedInstance, Variable};
-use qjoin_ranking::{CmpOp, RankPredicate, Ranking, SumTupleWeights, WeightBound};
+use qjoin_query::{EncodedInstance, Variable};
+use qjoin_ranking::{Ranking, SumTupleWeights, WeightBound};
 use std::sync::Arc;
-
-/// The exact trimming family a prepared encoded solve uses (the encoded analogue of
-/// selecting a concrete [`Trimmer`](crate::trim::Trimmer) implementation).
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub(crate) enum ExactStrategy {
-    /// MIN/MAX partition-union trimming (Theorem 5.3).
-    MinMax,
-    /// LEX partition-union trimming (Section 5.2).
-    Lex,
-    /// Tractable partial-SUM trimming (single atom or adjacent pair, Theorem 5.6).
-    Sum,
-}
-
-impl ExactStrategy {
-    /// The strategy serving a ranking kind (SUM tractability is re-checked per trim
-    /// call against the current rewritten query, exactly like the row trimmer).
-    pub(crate) fn for_ranking(ranking: &Ranking) -> ExactStrategy {
-        match ranking.kind() {
-            qjoin_ranking::AggregateKind::Min | qjoin_ranking::AggregateKind::Max => {
-                ExactStrategy::MinMax
-            }
-            qjoin_ranking::AggregateKind::Lex => ExactStrategy::Lex,
-            qjoin_ranking::AggregateKind::Sum => ExactStrategy::Sum,
-        }
-    }
-}
-
-/// Trims an encoded instance by the given predicate, producing a new encoded
-/// instance whose answers are exactly the original answers satisfying it.
-pub(crate) fn exact_trim_encoded(
-    instance: &EncodedInstance,
-    ranking: &Ranking,
-    predicate: &RankPredicate,
-    strategy: ExactStrategy,
-    weights: &CodeWeights,
-) -> Result<EncodedInstance> {
-    if predicate.is_trivial() {
-        return Ok(instance.clone());
-    }
-    if predicate.is_unsatisfiable() {
-        return Ok(instance.empty_copy());
-    }
-    match strategy {
-        ExactStrategy::MinMax => match minmax_partition_plan(ranking, predicate)? {
-            TrimPlan::KeepAll => Ok(instance.clone()),
-            TrimPlan::DropAll => Ok(instance.empty_copy()),
-            TrimPlan::Partitions(partitions) => {
-                partition_union_trim_encoded(instance, weights, &partitions)
-            }
-        },
-        ExactStrategy::Lex => match lex_partition_plan(ranking, predicate)? {
-            TrimPlan::KeepAll => Ok(instance.clone()),
-            TrimPlan::DropAll => Ok(instance.empty_copy()),
-            TrimPlan::Partitions(partitions) => {
-                partition_union_trim_encoded(instance, weights, &partitions)
-            }
-        },
-        ExactStrategy::Sum => {
-            let (low, high) = window_of(predicate);
-            sum_trim_encoded(instance, ranking, &low, &high, weights)
-        }
-    }
-}
-
-/// Trims an encoded instance to the open weight window `(low, high)`: SUM runs its
-/// one range construction; the partition-union strategies stack two
-/// [`exact_trim_encoded`] calls through the shared [`two_pass_trim`].
-pub(crate) fn exact_trim_between_encoded(
-    instance: &EncodedInstance,
-    ranking: &Ranking,
-    low: &WeightBound,
-    high: &WeightBound,
-    first: CmpOp,
-    strategy: ExactStrategy,
-    weights: &CodeWeights,
-) -> Result<EncodedInstance> {
-    if strategy == ExactStrategy::Sum {
-        return sum_trim_encoded(instance, ranking, low, high, weights);
-    }
-    two_pass_trim(instance, low, high, first, |instance, predicate| {
-        exact_trim_encoded(instance, ranking, predicate, strategy, weights)
-    })
-}
-
-/// The unary predicates of a conjunction that mention variables of `atom`, resolved
-/// to the variable's first position (mirrors the row path's `filtered_database`)
-/// and its per-code weight table.
-fn relevant_predicates<'w>(
-    atom: &Atom,
-    conjunction: &UnaryConjunction,
-    weights: &'w CodeWeights,
-) -> Vec<(usize, UnaryWeightPred, &'w [f64])> {
-    conjunction
-        .iter()
-        .filter(|(var, _)| atom.contains(var))
-        .map(|(var, pred)| (atom.positions_of(var)[0], *pred, weights.table(var)))
-        .collect()
-}
-
-/// The encoded partition-union construction (Algorithm 3's skeleton): per
-/// partition a copy of the input filtered by the partition's unary predicates,
-/// tagged with its index when there are several. The copies hold only the input
-/// context's rows that survive in the union, and the union's context is derived
-/// from the input's
-/// ([`EncodedContext::partition_union`](qjoin_exec::EncodedContext::partition_union)),
-/// so no join key is hashed. The answers are
-/// [`crate::trim::partition_union_trim`]'s.
-fn partition_union_trim_encoded(
-    instance: &EncodedInstance,
-    weights: &CodeWeights,
-    partitions: &[UnaryConjunction],
-) -> Result<EncodedInstance> {
-    if partitions.is_empty() {
-        return Ok(instance.empty_copy());
-    }
-    let ctx = shared_context(instance)?;
-    // Self-joins are renamed apart so that a filter reaches one atom; renaming
-    // changes no view, variable or tree, so the input's own context serves.
-    let mut query = instance.eliminate_self_joins()?.query().clone();
-    if partitions.len() > 1 {
-        let partition_var = Variable::fresh("x_p", query.variable_set().iter());
-        query = query.with_variable_everywhere(&partition_var);
-    }
-    let relevant: Vec<Vec<Vec<_>>> = (ctx.nodes().iter())
-        .map(|node| {
-            let atom = instance.query().atom(node.atom_index);
-            (partitions.iter())
-                .map(|conjunction| relevant_predicates(atom, conjunction, weights))
-                .collect()
-        })
-        .collect();
-    let filter = |node: usize, part: usize| {
-        let relevant = &relevant[node][part];
-        let node = ctx.node(node);
-        let (rows, view) = (&node.rows, instance.relation_of_atom(node.atom_index));
-        (!relevant.is_empty()).then_some(move |i: usize| {
-            let (segment, row) = rows[i];
-            (relevant.iter()).all(|(pos, pred, table)| {
-                pred.holds(table[view.code(segment as usize, row as usize, *pos) as usize])
-            })
-        })
-    };
-    Ok(ctx.partition_union(instance, query, partitions.len(), filter)?)
-}
 
 /// Encoded partial-SUM trimming to the open window `(low, high)`: single-atom filter
 /// or the dyadic adjacent-pair construction, selected per call by the same cover
 /// search as the row trimmer.
-fn sum_trim_encoded(
+pub(crate) fn sum_trim_encoded(
     instance: &EncodedInstance,
     ranking: &Ranking,
     low: &WeightBound,
@@ -561,16 +410,12 @@ pub(super) mod tests {
     use super::*;
     use crate::encoded::EncodedBackend;
     use crate::quantile::{materialized_keyed_answers, RowBackend, SolveBackend};
-    use crate::trim::{AdjacentSumTrimmer, Trimmer};
-    use qjoin_data::{Database, Dictionary, EncodedDatabase, Relation, Value};
-    use qjoin_exec::encoded::{count_answers, count_answers_ctx, for_each_answer_codes};
-    use qjoin_exec::{EncodedContext, EncodedDirectAccess};
-    use qjoin_query::acyclicity::gyo_join_tree;
+    use crate::trim::{two_pass_trim, AdjacentSumTrimmer, Trimmer};
+    use qjoin_data::{Database, Relation, Value};
     use qjoin_query::variable::vars;
-    use qjoin_query::{Assignment, Instance, JoinQuery};
-    use qjoin_ranking::{AggregateKind, Weight};
+    use qjoin_query::{Atom, Instance, JoinQuery};
+    use qjoin_ranking::{CmpOp, Weight};
     use qjoin_workload::path::PathConfig;
-    use qjoin_workload::random_acyclic::random_acyclic_instance;
     use qjoin_workload::social::SocialConfig;
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
@@ -862,277 +707,5 @@ pub(super) mod tests {
         assert!(top < u64::MAX);
         assert_eq!(top >> INTERVAL_GID_SHIFT, INTERVAL_MAX_GID);
         assert_eq!(top & 0xffff_ffff, (limit - 1) as u64);
-    }
-
-    /// Algorithm 3 over the input's whole views: per partition a filtered copy of
-    /// every view, tagged when there are several, keeping the rows the input's
-    /// reducer dropped as dangling. The reference a derived union is held to.
-    fn full_union(
-        instance: &EncodedInstance,
-        weights: &CodeWeights,
-        partitions: &[UnaryConjunction],
-    ) -> EncodedInstance {
-        let instance = instance.eliminate_self_joins().unwrap();
-        let tagged = partitions.len() > 1;
-        let mut query = instance.query().clone();
-        if tagged {
-            let tag = Variable::fresh("x_p", query.variable_set().iter());
-            query = query.with_variable_everywhere(&tag);
-        }
-        let views: Vec<EncodedRelation> = (instance.query().atoms().iter().enumerate())
-            .map(|(atom_idx, atom)| {
-                let rel = instance.relation_of_atom(atom_idx);
-                let mut segments = Vec::new();
-                for (part, conjunction) in partitions.iter().enumerate() {
-                    let relevant = relevant_predicates(atom, conjunction, weights);
-                    let filtered = rel.filtered(|seg, row| {
-                        (relevant.iter()).all(|(pos, pred, table)| {
-                            pred.holds(table[rel.code(seg, row, *pos) as usize])
-                        })
-                    });
-                    for mut segment in filtered.segments().iter().cloned() {
-                        if tagged {
-                            segment.synth.push(SynthCol::Const(part as u64));
-                        }
-                        segments.push(segment);
-                    }
-                }
-                let synth_arity = rel.synth_arity() + usize::from(tagged);
-                let base = Arc::clone(rel.base());
-                EncodedRelation::from_segments(rel.name(), base, synth_arity, segments).unwrap()
-            })
-            .collect();
-        instance.with_rewritten(query, views).unwrap()
-    }
-
-    /// A dictionary decoding code `c` to `Int(c)` for every `c < len`, so direct
-    /// access also decodes partition tags.
-    fn identity_dictionary(len: usize) -> Arc<Dictionary> {
-        let mut column = Relation::new("I", 1);
-        for code in 0..len as i64 {
-            column.push(vec![Value::from(code)]).unwrap();
-        }
-        let db = Database::from_relations([column]).unwrap();
-        Arc::clone(EncodedDatabase::encode(&db).unwrap().dictionary())
-    }
-
-    /// What a solve reads of a context, against a reference context: every node's
-    /// surviving rows in order (every column's codes, tags included), the group
-    /// each parent row joins, the count, the enumeration and `answer_at` at every
-    /// index.
-    fn assert_contexts_agree(derived: &EncodedContext, reference: &EncodedContext, context: &str) {
-        assert_eq!(derived.tree(), reference.tree(), "{context}: join tree");
-        let rows_of = |ctx: &EncodedContext, id: usize| -> Vec<Vec<u64>> {
-            let arity = ctx.query().atom(ctx.node(id).atom_index).arity();
-            let row =
-                |i: usize| -> Vec<u64> { (0..arity).map(|col| ctx.code(id, i, col)).collect() };
-            (0..ctx.node(id).rows.len()).map(row).collect()
-        };
-        let mut codes = 1;
-        for id in 0..derived.nodes().len() {
-            let rows = rows_of(derived, id);
-            assert_eq!(
-                rows,
-                rows_of(reference, id),
-                "{context}: survivors of node {id}"
-            );
-            codes = rows
-                .iter()
-                .flatten()
-                .fold(codes, |n, &code| n.max(code as usize + 1));
-            let Some(parent) = derived.tree().node(id).parent else {
-                continue;
-            };
-            for i in 0..derived.node(parent).rows.len() {
-                assert_eq!(
-                    derived.group(id, derived.link(id, i)),
-                    reference.group(id, reference.link(id, i)),
-                    "{context}: node {id}, parent row {i}"
-                );
-            }
-        }
-        let count = count_answers_ctx(derived);
-        assert_eq!(count, count_answers_ctx(reference), "{context}: count");
-        let walk = |ctx: &EncodedContext| {
-            let mut answers: Vec<Vec<u64>> = Vec::new();
-            for_each_answer_codes(ctx, |codes| answers.push(codes.to_vec()));
-            answers
-        };
-        assert_eq!(walk(derived), walk(reference), "{context}: enumeration");
-        let dictionary = identity_dictionary(codes);
-        let access = |ctx: &EncodedContext| {
-            EncodedDirectAccess::from_context(ctx.clone(), Arc::clone(&dictionary))
-        };
-        let (derived, reference) = (access(derived), access(reference));
-        for i in 0..count {
-            assert_eq!(
-                derived.answer_at(i).unwrap(),
-                reference.answer_at(i).unwrap(),
-                "{context}: answer_at({i})"
-            );
-        }
-    }
-
-    /// One union pass, held to two fresh builds: the context the union parks equals
-    /// `EncodedContext::build` of the union itself and of the full union (which
-    /// keeps the rows its input dropped as dangling), and the tagged query's GYO
-    /// tree is the input's. Returns the union and the full union, the next pass's
-    /// inputs.
-    fn assert_union_derives(
-        input: &EncodedInstance,
-        full_input: &EncodedInstance,
-        weights: &CodeWeights,
-        partitions: &[UnaryConjunction],
-        context: &str,
-    ) -> (EncodedInstance, EncodedInstance) {
-        let union = partition_union_trim_encoded(input, weights, partitions).unwrap();
-        let full = full_union(full_input, weights, partitions);
-        assert_eq!(union.query(), full.query(), "{context}: union query");
-        let input_tree = shared_context(input).unwrap().tree().clone();
-        assert_eq!(
-            gyo_join_tree(union.query()),
-            Some(input_tree),
-            "{context}: GYO tree"
-        );
-        let derived = union.exec_memo().get::<EncodedContext>();
-        let derived = derived.expect("a union parks its context");
-        let own = EncodedContext::build(&union).unwrap();
-        assert_contexts_agree(&derived, &own, &format!("{context}, against its own build"));
-        let reference = EncodedContext::build(&full).unwrap();
-        assert_contexts_agree(
-            &derived,
-            &reference,
-            &format!("{context}, against the full union"),
-        );
-        (union, full)
-    }
-
-    /// A partition-union trim derives its context from its input's, and that
-    /// context is what `EncodedContext::build` computes — for the union and for the
-    /// full union over the input's whole views — in survivors, groups, count,
-    /// enumeration and `answer_at`, after each pass of a window trim in either
-    /// order, at one and four threads. Inputs: 300 random acyclic instances
-    /// (self-joins, repeated variables, empty joins) under random MIN, MAX and LEX
-    /// rankings of random variable subsets, and a `path3_lex`-shaped 3-path under
-    /// LEX(x1, x4); window bounds at and between answer weights reach one-partition
-    /// plans, tagged unions and parts that keep nothing. Fails if a child's group
-    /// ignores the tag, if the top-down pass is skipped, or if input rows are
-    /// walked in gid order.
-    #[test]
-    fn union_trims_derive_what_a_fresh_build_computes() {
-        let mut rng = StdRng::seed_from_u64(0xde71);
-        let mut cases: Vec<(Instance, Vec<Ranking>)> = Vec::new();
-        for _ in 0..300 {
-            let instance = random_acyclic_instance(&mut rng);
-            let variables = instance.query().variables();
-            let mut rankings = Vec::new();
-            for kind in [AggregateKind::Min, AggregateKind::Max, AggregateKind::Lex] {
-                let mut ranked: Vec<Variable> = Vec::new();
-                for variable in &variables {
-                    if rng.random_bool(0.5) {
-                        ranked.push(variable.clone());
-                    }
-                }
-                if ranked.is_empty() {
-                    ranked.push(variables[rng.random_range(0..variables.len())].clone());
-                }
-                if rng.random_bool(0.5) {
-                    ranked.reverse();
-                }
-                rankings.push(Ranking::new(kind, ranked));
-            }
-            cases.push((instance, rankings));
-        }
-        let path3 = PathConfig {
-            atoms: 3,
-            tuples_per_relation: 60,
-            join_domain: 6,
-            weight_range: 1_000_000,
-            skew: 0.2,
-            seed: 2023,
-        };
-        cases.push((path3.generate(), vec![Ranking::lex(vars(&["x1", "x4"]))]));
-
-        let pools = [qjoin_par::Pool::new(1), qjoin_par::Pool::new(4)];
-        let (mut one_part, mut tagged, mut emptied, mut part_emptied, mut self_joins) =
-            (0, 0, 0, 0, 0);
-        for (case, (instance, rankings)) in cases.iter().enumerate() {
-            let encoded = EncodedInstance::from_instance(instance).unwrap();
-            for ranking in rankings {
-                let answers =
-                    (EncodedBackend::new(&encoded, ranking).leaf_weights(&encoded)).unwrap();
-                let mut bound = || {
-                    let weight = if answers.is_empty() || rng.random_bool(0.3) {
-                        let values = (ranking.weighted_vars().iter())
-                            .map(|v| (v.clone(), Value::from(rng.random_range(0..3i64))));
-                        ranking.weight_of(&Assignment::from_pairs(values))
-                    } else {
-                        answers[rng.random_range(0..answers.len())].0.clone()
-                    };
-                    WeightBound::Finite(weight)
-                };
-                let (low, high) = (bound(), bound());
-                let weights = CodeWeights::build(encoded.dictionary(), ranking);
-                let below = RankPredicate::less_than(high.clone());
-                let above = RankPredicate::greater_than(low.clone());
-                let order = if rng.random_bool(0.5) {
-                    [&below, &above]
-                } else {
-                    [&above, &below]
-                };
-                for pool in &pools {
-                    let threads = pool.threads();
-                    let context = format!("case {case} {ranking} in ({low}, {high}) T={threads}");
-                    qjoin_par::with_pool(pool, || {
-                        let (mut input, mut full) = (encoded.clone(), encoded.clone());
-                        for (pass, predicate) in order.into_iter().enumerate() {
-                            let plan = match ranking.kind() {
-                                AggregateKind::Lex => lex_partition_plan(ranking, predicate),
-                                _ => minmax_partition_plan(ranking, predicate),
-                            };
-                            let Ok(TrimPlan::Partitions(partitions)) = plan else {
-                                break;
-                            };
-                            if predicate.is_trivial() || partitions.is_empty() {
-                                break;
-                            }
-                            let had_answers = count_answers(&input).unwrap() > 0;
-                            let context = format!("{context} pass {pass}: {}", instance.query());
-                            (input, full) = assert_union_derives(
-                                &input,
-                                &full,
-                                &weights,
-                                &partitions,
-                                &context,
-                            );
-                            one_part += usize::from(partitions.len() == 1);
-                            tagged += usize::from(partitions.len() > 1);
-                            emptied +=
-                                usize::from(had_answers && count_answers(&input).unwrap() == 0);
-                            self_joins += usize::from(instance.query().has_self_joins());
-                            if partitions.len() > 1 {
-                                // Some but not all parts keep answers: the tags on
-                                // the root's survivors.
-                                let ctx = shared_context(&input).unwrap();
-                                let root = ctx.root();
-                                let tag = ctx.query().atom(ctx.node(root).atom_index).arity() - 1;
-                                let live: std::collections::BTreeSet<u64> =
-                                    (0..ctx.node(root).rows.len())
-                                        .map(|i| ctx.code(root, i, tag))
-                                        .collect();
-                                part_emptied +=
-                                    usize::from((1..partitions.len()).contains(&live.len()));
-                            }
-                        }
-                    });
-                }
-            }
-        }
-        // The suite reaches the shapes it is for.
-        let reached = [one_part, tagged, emptied, part_emptied, self_joins];
-        assert!(
-            reached.iter().all(|&n| n > 20),
-            "one-part, tagged, emptied, a part emptied, self-join: {reached:?}"
-        );
     }
 }

@@ -8,8 +8,9 @@
 //! pivots and partition counts pointwise equal.
 
 use qjoin_data::Dictionary;
-use qjoin_query::Variable;
+use qjoin_query::{EncodedInstance, Variable};
 use qjoin_ranking::{AggregateKind, Ranking, Weight};
+use std::cmp::Ordering::{self, Greater, Less};
 use std::collections::HashMap;
 
 /// Precomputed `code → weight` tables for every weighted variable of a ranking.
@@ -126,8 +127,12 @@ impl<'a> WeightFold<'a> {
             .map(|&(pos, component, table)| (component, table[codes[pos] as usize]));
         match self.kind {
             AggregateKind::Sum => out[0] = bound.fold(0.0, |acc, (_, w)| acc + w),
-            AggregateKind::Min => out[0] = bound.fold(f64::INFINITY, |acc, (_, w)| acc.min(w)),
-            AggregateKind::Max => out[0] = bound.fold(f64::NEG_INFINITY, |acc, (_, w)| acc.max(w)),
+            AggregateKind::Min => {
+                out[0] = bound.fold(f64::INFINITY, |acc, (_, w)| past(acc, w, Less))
+            }
+            AggregateKind::Max => {
+                out[0] = bound.fold(f64::NEG_INFINITY, |acc, (_, w)| past(acc, w, Greater))
+            }
             AggregateKind::Lex => {
                 out.fill(0.0);
                 for (component, w) in bound {
@@ -149,6 +154,43 @@ impl<'a> WeightFold<'a> {
         self.write_weight(codes, &mut flat);
         Weight::Vec(flat)
     }
+}
+
+/// `w` if it orders `past` `acc` under [`f64::total_cmp`], else `acc`: the MIN
+/// (`Less`) or MAX (`Greater`) of two weights as [`Ranking::combine`] takes it, so a
+/// NaN weight has its `total_cmp` place instead of being skipped.
+#[inline]
+fn past(acc: f64, w: f64, past: Ordering) -> f64 {
+    if w.total_cmp(&acc) == past {
+        w
+    } else {
+        acc
+    }
+}
+
+/// Refuses a SUM ranking whose weight of some value a weighted variable takes on a
+/// surviving row is NaN or infinite, before anything trims by it: the SUM trims
+/// add weights and compare sums, and `∞ − ∞` has no place in the order. Other
+/// kinds pass.
+pub(crate) fn refuse_non_finite(
+    instance: &EncodedInstance,
+    ranking: &Ranking,
+    weights: &CodeWeights,
+) -> crate::Result<()> {
+    let ctx = qjoin_exec::encoded::shared_context(instance)?;
+    let sum = ranking.kind() == AggregateKind::Sum;
+    for node in ctx.nodes().iter().filter(|_| sum) {
+        let atom = ctx.query().atom(node.atom_index);
+        for var in ranking.weighted_vars().iter().filter(|v| atom.contains(v)) {
+            let (table, col) = (weights.table(var), atom.positions_of(var)[0]);
+            let weight = |i: usize| table[ctx.code(node.node_id, i, col) as usize];
+            if let Some(w) = (0..node.rows.len()).map(weight).find(|w| !w.is_finite()) {
+                let what = format!("SUM over the non-finite weight {w} of {var}");
+                return Err(crate::CoreError::UnsupportedRanking(what));
+            }
+        }
+    }
+    Ok(())
 }
 
 /// The order of two flat weights of one fold: component-wise [`f64::total_cmp`],

@@ -43,9 +43,10 @@ pub enum Accuracy {
 /// The trimming strategy the §5 dichotomy selects for a plan.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub enum PlanStrategy {
-    /// MIN/MAX ranking: exact pivoting with the Algorithm 3 trimmer (Theorem 5.3).
+    /// MIN/MAX ranking (Theorem 5.3): exact, by searching the candidate weights
+    /// with masked counts over the plan instance's one context — no trim.
     MinMax,
-    /// LEX ranking: exact pivoting with the §5.2 trimmer.
+    /// LEX ranking (§5.2): the same search, one weight component at a time.
     Lex,
     /// SUM with all weighted variables in one atom: exact linear-time filter trims.
     SumSingleAtom {

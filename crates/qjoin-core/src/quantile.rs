@@ -126,7 +126,8 @@ pub(crate) trait SolveBackend: Sync {
     /// window `(low, high)` — the partition primitive of the driver (see
     /// [`partition_round`]). `first` names the comparison a backend that stacks two
     /// single-bound passes applies first; one whose construction serves both
-    /// bounds at once (exact SUM, the ε-lossy construction) has no use for it.
+    /// bounds at once (exact SUM, the ε-lossy construction), or that narrows a
+    /// weight window (MIN/MAX/LEX), has no use for it.
     fn trim_between(
         &self,
         instance: &Self::Inst,

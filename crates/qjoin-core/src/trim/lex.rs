@@ -42,7 +42,7 @@ impl Trimmer for LexTrimmer {
 
 /// Reduces a non-degenerate LEX predicate to its disjoint unary partitions
 /// (one per position at which the comparison can first differ, Lemma 5.4).
-/// Shared by [`LexTrimmer`] and the encoded trim layer.
+/// The row [`LexTrimmer`]'s (the encoded path searches LEX weights instead).
 pub(crate) fn lex_partition_plan(ranking: &Ranking, predicate: &RankPredicate) -> Result<TrimPlan> {
     if ranking.kind() != AggregateKind::Lex {
         return Err(CoreError::UnsupportedRanking(format!(

@@ -48,7 +48,8 @@ impl Trimmer for MinMaxTrimmer {
 }
 
 /// Reduces a non-degenerate MIN/MAX predicate to its disjoint unary partitions
-/// (Lemma 5.2 / Figure 3). Shared by [`MinMaxTrimmer`] and the encoded trim layer.
+/// (Lemma 5.2 / Figure 3), for the row [`MinMaxTrimmer`] (the encoded path searches
+/// MIN/MAX weights instead).
 pub(crate) fn minmax_partition_plan(
     ranking: &Ranking,
     predicate: &RankPredicate,

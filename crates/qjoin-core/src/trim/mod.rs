@@ -75,8 +75,7 @@ pub trait Trimmer: Sync {
 }
 
 /// The window trim `(low, high)` as two stacked single-bound trims — the one body
-/// behind every backend without a fused construction, row or encoded, so their
-/// recursions see the same intermediate instances. `first` names the comparison
+/// behind every row trimmer without a fused construction. `first` names the comparison
 /// applied to the original instance (`≺ high` for [`CmpOp::Lt`], `≻ low` for
 /// [`CmpOp::Gt`]); the other one runs over its result. Algorithm 1 applies the pivot
 /// bound first: `≺ pivot` on the less-than side, `≻ pivot` on the greater-than side.
@@ -156,8 +155,7 @@ impl UnaryWeightPred {
 pub type UnaryConjunction = Vec<(Variable, UnaryWeightPred)>;
 
 /// The outcome of reducing a (non-degenerate) ranking predicate to unary-predicate
-/// partitions. Shared by the row trimmers and the encoded trim layer, so both paths
-/// partition answers identically by construction.
+/// partitions, for the row MIN/MAX and LEX trimmers.
 #[derive(Clone, Debug)]
 pub(crate) enum TrimPlan {
     /// The predicate holds for every answer (degenerate, e.g. MAX over no weighted

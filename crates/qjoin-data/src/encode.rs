@@ -19,8 +19,8 @@
 //! * [`EncodedRelation`] — a *view* over encoded columns: a list of [`Segment`]s,
 //!   each holding a selection vector ([`SelVec`]) into the base columns plus
 //!   synthesized columns ([`SynthCol`]) for the variables the trimming
-//!   constructions introduce (partition tags, dyadic-interval identifiers).
-//!   Filtering and partition unions produce new views over the *same* base columns —
+//!   constructions introduce (dyadic-interval and sketch-bucket identifiers).
+//!   Filters and those constructions produce new views over the *same* base columns —
 //!   no tuple is ever copied on the encoded path; values are decoded back to
 //!   [`Value`]s only at the answer boundary.
 
@@ -240,12 +240,10 @@ impl SelVec {
     }
 }
 
-/// A synthesized column of a segment: either one constant code for every row of the
-/// segment (partition tags) or one code per row (dyadic-interval identifiers).
+/// A synthesized column of a segment: one code per row (dyadic-interval or
+/// sketch-bucket identifiers).
 #[derive(Clone, Debug)]
 pub enum SynthCol {
-    /// The same code for every row of the segment.
-    Const(u64),
     /// One code per row, aligned with the segment's selection vector.
     PerRow(Arc<Vec<u64>>),
 }
@@ -254,10 +252,8 @@ impl SynthCol {
     /// The code at row `i` of the segment.
     #[inline]
     pub fn get(&self, i: usize) -> u64 {
-        match self {
-            SynthCol::Const(c) => *c,
-            SynthCol::PerRow(codes) => codes[i],
-        }
+        let SynthCol::PerRow(codes) = self;
+        codes[i]
     }
 }
 
@@ -286,9 +282,8 @@ impl Segment {
 
 /// A relation *view* on the encoded path: shared base columns plus a list of
 /// segments. This is what the trim rounds produce instead of materialized relation
-/// copies — a filter is a selection vector, a partition union is one tagged segment
-/// per partition, and the dyadic SUM construction is a selection vector with repeats
-/// plus a per-row synthesized column.
+/// copies — a filter is a selection vector, and the dyadic SUM construction is a
+/// selection vector with repeats plus a per-row synthesized column.
 #[derive(Clone, Debug)]
 pub struct EncodedRelation {
     name: String,
@@ -435,9 +430,7 @@ impl EncodedRelation {
                             }
                             rows.push(seg.sel.get(row));
                             for (k, col) in seg.synth.iter().enumerate() {
-                                if let SynthCol::PerRow(codes) = col {
-                                    synth[k].push(codes[row]);
-                                }
+                                synth[k].push(col.get(row));
                             }
                         }
                         (rows, synth)
@@ -454,16 +447,8 @@ impl EncodedRelation {
                         synth_rows[k].extend(part);
                     }
                 }
-                let synth = seg
-                    .synth
-                    .iter()
-                    .enumerate()
-                    .map(|(k, col)| match col {
-                        SynthCol::Const(c) => SynthCol::Const(*c),
-                        SynthCol::PerRow(_) => {
-                            SynthCol::PerRow(Arc::new(std::mem::take(&mut synth_rows[k])))
-                        }
-                    })
+                let synth = (synth_rows.into_iter())
+                    .map(|codes| SynthCol::PerRow(Arc::new(codes)))
                     .collect();
                 Segment {
                     sel: SelVec::Rows(Arc::new(rows)),
@@ -697,7 +682,7 @@ mod tests {
         let seg = Segment {
             sel: SelVec::Rows(Arc::new(vec![1, 0, 1])),
             synth: vec![
-                SynthCol::Const(7),
+                SynthCol::PerRow(Arc::new(vec![7, 7, 7])),
                 SynthCol::PerRow(Arc::new(vec![5, 6, 7])),
             ],
         };
@@ -717,7 +702,7 @@ mod tests {
         let base = Arc::clone(enc.relation("S").unwrap());
         let seg = Segment {
             sel: SelVec::All(2),
-            synth: vec![SynthCol::Const(0)],
+            synth: vec![SynthCol::PerRow(Arc::new(vec![0, 0]))],
         };
         assert!(EncodedRelation::from_segments("S", base, 2, vec![seg]).is_err());
     }

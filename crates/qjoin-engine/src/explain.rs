@@ -106,10 +106,12 @@ pub struct AnalyzeRound {
 fn dichotomy_sentence(strategy: &PlanStrategy) -> String {
     match strategy {
         PlanStrategy::MinMax => "MIN/MAX ranking: tractable for every acyclic query \
-             (Theorem 5.3) — exact pivoting with Algorithm 3 trims."
+             (Theorem 5.3) — exact search of the candidate weights, each round \
+             masked counts over the one context, no trims."
             .to_string(),
-        PlanStrategy::Lex => "LEX ranking: tractable for every acyclic query — exact \
-             pivoting with the §5.2 lexicographic trimmer."
+        PlanStrategy::Lex => "LEX ranking: tractable for every acyclic query (§5.2) — \
+             exact search of the candidate weights one component at a time, each \
+             round masked counts over the one context, no trims."
             .to_string(),
         PlanStrategy::SumSingleAtom { .. } => "SUM with every weighted variable in one atom: the \
              tractable side of the Theorem 5.6 dichotomy — exact \
@@ -357,6 +359,13 @@ mod tests {
 
     #[test]
     fn dichotomy_sentences_name_their_class() {
+        for strategy in [PlanStrategy::MinMax, PlanStrategy::Lex] {
+            let sentence = dichotomy_sentence(&strategy);
+            assert!(
+                sentence.contains("search") && sentence.contains("no trims"),
+                "{sentence}"
+            );
+        }
         assert!(dichotomy_sentence(&PlanStrategy::MinMax).contains("Theorem 5.3"));
         assert!(dichotomy_sentence(&PlanStrategy::Lex).contains("LEX"));
         assert!(

@@ -225,7 +225,7 @@ impl EncodedDirectAccess {
     /// shared), e.g. one over a custom join tree.
     pub fn from_context(ctx: impl Into<Arc<EncodedContext>>, dictionary: Arc<Dictionary>) -> Self {
         let ctx = ctx.into();
-        let counts = encoded::subtree_counts(&ctx).per_tuple;
+        let counts = encoded::subtree_counts(&ctx, None).per_tuple;
         let running = |acc: &mut u128, count: u128| {
             *acc += count;
             Some(*acc)

@@ -25,15 +25,16 @@
 //! rows and copy list are resolved once per walk, a mask limits the slots copied,
 //! and a walk can be confined to listed root rows.
 //!
-//! A partition-union trim's context is **derived** from its input's instead
-//! ([`EncodedContext::partition_union`]). The union (Algorithm 3) is one copy of
-//! the input per part, each under unary filters and tagged with the part, so every
-//! row that survives its reduction is a tagged copy of a row that survived the
-//! input's, and every one of its join groups is an input group paired with a tag.
-//! The derivation walks each node's input survivors bottom-up in view order and
-//! keeps those that find their child's `(part, input gid)` copy in a flat array and
-//! pass the part's filters, in one pass, then finishes with the same top-down pass:
-//! no key is built or hashed after the root's build.
+//! # Masked passes
+//!
+//! A [`RowMask`] is a conjunction of unary terms per node: a row takes part only if
+//! its rank in each term (one `u32` per surviving row: say, of its weight among
+//! the weights its column takes) lies in the term's half-open range. [`subtree_counts`] under a mask counts the
+//! answers of the instance those rows would leave, a masked row counting 0, over
+//! the context already built: nothing is filtered or rebuilt. Handed those counts,
+//! [`walk_answer_chunks`] skips every row whose masked subtree count is 0, so it
+//! walks exactly the masked answers, in the order a fresh build over the filtered
+//! views would, and meets no dead end.
 //!
 //! Invariants the equivalence suites pin: `rows` stay in view order, group members
 //! ascend, the survivor set is the full reducer's, and gid numbering — though
@@ -46,8 +47,7 @@
 //! the row path's result exactly; the cross-crate equivalence suite asserts this.
 
 use crate::{ExecError, Result};
-use qjoin_data::{EncodedRelation, Segment, SelVec, SynthCol};
-use qjoin_query::{acyclicity, EncodedInstance, JoinQuery, JoinTree, QueryError, Variable};
+use qjoin_query::{acyclicity, EncodedInstance, JoinQuery, JoinTree, Variable};
 use std::collections::HashMap;
 use std::sync::{Arc, OnceLock};
 
@@ -55,7 +55,7 @@ use std::sync::{Arc, OnceLock};
 /// variable order. Keys of up to three components are inline; larger keys box a
 /// slice. Keys are only ever compared within one arity. Only a context built from
 /// scratch (a root, a SUM trim, the lossy construction) and the dyadic SUM
-/// construction hash keys: a partition-union trim derives its context without them.
+/// construction hash keys.
 #[derive(Clone, Debug, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub enum Key {
     /// The empty key (root nodes, cartesian products).
@@ -289,7 +289,7 @@ impl EncodedContext {
                 let key = ctx.key_from_positions(node_id, i, positions);
                 interned[slot].get(&key).copied()
             };
-            semi_join(rows.len(), |i| Some(rows[i]), gid, &mut kept, &mut links);
+            semi_join(rows, gid, &mut kept, &mut links);
             ctx.nodes[node_id].rows = kept;
             ctx.nodes[node_id].child_links = links;
         }
@@ -343,107 +343,6 @@ impl EncodedContext {
                 self.nodes[child].group_members = members;
             }
         }
-    }
-
-    /// The context of a partition union of this context's instance, derived from
-    /// this one (see the module docs). The union is Algorithm 3's: one copy of the
-    /// input per part, each under that part's unary filters, tagged with the part
-    /// when there are several. `query` is the union's — this context's atoms in
-    /// order, self-joins renamed apart, the tag variable appended to every atom when
-    /// `parts > 1` — and `filter(node, part)` is the test surviving row `i` of
-    /// `node` must pass to enter `part`, or `None` when `part` filters no column of
-    /// `node`.
-    ///
-    /// Returns the union of `instance`, the instance this context belongs to: each
-    /// atom's view holds exactly the union's surviving rows, part by part in view
-    /// order, and the derived context — what [`EncodedContext::build`] computes for
-    /// the union — is parked in its exec memo.
-    pub fn partition_union<K>(
-        &self,
-        instance: &EncodedInstance,
-        query: JoinQuery,
-        parts: usize,
-        filter: impl Fn(usize, usize) -> Option<K> + Sync,
-    ) -> Result<EncodedInstance>
-    where
-        K: Fn(usize) -> bool + Sync,
-    {
-        // The tag is in every atom, hence in every witness: GYO removes the same ears.
-        debug_assert_eq!(acyclicity::gyo_join_tree(&query).as_ref(), Some(&self.tree));
-        let mut nodes: Vec<EncodedNode> = (0..self.nodes.len())
-            .map(|id| EncodedNode::new(&query, &self.tree, id, Vec::new()))
-            .collect();
-
-        // Bottom-up semi-joins without keys, fused with the filters. A child's group
-        // in the union is the pure function `(part, input gid)`: its copies are
-        // numbered densely by first occurrence in the child's rows (as interning
-        // numbers keys) in a flat array. A node keeps, part by part in the input's
-        // view order, the input survivors that join the copy under their part of
-        // each child's input group and pass the part's filters.
-        let mut row_gids: Vec<Vec<u32>> = vec![Vec::new(); nodes.len()];
-        let mut n_groups: Vec<usize> = vec![0; nodes.len()];
-        for &node_id in &self.tree.bottom_up_order() {
-            let children = &self.tree.node(node_id).children;
-            let mut copies: Vec<(usize, &[u32], Vec<u32>)> = Vec::with_capacity(children.len());
-            for &child in children {
-                let groups = self.num_groups(child);
-                let input_gids = self.row_gids(child);
-                let mut ids = vec![u32::MAX; parts * groups];
-                let next = &mut n_groups[child];
-                row_gids[child] = (nodes[child].rows.iter())
-                    .map(|&(part, i)| {
-                        let id = &mut ids[part as usize * groups + input_gids[i as usize] as usize];
-                        if *id == u32::MAX {
-                            *id = *next as u32;
-                            *next += 1;
-                        }
-                        *id
-                    })
-                    .collect();
-                copies.push((groups, self.links(child), ids));
-            }
-            let node = &mut nodes[node_id];
-            for part in 0..parts {
-                let keep = filter(node_id, part);
-                let passes = |i: usize| keep.as_ref().is_none_or(|keep| keep(i));
-                let row = |i: usize| passes(i).then_some((part as u32, i as u32));
-                let gid = |slot: usize, i: usize| {
-                    let (groups, input_links, ids) = &copies[slot];
-                    let id = ids[part * groups + input_links[i] as usize];
-                    (id != u32::MAX).then_some(id)
-                };
-                let n = self.nodes[node_id].rows.len();
-                semi_join(n, row, gid, &mut node.rows, &mut node.child_links);
-            }
-        }
-
-        let mut ctx = EncodedContext {
-            query,
-            tree: self.tree.clone(),
-            nodes,
-            rels: Vec::with_capacity(self.rels.len()),
-            total: OnceLock::new(),
-        };
-        ctx.reduce_top_down(row_gids, &n_groups);
-        for node in &mut ctx.nodes {
-            let (id, name) = (node.node_id, ctx.query.atom(node.atom_index).relation());
-            let view = union_view(&self.rels[id], &self.nodes[id].rows, node, name, parts > 1)?;
-            ctx.rels.push(view);
-        }
-        let union = instance.with_rewritten(ctx.query.clone(), ctx.rels.clone())?;
-        union.exec_memo().set(Arc::new(ctx));
-        Ok(union)
-    }
-
-    /// The gid of every row of a non-root node: its CSR, inverted.
-    fn row_gids(&self, node: usize) -> Vec<u32> {
-        let mut gids = vec![0u32; self.nodes[node].rows.len()];
-        for gid in 0..self.num_groups(node) as u32 {
-            for &row in self.group(node, gid) {
-                gids[row as usize] = gid;
-            }
-        }
-        gids
     }
 
     /// The query this context evaluates.
@@ -539,64 +438,18 @@ impl EncodedContext {
     }
 }
 
-/// One node's view of a partition union (see [`EncodedContext::partition_union`]):
-/// its surviving `(part, input row)` pairs, read through the input view `rel` at
-/// the input coordinates `input_rows`, one segment per run of one part over one
-/// input segment (so a constant tag stays constant), the part appended as a
-/// constant tag when `tagged`. The node's rows become the view's coordinates.
-fn union_view(
-    rel: &EncodedRelation,
-    input_rows: &[(u32, u32)],
-    node: &mut EncodedNode,
-    name: &str,
-    tagged: bool,
-) -> Result<EncodedRelation> {
-    let input = |&(_, i): &(u32, u32)| input_rows[i as usize];
-    let mut segments: Vec<Segment> = Vec::new();
-    let mut rows = Vec::with_capacity(node.rows.len());
-    for run in node
-        .rows
-        .chunk_by(|a, b| a.0 == b.0 && input(a).0 == input(b).0)
-    {
-        let segment = &rel.segments()[input(&run[0]).0 as usize];
-        let at = |pair: &(u32, u32)| input(pair).1 as usize;
-        let mut synth: Vec<SynthCol> = (segment.synth.iter())
-            .map(|col| match col {
-                SynthCol::PerRow(codes) => {
-                    SynthCol::PerRow(Arc::new(run.iter().map(|p| codes[at(p)]).collect()))
-                }
-                constant => constant.clone(),
-            })
-            .collect();
-        if tagged {
-            synth.push(SynthCol::Const(u64::from(run[0].0)));
-        }
-        let sel = run.iter().map(|p| segment.sel.get(at(p))).collect();
-        rows.extend((0..run.len() as u32).map(|row| (segments.len() as u32, row)));
-        segments.push(Segment {
-            sel: SelVec::Rows(Arc::new(sel)),
-            synth,
-        });
-    }
-    node.rows = rows;
-    let synth_arity = rel.synth_arity() + usize::from(tagged);
-    let view = EncodedRelation::from_segments(name, Arc::clone(rel.base()), synth_arity, segments);
-    Ok(view.map_err(QueryError::from)?)
-}
-
-/// One bottom-up semi-join step over a node's `len` candidate rows: appends each
-/// `row(i)` that is `Some` and joins a group of every child to `rows`, and the gid
-/// `gid(slot, i)` it joins to `links[slot]`. Chunked over the pool; the chunks
-/// append in canonical order, so the result matches a sequential pass.
+/// One bottom-up semi-join step over a node's candidate `rows`: appends each row
+/// that joins a group of every child to `kept`, and the gid `gid(slot, i)` it joins
+/// to `links[slot]`. Chunked over the pool; the chunks append in canonical order,
+/// so the result matches a sequential pass.
 fn semi_join(
-    len: usize,
-    row: impl Fn(usize) -> Option<(u32, u32)> + Sync,
+    rows: &[(u32, u32)],
     gid: impl Fn(usize, usize) -> Option<u32> + Sync,
-    rows: &mut Vec<(u32, u32)>,
+    kept: &mut Vec<(u32, u32)>,
     links: &mut [Vec<u32>],
 ) {
-    let parts = qjoin_par::par_map_chunks(len, qjoin_par::DEFAULT_CHUNK, |_, range| {
-        let mut kept = Vec::with_capacity(range.len());
+    let parts = qjoin_par::par_map_chunks(rows.len(), qjoin_par::DEFAULT_CHUNK, |_, range| {
+        let mut part = Vec::with_capacity(range.len());
         let mut links = vec![Vec::with_capacity(range.len()); links.len()];
         let mut found = vec![0u32; links.len()];
         'rows: for i in range {
@@ -606,19 +459,18 @@ fn semi_join(
                     None => continue 'rows,
                 }
             }
-            let Some(row) = row(i) else { continue };
-            kept.push(row);
+            part.push(rows[i]);
             for (column, &g) in links.iter_mut().zip(&found) {
                 column.push(g);
             }
         }
-        (kept, links)
+        (part, links)
     });
-    let total = parts.iter().map(|(kept, _)| kept.len()).sum();
-    rows.reserve_exact(total);
+    let total = parts.iter().map(|(part, _)| part.len()).sum();
+    kept.reserve_exact(total);
     links.iter_mut().for_each(|c| c.reserve_exact(total));
     for (part_rows, part_links) in parts {
-        rows.extend(part_rows);
+        kept.extend(part_rows);
         for (column, part) in links.iter_mut().zip(part_links) {
             column.extend(part);
         }
@@ -705,8 +557,24 @@ pub struct EncodedCounts {
     pub per_group: Vec<Vec<u128>>,
 }
 
-/// Computes per-row subtree counts bottom-up (Example 2.1 of the paper).
-pub fn subtree_counts(ctx: &EncodedContext) -> EncodedCounts {
+/// One unary term of a [`RowMask`]: a row's rank lies in the half-open `range`.
+#[derive(Clone, Debug)]
+pub struct MaskTerm<'a> {
+    /// A rank per surviving row of the node, in row order.
+    pub ranks: &'a [u32],
+    /// The admitted ranks, `[a, b)`.
+    pub range: (u32, u32),
+}
+
+/// A row predicate per join-tree node, indexed by node id: a row takes part in a
+/// masked pass only if it passes every term of its node (see the module docs).
+pub type RowMask<'a> = [Vec<MaskTerm<'a>>];
+
+/// Computes per-row subtree counts bottom-up (Example 2.1 of the paper). Under a
+/// `mask`, a row that fails its node's terms counts 0: the counts are those of the
+/// instance the mask's rows would leave, each row's the same as in a fresh build
+/// over it (see the module docs).
+pub fn subtree_counts(ctx: &EncodedContext, mask: Option<&RowMask>) -> EncodedCounts {
     let n_nodes = ctx.nodes().len();
     let mut per_tuple: Vec<Vec<u128>> = vec![Vec::new(); n_nodes];
     let mut per_group: Vec<Vec<u128>> = vec![Vec::new(); n_nodes];
@@ -720,6 +588,12 @@ pub fn subtree_counts(ctx: &EncodedContext) -> EncodedCounts {
             .iter()
             .map(|&child| (ctx.links(child), per_group[child].as_slice()))
             .collect();
+        let terms = mask.map_or(&[][..], |mask| &mask[node_id]);
+        let admitted = |i: usize| {
+            terms
+                .iter()
+                .all(|t| (t.range.0..t.range.1).contains(&t.ranks[i]))
+        };
         // Rows of one node are independent: chunk the per-row child-message
         // products over the executor pool. Concatenating the chunk partials in
         // canonical order reproduces the sequential per-tuple vector exactly
@@ -728,6 +602,9 @@ pub fn subtree_counts(ctx: &EncodedContext) -> EncodedCounts {
             qjoin_par::par_map_chunks(n_rows, qjoin_par::DEFAULT_CHUNK, |_, range| {
                 range
                     .map(|i| {
+                        if !admitted(i) {
+                            return 0;
+                        }
                         child_msgs.iter().fold(1u128, |val, (links, msgs)| {
                             val.checked_mul(msgs[links[i] as usize])
                                 .expect("answer count overflowed u128")
@@ -776,7 +653,7 @@ pub fn count_answers_ctx(ctx: &EncodedContext) -> u128 {
     if let Some(&total) = ctx.total.get() {
         return total;
     }
-    let total = subtree_counts(ctx).per_tuple[ctx.root()].iter().sum();
+    let total = subtree_counts(ctx, None).per_tuple[ctx.root()].iter().sum();
     let _ = ctx.total.set(total);
     total
 }
@@ -809,7 +686,8 @@ pub fn shared_context(instance: &EncodedInstance) -> Result<Arc<EncodedContext>>
 struct WalkLevel<'a> {
     /// Walk depth of the parent node (unused at the root).
     parent: usize,
-    /// Parent row → gid, and this node's groups as a CSR (all empty at the root).
+    /// Parent row → gid, and this node's groups as a CSR (all empty at the root):
+    /// under a mask, only the members counting more than 0.
     links: &'a [u32],
     group_offsets: &'a [u32],
     group_members: &'a [u32],
@@ -829,8 +707,13 @@ struct AnswerWalk<'a> {
 
 impl<'a> AnswerWalk<'a> {
     /// Resolves the walk of `ctx`. Only the slots `needed` marks are filled (all of
-    /// them when `None`); the others hold `u64::MAX`, which is no code.
-    fn new(ctx: &'a EncodedContext, needed: Option<&[bool]>) -> Self {
+    /// them when `None`); the others hold `u64::MAX`, which is no code. A masked
+    /// walk reads its [`live_groups`] in place of the context's.
+    fn new(
+        ctx: &'a EncodedContext,
+        needed: Option<&[bool]>,
+        live: Option<&'a [(Vec<u32>, Vec<u32>)]>,
+    ) -> Self {
         let variables = ctx.query().variables();
         let order = ctx.tree().top_down_order();
         let mut bound = vec![false; variables.len()];
@@ -849,13 +732,17 @@ impl<'a> AnswerWalk<'a> {
                             .then_some((col, slot))
                     })
                     .collect();
+                let (group_offsets, group_members) = match live {
+                    Some(live) => (&live[id].0[..], &live[id].1[..]),
+                    None => (&node.group_offsets[..], &node.group_members[..]),
+                };
                 WalkLevel {
                     parent: parent.map_or(0, |p| {
                         (order.iter().position(|&o| o == p)).expect("a parent precedes its child")
                     }),
                     links: parent.map_or(&[], |_| ctx.links(id)),
-                    group_offsets: &node.group_offsets,
-                    group_members: &node.group_members,
+                    group_offsets,
+                    group_members,
                     rows: &node.rows,
                     rel: &ctx.rels[id],
                     copy,
@@ -907,7 +794,7 @@ pub fn for_each_answer_codes(ctx: &EncodedContext, mut f: impl FnMut(&[u64])) {
     if ctx.has_no_answers() {
         return;
     }
-    let walk = AnswerWalk::new(ctx, None);
+    let walk = AnswerWalk::new(ctx, None, None);
     let (mut selected, mut row) = walk.scratch();
     for root in 0..walk.levels[0].rows.len() {
         walk.visit(0, root, &mut selected, &mut row, &mut f);
@@ -923,10 +810,13 @@ pub fn for_each_answer_codes(ctx: &EncodedContext, mut f: impl FnMut(&[u64])) {
 /// accumulators come back in canonical chunk order, so concatenating them yields
 /// the answer sequence of [`for_each_answer_codes`] restricted to those root rows
 /// — determinism comes from chunk order, not from how chunks land on threads.
+/// Handed the [`subtree_counts`] of a mask, the walk visits only rows counting
+/// more than 0: it yields exactly the masked answers (see the module docs).
 pub fn walk_answer_chunks<T: Send>(
     ctx: &EncodedContext,
     needed: Option<&[bool]>,
     only: Option<&[u32]>,
+    counts: Option<&EncodedCounts>,
     chunk: usize,
     make: impl Fn() -> T + Sync,
     per_answer: impl Fn(&mut T, usize, &[u64]) + Sync,
@@ -934,18 +824,41 @@ pub fn walk_answer_chunks<T: Send>(
     if ctx.has_no_answers() {
         return Vec::new();
     }
-    let walk = AnswerWalk::new(ctx, needed);
+    let live = counts.map(|counts| live_groups(ctx, counts));
+    let walk = AnswerWalk::new(ctx, needed, live.as_deref());
+    let root_counts = counts.map(|counts| &counts.per_tuple[ctx.root()]);
     let n_roots = only.map_or(walk.levels[0].rows.len(), <[u32]>::len);
     qjoin_par::par_map_chunks(n_roots, chunk, |_, range| {
         let mut acc = make();
         let (mut selected, mut row) = walk.scratch();
         for at in range {
             let root = only.map_or(at, |roots| roots[at] as usize);
+            if root_counts.is_some_and(|counts| counts[root] == 0) {
+                continue;
+            }
             let mut emit = |codes: &[u64]| per_answer(&mut acc, root, codes);
             walk.visit(0, root, &mut selected, &mut row, &mut emit);
         }
         acc
     })
+}
+
+/// Per node, its join groups as a CSR of the members whose masked subtree count
+/// (in `counts`) is not 0, members ascending: what a masked walk steps through,
+/// built once per walk, so that no step meets a dead row. Empty for the root.
+fn live_groups(ctx: &EncodedContext, counts: &EncodedCounts) -> Vec<(Vec<u32>, Vec<u32>)> {
+    (ctx.nodes().iter().zip(&counts.per_tuple))
+        .map(|(node, live)| {
+            let mut kept = Vec::with_capacity(node.group_members.len());
+            let mut ends = vec![0u32];
+            for group in node.group_offsets.windows(2) {
+                let group = &node.group_members[group[0] as usize..group[1] as usize];
+                kept.extend(group.iter().filter(|&&m| live[m as usize] > 0));
+                ends.push(kept.len() as u32);
+            }
+            (ends, kept)
+        })
+        .collect()
 }
 
 /// [`walk_answer_chunks`] over every root row and every slot.
@@ -955,7 +868,7 @@ pub fn map_answer_code_chunks<T: Send>(
     make: impl Fn() -> T + Sync,
     per_answer: impl Fn(&mut T, &[u64]) + Sync,
 ) -> Vec<T> {
-    walk_answer_chunks(ctx, None, None, chunk, make, |acc, _, codes| {
+    walk_answer_chunks(ctx, None, None, None, chunk, make, |acc, _, codes| {
         per_answer(acc, codes)
     })
 }
@@ -1164,7 +1077,7 @@ mod tests {
             let per_answer = |out: &mut Rooted, root: usize, codes: &[u64]| {
                 out.push((root, codes.to_vec()));
             };
-            walk_answer_chunks(ctx, needed, only, chunk, Vec::new, per_answer).concat()
+            walk_answer_chunks(ctx, needed, only, None, chunk, Vec::new, per_answer).concat()
         };
         let full = collect(None, None, 1024);
         let codes_of = |rooted: &Rooted| -> Vec<Vec<u64>> {
@@ -1176,7 +1089,7 @@ mod tests {
             "{context}: root rows ascend along the walk"
         );
         // Each answer's root row is the root-node row its codes were read from.
-        let root_slots = AnswerWalk::new(ctx, None).levels[0].copy.clone();
+        let root_slots = AnswerWalk::new(ctx, None, None).levels[0].copy.clone();
         for (root, codes) in &full {
             for &(col, slot) in &root_slots {
                 assert_eq!(codes[slot], ctx.code(ctx.root(), *root, col), "{context}");
@@ -1261,6 +1174,141 @@ mod tests {
         // The generator reaches the shapes the test is for.
         assert!(empty > 10 && self_joins > 10, "{empty} {self_joins}");
         assert!(key_widths[1..].iter().all(|&n| n > 10), "{key_widths:?}");
+    }
+
+    /// A random mask over `ctx`: per node, each column of its atom bounded with
+    /// probability ½, through a table of ranks from {0, 1, 2} (ties everywhere), by
+    /// a random half-open range of them (empty or full at times).
+    fn random_mask(ctx: &EncodedContext, codes: usize, rng: &mut StdRng) -> Vec<Vec<Term>> {
+        use rand::Rng;
+        let mut mask = Vec::new();
+        for node in ctx.nodes() {
+            let mut terms = Vec::new();
+            for col in 0..ctx.query().atom(node.atom_index).arity() {
+                if rng.random_bool(0.5) {
+                    let table = (0..codes).map(|_| rng.random_range(0..3u32)).collect();
+                    let range = (rng.random_range(0..4), rng.random_range(0..4));
+                    terms.push((col, table, range));
+                }
+            }
+            mask.push(terms);
+        }
+        mask
+    }
+
+    /// One term of [`random_mask`]: column, rank per code, range.
+    type Term = (usize, Vec<u32>, (u32, u32));
+
+    /// The masked kernels against a fresh build over the filtered views, at one and
+    /// four threads: 300 random acyclic instances (self-joins renamed apart,
+    /// repeated variables, empty joins), each under four random masks of
+    /// tie-heavy tables. The masked count is `count_answers` of the instance whose
+    /// every view keeps only the rows its node's terms admit, and the masked walk
+    /// (chunks of 3 root rows, and again confined to every other root row) is that
+    /// instance's `for_each_answer_codes` sequence. Fails if the kernel ignores
+    /// one node's mask (wherever that node's terms cut; a variable two atoms share
+    /// keeps some cut, through the other atom, only when both bound it), if a
+    /// range admits its end (ranks tie at every end), or if the walk visits a row
+    /// whose masked count is 0.
+    #[test]
+    fn masked_kernels_match_a_fresh_build_over_the_filtered_views() {
+        let pools = [qjoin_par::Pool::new(1), qjoin_par::Pool::new(4)];
+        let mut rng = StdRng::seed_from_u64(0x3a5c);
+        let (mut cut, mut emptied, mut shared_cut) = (0, 0, 0);
+        for case in 0..300 {
+            let inst = random_acyclic_instance(&mut rng);
+            let enc = EncodedInstance::from_instance(&inst)
+                .unwrap()
+                .eliminate_self_joins()
+                .unwrap();
+            let ctx = EncodedContext::build(&enc).unwrap();
+            let codes = enc.dictionary().len();
+            for _ in 0..4 {
+                let spec = random_mask(&ctx, codes, &mut rng);
+                let gathered: Vec<Vec<Vec<u32>>> = (spec.iter().enumerate())
+                    .map(|(id, terms)| {
+                        let rank = |(col, table, _): &Term, i: usize| {
+                            table[ctx.code(id, i, *col) as usize]
+                        };
+                        let rows = 0..ctx.node(id).rows.len();
+                        let ranks = |term| rows.clone().map(|i| rank(term, i)).collect();
+                        terms.iter().map(ranks).collect()
+                    })
+                    .collect();
+                let mut mask: Vec<Vec<MaskTerm>> = vec![Vec::new(); spec.len()];
+                for ((terms, ranks), node) in spec.iter().zip(&gathered).zip(&mut mask) {
+                    for ((_, _, range), ranks) in terms.iter().zip(ranks) {
+                        node.push(MaskTerm {
+                            ranks,
+                            range: *range,
+                        });
+                    }
+                }
+                let views = ctx.nodes().iter().map(|node| {
+                    let rel = enc.relation_of_atom(node.atom_index);
+                    rel.filtered(|seg, row| {
+                        (spec[node.node_id].iter()).all(|(col, table, (a, b))| {
+                            let rank = table[rel.code(seg, row, *col) as usize];
+                            *a <= rank && rank < *b
+                        })
+                    })
+                });
+                let fresh = enc.with_rewritten(enc.query().clone(), views.collect::<Vec<_>>());
+                let fresh = EncodedContext::build(&fresh.unwrap()).unwrap();
+                let expected = count_answers_ctx(&fresh);
+                let mut walked: Vec<Vec<u64>> = Vec::new();
+                for_each_answer_codes(&fresh, |codes| walked.push(codes.to_vec()));
+                let total = count_answers_ctx(&ctx);
+                cut += usize::from(expected < total);
+                emptied += usize::from(expected == 0 && total > 0);
+                // Some variable bound at two nodes whose terms on it differ.
+                shared_cut += usize::from(
+                    expected < total && {
+                        let vars = |id: usize| {
+                            let atom = ctx.query().atom(ctx.node(id).atom_index);
+                            let bounded = spec[id]
+                                .iter()
+                                .map(|(col, _, _)| atom.variables()[*col].clone());
+                            bounded.collect::<std::collections::BTreeSet<_>>()
+                        };
+                        let n = ctx.nodes().len();
+                        (0..n).any(|a| (a + 1..n).any(|b| !vars(a).is_disjoint(&vars(b))))
+                    },
+                );
+                for pool in &pools {
+                    let context = format!("case {case} T={}: {}", pool.threads(), enc.query());
+                    qjoin_par::with_pool(pool, || {
+                        let counts = subtree_counts(&ctx, Some(&mask));
+                        let counted: u128 = counts.per_tuple[ctx.root()].iter().sum();
+                        assert_eq!(counted, expected, "{context}: masked count");
+                        let walk = |only: Option<&[u32]>| {
+                            let push =
+                                |out: &mut Vec<(usize, Vec<u64>)>, root: usize, codes: &[u64]| {
+                                    out.push((root, codes.to_vec()))
+                                };
+                            walk_answer_chunks(&ctx, None, only, Some(&counts), 3, Vec::new, push)
+                                .concat()
+                        };
+                        let masked = walk(None);
+                        let codes: Vec<Vec<u64>> = masked.iter().map(|(_, c)| c.clone()).collect();
+                        assert_eq!(codes, walked, "{context}: masked walk");
+                        let evens: Vec<u32> = (0..ctx.node(ctx.root()).rows.len() as u32)
+                            .step_by(2)
+                            .collect();
+                        let confined: Vec<_> = (masked.iter())
+                            .filter(|(root, _)| root % 2 == 0)
+                            .cloned()
+                            .collect();
+                        assert_eq!(walk(Some(&evens)), confined, "{context}: confined walk");
+                    });
+                }
+            }
+        }
+        // The suite reaches the shapes it is for.
+        assert!(
+            cut > 200 && emptied > 50 && shared_cut > 50,
+            "{cut} {emptied} {shared_cut}"
+        );
     }
 
     #[test]

@@ -119,16 +119,21 @@ impl Ranking {
             AggregateKind::Sum => {
                 Weight::Num(a.as_num().unwrap_or(0.0) + b.as_num().unwrap_or(0.0))
             }
-            AggregateKind::Min => Weight::Num(
-                a.as_num()
-                    .unwrap_or(f64::INFINITY)
-                    .min(b.as_num().unwrap_or(f64::INFINITY)),
-            ),
-            AggregateKind::Max => Weight::Num(
-                a.as_num()
-                    .unwrap_or(f64::NEG_INFINITY)
-                    .max(b.as_num().unwrap_or(f64::NEG_INFINITY)),
-            ),
+            AggregateKind::Min | AggregateKind::Max => {
+                let identity = self.identity().as_num().expect("a scalar identity");
+                let (a, b) = (
+                    a.as_num().unwrap_or(identity),
+                    b.as_num().unwrap_or(identity),
+                );
+                // The least or greatest under `total_cmp`, the weights' order, so a
+                // NaN weight has its place in it rather than being skipped.
+                let order = if self.kind == AggregateKind::Min {
+                    Ordering::Less
+                } else {
+                    Ordering::Greater
+                };
+                Weight::Num(if b.total_cmp(&a) == order { b } else { a })
+            }
             AggregateKind::Lex => {
                 let zero = vec![0.0; self.weighted_vars.len()];
                 let av = a.as_vec().unwrap_or(&zero);

@@ -36,7 +36,7 @@ use quantile_joins::CoreError;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::cell::RefCell;
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, BTreeSet};
 use std::time::Duration;
 
 /// The fractions every solve is asked for: both ends, and 0.9, where a MIN over
@@ -69,26 +69,117 @@ impl Arms {
 /// view_rows)`.
 type Round = [Option<u64>; 6];
 
-/// The paper's cost bounds, read off one solve's phase events:
-/// every round is a c-pivot round, max(n_lt, n_gt) ≤ (1 − c)·candidates, and the
-/// rounds on any path number at most ⌈log_{1/(1−c)}(|Q(D)| / threshold)⌉ + 1. `c`
-/// is the smaller [`pivot_quality`] of the query's GYO tree and of its
-/// binarization (the ε route pivots over a binarized rewrite). It keeps the rounds,
-/// so a memo-warm solve can be held to a fresh one's.
+/// The rounds and trim sizes a route is held to.
+enum Route {
+    /// Exact SUM and ε solves pivot (Algorithm 2). Every round is a c-pivot round,
+    /// max(n_lt, n_gt) ≤ (1 − c)·candidates, and the rounds on any path number at
+    /// most ⌈log_{1/(1−c)}(|Q(D)| / threshold)⌉ + 1. A round's two trimmed sides
+    /// hold at most `view_rows` view rows between them.
+    Pivot { c: f64, view_rows: u64 },
+    /// MIN/MAX/LEX solves search the weight domain: at most `rounds` rounds on any
+    /// path.
+    Search { rounds: u64 },
+}
+
+/// The paper's cost bounds, read off one solve's phase events (no production
+/// hook). On the pivoting routes `c` is the smaller [`pivot_quality`] of the
+/// query's GYO tree and of its binarization (the ε route pivots over a binarized
+/// rewrite), and an exact SUM round's view rows are held to the size of its
+/// construction:
+///
+/// * a single-atom filter keeps at most the `n′` rows of the database with its
+///   self-joins renamed apart, on each side;
+/// * Lemma 5.5's adjacent pair `(A, B)` copies each B row once per dyadic level
+///   `0..=L` of its join group and each A row once per interval of its range's
+///   cover, at most `2L + 1` (`dyadic_cover` emits at most two intervals per level
+///   below the group's `L = ⌈log₂ |group|⌉`), so a side holds at most
+///   `n′ + 2L·(|A| + |B|)` rows with `L = ⌈log₂ max(|A|, |B|)⌉`: O(|D| log |D|).
+///
+/// The ε route's sketch sizes (Lemma 6.3) are not checked here. A MIN/MAX/LEX
+/// solve does not pivot: its rounds halve each weight component's candidates,
+/// so it takes at most Σᵢ (⌈log₂ Kᵢ⌉ + 1) rounds with `Kᵢ` the distinct weights the
+/// database gives component `i` (one component of all weighted variables' weights
+/// for MIN/MAX). Every leaf of every route walks at most `threshold` answers. The
+/// checker keeps the rounds, so a memo-warm solve can be held to a fresh one's.
 struct BoundChecker {
-    c: f64,
+    route: Route,
     threshold: u128,
     what: String,
     total: RefCell<u128>,
     rounds: RefCell<Vec<Round>>,
 }
 
+/// `⌈log₂ len⌉`, the dyadic levels above a group of `len` positions.
+fn levels(len: usize) -> u32 {
+    len.max(1).next_power_of_two().trailing_zeros()
+}
+
 impl BoundChecker {
-    fn new(instance: &Instance, what: &str) -> BoundChecker {
-        let tree = gyo_join_tree(instance.query()).expect("an acyclic query");
-        let binarized = binarize(instance).expect("an acyclic query binarizes");
+    fn new(instance: &Instance, ranking: &Ranking, accuracy: Accuracy, what: &str) -> BoundChecker {
+        let query = instance.query();
+        let size = |atom: usize| {
+            let relation = instance.database().relation(query.atom(atom).relation());
+            relation.expect("every atom has a relation").len()
+        };
+        let route = match (ranking.kind(), accuracy) {
+            (AggregateKind::Sum, _) => {
+                let tree = gyo_join_tree(query).expect("an acyclic query");
+                let binarized = binarize(instance).expect("an acyclic query binarizes");
+                // Each relation once, and once more per atom repeating it.
+                let renamed: usize = (0..query.num_atoms())
+                    .filter(|&atom| {
+                        let relation = query.atom(atom).relation();
+                        (query.atoms()[..atom].iter()).any(|a| a.relation() == relation)
+                    })
+                    .map(size)
+                    .sum::<usize>()
+                    + instance.database_size();
+                let side = match classify_partial_sum(query, ranking.weighted_vars()) {
+                    _ if accuracy != Accuracy::Exact => usize::MAX / 2,
+                    SumClassification::TractableAdjacentPair { atoms: (a, b) } => {
+                        let l = levels(size(a).max(size(b))) as usize;
+                        renamed + 2 * l * (size(a) + size(b))
+                    }
+                    _ => renamed,
+                };
+                Route::Pivot {
+                    c: pivot_quality(&tree).min(pivot_quality(&binarized.tree)),
+                    view_rows: 2 * side as u64,
+                }
+            }
+            (kind, _) => {
+                let weights = |var: &Variable| -> BTreeSet<u64> {
+                    let mut distinct = BTreeSet::new();
+                    for atom in query.atoms().iter().filter(|atom| atom.contains(var)) {
+                        let at = atom.positions_of(var)[0];
+                        let relation = instance.database().relation(atom.relation()).unwrap();
+                        for tuple in relation.tuples() {
+                            distinct.insert(ranking.var_weight(var, &tuple.values()[at]).to_bits());
+                        }
+                    }
+                    distinct
+                };
+                let vars = ranking.weighted_vars();
+                let components: Vec<usize> = if kind == AggregateKind::Lex {
+                    let first = |i: usize| vars.iter().position(|v| *v == vars[i]) == Some(i);
+                    (0..vars.len())
+                        .map(|i| if first(i) { weights(&vars[i]).len() } else { 1 })
+                        .collect()
+                } else {
+                    vec![vars
+                        .iter()
+                        .flat_map(weights)
+                        .collect::<BTreeSet<u64>>()
+                        .len()]
+                };
+                let log2 = |k: usize| u64::from(levels(k));
+                Route::Search {
+                    rounds: components.into_iter().map(|k| log2(k) + 1).sum(),
+                }
+            }
+        };
         BoundChecker {
-            c: pivot_quality(&tree).min(pivot_quality(&binarized.tree)),
+            route,
             threshold: instance.database_size().max(1) as u128,
             what: what.to_string(),
             total: RefCell::new(0),
@@ -107,14 +198,15 @@ impl BoundChecker {
     }
 
     fn assert_rounds_bounded(&self) {
-        let ratio = *self.total.borrow() as f64 / self.threshold as f64;
-        let bound = (ratio.ln() / (1.0 / (1.0 - self.c)).ln()).ceil().max(0.0) + 1.0;
+        let bound = match self.route {
+            Route::Pivot { c, .. } => {
+                let ratio = *self.total.borrow() as f64 / self.threshold as f64;
+                (ratio.ln() / (1.0 / (1.0 - c)).ln()).ceil().max(0.0) as u64 + 1
+            }
+            Route::Search { rounds } => rounds,
+        };
         let depth = self.depth();
-        assert!(
-            depth as f64 <= bound,
-            "{}: {depth} rounds > {bound}",
-            self.what
-        );
+        assert!(depth <= bound, "{}: {depth} rounds > {bound}", self.what);
     }
 }
 
@@ -124,18 +216,33 @@ impl SolveTracer for BoundChecker {
             SolvePhase::Prepare => *self.total.borrow_mut() = ctx.candidates.unwrap() as u128,
             SolvePhase::TrimRound => {
                 let (candidates, n_lt, n_gt) = (ctx.candidates, ctx.n_lt, ctx.n_gt);
-                let larger = n_lt.unwrap().max(n_gt.unwrap()) as f64;
-                let allowed = (1.0 - self.c) * candidates.unwrap() as f64;
-                assert!(
-                    larger <= allowed,
-                    "{}: not a {}-pivot round: {ctx:?}",
-                    self.what,
-                    self.c
-                );
+                if let Route::Pivot { c, view_rows } = self.route {
+                    let larger = n_lt.unwrap().max(n_gt.unwrap()) as f64;
+                    let allowed = (1.0 - c) * candidates.unwrap() as f64;
+                    assert!(
+                        larger <= allowed,
+                        "{}: not a {c}-pivot round: {ctx:?}",
+                        self.what
+                    );
+                    let rows = ctx.view_rows.unwrap();
+                    assert!(
+                        rows <= view_rows,
+                        "{}: {rows} view rows > {view_rows}: {ctx:?}",
+                        self.what
+                    );
+                }
                 let round = [ctx.round, candidates, n_lt, ctx.n_eq, n_gt, ctx.view_rows];
                 self.rounds.borrow_mut().push(round);
             }
-            SolvePhase::PivotScan | SolvePhase::Materialize => {}
+            SolvePhase::Materialize => {
+                let walked = ctx.materialized.unwrap() as u128;
+                assert!(
+                    walked <= self.threshold,
+                    "{}: a leaf of {walked} answers",
+                    self.what
+                );
+            }
+            SolvePhase::PivotScan => {}
         }
     }
 }
@@ -153,8 +260,8 @@ fn checked_solve(
 ) -> Vec<QuantileResult> {
     let plan = prepare(instance, ranking).unwrap();
     let (cold, warm) = (
-        BoundChecker::new(instance, what),
-        BoundChecker::new(instance, what),
+        BoundChecker::new(instance, ranking, accuracy, what),
+        BoundChecker::new(instance, ranking, accuracy, what),
     );
     let results = plan.solve(phis, accuracy, &cold).unwrap();
     let again = plan.solve(phis, accuracy, &warm).unwrap();
@@ -280,9 +387,10 @@ fn assert_every_route(
     }
 }
 
-/// `shaped_instance` shapes 0–6 and larger random acyclic instances (the sampled
-/// route answers only past 81 answers), under `tie_heavy_ranking` of every
-/// aggregate over the weight domains {0, 1, 2, 3, 9}, and under full SUM.
+/// `shaped_instance` shapes 0–6, larger random acyclic instances (the sampled
+/// route answers only past 81 answers) and a 2-path with join groups of about 80,
+/// under `tie_heavy_ranking` of every aggregate over the weight domains
+/// {0, 1, 2, 3, 9}, and under full SUM.
 fn whole_solves(threads: usize) -> Arms {
     let engine = Engine::with_config(EngineConfig {
         threads: Some(threads),
@@ -300,8 +408,28 @@ fn whole_solves(threads: usize) -> Arms {
         }
         .generate()
     });
+    // A 2-path whose join groups hold about 80 tuples each (the others stay under
+    // 16): a SUM round's dyadic cover spans up to seven levels, and MIN/MAX/LEX
+    // search about 160 candidate weights per component.
+    let wide = PathConfig {
+        atoms: 2,
+        tuples_per_relation: 160,
+        join_domain: 2,
+        weight_range: 1000,
+        skew: 0.0,
+        seed: 5,
+    }
+    .generate();
+    let largest_group = (wide.database().relation("R2").unwrap().tuples().iter())
+        .fold(BTreeMap::<&Value, usize>::new(), |mut groups, tuple| {
+            *groups.entry(&tuple.values()[0]).or_default() += 1;
+            groups
+        })
+        .into_values()
+        .max();
+    assert!(largest_group > Some(16), "{largest_group:?}");
     let mut arms = Arms::default();
-    for (i, instance) in shaped.chain(larger).enumerate() {
+    for (i, instance) in shaped.chain(larger).chain([wide]).enumerate() {
         let database = format!("db{i}");
         let data = instance.shared_database().clone();
         engine.create_database(&database, data).unwrap();
@@ -414,4 +542,113 @@ fn the_dichotomy_decides_which_sums_solve_exactly() {
         "ε",
     ];
     at_both_thread_counts(dichotomy, &arms);
+}
+
+/// NaN (of both signs), ±∞ and −0.0 weights through every ranking kind on the
+/// exact route and through ε on SUM, at 1 and 4 threads: each solve is refused
+/// with a typed error or answers as the brute force's `total_cmp` order says.
+/// MIN/MAX/LEX order a NaN as `Weight` does; an exact or ε SUM refuses a
+/// non-finite weight of a value a weighted variable takes
+/// (`CoreError::UnsupportedRanking`) before it trims by it, and answers when only
+/// `−0.0` is among them or when it only walks its leaf.
+/// Nothing panics. Fails if the weight fold takes MIN/MAX with `f64::min`/`max`,
+/// which skip a NaN.
+#[test]
+fn bad_weights_are_refused_or_ordered_by_total_cmp() {
+    let bad = [f64::NAN, -f64::NAN, f64::INFINITY, f64::NEG_INFINITY, -0.0];
+    let mixed = move |v: &Value| {
+        let v = v.as_f64().map_or(0, |v| v as i64);
+        if v % 3 == 0 {
+            bad[(v / 3).rem_euclid(5) as usize]
+        } else {
+            v as f64
+        }
+    };
+    let weight_fns = [
+        WeightFn::custom(mixed),
+        WeightFn::Constant(f64::NAN),
+        WeightFn::custom(|v| {
+            if v.as_f64().is_some_and(|v| v as i64 % 2 == 0) {
+                -0.0
+            } else {
+                f64::INFINITY
+            }
+        }),
+        WeightFn::custom(|v| {
+            if v.as_f64().is_some_and(|v| v as i64 % 2 == 0) {
+                -0.0
+            } else {
+                1.0
+            }
+        }),
+    ];
+    let suite = |threads: usize| {
+        let mut arms = Arms::default();
+        let shaped = (0..=6).flat_map(|shape| (0..3).map(move |seed| shaped_instance(shape, seed)));
+        for (i, instance) in shaped.enumerate() {
+            let kinds = [
+                AggregateKind::Min,
+                AggregateKind::Max,
+                AggregateKind::Lex,
+                AggregateKind::Sum,
+            ];
+            for kind in kinds {
+                for (f, weight_fn) in weight_fns.iter().enumerate() {
+                    let plain = tie_heavy_ranking(&instance, kind, 9);
+                    let ranking = (plain.weighted_vars().iter()).fold(plain.clone(), |r, var| {
+                        r.with_weight_fn(var.clone(), weight_fn.clone())
+                    });
+                    let oracle = Oracle::new(&instance, &ranking);
+                    if oracle.total() == 0 {
+                        continue;
+                    }
+                    let what = format!("instance {i} {ranking} weights {f} T={threads}");
+                    let sum = kind == AggregateKind::Sum;
+                    match solve(&instance, &ranking, &PHIS, Accuracy::Exact) {
+                        Ok(results) => {
+                            for (phi, result) in PHIS.iter().zip(&results) {
+                                oracle.assert_exact(*phi, result, &format!("{what} φ={phi}"));
+                            }
+                            arms.hit(if sum {
+                                "SUM answered"
+                            } else {
+                                "MIN/MAX/LEX answered"
+                            });
+                        }
+                        Err(CoreError::UnsupportedRanking(_) | CoreError::IntractableSum(_))
+                            if sum =>
+                        {
+                            arms.hit("SUM refused")
+                        }
+                        Err(other) => panic!("{what}: {other:?}"),
+                    }
+                    if sum {
+                        let plan = prepare(&instance, &ranking).unwrap();
+                        let epsilon = plan.guaranteed_per_trim_epsilon(EPSILON).unwrap();
+                        let accuracy = Accuracy::Approximate { epsilon };
+                        match plan.solve(&PHIS, accuracy, &NoopTracer) {
+                            Ok(results) => {
+                                for (phi, result) in PHIS.iter().zip(&results) {
+                                    let what = format!("{what} ε φ={phi}");
+                                    oracle.assert_within(*phi, EPSILON, result, &what);
+                                }
+                                arms.hit("ε answered");
+                            }
+                            Err(CoreError::UnsupportedRanking(_)) => arms.hit("ε refused"),
+                            Err(other) => panic!("{what} ε: {other:?}"),
+                        }
+                    }
+                }
+            }
+        }
+        arms
+    };
+    let arms = [
+        "MIN/MAX/LEX answered",
+        "SUM answered",
+        "SUM refused",
+        "ε answered",
+        "ε refused",
+    ];
+    at_both_thread_counts(suite, &arms);
 }
