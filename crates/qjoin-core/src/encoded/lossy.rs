@@ -79,7 +79,7 @@
 //! solve and a 0.44–0.47 ms pivot scan, the middle column's re-run 0.44–0.48.
 
 use super::pivot::PivotScan;
-use super::trim::{row_sum, rows_in, segment_offsets, weighted_pairs, ViewBuilder};
+use super::trim::{keys, row_sums, rows_in, segment_offsets, weighted_pairs, ViewBuilder};
 use super::weights::CodeWeights;
 use super::{CodeKey, EncodedBackend};
 use crate::pivot::PivotResult;
@@ -153,23 +153,15 @@ impl LossyConstruction {
 
         let tuple_weights = SumTupleWeights::new(&query, ranking);
 
-        // Leaf annotations: per-row partial sums (chunked over the pool, gathered in
-        // canonical chunk order) and unit multiplicities.
+        // Leaf annotations: per-row partial sums and unit multiplicities.
         let mut states: Vec<NodeState> = (0..tree.num_nodes())
             .map(|node| {
                 let atom_idx = tree.node(node).atom_index;
                 let atom = query.atom(atom_idx).clone();
                 let view = binarized.instance.relation_of_atom(atom_idx).clone();
                 let pairs = weighted_pairs(&query, &tuple_weights, weights, atom_idx);
-                let offsets = segment_offsets(&view);
-                let total = *offsets.last().expect("offsets include the empty prefix");
-                let chunks: Vec<Vec<f64>> =
-                    qjoin_par::par_map_chunks(total, qjoin_par::DEFAULT_CHUNK, |_, range| {
-                        let sum = |(_, seg, row)| row_sum(&view, &pairs, seg, row);
-                        rows_in(&offsets, range).map(sum).collect()
-                    });
-                let up: Vec<f64> = chunks.into_iter().flatten().collect();
-                let (dn, mults) = (up.clone(), vec![1u128; total]);
+                let up = row_sums(&view, &pairs);
+                let (dn, mults) = (up.clone(), vec![1u128; up.len()]);
                 NodeState {
                     atom,
                     view,
@@ -202,34 +194,16 @@ impl LossyConstruction {
                     .map(|v| states[child].atom.positions_of(v)[0])
                     .collect();
 
-                // Group the child's rows by join key. Chunk-local maps merge in
-                // canonical chunk order, so each group's members stay in ascending
-                // row order — the order the row path enumerates tuples in.
+                // Group the child's rows by join key, each group's members in
+                // ascending row order — the order the row path enumerates tuples in.
                 let child_offsets = segment_offsets(&states[child].view);
-                let child_total = *child_offsets
-                    .last()
-                    .expect("offsets include the empty prefix");
-                let chunk_maps: Vec<HashMap<Key, Vec<u32>>> = {
-                    let view = &states[child].view;
-                    qjoin_par::par_map_chunks(child_total, qjoin_par::DEFAULT_CHUNK, |_, range| {
-                        let mut local: HashMap<Key, Vec<u32>> = HashMap::new();
-                        let mut key_buf: Vec<u64> = Vec::with_capacity(child_pos.len());
-                        for (global, seg, row) in rows_in(&child_offsets, range) {
-                            key_buf.clear();
-                            key_buf.extend(child_pos.iter().map(|&p| view.code(seg, row, p)));
-                            local
-                                .entry(Key::from_codes(&key_buf))
-                                .or_default()
-                                .push(global as u32);
-                        }
-                        local
-                    })
-                };
+                let child_total = states[child].view.len();
                 let mut group_members: HashMap<Key, Vec<u32>> = HashMap::new();
-                for local in chunk_maps {
-                    for (key, mut members) in local {
-                        group_members.entry(key).or_default().append(&mut members);
-                    }
+                for (row, key) in keys(&states[child].view, &child_pos)
+                    .into_iter()
+                    .enumerate()
+                {
+                    group_members.entry(key).or_default().push(row as u32);
                 }
 
                 // Sketch each group's sum multiset twice, in sorted key order, and

@@ -123,9 +123,6 @@ pub(crate) struct EncodedBackend<'a> {
     ranking: &'a Ranking,
     weights: CodeWeights,
     dictionary: std::sync::Arc<qjoin_data::Dictionary>,
-    /// Whether the SUM trims can order the instance's sums, checked by the first
-    /// trim (a solve that only walks its leaf orders them by `total_cmp`).
-    finite: std::sync::OnceLock<Result<()>>,
 }
 
 impl<'a> EncodedBackend<'a> {
@@ -135,7 +132,6 @@ impl<'a> EncodedBackend<'a> {
             ranking,
             weights: CodeWeights::build(instance.dictionary(), ranking),
             dictionary: std::sync::Arc::clone(instance.dictionary()),
-            finite: std::sync::OnceLock::new(),
         }
     }
 
@@ -247,8 +243,6 @@ impl SolveBackend for EncodedBackend<'_> {
         high: &WeightBound,
         _: CmpOp,
     ) -> Result<EncodedInstance> {
-        let finite = || weights::refuse_non_finite(instance, self.ranking, &self.weights);
-        self.finite.get_or_init(finite).clone()?;
         trim::sum_trim_encoded(instance, self.ranking, low, high, &self.weights)
     }
 

@@ -12,6 +12,14 @@
 //!   one construction over the original relations — never a second one stacked on
 //!   the first one's log-expanded output.
 //!
+//! An instance keeps what no window changes in its exec memo, per ranking, built by
+//! its first trim: a [`DyadicTemplate`] of the cover, trimmed query and tree, partial
+//! sums, B's sorted groups and whole expansion (B′ is the same in every window), each
+//! A row's group, and every edge's join groups over the views' rows (the only keys
+//! hashed). A window scans A's rows (or the filtered sums), and its context is
+//! [derived](EncodedContext::derive): a row reads its groups through the base row it
+//! copies, an A′–B′ link is its interval's `(group, level, index)` as a dense id.
+//!
 //! Because both paths share the cover search, they partition the answer set
 //! identically; the equivalence suite asserts the resulting quantile answers are
 //! pointwise equal. (MIN, MAX and LEX trim nothing on the encoded path: see
@@ -24,15 +32,15 @@ use crate::dichotomy::find_adjacent_cover;
 use crate::trim::sum::{dyadic_cover, intractable_sum_error, levels_for, SumRange, SumWindow};
 use crate::{CoreError, Result};
 use qjoin_data::{EncodedRelation, Segment, SynthCol};
-use qjoin_exec::encoded::KeyMap;
-use qjoin_exec::Key;
-use qjoin_query::{EncodedInstance, Variable};
+use qjoin_exec::encoded::{FixedEdge, KeyMap};
+use qjoin_exec::{EncodedContext, ExecError, Key};
+use qjoin_query::{acyclicity, EncodedInstance, JoinQuery, JoinTree, Variable};
 use qjoin_ranking::{Ranking, SumTupleWeights, WeightBound};
 use std::sync::Arc;
 
 /// Encoded partial-SUM trimming to the open window `(low, high)`: single-atom filter
-/// or the dyadic adjacent-pair construction, selected per call by the same cover
-/// search as the row trimmer.
+/// or the dyadic adjacent-pair construction, selected by the same cover search as
+/// the row trimmer, a window of the instance's [`DyadicTemplate`] for `ranking`.
 pub(crate) fn sum_trim_encoded(
     instance: &EncodedInstance,
     ranking: &Ranking,
@@ -45,17 +53,17 @@ pub(crate) fn sum_trim_encoded(
         SumWindow::Empty => return Ok(instance.empty_copy()),
         SumWindow::Range(range) => range,
     };
-    let instance = instance.eliminate_self_joins()?;
-    match find_adjacent_cover(instance.query(), ranking.weighted_vars()) {
-        Some(cover) if cover.is_single_atom() => {
-            trim_single_atom_encoded(&instance, ranking, weights, range, cover.atoms.0)
-        }
-        Some(cover) => trim_adjacent_pair_encoded(&instance, ranking, weights, range, cover.atoms),
-        None => Err(intractable_sum_error(
-            instance.query(),
-            ranking.weighted_vars(),
-        )),
+    let memo = instance.exec_memo();
+    if let Some(template) = memo
+        .get::<DyadicTemplate>()
+        .filter(|t| t.ranking == *ranking)
+    {
+        return template.window(range);
     }
+    // Built outside every lock: racing trims build identical templates.
+    let template = Arc::new(DyadicTemplate::build(instance, ranking, weights)?);
+    memo.set(Arc::clone(&template));
+    template.window(range)
 }
 
 /// The weighted variables assigned to `atom_idx` by the tuple-weight mapping `μ`, as
@@ -117,20 +125,12 @@ pub(super) fn row_sum(
         .sum()
 }
 
-/// Filters the covering atom's view by its rows' partial sums.
-fn trim_single_atom_encoded(
-    instance: &EncodedInstance,
-    ranking: &Ranking,
-    weights: &CodeWeights,
-    range: SumRange,
-    atom_idx: usize,
-) -> Result<EncodedInstance> {
-    let query = instance.query().clone();
-    let tuple_weights = SumTupleWeights::with_preferred_atoms(&query, ranking, &[atom_idx]);
-    let pairs = weighted_pairs(&query, &tuple_weights, weights, atom_idx);
-    let rel = instance.relation_of_atom(atom_idx);
-    let filtered = rel.filtered(|seg, row| range.admits(row_sum(rel, &pairs, seg, row)));
-    Ok(instance.with_rewritten(query, [filtered])?)
+/// The partial sum of every row of a view (see [`row_sum`]), in row order.
+pub(super) fn row_sums(rel: &EncodedRelation, pairs: &[(&[f64], usize)]) -> Vec<f64> {
+    let offsets = segment_offsets(rel);
+    let rows = rows_in(&offsets, 0..rel.len());
+    rows.map(|(_, seg, row)| row_sum(rel, pairs, seg, row))
+        .collect()
 }
 
 /// Bit widths of the packed dyadic-interval code: `gid(26) | level(6) | index(32)`.
@@ -142,7 +142,7 @@ const INTERVAL_LEVEL_SHIFT: u64 = 32;
 const INTERVAL_MAX_GID: u64 = (1 << 26) - 2;
 
 /// Refuses a B-side view whose coordinates overflow the construction's 32-bit
-/// fields: [`BMember`] stores global, segment and row positions as `u32`, and a
+/// fields: the template stores B's rows as `u32`s, and a
 /// group's member positions fill the packed code's 32-bit index (a group of at
 /// most `2³²` members has levels `≤ 32`, inside the 6 level bits).
 fn check_b_view_fits(rows: usize, segments: usize) -> Result<()> {
@@ -173,25 +173,6 @@ fn check_group_count_fits(groups: usize) -> Result<()> {
 #[inline]
 fn pack_interval(gid: u64, level: u32, index: usize) -> u64 {
     (gid << INTERVAL_GID_SHIFT) | (u64::from(level) << INTERVAL_LEVEL_SHIFT) | index as u64
-}
-
-/// One B-side row of the dyadic construction: its partial sum, its global position
-/// in the view (the row path's tuple index, used for the stable in-group sort), and
-/// its `(segment, row)` coordinates for gathering.
-struct BMember {
-    sum: f64,
-    global: u32,
-    seg: u32,
-    row: u32,
-}
-
-/// One join group of the B side: its members sorted by `(sum, global)`, and its
-/// identifier — the group's rank among the sorted keys — stored beside them so
-/// an A row finds both with one probe.
-#[derive(Default)]
-struct BGroup {
-    gid: u64,
-    members: Vec<BMember>,
 }
 
 /// Accumulates the output rows of one rewritten view: base-row selections, gathered
@@ -256,154 +237,263 @@ impl ViewBuilder {
     }
 }
 
-/// The dyadic range construction for an adjacent pair of atoms — the encoded twin
-/// of the row path's `trim_adjacent_pair` (Lemma 5.5 applied to the contiguous run
-/// of B-side positions the window selects for each A row).
-fn trim_adjacent_pair_encoded(
-    instance: &EncodedInstance,
-    ranking: &Ranking,
-    weights: &CodeWeights,
-    range: SumRange,
-    (atom_a, atom_b): (usize, usize),
-) -> Result<EncodedInstance> {
-    let query = instance.query().clone();
-    let tuple_weights = SumTupleWeights::with_preferred_atoms(&query, ranking, &[atom_a, atom_b]);
-    let pairs_a = weighted_pairs(&query, &tuple_weights, weights, atom_a);
-    let pairs_b = weighted_pairs(&query, &tuple_weights, weights, atom_b);
-
-    // Join-key positions: the variables shared between the two atoms.
-    let a_vars = query.atom(atom_a).variable_set();
-    let b_vars = query.atom(atom_b).variable_set();
-    let shared: Vec<Variable> = a_vars.intersection(&b_vars).cloned().collect();
-    let key_pos_a: Vec<usize> = shared
-        .iter()
-        .map(|v| query.atom(atom_a).positions_of(v)[0])
-        .collect();
-    let key_pos_b: Vec<usize> = shared
-        .iter()
-        .map(|v| query.atom(atom_b).positions_of(v)[0])
-        .collect();
-
-    // Group B's rows by the join key and sort each group by partial sum (ties by
-    // global row position, matching the row path's tuple-index tie-break). The
-    // grouping pass is chunked over the executor pool; chunk-local maps merge in
-    // canonical chunk order, keeping each group's members in global-row order
-    // before the (total-ordered, hence order-insensitive) sort. The maps are only
-    // probed and merged per key, never read in hash order, so the unkeyed
-    // `KeyMap` hasher changes nothing observable.
-    let rel_b = instance.relation_of_atom(atom_b);
-    let offsets_b = segment_offsets(rel_b);
-    let total_b = *offsets_b.last().expect("offsets include the empty prefix");
-    check_b_view_fits(total_b, rel_b.segments().len())?;
-    let chunk_maps: Vec<KeyMap<BGroup>> =
-        qjoin_par::par_map_chunks(total_b, qjoin_par::DEFAULT_CHUNK, |_, chunk| {
-            let mut local: KeyMap<BGroup> = KeyMap::default();
-            let mut key_buf: Vec<u64> = Vec::with_capacity(key_pos_b.len());
-            for (global, seg, row) in rows_in(&offsets_b, chunk) {
-                key_buf.clear();
-                key_buf.extend(key_pos_b.iter().map(|&p| rel_b.code(seg, row, p)));
-                local
-                    .entry(Key::from_codes(&key_buf))
-                    .or_default()
-                    .members
-                    .push(BMember {
-                        sum: row_sum(rel_b, &pairs_b, seg, row),
-                        global: global as u32,
-                        seg: seg as u32,
-                        row: row as u32,
-                    });
-            }
-            local
-        });
-    // The first chunk's map is the base the later ones merge into, so a B side
-    // that fits one chunk is grouped without a second pass over its members.
-    let mut chunk_maps = chunk_maps.into_iter();
-    let mut groups = chunk_maps.next().unwrap_or_default();
-    for local in chunk_maps {
-        for (key, group) in local {
-            groups.entry(key).or_default().members.extend(group.members);
-        }
-    }
-    check_group_count_fits(groups.len())?;
-    // Group identifiers in sorted key order: the dictionary assigns codes in value
-    // order, so this matches the row path's sorted `Vec<Value>` keys.
-    let mut by_key: Vec<(&Key, &mut BGroup)> = groups.iter_mut().collect();
-    by_key.sort_unstable_by(|a, b| a.0.cmp(b.0));
-    for (gid, (_, group)) in by_key.into_iter().enumerate() {
-        group.gid = gid as u64;
-        group
-            .members
-            .sort_unstable_by(|a, b| a.sum.total_cmp(&b.sum).then(a.global.cmp(&b.global)));
-    }
-
-    // New variable v shared by the two atoms; its codes are packed interval ids.
-    let query_vars = query.variable_set();
-    let v = Variable::fresh("v_sum", query_vars.iter());
-    let new_atom_a = query.atom(atom_a).with_extra_variable(v.clone());
-    let new_atom_b = query.atom(atom_b).with_extra_variable(v.clone());
-    let new_query = query
-        .with_replaced_atom(atom_a, new_atom_a)
-        .with_replaced_atom(atom_b, new_atom_b);
-
-    // A-side: connect every A row to the dyadic cover of its qualifying range.
-    // Rows are independent, so the scan is chunked; chunk-local builders are
-    // appended in canonical chunk order, reproducing the sequential output exactly.
-    let rel_a = instance.relation_of_atom(atom_a);
-    let offsets_a = segment_offsets(rel_a);
-    let total_a = *offsets_a.last().expect("offsets include the empty prefix");
-    let a_parts: Vec<ViewBuilder> =
-        qjoin_par::par_map_chunks(total_a, qjoin_par::DEFAULT_CHUNK, |_, chunk| {
-            let mut part = ViewBuilder::new(rel_a.synth_arity());
-            let mut key_buf: Vec<u64> = Vec::with_capacity(key_pos_a.len());
-            for (_, seg, row) in rows_in(&offsets_a, chunk) {
-                key_buf.clear();
-                key_buf.extend(key_pos_a.iter().map(|&p| rel_a.code(seg, row, p)));
-                let Some(group) = groups.get(&Key::from_codes(&key_buf)) else {
-                    continue;
-                };
-                let wa = row_sum(rel_a, &pairs_a, seg, row);
-                let (lo, hi) = range.positions(&group.members, |m| m.sum, wa);
-                dyadic_cover(lo, hi, |level, index| {
-                    part.push(rel_a, seg, row, pack_interval(group.gid, level, index));
-                });
-            }
-            part
-        });
-    let mut new_a = ViewBuilder::new(rel_a.synth_arity());
-    for part in a_parts {
-        new_a.append(part);
-    }
-
-    // B-side: every B row joins the interval containing its position, one copy per
-    // level. Groups are walked in gid order (the row path does the same), so the
-    // output row order — which feeds the next round's pivot scan — is identical on
-    // both paths; the per-group expansions are independent and chunked, appended
-    // in gid order.
-    let mut ordered: Vec<&BGroup> = groups.values().collect();
-    ordered.sort_unstable_by_key(|group| group.gid);
-    let b_parts: Vec<ViewBuilder> =
-        qjoin_par::par_map_chunks(ordered.len(), qjoin_par::DEFAULT_CHUNK, |_, chunk| {
-            let mut part = ViewBuilder::new(rel_b.synth_arity());
-            for group in &ordered[chunk] {
-                let levels = levels_for(group.members.len());
-                for (pos, member) in group.members.iter().enumerate() {
-                    for level in 0..=levels {
-                        let code = pack_interval(group.gid, level, pos >> level);
-                        part.push(rel_b, member.seg as usize, member.row as usize, code);
-                    }
-                }
-            }
-            part
-        });
-    let mut new_b = ViewBuilder::new(rel_b.synth_arity());
-    for part in b_parts {
-        new_b.append(part);
-    }
-
-    let new_a = new_a.build(rel_a)?;
-    let new_b = new_b.build(rel_b)?;
-    Ok(instance.with_rewritten(new_query, [new_a, new_b])?)
+/// The window-independent half of the SUM trims of one instance for one ranking
+/// (see the module docs).
+struct DyadicTemplate {
+    ranking: Ranking,
+    /// The self-join-free instance every window rewrites, with a memo of its own.
+    base: EncodedInstance,
+    /// The trimmed query and its GYO tree.
+    query: JoinQuery,
+    tree: JoinTree,
+    /// Per child node, its edge's `(child, parent)` groups over the base views'
+    /// rows (`None` on the `v` edge, whose ids a window computes).
+    edges: Vec<Option<(Vec<u32>, Vec<u32>)>>,
+    /// The covering atom (A, for the pair) and its rows' partial sums.
+    atom: usize,
+    sums: Vec<f64>,
+    pair: Option<Pair>,
 }
+
+/// B's half of the dyadic construction.
+struct Pair {
+    atom: usize,
+    /// Each A row's B group (`u32::MAX`: none).
+    a_groups: Vec<u32>,
+    /// Group `g`'s member sums, ascending by `(sum, row)`: `sums[starts[g]..starts[g + 1]]`.
+    sums: Vec<f64>,
+    starts: Vec<u32>,
+    /// Group `g`'s first B′ row. The `v` id of an interval is the B′ row of its first
+    /// member's copy at its level, [`v_id`].
+    firsts: Vec<usize>,
+    /// The B′ view every window shares, and each B′ row's B row and `v` id.
+    view: EncodedRelation,
+    origin: Vec<u32>,
+    v: Vec<u32>,
+}
+
+/// The `v` id of interval `(level, index)` of a group of `levels` levels whose B′
+/// rows start at `first` (each member's copies, one per level, in member order).
+fn v_id(first: usize, levels: u32, level: u32, index: usize) -> u32 {
+    (first + (index << level) * (levels as usize + 1) + level as usize) as u32
+}
+
+/// The join key at `positions` of every row of `rel`, in row order.
+pub(super) fn keys(rel: &EncodedRelation, positions: &[usize]) -> Vec<Key> {
+    let offsets = segment_offsets(rel);
+    let mut codes = Vec::with_capacity(positions.len());
+    (rows_in(&offsets, 0..rel.len()))
+        .map(|(_, seg, row)| {
+            codes.clear();
+            codes.extend(positions.iter().map(|&p| rel.code(seg, row, p)));
+            Key::from_codes(&codes)
+        })
+        .collect()
+}
+
+impl DyadicTemplate {
+    fn build(instance: &EncodedInstance, ranking: &Ranking, weights: &CodeWeights) -> Result<Self> {
+        super::weights::refuse_non_finite(instance, ranking, weights)?;
+        let base = instance.eliminate_self_joins()?;
+        let base = base.with_rewritten(base.query().clone(), [])?;
+        let (query, weighted) = (base.query(), ranking.weighted_vars());
+        let cover = find_adjacent_cover(query, weighted)
+            .ok_or_else(|| intractable_sum_error(query, weighted))?;
+        let (a, b) = cover.atoms;
+        let tuple_weights = SumTupleWeights::with_preferred_atoms(query, ranking, &[a, b]);
+        let pairs = |atom| weighted_pairs(query, &tuple_weights, weights, atom);
+        let sums = |atom| row_sums(base.relation_of_atom(atom), &pairs(atom));
+        let pair = (a != b)
+            .then(|| Pair::build(&base, (a, b), &sums(b)))
+            .transpose()?;
+        // A new variable v the pair shares; its codes are packed interval ids.
+        let mut trimmed = query.clone();
+        let v = Variable::fresh("v_sum", query.variable_set().iter());
+        for atom in [a, b].into_iter().filter(|_| pair.is_some()) {
+            let extended = query.atom(atom).with_extra_variable(v.clone());
+            trimmed = trimmed.with_replaced_atom(atom, extended);
+        }
+        let tree = acyclicity::gyo_join_tree(&trimmed)
+            .ok_or_else(|| ExecError::CyclicQuery(trimmed.to_string()))?;
+        let edges = (0..tree.num_nodes())
+            .map(|child| {
+                let parent = tree.node(child).parent?;
+                let ends = [child, parent].map(|node| tree.node(node).atom_index);
+                (a == b || ends != [a, b] && ends != [b, a]).then(|| {
+                    let shared = tree.shared_with_parent(&trimmed, child);
+                    let [child, parent] = ends.map(|atom| {
+                        let atom_of = trimmed.atom(atom);
+                        let positions = shared.iter().map(|v| atom_of.positions_of(v)[0]);
+                        keys(base.relation_of_atom(atom), &positions.collect::<Vec<_>>())
+                    });
+                    let mut ids: KeyMap<u32> = KeyMap::default();
+                    let child = (child.into_iter())
+                        .map(|key| {
+                            let next = ids.len() as u32;
+                            *ids.entry(key).or_insert(next)
+                        })
+                        .collect();
+                    let parent = parent.iter().map(|key| ids.get(key).copied());
+                    (child, parent.map(|id| id.unwrap_or(u32::MAX)).collect())
+                })
+            })
+            .collect();
+        Ok(DyadicTemplate {
+            ranking: ranking.clone(),
+            sums: sums(a),
+            base,
+            query: trimmed,
+            tree,
+            edges,
+            atom: a,
+            pair,
+        })
+    }
+
+    /// The trim to `range`: views byte-identical to a fresh construction's, and
+    /// the trimmed instance's context derived and left in its memo.
+    fn window(&self, range: SumRange) -> Result<EncodedInstance> {
+        let rel = self.base.relation_of_atom(self.atom);
+        let offsets = segment_offsets(rel);
+        let (view, origin, v) = match &self.pair {
+            None => {
+                let view = rel.filtered(|seg, row| range.admits(self.sums[offsets[seg] + row]));
+                let kept =
+                    (0..rel.len() as u32).filter(|&row| range.admits(self.sums[row as usize]));
+                (view, kept.collect(), Vec::new())
+            }
+            // Rows are independent, so the A scan is chunked; the chunks append in
+            // canonical order, reproducing the sequential output exactly.
+            Some(pair) => {
+                let parts =
+                    qjoin_par::par_map_chunks(rel.len(), qjoin_par::DEFAULT_CHUNK, |_, chunk| {
+                        let mut part =
+                            (ViewBuilder::new(rel.synth_arity()), Vec::new(), Vec::new());
+                        for (row, seg, at) in rows_in(&offsets, chunk) {
+                            let g = pair.a_groups[row] as usize;
+                            let Some(&start) = pair.starts.get(g) else {
+                                continue;
+                            };
+                            let members = &pair.sums[start as usize..pair.starts[g + 1] as usize];
+                            let (lo, hi) = range.positions(members, |&sum| sum, self.sums[row]);
+                            let levels = levels_for(members.len());
+                            dyadic_cover(lo, hi, |level, index| {
+                                part.0
+                                    .push(rel, seg, at, pack_interval(g as u64, level, index));
+                                part.1.push(row as u32);
+                                part.2.push(v_id(pair.firsts[g], levels, level, index));
+                            });
+                        }
+                        part
+                    });
+                let mut out = (ViewBuilder::new(rel.synth_arity()), Vec::new(), Vec::new());
+                for (view, origin, v) in parts {
+                    out.0.append(view);
+                    out.1.extend(origin);
+                    out.2.extend(v);
+                }
+                (out.0.build(rel)?, out.1, out.2)
+            }
+        };
+        let mut views = vec![view];
+        views.extend(self.pair.as_ref().map(|pair| pair.view.clone()));
+        let trimmed = self.base.with_rewritten(self.query.clone(), views)?;
+        // A row reads a non-`v` edge's groups through the base row it copies, and the
+        // `v` edge's (among B′'s rows) through its own id.
+        let (tree, pair) = (&self.tree, self.pair.as_ref());
+        let side = |node: usize| match (tree.node(node).atom_index, pair) {
+            (atom, _) if atom == self.atom => (Some(&origin[..]), &v[..]),
+            (atom, Some(b)) if atom == b.atom => (Some(&b.origin[..]), &b.v[..]),
+            _ => (None, &[][..]),
+        };
+        let edges: Vec<Option<FixedEdge>> = (0..tree.num_nodes())
+            .map(|child| {
+                let [(child_origin, child_v), (parent_origin, parent_v)] =
+                    [child, tree.node(child).parent?].map(side);
+                Some(match &self.edges[child] {
+                    Some((child_groups, parent_groups)) => FixedEdge {
+                        child: (child_groups, child_origin),
+                        parent: (parent_groups, parent_origin),
+                    },
+                    None => FixedEdge {
+                        child: (child_v, None),
+                        parent: (parent_v, None),
+                    },
+                })
+            })
+            .collect();
+        let ctx = EncodedContext::derive(&trimmed, tree.clone(), Some(&edges));
+        trimmed.exec_memo().set(Arc::new(ctx));
+        Ok(trimmed)
+    }
+}
+
+impl Pair {
+    /// B's groups as the row path has them (gids in sorted key order, members by
+    /// `(sum, row)`), B expanded in gid order, and each A row's group.
+    fn build(base: &EncodedInstance, (a, b): (usize, usize), b_sums: &[f64]) -> Result<Pair> {
+        let query = base.query();
+        let shared = (query.atom(a).variable_set())
+            .intersection(&query.atom(b).variable_set())
+            .cloned()
+            .collect::<Vec<Variable>>();
+        let keys_of = |atom: usize| {
+            let positions = shared.iter().map(|v| query.atom(atom).positions_of(v)[0]);
+            keys(base.relation_of_atom(atom), &positions.collect::<Vec<_>>())
+        };
+        let rel = base.relation_of_atom(b);
+        check_b_view_fits(rel.len(), rel.segments().len())?;
+        let mut groups: KeyMap<Vec<u32>> = KeyMap::default();
+        for (row, key) in keys_of(b).into_iter().enumerate() {
+            groups.entry(key).or_default().push(row as u32);
+        }
+        check_group_count_fits(groups.len())?;
+        let mut groups: Vec<(Key, Vec<u32>)> = groups.into_iter().collect();
+        groups.sort_unstable_by(|x, y| x.0.cmp(&y.0));
+        let gids: KeyMap<u32> = (groups.iter().enumerate())
+            .map(|(gid, (key, _))| (key.clone(), gid as u32))
+            .collect();
+        let a_keys = keys_of(a);
+        let coords: Vec<(usize, usize)> = rows_in(&segment_offsets(rel), 0..rel.len())
+            .map(|(_, seg, row)| (seg, row))
+            .collect();
+        let mut view = ViewBuilder::new(rel.synth_arity());
+        let (mut origin, mut v, mut sums) = (Vec::new(), Vec::new(), Vec::new());
+        let (mut starts, mut firsts) = (vec![0], Vec::new());
+        for (gid, (_, members)) in groups.iter_mut().enumerate() {
+            let sum = |row: u32| b_sums[row as usize];
+            members.sort_unstable_by(|&x, &y| sum(x).total_cmp(&sum(y)).then(x.cmp(&y)));
+            let (levels, first) = (levels_for(members.len()), origin.len());
+            for (pos, &row) in members.iter().enumerate() {
+                let (seg, at) = coords[row as usize];
+                for level in 0..=levels {
+                    view.push(rel, seg, at, pack_interval(gid as u64, level, pos >> level));
+                    origin.push(row);
+                    v.push(v_id(first, levels, level, pos >> level));
+                }
+                sums.push(sum(row));
+            }
+            starts.push(sums.len() as u32);
+            firsts.push(first);
+        }
+        Ok(Pair {
+            atom: b,
+            a_groups: (a_keys.iter())
+                .map(|key| gids.get(key).copied().unwrap_or(u32::MAX))
+                .collect(),
+            sums,
+            starts,
+            firsts,
+            view: view.build(rel)?,
+            origin,
+            v,
+        })
+    }
+}
+
+#[cfg(test)]
+#[path = "trim_tests.rs"]
+mod derived;
 
 #[cfg(test)]
 pub(super) mod tests {
@@ -457,7 +547,7 @@ pub(super) mod tests {
     /// Windows that exercise every branch of the range construction: the sentinels
     /// on either or both sides, bounds equal to existing answer weights
     /// (strictness), bounds between weights, and `low ≥ high` (empty).
-    fn windows(weights: &[f64], seed: u64) -> Vec<(WeightBound, WeightBound)> {
+    pub(super) fn windows(weights: &[f64], seed: u64) -> Vec<(WeightBound, WeightBound)> {
         let finite = |w: f64| WeightBound::Finite(Weight::num(w));
         let (min, max) = (weights[0], weights[weights.len() - 1]);
         let median = weights[weights.len() / 2];
@@ -561,7 +651,7 @@ pub(super) mod tests {
         );
     }
 
-    fn path_instance(atoms: usize, seed: u64) -> Instance {
+    pub(super) fn path_instance(atoms: usize, seed: u64) -> Instance {
         PathConfig {
             atoms,
             tuples_per_relation: 14,
@@ -575,7 +665,7 @@ pub(super) mod tests {
 
     /// `E(x1, x2) ⋈ E(x2, x3)`: both atoms read the same relation, so the trim must
     /// first split it (the dyadic rewrite gives the two atoms different rows).
-    fn self_join_instance(seed: u64) -> Instance {
+    pub(super) fn self_join_instance(seed: u64) -> Instance {
         let mut rng = StdRng::seed_from_u64(seed);
         let mut edges = Relation::new("E", 2);
         for _ in 0..16 {

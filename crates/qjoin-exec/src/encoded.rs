@@ -25,6 +25,11 @@
 //! rows and copy list are resolved once per walk, a mask limits the slots copied,
 //! and a walk can be confined to listed root rows.
 //!
+//! A build hashes keys only at a root and in the lossy construction:
+//! [`EncodedContext::derive`] is the same builder with each edge's groups read from
+//! a [`FixedEdge`] (numbered by first occurrence just the same), which is how an
+//! exact SUM window gets a fresh build's very context without hashing a key.
+//!
 //! # Masked passes
 //!
 //! A [`RowMask`] is a conjunction of unary terms per node: a row takes part only if
@@ -53,9 +58,9 @@ use std::sync::{Arc, OnceLock};
 
 /// A join key: the codes of the variables shared with the parent node, in sorted
 /// variable order. Keys of up to three components are inline; larger keys box a
-/// slice. Keys are only ever compared within one arity. Only a context built from
-/// scratch (a root, a SUM trim, the lossy construction) and the dyadic SUM
-/// construction hash keys.
+/// slice. Keys are only ever compared within one arity. Only a context built
+/// afresh (a root, the lossy construction) and a generation's dyadic SUM template
+/// hash keys: an exact SUM window derives its context.
 #[derive(Clone, Debug, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub enum Key {
     /// The empty key (root nodes, cartesian products).
@@ -225,6 +230,16 @@ impl EncodedContext {
 
     /// Builds a context using the provided join tree of the instance's query.
     pub fn build_with_tree(instance: &EncodedInstance, tree: JoinTree) -> Result<Self> {
+        Ok(Self::derive(instance, tree, None))
+    }
+
+    /// [`build_with_tree`](Self::build_with_tree), with each edge's join groups read
+    /// from `fixed[child]` when given, not hashed (see the module docs).
+    pub fn derive(
+        instance: &EncodedInstance,
+        tree: JoinTree,
+        fixed: Option<&[Option<FixedEdge>]>,
+    ) -> Self {
         let query = instance.query().clone();
         debug_assert!(tree.satisfies_running_intersection(&query));
 
@@ -256,7 +271,7 @@ impl EncodedContext {
         };
 
         // Bottom-up semi-joins, resolving each edge as they go. A child is interned
-        // after its own reduction (sequentially, so gids number its keys by first
+        // after its own reduction (sequentially, so gids number its groups by first
         // occurrence whatever the thread count); its parent's rows then probe all
         // their children in one chunked pass. Survivors and their links concatenate
         // in canonical chunk order, so the reduced row sets match a sequential pass.
@@ -267,35 +282,34 @@ impl EncodedContext {
             if children.is_empty() {
                 continue;
             }
-            let mut interned: Vec<KeyMap<u32>> = Vec::with_capacity(children.len());
+            let mut interned = Vec::with_capacity(children.len());
             for &child in &children {
-                let positions = &ctx.nodes[child].own_key_positions;
-                let mut gids: KeyMap<u32> = KeyMap::default();
+                let edge = fixed.map(|edges| edges[child].expect("every edge is fixed"));
+                let mut groups = edge.map_or_else(
+                    || Groups::Keys(KeyMap::default()),
+                    |e| Groups::Fixed(e, vec![u32::MAX; e.child.0.len().max(e.parent.0.len())]),
+                );
+                let mut next = 0u32;
                 row_gids[child] = (0..ctx.nodes[child].rows.len())
                     .map(|i| {
-                        let next = gids.len() as u32;
-                        *gids
-                            .entry(ctx.key_from_positions(child, i, positions))
-                            .or_insert(next)
+                        let gid = groups.intern(&ctx, child, i, next);
+                        next += u32::from(gid == next);
+                        gid
                     })
                     .collect();
-                n_groups[child] = gids.len();
-                interned.push(gids);
+                n_groups[child] = next as usize;
+                interned.push(groups);
             }
             let rows = &ctx.nodes[node_id].rows;
             let (mut kept, mut links) = (Vec::new(), vec![Vec::new(); children.len()]);
-            let gid = |slot: usize, i: usize| {
-                let positions = &ctx.nodes[children[slot]].parent_key_positions;
-                let key = ctx.key_from_positions(node_id, i, positions);
-                interned[slot].get(&key).copied()
-            };
+            let gid = |s: usize, i: usize| interned[s].probe(&ctx, node_id, children[s], i);
             semi_join(rows, gid, &mut kept, &mut links);
             ctx.nodes[node_id].rows = kept;
             ctx.nodes[node_id].child_links = links;
         }
 
         ctx.reduce_top_down(row_gids, &n_groups);
-        Ok(ctx)
+        ctx
     }
 
     /// Top-down semi-joins over the resolved links: a child group survives iff a
@@ -391,6 +405,15 @@ impl EncodedContext {
         }
     }
 
+    /// The group `side` of a [`FixedEdge`] puts row `i` of `node` in.
+    #[inline]
+    fn fixed_group(&self, node: usize, (groups, origin): GroupSide, i: usize) -> usize {
+        let (seg, row) = self.nodes[node].rows[i];
+        let before = self.rels[node].segments()[..seg as usize].iter();
+        let row = before.map(qjoin_data::Segment::len).sum::<usize>() + row as usize;
+        groups[origin.map_or(row, |origin| origin[row] as usize)] as usize
+    }
+
     /// True if the query has no answers (some node lost all rows during reduction).
     pub fn has_no_answers(&self) -> bool {
         self.nodes.iter().any(|n| n.rows.is_empty())
@@ -435,6 +458,56 @@ impl EncodedContext {
     /// Total surviving rows across all nodes.
     pub fn total_rows(&self) -> usize {
         self.nodes.iter().map(|n| n.rows.len()).sum()
+    }
+}
+
+/// One side of a [`FixedEdge`]: row `r` of the node's view is in group
+/// `groups[origin[r]]` (`groups[r]` with no `origin`).
+pub type GroupSide<'a> = (&'a [u32], Option<&'a [u32]>);
+
+/// An edge's join groups fixed in advance, for [`EncodedContext::derive`]: every
+/// group is below the longer side's length; `u32::MAX` on the parent side joins none.
+#[derive(Clone, Copy, Debug)]
+pub struct FixedEdge<'a> {
+    /// The child's side.
+    pub child: GroupSide<'a>,
+    /// The parent's side.
+    pub parent: GroupSide<'a>,
+}
+
+/// Where a build takes one edge's join groups from: hashed keys, or a [`FixedEdge`]
+/// (and each group's gid, `u32::MAX` until a child row is in it), numbered alike.
+enum Groups<'a> {
+    Keys(KeyMap<u32>),
+    Fixed(FixedEdge<'a>, Vec<u32>),
+}
+
+impl Groups<'_> {
+    /// The gid of row `i` of `child`: its group's, or `next` for a new group.
+    #[inline]
+    fn intern(&mut self, ctx: &EncodedContext, child: usize, i: usize, next: u32) -> u32 {
+        let gid = match self {
+            Groups::Keys(gids) => gids
+                .entry(ctx.key_from_positions(child, i, &ctx.nodes[child].own_key_positions))
+                .or_insert(u32::MAX),
+            Groups::Fixed(edge, gids) => &mut gids[ctx.fixed_group(child, edge.child, i)],
+        };
+        if *gid == u32::MAX {
+            *gid = next;
+        }
+        *gid
+    }
+
+    /// The gid of the `child` group row `i` of its parent `parent` joins, if any.
+    #[inline]
+    fn probe(&self, ctx: &EncodedContext, parent: usize, child: usize, i: usize) -> Option<u32> {
+        let positions = &ctx.nodes[child].parent_key_positions;
+        match self {
+            Groups::Keys(gids) => gids.get(&ctx.key_from_positions(parent, i, positions)),
+            Groups::Fixed(edge, gids) => gids.get(ctx.fixed_group(parent, edge.parent, i)),
+        }
+        .copied()
+        .filter(|&gid| gid != u32::MAX)
     }
 }
 

@@ -22,6 +22,8 @@
 //!   (a connection whose request a worker is executing is not parked);
 //! * `qjoin_reactor_blocking_polls_total` — how often the reactor went to sleep
 //!   in `poll(2)`. It sleeps without a timeout, so an idle server does not move it.
+//! * `qjoin_panics_total` — requests whose dispatch panicked (each answered
+//!   `err internal: …` on its still-open connection).
 //!
 //! Requests whose queue-wait + execute time reaches the configured threshold
 //! additionally land in a bounded ring buffer, dumped on demand by the
@@ -49,6 +51,7 @@ pub struct ServerMetrics {
     queue_depth_gauge: Arc<Gauge>,
     parked: Arc<Gauge>,
     blocking_polls: Arc<Counter>,
+    panics: Arc<Counter>,
     slow: SlowLog,
 }
 
@@ -65,6 +68,7 @@ impl ServerMetrics {
             queue_depth_gauge: registry.gauge("qjoin_queue_depth", &[]),
             parked: registry.gauge("qjoin_connections_parked", &[]),
             blocking_polls: registry.counter("qjoin_reactor_blocking_polls_total", &[]),
+            panics: registry.counter("qjoin_panics_total", &[]),
             slow: SlowLog::new(slow_threshold, slow_capacity),
         }
     }
@@ -92,6 +96,11 @@ impl ServerMetrics {
     /// The reactor is about to block in `poll(2)`.
     pub fn blocking_poll(&self) {
         self.blocking_polls.inc();
+    }
+
+    /// A request's dispatch panicked.
+    pub fn panicked(&self) {
+        self.panics.inc();
     }
 
     /// Records one served request: bumps the live counter, feeds the three

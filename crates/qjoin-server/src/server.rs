@@ -46,6 +46,7 @@ use qjoin_telemetry::{
 use std::io;
 use std::net::{SocketAddr, TcpListener, ToSocketAddrs};
 use std::os::fd::AsRawFd;
+use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::mpsc::{Receiver, Sender};
 use std::sync::{mpsc, Arc};
@@ -124,6 +125,8 @@ pub struct Server {
     config: ServerConfig,
     handle: ServerHandle,
     poller: Poller,
+    /// What a worker runs on a request line: [`dispatch`].
+    dispatch: fn(&str, &CliSession, &ServerMetrics) -> (Response, Action),
 }
 
 /// One unit of worker work: a connection plus the complete request line the
@@ -178,6 +181,7 @@ impl Server {
             config,
             handle,
             poller,
+            dispatch,
         })
     }
 
@@ -229,11 +233,16 @@ impl Server {
             let session = Arc::clone(&self.session);
             let handle = handle.clone();
             let metrics = Arc::clone(&metrics);
+            let dispatch = self.dispatch;
             WorkerPool::new(
                 "qjoin-worker",
                 self.config.workers,
                 self.config.queue_depth,
-                move |job: Job| execute_job(job, &session, &handle, &requests, &metrics, &done_tx),
+                move |job: Job| {
+                    execute_job(
+                        job, dispatch, &session, &handle, &requests, &metrics, &done_tx,
+                    )
+                },
             )
         };
         Reactor {
@@ -253,9 +262,11 @@ impl Server {
 /// Executes one dispatched request on a worker: write the reply, then either hand
 /// the connection back to the reactor or drop it. Already-buffered pipelined
 /// lines are served inline (no reactor round-trip) — bounded by what the reactor
-/// buffered, since workers never read from the socket.
+/// buffered, since workers never read from the socket. A request whose dispatch
+/// panics is answered `err internal: <message>` on its still-open connection.
 fn execute_job(
     job: Job,
+    dispatch: fn(&str, &CliSession, &ServerMetrics) -> (Response, Action),
     session: &CliSession,
     handle: &ServerHandle,
     requests: &AtomicU64,
@@ -287,19 +298,25 @@ fn execute_job(
         });
         // Execute under the request's trace context, so the engine's
         // cache-lookup / coalesce-wait / solve spans attach to this request.
-        let (response, action) = match &trace_now {
+        let run = || catch_unwind(AssertUnwindSafe(|| dispatch(trimmed, session, metrics)));
+        let outcome = match &trace_now {
             Some((builder, root)) => {
                 builder.record_new(Some(*root), "queue-wait", enqueued, queue_wait, Vec::new());
-                with_trace_context(
-                    TraceContext {
-                        builder: builder.clone(),
-                        parent: *root,
-                    },
-                    || dispatch(trimmed, session, metrics),
-                )
+                let parent = *root;
+                let builder = builder.clone();
+                with_trace_context(TraceContext { builder, parent }, run)
             }
-            None => dispatch(trimmed, session, metrics),
+            None => run(),
         };
+        let panicked = outcome.is_err();
+        let (response, action) = outcome.unwrap_or_else(|payload| {
+            metrics.panicked();
+            let message = (payload.downcast_ref::<&str>().copied())
+                .or_else(|| payload.downcast_ref::<String>().map(String::as_str))
+                .unwrap_or("the request panicked");
+            let reply = Response::error(format!("internal: {message}"));
+            (reply, Action::Continue)
+        });
         let executed = Instant::now();
         let wrote = conn.write_response(&response).is_ok();
         let write_time = executed.elapsed();
@@ -327,14 +344,9 @@ fn execute_job(
                 }
                 cmd.truncate(cut);
             }
-            builder.record(
-                root,
-                None,
-                "request",
-                enqueued,
-                enqueued.elapsed(),
-                vec![("cmd", ArgValue::Str(cmd))],
-            );
+            let mut args = vec![("cmd", ArgValue::Str(cmd))];
+            args.extend(panicked.then_some(("panic", ArgValue::Bool(true))));
+            builder.record(root, None, "request", enqueued, enqueued.elapsed(), args);
             recorder.push(builder.finish());
         }
         // Count only real served requests: non-empty commands whose reply made it
@@ -598,6 +610,52 @@ mod tests {
         let handle = server.handle().unwrap();
         let join = std::thread::spawn(move || server.run().unwrap());
         (handle, join)
+    }
+
+    /// A dispatch that panics on `boom` and serves every other line as usual.
+    fn panicking(line: &str, session: &CliSession, metrics: &ServerMetrics) -> (Response, Action) {
+        if line == "boom" {
+            panic!("boom went the request");
+        }
+        dispatch(line, session, metrics)
+    }
+
+    /// A request whose dispatch panics is answered `err internal: …` on its
+    /// connection, which stays open; the one worker lives on, the panic is counted
+    /// and its request span marked. Without the `catch_unwind` the client reads a
+    /// closed connection.
+    #[test]
+    fn a_panicking_request_gets_a_reply() {
+        let session = Arc::new(CliSession::new());
+        let config = ServerConfig {
+            workers: 1,
+            ..ServerConfig::default()
+        };
+        let mut server = Server::bind("127.0.0.1:0", Arc::clone(&session), config).unwrap();
+        server.dispatch = panicking;
+        let handle = server.handle().unwrap();
+        let join = std::thread::spawn(move || server.run().unwrap());
+        let mut client = crate::Client::connect(handle.addr()).unwrap();
+        match client.send("boom") {
+            Err(crate::ClientError::Remote(message)) => {
+                assert_eq!(message, "internal: boom went the request")
+            }
+            other => panic!("expected an `err internal` reply, got {other:?}"),
+        }
+        client.ping().unwrap();
+        // The pool's one worker still serves: a second connection is answered.
+        let mut second = crate::Client::connect(handle.addr()).unwrap();
+        second.ping().unwrap();
+        let metrics = client.send("metrics").unwrap().join("\n");
+        assert!(metrics.contains("qjoin_panics_total 1"), "{metrics}");
+        let traces = session.engine().recorder().last(16);
+        let spans = traces.iter().flat_map(|trace| trace.spans_named("request"));
+        let marked: Vec<_> = spans.filter(|span| span.arg("panic").is_some()).collect();
+        assert_eq!(marked.len(), 1, "one request span is marked");
+        assert_eq!(marked[0].arg("panic"), Some(&ArgValue::Bool(true)));
+        assert_eq!(marked[0].arg("cmd"), Some(&ArgValue::Str("boom".into())));
+        client.shutdown().unwrap();
+        join.join().unwrap();
     }
 
     #[test]
