@@ -79,7 +79,7 @@
 //! solve and a 0.44–0.47 ms pivot scan, the middle column's re-run 0.44–0.48.
 
 use super::pivot::PivotScan;
-use super::trim::{keys, row_sums, rows_in, segment_offsets, weighted_pairs, ViewBuilder};
+use super::trim::{keys, row_sums, weighted_pairs};
 use super::weights::CodeWeights;
 use super::{CodeKey, EncodedBackend};
 use crate::pivot::PivotResult;
@@ -196,7 +196,6 @@ impl LossyConstruction {
 
                 // Group the child's rows by join key, each group's members in
                 // ascending row order — the order the row path enumerates tuples in.
-                let child_offsets = segment_offsets(&states[child].view);
                 let child_total = states[child].view.len();
                 let mut group_members: HashMap<Key, Vec<u32>> = HashMap::new();
                 for (row, key) in keys(&states[child].view, &child_pos)
@@ -245,31 +244,12 @@ impl LossyConstruction {
                 }
 
                 // Extend the child: the same rows in the same order, plus one
-                // synthesized per-row column carrying the bucket id.
+                // synthesized column carrying the bucket id, so its annotations stand.
                 let v = Variable::fresh("v_rs", all_vars.iter());
                 all_vars.push(v.clone());
-                let rebuilt_child = {
-                    let view = &states[child].view;
-                    let parts: Vec<ViewBuilder> = qjoin_par::par_map_chunks(
-                        child_total,
-                        qjoin_par::DEFAULT_CHUNK,
-                        |_, range| {
-                            let mut part = ViewBuilder::new(view.synth_arity());
-                            for (global, seg, row) in rows_in(&child_offsets, range) {
-                                part.push(view, seg, row, child_bucket[global]);
-                            }
-                            part
-                        },
-                    );
-                    let mut builder = ViewBuilder::new(view.synth_arity());
-                    for part in parts {
-                        builder.append(part);
-                    }
-                    builder.build(view)?
-                };
-                states[child].atom = states[child].atom.with_extra_variable(v.clone());
-                states[child].view = rebuilt_child;
-                // The annotations are untouched: the rebuild is row-for-row.
+                let child_state = &mut states[child];
+                child_state.atom = child_state.atom.with_extra_variable(v.clone());
+                child_state.view = child_state.view.clone().with_synth(child_bucket);
 
                 // Extend the parent: one copy per bucket of the matching group,
                 // absorbing the bucket's two rounded sums and its multiplicity. Old
@@ -279,39 +259,40 @@ impl LossyConstruction {
                     let parent = &states[node];
                     let (view, up, dn, mults) =
                         (&parent.view, &parent.up, &parent.dn, &parent.mults);
-                    let offsets = segment_offsets(view);
-                    let total = *offsets.last().expect("offsets include the empty prefix");
-                    type Part = (ViewBuilder, Vec<f64>, Vec<f64>, Vec<u128>);
-                    let parts: Vec<Part> =
-                        qjoin_par::par_map_chunks(total, qjoin_par::DEFAULT_CHUNK, |_, range| {
-                            let mut part = ViewBuilder::new(view.synth_arity());
-                            let (mut ups, mut dns, mut ms) = (Vec::new(), Vec::new(), Vec::new());
+                    type Part = (Vec<u32>, Vec<u64>, Vec<f64>, Vec<f64>, Vec<u128>);
+                    let parts: Vec<Part> = qjoin_par::par_map_chunks(
+                        view.len(),
+                        qjoin_par::DEFAULT_CHUNK,
+                        |_, range| {
+                            let mut part = Part::default();
                             let mut key_buf: Vec<u64> = Vec::with_capacity(parent_pos.len());
-                            for (global, seg, row) in rows_in(&offsets, range) {
+                            for row in range {
                                 key_buf.clear();
-                                key_buf.extend(parent_pos.iter().map(|&p| view.code(seg, row, p)));
+                                key_buf.extend(parent_pos.iter().map(|&p| view.code(row, p)));
                                 let Some(buckets) = group_buckets.get(&Key::from_codes(&key_buf))
                                 else {
                                     continue;
                                 };
                                 for &(id, rounded_up, rounded_dn, multiplicity) in buckets {
-                                    part.push(view, seg, row, id);
-                                    ups.push(up[global] + rounded_up);
-                                    dns.push(dn[global] + rounded_dn);
-                                    ms.push(mults[global].saturating_mul(multiplicity));
+                                    part.0.push(row as u32);
+                                    part.1.push(id);
+                                    part.2.push(up[row] + rounded_up);
+                                    part.3.push(dn[row] + rounded_dn);
+                                    part.4.push(mults[row].saturating_mul(multiplicity));
                                 }
                             }
-                            (part, ups, dns, ms)
-                        });
-                    let mut builder = ViewBuilder::new(view.synth_arity());
-                    let (mut ups, mut dns, mut ms) = (Vec::new(), Vec::new(), Vec::new());
-                    for (part, u, d, m) in parts {
-                        builder.append(part);
-                        ups.extend(u);
-                        dns.extend(d);
-                        ms.extend(m);
+                            part
+                        },
+                    );
+                    let mut out = Part::default();
+                    for part in parts {
+                        out.0.extend(part.0);
+                        out.1.extend(part.1);
+                        out.2.extend(part.2);
+                        out.3.extend(part.3);
+                        out.4.extend(part.4);
                     }
-                    (builder.build(view)?, ups, dns, ms)
+                    (view.select(out.0).with_synth(out.1), out.2, out.3, out.4)
                 };
                 states[node].view = new_view;
                 states[node].up = new_up;
@@ -324,7 +305,6 @@ impl LossyConstruction {
         // mirroring the row path's fresh database. The root keeps every row; its two
         // sums are what `window` filters by.
         let root = tree.root();
-        let root_offsets = segment_offsets(&states[root].view);
         let (sum_up, sum_dn) = (
             std::mem::take(&mut states[root].up),
             std::mem::take(&mut states[root].dn),
@@ -344,10 +324,7 @@ impl LossyConstruction {
         let scan = PivotScan::new(&rewritten, ranking, weights)?;
         let ctx = &scan.ctx;
         let root_sums = (ctx.node(ctx.root()).rows.iter())
-            .map(|&(seg, row)| {
-                let global = root_offsets[seg as usize] + row as usize;
-                (sum_up[global], sum_dn[global])
-            })
+            .map(|&row| (sum_up[row as usize], sum_dn[row as usize]))
             .collect();
         Ok(LossyConstruction {
             ranking: ranking.clone(),
@@ -398,12 +375,12 @@ impl LossyConstruction {
         let inside =
             |&(up, dn): &(f64, f64)| bounds.is_none_or(|(low, high)| up < high && dn > low);
         let root = self.scan.ctx.node(self.scan.ctx.root());
-        let kept: std::collections::HashSet<(u32, u32)> = (root.rows.iter().zip(&self.root_sums))
-            .filter(|(_, sums)| inside(sums))
-            .map(|(&coords, _)| coords)
-            .collect();
         let view = self.rewritten.relation_of_atom(root.atom_index);
-        let view = view.filtered(|seg, row| kept.contains(&(seg as u32, row as u32)));
+        let mut kept = vec![false; view.len()];
+        for (&row, sums) in root.rows.iter().zip(&self.root_sums) {
+            kept[row as usize] = inside(sums);
+        }
+        let view = view.filtered(|row| kept[row]);
         let query = self.rewritten.query().clone();
         Ok(self.rewritten.with_rewritten(query, [view])?)
     }

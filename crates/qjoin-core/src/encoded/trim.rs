@@ -31,7 +31,7 @@ use super::weights::CodeWeights;
 use crate::dichotomy::find_adjacent_cover;
 use crate::trim::sum::{dyadic_cover, intractable_sum_error, levels_for, SumRange, SumWindow};
 use crate::{CoreError, Result};
-use qjoin_data::{EncodedRelation, Segment, SynthCol};
+use qjoin_data::EncodedRelation;
 use qjoin_exec::encoded::{FixedEdge, KeyMap};
 use qjoin_exec::{EncodedContext, ExecError, Key};
 use qjoin_query::{acyclicity, EncodedInstance, JoinQuery, JoinTree, Variable};
@@ -81,56 +81,19 @@ pub(super) fn weighted_pairs<'w>(
         .collect()
 }
 
-/// Prefix row offsets of a view's segments (`offsets[s]` is the global index of
-/// segment `s`'s first row; the last entry is the total row count). Turns a
-/// global row index into `(segment, row)` coordinates for chunked scans.
-pub(super) fn segment_offsets(rel: &EncodedRelation) -> Vec<usize> {
-    let mut offsets = Vec::with_capacity(rel.segments().len() + 1);
-    let mut total = 0usize;
-    offsets.push(0);
-    for seg in rel.segments() {
-        total += seg.len();
-        offsets.push(total);
-    }
-    offsets
-}
-
-/// The rows `range` of a view with the given [`segment_offsets`], as `(global index,
-/// segment, row in segment)` — the coordinates of a chunked scan.
-pub(super) fn rows_in(
-    offsets: &[usize],
-    range: std::ops::Range<usize>,
-) -> impl Iterator<Item = (usize, usize, usize)> + '_ {
-    let mut seg = offsets.partition_point(|&o| o <= range.start) - 1;
-    range.map(move |global| {
-        while global >= offsets[seg + 1] {
-            seg += 1;
-        }
-        (global, seg, global - offsets[seg])
-    })
-}
-
 /// The partial sum carried by one view row (mirrors `SumTupleWeights::tuple_sum`,
 /// including the fold order).
 #[inline]
-pub(super) fn row_sum(
-    rel: &EncodedRelation,
-    pairs: &[(&[f64], usize)],
-    seg: usize,
-    row: usize,
-) -> f64 {
+pub(super) fn row_sum(rel: &EncodedRelation, pairs: &[(&[f64], usize)], row: usize) -> f64 {
     pairs
         .iter()
-        .map(|(table, pos)| table[rel.code(seg, row, *pos) as usize])
+        .map(|(table, pos)| table[rel.code(row, *pos) as usize])
         .sum()
 }
 
 /// The partial sum of every row of a view (see [`row_sum`]), in row order.
 pub(super) fn row_sums(rel: &EncodedRelation, pairs: &[(&[f64], usize)]) -> Vec<f64> {
-    let offsets = segment_offsets(rel);
-    let rows = rows_in(&offsets, 0..rel.len());
-    rows.map(|(_, seg, row)| row_sum(rel, pairs, seg, row))
-        .collect()
+    (0..rel.len()).map(|row| row_sum(rel, pairs, row)).collect()
 }
 
 /// Bit widths of the packed dyadic-interval code: `gid(26) | level(6) | index(32)`.
@@ -141,16 +104,16 @@ const INTERVAL_GID_SHIFT: u64 = 38;
 const INTERVAL_LEVEL_SHIFT: u64 = 32;
 const INTERVAL_MAX_GID: u64 = (1 << 26) - 2;
 
-/// Refuses a B-side view whose coordinates overflow the construction's 32-bit
-/// fields: the template stores B's rows as `u32`s, and a
-/// group's member positions fill the packed code's 32-bit index (a group of at
-/// most `2³²` members has levels `≤ 32`, inside the 6 level bits).
-fn check_b_view_fits(rows: usize, segments: usize) -> Result<()> {
+/// Refuses a B-side view whose rows overflow the construction's 32-bit fields: the
+/// template stores B's rows as `u32`s, and a group's member positions fill the
+/// packed code's 32-bit index (a group of at most `2³²` members has levels `≤ 32`,
+/// inside the 6 level bits).
+fn check_b_view_fits(rows: usize) -> Result<()> {
     let limit = u32::MAX as usize;
-    if rows > limit || segments > limit {
+    if rows > limit {
         return Err(CoreError::TooLarge(format!(
-            "dyadic SUM construction over a view of {rows} rows in {segments} segments; \
-             the packed interval code addresses at most {limit} of each"
+            "dyadic SUM construction over a view of {rows} rows; the packed interval \
+             code addresses at most {limit}"
         )));
     }
     Ok(())
@@ -173,68 +136,6 @@ fn check_group_count_fits(groups: usize) -> Result<()> {
 #[inline]
 fn pack_interval(gid: u64, level: u32, index: usize) -> u64 {
     (gid << INTERVAL_GID_SHIFT) | (u64::from(level) << INTERVAL_LEVEL_SHIFT) | index as u64
-}
-
-/// Accumulates the output rows of one rewritten view: base-row selections, gathered
-/// pre-existing synthesized columns, and the fresh packed-interval column.
-pub(super) struct ViewBuilder {
-    sel: Vec<u32>,
-    old_synth: Vec<Vec<u64>>,
-    interval: Vec<u64>,
-}
-
-impl ViewBuilder {
-    pub(super) fn new(synth_arity: usize) -> ViewBuilder {
-        ViewBuilder {
-            sel: Vec::new(),
-            old_synth: vec![Vec::new(); synth_arity],
-            interval: Vec::new(),
-        }
-    }
-
-    pub(super) fn push(
-        &mut self,
-        rel: &EncodedRelation,
-        seg: usize,
-        row: usize,
-        interval_code: u64,
-    ) {
-        let segment = &rel.segments()[seg];
-        self.sel.push(segment.sel.get(row));
-        for (k, col) in segment.synth.iter().enumerate() {
-            self.old_synth[k].push(col.get(row));
-        }
-        self.interval.push(interval_code);
-    }
-
-    /// Appends another builder's rows (used to concatenate chunk-local partials
-    /// in canonical chunk order).
-    pub(super) fn append(&mut self, mut other: ViewBuilder) {
-        self.sel.append(&mut other.sel);
-        for (dst, mut src) in self.old_synth.iter_mut().zip(other.old_synth) {
-            dst.append(&mut src);
-        }
-        self.interval.append(&mut other.interval);
-    }
-
-    pub(super) fn build(self, rel: &EncodedRelation) -> Result<EncodedRelation> {
-        let mut synth: Vec<SynthCol> = self
-            .old_synth
-            .into_iter()
-            .map(|codes| SynthCol::PerRow(Arc::new(codes)))
-            .collect();
-        synth.push(SynthCol::PerRow(Arc::new(self.interval)));
-        let segment = Segment {
-            sel: qjoin_data::SelVec::Rows(Arc::new(self.sel)),
-            synth,
-        };
-        Ok(EncodedRelation::from_segments(
-            rel.name(),
-            Arc::clone(rel.base()),
-            rel.synth_arity() + 1,
-            vec![segment],
-        )?)
-    }
 }
 
 /// The window-independent half of the SUM trims of one instance for one ranking
@@ -280,12 +181,11 @@ fn v_id(first: usize, levels: u32, level: u32, index: usize) -> u32 {
 
 /// The join key at `positions` of every row of `rel`, in row order.
 pub(super) fn keys(rel: &EncodedRelation, positions: &[usize]) -> Vec<Key> {
-    let offsets = segment_offsets(rel);
     let mut codes = Vec::with_capacity(positions.len());
-    (rows_in(&offsets, 0..rel.len()))
-        .map(|(_, seg, row)| {
+    (0..rel.len())
+        .map(|row| {
             codes.clear();
-            codes.extend(positions.iter().map(|&p| rel.code(seg, row, p)));
+            codes.extend(positions.iter().map(|&p| rel.code(row, p)));
             Key::from_codes(&codes)
         })
         .collect()
@@ -354,10 +254,9 @@ impl DyadicTemplate {
     /// the trimmed instance's context derived and left in its memo.
     fn window(&self, range: SumRange) -> Result<EncodedInstance> {
         let rel = self.base.relation_of_atom(self.atom);
-        let offsets = segment_offsets(rel);
         let (view, origin, v) = match &self.pair {
             None => {
-                let view = rel.filtered(|seg, row| range.admits(self.sums[offsets[seg] + row]));
+                let view = rel.filtered(|row| range.admits(self.sums[row]));
                 let kept =
                     (0..rel.len() as u32).filter(|&row| range.admits(self.sums[row as usize]));
                 (view, kept.collect(), Vec::new())
@@ -367,9 +266,8 @@ impl DyadicTemplate {
             Some(pair) => {
                 let parts =
                     qjoin_par::par_map_chunks(rel.len(), qjoin_par::DEFAULT_CHUNK, |_, chunk| {
-                        let mut part =
-                            (ViewBuilder::new(rel.synth_arity()), Vec::new(), Vec::new());
-                        for (row, seg, at) in rows_in(&offsets, chunk) {
+                        let mut part = (Vec::new(), Vec::new(), Vec::new());
+                        for row in chunk {
                             let g = pair.a_groups[row] as usize;
                             let Some(&start) = pair.starts.get(g) else {
                                 continue;
@@ -378,21 +276,20 @@ impl DyadicTemplate {
                             let (lo, hi) = range.positions(members, |&sum| sum, self.sums[row]);
                             let levels = levels_for(members.len());
                             dyadic_cover(lo, hi, |level, index| {
-                                part.0
-                                    .push(rel, seg, at, pack_interval(g as u64, level, index));
-                                part.1.push(row as u32);
+                                part.0.push(row as u32);
+                                part.1.push(pack_interval(g as u64, level, index));
                                 part.2.push(v_id(pair.firsts[g], levels, level, index));
                             });
                         }
                         part
                     });
-                let mut out = (ViewBuilder::new(rel.synth_arity()), Vec::new(), Vec::new());
-                for (view, origin, v) in parts {
-                    out.0.append(view);
-                    out.1.extend(origin);
-                    out.2.extend(v);
+                let (mut origin, mut codes, mut v) = (Vec::new(), Vec::new(), Vec::new());
+                for part in parts {
+                    origin.extend(part.0);
+                    codes.extend(part.1);
+                    v.extend(part.2);
                 }
-                (out.0.build(rel)?, out.1, out.2)
+                (rel.select(origin.clone()).with_synth(codes), origin, v)
             }
         };
         let mut views = vec![view];
@@ -442,7 +339,7 @@ impl Pair {
             keys(base.relation_of_atom(atom), &positions.collect::<Vec<_>>())
         };
         let rel = base.relation_of_atom(b);
-        check_b_view_fits(rel.len(), rel.segments().len())?;
+        check_b_view_fits(rel.len())?;
         let mut groups: KeyMap<Vec<u32>> = KeyMap::default();
         for (row, key) in keys_of(b).into_iter().enumerate() {
             groups.entry(key).or_default().push(row as u32);
@@ -454,21 +351,17 @@ impl Pair {
             .map(|(gid, (key, _))| (key.clone(), gid as u32))
             .collect();
         let a_keys = keys_of(a);
-        let coords: Vec<(usize, usize)> = rows_in(&segment_offsets(rel), 0..rel.len())
-            .map(|(_, seg, row)| (seg, row))
-            .collect();
-        let mut view = ViewBuilder::new(rel.synth_arity());
-        let (mut origin, mut v, mut sums) = (Vec::new(), Vec::new(), Vec::new());
+        let (mut origin, mut codes, mut v, mut sums) =
+            (Vec::new(), Vec::new(), Vec::new(), Vec::new());
         let (mut starts, mut firsts) = (vec![0], Vec::new());
         for (gid, (_, members)) in groups.iter_mut().enumerate() {
             let sum = |row: u32| b_sums[row as usize];
             members.sort_unstable_by(|&x, &y| sum(x).total_cmp(&sum(y)).then(x.cmp(&y)));
             let (levels, first) = (levels_for(members.len()), origin.len());
             for (pos, &row) in members.iter().enumerate() {
-                let (seg, at) = coords[row as usize];
                 for level in 0..=levels {
-                    view.push(rel, seg, at, pack_interval(gid as u64, level, pos >> level));
                     origin.push(row);
+                    codes.push(pack_interval(gid as u64, level, pos >> level));
                     v.push(v_id(first, levels, level, pos >> level));
                 }
                 sums.push(sum(row));
@@ -484,7 +377,7 @@ impl Pair {
             sums,
             starts,
             firsts,
-            view: view.build(rel)?,
+            view: rel.select(origin.clone()).with_synth(codes),
             origin,
             v,
         })
@@ -775,12 +668,11 @@ pub(super) mod tests {
     #[test]
     fn oversized_constructions_are_refused_not_truncated() {
         let limit = u32::MAX as usize;
-        assert!(check_b_view_fits(limit, limit).is_ok());
+        assert!(check_b_view_fits(limit).is_ok());
         assert!(check_group_count_fits((INTERVAL_MAX_GID + 1) as usize).is_ok());
         let at_most = |n: u64| format!("at most {n}");
         for (refused, limit) in [
-            (check_b_view_fits(limit + 1, 1), at_most(u32::MAX.into())),
-            (check_b_view_fits(1, limit + 1), at_most(u32::MAX.into())),
+            (check_b_view_fits(limit + 1), at_most(u32::MAX.into())),
             (
                 check_group_count_fits((INTERVAL_MAX_GID + 2) as usize),
                 at_most(INTERVAL_MAX_GID + 1),

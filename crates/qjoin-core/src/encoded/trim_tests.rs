@@ -22,18 +22,17 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::collections::BTreeMap;
 
-/// Every row of a view as `(base row, codes)`, segment after segment.
+/// Every row of a view as `(base row, codes)`, in view order.
 type Rows = Vec<(u32, Vec<u64>)>;
 
 fn dump(rel: &EncodedRelation) -> Rows {
-    let mut out = Rows::new();
-    for (s, segment) in rel.segments().iter().enumerate() {
-        for row in 0..segment.len() {
-            let codes = (0..rel.arity()).map(|col| rel.code(s, row, col)).collect();
-            out.push((segment.sel.get(row), codes));
-        }
-    }
-    out
+    (0..rel.len())
+        .map(|row| (rel.sel().get(row), codes(rel, row)))
+        .collect()
+}
+
+fn codes(rel: &EncodedRelation, row: usize) -> Vec<u64> {
+    (0..rel.arity()).map(|col| rel.code(row, col)).collect()
 }
 
 /// The views a trim to `range` rewrites, by relation name, constructed afresh
@@ -54,14 +53,15 @@ fn views_built_afresh(
     let rows = |atom: usize| -> Vec<(u32, Vec<u64>, f64)> {
         let rel = base.relation_of_atom(atom);
         let pairs = weighted_pairs(query, &tuple_weights, weights, atom);
-        let mut out = Vec::new();
-        for (s, segment) in rel.segments().iter().enumerate() {
-            for row in 0..segment.len() {
-                let codes = (0..rel.arity()).map(|col| rel.code(s, row, col)).collect();
-                out.push((segment.sel.get(row), codes, row_sum(rel, &pairs, s, row)));
-            }
-        }
-        out
+        (0..rel.len())
+            .map(|row| {
+                (
+                    rel.sel().get(row),
+                    codes(rel, row),
+                    row_sum(rel, &pairs, row),
+                )
+            })
+            .collect()
     };
     let name = |atom: usize| query.atom(atom).relation().to_string();
     if a == b {

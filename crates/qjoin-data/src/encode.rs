@@ -16,13 +16,14 @@
 //!   and a sort of the distinct values only.
 //! * [`EncodedColumns`] — one relation's tuples transposed into column-major
 //!   `Vec<u64>` code columns, shared behind `Arc`s.
-//! * [`EncodedRelation`] — a *view* over encoded columns: a list of [`Segment`]s,
-//!   each holding a selection vector ([`SelVec`]) into the base columns plus
-//!   synthesized columns ([`SynthCol`]) for the variables the trimming
-//!   constructions introduce (dyadic-interval and sketch-bucket identifiers).
-//!   Filters and those constructions produce new views over the *same* base columns —
-//!   no tuple is ever copied on the encoded path; values are decoded back to
-//!   [`Value`]s only at the answer boundary.
+//! * [`EncodedRelation`] — a *view* over encoded columns: one selection vector
+//!   ([`SelVec`]) into the base columns plus synthesized columns, one code per view
+//!   row, for the variables the trimming constructions introduce (dyadic-interval
+//!   and sketch-bucket identifiers). A view row is one `u32` index; filters,
+//!   selections and those constructions produce new views over the *same* base
+//!   columns — no tuple is ever copied on the encoded path; values are decoded back
+//!   to [`Value`]s only at the answer boundary. Only this module knows how a view
+//!   stores its rows.
 
 use crate::{DataError, Database, Result, Value};
 use std::collections::{BTreeMap, HashMap};
@@ -206,7 +207,7 @@ impl EncodedDatabase {
     }
 }
 
-/// A selection vector: which base rows a segment selects, in order. Rows may repeat
+/// A selection vector: which base rows a view selects, in order. Rows may repeat
 /// (the dyadic SUM construction emits one output row per covering interval).
 #[derive(Clone, Debug)]
 pub enum SelVec {
@@ -240,97 +241,29 @@ impl SelVec {
     }
 }
 
-/// A synthesized column of a segment: one code per row (dyadic-interval or
-/// sketch-bucket identifiers).
-#[derive(Clone, Debug)]
-pub enum SynthCol {
-    /// One code per row, aligned with the segment's selection vector.
-    PerRow(Arc<Vec<u64>>),
-}
-
-impl SynthCol {
-    /// The code at row `i` of the segment.
-    #[inline]
-    pub fn get(&self, i: usize) -> u64 {
-        let SynthCol::PerRow(codes) = self;
-        codes[i]
-    }
-}
-
-/// One contiguous block of an [`EncodedRelation`] view: a selection vector into the
-/// base columns plus the segment's synthesized-column codes.
-#[derive(Clone, Debug)]
-pub struct Segment {
-    /// Which base rows this segment selects.
-    pub sel: SelVec,
-    /// Synthesized columns, appended after the base columns. All segments of one
-    /// relation view carry the same number of synthesized columns.
-    pub synth: Vec<SynthCol>,
-}
-
-impl Segment {
-    /// Number of rows in the segment.
-    pub fn len(&self) -> usize {
-        self.sel.len()
-    }
-
-    /// True when the segment holds no rows.
-    pub fn is_empty(&self) -> bool {
-        self.sel.is_empty()
-    }
-}
-
-/// A relation *view* on the encoded path: shared base columns plus a list of
-/// segments. This is what the trim rounds produce instead of materialized relation
-/// copies — a filter is a selection vector, and the dyadic SUM construction is a
-/// selection vector with repeats plus a per-row synthesized column.
+/// A relation *view* on the encoded path: shared base columns, a selection vector
+/// into them, and synthesized columns (one code per view row: dyadic-interval or
+/// sketch-bucket identifiers). This is what the trim rounds produce instead of
+/// materialized relation copies — a filter is a selection vector, and the dyadic
+/// SUM construction is a selection vector with repeats plus a synthesized column.
+/// A view row is addressed by one index, `0..len()`.
 #[derive(Clone, Debug)]
 pub struct EncodedRelation {
     name: String,
     base: Arc<EncodedColumns>,
-    synth_arity: usize,
-    segments: Vec<Segment>,
+    sel: SelVec,
+    synth: Vec<Arc<Vec<u64>>>,
 }
 
 impl EncodedRelation {
-    /// The full view of a base relation: one `All` segment, no synthesized columns.
+    /// The full view of a base relation: every row, no synthesized columns.
     pub fn full(base: Arc<EncodedColumns>) -> EncodedRelation {
-        let len = base.len() as u32;
         EncodedRelation {
             name: base.name().to_string(),
+            sel: SelVec::All(base.len() as u32),
             base,
-            synth_arity: 0,
-            segments: vec![Segment {
-                sel: SelVec::All(len),
-                synth: Vec::new(),
-            }],
+            synth: Vec::new(),
         }
-    }
-
-    /// Assembles a view from explicit segments. Every segment must carry exactly
-    /// `synth_arity` synthesized columns.
-    pub fn from_segments(
-        name: impl Into<String>,
-        base: Arc<EncodedColumns>,
-        synth_arity: usize,
-        segments: Vec<Segment>,
-    ) -> Result<EncodedRelation> {
-        let name = name.into();
-        for seg in &segments {
-            if seg.synth.len() != synth_arity {
-                return Err(DataError::ArityMismatch {
-                    relation: name,
-                    expected: synth_arity,
-                    found: seg.synth.len(),
-                });
-            }
-        }
-        Ok(EncodedRelation {
-            name,
-            base,
-            synth_arity,
-            segments,
-        })
     }
 
     /// The relational symbol of the view.
@@ -351,6 +284,11 @@ impl EncodedRelation {
         &self.base
     }
 
+    /// The base rows the view selects.
+    pub fn sel(&self) -> &SelVec {
+        &self.sel
+    }
+
     /// Number of base columns.
     pub fn base_arity(&self) -> usize {
         self.base.arity()
@@ -358,121 +296,90 @@ impl EncodedRelation {
 
     /// Number of synthesized columns.
     pub fn synth_arity(&self) -> usize {
-        self.synth_arity
+        self.synth.len()
     }
 
     /// Total arity of the view (base + synthesized columns).
     pub fn arity(&self) -> usize {
-        self.base.arity() + self.synth_arity
+        self.base.arity() + self.synth.len()
     }
 
-    /// The segments of the view.
-    pub fn segments(&self) -> &[Segment] {
-        &self.segments
-    }
-
-    /// Total number of rows across all segments.
+    /// Number of rows of the view.
     pub fn len(&self) -> usize {
-        self.segments.iter().map(Segment::len).sum()
+        self.sel.len()
     }
 
     /// True when the view selects no rows.
     pub fn is_empty(&self) -> bool {
-        self.segments.iter().all(Segment::is_empty)
+        self.sel.is_empty()
     }
 
-    /// The code at (`segment`, `row`, `col`), where columns `0..base_arity` read the
-    /// base columns through the selection vector and columns `base_arity..arity`
-    /// read the synthesized columns.
+    /// The code at view row `row`, column `col`: columns `0..base_arity` read the
+    /// base columns through the selection vector, columns `base_arity..arity` the
+    /// synthesized columns.
     #[inline]
-    pub fn code(&self, segment: usize, row: usize, col: usize) -> u64 {
-        let seg = &self.segments[segment];
+    pub fn code(&self, row: usize, col: usize) -> u64 {
         let base_arity = self.base.arity();
         if col < base_arity {
-            self.base.column(col)[seg.sel.get(row) as usize]
+            self.base.column(col)[self.sel.get(row) as usize]
         } else {
-            seg.synth[col - base_arity].get(row)
+            self.synth[col - base_arity][row]
         }
     }
 
-    /// Calls `f` once per row of the view, in segment order, with `(segment, row)`
-    /// coordinates suitable for [`EncodedRelation::code`].
-    pub fn for_each_row(&self, mut f: impl FnMut(usize, usize)) {
-        for (seg_idx, seg) in self.segments.iter().enumerate() {
-            for row in 0..seg.len() {
-                f(seg_idx, row);
-            }
+    /// The view of this view's rows `rows`, in the order given (a row may repeat),
+    /// with the same columns.
+    pub fn select(&self, mut rows: Vec<u32>) -> EncodedRelation {
+        let synth = (self.synth.iter())
+            .map(|codes| Arc::new(rows.iter().map(|&row| codes[row as usize]).collect()))
+            .collect();
+        // Under `All`, a view row is its base row.
+        if let SelVec::Rows(base_rows) = &self.sel {
+            rows.iter_mut()
+                .for_each(|row| *row = base_rows[*row as usize]);
+        }
+        EncodedRelation {
+            name: self.name.clone(),
+            base: Arc::clone(&self.base),
+            sel: SelVec::Rows(Arc::new(rows)),
+            synth,
         }
     }
 
-    /// A view keeping only the rows for which `keep` returns true. When a segment
-    /// keeps every row, it is shared (cloned by handle) rather than rebuilt — the
+    /// This view with `codes` appended as one more synthesized column, one code per
+    /// row. Panics if the lengths differ.
+    pub fn with_synth(mut self, codes: Vec<u64>) -> EncodedRelation {
+        assert_eq!(codes.len(), self.len(), "one synthesized code per view row");
+        self.synth.push(Arc::new(codes));
+        self
+    }
+
+    /// A view keeping only the rows for which `keep` returns true. When it keeps
+    /// every row, the view is shared (cloned by handle) rather than rebuilt — the
     /// encoded analogue of [`crate::Relation::filtered`]'s sharing guarantee.
     ///
-    /// Each segment is scanned in fixed-size chunks over the current executor
-    /// pool; every chunk packs its surviving rows locally and the partials are
-    /// concatenated in canonical chunk order, so the resulting selection vector
-    /// is byte-identical to the sequential scan at any thread count.
-    pub fn filtered(&self, keep: impl Fn(usize, usize) -> bool + Sync) -> EncodedRelation {
-        let keep = &keep;
-        let segments = self
-            .segments
-            .iter()
-            .enumerate()
-            .map(|(seg_idx, seg)| {
-                let parts: Vec<(Vec<u32>, Vec<Vec<u64>>)> =
-                    qjoin_par::par_map_chunks(seg.len(), qjoin_par::DEFAULT_CHUNK, |_, range| {
-                        let mut rows = Vec::new();
-                        let mut synth: Vec<Vec<u64>> = vec![Vec::new(); seg.synth.len()];
-                        for row in range {
-                            if !keep(seg_idx, row) {
-                                continue;
-                            }
-                            rows.push(seg.sel.get(row));
-                            for (k, col) in seg.synth.iter().enumerate() {
-                                synth[k].push(col.get(row));
-                            }
-                        }
-                        (rows, synth)
-                    });
-                let kept: usize = parts.iter().map(|(rows, _)| rows.len()).sum();
-                if kept == seg.len() {
-                    return seg.clone();
-                }
-                let mut rows = Vec::with_capacity(kept);
-                let mut synth_rows: Vec<Vec<u64>> = vec![Vec::new(); seg.synth.len()];
-                for (part_rows, part_synth) in parts {
-                    rows.extend(part_rows);
-                    for (k, part) in part_synth.into_iter().enumerate() {
-                        synth_rows[k].extend(part);
-                    }
-                }
-                let synth = (synth_rows.into_iter())
-                    .map(|codes| SynthCol::PerRow(Arc::new(codes)))
-                    .collect();
-                Segment {
-                    sel: SelVec::Rows(Arc::new(rows)),
-                    synth,
-                }
-            })
-            .collect();
-        EncodedRelation {
-            name: self.name.clone(),
-            base: Arc::clone(&self.base),
-            synth_arity: self.synth_arity,
-            segments,
+    /// The view is scanned in fixed-size chunks over the current executor pool;
+    /// every chunk packs its surviving rows locally and the partials are
+    /// concatenated in canonical chunk order, so the resulting view is
+    /// byte-identical to the sequential scan at any thread count.
+    pub fn filtered(&self, keep: impl Fn(usize) -> bool + Sync) -> EncodedRelation {
+        let parts = qjoin_par::par_map_chunks(self.len(), qjoin_par::DEFAULT_CHUNK, |_, range| {
+            range
+                .filter(|&row| keep(row))
+                .map(|row| row as u32)
+                .collect::<Vec<u32>>()
+        });
+        let kept = parts.concat();
+        if kept.len() == self.len() {
+            return self.clone();
         }
+        self.select(kept)
     }
 
-    /// A view with the same base and no rows (the encoded analogue of clearing a
-    /// relation while preserving its schema).
+    /// A view with the same base and columns and no rows (the encoded analogue of
+    /// clearing a relation while preserving its schema).
     pub fn cleared(&self) -> EncodedRelation {
-        EncodedRelation {
-            name: self.name.clone(),
-            base: Arc::clone(&self.base),
-            synth_arity: self.synth_arity,
-            segments: Vec::new(),
-        }
+        self.select(Vec::new())
     }
 
     /// True when the two views share the same base column storage.
@@ -655,7 +562,7 @@ mod tests {
         let view = EncodedRelation::full(Arc::clone(enc.relation("R").unwrap()));
         assert_eq!(view.len(), 3);
         assert_eq!(view.arity(), 2);
-        assert_eq!(view.code(0, 1, 0), enc.relation("R").unwrap().column(0)[1]);
+        assert_eq!(view.code(1, 0), enc.relation("R").unwrap().column(0)[1]);
     }
 
     #[test]
@@ -665,46 +572,47 @@ mod tests {
         let dict = Arc::clone(enc.dictionary());
         let view = EncodedRelation::full(Arc::clone(enc.relation("R").unwrap()));
         let three = dict.encode(&Value::from(3)).unwrap();
-        let filtered = view.filtered(|seg, row| view.code(seg, row, 0) == three);
+        let filtered = view.filtered(|row| view.code(row, 0) == three);
         assert_eq!(filtered.len(), 2);
         assert!(filtered.shares_base_with(&view));
-        let all = view.filtered(|_, _| true);
-        assert!(matches!(all.segments()[0].sel, SelVec::All(_)));
-        let none = view.filtered(|_, _| false);
+        let all = view.filtered(|_| true);
+        assert!(matches!(all.sel(), SelVec::All(_)));
+        let none = view.filtered(|_| false);
         assert!(none.is_empty());
     }
 
+    /// Synthesized columns follow view rows, not base rows, through `select` and
+    /// `filtered`. Mutation caught: `filtered` gathering a synthesized code at the
+    /// base row `sel.get(row)` instead of the view row.
     #[test]
     fn synth_columns_extend_arity() {
         let db = small_db();
         let enc = EncodedDatabase::encode(&db).unwrap();
         let base = Arc::clone(enc.relation("S").unwrap());
-        let seg = Segment {
-            sel: SelVec::Rows(Arc::new(vec![1, 0, 1])),
-            synth: vec![
-                SynthCol::PerRow(Arc::new(vec![7, 7, 7])),
-                SynthCol::PerRow(Arc::new(vec![5, 6, 7])),
-            ],
-        };
-        let view = EncodedRelation::from_segments("S", base, 2, vec![seg]).unwrap();
+        let view = EncodedRelation::full(Arc::clone(&base))
+            .select(vec![1, 0, 1])
+            .with_synth(vec![7, 8, 9])
+            .with_synth(vec![5, 6, 4]);
         assert_eq!(view.arity(), 4);
         assert_eq!(view.len(), 3);
-        assert_eq!(view.code(0, 0, 2), 7);
-        assert_eq!(view.code(0, 2, 3), 7);
+        assert_eq!(view.code(0, 2), 7);
+        assert_eq!(view.code(2, 3), 4);
         // Row 0 selects base row 1.
-        assert_eq!(view.code(0, 0, 0), enc.relation("S").unwrap().column(0)[1]);
-    }
-
-    #[test]
-    fn from_segments_validates_synth_arity() {
-        let db = small_db();
-        let enc = EncodedDatabase::encode(&db).unwrap();
-        let base = Arc::clone(enc.relation("S").unwrap());
-        let seg = Segment {
-            sel: SelVec::All(2),
-            synth: vec![SynthCol::PerRow(Arc::new(vec![0, 0]))],
-        };
-        assert!(EncodedRelation::from_segments("S", base, 2, vec![seg]).is_err());
+        assert_eq!(view.code(0, 0), base.column(0)[1]);
+        // Keep view rows 1 and 2 (base rows 0 and 1): their synthesized codes come
+        // along, read at the view row.
+        let kept = view.filtered(|row| row > 0);
+        assert_eq!(kept.len(), 2);
+        let rows: Vec<Vec<u64>> = (0..kept.len())
+            .map(|row| (0..kept.arity()).map(|col| kept.code(row, col)).collect())
+            .collect();
+        assert_eq!(
+            rows,
+            [
+                vec![base.column(0)[0], base.column(1)[0], 8, 6],
+                vec![base.column(0)[1], base.column(1)[1], 9, 4],
+            ]
+        );
     }
 
     #[test]

@@ -44,9 +44,7 @@ mod tuple;
 mod value;
 
 pub use database::Database;
-pub use encode::{
-    Dictionary, EncodedColumns, EncodedDatabase, EncodedRelation, Segment, SelVec, SynthCol,
-};
+pub use encode::{Dictionary, EncodedColumns, EncodedDatabase, EncodedRelation, SelVec};
 pub use error::DataError;
 pub use relation::Relation;
 pub use tuple::Tuple;

@@ -144,9 +144,9 @@ pub struct EncodedNode {
     pub node_id: usize,
     /// Index of the query atom materialized at this node.
     pub atom_index: usize,
-    /// Surviving `(segment, row)` coordinates into the node's relation view, in view
-    /// order, after the consistency filter and the full reducer.
-    pub rows: Vec<(u32, u32)>,
+    /// Surviving rows of the node's relation view (view-row indices), in view order,
+    /// after the consistency filter and the full reducer.
+    pub rows: Vec<u32>,
     /// Positions of the variables shared with the parent within this node's atom
     /// (sorted variable order; empty for the root).
     pub own_key_positions: Vec<usize>,
@@ -167,7 +167,7 @@ pub struct EncodedNode {
 impl EncodedNode {
     /// Node `node_id` of `tree` over `rows`, its join-key positions resolved from
     /// `query`, with no links or groups yet.
-    fn new(query: &JoinQuery, tree: &JoinTree, node_id: usize, rows: Vec<(u32, u32)>) -> Self {
+    fn new(query: &JoinQuery, tree: &JoinTree, node_id: usize, rows: Vec<u32>) -> Self {
         let atom_index = tree.node(node_id).atom_index;
         let atom = query.atom(atom_index);
         let shared: Vec<Variable> = tree
@@ -257,7 +257,7 @@ impl EncodedContext {
                 .map(|(v, _)| atom.positions_of(&v))
                 .filter(|p| p.len() > 1)
                 .collect();
-            let rows = consistent_coords(&rel, &repeated);
+            let rows = consistent_rows(&rel, &repeated);
             nodes.push(EncodedNode::new(&query, &tree, node_id, rows));
             rels.push(rel);
         }
@@ -387,8 +387,7 @@ impl EncodedContext {
     /// The code of column `col` of row `i` (an index into the node's surviving rows).
     #[inline]
     pub fn code(&self, node: usize, i: usize, col: usize) -> u64 {
-        let (seg, row) = self.nodes[node].rows[i];
-        self.rels[node].code(seg as usize, row as usize, col)
+        self.rels[node].code(self.nodes[node].rows[i] as usize, col)
     }
 
     fn key_from_positions(&self, node: usize, i: usize, positions: &[usize]) -> Key {
@@ -408,9 +407,7 @@ impl EncodedContext {
     /// The group `side` of a [`FixedEdge`] puts row `i` of `node` in.
     #[inline]
     fn fixed_group(&self, node: usize, (groups, origin): GroupSide, i: usize) -> usize {
-        let (seg, row) = self.nodes[node].rows[i];
-        let before = self.rels[node].segments()[..seg as usize].iter();
-        let row = before.map(qjoin_data::Segment::len).sum::<usize>() + row as usize;
+        let row = self.nodes[node].rows[i] as usize;
         groups[origin.map_or(row, |origin| origin[row] as usize)] as usize
     }
 
@@ -516,9 +513,9 @@ impl Groups<'_> {
 /// to `links[slot]`. Chunked over the pool; the chunks append in canonical order,
 /// so the result matches a sequential pass.
 fn semi_join(
-    rows: &[(u32, u32)],
+    rows: &[u32],
     gid: impl Fn(usize, usize) -> Option<u32> + Sync,
-    kept: &mut Vec<(u32, u32)>,
+    kept: &mut Vec<u32>,
     links: &mut [Vec<u32>],
 ) {
     let parts = qjoin_par::par_map_chunks(rows.len(), qjoin_par::DEFAULT_CHUNK, |_, range| {
@@ -576,46 +573,23 @@ fn retain_by<T>(items: &mut Vec<T>, keep: &[bool]) {
 }
 
 /// Scans a relation view in fixed-size chunks over the executor pool and
-/// returns the `(segment, row)` coordinates whose repeated-variable positions
-/// agree, in view order (partials concatenate in canonical chunk order).
-fn consistent_coords(
-    rel: &qjoin_data::EncodedRelation,
-    repeated: &[Vec<usize>],
-) -> Vec<(u32, u32)> {
-    // Prefix offsets turn a global row index into (segment, row) coordinates.
-    let mut offsets: Vec<usize> = Vec::with_capacity(rel.segments().len() + 1);
-    let mut total = 0usize;
-    offsets.push(0);
-    for seg in rel.segments() {
-        total += seg.len();
-        offsets.push(total);
-    }
-    let parts: Vec<Vec<(u32, u32)>> =
-        qjoin_par::par_map_chunks(total, qjoin_par::DEFAULT_CHUNK, |_, range| {
-            let mut out = Vec::with_capacity(range.len());
-            let mut seg = offsets.partition_point(|&o| o <= range.start) - 1;
-            for idx in range {
-                while idx >= offsets[seg + 1] {
-                    seg += 1;
-                }
-                let row = idx - offsets[seg];
-                let consistent = repeated.iter().all(|positions| {
-                    let first = rel.code(seg, row, positions[0]);
-                    positions[1..]
-                        .iter()
-                        .all(|&p| rel.code(seg, row, p) == first)
-                });
-                if consistent {
-                    out.push((seg as u32, row as u32));
-                }
+/// returns the rows whose repeated-variable positions agree, in view order
+/// (partials concatenate in canonical chunk order).
+fn consistent_rows(rel: &qjoin_data::EncodedRelation, repeated: &[Vec<usize>]) -> Vec<u32> {
+    let parts = qjoin_par::par_map_chunks(rel.len(), qjoin_par::DEFAULT_CHUNK, |_, range| {
+        let mut out = Vec::with_capacity(range.len());
+        for row in range {
+            let consistent = repeated.iter().all(|positions| {
+                let first = rel.code(row, positions[0]);
+                positions[1..].iter().all(|&p| rel.code(row, p) == first)
+            });
+            if consistent {
+                out.push(row as u32);
             }
-            out
-        });
-    let mut rows = Vec::with_capacity(total);
-    for part in parts {
-        rows.extend(part);
-    }
-    rows
+        }
+        out
+    });
+    parts.concat()
 }
 
 /// Per-tuple subtree answer counts of an encoded context, plus the per-group
@@ -764,7 +738,7 @@ struct WalkLevel<'a> {
     links: &'a [u32],
     group_offsets: &'a [u32],
     group_members: &'a [u32],
-    rows: &'a [(u32, u32)],
+    rows: &'a [u32],
     rel: &'a qjoin_data::EncodedRelation,
     /// `(atom column, answer slot)` of each needed variable this node binds first
     /// (one an ancestor bound already holds the same code: it is in the join key).
@@ -845,9 +819,9 @@ impl<'a> AnswerWalk<'a> {
     ) {
         let level = &self.levels[depth];
         selected[depth] = i;
-        let (seg, r) = level.rows[i];
+        let r = level.rows[i] as usize;
         for &(col, slot) in &level.copy {
-            row[slot] = level.rel.code(seg as usize, r as usize, col);
+            row[slot] = level.rel.code(r, col);
         }
         let Some(next) = self.levels.get(depth + 1) else {
             return f(row);
@@ -1319,9 +1293,9 @@ mod tests {
                 }
                 let views = ctx.nodes().iter().map(|node| {
                     let rel = enc.relation_of_atom(node.atom_index);
-                    rel.filtered(|seg, row| {
+                    rel.filtered(|row| {
                         (spec[node.node_id].iter()).all(|(col, table, (a, b))| {
-                            let rank = table[rel.code(seg, row, *col) as usize];
+                            let rank = table[rel.code(row, *col) as usize];
                             *a <= rank && rank < *b
                         })
                     })

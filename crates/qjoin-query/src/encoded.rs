@@ -266,7 +266,7 @@ mod tests {
         for row in 0..r1.len() {
             for col in 0..2 {
                 assert_eq!(
-                    enc.dictionary().decode(r1.code(0, row, col)),
+                    enc.dictionary().decode(r1.code(row, col)),
                     original.tuples()[row].get(col).unwrap()
                 );
             }
@@ -277,7 +277,7 @@ mod tests {
     fn answer_count_upper_bound_is_the_product_of_view_lengths() {
         let enc = EncodedInstance::from_instance(&two_path_instance()).unwrap();
         assert_eq!(enc.answer_count_upper_bound(), Some(4));
-        let filtered = enc.relation("R1").unwrap().filtered(|_, row| row == 0);
+        let filtered = enc.relation("R1").unwrap().filtered(|row| row == 0);
         let narrowed = enc.with_rewritten(enc.query().clone(), [filtered]).unwrap();
         assert_eq!(narrowed.answer_count_upper_bound(), Some(2));
 
@@ -359,7 +359,7 @@ mod tests {
     fn with_rewritten_replaces_and_shares() {
         let inst = two_path_instance();
         let enc = EncodedInstance::from_instance(&inst).unwrap();
-        let filtered = enc.relation("R1").unwrap().filtered(|_, row| row == 0);
+        let filtered = enc.relation("R1").unwrap().filtered(|row| row == 0);
         let out = enc.with_rewritten(enc.query().clone(), [filtered]).unwrap();
         assert_eq!(out.relation("R1").unwrap().len(), 1);
         assert_eq!(out.relation("R2").unwrap().len(), 2);
