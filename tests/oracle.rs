@@ -30,7 +30,7 @@ use quantile_joins::par::{with_pool, Pool};
 use quantile_joins::prelude::*;
 use quantile_joins::query::{acyclicity::gyo_join_tree, binary::binarize};
 use quantile_joins::workload::random_acyclic::{
-    shaped_instance, tie_heavy_ranking, RandomAcyclicConfig,
+    random_acyclic_instance, shaped_instance, tie_heavy_ranking, RandomAcyclicConfig,
 };
 use quantile_joins::CoreError;
 use rand::rngs::StdRng;
@@ -290,6 +290,28 @@ fn at_both_thread_counts(suite: impl Fn(usize) -> Arms, arms: &[&str]) {
     }
 }
 
+/// The exact single and batch solves, each cold and memo-warm under a
+/// [`BoundChecker`], against the oracle.
+fn assert_exact_routes(
+    instance: &Instance,
+    ranking: &Ranking,
+    oracle: &Oracle,
+    what: &str,
+    arms: &mut Arms,
+) {
+    for phi in PHIS {
+        let what = format!("{what} single φ={phi}");
+        let checked = checked_solve(instance, ranking, &[phi], Accuracy::Exact, &what);
+        oracle.assert_exact(phi, &checked[0], &what);
+    }
+    arms.hit("exact single");
+    let checked = checked_solve(instance, ranking, &PHIS, Accuracy::Exact, what);
+    for (phi, result) in PHIS.iter().zip(&checked) {
+        oracle.assert_exact(*phi, result, &format!("{what} batch φ={phi}"));
+    }
+    arms.hit("exact batch");
+}
+
 /// An intractable SUM: the exact route refuses with a witness.
 fn assert_refused(instance: &Instance, ranking: &Ranking, what: &str, arms: &mut Arms) {
     let refused = solve(instance, ranking, &[0.5], Accuracy::Exact).unwrap_err();
@@ -337,17 +359,7 @@ fn assert_every_route(
     if sum && !classify_partial_sum(instance.query(), ranking.weighted_vars()).is_tractable() {
         assert_refused(instance, ranking, what, arms);
     } else {
-        for phi in PHIS {
-            let what = format!("{what} single φ={phi}");
-            let checked = checked_solve(instance, ranking, &[phi], Accuracy::Exact, &what);
-            oracle.assert_exact(phi, &checked[0], &what);
-        }
-        arms.hit("exact single");
-        let checked = checked_solve(instance, ranking, &PHIS, Accuracy::Exact, what);
-        for (phi, result) in PHIS.iter().zip(&checked) {
-            oracle.assert_exact(*phi, result, &format!("{what} batch φ={phi}"));
-        }
-        arms.hit("exact batch");
+        assert_exact_routes(instance, ranking, &oracle, what, arms);
         let plan = format!("plan{}", engine.plans().len());
         let query = instance.query().clone();
         engine
@@ -449,7 +461,90 @@ fn whole_solves(threads: usize) -> Arms {
             assert_every_route(&engine, &database, &instance, &ranking, &what, &mut arms);
         }
     }
+    generated_exact_solves(threads, &mut arms);
     arms
+}
+
+/// SUM over `weighted`, each variable weighed like `tie_heavy_ranking` weighs its
+/// domain: 2.5 for all (0), the value mod 2 or mod 3 (2, 3), the value (else).
+fn sum_ranking(weighted: Vec<Variable>, domain: usize) -> Ranking {
+    let weight_fn = match domain {
+        0 => WeightFn::Constant(2.5),
+        2 | 3 => {
+            let modulus = domain as i64;
+            WeightFn::custom(move |v| v.as_f64().map_or(0.0, |v| (v as i64 % modulus) as f64))
+        }
+        _ => WeightFn::Identity,
+    };
+    (weighted.iter()).fold(Ranking::sum(weighted.clone()), |ranking, var| {
+        ranking.with_weight_fn(var.clone(), weight_fn.clone())
+    })
+}
+
+/// SUM variable sets of `instance` that one atom or two adjacent atoms cover: a
+/// random atom's variables with its first listed twice, and per edge of the GYO
+/// tree a variable only the child binds, one only the parent binds and (when there
+/// is one) a variable they share, so μ sends a weight of the listed order to each.
+fn covered_sums(instance: &Instance, rng: &mut StdRng) -> Vec<Vec<Variable>> {
+    let query = instance.query();
+    let tree = gyo_join_tree(query).expect("an acyclic query");
+    let atom = rng.random_range(0..query.num_atoms());
+    let mut own: Vec<Variable> = query.atom(atom).variable_set().into_iter().collect();
+    own.push(own[0].clone());
+    let mut sets = vec![own];
+    for child in 0..tree.num_nodes() {
+        let Some(parent) = tree.node(child).parent else {
+            continue;
+        };
+        let [up, down] =
+            [parent, child].map(|n| query.atom(tree.node(n).atom_index).variable_set());
+        let alone =
+            |x: &BTreeSet<Variable>, y: &BTreeSet<Variable>| x.difference(y).next().cloned();
+        if let (Some(below), Some(above)) = (alone(&down, &up), alone(&up, &down)) {
+            let mut pair = vec![below, above];
+            pair.extend(up.intersection(&down).next().cloned());
+            sets.push(pair);
+        }
+    }
+    sets
+}
+
+/// `random_acyclic_instance`s (self-joins, repeated variables, empty joins) under
+/// MIN/MAX/LEX and under SUMs one atom or an adjacent pair covers ([`covered_sums`]):
+/// the exact single and batch solves, against the oracle and under the bound
+/// checker. Fails if a pair count reads a B group's prefix one position too far or
+/// through another edge's links, which these shapes reach and the fixed ones do not.
+fn generated_exact_solves(threads: usize, arms: &mut Arms) {
+    let mut rng = StdRng::seed_from_u64(0x5a17);
+    for i in 0..40 {
+        let instance = random_acyclic_instance(&mut rng);
+        let domain: usize = [0, 2, 3, 9][rng.random_range(0..4usize)];
+        let kinds = [AggregateKind::Min, AggregateKind::Max, AggregateKind::Lex];
+        let searched = kinds.map(|kind| tie_heavy_ranking(&instance, kind, domain));
+        let summed = covered_sums(&instance, &mut rng).into_iter();
+        for ranking in searched
+            .into_iter()
+            .chain(summed.map(|set| sum_ranking(set, domain)))
+        {
+            let oracle = Oracle::new(&instance, &ranking);
+            if oracle.total() == 0 {
+                continue;
+            }
+            let what = format!("generated {i} {ranking} domain {domain} T={threads}");
+            assert_exact_routes(&instance, &ranking, &oracle, &what, arms);
+            if ranking.kind() == AggregateKind::Sum {
+                let query = instance.query();
+                arms.hit(match classify_partial_sum(query, ranking.weighted_vars()) {
+                    SumClassification::TractableSingleAtom { .. } => "single-atom SUM",
+                    SumClassification::TractableAdjacentPair { .. } => "pair SUM",
+                    other => panic!("{what}: {other:?}"),
+                });
+            }
+            if instance.query().has_self_joins() {
+                arms.hit("self-join");
+            }
+        }
+    }
 }
 
 #[test]
@@ -462,6 +557,9 @@ fn every_route_matches_the_brute_force() {
         "sampled answered",
         "sampled refused",
         "intractable refused",
+        "single-atom SUM",
+        "pair SUM",
+        "self-join",
     ];
     at_both_thread_counts(whole_solves, &arms);
 }
