@@ -79,9 +79,8 @@
 //! solve and a 0.44–0.47 ms pivot scan, the middle column's re-run 0.44–0.48.
 
 use super::pivot::PivotScan;
-use super::trim::{keys, row_sums, weighted_pairs};
-use super::weights::CodeWeights;
-use super::{CodeKey, EncodedBackend};
+use super::weights::{row_sums, weighted_pairs, CodeWeights};
+use super::{memoised, CodeKey, EncodedBackend};
 use crate::pivot::PivotResult;
 use crate::quantile::SolveBackend;
 use crate::sketch::{sketch, RoundDirection, SketchEntry};
@@ -95,6 +94,18 @@ use qjoin_ranking::RankPredicate;
 use qjoin_ranking::{AggregateKind, CmpOp, Ranking, SumTupleWeights, Weight, WeightBound};
 use std::collections::{BTreeMap, HashMap};
 use std::sync::{Arc, OnceLock};
+
+/// The join key at `positions` of every row of `rel`, in row order.
+fn keys(rel: &EncodedRelation, positions: &[usize]) -> Vec<Key> {
+    let mut codes = Vec::with_capacity(positions.len());
+    (0..rel.len())
+        .map(|row| {
+            codes.clear();
+            codes.extend(positions.iter().map(|&p| rel.code(row, p)));
+            Key::from_codes(&codes)
+        })
+        .collect()
+}
 
 /// Per-node state during the bottom-up pass: the (growing) atom, its view, and
 /// the per-row annotations in view scan order — `σ_s` rounded up and rounded down,
@@ -376,11 +387,12 @@ impl LossyConstruction {
             |&(up, dn): &(f64, f64)| bounds.is_none_or(|(low, high)| up < high && dn > low);
         let root = self.scan.ctx.node(self.scan.ctx.root());
         let view = self.rewritten.relation_of_atom(root.atom_index);
-        let mut kept = vec![false; view.len()];
-        for (&row, sums) in root.rows.iter().zip(&self.root_sums) {
-            kept[row as usize] = inside(sums);
-        }
-        let view = view.filtered(|row| kept[row]);
+        let kept = root
+            .rows
+            .iter()
+            .zip(&self.root_sums)
+            .filter(|(_, sums)| inside(sums));
+        let view = view.select(kept.map(|(&row, _)| row).collect());
         let query = self.rewritten.query().clone();
         Ok(self.rewritten.with_rewritten(query, [view])?)
     }
@@ -471,25 +483,10 @@ impl<'a> LossyBackend<'a> {
     /// ε′, or else a new one, which replaces it there. Pinned for the solve, so a
     /// request for another ε′ that replaces the slot meanwhile costs no second build.
     fn construction(&self) -> Result<&Arc<LossyConstruction>> {
-        if let Some(built) = self.construction.get() {
-            return Ok(built);
-        }
         let (ranking, weights) = (self.encoded.ranking, &self.encoded.weights);
-        let memo = self.source.exec_memo();
-        let cached = memo.get::<LossyConstruction>();
-        let built = match cached.filter(|built| built.is_for(ranking, self.epsilon)) {
-            Some(built) => built,
-            // Outside every lock and not inside `get_or_init`: the build runs pool
-            // regions, and a thread waiting on one may be handed the round's other
-            // arm, which would re-enter here. Racing threads build identical values.
-            None => {
-                let built = LossyConstruction::build(&self.source, ranking, self.epsilon, weights)?;
-                let built = Arc::new(built);
-                memo.set(Arc::clone(&built));
-                built
-            }
-        };
-        Ok(self.construction.get_or_init(|| built))
+        let is_for = |built: &LossyConstruction| built.is_for(ranking, self.epsilon);
+        let build = || LossyConstruction::build(&self.source, ranking, self.epsilon, weights);
+        memoised(&self.construction, &self.source, is_for, build)
     }
 
     /// The context `candidates` live in, and the root rows of it they keep (every
@@ -507,14 +504,14 @@ impl SolveBackend for LossyBackend<'_> {
 
     fn count(&self, candidates: &Candidates) -> Result<u128> {
         match candidates {
-            Candidates::Source(instance) => self.encoded.count(instance),
+            Candidates::Source(instance) => Ok(exec_encoded::count_answers(instance)?),
             Candidates::Window(built, kept) => Ok(built.scan.count(kept)),
         }
     }
 
     fn database_size(&self, candidates: &Candidates) -> usize {
         match candidates {
-            Candidates::Source(instance) => self.encoded.database_size(instance),
+            Candidates::Source(instance) => instance.total_rows(),
             // The construction's other rows stay with every window.
             Candidates::Window(built, kept) => {
                 let ctx = &built.scan.ctx;
@@ -525,7 +522,10 @@ impl SolveBackend for LossyBackend<'_> {
 
     fn select_pivot(&self, candidates: &Candidates) -> Result<PivotResult> {
         match candidates {
-            Candidates::Source(instance) => self.encoded.select_pivot(instance),
+            Candidates::Source(instance) => {
+                let (ranking, weights) = (self.encoded.ranking, &self.encoded.weights);
+                super::pivot::select_pivot_encoded(instance, ranking, weights)
+            }
             Candidates::Window(built, kept) => {
                 let (ranking, weights) = (self.encoded.ranking, &self.encoded.weights);
                 built

@@ -5,7 +5,7 @@
 
 use super::*;
 use crate::encoded::approximate_sum_quantile_batch_encoded_traced;
-use crate::encoded::trim::tests::answers_of;
+use crate::encoded::tests::answers_of;
 use crate::plan::{Accuracy, Plan};
 use crate::quantile::{materialized_keyed_answers, only, PivotingOptions, QuantileResult};
 use crate::trace::NoopTracer;

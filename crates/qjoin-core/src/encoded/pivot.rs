@@ -314,7 +314,6 @@ mod tests {
     use qjoin_exec::{yannakakis, JoinTreeContext};
     use qjoin_query::variable::vars;
     use qjoin_query::{Atom, Instance, JoinQuery};
-    use qjoin_ranking::{CmpOp, Weight, WeightBound};
     use qjoin_workload::path::PathConfig;
     use qjoin_workload::social::SocialConfig;
     use qjoin_workload::star::StarConfig;
@@ -491,44 +490,6 @@ mod tests {
         }
     }
 
-    /// The untrimmed twins, then one SUM window trim — between the answer weights
-    /// at the first and third quartile — applied to both: the dyadic construction
-    /// (repeating selection vectors + a packed interval column).
-    fn assert_instance_and_its_trim_agree(
-        instance: &Instance,
-        ranking: &Ranking,
-        trimmer: &dyn Trimmer,
-        context: &str,
-    ) {
-        let original = instance.query().variables();
-        let encoded = EncodedInstance::from_instance(instance).unwrap();
-        assert_twins_agree(instance, &encoded, ranking, trimmer, &original, context);
-
-        let row_backend = RowBackend { ranking, trimmer };
-        let mut weights: Vec<Weight> = (row_backend.leaf_weights(instance).unwrap())
-            .into_iter()
-            .map(|(w, _)| w)
-            .collect();
-        if weights.is_empty() {
-            return;
-        }
-        weights.sort();
-        let low = WeightBound::Finite(weights[weights.len() / 4].clone());
-        let high = WeightBound::Finite(weights[3 * weights.len() / 4].clone());
-        let row = row_backend
-            .trim_between(instance, &low, &high, CmpOp::Lt)
-            .unwrap();
-        let enc = EncodedBackend::new(&encoded, ranking)
-            .trim_between(&encoded, &low, &high, CmpOp::Lt)
-            .unwrap();
-        let context = format!("{context} trimmed to ({low}, {high})");
-        assert_twins_agree(&row, &enc, ranking, trimmer, &original, &context);
-        assert!(
-            enc.query().variables().len() > original.len(),
-            "{context}: the trim must synthesize columns"
-        );
-    }
-
     fn random_relation(name: &str, arity: usize, rows: usize, rng: &mut StdRng) -> Relation {
         let mut rel = Relation::new(name, arity);
         for _ in 0..rows {
@@ -538,11 +499,12 @@ mod tests {
         rel
     }
 
-    /// The pivot scan is the same for every ranking kind; only SUM trims on the
-    /// encoded path (MIN/MAX/LEX search their weights on the untrimmed instance), so
-    /// LEX pivots are held to the row path's on the untrimmed twins.
+    /// The pivot scan is the same for every ranking kind, and no exact route trims
+    /// on the encoded path (MIN/MAX/LEX and SUM count windows of the plan
+    /// instance), so LEX and SUM pivots are held to the row path's on the
+    /// untrimmed twins; the ε route's construction holds them on a rewrite.
     #[test]
-    fn contexts_and_pivots_match_the_row_path_through_sum_trims() {
+    fn contexts_and_pivots_match_the_row_path() {
         let pools = [qjoin_par::Pool::new(1), qjoin_par::Pool::new(4)];
         for seed in 0..4u64 {
             let mut rng = StdRng::seed_from_u64(seed);
@@ -628,18 +590,21 @@ mod tests {
                     let context = format!("{name} seed {seed} T={}", pool.threads());
                     qjoin_par::with_pool(pool, || {
                         let original = instance.query().variables();
+                        let encoded = EncodedInstance::from_instance(instance).unwrap();
                         assert_twins_agree(
                             instance,
-                            &EncodedInstance::from_instance(instance).unwrap(),
+                            &encoded,
                             &Ranking::lex(lex_vars.clone()),
                             &LexTrimmer,
                             &original,
                             &format!("{context} LEX"),
                         );
-                        assert_instance_and_its_trim_agree(
+                        assert_twins_agree(
                             instance,
+                            &encoded,
                             &Ranking::sum(sum_vars.clone()),
                             &AdjacentSumTrimmer,
+                            &original,
                             &format!("{context} SUM"),
                         );
                     });

@@ -23,11 +23,11 @@
 //! §5.2's Algorithm-3 trims stay as the row oracle.
 
 use super::weights::CodeWeights;
-use super::{CodeKey, EncodedBackend};
+use super::{memoised, CodeKey, EncodedBackend};
 use crate::pivot::PivotResult;
 use crate::quantile::SolveBackend;
 use crate::{CoreError, Result};
-use qjoin_exec::encoded::{self as exec_encoded, EncodedCounts, MaskTerm};
+use qjoin_exec::encoded::{self as exec_encoded, EncodedCounts, MaskTerm, WalkFilter};
 use qjoin_exec::{EncodedContext, EncodedNode};
 use qjoin_query::{Assignment, EncodedInstance, Variable};
 #[cfg(test)]
@@ -53,27 +53,60 @@ struct Term {
 }
 
 impl Term {
-    /// `var` weighed by `table` (a value per code), or `0.0` when `var` is `None`.
-    fn of(ctx: &EncodedContext, var: Option<&Variable>, table: &[f64]) -> Term {
-        let atom = |node: &EncodedNode| ctx.query().atom(node.atom_index);
-        let cols: Vec<Option<usize>> = (ctx.nodes().iter())
-            .map(|node| atom(node).positions_of(var?).first().copied())
-            .collect();
-        let value = |node: usize, col: usize| {
-            (0..ctx.node(node).rows.len()).map(move |i| table[ctx.code(node, i, col) as usize])
-        };
-        let first = cols
-            .iter()
-            .enumerate()
-            .find_map(|(node, col)| Some(value(node, (*col)?).collect()));
+    /// The term whose value on row `i` of node `n` is `per_node[n][i]`, a node
+    /// holding `None` unbound by it. The candidates are the first bound node's
+    /// values (the full reducer leaves every node binding a variable the same
+    /// ones), or `0.0` when no node is bound.
+    fn new(per_node: Vec<Option<Vec<f64>>>) -> Term {
+        let first = per_node.iter().flatten().next().cloned();
         let mut values: Vec<f64> = first.unwrap_or_else(|| vec![0.0]);
         values.sort_unstable_by(f64::total_cmp);
         values.dedup_by(|a, b| a.to_bits() == b.to_bits());
         let rank = |w: f64| values.partition_point(|v| v.total_cmp(&w).is_lt()) as u32;
-        let rows = (cols.iter().enumerate())
-            .map(|(node, col)| Some(value(node, (*col)?).map(rank).collect()))
+        let rows = (per_node.into_iter())
+            .map(|node| Some(node?.into_iter().map(rank).collect()))
             .collect();
         Term { rows, values }
+    }
+
+    /// `var` weighed by `table` (a value per code), or `0.0` when `var` is `None`.
+    fn of(ctx: &EncodedContext, var: Option<&Variable>, table: &[f64]) -> Term {
+        let atom = |node: &EncodedNode| ctx.query().atom(node.atom_index);
+        Term::new(
+            (ctx.nodes().iter())
+                .map(|node| {
+                    let col = *atom(node).positions_of(var?).first()?;
+                    let rows = 0..node.rows.len();
+                    Some(
+                        rows.map(|i| table[ctx.code(node.node_id, i, col) as usize])
+                            .collect(),
+                    )
+                })
+                .collect(),
+        )
+    }
+
+    /// A SUM one node covers, as one term: its rows' sums of the weighted variables
+    /// the query binds, folded from `0.0` in the ranking's order (a variable listed
+    /// twice added twice), bit for bit the weight of every answer through the row.
+    fn row_sums(ctx: &EncodedContext, vars: &[Variable], weights: &CodeWeights) -> Option<Term> {
+        let bound: Vec<&Variable> = (vars.iter())
+            .filter(|v| ctx.query().contains_variable(v))
+            .collect();
+        let atom = |node: &EncodedNode| ctx.query().atom(node.atom_index);
+        let covers = |node: &&EncodedNode| bound.iter().all(|v| atom(node).contains(v));
+        let node = ctx.nodes().iter().find(covers)?;
+        let cols: Vec<(&[f64], usize)> = (bound.iter())
+            .map(|v| (weights.table(v), atom(node).positions_of(v)[0]))
+            .collect();
+        let code = |i: usize, col: usize| ctx.code(node.node_id, i, col) as usize;
+        let sum = |i: usize| {
+            cols.iter()
+                .fold(0.0, |acc, (w, col)| acc + w[code(i, *col)])
+        };
+        let mut per_node = vec![None; ctx.nodes().len()];
+        per_node[node.node_id] = Some((0..node.rows.len()).map(sum).collect());
+        Some(Term::new(per_node))
     }
 
     fn all(&self) -> Range {
@@ -124,9 +157,22 @@ struct Domain {
 }
 
 impl Domain {
-    fn build(ctx: &EncodedContext, ranking: &Ranking, weights: &CodeWeights) -> Domain {
+    fn build(instance: &EncodedInstance, ranking: &Ranking, weights: &CodeWeights) -> Result<Self> {
+        let ctx = exec_encoded::shared_context(instance)?;
         let (kind, vars) = (ranking.kind(), ranking.weighted_vars());
         let bound = |var: &&Variable| ctx.query().contains_variable(var);
+        if kind == AggregateKind::Sum {
+            super::weights::refuse_non_finite(instance, ranking, weights)?;
+            let uncovered = || CoreError::IntractableSum("no atom covers the SUM".into());
+            let term = Term::row_sums(&ctx, vars, weights).ok_or_else(uncovered)?;
+            let levels = vec![term.values.clone()];
+            let ranking = ranking.clone();
+            return Ok(Domain {
+                ranking,
+                terms: vec![term],
+                levels,
+            });
+        }
         if kind == AggregateKind::Lex {
             let terms: Vec<Term> = (vars.iter().enumerate())
                 .map(|(i, var)| {
@@ -137,21 +183,21 @@ impl Domain {
                     let table: Vec<f64> = table
                         .map(|&w| (0..times).fold(0.0, |acc, _| acc + w))
                         .collect();
-                    Term::of(ctx, Some(var).filter(|v| first && bound(v)), &table)
+                    Term::of(&ctx, Some(var).filter(|v| first && bound(v)), &table)
                 })
                 .collect();
             let levels = terms.iter().map(|term| term.values.clone()).collect();
-            return Domain {
+            return Ok(Domain {
                 ranking: ranking.clone(),
                 terms,
                 levels,
-            };
+            });
         }
         let mut distinct: Vec<&Variable> = vars.iter().filter(bound).collect();
         distinct.sort();
         distinct.dedup();
         let terms: Vec<Term> = (distinct.into_iter())
-            .map(|var| Term::of(ctx, Some(var), weights.table(var)))
+            .map(|var| Term::of(&ctx, Some(var), weights.table(var)))
             .collect();
         let mut candidates: Vec<f64> = terms.iter().flat_map(|t| t.values.clone()).collect();
         // The identity is a weight when no term binds, or a term can lie beyond it.
@@ -165,22 +211,25 @@ impl Domain {
         }
         candidates.sort_unstable_by(f64::total_cmp);
         candidates.dedup_by(|a, b| a.to_bits() == b.to_bits());
-        Domain {
+        Ok(Domain {
             ranking: ranking.clone(),
             terms,
             levels: vec![candidates],
-        }
+        })
     }
 }
 
-/// The MIN/MAX/LEX solve's backend (see the module docs): every instance is a
-/// [`Window`] of the plan instance, counted, pivoted and walked on its context.
+/// The MIN/MAX/LEX and single-atom SUM solve's backend (see the module docs):
+/// every instance is a [`Window`] of the plan instance, counted, pivoted and
+/// walked on its context.
 pub(crate) struct SearchBackend<'a> {
     encoded: EncodedBackend<'a>,
     instance: EncodedInstance,
     ctx: Arc<EncodedContext>,
     kind: AggregateKind,
-    domain: Arc<Domain>,
+    /// The instance memo's, or built by the first round: a leaf-only solve
+    /// sorts no candidates.
+    domain: OnceLock<Arc<Domain>>,
     total: u128,
     /// Answers per conjunction counted so far.
     memo: Mutex<HashMap<Conj, u128>>,
@@ -188,29 +237,24 @@ pub(crate) struct SearchBackend<'a> {
 
 impl<'a> SearchBackend<'a> {
     pub(crate) fn new(instance: &EncodedInstance, ranking: &'a Ranking) -> Result<Self> {
-        let encoded = EncodedBackend::new(instance, ranking);
         let ctx = exec_encoded::shared_context(instance)?;
-        let memo = instance.exec_memo();
-        let domain = match memo
-            .get::<Domain>()
-            .filter(|domain| domain.ranking == *ranking)
-        {
-            Some(domain) => domain,
-            None => {
-                let domain = Arc::new(Domain::build(&ctx, ranking, &encoded.weights));
-                memo.set(Arc::clone(&domain));
-                domain
-            }
-        };
         Ok(SearchBackend {
-            encoded,
+            encoded: EncodedBackend::new(instance, ranking),
             instance: instance.clone(),
             total: exec_encoded::count_answers_ctx(&ctx),
             ctx,
             kind: ranking.kind(),
-            domain,
+            domain: OnceLock::new(),
             memo: Mutex::default(),
         })
+    }
+
+    /// The ranking's terms and candidates, kept per generation.
+    fn domain(&self) -> Result<&Domain> {
+        let (ranking, weights) = (self.encoded.ranking, &self.encoded.weights);
+        let is_for = |domain: &Domain| domain.ranking == *ranking;
+        let build = || Domain::build(&self.instance, ranking, weights);
+        Ok(memoised(&self.domain, &self.instance, is_for, build)?)
     }
 
     /// The window of every answer: the instance a solve starts from.
@@ -225,11 +269,12 @@ impl<'a> SearchBackend<'a> {
         }
     }
 
-    /// `weight` as one value per component (one for MIN/MAX).
+    /// `weight` as one value per component (one for MIN/MAX/SUM).
     fn components<'w>(&self, weight: &'w Weight) -> Result<&'w [f64]> {
-        match (weight, self.kind) {
-            (Weight::Num(x), kind) if kind != AggregateKind::Lex => Ok(std::slice::from_ref(x)),
-            (Weight::Vec(v), AggregateKind::Lex) if v.len() == self.domain.terms.len() => Ok(v),
+        let lex = self.kind == AggregateKind::Lex;
+        match weight {
+            Weight::Num(x) if !lex => Ok(std::slice::from_ref(x)),
+            Weight::Vec(v) if lex && v.len() == self.domain()?.terms.len() => Ok(v),
             _ => Err(CoreError::UnsupportedPredicate(format!(
                 "{:?} bound {weight}",
                 self.kind
@@ -247,9 +292,9 @@ impl<'a> SearchBackend<'a> {
 
     /// For each term `i`: `before` on the terms before it, `at[i]` on it, and every
     /// candidate on the terms after it — disjoint conjunctions.
-    fn split(&self, before: &[Range], at: &[Range]) -> Vec<Conj> {
+    fn split(terms: &[Term], before: &[Range], at: &[Range]) -> Vec<Conj> {
         let ranges = |i: usize| {
-            (self.domain.terms.iter().enumerate()).map(move |(j, term)| match j.cmp(&i) {
+            (terms.iter().enumerate()).map(move |(j, term)| match j.cmp(&i) {
                 std::cmp::Ordering::Less => before[j],
                 std::cmp::Ordering::Equal => at[i],
                 std::cmp::Ordering::Greater => term.all(),
@@ -263,7 +308,7 @@ impl<'a> SearchBackend<'a> {
     /// The answers of weight above `bound` (`upward`) or below it, strictly or not,
     /// as disjoint conjunctions.
     fn side(&self, bound: &WeightBound, upward: bool, strict: bool) -> Result<Vec<Conj>> {
-        let terms = &self.domain.terms;
+        let terms = &self.domain()?.terms;
         let lambda = match bound {
             WeightBound::Finite(weight) => self.components(weight)?,
             infinite => {
@@ -280,9 +325,13 @@ impl<'a> SearchBackend<'a> {
                 .zip(lambda)
                 .map(|(t, &x)| t.from(x, true, upward))
                 .collect();
-            let mut conjs = self.split(&at, &past);
+            let mut conjs = Self::split(terms, &at, &past);
             conjs.extend((!strict).then(|| Self::conj(at)).flatten());
             return Ok(conjs);
+        }
+        if self.kind == AggregateKind::Sum {
+            let ranges = terms.iter().map(|t| t.from(lambda[0], strict, upward));
+            return Ok(Vec::from_iter(Self::conj(ranges)));
         }
         // The aggregate lies beyond `λ` toward its identity iff every term does and
         // the identity does; on the other side iff some term does, or the identity.
@@ -303,7 +352,7 @@ impl<'a> SearchBackend<'a> {
         let outside: Vec<Range> = (terms.iter().zip(&ranges))
             .map(|(t, &(a, b))| if upward { (0, a) } else { (b, t.all().1) })
             .collect();
-        Ok(self.split(&outside, &ranges))
+        Ok(Self::split(terms, &outside, &ranges))
     }
 
     /// Every pairwise intersection of two disjoint unions, the empty ones dropped.
@@ -328,15 +377,12 @@ impl<'a> SearchBackend<'a> {
 
     /// A conjunction's masked subtree counts, its total memoised; `None` for one
     /// that bounds no term.
-    fn masked(&self, conj: &Conj) -> Option<EncodedCounts> {
-        let bounded = || {
-            self.domain
-                .terms
-                .iter()
-                .zip(conj)
-                .filter(|(t, r)| **r != t.all())
-        };
-        bounded().next()?;
+    fn masked(&self, conj: &Conj) -> Result<Option<EncodedCounts>> {
+        let terms = &self.domain()?.terms;
+        let bounded = || terms.iter().zip(conj).filter(|(t, r)| **r != t.all());
+        if bounded().next().is_none() {
+            return Ok(None);
+        }
         let mut mask = vec![Vec::new(); self.ctx.nodes().len()];
         for (term, &range) in bounded() {
             for (node, ranks) in term.rows.iter().enumerate() {
@@ -349,19 +395,22 @@ impl<'a> SearchBackend<'a> {
             .lock()
             .unwrap_or_else(PoisonError::into_inner)
             .insert(conj.clone(), total);
-        Some(counts)
+        Ok(Some(counts))
     }
 
     /// The answers of disjoint conjunctions: a masked pass for each not counted yet.
-    fn answers(&self, conjs: &[Conj]) -> u128 {
+    fn answers(&self, conjs: &[Conj]) -> Result<u128> {
         let count = |conj: &Conj| {
             let memo = self.memo.lock().unwrap_or_else(PoisonError::into_inner);
             let known = memo.get(conj).copied();
             drop(memo);
-            known.unwrap_or_else(|| {
-                self.masked(conj)
-                    .map_or(self.total, |c| c.per_tuple[self.ctx.root()].iter().sum())
-            })
+            let root = self.ctx.root();
+            let counted = || {
+                Ok(self
+                    .masked(conj)?
+                    .map_or(self.total, |c| c.per_tuple[root].iter().sum()))
+            };
+            known.map_or_else(counted, Ok)
         };
         conjs.iter().map(count).sum()
     }
@@ -372,8 +421,8 @@ impl<'a> SearchBackend<'a> {
         Ok(match self.kind {
             AggregateKind::Min => self
                 .total
-                .saturating_sub(self.answers(&self.side(bound, true, !strict)?)),
-            _ => self.answers(&self.side(bound, false, strict)?),
+                .saturating_sub(self.answers(&self.side(bound, true, !strict)?)?),
+            _ => self.answers(&self.side(bound, false, strict)?)?,
         })
     }
 
@@ -383,9 +432,10 @@ impl<'a> SearchBackend<'a> {
             return Ok(None);
         };
         let index = |(level, x): (&Vec<f64>, &f64)| level.binary_search_by(|c| c.total_cmp(x)).ok();
-        let digits: Option<Vec<usize>> = (self.domain.levels.iter().zip(self.components(weight)?))
-            .map(index)
-            .collect();
+        let digits: Option<Vec<usize>> =
+            (self.domain()?.levels.iter().zip(self.components(weight)?))
+                .map(index)
+                .collect();
         digits
             .map(Some)
             .ok_or_else(|| CoreError::Internal(format!("window bound {weight} is no candidate")))
@@ -400,53 +450,34 @@ impl<'a> SearchBackend<'a> {
         );
         let root = self.ctx.root();
         for conj in &band {
-            let counts = self.masked(conj);
+            let counts = self.masked(conj)?;
             let live = |r: &usize| counts.as_ref().is_none_or(|c| c.per_tuple[root][*r] > 0);
             let Some(first) = (0..self.ctx.node(root).rows.len()).find(live) else {
                 continue;
             };
-            let keep_first = |out: &mut Option<Vec<u64>>, _: usize, codes: &[u64]| {
-                out.get_or_insert_with(|| codes.to_vec());
-            };
-            let only = [first as u32];
-            let chunk = qjoin_par::DEFAULT_CHUNK;
-            let walked = exec_encoded::walk_answer_chunks(
-                &self.ctx,
-                None,
-                Some(&only),
-                counts.as_ref(),
-                chunk,
-                || None,
-                keep_first,
-            );
-            let codes = walked
-                .into_iter()
-                .flatten()
-                .next()
-                .expect("a live root row holds an answer");
-            let decode = |(v, c): (Variable, u64)| (v, self.encoded.dictionary.decode(c).clone());
-            return Ok(Some(Assignment::from_pairs(
-                self.ctx
-                    .query()
-                    .variables()
-                    .into_iter()
-                    .zip(codes)
-                    .map(decode),
-            )));
+            let filter = counts.as_ref().map(WalkFilter::Masked);
+            let first = self.encoded.first_answer(&self.ctx, first as u32, filter);
+            let lost = || CoreError::Internal(format!("a live root row holds no {lambda} answer"));
+            return first.map(Some).ok_or_else(lost);
         }
         Ok(None)
     }
 
     /// The masked counts of the window's conjunctions, taken once per window
     /// (outside the cell: the passes run pool regions).
+    /// Every answer's window is one unmasked walk, with no domain built.
     fn leaf_counts<'w>(&self, window: &'w Window) -> Result<&'w [Option<EncodedCounts>]> {
-        if window.leaf.get().is_none() {
-            let conjs = self.window_conjs(window)?;
-            let _ = window
-                .leaf
-                .set(conjs.iter().map(|conj| self.masked(conj)).collect());
+        if let Some(counts) = window.leaf.get() {
+            return Ok(counts);
         }
-        Ok(window.leaf.get().expect("set above"))
+        let everything = window.low == WeightBound::NegInf && window.high == WeightBound::PosInf;
+        let counts = match everything {
+            true => vec![None],
+            false => (self.window_conjs(window)?.iter())
+                .map(|conj| self.masked(conj))
+                .collect::<Result<_>>()?,
+        };
+        Ok(window.leaf.get_or_init(|| counts))
     }
 }
 
@@ -508,7 +539,8 @@ impl SolveBackend for SearchBackend<'_> {
 
     fn select_pivot(&self, window: &Window) -> Result<PivotResult> {
         let (lo, hi) = (self.digits(&window.low)?, self.digits(&window.high)?);
-        let sizes: Vec<usize> = self.domain.levels.iter().map(Vec::len).collect();
+        let levels = &self.domain()?.levels;
+        let sizes: Vec<usize> = levels.iter().map(Vec::len).collect();
         let open = window.low != WeightBound::PosInf && window.high != WeightBound::NegInf;
         let digits = open
             .then(|| inside(lo.as_deref(), hi.as_deref(), &sizes))
@@ -519,15 +551,11 @@ impl SolveBackend for SearchBackend<'_> {
                 window.low, window.high
             ))
         })?;
-        let mut values = self
-            .domain
-            .levels
-            .iter()
-            .zip(&digits)
-            .map(|(level, &d)| level[d]);
-        let weight = match self.kind {
-            AggregateKind::Lex => Weight::Vec(values.collect()),
-            _ => Weight::Num(values.next().expect("one component")),
+        let mut values = levels.iter().zip(&digits).map(|(level, &d)| level[d]);
+        let weight = match (self.kind, values.next()) {
+            (AggregateKind::Lex, first) => Weight::Vec(first.into_iter().chain(values).collect()),
+            (_, Some(value)) => Weight::Num(value),
+            (_, None) => return Err(CoreError::Internal("a weight of no component".to_string())),
         };
         // The counts the partition round reads, memoised for it. A LEX tie band is
         // one of the conjunctions `≤ λ` counts, so its pass serves both; a MIN/MAX
@@ -577,10 +605,8 @@ impl SolveBackend for SearchBackend<'_> {
     fn leaf_weights(&self, window: &Window) -> Result<Vec<(Weight, u32)>> {
         let mut out = Vec::new();
         for counts in self.leaf_counts(window)? {
-            out.extend(
-                self.encoded
-                    .leaf_weights_in(&self.ctx, None, counts.as_ref())?,
-            );
+            let filter = counts.as_ref().map(WalkFilter::Masked);
+            out.extend(self.encoded.leaf_weights_in(&self.ctx, None, filter)?);
         }
         Ok(out)
     }
@@ -594,13 +620,8 @@ impl SolveBackend for SearchBackend<'_> {
     ) -> Result<Vec<(Weight, CodeKey)>> {
         let mut out = Vec::new();
         for counts in self.leaf_counts(window)? {
-            let band = (self.encoded).leaf_band_in(
-                &self.ctx,
-                original_vars,
-                roots,
-                counts.as_ref(),
-                wanted,
-            );
+            let filter = counts.as_ref().map(WalkFilter::Masked);
+            let band = (self.encoded).leaf_band_in(&self.ctx, original_vars, roots, filter, wanted);
             out.extend(band?);
         }
         Ok(out)
@@ -614,7 +635,7 @@ impl SolveBackend for SearchBackend<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::encoded::trim::tests::answers_of;
+    use crate::encoded::tests::answers_of;
     use crate::quantile::materialized_keyed_answers;
     use qjoin_data::Value;
     use qjoin_query::Instance;
@@ -642,7 +663,7 @@ mod tests {
             1 => WeightBound::PosInf,
             _ => {
                 let digit = |level: &Vec<f64>| level[rng.random_range(0..level.len())];
-                let values: Vec<f64> = backend.domain.levels.iter().map(digit).collect();
+                let values: Vec<f64> = backend.domain().unwrap().levels.iter().map(digit).collect();
                 WeightBound::Finite(match backend.kind {
                     AggregateKind::Lex => Weight::Vec(values),
                     _ => Weight::Num(values[0]),
@@ -704,12 +725,12 @@ mod tests {
             );
             let mut walked: Vec<Vec<u64>> = Vec::new();
             for conj in &band {
-                let counts = backend.masked(conj);
+                let counts = backend.masked(conj).unwrap();
                 let walk = exec_encoded::walk_answer_chunks(
                     &backend.ctx,
                     None,
                     None,
-                    counts.as_ref(),
+                    counts.as_ref().map(WalkFilter::Masked),
                     3,
                     Vec::new,
                     |out: &mut Vec<Vec<u64>>, _, codes| out.push(codes.to_vec()),

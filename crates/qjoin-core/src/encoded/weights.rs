@@ -7,9 +7,9 @@
 //! function applied to the same decoded value), which is what keeps the two paths'
 //! pivots and partition counts pointwise equal.
 
-use qjoin_data::Dictionary;
-use qjoin_query::{EncodedInstance, Variable};
-use qjoin_ranking::{AggregateKind, Ranking, Weight};
+use qjoin_data::{Dictionary, EncodedRelation};
+use qjoin_query::{EncodedInstance, JoinQuery, Variable};
+use qjoin_ranking::{AggregateKind, Ranking, SumTupleWeights, Weight};
 use std::cmp::Ordering::{self, Greater, Less};
 use std::collections::HashMap;
 
@@ -191,6 +191,38 @@ pub(crate) fn refuse_non_finite(
         }
     }
     Ok(())
+}
+
+/// The weighted variables assigned to `atom_idx` by the tuple-weight mapping `μ`, as
+/// `(per-code weight table, first position)` pairs — the same variables, in the same
+/// order, as the row path's [`SumTupleWeights::tuple_sum`] folds.
+pub(super) fn weighted_pairs<'w>(
+    query: &JoinQuery,
+    tuple_weights: &SumTupleWeights,
+    weights: &'w CodeWeights,
+    atom_idx: usize,
+) -> Vec<(&'w [f64], usize)> {
+    tuple_weights
+        .vars_of_atom(atom_idx)
+        .map(|v| (weights.table(v), query.atom(atom_idx).positions_of(v)[0]))
+        .collect()
+}
+
+/// The partial sum `pairs` give one row whose code at a position is `code(position)`
+/// (mirrors `SumTupleWeights::tuple_sum`, including the fold order).
+#[inline]
+pub(super) fn row_sum(pairs: &[(&[f64], usize)], code: impl Fn(usize) -> u64) -> f64 {
+    pairs
+        .iter()
+        .map(|(table, pos)| table[code(*pos) as usize])
+        .sum()
+}
+
+/// The partial sum of every row of a view (see [`row_sum`]), in row order.
+pub(super) fn row_sums(rel: &EncodedRelation, pairs: &[(&[f64], usize)]) -> Vec<f64> {
+    (0..rel.len())
+        .map(|row| row_sum(pairs, |pos| rel.code(row, pos)))
+        .collect()
 }
 
 /// The order of two flat weights of one fold: component-wise [`f64::total_cmp`],

@@ -18,9 +18,9 @@
 //!   `Vec<u64>` code columns, shared behind `Arc`s.
 //! * [`EncodedRelation`] — a *view* over encoded columns: one selection vector
 //!   ([`SelVec`]) into the base columns plus synthesized columns, one code per view
-//!   row, for the variables the trimming constructions introduce (dyadic-interval
-//!   and sketch-bucket identifiers). A view row is one `u32` index; filters,
-//!   selections and those constructions produce new views over the *same* base
+//!   row, for the variables the lossy construction introduces (sketch-bucket
+//!   identifiers). A view row is one `u32` index; selections and that
+//!   construction produce new views over the *same* base
 //!   columns — no tuple is ever copied on the encoded path; values are decoded back
 //!   to [`Value`]s only at the answer boundary. Only this module knows how a view
 //!   stores its rows.
@@ -208,7 +208,7 @@ impl EncodedDatabase {
 }
 
 /// A selection vector: which base rows a view selects, in order. Rows may repeat
-/// (the dyadic SUM construction emits one output row per covering interval).
+/// (the lossy SUM construction copies a row once per sketch bucket it joins).
 #[derive(Clone, Debug)]
 pub enum SelVec {
     /// Every base row, in storage order.
@@ -242,10 +242,10 @@ impl SelVec {
 }
 
 /// A relation *view* on the encoded path: shared base columns, a selection vector
-/// into them, and synthesized columns (one code per view row: dyadic-interval or
-/// sketch-bucket identifiers). This is what the trim rounds produce instead of
-/// materialized relation copies — a filter is a selection vector, and the dyadic
-/// SUM construction is a selection vector with repeats plus a synthesized column.
+/// into them, and synthesized columns (one code per view row: sketch-bucket
+/// identifiers). This is what the lossy construction produces instead of
+/// materialized relation copies — a selection vector, with repeats, plus a
+/// synthesized column.
 /// A view row is addressed by one index, `0..len()`.
 #[derive(Clone, Debug)]
 pub struct EncodedRelation {
@@ -292,11 +292,6 @@ impl EncodedRelation {
     /// Number of base columns.
     pub fn base_arity(&self) -> usize {
         self.base.arity()
-    }
-
-    /// Number of synthesized columns.
-    pub fn synth_arity(&self) -> usize {
-        self.synth.len()
     }
 
     /// Total arity of the view (base + synthesized columns).
@@ -352,34 +347,6 @@ impl EncodedRelation {
         assert_eq!(codes.len(), self.len(), "one synthesized code per view row");
         self.synth.push(Arc::new(codes));
         self
-    }
-
-    /// A view keeping only the rows for which `keep` returns true. When it keeps
-    /// every row, the view is shared (cloned by handle) rather than rebuilt — the
-    /// encoded analogue of [`crate::Relation::filtered`]'s sharing guarantee.
-    ///
-    /// The view is scanned in fixed-size chunks over the current executor pool;
-    /// every chunk packs its surviving rows locally and the partials are
-    /// concatenated in canonical chunk order, so the resulting view is
-    /// byte-identical to the sequential scan at any thread count.
-    pub fn filtered(&self, keep: impl Fn(usize) -> bool + Sync) -> EncodedRelation {
-        let parts = qjoin_par::par_map_chunks(self.len(), qjoin_par::DEFAULT_CHUNK, |_, range| {
-            range
-                .filter(|&row| keep(row))
-                .map(|row| row as u32)
-                .collect::<Vec<u32>>()
-        });
-        let kept = parts.concat();
-        if kept.len() == self.len() {
-            return self.clone();
-        }
-        self.select(kept)
-    }
-
-    /// A view with the same base and columns and no rows (the encoded analogue of
-    /// clearing a relation while preserving its schema).
-    pub fn cleared(&self) -> EncodedRelation {
-        self.select(Vec::new())
     }
 
     /// True when the two views share the same base column storage.
@@ -565,25 +532,9 @@ mod tests {
         assert_eq!(view.code(1, 0), enc.relation("R").unwrap().column(0)[1]);
     }
 
-    #[test]
-    fn filtered_view_selects_and_shares_when_total() {
-        let db = small_db();
-        let enc = EncodedDatabase::encode(&db).unwrap();
-        let dict = Arc::clone(enc.dictionary());
-        let view = EncodedRelation::full(Arc::clone(enc.relation("R").unwrap()));
-        let three = dict.encode(&Value::from(3)).unwrap();
-        let filtered = view.filtered(|row| view.code(row, 0) == three);
-        assert_eq!(filtered.len(), 2);
-        assert!(filtered.shares_base_with(&view));
-        let all = view.filtered(|_| true);
-        assert!(matches!(all.sel(), SelVec::All(_)));
-        let none = view.filtered(|_| false);
-        assert!(none.is_empty());
-    }
-
-    /// Synthesized columns follow view rows, not base rows, through `select` and
-    /// `filtered`. Mutation caught: `filtered` gathering a synthesized code at the
-    /// base row `sel.get(row)` instead of the view row.
+    /// Synthesized columns follow view rows, not base rows, through `select`.
+    /// Mutation caught: `select` gathering a synthesized code at the base row
+    /// `sel.get(row)` instead of the view row.
     #[test]
     fn synth_columns_extend_arity() {
         let db = small_db();
@@ -601,7 +552,7 @@ mod tests {
         assert_eq!(view.code(0, 0), base.column(0)[1]);
         // Keep view rows 1 and 2 (base rows 0 and 1): their synthesized codes come
         // along, read at the view row.
-        let kept = view.filtered(|row| row > 0);
+        let kept = view.select(vec![1, 2]);
         assert_eq!(kept.len(), 2);
         let rows: Vec<Vec<u64>> = (0..kept.len())
             .map(|row| (0..kept.arity()).map(|col| kept.code(row, col)).collect())
@@ -613,15 +564,5 @@ mod tests {
                 vec![base.column(0)[1], base.column(1)[1], 9, 4],
             ]
         );
-    }
-
-    #[test]
-    fn cleared_view_is_empty_with_same_arity() {
-        let db = small_db();
-        let enc = EncodedDatabase::encode(&db).unwrap();
-        let view = EncodedRelation::full(Arc::clone(enc.relation("R").unwrap()));
-        let cleared = view.cleared();
-        assert!(cleared.is_empty());
-        assert_eq!(cleared.arity(), view.arity());
     }
 }

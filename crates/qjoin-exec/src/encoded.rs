@@ -23,12 +23,8 @@
 //! [`link`](EncodedContext::link) and [`group`](EncodedContext::group).
 //! Enumeration is one kernel ([`walk_answer_chunks`]): each level's links, groups,
 //! rows and copy list are resolved once per walk, a mask limits the slots copied,
-//! and a walk can be confined to listed root rows.
-//!
-//! A build hashes keys only at a root and in the lossy construction:
-//! [`EncodedContext::derive`] is the same builder with each edge's groups read from
-//! a [`FixedEdge`] (numbered by first occurrence just the same), which is how an
-//! exact SUM window gets a fresh build's very context without hashing a key.
+//! a walk can be confined to listed root rows, and one child's join groups can be
+//! replaced by a member slice per parent row ([`WalkFilter::Sliced`]).
 //!
 //! # Masked passes
 //!
@@ -58,9 +54,8 @@ use std::sync::{Arc, OnceLock};
 
 /// A join key: the codes of the variables shared with the parent node, in sorted
 /// variable order. Keys of up to three components are inline; larger keys box a
-/// slice. Keys are only ever compared within one arity. Only a context built
-/// afresh (a root, the lossy construction) and a generation's dyadic SUM template
-/// hash keys: an exact SUM window derives its context.
+/// slice. Keys are only ever compared within one arity. Only a context build and
+/// the lossy construction hash keys.
 #[derive(Clone, Debug, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub enum Key {
     /// The empty key (root nodes, cartesian products).
@@ -95,7 +90,7 @@ impl Key {
 /// never iterated in hash order, so an unkeyed multiplicative hash changes
 /// nothing observable.
 #[derive(Clone, Default)]
-pub struct KeyHasher(u64);
+struct KeyHasher(u64);
 
 impl KeyHasher {
     #[inline]
@@ -117,14 +112,6 @@ impl std::hash::Hasher for KeyHasher {
         }
     }
     #[inline]
-    fn write_u8(&mut self, v: u8) {
-        self.add(u64::from(v));
-    }
-    #[inline]
-    fn write_u32(&mut self, v: u32) {
-        self.add(u64::from(v));
-    }
-    #[inline]
     fn write_u64(&mut self, v: u64) {
         self.add(v);
     }
@@ -135,7 +122,7 @@ impl std::hash::Hasher for KeyHasher {
 }
 
 /// A join-key map with the [`KeyHasher`].
-pub type KeyMap<V> = HashMap<Key, V, std::hash::BuildHasherDefault<KeyHasher>>;
+type KeyMap<V> = HashMap<Key, V, std::hash::BuildHasherDefault<KeyHasher>>;
 
 /// Per-node state of an [`EncodedContext`].
 #[derive(Clone, Debug)]
@@ -230,16 +217,6 @@ impl EncodedContext {
 
     /// Builds a context using the provided join tree of the instance's query.
     pub fn build_with_tree(instance: &EncodedInstance, tree: JoinTree) -> Result<Self> {
-        Ok(Self::derive(instance, tree, None))
-    }
-
-    /// [`build_with_tree`](Self::build_with_tree), with each edge's join groups read
-    /// from `fixed[child]` when given, not hashed (see the module docs).
-    pub fn derive(
-        instance: &EncodedInstance,
-        tree: JoinTree,
-        fixed: Option<&[Option<FixedEdge>]>,
-    ) -> Self {
         let query = instance.query().clone();
         debug_assert!(tree.satisfies_running_intersection(&query));
 
@@ -284,32 +261,32 @@ impl EncodedContext {
             }
             let mut interned = Vec::with_capacity(children.len());
             for &child in &children {
-                let edge = fixed.map(|edges| edges[child].expect("every edge is fixed"));
-                let mut groups = edge.map_or_else(
-                    || Groups::Keys(KeyMap::default()),
-                    |e| Groups::Fixed(e, vec![u32::MAX; e.child.0.len().max(e.parent.0.len())]),
-                );
-                let mut next = 0u32;
+                let mut gids: KeyMap<u32> = KeyMap::default();
+                let positions = &ctx.nodes[child].own_key_positions;
                 row_gids[child] = (0..ctx.nodes[child].rows.len())
                     .map(|i| {
-                        let gid = groups.intern(&ctx, child, i, next);
-                        next += u32::from(gid == next);
-                        gid
+                        let next = gids.len() as u32;
+                        let key = ctx.key_from_positions(child, i, positions);
+                        *gids.entry(key).or_insert(next)
                     })
                     .collect();
-                n_groups[child] = next as usize;
-                interned.push(groups);
+                n_groups[child] = gids.len();
+                interned.push(gids);
             }
             let rows = &ctx.nodes[node_id].rows;
             let (mut kept, mut links) = (Vec::new(), vec![Vec::new(); children.len()]);
-            let gid = |s: usize, i: usize| interned[s].probe(&ctx, node_id, children[s], i);
+            let gid = |s: usize, i: usize| {
+                let positions = &ctx.nodes[children[s]].parent_key_positions;
+                let key = ctx.key_from_positions(node_id, i, positions);
+                interned[s].get(&key).copied()
+            };
             semi_join(rows, gid, &mut kept, &mut links);
             ctx.nodes[node_id].rows = kept;
             ctx.nodes[node_id].child_links = links;
         }
 
         ctx.reduce_top_down(row_gids, &n_groups);
-        ctx
+        Ok(ctx)
     }
 
     /// Top-down semi-joins over the resolved links: a child group survives iff a
@@ -404,13 +381,6 @@ impl EncodedContext {
         }
     }
 
-    /// The group `side` of a [`FixedEdge`] puts row `i` of `node` in.
-    #[inline]
-    fn fixed_group(&self, node: usize, (groups, origin): GroupSide, i: usize) -> usize {
-        let row = self.nodes[node].rows[i] as usize;
-        groups[origin.map_or(row, |origin| origin[row] as usize)] as usize
-    }
-
     /// True if the query has no answers (some node lost all rows during reduction).
     pub fn has_no_answers(&self) -> bool {
         self.nodes.iter().any(|n| n.rows.is_empty())
@@ -455,56 +425,6 @@ impl EncodedContext {
     /// Total surviving rows across all nodes.
     pub fn total_rows(&self) -> usize {
         self.nodes.iter().map(|n| n.rows.len()).sum()
-    }
-}
-
-/// One side of a [`FixedEdge`]: row `r` of the node's view is in group
-/// `groups[origin[r]]` (`groups[r]` with no `origin`).
-pub type GroupSide<'a> = (&'a [u32], Option<&'a [u32]>);
-
-/// An edge's join groups fixed in advance, for [`EncodedContext::derive`]: every
-/// group is below the longer side's length; `u32::MAX` on the parent side joins none.
-#[derive(Clone, Copy, Debug)]
-pub struct FixedEdge<'a> {
-    /// The child's side.
-    pub child: GroupSide<'a>,
-    /// The parent's side.
-    pub parent: GroupSide<'a>,
-}
-
-/// Where a build takes one edge's join groups from: hashed keys, or a [`FixedEdge`]
-/// (and each group's gid, `u32::MAX` until a child row is in it), numbered alike.
-enum Groups<'a> {
-    Keys(KeyMap<u32>),
-    Fixed(FixedEdge<'a>, Vec<u32>),
-}
-
-impl Groups<'_> {
-    /// The gid of row `i` of `child`: its group's, or `next` for a new group.
-    #[inline]
-    fn intern(&mut self, ctx: &EncodedContext, child: usize, i: usize, next: u32) -> u32 {
-        let gid = match self {
-            Groups::Keys(gids) => gids
-                .entry(ctx.key_from_positions(child, i, &ctx.nodes[child].own_key_positions))
-                .or_insert(u32::MAX),
-            Groups::Fixed(edge, gids) => &mut gids[ctx.fixed_group(child, edge.child, i)],
-        };
-        if *gid == u32::MAX {
-            *gid = next;
-        }
-        *gid
-    }
-
-    /// The gid of the `child` group row `i` of its parent `parent` joins, if any.
-    #[inline]
-    fn probe(&self, ctx: &EncodedContext, parent: usize, child: usize, i: usize) -> Option<u32> {
-        let positions = &ctx.nodes[child].parent_key_positions;
-        match self {
-            Groups::Keys(gids) => gids.get(&ctx.key_from_positions(parent, i, positions)),
-            Groups::Fixed(edge, gids) => gids.get(ctx.fixed_group(parent, edge.parent, i)),
-        }
-        .copied()
-        .filter(|&gid| gid != u32::MAX)
     }
 }
 
@@ -738,6 +658,8 @@ struct WalkLevel<'a> {
     links: &'a [u32],
     group_offsets: &'a [u32],
     group_members: &'a [u32],
+    /// Per parent row, its slice of `group_members` in place of its group.
+    slices: Option<&'a [(u32, u32)]>,
     rows: &'a [u32],
     rel: &'a qjoin_data::EncodedRelation,
     /// `(atom column, answer slot)` of each needed variable this node binds first
@@ -755,11 +677,13 @@ struct AnswerWalk<'a> {
 impl<'a> AnswerWalk<'a> {
     /// Resolves the walk of `ctx`. Only the slots `needed` marks are filled (all of
     /// them when `None`); the others hold `u64::MAX`, which is no code. A masked
-    /// walk reads its [`live_groups`] in place of the context's.
+    /// walk reads its [`live_groups`] in place of the context's, a sliced one its
+    /// child's slices.
     fn new(
         ctx: &'a EncodedContext,
         needed: Option<&[bool]>,
         live: Option<&'a [(Vec<u32>, Vec<u32>)]>,
+        sliced: Option<&WalkFilter<'a>>,
     ) -> Self {
         let variables = ctx.query().variables();
         let order = ctx.tree().top_down_order();
@@ -779,10 +703,16 @@ impl<'a> AnswerWalk<'a> {
                             .then_some((col, slot))
                     })
                     .collect();
-                let (group_offsets, group_members) = match live {
-                    Some(live) => (&live[id].0[..], &live[id].1[..]),
-                    None => (&node.group_offsets[..], &node.group_members[..]),
-                };
+                let (mut group_offsets, mut group_members, mut slices) =
+                    (&node.group_offsets[..], &node.group_members[..], None);
+                if let Some(live) = live {
+                    (group_offsets, group_members) = (&live[id].0[..], &live[id].1[..]);
+                }
+                if let Some(&WalkFilter::Sliced(child, members, ranges)) = sliced {
+                    if child == id {
+                        (group_members, slices) = (members, Some(ranges));
+                    }
+                }
                 WalkLevel {
                     parent: parent.map_or(0, |p| {
                         (order.iter().position(|&o| o == p)).expect("a parent precedes its child")
@@ -790,6 +720,7 @@ impl<'a> AnswerWalk<'a> {
                     links: parent.map_or(&[], |_| ctx.links(id)),
                     group_offsets,
                     group_members,
+                    slices,
                     rows: &node.rows,
                     rel: &ctx.rels[id],
                     copy,
@@ -826,9 +757,15 @@ impl<'a> AnswerWalk<'a> {
         let Some(next) = self.levels.get(depth + 1) else {
             return f(row);
         };
-        let gid = next.links[selected[next.parent]] as usize;
-        let members = next.group_offsets[gid] as usize..next.group_offsets[gid + 1] as usize;
-        for &j in &next.group_members[members] {
+        let at = selected[next.parent];
+        let (start, end) = match next.slices {
+            Some(slices) => slices[at],
+            None => {
+                let gid = next.links[at] as usize;
+                (next.group_offsets[gid], next.group_offsets[gid + 1])
+            }
+        };
+        for &j in &next.group_members[start as usize..end as usize] {
             self.visit(depth + 1, j as usize, selected, row, f);
         }
     }
@@ -841,11 +778,23 @@ pub fn for_each_answer_codes(ctx: &EncodedContext, mut f: impl FnMut(&[u64])) {
     if ctx.has_no_answers() {
         return;
     }
-    let walk = AnswerWalk::new(ctx, None, None);
+    let walk = AnswerWalk::new(ctx, None, None, None);
     let (mut selected, mut row) = walk.scratch();
     for root in 0..walk.levels[0].rows.len() {
         walk.visit(0, root, &mut selected, &mut row, &mut f);
     }
+}
+
+/// What part of a context's answers a walk yields (see [`walk_answer_chunks`]).
+#[derive(Clone, Copy, Debug)]
+pub enum WalkFilter<'a> {
+    /// The answers a mask leaves, handed the mask's [`subtree_counts`]: the walk
+    /// visits only rows counting more than 0 (see the module docs).
+    Masked(&'a EncodedCounts),
+    /// `Sliced(child, members, slices)`: the non-root node `child` is walked, under
+    /// row `i` of its parent, through `members[slices[i].0..slices[i].1]` (indices
+    /// into its rows) instead of through the join group row `i` links to.
+    Sliced(usize, &'a [u32], &'a [(u32, u32)]),
 }
 
 /// Chunked answer enumeration, the general form: the root rows — all of them, or
@@ -857,13 +806,12 @@ pub fn for_each_answer_codes(ctx: &EncodedContext, mut f: impl FnMut(&[u64])) {
 /// accumulators come back in canonical chunk order, so concatenating them yields
 /// the answer sequence of [`for_each_answer_codes`] restricted to those root rows
 /// — determinism comes from chunk order, not from how chunks land on threads.
-/// Handed the [`subtree_counts`] of a mask, the walk visits only rows counting
-/// more than 0: it yields exactly the masked answers (see the module docs).
+/// Under a `filter` it yields only the answers the filter leaves, in that order.
 pub fn walk_answer_chunks<T: Send>(
     ctx: &EncodedContext,
     needed: Option<&[bool]>,
     only: Option<&[u32]>,
-    counts: Option<&EncodedCounts>,
+    filter: Option<WalkFilter>,
     chunk: usize,
     make: impl Fn() -> T + Sync,
     per_answer: impl Fn(&mut T, usize, &[u64]) + Sync,
@@ -871,8 +819,12 @@ pub fn walk_answer_chunks<T: Send>(
     if ctx.has_no_answers() {
         return Vec::new();
     }
+    let counts = match filter {
+        Some(WalkFilter::Masked(counts)) => Some(counts),
+        _ => None,
+    };
     let live = counts.map(|counts| live_groups(ctx, counts));
-    let walk = AnswerWalk::new(ctx, needed, live.as_deref());
+    let walk = AnswerWalk::new(ctx, needed, live.as_deref(), filter.as_ref());
     let root_counts = counts.map(|counts| &counts.per_tuple[ctx.root()]);
     let n_roots = only.map_or(walk.levels[0].rows.len(), <[u32]>::len);
     qjoin_par::par_map_chunks(n_roots, chunk, |_, range| {
@@ -1136,7 +1088,9 @@ mod tests {
             "{context}: root rows ascend along the walk"
         );
         // Each answer's root row is the root-node row its codes were read from.
-        let root_slots = AnswerWalk::new(ctx, None, None).levels[0].copy.clone();
+        let root_slots = AnswerWalk::new(ctx, None, None, None).levels[0]
+            .copy
+            .clone();
         for (root, codes) in &full {
             for &(col, slot) in &root_slots {
                 assert_eq!(codes[slot], ctx.code(ctx.root(), *root, col), "{context}");
@@ -1293,12 +1247,13 @@ mod tests {
                 }
                 let views = ctx.nodes().iter().map(|node| {
                     let rel = enc.relation_of_atom(node.atom_index);
-                    rel.filtered(|row| {
+                    let kept = (0..rel.len()).filter(|&row| {
                         (spec[node.node_id].iter()).all(|(col, table, (a, b))| {
                             let rank = table[rel.code(row, *col) as usize];
                             *a <= rank && rank < *b
                         })
-                    })
+                    });
+                    rel.select(kept.map(|row| row as u32).collect())
                 });
                 let fresh = enc.with_rewritten(enc.query().clone(), views.collect::<Vec<_>>());
                 let fresh = EncodedContext::build(&fresh.unwrap()).unwrap();
@@ -1333,8 +1288,8 @@ mod tests {
                                 |out: &mut Vec<(usize, Vec<u64>)>, root: usize, codes: &[u64]| {
                                     out.push((root, codes.to_vec()))
                                 };
-                            walk_answer_chunks(&ctx, None, only, Some(&counts), 3, Vec::new, push)
-                                .concat()
+                            let masked = Some(WalkFilter::Masked(&counts));
+                            walk_answer_chunks(&ctx, None, only, masked, 3, Vec::new, push).concat()
                         };
                         let masked = walk(None);
                         let codes: Vec<Vec<u64>> = masked.iter().map(|(_, c)| c.clone()).collect();
@@ -1356,6 +1311,82 @@ mod tests {
             cut > 200 && emptied > 50 && shared_cut > 50,
             "{cut} {emptied} {shared_cut}"
         );
+    }
+
+    /// A sliced walk against the masked one it stands for, at one and four threads:
+    /// over 300 random acyclic instances, each non-root node masked alone by a
+    /// random tie-heavy term, then walked with every parent row's slice listing the
+    /// live members of its group. In ascending order the two walks are one sequence;
+    /// with each slice reversed they are one multiset. Fails if a walk reads a
+    /// slice through the parent row's gid instead of the row, or through the
+    /// grandparent's row.
+    #[test]
+    fn sliced_walks_match_the_masked_walk_of_their_members() {
+        let pools = [qjoin_par::Pool::new(1), qjoin_par::Pool::new(4)];
+        let mut rng = StdRng::seed_from_u64(0x511c);
+        let mut deep = 0;
+        for case in 0..300 {
+            let inst = random_acyclic_instance(&mut rng);
+            let enc = EncodedInstance::from_instance(&inst).unwrap();
+            let ctx = EncodedContext::build(&enc).unwrap();
+            let codes = enc.dictionary().len();
+            for child in (0..ctx.nodes().len()).filter(|&n| n != ctx.root()) {
+                let parent = ctx.tree().node(child).parent.unwrap();
+                deep += usize::from(parent != ctx.root());
+                let spec = random_mask(&ctx, codes, &mut rng).swap_remove(child);
+                let ranks: Vec<Vec<u32>> = (spec.iter())
+                    .map(|(col, table, _)| {
+                        let rows = 0..ctx.node(child).rows.len();
+                        rows.map(|i| table[ctx.code(child, i, *col) as usize])
+                            .collect()
+                    })
+                    .collect();
+                let mut mask: Vec<Vec<MaskTerm>> = vec![Vec::new(); ctx.nodes().len()];
+                for ((_, _, range), ranks) in spec.iter().zip(&ranks) {
+                    mask[child].push(MaskTerm {
+                        ranks,
+                        range: *range,
+                    });
+                }
+                let counts = subtree_counts(&ctx, Some(&mask));
+                let (mut members, mut slices) = (Vec::new(), Vec::new());
+                for i in 0..ctx.node(parent).rows.len() {
+                    let group = ctx.group(child, ctx.link(child, i));
+                    let start = members.len() as u32;
+                    members.extend(
+                        group
+                            .iter()
+                            .filter(|&&m| counts.per_tuple[child][m as usize] > 0),
+                    );
+                    slices.push((start, members.len() as u32));
+                }
+                let mut reversed = members.clone();
+                for &(a, b) in &slices {
+                    reversed[a as usize..b as usize].reverse();
+                }
+                for pool in &pools {
+                    let context = format!("case {case} node {child} T={}", pool.threads());
+                    qjoin_par::with_pool(pool, || {
+                        let walk = |filter: WalkFilter| {
+                            let push = |out: &mut Vec<Vec<u64>>, _: usize, codes: &[u64]| {
+                                out.push(codes.to_vec())
+                            };
+                            walk_answer_chunks(&ctx, None, None, Some(filter), 3, Vec::new, push)
+                                .concat()
+                        };
+                        let masked = walk(WalkFilter::Masked(&counts));
+                        let sliced = walk(WalkFilter::Sliced(child, &members, &slices));
+                        assert_eq!(sliced, masked, "{context}: sliced walk");
+                        let mut backwards = walk(WalkFilter::Sliced(child, &reversed, &slices));
+                        let mut sorted = masked.clone();
+                        backwards.sort();
+                        sorted.sort();
+                        assert_eq!(backwards, sorted, "{context}: reversed slices");
+                    });
+                }
+            }
+        }
+        assert!(deep > 50, "{deep} slices below a non-root parent");
     }
 
     #[test]

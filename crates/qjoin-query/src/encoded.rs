@@ -177,21 +177,6 @@ impl EncodedInstance {
         Self::new(query, Arc::clone(&self.dictionary), relations)
     }
 
-    /// An instance with the same query whose answer set is empty (every view
-    /// cleared). The encoded analogue of the trim layer's `empty_copy`.
-    pub fn empty_copy(&self) -> Self {
-        EncodedInstance {
-            query: self.query.clone(),
-            dictionary: Arc::clone(&self.dictionary),
-            relations: self
-                .relations
-                .iter()
-                .map(|(n, r)| (n.clone(), r.cleared()))
-                .collect(),
-            memo: Arc::new(ExecMemo::default()),
-        }
-    }
-
     /// Rewrites the instance so that no relational symbol occurs in more than one
     /// atom, mirroring [`crate::self_join::eliminate_self_joins`]: later occurrences
     /// get fresh names (`R@2`, `R@3`, ...) bound to renamed views sharing the
@@ -277,7 +262,7 @@ mod tests {
     fn answer_count_upper_bound_is_the_product_of_view_lengths() {
         let enc = EncodedInstance::from_instance(&two_path_instance()).unwrap();
         assert_eq!(enc.answer_count_upper_bound(), Some(4));
-        let filtered = enc.relation("R1").unwrap().filtered(|row| row == 0);
+        let filtered = enc.relation("R1").unwrap().select(vec![0]);
         let narrowed = enc.with_rewritten(enc.query().clone(), [filtered]).unwrap();
         assert_eq!(narrowed.answer_count_upper_bound(), Some(2));
 
@@ -327,15 +312,6 @@ mod tests {
     }
 
     #[test]
-    fn empty_copy_clears_every_view() {
-        let inst = two_path_instance();
-        let enc = EncodedInstance::from_instance(&inst).unwrap();
-        let empty = enc.empty_copy();
-        assert_eq!(empty.total_rows(), 0);
-        assert_eq!(empty.query(), enc.query());
-    }
-
-    #[test]
     fn self_join_elimination_mirrors_row_path() {
         let r = Relation::from_rows("R", &[&[1, 2], &[2, 3]]).unwrap();
         let q = JoinQuery::new(vec![
@@ -359,7 +335,7 @@ mod tests {
     fn with_rewritten_replaces_and_shares() {
         let inst = two_path_instance();
         let enc = EncodedInstance::from_instance(&inst).unwrap();
-        let filtered = enc.relation("R1").unwrap().filtered(|row| row == 0);
+        let filtered = enc.relation("R1").unwrap().select(vec![0]);
         let out = enc.with_rewritten(enc.query().clone(), [filtered]).unwrap();
         assert_eq!(out.relation("R1").unwrap().len(), 1);
         assert_eq!(out.relation("R2").unwrap().len(), 2);

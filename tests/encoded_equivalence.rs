@@ -2,9 +2,10 @@
 //! production solves run on — against the row reference oracle (the same driver
 //! over materialized instances, with an explicit `MinMaxTrimmer`, `LexTrimmer`,
 //! `AdjacentSumTrimmer` or `LossySumTrimmer`), across ranking families, random
-//! instances, and boundary φ values. Exact SUM and ε solves are **pointwise
-//! identical** — same answer assignment, same weight (bit for bit), same target
-//! index, same iteration count. MIN/MAX/LEX solves search the weight domain
+//! instances, and boundary φ values. ε solves are **pointwise identical** — same
+//! answer assignment, same weight (bit for bit), same target index, same
+//! iteration count. Exact solves search the weight domain (MIN/MAX/LEX, a SUM one
+//! atom covers) or count windows of one context (a SUM an adjacent pair covers)
 //! instead of trimming, so they agree on what a quantile is ([`assert_agrees`]):
 //! the weight bits, `|Q(D)|`, the target index and a target inside the weight's
 //! rank window; the answer itself only when no round ran, because after a round a
@@ -92,10 +93,10 @@ fn assert_pointwise_equal(a: &QuantileResult, b: &QuantileResult, context: &str)
     );
 }
 
-/// An encoded exact result against the row reference's for the same φ: pointwise
-/// for SUM; for MIN/MAX/LEX the same weight bits, `|Q(D)|` and target index, the
-/// target inside the rank window of the weight, carried by the returned answer,
-/// and — when no round ran — the very same answer.
+/// An encoded exact result against the row reference's for the same φ: the same
+/// weight bits, `|Q(D)|` and target index, the target inside the rank window of
+/// the weight, carried by the returned answer, and — when no round ran — the very
+/// same answer (pointwise).
 fn assert_agrees(
     instance: &Instance,
     ranking: &Ranking,
@@ -103,7 +104,7 @@ fn assert_agrees(
     row: &QuantileResult,
     context: &str,
 ) {
-    if ranking.kind() == AggregateKind::Sum || encoded.iterations == 0 {
+    if encoded.iterations == 0 {
         return assert_pointwise_equal(encoded, row, context);
     }
     assert_eq!(
@@ -232,9 +233,9 @@ proptest! {
     }
 }
 
-/// The engine's acceptance workload: encoded and row paths agree on the paper's
-/// social-network join at several φ, via both the pre-encoded entry point and the
-/// encode-per-solve solver.
+/// The engine's acceptance workload: encoded and row paths agree
+/// ([`assert_agrees`]) on the paper's social-network join at several φ, via both
+/// the pre-encoded entry point and the encode-per-solve solver.
 #[test]
 fn social_network_workload_is_pointwise_identical() {
     let config = SocialConfig {
@@ -250,8 +251,13 @@ fn social_network_workload_is_pointwise_identical() {
         let default_path = exact(&instance, &ranking, phi).unwrap();
         let row = row_quantile(&instance, &ranking, phi);
         let pre_encoded = encoded_batch(&encoded_db, &ranking, &[phi], &options).remove(0);
-        assert_pointwise_equal(&default_path, &row, &format!("social φ={phi}"));
-        assert_pointwise_equal(&pre_encoded, &row, &format!("social pre-encoded φ={phi}"));
+        let context = format!("social φ={phi}");
+        assert_agrees(&instance, &ranking, &default_path, &row, &context);
+        assert_pointwise_equal(
+            &pre_encoded,
+            &default_path,
+            &format!("{context} pre-encoded"),
+        );
     }
     let phis = [0.05, 0.25, 0.5, 0.75, 0.95];
     let batch_enc = encoded_batch(&encoded_db, &ranking, &phis, &options);
@@ -259,23 +265,19 @@ fn social_network_workload_is_pointwise_identical() {
         quantile_batch_by_pivoting(&instance, &ranking, &phis, &AdjacentSumTrimmer, &options)
             .unwrap();
     for ((phi, e), r) in phis.iter().zip(&batch_enc).zip(&batch_row) {
-        assert_pointwise_equal(e, r, &format!("social batch φ={phi}"));
+        assert_agrees(&instance, &ranking, e, r, &format!("social batch φ={phi}"));
     }
 }
 
 /// Pins the *recursion*, not just the answers: on a social instance large enough
-/// for several pivoting rounds, the encoded and the row solve must take the same
-/// branches (same `iterations`, same tie-broken `answer`) at every φ, including the
-/// rank boundaries, at executor degrees 1 and 4. Each round trims the original
-/// instance to a `(low, high)` window in one dyadic construction; if the two paths
-/// built their candidate instances differently (say one stacked two single-bound
-/// constructions, carrying two `v_sum` columns), Algorithm 2 would pick different —
-/// equally valid — pivots and the weights would still agree while `iterations`
-/// and `answer` drifted apart.
+/// for several pivoting rounds, every single and batched exact solve takes the
+/// same branches (same `iterations`, same tie-broken `answer`) at executor degrees
+/// 1 and 4, a batch's are its single solves', and each is an exact φ-quantile by
+/// the brute force of `tests/common`, at the rank boundaries and between them. A
+/// pivot or a window count that depended on how chunks land on threads would move
+/// `iterations` and `answer` while the weights still agreed.
 #[test]
 fn social_sum_multi_round_recursions_are_pointwise_identical() {
-    // Seed 11 is one where a half-fused build (encoded fused, row two-pass) is caught:
-    // it disagrees on `iterations`/`answer` at 4 of the 20 fractions below.
     let config = SocialConfig {
         rows_per_relation: 300,
         seed: 11,
@@ -283,43 +285,45 @@ fn social_sum_multi_round_recursions_are_pointwise_identical() {
     };
     let instance = config.generate();
     let ranking = config.likes_ranking();
-    let total = count_answers(&instance).unwrap();
-    let mut phis = boundary_phis(total);
+    let oracle = common::Oracle::new(&instance, &ranking);
+    let mut phis = boundary_phis(oracle.total());
     phis.extend([
         0.01, 0.05, 0.1, 0.2, 0.3, 0.4, 0.6, 0.7, 0.8, 0.9, 0.95, 0.99,
     ]);
     assert!(phis.len() >= 16);
-    let row: Vec<QuantileResult> = phis
-        .iter()
-        .map(|&phi| row_quantile(&instance, &ranking, phi))
-        .collect();
-    assert!(
-        row.iter().filter(|r| r.iterations >= 3).count() >= phis.len() / 2,
-        "the instance must be large enough for multi-round solves: iterations {:?}",
-        row.iter().map(|r| r.iterations).collect::<Vec<_>>()
-    );
-    let options = PivotingOptions::default();
-    let row_batch =
-        quantile_batch_by_pivoting(&instance, &ranking, &phis, &AdjacentSumTrimmer, &options)
-            .unwrap();
+    let mut sequential: Option<Vec<QuantileResult>> = None;
     for (threads, pool) in sweep_pools().iter().filter(|(t, _)| [1, 4].contains(t)) {
-        quantile_joins::par::with_pool(pool, || {
-            for (phi, r) in phis.iter().zip(&row) {
-                let encoded = exact(&instance, &ranking, *phi).unwrap();
-                assert_pointwise_equal(&encoded, r, &format!("social φ={phi}, T={threads}"));
-            }
-            let batch = solve(&instance, &ranking, &phis, Accuracy::Exact).unwrap();
-            for ((phi, e), r) in phis.iter().zip(&batch).zip(&row_batch) {
-                assert_pointwise_equal(e, r, &format!("social batch φ={phi}, T={threads}"));
-            }
+        let (singles, batch) = quantile_joins::par::with_pool(pool, || {
+            let singles: Vec<QuantileResult> = (phis.iter())
+                .map(|&phi| exact(&instance, &ranking, phi).unwrap())
+                .collect();
+            (
+                singles,
+                solve(&instance, &ranking, &phis, Accuracy::Exact).unwrap(),
+            )
         });
+        assert!(
+            singles.iter().filter(|r| r.iterations >= 3).count() >= phis.len() / 2,
+            "the instance must be large enough for multi-round solves: iterations {:?}",
+            singles.iter().map(|r| r.iterations).collect::<Vec<_>>()
+        );
+        let first = sequential.get_or_insert_with(|| singles.clone());
+        for (((phi, single), batched), t1) in
+            phis.iter().zip(&singles).zip(&batch).zip(first.iter())
+        {
+            let context = format!("social φ={phi}, T={threads}");
+            oracle.assert_exact(*phi, single, &context);
+            assert_pointwise_equal(batched, single, &format!("{context}: batch"));
+            assert_pointwise_equal(single, t1, &format!("{context}: against T=1"));
+        }
     }
 }
 
 /// A database relation the query never references must still count towards the
 /// materialization threshold on both paths (regression: the encoded path once
 /// sized the database from query-referenced views only, diverging from the row
-/// path's `Instance::database_size` and thus from its recursion).
+/// path's `Instance::database_size` and thus from its recursion). With it, both
+/// paths select at the leaf with no round, so their answers are pointwise equal.
 #[test]
 fn unreferenced_relations_keep_thresholds_identical() {
     let mut r1 = Relation::new("R1", 2);
@@ -373,7 +377,13 @@ fn string_keys_are_pointwise_identical() {
     for phi in [0.0, 0.3, 0.5, 1.0] {
         let encoded = exact(&instance, &ranking, phi).unwrap();
         let row = row_quantile(&instance, &ranking, phi);
-        assert_pointwise_equal(&encoded, &row, &format!("string keys φ={phi}"));
+        assert_agrees(
+            &instance,
+            &ranking,
+            &encoded,
+            &row,
+            &format!("string keys φ={phi}"),
+        );
     }
 }
 

@@ -71,36 +71,34 @@ type Round = [Option<u64>; 6];
 
 /// The rounds and trim sizes a route is held to.
 enum Route {
-    /// Exact SUM and ε solves pivot (Algorithm 2). Every round is a c-pivot round,
+    /// Adjacent-pair SUM and ε solves pivot. Every round is a c-pivot round,
     /// max(n_lt, n_gt) ≤ (1 − c)·candidates, and the rounds on any path number at
-    /// most ⌈log_{1/(1−c)}(|Q(D)| / threshold)⌉ + 1. A round's two trimmed sides
-    /// hold at most `view_rows` view rows between them.
+    /// most ⌈log_{1/(1−c)}(|Q(D)| / threshold)⌉ + 1. A round reports at most
+    /// `view_rows` rows.
     Pivot { c: f64, view_rows: u64 },
-    /// MIN/MAX/LEX solves search the weight domain: at most `rounds` rounds on any
-    /// path.
+    /// MIN/MAX/LEX and single-atom SUM solves search the weight domain: at most
+    /// `rounds` rounds on any path.
     Search { rounds: u64 },
 }
 
 /// The paper's cost bounds, read off one solve's phase events (no production
-/// hook). On the pivoting routes `c` is the smaller [`pivot_quality`] of the
-/// query's GYO tree and of its binarization (the ε route pivots over a binarized
-/// rewrite), and an exact SUM round's view rows are held to the size of its
-/// construction:
+/// hook):
 ///
-/// * a single-atom filter keeps at most the `n′` rows of the database with its
-///   self-joins renamed apart, on each side;
-/// * Lemma 5.5's adjacent pair `(A, B)` copies each B row once per dyadic level
-///   `0..=L` of its join group and each A row once per interval of its range's
-///   cover, at most `2L + 1` (`dyadic_cover` emits at most two intervals per level
-///   below the group's `L = ⌈log₂ |group|⌉`), so a side holds at most
-///   `n′ + 2L·(|A| + |B|)` rows with `L = ⌈log₂ max(|A|, |B|)⌉`: O(|D| log |D|).
+/// * an exact SUM an adjacent pair `(A, B)` covers counts windows of one context:
+///   every round is a ¼-pivot round (the weighted median of the A rows' weighted
+///   medians), and its two trims scan A's rows once each, so a round reports at
+///   most `2·|A|` rows as its `view_rows`;
+/// * an ε solve pivots with Algorithm 2 over a binarized rewrite, so `c` is the
+///   smaller [`pivot_quality`] of the query's GYO tree and of its binarization
+///   (its sketch sizes, Lemma 6.3, are not checked here);
+/// * a MIN/MAX/LEX solve, and an exact SUM one atom covers, do not pivot: their
+///   rounds halve each weight component's candidates, so they take at most
+///   Σᵢ (⌈log₂ Kᵢ⌉ + 1) rounds with `Kᵢ` the distinct weights the database gives
+///   component `i` (one component of all weighted variables' weights for MIN/MAX,
+///   of the covering atom's row sums for SUM).
 ///
-/// The ε route's sketch sizes (Lemma 6.3) are not checked here. A MIN/MAX/LEX
-/// solve does not pivot: its rounds halve each weight component's candidates,
-/// so it takes at most Σᵢ (⌈log₂ Kᵢ⌉ + 1) rounds with `Kᵢ` the distinct weights the
-/// database gives component `i` (one component of all weighted variables' weights
-/// for MIN/MAX). Every leaf of every route walks at most `threshold` answers. The
-/// checker keeps the rounds, so a memo-warm solve can be held to a fresh one's.
+/// Every leaf of every route walks at most `threshold` answers. The checker keeps
+/// the rounds, so a memo-warm solve can be held to a fresh one's.
 struct BoundChecker {
     route: Route,
     threshold: u128,
@@ -109,7 +107,7 @@ struct BoundChecker {
     rounds: RefCell<Vec<Round>>,
 }
 
-/// `⌈log₂ len⌉`, the dyadic levels above a group of `len` positions.
+/// `⌈log₂ len⌉`.
 fn levels(len: usize) -> u32 {
     len.max(1).next_power_of_two().trailing_zeros()
 }
@@ -117,34 +115,47 @@ fn levels(len: usize) -> u32 {
 impl BoundChecker {
     fn new(instance: &Instance, ranking: &Ranking, accuracy: Accuracy, what: &str) -> BoundChecker {
         let query = instance.query();
-        let size = |atom: usize| {
+        let tuples = |atom: usize| {
             let relation = instance.database().relation(query.atom(atom).relation());
-            relation.expect("every atom has a relation").len()
+            relation.expect("every atom has a relation").tuples()
         };
+        let search = |components: Vec<usize>| Route::Search {
+            rounds: (components.into_iter())
+                .map(|k| u64::from(levels(k)) + 1)
+                .sum(),
+        };
+        let weighted = ranking.weighted_vars();
         let route = match (ranking.kind(), accuracy) {
+            (AggregateKind::Sum, Accuracy::Exact) => match classify_partial_sum(query, weighted) {
+                SumClassification::TractableAdjacentPair { atoms: (a, _) } => Route::Pivot {
+                    c: 0.25,
+                    view_rows: 2 * tuples(a).len() as u64,
+                },
+                SumClassification::TractableSingleAtom { atom } => {
+                    // The covering atom's row sums: every bound weighted variable
+                    // in the ranking's order, from +0.0.
+                    let atom_of = query.atom(atom);
+                    let bound = (weighted.iter()).filter(|v| query.contains_variable(v));
+                    let at: Vec<(&Variable, usize)> =
+                        bound.map(|v| (v, atom_of.positions_of(v)[0])).collect();
+                    let sum = |tuple: &Tuple| {
+                        let weight = |(v, p): &(&Variable, usize)| {
+                            ranking.var_weight(v, &tuple.values()[*p])
+                        };
+                        at.iter().map(weight).fold(0.0, |acc, w| acc + w)
+                    };
+                    let sums: BTreeSet<u64> =
+                        tuples(atom).iter().map(|t| sum(t).to_bits()).collect();
+                    search(vec![sums.len()])
+                }
+                other => panic!("{what}: an exact solve of {other:?}"),
+            },
             (AggregateKind::Sum, _) => {
                 let tree = gyo_join_tree(query).expect("an acyclic query");
                 let binarized = binarize(instance).expect("an acyclic query binarizes");
-                // Each relation once, and once more per atom repeating it.
-                let renamed: usize = (0..query.num_atoms())
-                    .filter(|&atom| {
-                        let relation = query.atom(atom).relation();
-                        (query.atoms()[..atom].iter()).any(|a| a.relation() == relation)
-                    })
-                    .map(size)
-                    .sum::<usize>()
-                    + instance.database_size();
-                let side = match classify_partial_sum(query, ranking.weighted_vars()) {
-                    _ if accuracy != Accuracy::Exact => usize::MAX / 2,
-                    SumClassification::TractableAdjacentPair { atoms: (a, b) } => {
-                        let l = levels(size(a).max(size(b))) as usize;
-                        renamed + 2 * l * (size(a) + size(b))
-                    }
-                    _ => renamed,
-                };
                 Route::Pivot {
                     c: pivot_quality(&tree).min(pivot_quality(&binarized.tree)),
-                    view_rows: 2 * side as u64,
+                    view_rows: u64::MAX,
                 }
             }
             (kind, _) => {
@@ -159,23 +170,26 @@ impl BoundChecker {
                     }
                     distinct
                 };
-                let vars = ranking.weighted_vars();
                 let components: Vec<usize> = if kind == AggregateKind::Lex {
-                    let first = |i: usize| vars.iter().position(|v| *v == vars[i]) == Some(i);
-                    (0..vars.len())
-                        .map(|i| if first(i) { weights(&vars[i]).len() } else { 1 })
+                    let first =
+                        |i: usize| weighted.iter().position(|v| *v == weighted[i]) == Some(i);
+                    (0..weighted.len())
+                        .map(|i| {
+                            if first(i) {
+                                weights(&weighted[i]).len()
+                            } else {
+                                1
+                            }
+                        })
                         .collect()
                 } else {
-                    vec![vars
+                    vec![weighted
                         .iter()
                         .flat_map(weights)
                         .collect::<BTreeSet<u64>>()
                         .len()]
                 };
-                let log2 = |k: usize| u64::from(levels(k));
-                Route::Search {
-                    rounds: components.into_iter().map(|k| log2(k) + 1).sum(),
-                }
+                search(components)
             }
         };
         BoundChecker {
