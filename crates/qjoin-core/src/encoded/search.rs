@@ -72,18 +72,12 @@ impl Term {
     /// `var` weighed by `table` (a value per code), or `0.0` when `var` is `None`.
     fn of(ctx: &EncodedContext, var: Option<&Variable>, table: &[f64]) -> Term {
         let atom = |node: &EncodedNode| ctx.query().atom(node.atom_index);
-        Term::new(
-            (ctx.nodes().iter())
-                .map(|node| {
-                    let col = *atom(node).positions_of(var?).first()?;
-                    let rows = 0..node.rows.len();
-                    Some(
-                        rows.map(|i| table[ctx.code(node.node_id, i, col) as usize])
-                            .collect(),
-                    )
-                })
-                .collect(),
-        )
+        let weigh = |node: &EncodedNode| {
+            let col = *atom(node).positions_of(var?).first()?;
+            let code = |i: usize| ctx.code(node.node_id, i, col) as usize;
+            Some((0..node.rows.len()).map(|i| table[code(i)]).collect())
+        };
+        Term::new(ctx.nodes().iter().map(weigh).collect())
     }
 
     /// A SUM one node covers, as one term: its rows' sums of the weighted variables
@@ -100,10 +94,7 @@ impl Term {
             .map(|v| (weights.table(v), atom(node).positions_of(v)[0]))
             .collect();
         let code = |i: usize, col: usize| ctx.code(node.node_id, i, col) as usize;
-        let sum = |i: usize| {
-            cols.iter()
-                .fold(0.0, |acc, (w, col)| acc + w[code(i, *col)])
-        };
+        let sum = |i| cols.iter().fold(0.0, |s, (w, c)| s + w[code(i, *c)]);
         let mut per_node = vec![None; ctx.nodes().len()];
         per_node[node.node_id] = Some((0..node.rows.len()).map(sum).collect());
         Some(Term::new(per_node))
@@ -481,6 +472,16 @@ impl<'a> SearchBackend<'a> {
     }
 }
 
+/// The walks of a window's conjunctions, in order, in the first one's buffer (a
+/// window of one conjunction copies nothing).
+fn concat<T>(mut walks: impl Iterator<Item = Result<Vec<T>>>) -> Result<Vec<T>> {
+    let mut out = walks.next().transpose()?.unwrap_or_default();
+    for walk in walks {
+        out.extend(walk?);
+    }
+    Ok(out)
+}
+
 /// The MIN (`+∞`) or MAX (`−∞`) identity.
 fn identity(kind: AggregateKind) -> f64 {
     if kind == AggregateKind::Min {
@@ -603,12 +604,11 @@ impl SolveBackend for SearchBackend<'_> {
     type Key = CodeKey;
 
     fn leaf_weights(&self, window: &Window) -> Result<Vec<(Weight, u32)>> {
-        let mut out = Vec::new();
-        for counts in self.leaf_counts(window)? {
+        let walk = |counts: &Option<EncodedCounts>| {
             let filter = counts.as_ref().map(WalkFilter::Masked);
-            out.extend(self.encoded.leaf_weights_in(&self.ctx, None, filter)?);
-        }
-        Ok(out)
+            self.encoded.leaf_weights_in(&self.ctx, None, filter)
+        };
+        concat(self.leaf_counts(window)?.iter().map(walk))
     }
 
     fn leaf_band(
@@ -618,13 +618,11 @@ impl SolveBackend for SearchBackend<'_> {
         roots: &[u32],
         wanted: &(dyn Fn(&Weight) -> bool + Sync),
     ) -> Result<Vec<(Weight, CodeKey)>> {
-        let mut out = Vec::new();
-        for counts in self.leaf_counts(window)? {
+        let walk = |counts: &Option<EncodedCounts>| {
             let filter = counts.as_ref().map(WalkFilter::Masked);
-            let band = (self.encoded).leaf_band_in(&self.ctx, original_vars, roots, filter, wanted);
-            out.extend(band?);
-        }
-        Ok(out)
+            (self.encoded).leaf_band_in(&self.ctx, original_vars, roots, filter, wanted)
+        };
+        concat(self.leaf_counts(window)?.iter().map(walk))
     }
 
     fn answer_from_key(&self, original_vars: &[Variable], key: &CodeKey) -> Assignment {
@@ -635,6 +633,7 @@ impl SolveBackend for SearchBackend<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::dichotomy::{classify_partial_sum, SumClassification};
     use crate::encoded::tests::answers_of;
     use crate::quantile::materialized_keyed_answers;
     use qjoin_data::Value;
@@ -758,12 +757,12 @@ mod tests {
 
     /// Windows and tie bands against the brute force over `shaped_instance` shapes
     /// 0–6 and 300 random acyclic instances (self-joins, repeated variables, empty
-    /// joins), under `tie_heavy_ranking` MIN, MAX and LEX over the weight domains
-    /// {0, 1, 2, 3, 9}, at one and four threads. Fails if a strict bound is taken
-    /// as `≥` (`from` ignoring `strict`: domains {0, 1, 2} tie at every bound), if
-    /// the tie band's conjunctions overlap (a variable before the one at `λ` left
-    /// unbounded walks some answers twice), or if a window's leaf ignores its upper
-    /// bound.
+    /// joins), under `tie_heavy_ranking` MIN, MAX, LEX and — where one atom covers
+    /// it — SUM over the weight domains {0, 1, 2, 3, 9}, at one and four threads.
+    /// Fails if a strict bound is taken as `≥` (`from` ignoring `strict`: domains
+    /// {0, 1, 2} tie at every bound), if the tie band's conjunctions overlap (a
+    /// variable before the one at `λ` left unbounded walks some answers twice), or
+    /// if a window's leaf ignores its upper bound.
     #[test]
     fn windows_and_tie_bands_walk_exactly_their_answers() {
         let mut rng = StdRng::seed_from_u64(0x5ea7);
@@ -772,10 +771,25 @@ mod tests {
             .map(|_| random_acyclic_instance(&mut rng))
             .collect();
         let pools = [qjoin_par::Pool::new(1), qjoin_par::Pool::new(4)];
+        let kinds = [
+            AggregateKind::Min,
+            AggregateKind::Max,
+            AggregateKind::Lex,
+            AggregateKind::Sum,
+        ];
+        let mut summed = 0;
         for (case, instance) in shaped.chain(random).enumerate() {
-            for kind in [AggregateKind::Min, AggregateKind::Max, AggregateKind::Lex] {
+            for kind in kinds {
                 for domain in [0, 1, 2, 3, 9] {
                     let ranking = tie_heavy_ranking(&instance, kind, domain);
+                    let query = instance.query();
+                    let class = classify_partial_sum(query, ranking.weighted_vars());
+                    if kind == AggregateKind::Sum {
+                        match class {
+                            SumClassification::TractableSingleAtom { .. } => summed += 1,
+                            _ => continue,
+                        }
+                    }
                     let pool = &pools[case % 2];
                     let what =
                         format!("case {case} {ranking} domain {domain} T={}", pool.threads());
@@ -785,6 +799,7 @@ mod tests {
                 }
             }
         }
+        assert!(summed > 300, "{summed} single-atom SUM rankings");
     }
 
     /// The pivot rule, one component at a time, over three components of 9, 1 and

@@ -55,9 +55,8 @@ impl CodeWeights {
     }
 }
 
-/// The unbound-slot sentinel of a code row. Dictionary codes are dense (far below
-/// this) and the packed interval codes of the SUM construction are capped strictly
-/// below it.
+/// The unbound-slot sentinel of a code row. Dictionary codes and the lossy
+/// construction's bucket ids are dense, far below it.
 pub(crate) const UNBOUND: u64 = u64::MAX;
 
 /// A ranking's canonical weight fold resolved once against a code-row layout: per

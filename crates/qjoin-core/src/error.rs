@@ -34,9 +34,9 @@ pub enum CoreError {
         limit: usize,
     },
     /// The instance, or a construction a solve builds from it, exceeds one of the
-    /// execution layer's fixed-width limits (`u32` row and leaf indexing, the packed
-    /// interval code's join-group field). The payload names the limit. A typed
-    /// refusal: no other path serves the request.
+    /// execution layer's fixed-width limits (`u32` row, window and leaf indexing).
+    /// The payload names the limit. A typed refusal: no other path serves the
+    /// request.
     TooLarge(String),
     /// The approximate (sampling) path refuses this error/join regime: the
     /// requested guarantee would cost at least as much as solving exactly

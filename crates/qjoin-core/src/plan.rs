@@ -48,13 +48,13 @@ pub enum PlanStrategy {
     MinMax,
     /// LEX ranking (§5.2): the same search, one weight component at a time.
     Lex,
-    /// SUM with all weighted variables in one atom: exact linear-time filter trims.
+    /// SUM with all weighted variables in one atom: the same search over its row sums.
     SumSingleAtom {
         /// Index of the covering atom.
         atom: usize,
     },
-    /// SUM covered by two adjacent join-tree nodes: exact `O(n log n)` trims
-    /// (Lemma 5.5).
+    /// SUM covered by two adjacent join-tree nodes: exact, by counting weight
+    /// windows over one context per generation (Lemma 5.5's cover, no trim).
     SumAdjacentPair {
         /// Indices of the two covering atoms.
         atoms: (usize, usize),

@@ -114,13 +114,13 @@ fn dichotomy_sentence(strategy: &PlanStrategy) -> String {
              round masked counts over the one context, no trims."
             .to_string(),
         PlanStrategy::SumSingleAtom { .. } => "SUM with every weighted variable in one atom: the \
-             tractable side of the Theorem 5.6 dichotomy — exact \
-             linear-time filter trims."
+             tractable side of the Theorem 5.6 dichotomy — exact search of \
+             the atom's row sums, masked counts over the one context, no trims."
             .to_string(),
         PlanStrategy::SumAdjacentPair { atoms } => format!(
             "SUM covered by the two adjacent join-tree atoms {} and {}: \
              the tractable side of the Theorem 5.6 dichotomy — exact \
-             O(n log n) trims (Lemma 5.5).",
+             counts of weight windows over one context, no trims.",
             atoms.0, atoms.1
         ),
         PlanStrategy::SumApproximateOnly { witness } => format!(

@@ -1318,8 +1318,7 @@ mod tests {
     /// random tie-heavy term, then walked with every parent row's slice listing the
     /// live members of its group. In ascending order the two walks are one sequence;
     /// with each slice reversed they are one multiset. Fails if a walk reads a
-    /// slice through the parent row's gid instead of the row, or through the
-    /// grandparent's row.
+    /// slice through the parent row's gid instead of the row.
     #[test]
     fn sliced_walks_match_the_masked_walk_of_their_members() {
         let pools = [qjoin_par::Pool::new(1), qjoin_par::Pool::new(4)];

@@ -18,8 +18,11 @@
 //! reverse order by the encoded weight fold, and a GYO ear test that ignores a
 //! variable an atom repeats (`shaped_instance` shape 4). The bound checker catches a
 //! join group's pivot message taken from its first row instead of its weighted
-//! median (alone: the answers stay right), and partition copy 0 of a MIN/MAX/LEX
-//! union left unfiltered (before the brute force does).
+//! median (alone: the answers stay right). On the adjacent-pair SUM route the
+//! brute force catches a window count that reads B's prefix one member past a
+//! slice, or an A row's group read through another edge's links; the checker
+//! catches an A row's first member taken as its median (not a ¼-pivot round) and
+//! a third scan of A's rows per round.
 
 mod common;
 
@@ -526,11 +529,12 @@ fn covered_sums(instance: &Instance, rng: &mut StdRng) -> Vec<Vec<Variable>> {
 /// `random_acyclic_instance`s (self-joins, repeated variables, empty joins) under
 /// MIN/MAX/LEX and under SUMs one atom or an adjacent pair covers ([`covered_sums`]):
 /// the exact single and batch solves, against the oracle and under the bound
-/// checker. Fails if a pair count reads a B group's prefix one position too far or
-/// through another edge's links, which these shapes reach and the fixed ones do not.
+/// checker. On these shapes alone, fails if a pair count reads a B group's prefix
+/// one member too far (the checker sees a round that is no ¼-pivot round) or an A
+/// row's group through another child's links (an index past B's groups).
 fn generated_exact_solves(threads: usize, arms: &mut Arms) {
     let mut rng = StdRng::seed_from_u64(0x5a17);
-    for i in 0..40 {
+    for i in 0..160 {
         let instance = random_acyclic_instance(&mut rng);
         let domain: usize = [0, 2, 3, 9][rng.random_range(0..4usize)];
         let kinds = [AggregateKind::Min, AggregateKind::Max, AggregateKind::Lex];
