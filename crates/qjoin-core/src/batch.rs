@@ -26,14 +26,12 @@
 
 use crate::leaf::select_ranks;
 use crate::quantile::{
-    partition_round, report_parallel, target_rank, PivotingOptions, QuantileResult, RowBackend,
-    SolveBackend,
+    partition_round, report_parallel, target_rank, PivotingOptions, QuantileResult, SolveBackend,
 };
-use crate::trace::{sat64, NoopTracer, PhaseContext, SolvePhase, SolveTracer};
-use crate::trim::Trimmer;
+use crate::trace::{sat64, PhaseContext, SolvePhase, SolveTracer};
 use crate::{CoreError, Result};
-use qjoin_query::{Instance, Variable};
-use qjoin_ranking::{Ranking, WeightBound};
+use qjoin_query::Variable;
+use qjoin_ranking::WeightBound;
 use std::time::Instant;
 
 /// One pending quantile target: the position in the caller's φ slice plus the global
@@ -62,34 +60,12 @@ struct BatchState<'a, B: SolveBackend> {
     tracer: &'a dyn SolveTracer,
 }
 
-/// Computes the `φ`-quantiles of the instance's answers for **all** fractions in
-/// `phis` with a single shared divide-and-conquer pass (see the module docs), on the
-/// row representation with an explicit trimmer: the reference the encoded layer is
-/// tested against.
+/// The driver: one shared recursion over any [`SolveBackend`], for **all**
+/// fractions in `phis` (see the module docs).
 ///
 /// `phis` may be in any order and may contain duplicates; results are returned in the
 /// same order as the input. An empty `phis` returns an empty vector (after validating
 /// that the instance has answers at all).
-pub fn quantile_batch_by_pivoting(
-    instance: &Instance,
-    ranking: &Ranking,
-    phis: &[f64],
-    trimmer: &dyn Trimmer,
-    options: &PivotingOptions,
-) -> Result<Vec<QuantileResult>> {
-    let backend = RowBackend { ranking, trimmer };
-    let original_vars = instance.query().variables();
-    quantile_batch_backend(
-        &backend,
-        instance,
-        phis,
-        options,
-        &original_vars,
-        &NoopTracer,
-    )
-}
-
-/// The driver: one shared recursion over any [`SolveBackend`].
 pub(crate) fn quantile_batch_backend<B: SolveBackend>(
     backend: &B,
     instance: &B::Inst,
@@ -334,11 +310,14 @@ fn resolve_leaf<B: SolveBackend>(
 mod tests {
     use super::*;
     use crate::baseline::{quantile_by_materialization, BaselineStrategy};
+    use crate::encoded::exact_quantile_batch_encoded_traced;
     use crate::quantile::rank_of_weight;
-    use crate::trim::{AdjacentSumTrimmer, LexTrimmer, MinMaxTrimmer};
+    use crate::trace::NoopTracer;
     use qjoin_data::{Database, Relation, Value};
     use qjoin_query::query::path_query;
     use qjoin_query::variable::vars;
+    use qjoin_query::{EncodedInstance, Instance};
+    use qjoin_ranking::Ranking;
 
     fn two_path_instance(n: i64) -> Instance {
         let mut r1 = Relation::new("R1", 2);
@@ -373,6 +352,17 @@ mod tests {
 
     const PHIS: [f64; 7] = [0.0, 0.05, 0.25, 0.5, 0.75, 0.95, 1.0];
 
+    /// The exact route's batch over a fresh encoding of `inst`.
+    fn batch(
+        inst: &Instance,
+        ranking: &Ranking,
+        phis: &[f64],
+        options: &PivotingOptions,
+    ) -> Result<Vec<QuantileResult>> {
+        let encoded = EncodedInstance::from_instance(inst)?;
+        exact_quantile_batch_encoded_traced(&encoded, ranking, phis, options, &NoopTracer)
+    }
+
     /// Every batched result against the materialize-and-sort oracle: the same total,
     /// target rank and weight, and an answer that carries that weight.
     fn assert_matches_the_oracle(
@@ -398,10 +388,7 @@ mod tests {
     fn batched_matches_the_oracle_for_sum() {
         let inst = two_path_instance(50);
         let ranking = Ranking::sum(inst.query().variables());
-        let options = PivotingOptions::default();
-        let batched =
-            quantile_batch_by_pivoting(&inst, &ranking, &PHIS, &AdjacentSumTrimmer, &options)
-                .unwrap();
+        let batched = batch(&inst, &ranking, &PHIS, &PivotingOptions::default()).unwrap();
         assert_matches_the_oracle(&inst, &ranking, &PHIS, &batched);
     }
 
@@ -409,14 +396,12 @@ mod tests {
     fn batched_matches_the_oracle_for_minmax_and_lex() {
         let inst = three_path_instance(20);
         let options = PivotingOptions::default();
-        let cases: Vec<(Ranking, &dyn Trimmer)> = vec![
-            (Ranking::min(inst.query().variables()), &MinMaxTrimmer),
-            (Ranking::max(vars(&["x1", "x4"])), &MinMaxTrimmer),
-            (Ranking::lex(vars(&["x2", "x4"])), &LexTrimmer),
-        ];
-        for (ranking, trimmer) in cases {
-            let batched =
-                quantile_batch_by_pivoting(&inst, &ranking, &PHIS, trimmer, &options).unwrap();
+        for ranking in [
+            Ranking::min(inst.query().variables()),
+            Ranking::max(vars(&["x1", "x4"])),
+            Ranking::lex(vars(&["x2", "x4"])),
+        ] {
+            let batched = batch(&inst, &ranking, &PHIS, &options).unwrap();
             assert_matches_the_oracle(&inst, &ranking, &PHIS, &batched);
         }
     }
@@ -425,14 +410,7 @@ mod tests {
     fn batched_results_are_valid_quantiles_and_monotone() {
         let inst = two_path_instance(40);
         let ranking = Ranking::sum(inst.query().variables());
-        let batched = quantile_batch_by_pivoting(
-            &inst,
-            &ranking,
-            &PHIS,
-            &AdjacentSumTrimmer,
-            &PivotingOptions::default(),
-        )
-        .unwrap();
+        let batched = batch(&inst, &ranking, &PHIS, &PivotingOptions::default()).unwrap();
         for (prev, next) in batched.iter().zip(batched.iter().skip(1)) {
             assert!(prev.weight <= next.weight, "weights must be monotone in φ");
         }
@@ -453,14 +431,7 @@ mod tests {
         let inst = two_path_instance(30);
         let ranking = Ranking::sum(inst.query().variables());
         let phis = [0.9, 0.1, 0.5, 0.1];
-        let batched = quantile_batch_by_pivoting(
-            &inst,
-            &ranking,
-            &phis,
-            &AdjacentSumTrimmer,
-            &PivotingOptions::default(),
-        )
-        .unwrap();
+        let batched = batch(&inst, &ranking, &phis, &PivotingOptions::default()).unwrap();
         assert_eq!(batched.len(), 4);
         assert_eq!(batched[1].weight, batched[3].weight);
         assert!(batched[1].weight <= batched[2].weight);
@@ -478,9 +449,7 @@ mod tests {
             materialize_threshold: Some(1),
             max_iterations: 256,
         };
-        let batched =
-            quantile_batch_by_pivoting(&inst, &ranking, &PHIS, &AdjacentSumTrimmer, &options)
-                .unwrap();
+        let batched = batch(&inst, &ranking, &PHIS, &options).unwrap();
         assert_matches_the_oracle(&inst, &ranking, &PHIS, &batched);
         assert!(batched.iter().all(|b| b.iterations >= 1));
     }
@@ -489,25 +458,24 @@ mod tests {
     fn empty_phis_and_invalid_phis_are_handled() {
         let inst = two_path_instance(10);
         let ranking = Ranking::sum(inst.query().variables());
-        let empty = quantile_batch_by_pivoting(
-            &inst,
-            &ranking,
-            &[],
-            &AdjacentSumTrimmer,
-            &PivotingOptions::default(),
+        let options = PivotingOptions::default();
+        assert!(batch(&inst, &ranking, &[], &options).unwrap().is_empty());
+        assert!(matches!(
+            batch(&inst, &ranking, &[0.5, 1.5], &options).unwrap_err(),
+            CoreError::InvalidPhi(_)
+        ));
+        let empty = Instance::new(
+            path_query(2),
+            Database::from_relations([
+                Relation::from_rows("R1", &[&[1, 1]]).unwrap(),
+                Relation::from_rows("R2", &[&[2, 2]]).unwrap(),
+            ])
+            .unwrap(),
         )
         .unwrap();
-        assert!(empty.is_empty());
         assert!(matches!(
-            quantile_batch_by_pivoting(
-                &inst,
-                &ranking,
-                &[0.5, 1.5],
-                &AdjacentSumTrimmer,
-                &PivotingOptions::default()
-            )
-            .unwrap_err(),
-            CoreError::InvalidPhi(_)
+            batch(&empty, &ranking, &[0.5], &options).unwrap_err(),
+            CoreError::NoAnswers
         ));
     }
 }

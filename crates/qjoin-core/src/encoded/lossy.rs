@@ -41,14 +41,12 @@
 //! [`Plan::guaranteed_per_trim_epsilon`](crate::plan::Plan::guaranteed_per_trim_epsilon)'s
 //! ε/(2·iterations) split stand as they were.
 //!
-//! **Against the row path.** [`LossySumTrimmer`](crate::lossy_trim::LossySumTrimmer)
-//! stays the paper-literal two-pass oracle. A sketch with parameter δ = ε/(4ℓ) (ℓ
-//! atoms) leaves its first 2/δ elements in singleton buckets, so a refined bucket
-//! holds two sources only in a join group of more than 4/δ = 16ℓ/ε elements. Below
-//! that — the equivalence suite, the `path3_approx` benchmark — both constructions
-//! are exact and answers, rounds and counts are identical; above it the recursions
-//! differ, each within ε, and the compressing-regime suite (`lossy_tests.rs`), not
-//! pointwise equality, is what holds this one there.
+//! **When it is exact.** A sketch with parameter δ = ε/(4ℓ) (ℓ atoms) leaves its
+//! first 2/δ elements in singleton buckets, so a refined bucket holds two sources
+//! only in a join group of more than 4/δ = 16ℓ/ε elements. Below that — the
+//! brute-force suites' random instances, the `path3_approx` benchmark — the
+//! construction is exact and every round's counts are the brute force's; above it
+//! the compressing-regime suite (`lossy_tests.rs`) holds each answer within ε.
 //!
 //! **Why a selection of root rows is exact.** The full reducer of a fresh context
 //! over a window's filtered instance drops a non-root row only when no surviving
@@ -89,9 +87,7 @@ use qjoin_data::EncodedRelation;
 use qjoin_exec::encoded as exec_encoded;
 use qjoin_exec::{EncodedContext, Key};
 use qjoin_query::{binary, Assignment, Atom, EncodedInstance, JoinQuery, Variable};
-#[cfg(test)]
-use qjoin_ranking::RankPredicate;
-use qjoin_ranking::{AggregateKind, CmpOp, Ranking, SumTupleWeights, Weight, WeightBound};
+use qjoin_ranking::{AggregateKind, Ranking, SumTupleWeights, Weight, WeightBound};
 use std::collections::{BTreeMap, HashMap};
 use std::sync::{Arc, OnceLock};
 
@@ -147,7 +143,7 @@ impl LossyConstruction {
     ) -> Result<LossyConstruction> {
         if ranking.kind() != AggregateKind::Sum {
             return Err(CoreError::UnsupportedRanking(format!(
-                "LossySumTrimmer cannot trim {:?} predicates",
+                "the ε-lossy construction cannot trim {:?} predicates",
                 ranking.kind()
             )));
         }
@@ -184,7 +180,7 @@ impl LossyConstruction {
             .collect();
 
         let mut all_vars: Vec<Variable> = query.variables();
-        // Ids are assigned in (sorted-group, bucket) order, like the row path's.
+        // Ids are assigned in (sorted-group, bucket) order.
         let mut bucket_counter: u64 = 0;
 
         for &node in &tree.bottom_up_order() {
@@ -206,7 +202,7 @@ impl LossyConstruction {
                     .collect();
 
                 // Group the child's rows by join key, each group's members in
-                // ascending row order — the order the row path enumerates tuples in.
+                // ascending row order.
                 let child_total = states[child].view.len();
                 let mut group_members: HashMap<Key, Vec<u32>> = HashMap::new();
                 for (row, key) in keys(&states[child].view, &child_pos)
@@ -264,7 +260,7 @@ impl LossyConstruction {
 
                 // Extend the parent: one copy per bucket of the matching group,
                 // absorbing the bucket's two rounded sums and its multiplicity. Old
-                // rows are walked in order (chunked), exactly like the row path's loop.
+                // rows are walked in order (chunked).
                 states[node].atom = states[node].atom.with_extra_variable(v);
                 let (new_view, new_up, new_dn, new_mults) = {
                     let parent = &states[node];
@@ -312,8 +308,8 @@ impl LossyConstruction {
             }
         }
 
-        // Assemble the rewritten instance: only the tree's node relations survive,
-        // mirroring the row path's fresh database. The root keeps every row; its two
+        // Assemble the rewritten instance: only the tree's node relations survive.
+        // The root keeps every row; its two
         // sums are what `window` filters by.
         let root = tree.root();
         let (sum_up, sum_dn) = (
@@ -535,23 +531,14 @@ impl SolveBackend for LossyBackend<'_> {
         }
     }
 
-    #[cfg(test)]
-    fn trim(&self, candidates: &Candidates, predicate: &RankPredicate) -> Result<Candidates> {
-        let (low, high) = crate::trim::sum::window_of(predicate);
-        self.window(candidates, &low, &high)
-    }
-
     fn trim_between(
         &self,
         candidates: &Candidates,
         low: &WeightBound,
         high: &WeightBound,
-        _: CmpOp,
     ) -> Result<Candidates> {
         self.window(candidates, low, high)
     }
-
-    type Key = CodeKey;
 
     fn leaf_weights(&self, candidates: &Candidates) -> Result<Vec<(Weight, u32)>> {
         let (ctx, only) = Self::context_of(candidates)?;

@@ -268,7 +268,6 @@ struct Recording<'a> {
 
 impl SolveBackend for Recording<'_> {
     type Inst = Candidates;
-    type Key = CodeKey;
 
     fn count(&self, candidates: &Candidates) -> Result<u128> {
         self.backend.count(candidates)
@@ -279,18 +278,14 @@ impl SolveBackend for Recording<'_> {
     fn select_pivot(&self, candidates: &Candidates) -> Result<PivotResult> {
         self.backend.select_pivot(candidates)
     }
-    fn trim(&self, candidates: &Candidates, predicate: &RankPredicate) -> Result<Candidates> {
-        self.backend.trim(candidates, predicate)
-    }
     fn trim_between(
         &self,
         candidates: &Candidates,
         low: &WeightBound,
         high: &WeightBound,
-        first: CmpOp,
     ) -> Result<Candidates> {
         self.cut.lock().unwrap().push((low.clone(), high.clone()));
-        self.backend.trim_between(candidates, low, high, first)
+        self.backend.trim_between(candidates, low, high)
     }
     fn leaf_weights(&self, candidates: &Candidates) -> Result<Vec<(Weight, u32)>> {
         self.backend.leaf_weights(candidates)
@@ -487,12 +482,7 @@ fn other_rankings_and_epsilons_are_refused_before_anything_is_built() {
     );
     // The backend refuses the same way, from its first trim.
     let backend = case.backend(0.25);
-    let refused = backend.trim_between(
-        &case.source(),
-        &WeightBound::NegInf,
-        &finite(5.0),
-        CmpOp::Lt,
-    );
+    let refused = backend.trim_between(&case.source(), &WeightBound::NegInf, &finite(5.0));
     let refused = refused.err().expect("MAX is not SUM");
     assert!(matches!(refused, CoreError::UnsupportedRanking(_)));
 }
@@ -508,14 +498,10 @@ fn a_trim_of_another_instance_is_refused() {
         WeightBound::NegInf,
         finite(case.weights()[case.all.len() / 2]),
     );
-    let trimmed = backend
-        .trim_between(&case.source(), &low, &high, CmpOp::Lt)
-        .unwrap();
+    let trimmed = backend.trim_between(&case.source(), &low, &high).unwrap();
     assert!(backend.count(&trimmed).unwrap() > 0);
-    // A clone is the same instance; the single-bound trim is the same window.
-    let again = backend
-        .trim(&case.source(), &RankPredicate::less_than(high.clone()))
-        .unwrap();
+    // A clone is the same instance, so the same window.
+    let again = backend.trim_between(&case.source(), &low, &high).unwrap();
     assert_eq!(
         backend.count(&again).unwrap(),
         backend.count(&trimmed).unwrap()
@@ -523,7 +509,7 @@ fn a_trim_of_another_instance_is_refused() {
     let other = EncodedInstance::from_instance(&case.instance).unwrap();
     for other in [&trimmed, &Candidates::Source(other)] {
         let refused = backend
-            .trim_between(other, &low, &high, CmpOp::Lt)
+            .trim_between(other, &low, &high)
             .err()
             .expect("a window of another instance");
         assert!(matches!(refused, CoreError::Internal(_)), "{refused:?}");

@@ -23,9 +23,9 @@
 //!   entry points [`exact_quantile_batch_encoded_traced`] and
 //!   [`approximate_sum_quantile_batch_encoded_traced`].
 //!
-//! Exact answers equal the row reference backend's ([`crate::quantile`]) in weight,
-//! rank and, with no round, answer; ε ones are pointwise identical while no sketch
-//! compresses. The cross-crate equivalence suite asserts both over random
+//! Exact answers are the brute force's (`tests/common`) in weight and rank and,
+//! with no round, answer; ε ones are within ε of it, and exact while no sketch
+//! compresses. The oracle and equivalence suites assert both over random
 //! instances, all ranking families, and boundary φ values. An instance past the
 //! representation's fixed-width limits (more rows than `u32` indexes) is refused
 //! with [`CoreError::TooLarge`](crate::CoreError::TooLarge).
@@ -62,7 +62,7 @@ const CODE_KEY_INLINE: usize = 6;
 ///
 /// Ordering (and equality) is the lexicographic order of the code slice,
 /// regardless of representation; codes are order-preserving, so this equals the
-/// row path's projected-value order.
+/// projected values' order.
 #[derive(Clone, Debug)]
 pub(crate) enum CodeKey {
     Inline {
@@ -73,7 +73,7 @@ pub(crate) enum CodeKey {
 }
 
 impl CodeKey {
-    fn from_iter_of_len(len: usize, codes: impl Iterator<Item = u64>) -> CodeKey {
+    pub(crate) fn from_iter_of_len(len: usize, codes: impl Iterator<Item = u64>) -> CodeKey {
         if len <= CODE_KEY_INLINE {
             let mut buf = [0u64; CODE_KEY_INLINE];
             for (slot, code) in buf.iter_mut().zip(codes) {
@@ -292,9 +292,8 @@ fn decode_answer_key(
 /// No route trims: MIN, MAX, LEX and a SUM one atom covers search the weight
 /// domain (the `search` module), a SUM an adjacent pair covers counts windows of
 /// one context per generation (the `pair` module). Each returns the weight and rank
-/// [`quantile_batch_by_pivoting`](crate::batch::quantile_batch_by_pivoting) does with
-/// the row trimmers, and the same answer when no round ran (after one, a tied
-/// answer may differ). A SUM over a non-finite weight is refused with
+/// a full sort of the answers holds at the target, and the very answer there when
+/// no round ran (after one, a tied answer may differ). A SUM over a non-finite weight is refused with
 /// [`CoreError::UnsupportedRanking`](crate::CoreError::UnsupportedRanking) at its
 /// first round, and one past the representation's limits with
 /// [`CoreError::TooLarge`](crate::CoreError::TooLarge).
@@ -335,9 +334,8 @@ fn one_atom_covers(instance: &EncodedInstance, ranking: &Ranking) -> bool {
 /// driver as [`exact_quantile_batch_encoded_traced`], but every trim is a window of
 /// one ε-lossy construction of `instance` (Algorithm 4, kept in its exec memo).
 ///
-/// `per_trim_epsilon` is the *per-invocation* loss budget. The row reference's
-/// two-pass `LossySumTrimmer` solve returns the same answers while no sketch
-/// compresses, and answers within ε of these beyond. The
+/// `per_trim_epsilon` is the *per-invocation* loss budget. The answers are exact
+/// while no sketch compresses (see the `lossy` module). The
 /// [`Accuracy::Approximate`](crate::plan::Accuracy::Approximate) route of
 /// [`Plan::solve`](crate::plan::Plan::solve), public only for `perfbench/`.
 pub fn approximate_sum_quantile_batch_encoded_traced(
@@ -361,11 +359,10 @@ pub(crate) mod tests {
     use crate::quantile::SolveBackend;
     use crate::CoreError;
     use qjoin_data::Value;
-    use qjoin_ranking::{CmpOp, RankPredicate, WeightBound};
+    use qjoin_ranking::WeightBound;
 
     /// The leaf and pivot of a whole encoded instance, with no trim: the untrimmed
-    /// twin the leaf, pivot and lossy suites hold the row backend and the lossy
-    /// windows to.
+    /// twin the leaf, pivot and lossy suites hold the lossy windows to.
     impl SolveBackend for EncodedBackend<'_> {
         type Inst = EncodedInstance;
 
@@ -381,25 +378,16 @@ pub(crate) mod tests {
             pivot::select_pivot_encoded(instance, self.ranking, &self.weights)
         }
 
-        fn trim(&self, _: &EncodedInstance, _: &RankPredicate) -> Result<EncodedInstance> {
-            Err(CoreError::Internal(
-                "the whole-instance twin does not trim".into(),
-            ))
-        }
-
         fn trim_between(
             &self,
             _: &EncodedInstance,
             _: &WeightBound,
             _: &WeightBound,
-            _: CmpOp,
         ) -> Result<EncodedInstance> {
             Err(CoreError::Internal(
                 "the whole-instance twin does not trim".into(),
             ))
         }
-
-        type Key = CodeKey;
 
         fn leaf_weights(&self, instance: &EncodedInstance) -> Result<Vec<(Weight, u32)>> {
             self.leaf_weights_in(&*exec_encoded::shared_context(instance)?, None, None)

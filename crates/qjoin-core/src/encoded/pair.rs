@@ -27,28 +27,23 @@
 //! whatever the tree (the X+Y selection argument: Johnson and Mizoguchi, 1978;
 //! Frederickson and Johnson, 1982), where Algorithm 2 promises 1/2^height. Its
 //! assignment is the first answer through its A row and B row. Lemma 5.5 instead
-//! builds an O(n log n) dyadic instance per trim; the row [`AdjacentSumTrimmer`]
-//! keeps that construction.
+//! builds an O(n log n) dyadic instance per trim; no such construction is built.
 //!
 //! **Weights.** `a_r` and the members' sums fold like `SumTupleWeights::tuple_sum`,
 //! which is the ranking's own fold wherever the sums are exact in `f64`, as the
 //! brute-force suites check. A non-finite weight is refused before any count.
-//!
-//! [`AdjacentSumTrimmer`]: crate::trim::AdjacentSumTrimmer
 
 use super::weights::{refuse_non_finite, row_sum, weighted_pairs, CodeWeights};
 use super::{memoised, CodeKey, EncodedBackend};
-use crate::dichotomy::find_adjacent_cover;
+use crate::dichotomy::{classify_partial_sum, find_adjacent_cover, SumClassification};
 use crate::pivot::PivotResult;
 use crate::quantile::SolveBackend;
-use crate::trim::sum::intractable_sum_error;
+use crate::selection::weighted_median_by;
 use crate::{CoreError, Result};
 use qjoin_exec::encoded::{self as exec_encoded, WalkFilter};
 use qjoin_exec::EncodedContext;
-use qjoin_query::{Assignment, EncodedInstance, Variable};
-#[cfg(test)]
-use qjoin_ranking::RankPredicate;
-use qjoin_ranking::{CmpOp, Ranking, SumTupleWeights, Weight, WeightBound};
+use qjoin_query::{Assignment, EncodedInstance, JoinQuery, Variable};
+use qjoin_ranking::{Ranking, SumTupleWeights, Weight, WeightBound};
 use std::collections::HashMap;
 use std::ops::Range;
 use std::sync::{Arc, Mutex, OnceLock, PoisonError};
@@ -155,6 +150,18 @@ fn indexable(rows: usize) -> Result<usize> {
         ))
     };
     u32::try_from(rows).map(|_| rows).map_err(refuse)
+}
+
+/// Why no adjacent pair covers the weighted variables: the dichotomy's witness,
+/// or the enumeration limit a query past it hits.
+fn intractable_sum_error(query: &JoinQuery, weighted: &[Variable]) -> CoreError {
+    match classify_partial_sum(query, weighted) {
+        SumClassification::UnknownTooLarge => CoreError::QueryTooLarge {
+            atoms: query.num_atoms(),
+            limit: qjoin_query::join_tree::MAX_ENUMERATION_ATOMS,
+        },
+        other => CoreError::IntractableSum(format!("{other:?}")),
+    }
 }
 
 /// Where a window bound cuts each A row's B group.
@@ -341,16 +348,14 @@ impl SolveBackend for PairBackend<'_> {
             let weight = pair.a_sums[r] + pair.sums[median];
             medians.push((weight, r, median, pair.answers(r, (lo, hi))));
         }
-        medians.sort_unstable_by(|x, y| x.0.total_cmp(&y.0).then(x.1.cmp(&y.1)));
-        let half = medians.iter().map(|m| m.3).sum::<u128>().div_ceil(2);
-        let mut seen = 0;
-        let pivot = medians.into_iter().find(|m| {
-            seen += m.3;
-            seen >= half
-        });
-        let Some((weight, r, median, _)) = pivot else {
+        if medians.iter().all(|m| m.3 == 0) {
             return Err(CoreError::Internal("a pivot of an empty window".into()));
+        }
+        let by_weight_then_row = |x: &(f64, usize, _, _), y: &(f64, usize, _, _)| {
+            x.0.total_cmp(&y.0).then(x.1.cmp(&y.1))
         };
+        let (at, _) = weighted_median_by(&mut medians, |m| m.3, by_weight_then_row);
+        let (weight, r, median, _) = medians[at];
         let mut slices = vec![(0, 0); pair.a_sums.len()];
         slices[r] = (median as u32, median as u32 + 1);
         let filter = WalkFilter::Sliced(pair.b, &pair.members, &slices);
@@ -364,23 +369,14 @@ impl SolveBackend for PairBackend<'_> {
         })
     }
 
-    #[cfg(test)]
-    fn trim(&self, window: &Slices, predicate: &RankPredicate) -> Result<Slices> {
-        let (low, high) = crate::trim::sum::window_of(predicate);
-        self.trim_between(window, &low, &high, CmpOp::Lt)
-    }
-
     fn trim_between(
         &self,
         window: &Slices,
         low: &WeightBound,
         high: &WeightBound,
-        _: CmpOp,
     ) -> Result<Slices> {
         self.window(low.max(&window.low), high.min(&window.high))
     }
-
-    type Key = CodeKey;
 
     fn leaf_weights(&self, window: &Slices) -> Result<Vec<(Weight, u32)>> {
         self.leaf_walk(window, |ctx, filter| {
@@ -484,9 +480,7 @@ mod tests {
         let mut pivoted = false;
         for _ in 0..8 {
             let (low, high) = (bound(&weights, rng), bound(&weights, rng));
-            let window = backend
-                .trim_between(&everything, &low, &high, CmpOp::Lt)
-                .unwrap();
+            let window = backend.trim_between(&everything, &low, &high).unwrap();
             let inside = |w: &Weight| {
                 let w = WeightBound::Finite(w.clone());
                 low < w && w < high

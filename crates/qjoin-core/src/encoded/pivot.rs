@@ -1,13 +1,11 @@
 //! Encoded pivot selection: Algorithm 2 over code rows instead of assignments.
 //!
-//! The row implementation ([`crate::pivot`]) carries a `BTreeMap`-backed
-//! [`Assignment`](qjoin_query::Assignment) per message and re-derives ranking
-//! weights inside every comparison. Here a node's messages are flat arenas
-//! ([`NodeMsgs`]), sized once and filled in place: one row of `u64` codes per
-//! tuple (one slot per query variable, in sorted variable order, `u64::MAX` for
-//! unbound) and its canonically-folded weight as `f64`s
-//! ([`WeightFold::write_weight`]) — no per-row allocation. Subtree counts are
-//! not the scan's business: it takes the counting pass's arrays
+//! A node's messages are flat arenas ([`NodeMsgs`]), sized once and filled in
+//! place: one row of `u64` codes per tuple (one slot per query variable, in sorted
+//! variable order, `u64::MAX` for unbound) and its canonically-folded weight as
+//! `f64`s ([`WeightFold::write_weight`]) — no per-row allocation, and no ranking
+//! weight re-derived inside a comparison. Subtree counts are not the scan's
+//! business: it takes the counting pass's arrays
 //! ([`subtree_counts`](qjoin_exec::encoded::subtree_counts)) as the medians'
 //! multiplicities, so scan and count cannot disagree. A join group's
 //! message is the *row index* of its weighted median, stored by the context's
@@ -17,10 +15,9 @@
 //! Medians are taken by [`weighted_median_by`] over a permutation of row indices:
 //! a weight comparison ([`cmp_flat`]) followed by a comparison of the two code
 //! rows — and because dictionary codes are assigned in value order (and
-//! synthesized code spaces are order-compatible), the slice comparison equals the
-//! row path's assignment comparison, so both paths pick the *same* pivot at every
-//! iteration. A [`Weight`](qjoin_ranking::Weight) is built once, for the pivot
-//! returned.
+//! synthesized code spaces are order-compatible), that is the order of the
+//! answers' values, so the pivot does not depend on how values were coded. A
+//! [`Weight`](qjoin_ranking::Weight) is built once, for the pivot returned.
 
 use super::weights::{cmp_flat, CodeWeights, WeightFold, UNBOUND};
 use crate::pivot::{pivot_quality, PivotResult};
@@ -57,10 +54,9 @@ impl NodeMsgs {
     }
 
     /// The weighted median of `rows` (multiplicity `counts[row]`; reordered in
-    /// place) and their summed count. Weight order first, then code order — equal
-    /// to the row comparator's `weight_of(a).cmp(weight_of(b)).then(a.cmp(b))`
-    /// because code order equals value order and compared messages always bind the
-    /// same variable set.
+    /// place) and their summed count. Weight order first, then code order — the
+    /// order of the partial answers' values, because code order equals value order
+    /// and compared messages always bind the same variable set.
     fn median(&self, rows: &mut [u32], counts: &[u128]) -> (u32, u128) {
         let (at, total) = weighted_median_by(
             rows,
@@ -264,8 +260,7 @@ impl PivotScan {
     }
 }
 
-/// Selects a `c`-pivot of an encoded instance's answers (Lemma 4.1), equal to the
-/// row path's [`select_pivot`](crate::pivot::select_pivot) result.
+/// Selects a `c`-pivot of an encoded instance's answers (Lemma 4.1).
 pub(crate) fn select_pivot_encoded(
     instance: &EncodedInstance,
     ranking: &Ranking,
@@ -305,8 +300,7 @@ fn dictionary_space_mask(instance: &EncodedInstance, sorted_vars: &[Variable]) -
 mod tests {
     use super::*;
     use crate::encoded::EncodedBackend;
-    use crate::quantile::{RowBackend, SolveBackend};
-    use crate::trim::{AdjacentSumTrimmer, LexTrimmer, Trimmer};
+    use crate::quantile::{materialized_keyed_answers, SolveBackend};
     use qjoin_data::{Database, Relation};
     use qjoin_exec::encoded::{
         count_answers_ctx, for_each_answer_codes, map_answer_code_chunks, shared_context,
@@ -320,16 +314,17 @@ mod tests {
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
 
-    /// The same (possibly trimmed) instance on both representations: reduction,
-    /// adjacency, count, enumeration and the Algorithm-2 pivot must agree. Base
-    /// columns decode to the row path's values; synthesized columns (partition tags,
-    /// packed dyadic intervals) live in their own order-compatible code spaces, so
-    /// they are compared through the answers projected onto `original`.
+    /// The same instance on both representations: reduction, adjacency, count and
+    /// enumeration must agree with the row context's, the Algorithm-2 arenas must
+    /// not depend on the executor, and the pivot must be an answer whose weight
+    /// class leaves at least `c · |Q(D)|` answers on each side, counted in the
+    /// materialized answers. Base columns decode to the row values; synthesized
+    /// columns live in their own order-compatible code spaces, so they are
+    /// compared through the answers projected onto `original`.
     fn assert_twins_agree(
         row: &Instance,
         enc: &EncodedInstance,
         ranking: &Ranking,
-        trimmer: &dyn Trimmer,
         original: &[Variable],
         context: &str,
     ) {
@@ -427,22 +422,48 @@ mod tests {
             arenas(4, 3),
             "{context}: node arenas"
         );
-        let row_pivot = RowBackend { ranking, trimmer }.select_pivot(row).unwrap();
-        let enc_pivot = EncodedBackend::new(enc, ranking).select_pivot(enc).unwrap();
+        let pivot = EncodedBackend::new(enc, ranking).select_pivot(enc).unwrap();
+        assert_eq!(pivot.total_answers, total, "{context}: pivot total");
         assert_eq!(
-            enc_pivot.assignment.project(original),
-            row_pivot.assignment.project(original),
-            "{context}: pivot"
-        );
-        assert_eq!(
-            enc_pivot.weight, row_pivot.weight,
-            "{context}: pivot weight"
-        );
-        assert_eq!(
-            enc_pivot.total_answers, row_pivot.total_answers,
+            pivot.c,
+            crate::pivot::pivot_quality(ctx.tree()),
             "{context}"
         );
-        assert_eq!(enc_pivot.c, row_pivot.c, "{context}");
+        assert_eq!(
+            ranking.weight_of(&pivot.assignment),
+            pivot.weight,
+            "{context}"
+        );
+        let answers = materialized_keyed_answers(row, ranking, original).unwrap();
+        let values: Vec<Value> = (original.iter())
+            .map(|v| {
+                pivot
+                    .assignment
+                    .get(v)
+                    .expect("the pivot binds var(Q)")
+                    .clone()
+            })
+            .collect();
+        let member = (pivot.weight.clone(), values);
+        assert!(
+            answers.contains(&member),
+            "{context}: the pivot is no answer"
+        );
+        let side = |keep: fn(std::cmp::Ordering) -> bool| {
+            let on_side = answers.iter().filter(|(w, _)| keep(w.cmp(&pivot.weight)));
+            on_side.count() as f64 / total as f64
+        };
+        let (at_most, at_least) = (side(|o| o.is_le()), side(|o| o.is_ge()));
+        assert!(
+            at_most >= pivot.c,
+            "{context}: {at_most} ⪯ the pivot, c {}",
+            pivot.c
+        );
+        assert!(
+            at_least >= pivot.c,
+            "{context}: {at_least} ⪰ the pivot, c {}",
+            pivot.c
+        );
     }
 
     /// Every node's message arenas — codes, weight bits, group medians.
@@ -499,10 +520,9 @@ mod tests {
         rel
     }
 
-    /// The pivot scan is the same for every ranking kind, and no exact route trims
-    /// on the encoded path (MIN/MAX/LEX and SUM count windows of the plan
-    /// instance), so LEX and SUM pivots are held to the row path's on the
-    /// untrimmed twins; the ε route's construction holds them on a rewrite.
+    /// The pivot scan is the same for every ranking kind: LEX and SUM pivots of
+    /// the untrimmed instances are held to their c-pivot guarantee in the
+    /// materialized answers; the ε route's construction holds them on a rewrite.
     #[test]
     fn contexts_and_pivots_match_the_row_path() {
         let pools = [qjoin_par::Pool::new(1), qjoin_par::Pool::new(4)];
@@ -595,7 +615,6 @@ mod tests {
                             instance,
                             &encoded,
                             &Ranking::lex(lex_vars.clone()),
-                            &LexTrimmer,
                             &original,
                             &format!("{context} LEX"),
                         );
@@ -603,7 +622,6 @@ mod tests {
                             instance,
                             &encoded,
                             &Ranking::sum(sum_vars.clone()),
-                            &AdjacentSumTrimmer,
                             &original,
                             &format!("{context} SUM"),
                         );

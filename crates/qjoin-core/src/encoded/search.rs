@@ -19,8 +19,8 @@
 //! `w ≤ λ` (for MIN, conjunction `i` puts variable `i` at `λ`, those before it
 //! above, those after at or above). The leaf walks exactly a window's answers, one
 //! masked walk per conjunction, and selects by `(weight, key)` like every route.
-//! Ranks order values by [`f64::total_cmp`], [`Weight`]'s order. Theorem 5.3 and
-//! §5.2's Algorithm-3 trims stay as the row oracle.
+//! Ranks order values by [`f64::total_cmp`], [`Weight`]'s order. No Theorem 5.3
+//! or §5.2 Algorithm-3 trim is built: a window is the trim's answers.
 
 use super::weights::CodeWeights;
 use super::{memoised, CodeKey, EncodedBackend};
@@ -30,9 +30,7 @@ use crate::{CoreError, Result};
 use qjoin_exec::encoded::{self as exec_encoded, EncodedCounts, MaskTerm, WalkFilter};
 use qjoin_exec::{EncodedContext, EncodedNode};
 use qjoin_query::{Assignment, EncodedInstance, Variable};
-#[cfg(test)]
-use qjoin_ranking::RankPredicate;
-use qjoin_ranking::{AggregateKind, CmpOp, Ranking, Weight, WeightBound};
+use qjoin_ranking::{AggregateKind, Ranking, Weight, WeightBound};
 use std::collections::HashMap;
 use std::sync::{Arc, Mutex, OnceLock, PoisonError};
 
@@ -578,18 +576,11 @@ impl SolveBackend for SearchBackend<'_> {
         })
     }
 
-    #[cfg(test)]
-    fn trim(&self, window: &Window, predicate: &RankPredicate) -> Result<Window> {
-        let (low, high) = crate::trim::sum::window_of(predicate);
-        self.trim_between(window, &low, &high, CmpOp::Lt)
-    }
-
     fn trim_between(
         &self,
         window: &Window,
         low: &WeightBound,
         high: &WeightBound,
-        _: CmpOp,
     ) -> Result<Window> {
         let (low, high) = (low.max(&window.low).clone(), high.min(&window.high).clone());
         let counts = [self.rank(&low, false)?, self.rank(&high, true)?];
@@ -600,8 +591,6 @@ impl SolveBackend for SearchBackend<'_> {
             leaf: Arc::default(),
         })
     }
-
-    type Key = CodeKey;
 
     fn leaf_weights(&self, window: &Window) -> Result<Vec<(Weight, u32)>> {
         let walk = |counts: &Option<EncodedCounts>| {
@@ -687,9 +676,7 @@ mod tests {
         let everything = backend.everything();
         for _ in 0..6 {
             let (low, high) = (bound(&backend, rng), bound(&backend, rng));
-            let window = backend
-                .trim_between(&everything, &low, &high, CmpOp::Lt)
-                .unwrap();
+            let window = backend.trim_between(&everything, &low, &high).unwrap();
             let expected = answers_inside(&all, &low, &high);
             let what = format!("{what} ({low}, {high})");
             assert_eq!(

@@ -1,11 +1,10 @@
 //! Per-code weight tables: `w_x(decode(code))` precomputed per weighted variable.
 //!
-//! The row path re-evaluates `ranking.var_weight(var, value)` per tuple per trim
-//! round. On the encoded path every weighted variable's weight function is applied
-//! **once per dictionary code** at solve start; the hot loops then index a flat
-//! `Vec<f64>`. The tables produce bit-identical `f64`s to the row path (same weight
-//! function applied to the same decoded value), which is what keeps the two paths'
-//! pivots and partition counts pointwise equal.
+//! Every weighted variable's weight function is applied **once per dictionary
+//! code** at solve start, instead of `ranking.var_weight(var, value)` per tuple per
+//! round; the hot loops then index a flat `Vec<f64>`. The tables produce the
+//! bit-identical `f64`s `var_weight` does (the same weight function applied to the
+//! same decoded value), which is what keeps every route's weights the ranking's.
 
 use qjoin_data::{Dictionary, EncodedRelation};
 use qjoin_query::{EncodedInstance, JoinQuery, Variable};
@@ -194,7 +193,7 @@ pub(crate) fn refuse_non_finite(
 
 /// The weighted variables assigned to `atom_idx` by the tuple-weight mapping `μ`, as
 /// `(per-code weight table, first position)` pairs — the same variables, in the same
-/// order, as the row path's [`SumTupleWeights::tuple_sum`] folds.
+/// order, as [`SumTupleWeights::tuple_sum`] folds.
 pub(super) fn weighted_pairs<'w>(
     query: &JoinQuery,
     tuple_weights: &SumTupleWeights,

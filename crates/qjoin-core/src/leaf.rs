@@ -19,6 +19,7 @@
 //! [`Weight::cmp`] (`total_cmp`), never the derived `==`. (A ranking's weights hold
 //! no `-0.0`: `Ranking::var_weight` reads a weight function's `-0.0` as `+0.0`.)
 
+use crate::encoded::CodeKey;
 use crate::quantile::{keyed_answer_cmp, SolveBackend};
 use crate::{CoreError, Result};
 use qjoin_query::Variable;
@@ -26,13 +27,13 @@ use qjoin_ranking::Weight;
 use std::cmp::Ordering;
 
 /// What [`select_ranks`] found.
-pub(crate) struct Leaf<K> {
+pub(crate) struct Leaf {
     /// Answers walked in pass 1: the size of the leaf.
     pub walked: usize,
     /// Answers keyed in pass 2: the tie band.
     pub keyed: usize,
     /// The `(weight, key)` at each requested rank, in request order.
-    pub selected: Vec<(Weight, K)>,
+    pub selected: Vec<(Weight, CodeKey)>,
 }
 
 /// A pass-1 locator for index `index`; refuses what the 32 bits cannot address.
@@ -51,7 +52,7 @@ pub(crate) fn select_ranks<B: SolveBackend>(
     instance: &B::Inst,
     original_vars: &[Variable],
     ranks: &[u128],
-) -> Result<Leaf<B::Key>> {
+) -> Result<Leaf> {
     let mut weights = backend.leaf_weights(instance)?;
     let Some(last) = weights.len().checked_sub(1) else {
         return Err(CoreError::NoAnswers);
@@ -125,12 +126,11 @@ mod tests {
     use super::*;
     use crate::encoded::EncodedBackend;
     use crate::pivot::PivotResult;
-    use crate::quantile::{materialized_keyed_answers, RowBackend};
-    use crate::trim::MinMaxTrimmer;
+    use crate::quantile::materialized_keyed_answers;
     use proptest::prelude::*;
     use qjoin_data::Value;
     use qjoin_query::{Assignment, EncodedInstance};
-    use qjoin_ranking::{AggregateKind, CmpOp, RankPredicate, WeightBound};
+    use qjoin_ranking::{AggregateKind, WeightBound};
     use qjoin_workload::random_acyclic::{shaped_instance, tie_heavy_ranking};
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
@@ -141,7 +141,6 @@ mod tests {
 
     impl SolveBackend for Listed {
         type Inst = ();
-        type Key = u64;
 
         fn leaf_weights(&self, _: &()) -> Result<Vec<(Weight, u32)>> {
             Ok((self.0.iter())
@@ -155,11 +154,16 @@ mod tests {
             _: &[Variable],
             locators: &[u32],
             wanted: &(dyn Fn(&Weight) -> bool + Sync),
-        ) -> Result<Vec<(Weight, u64)>> {
+        ) -> Result<Vec<(Weight, CodeKey)>> {
             assert!(locators.windows(2).all(|pair| pair[0] < pair[1]));
             Ok((self.0.iter())
                 .filter(|(_, at, _)| locators.contains(at))
-                .map(|&(w, _, key)| (Weight::Num(w), key))
+                .map(|&(w, _, key)| {
+                    (
+                        Weight::Num(w),
+                        CodeKey::from_iter_of_len(1, [key].into_iter()),
+                    )
+                })
                 .filter(|(w, _)| wanted(w))
                 .collect())
         }
@@ -173,13 +177,10 @@ mod tests {
         fn select_pivot(&self, _: &()) -> Result<PivotResult> {
             unreachable!("the leaf does not pivot")
         }
-        fn trim(&self, _: &(), _: &RankPredicate) -> Result<()> {
+        fn trim_between(&self, _: &(), _: &WeightBound, _: &WeightBound) -> Result<()> {
             unreachable!("the leaf does not trim")
         }
-        fn trim_between(&self, _: &(), _: &WeightBound, _: &WeightBound, _: CmpOp) -> Result<()> {
-            unreachable!("the leaf does not trim")
-        }
-        fn answer_from_key(&self, _: &[Variable], _: &u64) -> Assignment {
+        fn answer_from_key(&self, _: &[Variable], _: &CodeKey) -> Assignment {
             unreachable!("the leaf does not decode")
         }
     }
@@ -193,13 +194,16 @@ mod tests {
             all.iter().map(|(w, key)| (bits(w)[0], *key)).collect()
         }
 
-        fn select(&self, ranks: &[u128]) -> Leaf<u64> {
+        fn select(&self, ranks: &[u128]) -> Leaf {
             select_ranks(self, &(), &[], ranks).unwrap()
         }
 
         fn selected(&self, ranks: &[u128]) -> Vec<(u64, u64)> {
             let picked = self.select(ranks).selected;
-            picked.iter().map(|(w, key)| (bits(w)[0], *key)).collect()
+            picked
+                .iter()
+                .map(|(w, key)| (bits(w)[0], key.as_slice()[0]))
+                .collect()
         }
     }
 
@@ -305,7 +309,7 @@ mod tests {
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(96))]
 
-        /// On both backends, at one and four threads, `select_ranks` returns — for
+        /// On the encoded leaf, at one and four threads, `select_ranks` returns — for
         /// every single rank and for random rank sets — exactly the element of the
         /// fully sorted `(weight, projected values)` list at that rank.
         #[test]
@@ -324,10 +328,8 @@ mod tests {
             sorted.sort_by(keyed_answer_cmp);
             let encoded = EncodedInstance::from_instance(&instance).unwrap();
             let enc = EncodedBackend::new(&encoded, &ranking);
-            let row = RowBackend { ranking: &ranking, trimmer: &MinMaxTrimmer };
             if sorted.is_empty() {
                 prop_assert!(matches!(select_ranks(&enc, &encoded, &original, &[0]), Err(CoreError::NoAnswers)));
-                prop_assert!(matches!(select_ranks(&row, &instance, &original, &[0]), Err(CoreError::NoAnswers)));
                 return Ok(());
             }
             let n = sorted.len();
@@ -345,10 +347,9 @@ mod tests {
                 for ranks in &rank_sets {
                     let context = format!("{ranking} T={threads} ranks {ranks:?} of {n}");
                     let want: Vec<_> = ranks.iter().map(|&rank| expected(rank)).collect();
-                    let (from_enc, from_row) = qjoin_par::with_pool(&pool, || (
-                        select_ranks(&enc, &encoded, &original, ranks).unwrap(),
-                        select_ranks(&row, &instance, &original, ranks).unwrap(),
-                    ));
+                    let from_enc = qjoin_par::with_pool(&pool, || {
+                        select_ranks(&enc, &encoded, &original, ranks).unwrap()
+                    });
                     let decoded: Vec<_> = (from_enc.selected.iter())
                         .map(|(weight, key)| {
                             let answer = enc.answer_from_key(&original, key);
@@ -357,18 +358,13 @@ mod tests {
                         })
                         .collect();
                     prop_assert_eq!(&decoded, &want, "{}: encoded", context);
-                    let rows: Vec<_> =
-                        (from_row.selected.iter()).map(|(w, values)| (bits(w), values.clone())).collect();
-                    prop_assert_eq!(&rows, &want, "{}: row", context);
                     prop_assert_eq!(from_enc.walked, n);
-                    prop_assert_eq!(from_row.walked, n);
-                    // Both backends key exactly the answers tied with a target weight.
+                    // The leaf keys exactly the answers tied with a target weight.
                     let tied = sorted.iter().filter(|(w, _)| {
                         want.iter().any(|(target, _)| *target == bits(w))
                     });
                     let tied = tied.count();
                     prop_assert_eq!(from_enc.keyed, tied, "{}: encoded band", context);
-                    prop_assert_eq!(from_row.keyed, tied, "{}: row band", context);
                 }
             }
         }

@@ -5,29 +5,26 @@
 //! implemented on top of the `qjoin-data` / `qjoin-query` / `qjoin-exec` /
 //! `qjoin-ranking` substrate crates.
 //!
-//! Every production solve is asked for one way — [`Plan::prepare`] once per
+//! Every solve is asked for one way — [`Plan::prepare`] once per
 //! `(instance, ranking)`, then [`Plan::solve`] per request — and runs one driver
-//! ([`batch`]) over one representation, the
-//! dictionary-coded [`encoded`] layer; an instance past that layer's fixed-width
-//! limits is refused with [`CoreError::TooLarge`]. The row representation — the
-//! [`trim`] trimmers, [`lossy_trim`], row [`pivot`] selection and the
-//! [`quantile`] row backend — stays as the reference oracle the encoded layer is
-//! tested against, reached through [`quantile_by_pivoting`](quantile::quantile_by_pivoting)
-//! and [`quantile_batch_by_pivoting`] with an explicit trimmer.
+//! ([`batch`]) over one representation, the dictionary-coded [`encoded`] layer; an
+//! instance past that layer's fixed-width limits is refused with
+//! [`CoreError::TooLarge`]. No second solver serves as a reference: the
+//! workspace's brute force (`tests/common`) checks every route.
 //!
 //! ## What's inside
 //!
 //! | Paper section | Module |
 //! |---|---|
 //! | §3 divide-and-conquer framework (Algorithm 1) | [`batch`], [`quantile`] |
-//! | §4 generic pivot selection (Algorithm 2) | [`pivot`], [`selection`] |
-//! | §5.1 MIN/MAX trimming (Algorithm 3, Theorem 5.3) | [`trim::MinMaxTrimmer`] |
-//! | §5.2 LEX trimming | [`trim::LexTrimmer`] |
-//! | §5.3 partial SUM trimming + dichotomy (Theorem 5.6) | [`trim::AdjacentSumTrimmer`], [`dichotomy`] |
-//! | §6 ε-sketches and lossy trimming (Algorithm 4, Theorem 6.2) | [`sketch`], [`lossy_trim`] |
+//! | §4 generic pivot selection (Algorithm 2) | [`pivot`], [`selection`], `encoded::pivot` |
+//! | §5.1 MIN/MAX (Theorem 5.3): a search of the candidate weights | `encoded::search` |
+//! | §5.2 LEX: the same search, one component at a time | `encoded::search` |
+//! | §5.3 partial SUM (Theorem 5.6): one atom by search, an adjacent pair by counted windows | `encoded::search`, `encoded::pair`, [`dichotomy`] |
+//! | §6 ε-sketches and lossy trimming (Algorithm 4, Theorem 6.2) | [`sketch`], `encoded::lossy` |
 //! | §3.1 randomized sampling approximation | [`sampling`] |
 //! | §1 "direct way" baseline | [`baseline`] |
-//! | the encoded execution layer | [`encoded`] |
+//! | the leaf: weights-first selection of the target ranks | `leaf` |
 //! | one way to ask for a quantile: prepare once, solve many | [`plan`] |
 //! | per-phase solve tracing hooks | [`trace`] |
 //!
@@ -58,7 +55,6 @@ pub mod dichotomy;
 pub mod encoded;
 mod error;
 mod leaf;
-pub mod lossy_trim;
 pub mod pivot;
 pub mod plan;
 pub mod quantile;
@@ -66,9 +62,7 @@ pub mod sampling;
 pub mod selection;
 pub mod sketch;
 pub mod trace;
-pub mod trim;
 
-pub use batch::quantile_batch_by_pivoting;
 pub use error::CoreError;
 pub use plan::{Accuracy, Plan, PlanStrategy};
 pub use quantile::{PivotingOptions, QuantileResult};

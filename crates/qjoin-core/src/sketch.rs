@@ -100,27 +100,27 @@ pub fn sketch<S>(
     buckets
 }
 
-/// Counts the elements of a multiset strictly below `lambda`.
-pub fn count_below(entries: &[(f64, u128)], lambda: f64) -> u128 {
-    entries
-        .iter()
-        .filter(|(v, _)| *v < lambda)
-        .map(|(_, m)| m)
-        .sum()
-}
-
-/// Counts the elements of a multiset strictly above `lambda`.
-pub fn count_above(entries: &[(f64, u128)], lambda: f64) -> u128 {
-    entries
-        .iter()
-        .filter(|(v, _)| *v > lambda)
-        .map(|(_, m)| m)
-        .sum()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// Counts the elements of a multiset strictly below `lambda`.
+    fn count_below(entries: &[(f64, u128)], lambda: f64) -> u128 {
+        entries
+            .iter()
+            .filter(|(v, _)| *v < lambda)
+            .map(|(_, m)| m)
+            .sum()
+    }
+
+    /// Counts the elements of a multiset strictly above `lambda`.
+    fn count_above(entries: &[(f64, u128)], lambda: f64) -> u128 {
+        entries
+            .iter()
+            .filter(|(v, _)| *v > lambda)
+            .map(|(_, m)| m)
+            .sum()
+    }
 
     fn entries(values: &[(f64, u128)]) -> Vec<SketchEntry<usize>> {
         values

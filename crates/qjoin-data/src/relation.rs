@@ -7,21 +7,15 @@ use std::sync::Arc;
 /// A finite relation `R^D ⊆ dom^{a_R}`.
 ///
 /// Relations carry a name (the relational symbol), a fixed arity, and their tuples.
-/// The paper's trimming constructions materialize many derived relations (copies with
-/// filtered tuples, extra columns, unions across partitions); all of those are plain
-/// [`Relation`] instances, so downstream algorithms never need to distinguish
-/// "original" from "synthesized" relations.
 ///
 /// ## Copy-on-write storage
 ///
 /// Tuple storage lives behind an [`Arc`], so cloning a relation — and by extension
 /// cloning a [`Database`](crate::Database) — is a pointer bump, not a data copy.
-/// [`Relation::renamed`] shares storage with the original, and [`Relation::filtered`]
-/// shares it whenever the filter keeps every tuple. Mutating methods
-/// ([`Relation::push_tuple`], [`Relation::dedup`], …) copy the storage first if (and
-/// only if) it is currently shared. Sharing is observable through
-/// [`Relation::shares_tuples_with`], which the row trim layer's sharing invariants
-/// are tested against.
+/// [`Relation::renamed`] shares storage with the original. Mutating methods
+/// ([`Relation::push`], [`Relation::dedup`]) copy the storage first if (and only
+/// if) it is currently shared. Sharing is observable through
+/// [`Relation::shares_tuples_with`].
 ///
 /// Duplicate tuples are permitted at this layer (a bag), but every construction in the
 /// stack that relies on set semantics (counting, direct access) deduplicates or asserts
@@ -106,14 +100,6 @@ impl Relation {
         Arc::ptr_eq(&self.tuples, &other.tuples)
     }
 
-    /// True when the tuple storage is referenced by at least one other relation (or
-    /// database snapshot) — a global sharing probe for observability code that has no
-    /// second relation at hand to compare against with
-    /// [`Relation::shares_tuples_with`].
-    pub fn is_storage_shared(&self) -> bool {
-        Arc::strong_count(&self.tuples) > 1
-    }
-
     /// Appends a row of values.
     pub fn push(&mut self, values: Vec<Value>) -> Result<()> {
         self.push_tuple(Tuple::new(values))
@@ -121,7 +107,7 @@ impl Relation {
 
     /// Appends a tuple, validating its arity. Copies the tuple storage first when it
     /// is shared with another relation (copy-on-write).
-    pub fn push_tuple(&mut self, tuple: Tuple) -> Result<()> {
+    fn push_tuple(&mut self, tuple: Tuple) -> Result<()> {
         if tuple.arity() != self.arity {
             return Err(DataError::ArityMismatch {
                 relation: self.name.to_string(),
@@ -141,63 +127,6 @@ impl Relation {
             name: new_name.into().into(),
             arity: self.arity,
             tuples: Arc::clone(&self.tuples),
-        }
-    }
-
-    /// Returns a copy keeping only tuples satisfying `keep`. If every tuple is kept,
-    /// the result shares this relation's storage instead of copying it; tuples are
-    /// only cloned once a rejected tuple proves a copy is needed.
-    pub fn filtered(&self, mut keep: impl FnMut(&Tuple) -> bool) -> Relation {
-        let mask: Vec<bool> = self.tuples.iter().map(&mut keep).collect();
-        if mask.iter().all(|&k| k) {
-            return self.clone();
-        }
-        let tuples: Vec<Tuple> = self
-            .tuples
-            .iter()
-            .zip(&mask)
-            .filter(|&(_, &kept)| kept)
-            .map(|(t, _)| t.clone())
-            .collect();
-        Relation {
-            name: Arc::clone(&self.name),
-            arity: self.arity,
-            tuples: Arc::new(tuples),
-        }
-    }
-
-    /// Returns a copy in which every tuple has been mapped through `f`, with the arity
-    /// adjusted to `new_arity` (all mapped tuples must have that arity).
-    pub fn mapped(&self, new_arity: usize, mut f: impl FnMut(&Tuple) -> Tuple) -> Result<Relation> {
-        let mut tuples = Vec::with_capacity(self.tuples.len());
-        for t in self.tuples.iter() {
-            let mapped = f(t);
-            if mapped.arity() != new_arity {
-                return Err(DataError::ArityMismatch {
-                    relation: self.name.to_string(),
-                    expected: new_arity,
-                    found: mapped.arity(),
-                });
-            }
-            tuples.push(mapped);
-        }
-        Ok(Relation {
-            name: Arc::clone(&self.name),
-            arity: new_arity,
-            tuples: Arc::new(tuples),
-        })
-    }
-
-    /// Returns a copy where every tuple is extended with a constant extra column
-    /// (the shape of the paper's tagging constructions: partition identifiers,
-    /// dyadic-interval identifiers, sketch buckets).
-    pub fn with_constant_column(&self, value: Value) -> Relation {
-        let mut tuples = Vec::with_capacity(self.tuples.len());
-        tuples.extend(self.tuples.iter().map(|t| t.extended(value.clone())));
-        Relation {
-            name: Arc::clone(&self.name),
-            arity: self.arity + 1,
-            tuples: Arc::new(tuples),
         }
     }
 
@@ -307,35 +236,10 @@ mod tests {
         let r = Relation::from_rows("R", &[&[1], &[2]]).unwrap();
         let mut copy = r.clone();
         assert!(copy.shares_tuples_with(&r));
-        assert!(r.is_storage_shared());
         copy.push(vec![Value::from(3)]).unwrap();
         assert!(!copy.shares_tuples_with(&r), "mutation must unshare");
         assert_eq!(r.len(), 2, "original is untouched by the mutation");
         assert_eq!(copy.len(), 3);
-    }
-
-    #[test]
-    fn filtered_keeps_matching_tuples() {
-        let r = Relation::from_rows("R", &[&[1], &[2], &[3], &[4]]).unwrap();
-        let even = r.filtered(|t| t[0].as_int().unwrap() % 2 == 0);
-        assert_eq!(even.len(), 2);
-        assert!(even.iter().all(|t| t[0].as_int().unwrap() % 2 == 0));
-        assert!(!even.shares_tuples_with(&r));
-    }
-
-    #[test]
-    fn filtered_keeping_everything_shares_storage() {
-        let r = Relation::from_rows("R", &[&[1], &[2]]).unwrap();
-        let all = r.filtered(|_| true);
-        assert!(all.shares_tuples_with(&r));
-    }
-
-    #[test]
-    fn with_constant_column_extends_every_tuple() {
-        let r = Relation::from_rows("R", &[&[1], &[2]]).unwrap();
-        let ext = r.with_constant_column(Value::from(7));
-        assert_eq!(ext.arity(), 2);
-        assert!(ext.iter().all(|t| t[1] == Value::from(7)));
     }
 
     #[test]
@@ -361,15 +265,6 @@ mod tests {
         assert_eq!(r.len(), 2);
         assert_eq!(original.len(), 3, "shared snapshot must survive the dedup");
         assert!(!r.shares_tuples_with(&original));
-    }
-
-    #[test]
-    fn mapped_can_change_arity() {
-        let r = Relation::from_rows("R", &[&[1, 2], &[3, 4]]).unwrap();
-        let swapped = r.mapped(2, |t| t.project(&[1, 0])).unwrap();
-        assert_eq!(swapped.tuples()[0], Tuple::from(vec![2i64, 1]));
-        let first = r.mapped(1, |t| t.project(&[0])).unwrap();
-        assert_eq!(first.arity(), 1);
     }
 
     #[test]

@@ -7,10 +7,7 @@ use std::ops::Index;
 /// A database tuple, i.e. an element of `dom^a` for a relation of arity `a`.
 ///
 /// Tuples are positional; the mapping from positions to query variables is supplied by
-/// the atom that references the relation (see `qjoin-query`). The trimming
-/// constructions of the paper frequently *extend* tuples with fresh columns (partition
-/// identifiers, dyadic-interval identifiers, sketch buckets), which is supported by
-/// [`Tuple::extended`].
+/// the atom that references the relation (see `qjoin-query`).
 #[derive(Clone, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct Tuple {
     values: Vec<Value>,
@@ -41,14 +38,6 @@ impl Tuple {
     /// Borrow all values.
     pub fn values(&self) -> &[Value] {
         &self.values
-    }
-
-    /// Returns a new tuple with `extra` appended at the end.
-    pub fn extended(&self, extra: Value) -> Tuple {
-        let mut values = Vec::with_capacity(self.values.len() + 1);
-        values.extend_from_slice(&self.values);
-        values.push(extra);
-        Tuple { values }
     }
 
     /// Returns the projection of this tuple onto the given positions, in that order.
@@ -128,16 +117,6 @@ mod tests {
     fn empty_tuple_has_zero_arity() {
         assert_eq!(Tuple::empty().arity(), 0);
         assert_eq!(Tuple::empty(), Tuple::new(vec![]));
-    }
-
-    #[test]
-    fn extended_appends_without_mutating_original() {
-        let tup = t(&[1, 2]);
-        let ext = tup.extended(Value::from(9));
-        assert_eq!(tup.arity(), 2);
-        assert_eq!(ext.arity(), 3);
-        assert_eq!(ext[2], Value::from(9));
-        assert_eq!(&ext.values()[..2], tup.values());
     }
 
     #[test]

@@ -3,7 +3,7 @@
 
 use crate::{ExecError, Result};
 use qjoin_data::{Tuple, Value};
-use qjoin_query::{acyclicity, Assignment, Instance, JoinQuery, JoinTree, Variable};
+use qjoin_query::{acyclicity, Instance, JoinQuery, JoinTree, Variable};
 use std::collections::HashMap;
 
 /// Per-node state of a [`JoinTreeContext`].
@@ -212,18 +212,6 @@ impl JoinTreeContext {
             .unwrap_or(&[])
     }
 
-    /// The partial assignment induced by one tuple of one node: the node's atom
-    /// variables mapped to the tuple's values.
-    pub fn partial_assignment(&self, node: usize, tuple_idx: usize) -> Assignment {
-        let atom = self.query.atom(self.nodes[node].atom_index);
-        let tuple = &self.nodes[node].tuples[tuple_idx];
-        Assignment::from_pairs(
-            atom.distinct_variable_positions()
-                .into_iter()
-                .map(|(v, pos)| (v, tuple[pos].clone())),
-        )
-    }
-
     /// Total number of tuples currently stored across all nodes (after reduction).
     pub fn total_tuples(&self) -> usize {
         self.nodes.iter().map(|n| n.tuples.len()).sum()
@@ -365,15 +353,5 @@ mod tests {
             .unwrap();
         let group = ctx.child_group(u_node.node_id, t_tuple);
         assert_eq!(group.len(), 2);
-    }
-
-    #[test]
-    fn partial_assignment_binds_atom_variables() {
-        let inst = figure1_instance();
-        let ctx = JoinTreeContext::build(&inst).unwrap();
-        let root = ctx.root();
-        let asg = ctx.partial_assignment(root, 0);
-        let atom = ctx.query().atom(ctx.node(root).atom_index);
-        assert_eq!(asg.len(), atom.variable_set().len());
     }
 }

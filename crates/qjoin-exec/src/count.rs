@@ -1,46 +1,64 @@
 //! Linear-time counting of the answers to an acyclic join query (Example 2.1).
+//!
+//! Counting is the message-passing pattern of Section 2.4: traverse a join tree
+//! bottom-up, give every tuple the count 1, sum the counts *within a join group*
+//! (`⊕`), and multiply a tuple's count by each child group's sum (`⊗`). `val(t)`
+//! is then the number of partial answers of the subtree rooted at `t`
+//! (Figure 1 of the paper).
+//!
+//! Counts are `u128`: the number of answers is bounded by `n^ℓ`, which comfortably fits
+//! for the database sizes and query sizes this library targets (`n ≤ 10^7`, `ℓ ≤ 5`
+//! gives at most `10^35 < 2^128`).
 
-use crate::message_passing::{self, MessageAlgebra, MessagePassingResult};
 use crate::{JoinTreeContext, Result};
+use qjoin_data::Value;
 use qjoin_query::Instance;
+use std::collections::HashMap;
 
-/// The counting instance of the message-passing pattern: every tuple starts with
-/// count 1, join groups are combined by summation, and child messages are absorbed by
-/// multiplication. `val(t)` then equals the number of partial answers of the subtree
-/// rooted at `t` (Figure 1 of the paper).
-///
-/// Counts are `u128`: the number of answers is bounded by `n^ℓ`, which comfortably fits
-/// for the database sizes and query sizes this library targets (`n ≤ 10^7`, `ℓ ≤ 5`
-/// gives at most `10^35 < 2^128`).
-pub struct CountAlgebra;
-
-impl MessageAlgebra for CountAlgebra {
-    type Msg = u128;
-
-    fn tuple_init(&self, _ctx: &JoinTreeContext, _node: usize, _tuple_idx: usize) -> u128 {
-        1
-    }
-
-    fn combine_group(&self, _ctx: &JoinTreeContext, _node: usize, group: &[(usize, u128)]) -> u128 {
-        group.iter().map(|(_, c)| *c).sum()
-    }
-
-    fn absorb(
-        &self,
-        _ctx: &JoinTreeContext,
-        _node: usize,
-        _tuple_idx: usize,
-        own: u128,
-        child_group_msg: &u128,
-    ) -> u128 {
-        own.checked_mul(*child_group_msg)
-            .expect("answer count overflowed u128")
-    }
+/// The subtree answer counts of one bottom-up counting pass.
+#[derive(Clone, Debug)]
+pub struct SubtreeCounts {
+    /// `per_tuple[node][i]` is the number of partial answers of the subtree rooted
+    /// at tuple `i` of `node`.
+    pub per_tuple: Vec<Vec<u128>>,
+    /// `per_group[node]` maps a join key of `node` to the summed count of the
+    /// corresponding join group. Present for every non-root node.
+    pub per_group: Vec<HashMap<Vec<Value>, u128>>,
 }
 
 /// Per-tuple subtree answer counts for every node of the context.
-pub fn subtree_counts(ctx: &JoinTreeContext) -> MessagePassingResult<u128> {
-    message_passing::run(ctx, &CountAlgebra)
+pub fn subtree_counts(ctx: &JoinTreeContext) -> SubtreeCounts {
+    let n_nodes = ctx.nodes().len();
+    let mut per_tuple: Vec<Vec<u128>> = vec![Vec::new(); n_nodes];
+    let mut per_group: Vec<HashMap<Vec<Value>, u128>> = vec![HashMap::new(); n_nodes];
+    for &node_id in &ctx.tree().bottom_up_order() {
+        let node = ctx.node(node_id);
+        let children = &ctx.tree().node(node_id).children;
+        let count = |tuple| {
+            children.iter().fold(1u128, |own, &child| {
+                let key = ctx.node(child).key_from_parent(tuple);
+                let group = per_group[child].get(&key).expect(
+                    "full reducer guarantees every parent tuple has a matching child group",
+                );
+                own.checked_mul(*group)
+                    .expect("answer count overflowed u128")
+            })
+        };
+        per_tuple[node_id] = node.tuples.iter().map(count).collect();
+        if node_id != ctx.root() {
+            let counts = &per_tuple[node_id];
+            let sum = |members: &Vec<usize>| members.iter().map(|&i| counts[i]).sum();
+            let groups = node
+                .groups
+                .iter()
+                .map(|(key, members)| (key.clone(), sum(members)));
+            per_group[node_id] = groups.collect();
+        }
+    }
+    SubtreeCounts {
+        per_tuple,
+        per_group,
+    }
 }
 
 /// The number of answers `|Q(D)|` of the context's instance.
@@ -160,5 +178,48 @@ mod tests {
             let ctx = JoinTreeContext::build_with_tree(&inst, tree).unwrap();
             assert_eq!(count_answers_ctx(&ctx), 13, "root {root}");
         }
+    }
+
+    /// The context rooted exactly as in Figure 1: R is the root, S and T are its
+    /// children, and U is a child of T.
+    fn figure1_context() -> JoinTreeContext {
+        let tree = qjoin_query::JoinTree::from_edges(4, &[(0, 1), (0, 2), (2, 3)], 0);
+        JoinTreeContext::build_with_tree(&figure1_instance(), tree).unwrap()
+    }
+
+    fn node_of(ctx: &JoinTreeContext, relation: &str) -> usize {
+        let named = |n: &&crate::NodeData| ctx.query().atom(n.atom_index).relation() == relation;
+        ctx.nodes().iter().find(named).unwrap().node_id
+    }
+
+    #[test]
+    fn subtree_counts_reproduce_figure1_per_tuple_counts() {
+        let ctx = figure1_context();
+        let result = subtree_counts(&ctx);
+        // Figure 1a annotates R(1,1) with count 9 and R(2,2) with count 4.
+        let mut counts = result.per_tuple[node_of(&ctx, "R")].clone();
+        counts.sort_unstable();
+        assert_eq!(counts, vec![4, 9]);
+        // T(1,6) and T(2,6) have count 2; T(1,7) has count 1.
+        let mut t_counts = result.per_tuple[node_of(&ctx, "T")].clone();
+        t_counts.sort_unstable();
+        assert_eq!(t_counts, vec![1, 2, 2]);
+    }
+
+    #[test]
+    fn group_counts_aggregate_with_sum() {
+        let ctx = figure1_context();
+        let result = subtree_counts(&ctx);
+        // The S node is grouped by x1; the group x1=1 holds 3 tuples each with
+        // count 1 → 3, matching "1+1+1=3" in Figure 1b.
+        let s = node_of(&ctx, "S");
+        assert_eq!(result.per_group[s].get(&vec![Value::from(1)]), Some(&3));
+        // T(2,6) receives 2 from U's group x4=6.
+        let (u, t) = (node_of(&ctx, "U"), node_of(&ctx, "T"));
+        let t26 = (ctx.node(t).tuples.iter())
+            .find(|t| t.values() == [Value::from(2), Value::from(6)])
+            .unwrap();
+        let key = ctx.node(u).key_from_parent(t26);
+        assert_eq!(result.per_group[u].get(&key), Some(&2));
     }
 }

@@ -7,15 +7,12 @@
 //! * [`JoinTreeContext`] — a rooted join tree with, per node, the materialized and
 //!   *semi-join reduced* relation plus join-group indexes (the preprocessing step of
 //!   the message-passing pattern, Section 2.4).
-//! * [`message_passing`] — the generic bottom-up message-passing framework with a
-//!   group-combine operator `⊕` and an across-children operator `⊗`.
-//! * [`count`] — linear-time counting of the answers to an acyclic JQ
-//!   (Example 2.1 / Figure 1 of the paper).
+//! * [`count`] — linear-time counting of the answers to an acyclic JQ by bottom-up
+//!   message passing (Example 2.1 / Figure 1 of the paper).
 //! * [`yannakakis`] — full answer enumeration and materialization (used by the
-//!   quantile driver once few candidate answers remain, and by the brute-force
-//!   baseline).
-//! * [`DirectAccess`] — a linear-preprocessing, logarithmic-access index into the
-//!   (unordered) answer list, which also provides uniform sampling; this is the
+//!   materialize-and-sort baseline).
+//! * [`EncodedDirectAccess`] — a linear-preprocessing, logarithmic-access index into
+//!   the (unordered) answer list, which also provides uniform sampling; this is the
 //!   structure behind the randomized approximation of Section 3.1.
 
 #![forbid(unsafe_code)]
@@ -27,12 +24,11 @@ pub mod count;
 mod direct_access;
 pub mod encoded;
 mod error;
-pub mod message_passing;
 pub mod yannakakis;
 
 pub use answer::AnswerSet;
 pub use context::{JoinTreeContext, NodeData};
-pub use direct_access::{DirectAccess, EncodedDirectAccess};
+pub use direct_access::EncodedDirectAccess;
 pub use encoded::{EncodedContext, EncodedNode, Key};
 pub use error::ExecError;
 

@@ -144,26 +144,9 @@ impl Assignment {
         self.bindings.iter()
     }
 
-    /// True if the two assignments agree on every variable bound in both.
-    pub fn consistent_with(&self, other: &Assignment) -> bool {
-        self.bindings
-            .iter()
-            .all(|(v, val)| other.get(v).is_none_or(|o| o == val))
-    }
-
-    /// The union of two consistent assignments. Returns `None` if they conflict.
-    pub fn union(&self, other: &Assignment) -> Option<Assignment> {
-        if !self.consistent_with(other) {
-            return None;
-        }
-        let mut bindings = self.bindings.clone();
-        bindings.extend(other.bindings.iter().map(|(v, x)| (v.clone(), x.clone())));
-        Some(Assignment { bindings })
-    }
-
     /// The restriction of the assignment to the given variables (missing variables are
-    /// silently dropped). Used to map answers of trimmed instances back to answers of
-    /// the original query.
+    /// silently dropped). Used to map a pivot's answer onto the original query's
+    /// variables.
     pub fn project(&self, vars: &[Variable]) -> Assignment {
         Assignment {
             bindings: vars
@@ -227,18 +210,6 @@ mod tests {
         assert_eq!(inst.database_size(), 4);
         assert!(inst.is_acyclic());
         assert_eq!(inst.relation_of_atom(1).name(), "R2");
-    }
-
-    #[test]
-    fn assignment_union_and_conflicts() {
-        let a = Assignment::from_pairs([(Variable::new("x"), Value::from(1))]);
-        let b = Assignment::from_pairs([(Variable::new("y"), Value::from(2))]);
-        let c = Assignment::from_pairs([(Variable::new("x"), Value::from(9))]);
-        let ab = a.union(&b).unwrap();
-        assert_eq!(ab.len(), 2);
-        assert!(a.union(&c).is_none());
-        assert!(a.consistent_with(&b));
-        assert!(!a.consistent_with(&c));
     }
 
     #[test]

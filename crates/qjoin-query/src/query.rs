@@ -95,36 +95,6 @@ impl JoinQuery {
             .map(|(i, _)| i)
             .collect()
     }
-
-    /// Returns a copy of the query with an extra atom appended.
-    pub fn with_atom(&self, atom: Atom) -> JoinQuery {
-        let mut atoms = self.atoms.clone();
-        atoms.push(atom);
-        JoinQuery { atoms }
-    }
-
-    /// Returns a copy with the atom at `idx` replaced.
-    pub fn with_replaced_atom(&self, idx: usize, atom: Atom) -> JoinQuery {
-        let mut atoms = self.atoms.clone();
-        atoms[idx] = atom;
-        JoinQuery { atoms }
-    }
-
-    /// Returns a copy in which the given variable has been appended to *every* atom.
-    ///
-    /// This is the "add the same variable `x_p` to all the atoms" step of the
-    /// partition-union trimming construction (Algorithm 3 of the paper). Adding a
-    /// variable to every hyperedge preserves acyclicity: any join tree of the original
-    /// query remains a join tree after the addition.
-    pub fn with_variable_everywhere(&self, var: &Variable) -> JoinQuery {
-        JoinQuery {
-            atoms: self
-                .atoms
-                .iter()
-                .map(|a| a.with_extra_variable(var.clone()))
-                .collect(),
-        }
-    }
 }
 
 impl fmt::Debug for JoinQuery {
@@ -251,13 +221,6 @@ mod tests {
     }
 
     #[test]
-    fn with_variable_everywhere_extends_all_atoms() {
-        let q = path_query(2).with_variable_everywhere(&Variable::new("xp"));
-        assert!(q.atoms().iter().all(|a| a.contains(&Variable::new("xp"))));
-        assert_eq!(q.atom(0).arity(), 3);
-    }
-
-    #[test]
     fn figure1_query_matches_paper() {
         let q = figure1_query();
         assert_eq!(q.to_string(), "R(x1, x2), S(x1, x3), T(x2, x4), U(x4, x5)");
@@ -270,13 +233,5 @@ mod tests {
         let h = q.hypergraph();
         assert_eq!(h.num_edges(), 3);
         assert_eq!(h.num_vertices(), 6);
-    }
-
-    #[test]
-    fn with_replaced_atom_substitutes_in_place() {
-        let q = path_query(2);
-        let q2 = q.with_replaced_atom(0, Atom::from_names("R1", &["x1", "x2", "v"]));
-        assert_eq!(q2.atom(0).arity(), 3);
-        assert_eq!(q2.atom(1).arity(), 2);
     }
 }

@@ -17,9 +17,7 @@
 //! * the weight domain [`Weight`] and its total order, plus [`WeightBound`] which adds
 //!   the `⊥` / `⊤` sentinels used by the quantile driver,
 //! * the attribute-weight → tuple-weight conversion of Section 2.2
-//!   ([`SumTupleWeights`]),
-//! * ranking predicates `w(U_w) ≺ λ` / `w(U_w) ≻ λ` ([`RankPredicate`]) that the
-//!   trimming subroutines materialize away.
+//!   ([`SumTupleWeights`]).
 //!
 //! All ranking functions implemented here are **subset-monotone** (Section 2.2), which
 //! is the property the generic pivot-selection algorithm of Section 4 relies on.
@@ -27,13 +25,11 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-mod predicate;
 mod ranking;
 mod tuple_weights;
 mod weight;
 mod weight_fn;
 
-pub use predicate::{CmpOp, RankPredicate};
 pub use ranking::{AggregateKind, Ranking};
 pub use tuple_weights::SumTupleWeights;
 pub use weight::{Weight, WeightBound};

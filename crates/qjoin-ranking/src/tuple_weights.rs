@@ -1,7 +1,7 @@
 //! Attribute-weight → tuple-weight conversion for SUM (Section 2.2, "Tuple weights").
 //!
-//! Several constructions (the adjacent-node SUM trimming of Lemma 5.5 and the lossy
-//! trimming of Algorithm 4) reason about the *partial sum carried by one tuple*. To
+//! Several constructions (the adjacent-pair SUM route's cover of Lemma 5.5 and the
+//! lossy trimming of Algorithm 4) reason about the *partial sum carried by one tuple*. To
 //! avoid counting a variable's weight more than once when it occurs in several atoms,
 //! the paper fixes a mapping `μ` assigning every weighted variable to exactly one atom
 //! that contains it; the weight of a tuple of relation `R` is then the sum of the
@@ -15,7 +15,7 @@ use qjoin_query::{JoinQuery, Variable};
 /// to atoms.
 ///
 /// This type is specific to SUM-like (numeric, additive) rankings; MIN/MAX and LEX
-/// trimmings operate on per-variable unary predicates and do not need tuple weights.
+/// weigh one variable at a time and do not need tuple weights.
 #[derive(Clone, Debug)]
 pub struct SumTupleWeights {
     /// For every atom index: the weighted variables assigned to it by `μ`, with the
@@ -33,7 +33,7 @@ impl SumTupleWeights {
 
     /// Builds a mapping `μ` that prefers the given atoms: a weighted variable occurring
     /// in one of `preferred` (in order) is assigned there; otherwise it falls back to
-    /// its first containing atom. The adjacent-node SUM trimming uses this to force all
+    /// its first containing atom. The adjacent-pair SUM route uses this to force all
     /// weighted variables onto the two adjacent join-tree nodes it operates on.
     pub fn with_preferred_atoms(query: &JoinQuery, ranking: &Ranking, preferred: &[usize]) -> Self {
         let mut per_atom: Vec<Vec<(Variable, usize)>> = vec![Vec::new(); query.num_atoms()];

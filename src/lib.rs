@@ -9,11 +9,12 @@
 //!
 //! * [`data`] — values, tuples, relations, databases;
 //! * [`query`] — join queries, hypergraphs, acyclicity, join trees;
-//! * [`exec`] — Yannakakis evaluation, message passing, counting, direct access;
+//! * [`exec`] — Yannakakis evaluation, counting by message passing, the encoded
+//!   execution context, direct access;
 //! * [`ranking`] — SUM / MIN / MAX / LEX ranking functions and predicates;
-//! * [`core`] — the pivoting framework, exact and lossy trimmings, the partial-SUM
-//!   dichotomy, deterministic and randomized approximations, batched multi-φ solving,
-//!   and baselines;
+//! * [`core`] — the pivoting framework over the encoded layer, its exact and ε-lossy
+//!   routes, the partial-SUM dichotomy, the randomized approximation, batched
+//!   multi-φ solving, and the materialize-and-sort baseline;
 //! * [`engine`] — the persistent, thread-safe quantile-query engine: a catalog of
 //!   named databases, compile-once prepared plans, a sharded LRU result cache, and
 //!   the CLI command language;
@@ -61,13 +62,10 @@ pub use qjoin_ranking::Ranking;
 /// One-stop imports for applications and examples.
 pub mod prelude {
     pub use qjoin_core::baseline::{quantile_by_materialization, BaselineStrategy};
-    pub use qjoin_core::batch::quantile_batch_by_pivoting;
     pub use qjoin_core::dichotomy::{classify_partial_sum, SumClassification};
-    pub use qjoin_core::lossy_trim::LossySumTrimmer;
-    pub use qjoin_core::quantile::{quantile_by_pivoting, target_rank, PivotingOptions};
+    pub use qjoin_core::quantile::{target_rank, PivotingOptions};
     pub use qjoin_core::sampling::SamplingOptions;
     pub use qjoin_core::sketch::{sketch, RoundDirection, SketchBucket, SketchEntry};
-    pub use qjoin_core::trim::{AdjacentSumTrimmer, LexTrimmer, MinMaxTrimmer, Trimmer};
     pub use qjoin_core::{Accuracy, NoopTracer, Plan, PlanStrategy, QuantileResult};
     pub use qjoin_data::{Database, EncodedDatabase, Relation, Tuple, Value};
     pub use qjoin_engine::{

@@ -14,19 +14,28 @@
 //! * **One full sort** by weight (component-wise `total_cmp`), ties broken by the
 //!   answer's values in `query.variables()` order.
 //!
-//! The solve contract is in [`Oracle::assert_exact`] and [`Oracle::assert_within`].
-//! The solves under test are asked for through [`solve`]: the one production
-//! entry, a [`Plan`] prepared over a fresh encoding of the instance.
+//! The solve contract is in [`Oracle::assert_exact`] and [`Oracle::assert_within`],
+//! and each round's partition in [`Oracle::assert_rounds`]. The solves under test
+//! are asked for through [`solve`]: the one production entry, a [`Plan`] prepared
+//! over a fresh encoding of the instance; [`traced`] drives a route's entry point
+//! with a threshold, to force rounds, and records them.
 
 #![allow(dead_code)] // each test binary uses only part of this module
 
+use quantile_joins::core::encoded::{
+    approximate_sum_quantile_batch_encoded_traced, exact_quantile_batch_encoded_traced,
+};
 use quantile_joins::core::quantile::target_rank;
-use quantile_joins::core::{Accuracy, NoopTracer, Plan};
+use quantile_joins::core::{
+    Accuracy, NoopTracer, PhaseContext, PivotingOptions, Plan, SolvePhase, SolveTracer,
+};
 use quantile_joins::data::{Tuple, Value};
 use quantile_joins::query::{Assignment, EncodedInstance, Instance, Variable};
 use quantile_joins::ranking::{AggregateKind, Ranking, Weight};
 use quantile_joins::{CoreError, QuantileResult};
 use std::cmp::Ordering;
+use std::sync::Mutex;
+use std::time::Duration;
 
 /// An answer's weight: one component for SUM/MIN/MAX, one per weighted variable of LEX.
 type Components = Vec<f64>;
@@ -114,6 +123,53 @@ impl Oracle {
         assert!(found.is_ok(), "{what}: {:?} is no answer", result.answer);
         assert_eq!(bits(&answer.0), bits(&components(&result.weight)), "{what}");
         target
+    }
+
+    /// Every trim round of a one-target solve partitions its candidates exactly:
+    /// round 0's `n_lt + n_eq + n_gt` is `|Q(D)|`, and each round's candidates are a
+    /// run of the sorted list that its counts split on weight-class boundaries,
+    /// `n_eq` answers of one class between them. The next round's run is the side
+    /// holding `target`.
+    pub fn assert_rounds(&self, target: u128, rounds: &[Round], what: &str) {
+        let (mut offset, mut candidates) = (0u128, self.total());
+        for (i, round) in rounds.iter().enumerate() {
+            let what = format!("{what}: round {i}");
+            assert_eq!(round.candidates, candidates, "{what}: candidates");
+            let sides = round.n_lt + round.n_eq + round.n_gt;
+            assert_eq!(sides, candidates, "{what}: n_lt + n_eq + n_gt");
+            let (lt_end, eq_end) = (offset + round.n_lt, offset + round.n_lt + round.n_eq);
+            for at in [lt_end, eq_end] {
+                assert!(
+                    self.is_class_boundary(at),
+                    "{what}: {at} splits a weight class"
+                );
+            }
+            if round.n_eq > 0 {
+                let (first, last) = (
+                    &self.sorted[lt_end as usize],
+                    &self.sorted[eq_end as usize - 1],
+                );
+                assert!(
+                    cmp(&first.0, &last.0).is_eq(),
+                    "{what}: the tie band holds two classes"
+                );
+            }
+            if target < lt_end {
+                candidates = round.n_lt;
+            } else if target >= eq_end {
+                (offset, candidates) = (eq_end, round.n_gt);
+            } else {
+                assert_eq!(i + 1, rounds.len(), "{what}: a round after the tie band");
+            }
+        }
+    }
+
+    /// Whether `at` answers of the sorted list end on a weight-class boundary.
+    fn is_class_boundary(&self, at: u128) -> bool {
+        let at = at as usize;
+        at == 0
+            || at >= self.sorted.len()
+            || cmp(&self.sorted[at - 1].0, &self.sorted[at].0).is_ne()
     }
 
     fn values_of(&self, answer: &Assignment) -> Vec<Value> {
@@ -224,4 +280,67 @@ pub fn exact(
     phi: f64,
 ) -> Result<QuantileResult, CoreError> {
     Ok(solve(instance, ranking, &[phi], Accuracy::Exact)?.remove(0))
+}
+
+/// One trim round as the driver reports it.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct Round {
+    pub candidates: u128,
+    pub n_lt: u128,
+    pub n_eq: u128,
+    pub n_gt: u128,
+}
+
+/// A tracer that keeps every trim round, in the order they ran.
+#[derive(Default)]
+pub struct Rounds(Mutex<Vec<Round>>);
+
+impl Rounds {
+    pub fn take(&self) -> Vec<Round> {
+        std::mem::take(&mut self.0.lock().unwrap())
+    }
+}
+
+impl SolveTracer for Rounds {
+    fn phase_event(&self, phase: SolvePhase, _: Duration, ctx: &PhaseContext) {
+        if phase == SolvePhase::TrimRound {
+            let count = |field: Option<u64>| u128::from(field.expect("a trim round counts"));
+            self.0.lock().unwrap().push(Round {
+                candidates: count(ctx.candidates),
+                n_lt: count(ctx.n_lt),
+                n_eq: count(ctx.n_eq),
+                n_gt: count(ctx.n_gt),
+            });
+        }
+    }
+}
+
+/// One φ-quantile from the exact (or, for [`Accuracy::Approximate`], the ε) route's
+/// entry point over a fresh encoding, pivoting until at most `threshold` candidates
+/// remain (the database size when `None`), and the trim rounds it ran.
+pub fn traced(
+    instance: &Instance,
+    ranking: &Ranking,
+    phi: f64,
+    accuracy: Accuracy,
+    threshold: Option<u128>,
+) -> Result<(QuantileResult, Vec<Round>), CoreError> {
+    let encoded = EncodedInstance::from_instance(instance)?;
+    let options = PivotingOptions {
+        materialize_threshold: threshold,
+        ..PivotingOptions::default()
+    };
+    let rounds = Rounds::default();
+    let mut results = match accuracy {
+        Accuracy::Approximate { epsilon } => approximate_sum_quantile_batch_encoded_traced(
+            &encoded,
+            ranking,
+            &[phi],
+            epsilon,
+            &options,
+            &rounds,
+        )?,
+        _ => exact_quantile_batch_encoded_traced(&encoded, ranking, &[phi], &options, &rounds)?,
+    };
+    Ok((results.remove(0), rounds.take()))
 }

@@ -1,23 +1,17 @@
-//! Encoded-vs-row equivalence: the encoded execution layer — the one representation
-//! production solves run on — against the row reference oracle (the same driver
-//! over materialized instances, with an explicit `MinMaxTrimmer`, `LexTrimmer`,
-//! `AdjacentSumTrimmer` or `LossySumTrimmer`), across ranking families, random
-//! instances, and boundary φ values. ε solves are **pointwise identical** — same
-//! answer assignment, same weight (bit for bit), same target index, same
-//! iteration count. Exact solves search the weight domain (MIN/MAX/LEX, a SUM one
-//! atom covers) or count windows of one context (a SUM an adjacent pair covers)
-//! instead of trimming, so they agree on what a quantile is ([`assert_agrees`]):
-//! the weight bits, `|Q(D)|`, the target index and a target inside the weight's
-//! rank window; the answer itself only when no round ran, because after a round a
-//! tied answer is a different valid pick. The batch tests also hold the answers
-//! to the independent materialize-and-sort oracle.
+//! Equivalence of the encoded routes — the one representation every solve runs
+//! on — with the independent brute force of `tests/common`, and with themselves:
+//! across ranking families, random instances, boundary φ values, thresholds,
+//! executor degrees, single and batched solves. Exact solves must be exact
+//! quantiles ([`Oracle::assert_exact`]: the weight bits, `|Q(D)|`, the target
+//! index, an answer of the bag carrying that weight and, when no round ran, the
+//! very answer a full sort holds there); a batch must be pointwise identical to
+//! its single solves, and every executor degree to T=1.
 
 mod common;
 
-use common::{exact, solve};
+use common::{exact, solve, Oracle};
 use proptest::prelude::*;
 use quantile_joins::core::encoded::exact_quantile_batch_encoded_traced;
-use quantile_joins::core::quantile::rank_of_weight;
 use quantile_joins::core::NoopTracer;
 use quantile_joins::prelude::*;
 use quantile_joins::workload::random_acyclic::{
@@ -53,22 +47,6 @@ fn ranking_for(instance: &Instance, kind: usize) -> Option<Ranking> {
     }
 }
 
-/// The row reference trimmer for an exact ranking (SUM only where the dichotomy
-/// admits it, which is all `ranking_for` and the fixed workloads produce).
-fn row_trimmer(ranking: &Ranking) -> &'static dyn Trimmer {
-    match ranking.kind() {
-        AggregateKind::Min | AggregateKind::Max => &MinMaxTrimmer,
-        AggregateKind::Lex => &LexTrimmer,
-        AggregateKind::Sum => &AdjacentSumTrimmer,
-    }
-}
-
-/// One exact solve on the row reference oracle at default options.
-fn row_quantile(instance: &Instance, ranking: &Ranking, phi: f64) -> QuantileResult {
-    let options = PivotingOptions::default();
-    quantile_by_pivoting(instance, ranking, phi, row_trimmer(ranking), &options).unwrap()
-}
-
 /// The encoded batch solve over a pre-encoded instance (the engine's entry).
 fn encoded_batch(
     instance: &EncodedInstance,
@@ -93,47 +71,6 @@ fn assert_pointwise_equal(a: &QuantileResult, b: &QuantileResult, context: &str)
     );
 }
 
-/// An encoded exact result against the row reference's for the same φ: the same
-/// weight bits, `|Q(D)|` and target index, the target inside the rank window of
-/// the weight, carried by the returned answer, and — when no round ran — the very
-/// same answer (pointwise).
-fn assert_agrees(
-    instance: &Instance,
-    ranking: &Ranking,
-    encoded: &QuantileResult,
-    row: &QuantileResult,
-    context: &str,
-) {
-    if encoded.iterations == 0 {
-        return assert_pointwise_equal(encoded, row, context);
-    }
-    assert_eq!(
-        weight_bits(&encoded.weight),
-        weight_bits(&row.weight),
-        "{context}: weight bits"
-    );
-    assert_eq!(
-        encoded.total_answers, row.total_answers,
-        "{context}: totals differ"
-    );
-    assert_eq!(
-        encoded.target_index, row.target_index,
-        "{context}: target indices differ"
-    );
-    assert_eq!(
-        ranking.weight_of(&encoded.answer),
-        encoded.weight,
-        "{context}: answer weight"
-    );
-    let (below, equal) = rank_of_weight(instance, ranking, &encoded.weight).unwrap();
-    assert!(
-        (below..below + equal).contains(&encoded.target_index),
-        "{context}: target {} outside the weight's window [{below}, {})",
-        encoded.target_index,
-        below + equal
-    );
-}
-
 /// φ values that stress rank boundaries: the extremes, plus fractions that land
 /// exactly on and just beside integer ranks.
 fn boundary_phis(total: u128) -> Vec<f64> {
@@ -150,9 +87,9 @@ fn boundary_phis(total: u128) -> Vec<f64> {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(40))]
 
-    /// The exact `Plan::solve` (encoded) agrees with the row reference oracle
-    /// ([`assert_agrees`]) across MIN/MAX/LEX/SUM rankings and boundary φ values on
-    /// random acyclic instances.
+    /// The exact `Plan::solve` is an exact quantile by the brute force across
+    /// MIN/MAX/LEX/SUM rankings and boundary φ values on random acyclic instances,
+    /// and a batch of those φ is pointwise the single solves.
     #[test]
     fn encoded_and_row_solves_are_pointwise_identical(
         seed in 0u64..3000,
@@ -161,30 +98,24 @@ proptest! {
     ) {
         let instance = random_instance(seed, atoms);
         let Some(ranking) = ranking_for(&instance, kind) else { return Ok(()) };
-        let total = count_answers(&instance).unwrap();
-        if total == 0 {
+        let oracle = Oracle::new(&instance, &ranking);
+        if oracle.total() == 0 {
             return Ok(());
         }
-        for phi in boundary_phis(total) {
-            let encoded = exact(&instance, &ranking, phi).unwrap();
-            let row = row_quantile(&instance, &ranking, phi);
-            assert_agrees(&instance, &ranking, &encoded, &row, &format!("{ranking} at φ={phi}"));
-            // And the answer really is a φ-quantile.
-            let (below, equal) = rank_of_weight(&instance, &ranking, &encoded.weight).unwrap();
-            prop_assert!(
-                encoded.target_index >= below && encoded.target_index < below + equal,
-                "{ranking} at φ={phi}: target {} outside window [{below}, {})",
-                encoded.target_index,
-                below + equal
-            );
+        let phis = boundary_phis(oracle.total());
+        let batch = solve(&instance, &ranking, &phis, Accuracy::Exact).unwrap();
+        for (phi, batched) in phis.iter().zip(&batch) {
+            let single = exact(&instance, &ranking, *phi).unwrap();
+            let context = format!("{ranking} at φ={phi}");
+            oracle.assert_exact(*phi, &single, &context);
+            assert_pointwise_equal(batched, &single, &format!("{context}: batch"));
         }
     }
 
-    /// Batched multi-φ solving agrees across the two paths ([`assert_agrees`]), and
-    /// at every boundary φ each result's target rank and weight bits are the
-    /// materialize-and-sort oracle's — at the default threshold, and again at a
-    /// threshold of one, where every solve recurses. (The oracle is what catches a
-    /// driver bug: both paths run the one driver, so they agree on its mistakes.)
+    /// Batched multi-φ solving at every boundary φ is exact by the brute force —
+    /// at the default threshold, and again at a threshold of one, where every
+    /// solve recurses until a tie band or a one-answer leaf holds its target — and
+    /// each batch is pointwise its single solves at the same threshold.
     #[test]
     fn encoded_and_row_batches_are_pointwise_identical(
         seed in 0u64..3000,
@@ -193,18 +124,11 @@ proptest! {
     ) {
         let instance = random_instance(seed, atoms);
         let Some(ranking) = ranking_for(&instance, kind) else { return Ok(()) };
-        let total = count_answers(&instance).unwrap();
-        if total == 0 {
+        let oracle = Oracle::new(&instance, &ranking);
+        if oracle.total() == 0 {
             return Ok(());
         }
-        let phis = boundary_phis(total);
-        let oracle: Vec<QuantileResult> = phis
-            .iter()
-            .map(|&phi| {
-                quantile_by_materialization(&instance, &ranking, phi, BaselineStrategy::FullSort)
-                    .unwrap()
-            })
-            .collect();
+        let phis = boundary_phis(oracle.total());
         let encoded_instance = EncodedInstance::from_instance(&instance).unwrap();
         let recursing = PivotingOptions {
             materialize_threshold: Some(1),
@@ -213,29 +137,20 @@ proptest! {
         for options in [PivotingOptions::default(), recursing] {
             let threshold = options.materialize_threshold;
             let encoded = encoded_batch(&encoded_instance, &ranking, &phis, &options);
-            let row = quantile_batch_by_pivoting(
-                &instance, &ranking, &phis, row_trimmer(&ranking), &options,
-            )
-            .unwrap();
-            prop_assert_eq!(encoded.len(), row.len());
-            for (((phi, e), r), o) in phis.iter().zip(&encoded).zip(&row).zip(&oracle) {
+            prop_assert_eq!(encoded.len(), phis.len());
+            for (phi, e) in phis.iter().zip(&encoded) {
                 let context = format!("batch {ranking} at φ={phi}, threshold {threshold:?}");
-                assert_agrees(&instance, &ranking, e, r, &context);
-                prop_assert_eq!(e.target_index, o.target_index, "{}: target", &context);
-                prop_assert_eq!(
-                    weight_bits(&e.weight),
-                    weight_bits(&o.weight),
-                    "{}: weight bits differ from the oracle's",
-                    &context
-                );
+                oracle.assert_exact(*phi, e, &context);
+                let single = encoded_batch(&encoded_instance, &ranking, &[*phi], &options).remove(0);
+                assert_pointwise_equal(e, &single, &format!("{context}: single"));
             }
         }
     }
 }
 
-/// The engine's acceptance workload: encoded and row paths agree
-/// ([`assert_agrees`]) on the paper's social-network join at several φ, via both
-/// the pre-encoded entry point and the encode-per-solve solver.
+/// The engine's acceptance workload: the paper's social-network join at several
+/// φ is exact by the brute force, the pre-encoded entry point is pointwise the
+/// plan's solve, and a batch is exact too.
 #[test]
 fn social_network_workload_is_pointwise_identical() {
     let config = SocialConfig {
@@ -245,14 +160,14 @@ fn social_network_workload_is_pointwise_identical() {
     };
     let instance = config.generate();
     let ranking = config.likes_ranking();
+    let oracle = Oracle::new(&instance, &ranking);
     let encoded_db = EncodedInstance::from_instance(&instance).unwrap();
     let options = PivotingOptions::default();
     for phi in [0.0, 0.1, 0.5, 0.9, 1.0] {
         let default_path = exact(&instance, &ranking, phi).unwrap();
-        let row = row_quantile(&instance, &ranking, phi);
         let pre_encoded = encoded_batch(&encoded_db, &ranking, &[phi], &options).remove(0);
         let context = format!("social φ={phi}");
-        assert_agrees(&instance, &ranking, &default_path, &row, &context);
+        oracle.assert_exact(phi, &default_path, &context);
         assert_pointwise_equal(
             &pre_encoded,
             &default_path,
@@ -261,11 +176,8 @@ fn social_network_workload_is_pointwise_identical() {
     }
     let phis = [0.05, 0.25, 0.5, 0.75, 0.95];
     let batch_enc = encoded_batch(&encoded_db, &ranking, &phis, &options);
-    let batch_row =
-        quantile_batch_by_pivoting(&instance, &ranking, &phis, &AdjacentSumTrimmer, &options)
-            .unwrap();
-    for ((phi, e), r) in phis.iter().zip(&batch_enc).zip(&batch_row) {
-        assert_agrees(&instance, &ranking, e, r, &format!("social batch φ={phi}"));
+    for (phi, e) in phis.iter().zip(&batch_enc) {
+        oracle.assert_exact(*phi, e, &format!("social batch φ={phi}"));
     }
 }
 
@@ -320,10 +232,10 @@ fn social_sum_multi_round_recursions_are_pointwise_identical() {
 }
 
 /// A database relation the query never references must still count towards the
-/// materialization threshold on both paths (regression: the encoded path once
-/// sized the database from query-referenced views only, diverging from the row
-/// path's `Instance::database_size` and thus from its recursion). With it, both
-/// paths select at the leaf with no round, so their answers are pointwise equal.
+/// materialization threshold (regression: the encoded path once sized the database
+/// from query-referenced views only, diverging from `Instance::database_size`).
+/// With it, every solve selects at the leaf with no round, so its answer is the
+/// very one a full sort holds at the target; without it, the same φ pivot.
 #[test]
 fn unreferenced_relations_keep_thresholds_identical() {
     let mut r1 = Relation::new("R1", 2);
@@ -340,16 +252,26 @@ fn unreferenced_relations_keep_thresholds_identical() {
     for i in 0..500i64 {
         unused.push(vec![Value::from(i)]).unwrap();
     }
+    let referenced = Database::from_relations([r1.clone(), r2.clone()]).unwrap();
+    let referenced = Instance::new(path_query(2), referenced).unwrap();
     let instance = Instance::new(
         path_query(2),
         Database::from_relations([r1, r2, unused]).unwrap(),
     )
     .unwrap();
     let ranking = Ranking::sum(instance.query().variables());
+    let oracle = Oracle::new(&instance, &ranking);
+    assert!(
+        oracle.total() > 50,
+        "the referenced relations alone force a round"
+    );
     for phi in [0.0, 0.3, 0.5, 0.8, 1.0] {
         let encoded = exact(&instance, &ranking, phi).unwrap();
-        let row = row_quantile(&instance, &ranking, phi);
-        assert_pointwise_equal(&encoded, &row, &format!("unreferenced relation φ={phi}"));
+        let context = format!("unreferenced relation φ={phi}");
+        assert_eq!(encoded.iterations, 0, "{context}: a round ran");
+        oracle.assert_exact(phi, &encoded, &context);
+        let without = exact(&referenced, &ranking, phi).unwrap();
+        assert!(without.iterations > 0, "{context}: no round without it");
     }
 }
 
@@ -374,16 +296,10 @@ fn string_keys_are_pointwise_identical() {
         Instance::new(path_query(2), Database::from_relations([r1, r2]).unwrap()).unwrap();
     // Weight only the numeric endpoints (strings have no identity weight).
     let ranking = Ranking::sum(vars(&["x1", "x3"]));
+    let oracle = Oracle::new(&instance, &ranking);
     for phi in [0.0, 0.3, 0.5, 1.0] {
         let encoded = exact(&instance, &ranking, phi).unwrap();
-        let row = row_quantile(&instance, &ranking, phi);
-        assert_agrees(
-            &instance,
-            &ranking,
-            &encoded,
-            &row,
-            &format!("string keys φ={phi}"),
-        );
+        oracle.assert_exact(phi, &encoded, &format!("string keys φ={phi}"));
     }
 }
 
@@ -460,7 +376,7 @@ proptest! {
 }
 
 // ---------------------------------------------------------------------------
-// The leaf alone: weights-first selection against the oracle, on both paths
+// The leaf alone: weights-first selection against the brute force
 // ---------------------------------------------------------------------------
 
 proptest! {
@@ -469,10 +385,10 @@ proptest! {
     /// With the materialization threshold lifted every solve is the leaf and
     /// nothing else, here over the shapes it must handle (path, star, social,
     /// self-join, repeated variable, random tree) and rankings that tie heavily
-    /// (one weight for the whole leaf, `±0.0`, two, three, many). For **every** rank: the encoded and the row leaf
-    /// return the same answer and weight bits, at one and four threads; the weight
-    /// is the one the materialize-and-sort baseline finds at that rank; and a batch
-    /// of all ranks — reversed, with a duplicate — equals the single solves.
+    /// (one weight for the whole leaf, `±0.0`, two, three, many). For **every** rank,
+    /// at one and four threads, the leaf returns the very answer and weight bits a
+    /// full sort of the brute force holds there, and a batch of all ranks —
+    /// reversed, with a duplicate — equals the single solves.
     #[test]
     fn leaf_only_solves_agree_on_every_rank_across_paths_and_batches(
         seed in 0u64..100_000,
@@ -483,7 +399,8 @@ proptest! {
         let instance = shaped_instance(shape, seed);
         let kind = [AggregateKind::Sum, AggregateKind::Min, AggregateKind::Max, AggregateKind::Lex][kind];
         let ranking = tie_heavy_ranking(&instance, kind, domain);
-        let total = count_answers(&instance).unwrap();
+        let oracle = Oracle::new(&instance, &ranking);
+        let total = oracle.total();
         if total == 0 {
             return Ok(());
         }
@@ -494,19 +411,6 @@ proptest! {
         let encoded = EncodedInstance::from_instance(&instance).unwrap();
         let mut phis: Vec<f64> = (0..total).rev().map(|rank| rank as f64 / total as f64).collect();
         phis.push(phis[0]);
-        let row: Vec<QuantileResult> = phis
-            .iter()
-            .map(|&phi| quantile_by_pivoting(&instance, &ranking, phi, &MinMaxTrimmer, &options).unwrap())
-            .collect();
-        for (phi, r) in phis.iter().zip(&row) {
-            let oracle =
-                quantile_by_materialization(&instance, &ranking, *phi, BaselineStrategy::FullSort).unwrap();
-            prop_assert_eq!(r.target_index, oracle.target_index);
-            prop_assert_eq!(weight_bits(&r.weight), weight_bits(&oracle.weight), "{} φ={}", &ranking, phi);
-            prop_assert_eq!(r.iterations, 0);
-        }
-        let row_batch =
-            quantile_batch_by_pivoting(&instance, &ranking, &phis, &MinMaxTrimmer, &options).unwrap();
         for (threads, pool) in sweep_pools().iter().filter(|(t, _)| *t == 1 || *t == 4) {
             let (singles, batch) = quantile_joins::par::with_pool(pool, || {
                 let singles: Vec<QuantileResult> = phis
@@ -518,17 +422,16 @@ proptest! {
             });
             for (i, phi) in phis.iter().enumerate() {
                 let context = format!("{ranking} leaf φ={phi} T={threads}");
-                assert_pointwise_equal(&singles[i], &row[i], &context);
-                prop_assert_eq!(weight_bits(&singles[i].weight), weight_bits(&row[i].weight), "{}", &context);
+                prop_assert_eq!(singles[i].iterations, 0, "{}", &context);
+                oracle.assert_exact(*phi, &singles[i], &context);
                 assert_pointwise_equal(&batch[i], &singles[i], &format!("{context}: batch"));
-                assert_pointwise_equal(&row_batch[i], &row[i], &format!("{context}: row batch"));
             }
         }
     }
 }
 
 // ---------------------------------------------------------------------------
-// The link-resolved context against the row context
+// The link-resolved context against the row context and the brute force
 // ---------------------------------------------------------------------------
 
 proptest! {
@@ -536,11 +439,12 @@ proptest! {
 
     /// `EncodedContext` resolves every join-tree edge once into gid links and a
     /// CSR group index. Whatever the gid numbering, everything read through it
-    /// must equal the row path's `JoinTreeContext` on the same instance, at one
-    /// and at four threads: the surviving rows per node in relation order, the
-    /// group each parent row links to (members ascending), the answer count, the
-    /// enumeration sequence (sequential and chunked), and direct access at every
-    /// index.
+    /// must equal the row `JoinTreeContext` on the same instance, at one and at
+    /// four threads: the surviving rows per node in relation order, the group each
+    /// parent row links to (members ascending), the answer count and the
+    /// enumeration sequence (sequential and chunked). Direct access is a bijection
+    /// from its indices onto the brute force's answers (fails if it locates a
+    /// member past its prefix block).
     #[test]
     fn link_resolved_context_matches_the_row_context(
         seed in 0u64..3000,
@@ -549,7 +453,7 @@ proptest! {
         use quantile_joins::exec::encoded::{
             count_answers_ctx, for_each_answer_codes, map_answer_code_chunks, EncodedContext,
         };
-        use quantile_joins::exec::{yannakakis, DirectAccess, EncodedDirectAccess, JoinTreeContext};
+        use quantile_joins::exec::{yannakakis, EncodedDirectAccess, JoinTreeContext};
 
         let instance = random_instance(seed, atoms);
         let encoded = EncodedInstance::from_instance(&instance).unwrap();
@@ -560,7 +464,9 @@ proptest! {
         let row_ctx = JoinTreeContext::build(&instance).unwrap();
         let mut row_answers: Vec<Vec<Value>> = Vec::new();
         yannakakis::for_each_answer(&row_ctx, |values| row_answers.push(values.to_vec()));
-        let row_access = DirectAccess::new(&instance).unwrap();
+        let mut brute_force = common::join(&instance);
+        brute_force.sort();
+        let variables = instance.query().variables();
 
         for (threads, pool) in sweep_pools().iter().filter(|(t, _)| *t == 1 || *t == 4) {
             let ctx = quantile_joins::par::with_pool(pool, || EncodedContext::build(&encoded)).unwrap();
@@ -601,14 +507,15 @@ proptest! {
             let access = quantile_joins::par::with_pool(pool, || {
                 EncodedDirectAccess::from_context(ctx, std::sync::Arc::clone(dict))
             });
-            prop_assert_eq!(access.total(), row_access.total(), "T={}: total", threads);
-            for i in 0..access.total() {
-                prop_assert_eq!(
-                    access.answer_at(i).unwrap(),
-                    row_access.answer_at(i).unwrap(),
-                    "T={}: answer_at({})", threads, i
-                );
-            }
+            prop_assert_eq!(access.total(), brute_force.len() as u128, "T={}: total", threads);
+            let mut accessed: Vec<Vec<Value>> = (0..access.total())
+                .map(|i| {
+                    let answer = access.answer_at(i).unwrap();
+                    variables.iter().map(|v| answer.get(v).unwrap().clone()).collect()
+                })
+                .collect();
+            accessed.sort();
+            prop_assert_eq!(&accessed, &brute_force, "T={}: answer_at", threads);
         }
     }
 }
@@ -627,15 +534,13 @@ fn full_sum_ranking(instance: &Instance) -> Ranking {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
-    /// The encoded lossy solve (`Accuracy::Approximate`: one Algorithm-4
-    /// construction per solve, every trim a window of it) is pointwise identical
-    /// to the row reference solve with `LossySumTrimmer::new(ε)` (two stacked
-    /// passes per window; both spend ε on every trim) — same
-    /// answer, same weight, same iteration count — across ε values, boundary φ,
-    /// and executor degrees 1 and 4. Identical because at these sizes no join
-    /// group is large enough for a sketch bucket to hold two sources, so both
-    /// constructions are exact; where sketches compress the two bucket differently
-    /// and `qjoin-core`'s `encoded/lossy_tests.rs` holds the encoded one within ε.
+    /// The ε solve (`Accuracy::Approximate`: one Algorithm-4 construction per
+    /// generation, every trim a window of it) is exact by the brute force across ε
+    /// values and boundary φ — at these sizes no join group is large enough for a
+    /// sketch bucket to hold two sources — and so is every round of it forced by a
+    /// threshold of one; a batch is pointwise its single solves, and executor
+    /// degree 4 pointwise degree 1. Where sketches compress, `qjoin-core`'s
+    /// `encoded/lossy_tests.rs` holds it within ε.
     #[test]
     fn lossy_encoded_and_row_solves_are_pointwise_identical(
         seed in 0u64..3000,
@@ -644,41 +549,31 @@ proptest! {
     ) {
         let instance = random_instance(seed, atoms);
         let ranking = full_sum_ranking(&instance);
-        let total = count_answers(&instance).unwrap();
-        if total == 0 {
+        let oracle = Oracle::new(&instance, &ranking);
+        if oracle.total() == 0 {
             return Ok(());
         }
         let epsilon = [0.25, 0.1, 0.05][eps_idx];
-        for phi in boundary_phis(total) {
-            let mut baseline: Option<(QuantileResult, QuantileResult)> = None;
-            for (threads, pool) in sweep_pools().iter().filter(|(t, _)| *t == 1 || *t == 4) {
-                let (encoded, row) = quantile_joins::par::with_pool(pool, || {
-                    let accuracy = Accuracy::Approximate { epsilon };
-                    let encoded = solve(&instance, &ranking, &[phi], accuracy)?.remove(0);
-                    let row = quantile_by_pivoting(
-                        &instance,
-                        &ranking,
-                        phi,
-                        &LossySumTrimmer::new(epsilon),
-                        &PivotingOptions::default(),
-                    )?;
-                    Ok::<_, quantile_joins::CoreError>((encoded, row))
-                })
-                .unwrap();
+        let accuracy = Accuracy::Approximate { epsilon };
+        let phis = boundary_phis(oracle.total());
+        let mut sequential: Option<Vec<QuantileResult>> = None;
+        for (threads, pool) in sweep_pools().iter().filter(|(t, _)| *t == 1 || *t == 4) {
+            let (singles, batch) = quantile_joins::par::with_pool(pool, || {
+                let single = |phi: &f64| solve(&instance, &ranking, &[*phi], accuracy).unwrap().remove(0);
+                let singles: Vec<QuantileResult> = phis.iter().map(single).collect();
+                (singles, solve(&instance, &ranking, &phis, accuracy).unwrap())
+            });
+            let first = sequential.get_or_insert_with(|| singles.clone());
+            for (i, phi) in phis.iter().enumerate() {
                 let context = format!("lossy ε={epsilon} φ={phi} T={threads}");
-                assert_pointwise_equal(&encoded, &row, &context);
-                prop_assert_eq!(
-                    weight_bits(&encoded.weight),
-                    weight_bits(&row.weight),
-                    "{}: weight bits differ",
-                    context
-                );
-                match &baseline {
-                    None => baseline = Some((encoded, row)),
-                    Some((seq_enc, _)) => {
-                        assert_pointwise_equal(&encoded, seq_enc, &format!("{context} vs T=1"));
-                    }
-                }
+                oracle.assert_exact(*phi, &singles[i], &context);
+                assert_pointwise_equal(&batch[i], &singles[i], &format!("{context}: batch"));
+                assert_pointwise_equal(&singles[i], &first[i], &format!("{context} vs T=1"));
+                let (recursed, rounds) =
+                    quantile_joins::par::with_pool(pool, || common::traced(&instance, &ranking, *phi, accuracy, Some(1)))
+                        .unwrap();
+                oracle.assert_exact(*phi, &recursed, &format!("{context}, threshold 1"));
+                oracle.assert_rounds(recursed.target_index, &rounds, &format!("{context}, threshold 1"));
             }
         }
     }
@@ -686,10 +581,10 @@ proptest! {
     /// The randomized sampler is seed-identical across two plans — one prepared per
     /// call, and one prepared once and reused, as the engine does — and across
     /// executor degrees 1 and 4: the same `Accuracy::Bounded { seed }` draws the
-    /// same Hoeffding sample, so every returned quantile matches exactly. (No row
-    /// half: both samplers are `answer_at(rng.random_range(0..total))`, and
-    /// `link_resolved_context_matches_the_row_context` holds the encoded
-    /// `answer_at` to the row one at every index.) When the sample budget reaches
+    /// same Hoeffding sample, so every returned quantile matches exactly. (The
+    /// sampler is `answer_at(rng.random_range(0..total))`, and
+    /// `link_resolved_context_matches_the_row_context` holds `answer_at` to a
+    /// bijection onto the brute force's answers.) When the sample budget reaches
     /// the answer count, the sampler refuses with [`CoreError::ApproxRefused`] and a
     /// witness naming the regime.
     #[test]

@@ -3,11 +3,9 @@
 
 mod common;
 
-use common::exact;
-use quantile_joins::core::quantile::{quantile_by_pivoting, rank_of_weight, PivotingOptions};
-use quantile_joins::core::trim::{AdjacentSumTrimmer, Trimmer};
+use common::{exact, traced, Oracle};
+use quantile_joins::core::quantile::rank_of_weight;
 use quantile_joins::prelude::*;
-use quantile_joins::ranking::RankPredicate;
 use quantile_joins::workload::figures::example_3_4_instance;
 
 #[test]
@@ -21,56 +19,41 @@ fn the_instance_has_1001_answers_and_the_median_index_is_500() {
     assert!(result.target_index >= below && result.target_index < below + equal);
 }
 
+/// The example partitions the 1001 answers around a pivot weight into less-than,
+/// equal-to and greater-than. Round 0 of the exact route (the adjacent pair's X+Y
+/// pivot) must split the brute force's sorted answers exactly there, the counts
+/// adding up to 1001, and leave at least a quarter of them on each side of its
+/// pivot, the pair pivot's guarantee (fails if a pair cut is searched with `≤` for
+/// `<`: the pivot's ties move into the less-than side).
 #[test]
 fn partitions_around_a_pivot_weight_cover_all_answers() {
-    // The example partitions the 1001 answers around a pivot weight into less-than,
-    // equal-to, and greater-than; the counts must add up exactly, whatever the pivot.
     let instance = example_3_4_instance();
     let ranking = Ranking::sum(instance.query().variables());
-    let pivot = quantile_joins::core::pivot::select_pivot(&instance, &ranking).unwrap();
-
-    let lt = AdjacentSumTrimmer
-        .trim(
-            &instance,
-            &ranking,
-            &RankPredicate::less_than(pivot.weight.clone()),
-        )
-        .unwrap();
-    let gt = AdjacentSumTrimmer
-        .trim(
-            &instance,
-            &ranking,
-            &RankPredicate::greater_than(pivot.weight.clone()),
-        )
-        .unwrap();
-    let n_lt = count_answers(&lt).unwrap();
-    let n_gt = count_answers(&gt).unwrap();
-    assert!(
-        n_lt + n_gt < 1001,
-        "the pivot's own weight class is non-empty"
-    );
-    let (below, equal) = rank_of_weight(&instance, &ranking, &pivot.weight).unwrap();
-    assert_eq!(n_lt, below);
-    assert_eq!(n_gt, 1001 - below - equal);
-    // The pivot guarantee: both sides hold at least c · |Q(D)| answers.
-    let c_bound = (pivot.c * 1001.0).floor() as u128;
-    assert!(n_lt + equal >= c_bound);
-    assert!(n_gt + equal >= c_bound);
+    let oracle = Oracle::new(&instance, &ranking);
+    let (result, rounds) = traced(&instance, &ranking, 0.5, Accuracy::Exact, Some(1)).unwrap();
+    oracle.assert_exact(0.5, &result, "median");
+    oracle.assert_rounds(result.target_index, &rounds, "median");
+    let round = rounds[0];
+    assert_eq!(round.n_lt + round.n_eq + round.n_gt, 1001);
+    assert!(round.n_eq >= 1, "the pivot's own weight class is non-empty");
+    let quarter = 1001 / 4;
+    assert!(round.n_lt + round.n_eq >= quarter, "{round:?}");
+    assert!(round.n_gt + round.n_eq >= quarter, "{round:?}");
 }
 
+/// Run the exact route with a materialization threshold of eight, so it must
+/// iterate, as in the example's narrative: it still lands on the brute force's
+/// median, every round on the way partitions exactly, and every round's tie band
+/// holds the pivot, an answer (fails if a pair cut is searched with `≤` for `<`).
 #[test]
 fn forcing_iteration_reproduces_the_example_walkthrough() {
-    // Run the driver with a tiny materialization threshold so it must iterate, as in
-    // the example's narrative, and check it still lands on a true median.
     let instance = example_3_4_instance();
     let ranking = Ranking::sum(instance.query().variables());
-    let options = PivotingOptions {
-        materialize_threshold: Some(8),
-        max_iterations: 128,
-    };
-    let result =
-        quantile_by_pivoting(&instance, &ranking, 0.5, &AdjacentSumTrimmer, &options).unwrap();
+    let (result, rounds) = traced(&instance, &ranking, 0.5, Accuracy::Exact, Some(8)).unwrap();
     assert!(result.iterations >= 1);
-    let (below, equal) = rank_of_weight(&instance, &ranking, &result.weight).unwrap();
-    assert!(result.target_index >= below && result.target_index < below + equal);
+    assert_eq!(result.iterations, rounds.len());
+    let oracle = Oracle::new(&instance, &ranking);
+    oracle.assert_exact(0.5, &result, "median");
+    oracle.assert_rounds(result.target_index, &rounds, "median");
+    assert!(rounds.iter().all(|r| r.n_eq >= 1), "{rounds:?}");
 }

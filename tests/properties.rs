@@ -3,15 +3,12 @@
 
 mod common;
 
-use common::{exact, Oracle};
+use common::{exact, traced, Oracle, Round};
 use proptest::prelude::*;
-use quantile_joins::core::pivot::select_pivot;
-use quantile_joins::core::quantile::rank_of_weight;
-use quantile_joins::core::trim::{AdjacentSumTrimmer, LexTrimmer, MinMaxTrimmer, Trimmer};
+use quantile_joins::core::pivot::pivot_quality;
 use quantile_joins::exec::yannakakis::materialize;
-use quantile_joins::exec::DirectAccess;
+use quantile_joins::exec::EncodedDirectAccess;
 use quantile_joins::prelude::*;
-use quantile_joins::ranking::RankPredicate;
 use quantile_joins::workload::random_acyclic::RandomAcyclicConfig;
 
 fn random_instance(seed: u64, atoms: usize) -> Instance {
@@ -23,6 +20,25 @@ fn random_instance(seed: u64, atoms: usize) -> Instance {
         seed,
     }
     .generate()
+}
+
+/// Solves φ exactly with a threshold of one, so the route pivots until a tie band
+/// or a one-answer leaf holds the target, and holds the answer and every round's
+/// partition to the brute force.
+fn assert_rounds_partition_exactly(instance: &Instance, ranking: &Ranking, phi: f64) -> Vec<Round> {
+    let oracle = Oracle::new(instance, ranking);
+    if oracle.total() == 0 {
+        return Vec::new();
+    }
+    let what = format!("{ranking} at φ={phi}");
+    let (result, rounds) = traced(instance, ranking, phi, Accuracy::Exact, Some(1)).unwrap();
+    oracle.assert_exact(phi, &result, &what);
+    oracle.assert_rounds(result.target_index, &rounds, &what);
+    assert!(
+        oracle.total() == 1 || !rounds.is_empty(),
+        "{what}: no round ran"
+    );
+    rounds
 }
 
 proptest! {
@@ -37,60 +53,69 @@ proptest! {
         prop_assert_eq!(counted, materialized);
     }
 
-    /// Direct access enumerates exactly the materialized answers, each exactly once.
+    /// The encoded direct access is a bijection from `0..|Q(D)|` onto the brute
+    /// force's answers (fails if `answer_at` locates a member past its prefix block:
+    /// one answer twice, another never).
     #[test]
     fn direct_access_is_a_bijection(seed in 0u64..5000, atoms in 1usize..4) {
         let instance = random_instance(seed, atoms);
-        let access = DirectAccess::new(&instance).unwrap();
-        let materialized = materialize(&instance).unwrap();
-        prop_assert_eq!(access.total(), materialized.len() as u128);
-        if access.total() > 0 && access.total() < 3000 {
-            let mut seen = std::collections::HashSet::new();
-            for i in 0..access.total() {
+        let encoded = EncodedInstance::from_instance(&instance).unwrap();
+        let access = EncodedDirectAccess::new(&encoded).unwrap();
+        let mut expected = common::join(&instance);
+        prop_assert_eq!(access.total(), expected.len() as u128);
+        let variables = instance.query().variables();
+        let mut accessed: Vec<Vec<Value>> = (0..access.total())
+            .map(|i| {
                 let answer = access.answer_at(i).unwrap();
-                let key = format!("{answer:?}");
-                prop_assert!(seen.insert(key));
-            }
-        }
+                variables.iter().map(|v| answer.get(v).unwrap().clone()).collect()
+            })
+            .collect();
+        accessed.sort();
+        expected.sort();
+        prop_assert_eq!(accessed, expected);
     }
 
-    /// The pivot returned by Algorithm 2 really is a c-pivot, for several rankings.
+    /// Algorithm 2's pivot, which the ε route takes at round 0, is a c-pivot of the
+    /// brute force's answers (c = `pivot_quality` of the join tree) for several SUM
+    /// rankings, and every round partitions exactly: at these sizes no sketch
+    /// compresses (fails if a group's weighted median takes the wrong element).
     #[test]
     fn pivots_respect_their_guarantee(seed in 0u64..5000, atoms in 1usize..4, kind in 0usize..4) {
         let instance = random_instance(seed, atoms);
-        if count_answers(&instance).unwrap() == 0 {
+        let oracle_total = count_answers(&instance).unwrap();
+        if oracle_total < 2 {
             return Ok(());
         }
         let all_vars = instance.query().variables();
         let ranking = match kind {
             0 => Ranking::sum(all_vars),
-            1 => Ranking::min(all_vars),
-            2 => Ranking::max(all_vars),
-            _ => Ranking::lex(all_vars),
+            1 => Ranking::sum(instance.query().atom(0).variables().to_vec()),
+            2 => Ranking::sum(all_vars.into_iter().take(2).collect()),
+            _ => Ranking::sum(all_vars.into_iter().rev().take(2).collect()),
         };
-        let pivot = select_pivot(&instance, &ranking).unwrap();
         let oracle = Oracle::new(&instance, &ranking);
-        let (below, equal) = oracle.rank_of(&pivot.weight);
+        let accuracy = Accuracy::Approximate { epsilon: 0.1 };
+        let (result, rounds) = traced(&instance, &ranking, 0.5, accuracy, Some(1)).unwrap();
+        let what = format!("{ranking}");
+        oracle.assert_exact(0.5, &result, &what);
+        oracle.assert_rounds(result.target_index, &rounds, &what);
+        let c = pivot_quality(common::prepare(&instance, &ranking).unwrap().join_tree());
+        let round = rounds[0];
         let total = oracle.total() as f64;
-        let (le, ge) = ((below + equal) as f64 / total, (oracle.total() - below) as f64 / total);
-        prop_assert!(le >= pivot.c - 1e-12, "{le} < {}", pivot.c);
-        prop_assert!(ge >= pivot.c - 1e-12, "{ge} < {}", pivot.c);
+        let (le, ge) = ((round.n_lt + round.n_eq) as f64 / total, (round.n_gt + round.n_eq) as f64 / total);
+        prop_assert!(le >= c - 1e-12, "{le} < {c}");
+        prop_assert!(ge >= c - 1e-12, "{ge} < {c}");
     }
 
-    /// MIN/MAX trimming partitions the answers exactly around any bound.
+    /// The MIN/MAX search partitions exactly at every round: each round's counts
+    /// split the brute force's sorted answers on weight-class boundaries (fails if
+    /// a window bound is off by one candidate).
     #[test]
-    fn minmax_trimming_partitions_exactly(seed in 0u64..5000, atoms in 1usize..4, bound in -1.0f64..10.0, use_max in any::<bool>()) {
+    fn minmax_trimming_partitions_exactly(seed in 0u64..5000, atoms in 1usize..4, phi in 0.0f64..1.0, use_max in any::<bool>()) {
         let instance = random_instance(seed, atoms);
-        let total = count_answers(&instance).unwrap();
         let vars = instance.query().variables();
         let ranking = if use_max { Ranking::max(vars) } else { Ranking::min(vars) };
-        let lt = MinMaxTrimmer.trim(&instance, &ranking, &RankPredicate::less_than(Weight::num(bound))).unwrap();
-        let gt = MinMaxTrimmer.trim(&instance, &ranking, &RankPredicate::greater_than(Weight::num(bound))).unwrap();
-        let n_lt = count_answers(&lt).unwrap();
-        let n_gt = count_answers(&gt).unwrap();
-        let (below, equal) = rank_of_weight(&instance, &ranking, &Weight::num(bound)).unwrap();
-        prop_assert_eq!(n_lt, below);
-        prop_assert_eq!(n_gt, total - below - equal);
+        assert_rounds_partition_exactly(&instance, &ranking, phi);
     }
 
     /// Exact quantiles agree with the brute-force baseline whenever the ranking is on
@@ -120,44 +145,37 @@ proptest! {
         prop_assert!(result.target_index >= below && result.target_index < below + equal);
     }
 
-    /// LEX trimming is exact on random instances and random bounds.
+    /// The LEX search partitions exactly at every round, component by component
+    /// (fails if a tie on one component is decided on the wrong variable).
     #[test]
-    fn lex_trimming_partitions_exactly(seed in 0u64..5000, b1 in 0.0f64..5.0, b2 in 0.0f64..5.0) {
+    fn lex_trimming_partitions_exactly(seed in 0u64..5000, phi in 0.0f64..1.0, reversed in any::<bool>()) {
         let instance = random_instance(seed, 3);
-        let total = count_answers(&instance).unwrap();
-        let all_vars = instance.query().variables();
-        let lex_vars: Vec<Variable> = all_vars.into_iter().take(2).collect();
+        let mut lex_vars: Vec<Variable> = instance.query().variables().into_iter().take(2).collect();
         if lex_vars.len() < 2 {
             return Ok(());
         }
-        let ranking = Ranking::lex(lex_vars);
-        let bound = Weight::Vec(vec![b1.floor(), b2.floor()]);
-        let lt = LexTrimmer.trim(&instance, &ranking, &RankPredicate::less_than(bound.clone())).unwrap();
-        let gt = LexTrimmer.trim(&instance, &ranking, &RankPredicate::greater_than(bound.clone())).unwrap();
-        let n_lt = count_answers(&lt).unwrap();
-        let n_gt = count_answers(&gt).unwrap();
-        let (below, equal) = rank_of_weight(&instance, &ranking, &bound).unwrap();
-        prop_assert_eq!(n_lt, below);
-        prop_assert_eq!(n_gt, total - below - equal);
+        if reversed {
+            lex_vars.reverse();
+        }
+        assert_rounds_partition_exactly(&instance, &Ranking::lex(lex_vars), phi);
     }
 
-    /// The adjacent-pair SUM trimming is exact whenever the dichotomy admits a cover.
+    /// The SUM routes partition exactly at every round whenever the dichotomy admits
+    /// a cover: one atom's search, or an adjacent pair's counted windows, whose pivot
+    /// is an answer, so its tie band is never empty (fails if a pair cut is searched
+    /// with `≤` for `<`: the pivot's ties move into the less-than side).
     #[test]
-    fn adjacent_sum_trimming_is_exact_when_applicable(seed in 0u64..5000, bound in 0.0f64..15.0) {
+    fn adjacent_sum_trimming_is_exact_when_applicable(seed in 0u64..5000, phi in 0.0f64..1.0) {
         let instance = random_instance(seed, 3);
-        let total = count_answers(&instance).unwrap();
-        let all_vars = instance.query().variables();
-        let candidate: Vec<Variable> = all_vars.into_iter().take(3).collect();
+        let candidate: Vec<Variable> = instance.query().variables().into_iter().take(3).collect();
         let ranking = Ranking::sum(candidate);
         if !classify_partial_sum(instance.query(), ranking.weighted_vars()).is_tractable() {
             return Ok(());
         }
-        let lt = AdjacentSumTrimmer.trim(&instance, &ranking, &RankPredicate::less_than(Weight::num(bound))).unwrap();
-        let gt = AdjacentSumTrimmer.trim(&instance, &ranking, &RankPredicate::greater_than(Weight::num(bound))).unwrap();
-        let n_lt = count_answers(&lt).unwrap();
-        let n_gt = count_answers(&gt).unwrap();
-        let (below, equal) = rank_of_weight(&instance, &ranking, &Weight::num(bound)).unwrap();
-        prop_assert_eq!(n_lt, below);
-        prop_assert_eq!(n_gt, total - below - equal);
+        let rounds = assert_rounds_partition_exactly(&instance, &ranking, phi);
+        let plan = common::prepare(&instance, &ranking).unwrap();
+        if matches!(plan.strategy(), PlanStrategy::SumAdjacentPair { .. }) {
+            prop_assert!(rounds.iter().all(|r| r.n_eq >= 1), "{ranking}: {rounds:?}");
+        }
     }
 }

@@ -1,24 +1,29 @@
 //! Sharing invariants of the copy-on-write data layer.
 //!
-//! The trim layer and the self-join/binarization rewrites are required to *share*
-//! relation storage they do not modify, and the engine's prepared plans to share the
-//! catalog generation's encoded columns — observable as pointer equality on the
-//! underlying `Arc`s — and the sharing must never change what the solver computes. These tests pin both halves: pointer identity for
-//! untouched relations, and solver results identical to the materialization baseline
-//! across every ranking kind.
+//! The exact routes never trim: every round of a MIN/MAX/LEX or single-atom SUM
+//! search is a weight window counted over the plan instance's one context, so no
+//! round copies a relation or takes a view of one. The self-join rewrite and the
+//! engine's prepared plans must *share* relation storage they do not modify —
+//! observable as pointer equality on the underlying `Arc`s — and the sharing must
+//! never change what the solver computes. These tests pin both halves: storage
+//! identity, and solver results identical to the brute force across every
+//! ranking kind.
 
 mod common;
 
-use common::exact;
+use common::{exact, Oracle, Rounds};
 use proptest::prelude::*;
-use quantile_joins::core::trim::{MinMaxTrimmer, SingleAtomSumTrimmer, Trimmer};
+use quantile_joins::core::encoded::exact_quantile_batch_encoded_traced;
+use quantile_joins::core::{PhaseContext, SolvePhase, SolveTracer};
+use quantile_joins::data::EncodedRelation;
+use quantile_joins::exec::encoded::shared_context;
 use quantile_joins::prelude::*;
 use quantile_joins::query::self_join::eliminate_self_joins;
-use quantile_joins::ranking::RankPredicate;
 use quantile_joins::workload::figures::figure1_instance;
 use quantile_joins::workload::random_acyclic::RandomAcyclicConfig;
 use quantile_joins::workload::social::SocialConfig;
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
+use std::time::Duration;
 
 fn random_instance(seed: u64, atoms: usize) -> Instance {
     RandomAcyclicConfig {
@@ -40,60 +45,96 @@ fn social_instance(rows: usize, seed: u64) -> Instance {
     .generate()
 }
 
-/// Trimming a predicate that touches only one relation must share — not copy —
-/// every other relation of the database.
+/// Records, at every trim round, how many handles hold each relation's encoded
+/// columns, and passes the round on to a [`Rounds`].
+struct Holders<'a> {
+    instance: &'a EncodedInstance,
+    seen: Mutex<Vec<Vec<usize>>>,
+    rounds: Rounds,
+}
+
+impl Holders<'_> {
+    fn now(&self) -> Vec<usize> {
+        let holders = |(_, view): (&str, &EncodedRelation)| Arc::strong_count(view.base());
+        self.instance.relations().map(holders).collect()
+    }
+}
+
+impl SolveTracer for Holders<'_> {
+    fn phase_event(&self, phase: SolvePhase, elapsed: Duration, ctx: &PhaseContext) {
+        if phase == SolvePhase::TrimRound {
+            self.seen.lock().unwrap().push(self.now());
+        }
+        self.rounds.phase_event(phase, elapsed, ctx);
+    }
+}
+
+/// Solves φ on the exact route with a threshold of one and checks what its rounds
+/// share: the plan instance's context is the one its memo held before the solve,
+/// and at every round each relation's columns have the holders they had at round
+/// 0, at most the solve's own handle on the instance more than before it: no
+/// round copied a relation or kept a view of one. The answer and every round's
+/// partition are held to the brute force. Returns the number of rounds.
+fn assert_rounds_share_everything(instance: &Instance, ranking: &Ranking, phi: f64) -> usize {
+    let encoded = EncodedInstance::from_instance(instance).unwrap();
+    let context = shared_context(&encoded).unwrap();
+    let holders = Holders {
+        instance: &encoded,
+        seen: Mutex::default(),
+        rounds: Rounds::default(),
+    };
+    let before = holders.now();
+    let options = PivotingOptions {
+        materialize_threshold: Some(1),
+        ..PivotingOptions::default()
+    };
+    let mut results =
+        exact_quantile_batch_encoded_traced(&encoded, ranking, &[phi], &options, &holders).unwrap();
+    let result = results.remove(0);
+    let what = format!("{ranking} at φ={phi}");
+    let seen = holders.seen.lock().unwrap();
+    let solve_handle: Vec<usize> = before.iter().map(|held| held + 1).collect();
+    for (round, holders) in seen.iter().enumerate() {
+        assert_eq!(
+            holders, &seen[0],
+            "{what}: round {round} holds a relation copy"
+        );
+        assert!(
+            holders == &before || holders == &solve_handle,
+            "{what}: {holders:?}"
+        );
+    }
+    drop(seen);
+    let after = shared_context(&encoded).unwrap();
+    assert!(Arc::ptr_eq(&context, &after), "{what}: a second context");
+    let rounds = holders.rounds.take();
+    let oracle = Oracle::new(instance, ranking);
+    oracle.assert_exact(phi, &result, &what);
+    oracle.assert_rounds(result.target_index, &rounds, &what);
+    rounds.len()
+}
+
+/// A MAX over `l2`, which only Share binds, searches windows of the plan instance:
+/// every round shares every relation, Admin and Attend included, and the rounds
+/// partition exactly.
 #[test]
 fn trim_shares_relations_the_predicate_never_touches() {
     let instance = social_instance(120, 11);
-    // `l2` occurs only in Share; Admin and Attend are untouched by the predicate.
     let ranking = Ranking::max(vars(&["l2"]));
-    let trimmed = MinMaxTrimmer
-        .trim(
-            &instance,
-            &ranking,
-            &RankPredicate::less_than(Weight::num(400.0)),
-        )
-        .unwrap();
-    for name in ["Admin", "Attend"] {
-        assert!(
-            trimmed
-                .database()
-                .relation(name)
-                .unwrap()
-                .shares_tuples_with(instance.database().relation(name).unwrap()),
-            "{name} must be shared by pointer, not copied"
-        );
+    for phi in [0.1, 0.5, 0.9] {
+        assert!(assert_rounds_share_everything(&instance, &ranking, phi) >= 2);
     }
-    // Share really was filtered (so the trim did real work).
-    assert!(
-        trimmed.database().relation("Share").unwrap().len()
-            < instance.database().relation("Share").unwrap().len()
-    );
 }
 
-/// The single-atom SUM trimmer shares everything except the covering atom's relation.
+/// A SUM one atom covers is the same search over that atom's row sums: every round
+/// shares every relation, the covering Share included.
 #[test]
 fn sum_single_atom_trim_shares_the_other_relations() {
     let instance = social_instance(120, 13);
     let ranking = Ranking::sum(vars(&["l2"]));
-    let trimmed = SingleAtomSumTrimmer
-        .trim(
-            &instance,
-            &ranking,
-            &RankPredicate::less_than(Weight::num(400.0)),
-        )
-        .unwrap();
-    for name in ["Admin", "Attend"] {
-        assert!(trimmed
-            .database()
-            .relation(name)
-            .unwrap()
-            .shares_tuples_with(instance.database().relation(name).unwrap()));
+    for phi in [0.1, 0.5, 0.9] {
+        assert!(assert_rounds_share_everything(&instance, &ranking, phi) >= 2);
     }
-    assert!(
-        trimmed.database().relation("Share").unwrap().len()
-            < instance.database().relation("Share").unwrap().len()
-    );
 }
 
 /// Self-join elimination materializes fresh relation *names*, never fresh tuples:
@@ -197,28 +238,17 @@ fn figure1_results_match_baseline_for_every_ranking() {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(32))]
 
-    /// MIN/MAX trimming on a single-variable ranking shares, by pointer, the relation
-    /// of every atom that does not contain the ranked variable.
+    /// A MAX on one variable of a random instance: every round of its search shares
+    /// every relation, whether its atom binds the variable or not.
     #[test]
     fn trims_share_every_unconstrained_relation(seed in 0u64..5000, atoms in 2usize..5) {
         let instance = random_instance(seed, atoms);
-        let var = instance.query().variables()[0].clone();
-        let ranking = Ranking::max(vec![var.clone()]);
-        let trimmed = MinMaxTrimmer
-            .trim(&instance, &ranking, &RankPredicate::less_than(Weight::num(2.5)))
-            .unwrap();
-        for atom in instance.query().atoms() {
-            if !atom.contains(&var) {
-                let before = instance.database().relation(atom.relation()).unwrap();
-                let after = trimmed.database().relation(atom.relation()).unwrap();
-                prop_assert!(
-                    after.shares_tuples_with(before),
-                    "{} does not mention {:?} but was copied",
-                    atom.relation(),
-                    var
-                );
-            }
+        if count_answers(&instance).unwrap() == 0 {
+            return Ok(());
         }
+        let var = instance.query().variables()[0].clone();
+        let ranking = Ranking::max(vec![var]);
+        assert_rounds_share_everything(&instance, &ranking, 0.5);
     }
 
     /// Solver results stay identical to the materialization baseline across ranking
