@@ -47,11 +47,6 @@ impl Database {
         Ok(())
     }
 
-    /// Adds a relation, replacing any existing relation with the same name.
-    pub fn insert_relation(&mut self, relation: Relation) {
-        self.relations.insert(relation.name().to_string(), relation);
-    }
-
     /// Removes (and returns) the relation with the given name, if present.
     pub fn remove_relation(&mut self, name: &str) -> Option<Relation> {
         self.relations.remove(name)
@@ -158,14 +153,6 @@ mod tests {
         let mut db = sample_db();
         let err = db.add_relation(Relation::new("R", 2)).unwrap_err();
         assert!(matches!(err, DataError::DuplicateRelation(name) if name == "R"));
-    }
-
-    #[test]
-    fn insert_relation_replaces_existing() {
-        let mut db = sample_db();
-        db.insert_relation(Relation::from_rows("R", &[&[9, 9]]).unwrap());
-        assert_eq!(db.relation("R").unwrap().len(), 1);
-        assert_eq!(db.num_relations(), 2);
     }
 
     #[test]

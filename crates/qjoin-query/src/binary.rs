@@ -6,108 +6,18 @@
 //! copies of a node that has multiple children, connecting these copies in a chain, and
 //! distributing the original children among them".
 //!
-//! [`binarize`] realizes that as a query rewriting: a node with `k > 2` children is
+//! [`binarize_encoded`] realizes that as a query rewriting: a node with `k > 2` children is
 //! replaced by a chain of `k - 1` atoms over copies of its relation that share all of
 //! the original atom's variables (so joining them is the identity), and the children
 //! are distributed along the chain. Answers are preserved one-to-one (same variables),
 //! acyclicity is preserved, and the resulting tree is binary with height at most `2ℓ`.
+//! The relation copies are renamed selection-vector views sharing the original's
+//! code columns, so no code is copied.
 
 use crate::encoded::EncodedInstance;
-use crate::{acyclicity, Instance, JoinQuery, JoinTree, QueryError, Result};
-use qjoin_data::{Database, EncodedRelation};
+use crate::{acyclicity, JoinQuery, JoinTree, QueryError, Result};
+use qjoin_data::EncodedRelation;
 use std::collections::BTreeMap;
-
-/// Result of [`binarize`]: the rewritten instance and a binary join tree for it.
-#[derive(Clone, Debug)]
-pub struct Binarized {
-    /// The rewritten instance (possibly identical to the input).
-    pub instance: Instance,
-    /// A binary join tree of `instance.query()`.
-    pub tree: JoinTree,
-}
-
-/// Rewrites an acyclic instance so that it admits a binary join tree, and returns both
-/// the rewritten instance and such a tree.
-///
-/// If the GYO join tree of the input is already binary, the instance is returned
-/// unchanged together with that tree.
-pub fn binarize(instance: &Instance) -> Result<Binarized> {
-    let query = instance.query();
-    let tree = acyclicity::gyo_join_tree(query)
-        .ok_or_else(|| QueryError::CyclicQuery(query.to_string()))?;
-    if tree.is_binary() {
-        return Ok(Binarized {
-            instance: instance.clone(),
-            tree,
-        });
-    }
-
-    let mut atoms = query.atoms().to_vec();
-    let mut db: Database = instance.database().clone();
-    // Edges of the new tree, over indices into `atoms`.
-    let mut edges: Vec<(usize, usize)> = Vec::new();
-
-    // Recursively lay out the tree; returns the new-atom index representing `node`.
-    fn lay_out(
-        tree: &JoinTree,
-        node: usize,
-        atoms: &mut Vec<crate::Atom>,
-        db: &mut Database,
-        edges: &mut Vec<(usize, usize)>,
-    ) -> usize {
-        let atom_index = tree.node(node).atom_index;
-        let children = tree.node(node).children.clone();
-        let child_heads: Vec<usize> = children
-            .iter()
-            .map(|&c| lay_out(tree, c, atoms, db, edges))
-            .collect();
-        let self_index = atom_index;
-        if child_heads.len() <= 2 {
-            for h in child_heads {
-                edges.push((self_index, h));
-            }
-            return self_index;
-        }
-        // Chain: the original atom keeps the first child; each extra child hangs off a
-        // fresh copy of the atom, and the copies are chained together.
-        edges.push((self_index, child_heads[0]));
-        let mut chain_tail = self_index;
-        for (i, &head) in child_heads[1..].iter().enumerate() {
-            let is_last = i == child_heads.len() - 2;
-            if is_last {
-                // The final child can share the last chain node.
-                edges.push((chain_tail, head));
-            } else {
-                let original_atom = atoms[atom_index].clone();
-                let fresh_rel = db.fresh_name(&format!("{}~bin", original_atom.relation()));
-                let copy_rel = db
-                    .relation(original_atom.relation())
-                    .expect("validated")
-                    .renamed(fresh_rel.clone());
-                db.insert_relation(copy_rel);
-                let copy_atom = original_atom.renamed(fresh_rel);
-                atoms.push(copy_atom);
-                let copy_index = atoms.len() - 1;
-                edges.push((chain_tail, copy_index));
-                edges.push((copy_index, head));
-                chain_tail = copy_index;
-            }
-        }
-        self_index
-    }
-
-    let root_index = lay_out(&tree, tree.root(), &mut atoms, &mut db, &mut edges);
-    let new_query = JoinQuery::new(atoms);
-    let num_nodes = new_query.num_atoms();
-    let new_tree = JoinTree::from_edges(num_nodes, &edges, root_index);
-    debug_assert!(new_tree.satisfies_running_intersection(&new_query));
-    debug_assert!(new_tree.is_binary());
-    let new_instance = Instance::new(new_query, db)?;
-    Ok(Binarized {
-        instance: new_instance,
-        tree: new_tree,
-    })
-}
 
 /// Result of [`binarize_encoded`]: the rewritten encoded instance and a binary join
 /// tree for it.
@@ -119,16 +29,11 @@ pub struct BinarizedEncoded {
     pub tree: JoinTree,
 }
 
-/// The encoded twin of [`binarize`]: identical query rewriting, but the relation
-/// copies are renamed selection-vector views sharing the original's code columns
-/// instead of materialized row copies.
-///
-/// The rewriting is *name-identical* to the row path's whenever the input's
-/// relation name-set matches the row instance's database (which
-/// [`EncodedInstance::from_instance`] and the engine's shared-encoding constructor
-/// guarantee): `fresh_relation_name` mirrors `Database::fresh_name`, so the chain
-/// copies receive the same `R~bin` / `R~bin#k` names in the same order, and the
-/// resulting query and join tree are equal to the row path's.
+/// Rewrites an acyclic encoded instance so that it admits a binary join tree, and
+/// returns both the rewritten instance and such a tree (see the module docs): the
+/// chain copies are views named `R~bin`, `R~bin#k`, … in layout order. If the GYO
+/// join tree of the input is already binary, the instance is returned unchanged
+/// together with that tree.
 pub fn binarize_encoded(instance: &EncodedInstance) -> Result<BinarizedEncoded> {
     let query = instance.query();
     let tree = acyclicity::gyo_join_tree(query)
@@ -147,7 +52,7 @@ pub fn binarize_encoded(instance: &EncodedInstance) -> Result<BinarizedEncoded> 
         .collect();
     let mut edges: Vec<(usize, usize)> = Vec::new();
 
-    // Mirrors `binarize`'s `lay_out` exactly; only the copy mechanism differs.
+    // Lays out the subtree at `node`; returns the atom index representing it.
     fn lay_out(
         tree: &JoinTree,
         node: usize,
@@ -168,6 +73,8 @@ pub fn binarize_encoded(instance: &EncodedInstance) -> Result<BinarizedEncoded> 
             }
             return self_index;
         }
+        // Chain: the original atom keeps the first child; each extra child hangs off
+        // a fresh copy of the atom, and the final child shares the last chain node.
         edges.push((self_index, child_heads[0]));
         let mut chain_tail = self_index;
         for (i, &head) in child_heads[1..].iter().enumerate() {
@@ -217,8 +124,12 @@ pub fn binarize_encoded(instance: &EncodedInstance) -> Result<BinarizedEncoded> 
 mod tests {
     use super::*;
     use crate::query::{path_query, star_query};
-    use crate::Atom;
+    use crate::{Atom, Instance};
     use qjoin_data::{Database, Relation, Value};
+
+    fn binarize(instance: &Instance) -> Result<BinarizedEncoded> {
+        binarize_encoded(&EncodedInstance::from_instance(instance)?)
+    }
 
     fn star_instance(k: usize, rows_per_rel: i64) -> Instance {
         let mut db = Database::new();
@@ -298,14 +209,12 @@ mod tests {
         assert!(!copies.is_empty());
         for atom in copies {
             let original = atom.relation().split('~').next().unwrap();
-            assert_eq!(
-                b.instance
-                    .database()
-                    .relation(atom.relation())
-                    .unwrap()
-                    .tuples(),
-                b.instance.database().relation(original).unwrap().tuples()
+            let (copy, original) = (
+                b.instance.relation(atom.relation()).unwrap(),
+                b.instance.relation(original).unwrap(),
             );
+            assert!(std::sync::Arc::ptr_eq(copy.base(), original.base()));
+            assert_eq!(copy.len(), original.len());
             // Copies share all of the original atom's variables.
             assert_eq!(
                 atom.variable_set(),

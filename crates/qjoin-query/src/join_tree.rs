@@ -147,7 +147,7 @@ impl JoinTree {
     }
 
     /// True if every node has at most two children (required by the lossy trimming of
-    /// Section 6; see [`crate::binary::binarize`]).
+    /// Section 6; see [`crate::binary::binarize_encoded`]).
     pub fn is_binary(&self) -> bool {
         self.nodes.iter().all(|n| n.children.len() <= 2)
     }

@@ -19,8 +19,8 @@
 //! * [`Instance`] bundles a query with a database and validates that they agree.
 //! * [`self_join::eliminate_self_joins`] materializes fresh relations for repeated
 //!   symbols (Section 2.2, "Tuple weights").
-//! * [`binary::binarize`] rewrites an instance so that some join tree is binary, as
-//!   required by the lossy trimming of Section 6.
+//! * [`binary::binarize_encoded`] rewrites an encoded instance so that some join
+//!   tree is binary, as required by the lossy trimming of Section 6.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

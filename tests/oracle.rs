@@ -31,7 +31,7 @@ use quantile_joins::core::pivot::pivot_quality;
 use quantile_joins::core::{PhaseContext, SolvePhase, SolveTracer};
 use quantile_joins::par::{with_pool, Pool};
 use quantile_joins::prelude::*;
-use quantile_joins::query::{acyclicity::gyo_join_tree, binary::binarize};
+use quantile_joins::query::{acyclicity::gyo_join_tree, binary::binarize_encoded};
 use quantile_joins::workload::random_acyclic::{
     random_acyclic_instance, shaped_instance, tie_heavy_ranking, RandomAcyclicConfig,
 };
@@ -155,7 +155,8 @@ impl BoundChecker {
             },
             (AggregateKind::Sum, _) => {
                 let tree = gyo_join_tree(query).expect("an acyclic query");
-                let binarized = binarize(instance).expect("an acyclic query binarizes");
+                let encoded = EncodedInstance::from_instance(instance).expect("encodes");
+                let binarized = binarize_encoded(&encoded).expect("an acyclic query binarizes");
                 Route::Pivot {
                     c: pivot_quality(&tree).min(pivot_quality(&binarized.tree)),
                     view_rows: u64::MAX,
