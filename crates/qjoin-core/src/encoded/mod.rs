@@ -122,16 +122,17 @@ impl Ord for CodeKey {
 /// walk their leaves with it.
 pub(crate) struct EncodedBackend<'a> {
     ranking: &'a Ranking,
-    weights: CodeWeights,
+    weights: Arc<CodeWeights>,
     dictionary: Arc<qjoin_data::Dictionary>,
 }
 
 impl<'a> EncodedBackend<'a> {
-    /// Builds the backend for one solve: precomputes the per-code weight tables.
+    /// Builds the backend for one solve, over the instance's per-code weight tables
+    /// ([`CodeWeights::shared`]).
     pub(crate) fn new(instance: &EncodedInstance, ranking: &'a Ranking) -> EncodedBackend<'a> {
         EncodedBackend {
             ranking,
-            weights: CodeWeights::build(instance.dictionary(), ranking),
+            weights: CodeWeights::shared(instance, ranking),
             dictionary: Arc::clone(instance.dictionary()),
         }
     }

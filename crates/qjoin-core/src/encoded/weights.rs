@@ -5,20 +5,37 @@
 //! round; the hot loops then index a flat `Vec<f64>`. The tables produce the
 //! bit-identical `f64`s `var_weight` does (the same weight function applied to the
 //! same decoded value), which is what keeps every route's weights the ranking's.
+//! A plan builds its tables once per generation ([`CodeWeights::shared`]).
 
 use qjoin_data::{Dictionary, EncodedRelation};
 use qjoin_query::{EncodedInstance, JoinQuery, Variable};
 use qjoin_ranking::{AggregateKind, Ranking, SumTupleWeights, Weight};
 use std::cmp::Ordering::{self, Greater, Less};
 use std::collections::HashMap;
+use std::sync::Arc;
 
 /// Precomputed `code → weight` tables for every weighted variable of a ranking.
 #[derive(Clone, Debug)]
 pub(crate) struct CodeWeights {
+    ranking: Ranking,
     tables: HashMap<Variable, Vec<f64>>,
 }
 
 impl CodeWeights {
+    /// The tables of `ranking` over the instance's dictionary: its exec memo's, if
+    /// they are for `ranking`, or else new ones, which replace them there. Built
+    /// outside the memo's lock (the build runs pool regions; see
+    /// `super::memoised`); racing threads build identical tables.
+    pub(crate) fn shared(instance: &EncodedInstance, ranking: &Ranking) -> Arc<CodeWeights> {
+        let memo = instance.exec_memo();
+        if let Some(weights) = memo.get::<Self>().filter(|w| w.ranking == *ranking) {
+            return weights;
+        }
+        let weights = Arc::new(Self::build(instance.dictionary(), ranking));
+        memo.set(Arc::clone(&weights));
+        weights
+    }
+
     /// Applies each weighted variable's weight function to every dictionary value.
     /// The per-code fold is chunked over the executor pool; each code's weight is
     /// computed independently and the chunks concatenate in canonical order, so
@@ -42,7 +59,10 @@ impl CodeWeights {
             }
             tables.insert(var.clone(), table);
         }
-        CodeWeights { tables }
+        CodeWeights {
+            ranking: ranking.clone(),
+            tables,
+        }
     }
 
     /// One variable's whole per-code table: `table[code]` is `w_var(decode(code))`,

@@ -137,7 +137,8 @@ impl Plan {
     }
 
     /// The φ-quantiles of every fraction in `phis`, in input order, at the requested
-    /// accuracy, reporting the recursion's phases to `tracer` (the sampler has none).
+    /// accuracy, reporting the solve's phases to `tracer` (the sampler's is one
+    /// [`SolvePhase::Materialize`](crate::trace::SolvePhase::Materialize) event).
     ///
     /// Refusals, before any work: an exact request on an intractable SUM
     /// ([`CoreError::IntractableSum`]), an ε request on a non-SUM ranking
@@ -194,7 +195,7 @@ impl Plan {
                     delta,
                     seed,
                 };
-                sampled_quantiles(instance, ranking, phis, &options)
+                sampled_quantiles(instance, ranking, phis, &options, tracer)
             }
         }
     }

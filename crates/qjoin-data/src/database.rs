@@ -96,23 +96,6 @@ impl Database {
     pub fn has_empty_relation(&self) -> bool {
         self.relations.values().any(|r| r.is_empty())
     }
-
-    /// Picks a relation name that does not collide with any existing relation, by
-    /// appending a numeric suffix to `base`. Used when materializing fresh relations
-    /// for self-join elimination and for join-tree node copies.
-    pub fn fresh_name(&self, base: &str) -> String {
-        if !self.contains(base) {
-            return base.to_string();
-        }
-        let mut i = 1usize;
-        loop {
-            let candidate = format!("{base}#{i}");
-            if !self.contains(&candidate) {
-                return candidate;
-            }
-            i += 1;
-        }
-    }
 }
 
 impl fmt::Debug for Database {
@@ -162,15 +145,6 @@ mod tests {
             db.relation("T").unwrap_err(),
             DataError::UnknownRelation(name) if name == "T"
         ));
-    }
-
-    #[test]
-    fn fresh_name_avoids_collisions() {
-        let mut db = sample_db();
-        assert_eq!(db.fresh_name("T"), "T");
-        assert_eq!(db.fresh_name("R"), "R#1");
-        db.add_relation(Relation::new("R#1", 1)).unwrap();
-        assert_eq!(db.fresh_name("R"), "R#2");
     }
 
     #[test]

@@ -12,7 +12,7 @@ use std::sync::Arc;
 ///
 /// Tuple storage lives behind an [`Arc`], so cloning a relation — and by extension
 /// cloning a [`Database`](crate::Database) — is a pointer bump, not a data copy.
-/// [`Relation::renamed`] shares storage with the original. Mutating methods
+/// Mutating methods
 /// ([`Relation::push`], [`Relation::dedup`]) copy the storage first if (and only
 /// if) it is currently shared. Sharing is observable through
 /// [`Relation::shares_tuples_with`].
@@ -119,17 +119,6 @@ impl Relation {
         Ok(())
     }
 
-    /// Returns a renamed view of this relation (used when eliminating self-joins by
-    /// materializing a fresh relation per repeated symbol, Section 2.2). The returned
-    /// relation shares this relation's tuple storage — renaming is O(1).
-    pub fn renamed(&self, new_name: impl Into<String>) -> Relation {
-        Relation {
-            name: new_name.into().into(),
-            arity: self.arity,
-            tuples: Arc::clone(&self.tuples),
-        }
-    }
-
     /// Removes duplicate tuples in place, preserving first occurrence order.
     ///
     /// Deduplication hashes tuples *by reference*: when the relation is already
@@ -220,15 +209,6 @@ mod tests {
     fn from_rows_rejects_ragged_rows() {
         let err = Relation::from_rows("S", &[&[1, 3], &[1]]).unwrap_err();
         assert!(matches!(err, DataError::ArityMismatch { .. }));
-    }
-
-    #[test]
-    fn renamed_shares_tuples_under_new_symbol() {
-        let r = Relation::from_rows("R", &[&[1, 2]]).unwrap();
-        let r2 = r.renamed("R_copy1");
-        assert_eq!(r2.name(), "R_copy1");
-        assert_eq!(r2.tuples(), r.tuples());
-        assert!(r2.shares_tuples_with(&r), "renaming must not copy tuples");
     }
 
     #[test]

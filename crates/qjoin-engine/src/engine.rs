@@ -1238,6 +1238,29 @@ mod tests {
         assert!(engine.stats().cache.invalidations > 0);
     }
 
+    /// A sampled request draws from its plan generation's direct-access index, so
+    /// after a replacement it answers as a fresh engine over the new data does
+    /// (fails if the index outlives its generation).
+    #[test]
+    fn a_sampled_reply_after_a_replacement_matches_a_fresh_engine() {
+        let accuracy = Accuracy::Bounded {
+            epsilon: 0.1,
+            delta: 0.05,
+            seed: 11,
+        };
+        let (engine, _) = social_engine(80, 3);
+        let (fresh, config) = social_engine(80, 4);
+        engine.quantile_with("likes", 0.5, accuracy).unwrap();
+        let (_, new_db) = config.generate().into_parts();
+        engine.replace_database("social", new_db).unwrap();
+        for phi in [0.25, 0.5] {
+            let [replaced, expected] = [&engine, &fresh]
+                .map(|engine| engine.quantile_with("likes", phi, accuracy).unwrap().result);
+            let key = |r: &QuantileResult| (r.answer.clone(), r.weight.clone(), r.total_answers);
+            assert_eq!(key(&replaced), key(&expected), "φ={phi}");
+        }
+    }
+
     #[test]
     fn replace_database_is_atomic_on_recompile_failure() {
         let (engine, _) = social_engine(60, 3);

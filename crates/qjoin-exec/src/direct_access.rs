@@ -6,13 +6,16 @@
 //! logarithmic access time. [`EncodedDirectAccess`] is such a structure over the
 //! encoded context, built from per-row subtree counts and prefix sums over join
 //! groups: the answers are indexed in a fixed (but otherwise arbitrary) order, and
-//! `answer_at(i)` reconstructs the i-th answer by a top-down walk that peels off
-//! mixed-radix digits.
+//! [`codes_at(i)`](EncodedDirectAccess::codes_at) writes the i-th answer's codes into
+//! a caller's row by a top-down walk that peels off mixed-radix digits, allocating
+//! nothing. An instance keeps one index ([`EncodedDirectAccess::shared`]), so a plan
+//! builds it once per generation; only [`answer_at`](EncodedDirectAccess::answer_at)
+//! decodes.
 
 use crate::encoded::{self, EncodedContext};
 use crate::{ExecError, Result};
 use qjoin_data::Dictionary;
-use qjoin_query::{Assignment, EncodedInstance};
+use qjoin_query::{Assignment, EncodedInstance, Variable};
 use rand::Rng;
 use std::sync::Arc;
 
@@ -39,6 +42,11 @@ fn locate(prefix: &[u128], offset: u128) -> (usize, u128) {
 pub struct EncodedDirectAccess {
     ctx: Arc<EncodedContext>,
     dictionary: Arc<Dictionary>,
+    /// The layout of a code row: the context query's variables.
+    variables: Vec<Variable>,
+    /// Per node: the `(slot of the code row, column of its atom)` of each variable
+    /// the atom binds (its first column for a repeated one).
+    slots: Vec<Vec<(usize, usize)>>,
     /// Prefix sums over the root's surviving rows.
     root_prefix: Vec<u128>,
     /// For every non-root node: the running totals of its rows' subtree counts
@@ -55,6 +63,19 @@ impl EncodedDirectAccess {
     pub fn new(instance: &EncodedInstance) -> Result<Self> {
         let ctx = encoded::shared_context(instance)?;
         Ok(Self::from_context(ctx, Arc::clone(instance.dictionary())))
+    }
+
+    /// The instance's index: the first caller builds it and parks it in the
+    /// instance's [exec memo](EncodedInstance::exec_memo), beside the shared
+    /// context, and later callers reuse it (racing first callers build identical
+    /// indexes; either stays). A plan's instance lives as long as its generation.
+    pub fn shared(instance: &EncodedInstance) -> Result<Arc<Self>> {
+        if let Some(index) = instance.exec_memo().get::<Self>() {
+            return Ok(index);
+        }
+        let index = Arc::new(Self::new(instance)?);
+        instance.exec_memo().set(Arc::clone(&index));
+        Ok(index)
     }
 
     /// Builds the index from an already-constructed encoded context (owned or
@@ -79,9 +100,21 @@ impl EncodedDirectAccess {
                     .collect()
             })
             .collect();
+        let variables = ctx.query().variables();
+        let slot_of = |v: &Variable| variables.iter().position(|s| s == v);
+        let slots = (ctx.nodes().iter())
+            .map(|node| {
+                let atom = ctx.query().atom(node.atom_index);
+                (atom.distinct_variable_positions().iter())
+                    .map(|(v, col)| (slot_of(v).expect("a query variable"), *col))
+                    .collect()
+            })
+            .collect();
         EncodedDirectAccess {
             ctx,
             dictionary,
+            variables,
+            slots,
             root_prefix,
             group_prefix,
             total,
@@ -98,9 +131,14 @@ impl EncodedDirectAccess {
         &self.ctx
     }
 
-    /// Returns the answer at position `index` (0-based) in the structure's fixed
-    /// enumeration order, decoded to an assignment over the query's variables.
-    pub fn answer_at(&self, index: u128) -> Result<Assignment> {
+    /// The layout of [`codes_at`](Self::codes_at)'s row: the query's variables.
+    pub fn variables(&self) -> &[Variable] {
+        &self.variables
+    }
+
+    /// Writes the codes of the answer at position `index` (0-based) in the
+    /// structure's fixed enumeration order into `row[..variables().len()]`.
+    pub fn codes_at(&self, index: u128, row: &mut [u64]) -> Result<()> {
         if index >= self.total {
             return Err(ExecError::IndexOutOfRange {
                 requested: index,
@@ -108,9 +146,22 @@ impl EncodedDirectAccess {
             });
         }
         let (root_row, offset) = locate(&self.root_prefix, index);
-        let mut assignment = Assignment::empty();
-        self.descend(self.ctx.root(), root_row, offset, &mut assignment);
-        Ok(assignment)
+        self.walk(self.ctx.root(), root_row, offset, row);
+        Ok(())
+    }
+
+    /// Decodes a code row laid out as [`variables`](Self::variables).
+    pub fn decode(&self, row: &[u64]) -> Assignment {
+        let value = |&code: &u64| self.dictionary.decode(code).clone();
+        Assignment::from_pairs(self.variables.iter().cloned().zip(row.iter().map(value)))
+    }
+
+    /// Returns the answer at position `index` (0-based) in the structure's fixed
+    /// enumeration order, decoded to an assignment over the query's variables.
+    pub fn answer_at(&self, index: u128) -> Result<Assignment> {
+        let mut row = vec![0; self.variables.len()];
+        self.codes_at(index, &mut row)?;
+        Ok(self.decode(&row))
     }
 
     /// Samples an answer uniformly at random: one `random_range(0..total)` draw, so
@@ -123,42 +174,24 @@ impl EncodedDirectAccess {
         self.answer_at(idx)
     }
 
-    fn descend(&self, node: usize, row_idx: usize, offset: u128, out: &mut Assignment) {
-        let atom = self.ctx.query().atom(self.ctx.node(node).atom_index);
-        for (v, pos) in atom.distinct_variable_positions() {
-            let value = self
-                .dictionary
-                .decode(self.ctx.code(node, row_idx, pos))
-                .clone();
-            out.bind(v, value);
+    /// Writes row `row_idx` of `node` and, for the answer at `offset` within its
+    /// subtree, one member of each child's joining group. `offset` is a mixed-radix
+    /// number whose digits are the children's offsets within their groups, the last
+    /// child's least significant.
+    fn walk(&self, node: usize, row_idx: usize, mut offset: u128, row: &mut [u64]) {
+        for &(slot, col) in &self.slots[node] {
+            row[slot] = self.ctx.code(node, row_idx, col);
         }
-
-        let children = &self.ctx.tree().node(node).children;
-        if children.is_empty() {
-            debug_assert_eq!(offset, 0);
-            return;
+        for &child in self.ctx.tree().node(node).children.iter().rev() {
+            let gid = self.ctx.link(child, row_idx);
+            let prefix = &self.group_prefix[child][self.ctx.group_range(child, gid)];
+            let radix = *prefix.last().expect("join groups are never empty");
+            let (pos, child_offset) = locate(prefix, offset % radix);
+            offset /= radix;
+            let member = self.ctx.group(child, gid)[pos] as usize;
+            self.walk(child, member, child_offset, row);
         }
-        // Each child's joining group: its member rows and their running totals.
-        let groups: Vec<(&[u32], &[u128])> = children
-            .iter()
-            .map(|&c| {
-                let gid = self.ctx.link(c, row_idx);
-                let range = self.ctx.group_range(c, gid);
-                (self.ctx.group(c, gid), &self.group_prefix[c][range])
-            })
-            .collect();
-        let mut remainder = offset;
-        for (i, &child) in children.iter().enumerate() {
-            let radix_rest: u128 = groups[i + 1..]
-                .iter()
-                .map(|(_, prefix)| prefix.last().expect("join groups are never empty"))
-                .product();
-            let digit = remainder / radix_rest;
-            remainder %= radix_rest;
-            let (members, prefix) = groups[i];
-            let (pos, child_offset) = locate(prefix, digit);
-            self.descend(child, members[pos] as usize, child_offset, out);
-        }
+        debug_assert_eq!(offset, 0);
     }
 }
 

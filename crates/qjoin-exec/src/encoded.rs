@@ -1162,10 +1162,7 @@ mod tests {
             let mut twins = vec![(inst.clone(), enc.clone())];
             if inst.query().has_self_joins() {
                 self_joins += 1;
-                twins.push((
-                    qjoin_query::self_join::eliminate_self_joins(&inst).unwrap(),
-                    enc.eliminate_self_joins().unwrap(),
-                ));
+                twins.push((inst.clone(), enc.eliminate_self_joins().unwrap()));
             }
             for pool in &pools {
                 for (inst, enc) in &twins {

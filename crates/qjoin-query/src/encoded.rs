@@ -178,9 +178,9 @@ impl EncodedInstance {
     }
 
     /// Rewrites the instance so that no relational symbol occurs in more than one
-    /// atom, mirroring [`crate::self_join::eliminate_self_joins`]: later occurrences
-    /// get fresh names (`R@2`, `R@3`, ...) bound to renamed views sharing the
-    /// original's storage. Self-join-free instances are returned unchanged.
+    /// atom (Section 2.2's "fresh relation for every repeated symbol"): later
+    /// occurrences get fresh names (`R@2`, `R@3`, ...) bound to renamed views sharing
+    /// the original's storage. Self-join-free instances are returned unchanged.
     pub fn eliminate_self_joins(&self) -> Result<Self> {
         if !self.query.has_self_joins() {
             return Ok(self.clone());
@@ -210,7 +210,8 @@ impl EncodedInstance {
     }
 }
 
-/// Mirrors `Database::fresh_name` for the encoded relation map.
+/// `base`, or `base#1`, `base#2`, ... — the first name no relation of `relations`
+/// has.
 pub(crate) fn fresh_relation_name(
     relations: &BTreeMap<String, EncodedRelation>,
     base: &str,
@@ -312,7 +313,7 @@ mod tests {
     }
 
     #[test]
-    fn self_join_elimination_mirrors_row_path() {
+    fn self_join_elimination_renames_later_occurrences_apart() {
         let r = Relation::from_rows("R", &[&[1, 2], &[2, 3]]).unwrap();
         let q = JoinQuery::new(vec![
             Atom::from_names("R", &["x", "y"]),
@@ -321,8 +322,11 @@ mod tests {
         let inst = Instance::new(q, Database::from_relations([r]).unwrap()).unwrap();
         let enc = EncodedInstance::from_instance(&inst).unwrap();
         let rewritten = enc.eliminate_self_joins().unwrap();
-        let row_rewritten = crate::self_join::eliminate_self_joins(&inst).unwrap();
-        assert_eq!(rewritten.query(), row_rewritten.query());
+        let expected = JoinQuery::new(vec![
+            Atom::from_names("R", &["x", "y"]),
+            Atom::from_names("R@2", &["y", "z"]),
+        ]);
+        assert_eq!(rewritten.query(), &expected);
         // The fresh view shares the original's base columns.
         let fresh_name = rewritten.query().atom(1).relation();
         assert!(rewritten

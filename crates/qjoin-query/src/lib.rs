@@ -17,7 +17,7 @@
 //!   of small queries, which is how the library searches for trees in which the
 //!   weighted variables sit on adjacent nodes (Lemma D.1).
 //! * [`Instance`] bundles a query with a database and validates that they agree.
-//! * [`self_join::eliminate_self_joins`] materializes fresh relations for repeated
+//! * [`EncodedInstance::eliminate_self_joins`] renames apart repeated relation
 //!   symbols (Section 2.2, "Tuple weights").
 //! * [`binary::binarize_encoded`] rewrites an encoded instance so that some join
 //!   tree is binary, as required by the lossy trimming of Section 6.
@@ -34,7 +34,6 @@ mod hypergraph;
 mod instance;
 pub mod join_tree;
 pub mod query;
-pub mod self_join;
 pub mod variable;
 
 pub use atom::Atom;

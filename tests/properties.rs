@@ -179,3 +179,87 @@ proptest! {
         }
     }
 }
+
+/// The sampled route against the per-draw reference it stands for: `m` calls of
+/// `EncodedDirectAccess::sample` on `StdRng::seed_from_u64(seed)`, each answer
+/// weighed by `Ranking::weight_of`, stably sorted by weight; fraction φ takes rank
+/// `target_rank(φ, m)`. Random acyclic instances (self-joins, repeated variables)
+/// under tie-heavy rankings of every kind, LEX included, at 1 and 4 threads: the
+/// weight bits, the answer and `target_index` must agree. Fails if a LEX weight
+/// is written to the wrong component, or if the draws are sorted unstably
+/// (`sort_unstable_by`: tied draws swap). A walk that peels a child's digit with
+/// `/` and `%` swapped panics here and breaks `direct_access_is_a_bijection`.
+#[test]
+fn sampled_solves_match_the_per_draw_reference() {
+    use quantile_joins::par::{with_pool, Pool};
+    use quantile_joins::workload::random_acyclic::{random_acyclic_instance, tie_heavy_ranking};
+    use rand::{rngs::StdRng, SeedableRng};
+
+    // m = ⌈ln(20) / 0.08⌉ = 38 draws.
+    let options = SamplingOptions {
+        epsilon: 0.2,
+        delta: 0.1,
+        seed: 0x5a3b,
+    };
+    let m = options.sample_count();
+    let phis = [0.0, 0.1, 0.25, 0.5, 0.9, 1.0];
+    let bits = |w: &Weight| match w {
+        Weight::Num(x) => vec![x.to_bits()],
+        Weight::Vec(v) => v.iter().map(|x| x.to_bits()).collect(),
+    };
+    for threads in [1, 4] {
+        let mut rng = StdRng::seed_from_u64(0x7e57);
+        let mut answered = [0usize; 4];
+        with_pool(&Pool::new(threads), || {
+            for case in 0..150 {
+                let instance = random_acyclic_instance(&mut rng);
+                let encoded = EncodedInstance::from_instance(&instance).unwrap();
+                let access = EncodedDirectAccess::new(&encoded).unwrap();
+                if access.total() <= m as u128 {
+                    continue;
+                }
+                let kinds = [
+                    AggregateKind::Min,
+                    AggregateKind::Max,
+                    AggregateKind::Lex,
+                    AggregateKind::Sum,
+                ];
+                for (k, kind) in kinds.into_iter().enumerate() {
+                    for domain in [0, 1, 2, 3, 9] {
+                        let ranking = tie_heavy_ranking(&instance, kind, domain);
+                        let what = format!("case {case} {ranking} domain {domain} T={threads}");
+                        let mut draws = StdRng::seed_from_u64(options.seed);
+                        let mut reference: Vec<(Weight, quantile_joins::query::Assignment)> = (0
+                            ..m)
+                            .map(|_| {
+                                let answer = access.sample(&mut draws).unwrap();
+                                (ranking.weight_of(&answer), answer)
+                            })
+                            .collect();
+                        reference.sort_by(|a, b| a.0.cmp(&b.0));
+                        let accuracy = Accuracy::Bounded {
+                            epsilon: options.epsilon,
+                            delta: options.delta,
+                            seed: options.seed,
+                        };
+                        let plan = Plan::prepare(encoded.clone(), ranking.clone()).unwrap();
+                        let sampled = plan.solve(&phis, accuracy, &NoopTracer).unwrap();
+                        for (phi, result) in phis.iter().zip(&sampled) {
+                            let pick = (target_rank(*phi, m as u128) as usize).min(m - 1);
+                            let (weight, answer) = &reference[pick];
+                            assert_eq!(bits(&result.weight), bits(weight), "{what} φ={phi}");
+                            assert_eq!(&result.answer, answer, "{what} φ={phi}");
+                            let target = target_rank(*phi, access.total());
+                            assert_eq!(result.target_index, target, "{what} φ={phi}");
+                        }
+                        answered[k] += 1;
+                    }
+                }
+            }
+        });
+        assert!(
+            answered.iter().all(|&n| n >= 50),
+            "T={threads}: {answered:?}"
+        );
+    }
+}
