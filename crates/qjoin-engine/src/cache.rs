@@ -8,11 +8,11 @@
 //! [`LruCache`] pairs a `HashMap` with a `BTreeMap` recency index keyed by a
 //! monotonic tick, giving `O(log n)` touch and eviction without unsafe code or a
 //! hand-rolled linked list. [`ShardedLru`] splits the capacity across independent
-//! `Mutex<LruCache>` shards selected by the caller (the engine shards by plan id),
-//! so concurrent lookups against different plans never contend on one lock.
+//! `Mutex<LruCache>` shards selected by a hash of the key, so concurrent lookups
+//! seldom contend on one lock and one plan's results can fill every shard.
 
 use std::collections::{BTreeMap, HashMap};
-use std::hash::Hash;
+use std::hash::{BuildHasher, BuildHasherDefault, DefaultHasher, Hash};
 use std::sync::{Mutex, MutexGuard, PoisonError};
 
 /// Cache access statistics.
@@ -155,10 +155,10 @@ impl<K: Eq + Hash + Clone, V: Clone> LruCache<K, V> {
 }
 
 /// A sharded LRU cache: `shards` independent [`LruCache`]s, each behind its own
-/// [`Mutex`], splitting the total capacity evenly. Callers route every `get`/`insert`
-/// through a **selector** (the engine uses the plan id), so requests against
-/// different selectors lock different shards and proceed fully in parallel; requests
-/// against the *same* hot plan still serialize only on that plan's shard.
+/// [`Mutex`], splitting the total capacity evenly. A key's shard is picked by a
+/// hash of the key itself, so any one group of keys (one plan's results) spreads
+/// over every shard: it can use the whole capacity, and its lookups seldom meet
+/// on one lock.
 ///
 /// Total capacity 0 disables caching entirely, exactly like [`LruCache`].
 #[derive(Debug)]
@@ -184,8 +184,9 @@ impl<K: Eq + Hash + Clone, V: Clone> ShardedLru<K, V> {
         }
     }
 
-    fn shard(&self, selector: u64) -> MutexGuard<'_, LruCache<K, V>> {
-        lock(&self.shards[(selector % self.shards.len() as u64) as usize])
+    fn shard_index(&self, key: &K) -> usize {
+        let hash = BuildHasherDefault::<DefaultHasher>::default().hash_one(key);
+        (hash % self.shards.len() as u64) as usize
     }
 
     /// Number of shards.
@@ -193,14 +194,14 @@ impl<K: Eq + Hash + Clone, V: Clone> ShardedLru<K, V> {
         self.shards.len()
     }
 
-    /// Looks up a key in the selector's shard, refreshing its recency on a hit.
-    pub fn get(&self, selector: u64, key: &K) -> Option<V> {
-        self.shard(selector).get(key)
+    /// Looks up a key in its shard, refreshing its recency on a hit.
+    pub fn get(&self, key: &K) -> Option<V> {
+        lock(&self.shards[self.shard_index(key)]).get(key)
     }
 
-    /// Inserts (or refreshes) an entry in the selector's shard.
-    pub fn insert(&self, selector: u64, key: K, value: V) {
-        self.shard(selector).insert(key, value);
+    /// Inserts (or refreshes) an entry in its shard.
+    pub fn insert(&self, key: K, value: V) {
+        lock(&self.shards[self.shard_index(&key)]).insert(key, value);
     }
 
     /// Removes every entry matching the predicate, across all shards.
@@ -304,56 +305,82 @@ mod tests {
         assert!(cache.is_empty());
     }
 
+    /// Keys spread over the shards by their hash; lookups route to the key's
+    /// shard, and the counters aggregate over all of them.
     #[test]
-    fn sharded_routes_by_selector_and_aggregates() {
+    fn sharded_routes_by_key_hash_and_aggregates() {
         let cache: ShardedLru<(u64, u32), i64> = ShardedLru::new(8, 4);
         assert_eq!(cache.shards(), 4);
         assert_eq!(cache.capacity(), 8); // ceil(8/4) = 2 per shard, 4 shards
-        for plan in 0..4u64 {
-            cache.insert(plan, (plan, 0), plan as i64 * 10);
+        for phi in 0..4u32 {
+            cache.insert((0, phi), phi as i64 * 10);
         }
-        assert_eq!(cache.len(), 4);
-        assert_eq!(cache.get(0, &(0, 0)), Some(0));
-        assert_eq!(cache.get(3, &(3, 0)), Some(30));
-        assert_eq!(cache.get(1, &(1, 9)), None);
+        assert_eq!(cache.get(&(0, 0)), Some(0));
+        assert_eq!(cache.get(&(0, 3)), Some(30));
+        assert_eq!(cache.get(&(0, 9)), None);
         let stats = cache.stats();
-        assert_eq!(stats.hits, 2);
-        assert_eq!(stats.misses, 1);
-        // Selector 1's shard saw the one miss; shard 0 and 3 each saw one hit.
+        assert_eq!((stats.hits, stats.misses), (2, 1));
+        // The missed key's shard saw the miss.
         let per_shard = cache.shard_stats();
         assert_eq!(per_shard.iter().map(|s| s.hits).sum::<u64>(), 2);
-        assert_eq!(per_shard[1].misses, 1);
+        assert_eq!(per_shard[cache.shard_index(&(0, 9))].misses, 1);
     }
 
+    /// One slot per shard: two keys hashed to the same shard evict each other,
+    /// while a key on the other shard survives.
     #[test]
     fn sharded_eviction_is_per_shard() {
-        // 1 slot per shard: two entries with the same selector evict each other,
-        // while entries on other shards survive.
         let cache: ShardedLru<(u64, u32), i64> = ShardedLru::new(2, 2);
-        cache.insert(0, (0, 1), 1);
-        cache.insert(1, (1, 1), 2);
-        cache.insert(0, (0, 2), 3); // evicts (0, 1) from shard 0
-        assert_eq!(cache.get(0, &(0, 1)), None);
-        assert_eq!(cache.get(0, &(0, 2)), Some(3));
-        assert_eq!(cache.get(1, &(1, 1)), Some(2));
+        let keys: Vec<(u64, u32)> = (0..16).map(|phi| (0, phi)).collect();
+        let shard = |key| cache.shard_index(key);
+        let first = keys[0];
+        let same = *keys[1..]
+            .iter()
+            .find(|k| shard(k) == shard(&first))
+            .unwrap();
+        let other = *keys.iter().find(|k| shard(k) != shard(&first)).unwrap();
+        cache.insert(first, 1);
+        cache.insert(other, 2);
+        cache.insert(same, 3); // evicts `first` from their shard
+        assert_eq!(cache.get(&first), None);
+        assert_eq!(cache.get(&same), Some(3));
+        assert_eq!(cache.get(&other), Some(2));
         assert_eq!(cache.stats().evictions, 1);
+    }
+
+    /// One group of keys — one plan's results — can use every shard: 512 keys of
+    /// one plan id all stay in the engine's default 1024 entries over 8 shards.
+    /// Fails if the shard is picked by the plan id, which keeps 128 of them.
+    #[test]
+    fn one_plans_keys_fill_every_shard() {
+        let cache: ShardedLru<(u64, u32), i64> = ShardedLru::new(1024, 8);
+        for phi in 0..512u32 {
+            cache.insert((7, phi), phi as i64);
+        }
+        assert!((0..512u32).all(|phi| cache.get(&(7, phi)) == Some(phi as i64)));
+        assert_eq!(cache.stats().evictions, 0);
+        assert!(cache.shard_lens().iter().all(|&len| len > 0));
     }
 
     #[test]
     fn shard_lens_report_per_shard_occupancy() {
         let cache: ShardedLru<(u64, u32), i64> = ShardedLru::new(16, 4);
-        cache.insert(0, (0, 0), 1);
-        cache.insert(0, (0, 1), 2);
-        cache.insert(2, (2, 0), 3);
-        assert_eq!(cache.shard_lens(), vec![2, 0, 1, 0]);
+        let keys = [(0, 0), (0, 1), (2, 0)];
+        let mut expected = vec![0; 4];
+        for (i, key) in keys.into_iter().enumerate() {
+            cache.insert(key, i as i64);
+            expected[cache.shard_index(&key)] += 1;
+        }
+        assert_eq!(cache.shard_lens(), expected);
         assert_eq!(cache.shard_lens().iter().sum::<usize>(), cache.len());
     }
 
     #[test]
     fn sharded_invalidate_spans_all_shards() {
-        let cache: ShardedLru<(u64, u32), i64> = ShardedLru::new(16, 4);
+        // 8 slots a shard: room for all 8 keys wherever they hash.
+        let cache: ShardedLru<(u64, u32), i64> = ShardedLru::new(32, 4);
         for plan in 0..8u64 {
-            cache.insert(plan, (plan, 0), 1);
+            cache.insert((plan, 0), 1);
         }
         cache.invalidate(|&(plan, _)| plan % 2 == 0);
         assert_eq!(cache.len(), 4);
@@ -383,16 +410,16 @@ mod tests {
     fn a_poisoned_shard_keeps_serving() {
         use std::sync::atomic::Ordering;
         let cache: ShardedLru<Brittle, i64> = ShardedLru::new(2, 1);
-        cache.insert(0, Brittle(1), 10);
+        cache.insert(Brittle(1), 10);
         BRITTLE.store(true, Ordering::Relaxed);
-        let torn = std::panic::catch_unwind(|| cache.get(0, &Brittle(1)));
+        let torn = std::panic::catch_unwind(|| cache.get(&Brittle(1)));
         BRITTLE.store(false, Ordering::Relaxed);
         assert!(torn.is_err() && cache.shards[0].is_poisoned());
-        assert_eq!(cache.get(0, &Brittle(1)), Some(10));
-        cache.insert(0, Brittle(2), 20);
-        cache.insert(0, Brittle(3), 30); // evicts 1, the least recently used
-        assert_eq!(cache.get(0, &Brittle(1)), None);
-        assert_eq!(cache.get(0, &Brittle(3)), Some(30));
+        assert_eq!(cache.get(&Brittle(1)), Some(10));
+        cache.insert(Brittle(2), 20);
+        cache.insert(Brittle(3), 30); // evicts 1, the least recently used
+        assert_eq!(cache.get(&Brittle(1)), None);
+        assert_eq!(cache.get(&Brittle(3)), Some(30));
         assert_eq!(
             (cache.len(), cache.capacity(), cache.shard_lens()),
             (2, 2, vec![2])
@@ -407,8 +434,8 @@ mod tests {
     #[test]
     fn sharded_zero_capacity_disables_caching() {
         let cache: ShardedLru<u64, i64> = ShardedLru::new(0, 4);
-        cache.insert(0, 0, 1);
-        assert_eq!(cache.get(0, &0), None);
+        cache.insert(0, 1);
+        assert_eq!(cache.get(&0), None);
         assert!(cache.is_empty());
         assert_eq!(cache.capacity(), 0);
     }

@@ -1,31 +1,32 @@
 //! The `qjoin` CLI: a REPL and one-shot subcommands over an [`Engine`].
 //!
-//! The REPL speaks a tiny command language (`help` prints it) against a long-lived
-//! in-process engine; the one-shot subcommands (`register`, `quantile`, `batch`,
-//! `stats`) synthesize the equivalent REPL script against a fresh engine, which makes
-//! them convenient for smoke tests and CI. Databases are produced by the workspace's
-//! workload generators (`social`, `path`, `star`, `starschema`, `random`), so a realistic catalog
-//! can be spun up from a single command line.
+//! The REPL reads the command language of [`Request::parse`] (`help` prints it)
+//! against a long-lived in-process engine; the one-shot subcommands (`register`,
+//! `quantile`, `batch`, `stats`) run the equivalent requests against a fresh
+//! engine, which makes them convenient for smoke tests and CI. Databases come from
+//! the workspace's workload generators, so a realistic catalog can be spun up
+//! from a single command line.
 //!
-//! All command handling lives in [`CliSession`] so it is unit-testable and shareable:
-//! the `qjoin` binary (in the `qjoin-server` crate, which adds the `serve` and
-//! `client` subcommands) wraps [`main_with_args`], and the network server executes
-//! the same command language against one shared session.
+//! [`CliSession`] runs every request, so it is unit-testable and shareable: the
+//! `qjoin` binary (in the `qjoin-server` crate, which adds the `serve` and
+//! `client` subcommands) wraps [`main_with_args`], and the network server runs
+//! the same requests against one shared session.
 
 use crate::engine::Engine;
 use crate::plan::PreparedPlan;
+use crate::request::{parse_accuracy, parse_phis, parse_ranking, Workload};
+use crate::request::{ErrorClass, RankingSpec, Request, RequestError, TraceQuery};
 use qjoin_core::Accuracy;
 use qjoin_query::{Instance, JoinQuery, Variable};
-use qjoin_ranking::{AggregateKind, Ranking};
-use qjoin_workload::path::PathConfig;
-use qjoin_workload::random_acyclic::RandomAcyclicConfig;
-use qjoin_workload::social::SocialConfig;
-use qjoin_workload::star::StarConfig;
-use qjoin_workload::star_schema::StarSchemaConfig;
+use qjoin_ranking::Ranking;
+use qjoin_telemetry::render_json;
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
 use std::io::{BufRead, IsTerminal, Write as _};
 use std::sync::{Arc, PoisonError, RwLock};
+
+/// What running a request gives: its printable output, or its typed error.
+type Reply = Result<String, RequestError>;
 
 /// Usage text shared by `help`, `--help`, and parse errors.
 pub const HELP: &str = "\
@@ -38,10 +39,6 @@ USAGE (one-shot):
   qjoin stats    <workload> [key=value ...]
   qjoin repl                read REPL commands from stdin
 
-USAGE (network; provided by the qjoin-server crate's binary):
-  qjoin serve  [addr=127.0.0.1:0] [workers=N] [queue=N] [cache=N]
-  qjoin client <addr> [command ...]          one-shot or stdin-driven remote session
-
 WORKLOADS (database generators; all keys optional):
   social   rows= seed= users= events= likes= skew=     (default ranking sum:l2,l3)
   path     atoms= rows= domain= weights= skew= seed=   (default ranking max:*)
@@ -52,7 +49,7 @@ WORKLOADS (database generators; all keys optional):
 RANKING SPECS:
   sum:l2,l3    max:*    min:x1,x3    lex:x2,x1        (* = all query variables)
 
-REPL COMMANDS:
+COMMANDS (the REPL's, and the wire's under `qjoin serve` / `qjoin client`):
   open <db> <workload> [key=value ...]      generate + catalog a database
   replace <db> <workload> [key=value ...]   swap a database (invalidates caches)
   register <plan> <db> [ranking=<spec>]     compile a prepared plan
@@ -68,25 +65,23 @@ REPL COMMANDS:
   trace chrome <id|last>                    a trace as Chrome trace-event JSON (chrome://tracing)
   explain <plan> <phi>                      dichotomy class, join-tree shape, target rank
   explain analyze <plan> <phi>              explain + one traced uncached solve's observations
+  slowlog                                   the server's slow-query log (wire only)
+  ping                                      answers pong
   help                                      this text
-  quit | exit                               leave the REPL";
+  quit | exit                               leave the REPL (the wire: close the connection)
+  shutdown                                  leave the REPL (the wire: stop the server)";
 
-/// Metadata the CLI remembers per catalogued database: the query its workload joins
-/// over and the workload's default ranking.
-struct DbMeta {
-    query: JoinQuery,
-    default_ranking: Ranking,
-}
-
-/// An engine session executing the textual command language (the REPL's and the
-/// network protocol's shared brain).
+/// An engine session running parsed [`Request`]s (the REPL's and the network
+/// protocol's shared brain).
 ///
-/// The session is **thread-safe**: [`CliSession::execute`] takes `&self`, the engine
+/// The session is **thread-safe**: [`CliSession::run`] takes `&self`, the engine
 /// is held behind an [`Arc`], and the per-database workload metadata sits behind its
 /// own lock — `qjoin-server` shares one session across all of its worker threads.
 pub struct CliSession {
     engine: Arc<Engine>,
-    db_meta: RwLock<BTreeMap<String, DbMeta>>,
+    /// Per catalogued database: the query its workload joins over and the
+    /// workload's default ranking.
+    db_meta: RwLock<BTreeMap<String, (JoinQuery, Ranking)>>,
 }
 
 impl Default for CliSession {
@@ -114,131 +109,77 @@ impl CliSession {
         &self.engine
     }
 
-    /// Executes one REPL command line, returning its printable output.
-    pub fn execute(&self, line: &str) -> Result<String, String> {
-        let tokens: Vec<&str> = line.split_whitespace().collect();
-        let Some((&command, rest)) = tokens.split_first() else {
-            return Ok(String::new());
-        };
-        match command {
-            "help" => Ok(HELP.to_string()),
-            "open" => self.cmd_open(rest, false),
-            "replace" => self.cmd_open(rest, true),
-            "register" => self.cmd_register(rest),
-            "quantile" => self.cmd_quantile(rest),
-            "batch" => self.cmd_batch(rest),
-            "plans" => Ok(self.cmd_plans()),
-            "stats" => match rest {
-                [] => Ok(self.cmd_stats()),
-                ["json"] => Ok(self.cmd_stats_json()),
-                _ => Err("usage: stats [json]".to_string()),
-            },
-            "metrics" => Ok(self.cmd_metrics()),
-            "trace" => self.cmd_trace(rest),
-            "explain" => self.cmd_explain(rest),
-            "quit" | "exit" => Err("__quit__".to_string()),
-            other => Err(format!("unknown command {other:?}; try `help`")),
+    /// Runs one request, returning its printable output. The connection verbs
+    /// answer with their wire replies; ending a connection or a server is the
+    /// caller's business, and the slow-query log is the server's.
+    pub fn run(&self, request: &Request) -> Result<String, RequestError> {
+        match request {
+            Request::Empty => Ok(String::new()),
+            Request::Help => Ok(HELP.to_string()),
+            Request::Ping => Ok("pong".to_string()),
+            Request::Quit => Ok("bye".to_string()),
+            Request::Shutdown => Ok("shutting down".to_string()),
+            Request::SlowLog => Err(RequestError::new(
+                ErrorClass::Refused,
+                "the slow-query log is kept by `qjoin serve`, not by this session",
+            )),
+            Request::Open(db, workload) => self.cmd_open(db, workload, false),
+            Request::Replace(db, workload) => self.cmd_open(db, workload, true),
+            Request::Register(plan, db, ranking) => self.cmd_register(plan, db, ranking),
+            Request::Quantile(plan, phi, accuracy) => {
+                let answer = self.engine.quantile_with(plan, *phi, *accuracy)?;
+                Ok(describe_answer(&answer))
+            }
+            Request::Batch(plan, phis, accuracy) => self.cmd_batch(plan, phis, *accuracy),
+            Request::Plans => Ok(self.cmd_plans()),
+            Request::Stats => Ok(self.cmd_stats()),
+            Request::StatsJson => Ok(render_json(&self.engine.metrics_snapshot())),
+            Request::Metrics => Ok(self.cmd_metrics()),
+            Request::Trace(query) => self.cmd_trace(*query),
+            Request::Explain(plan, phi) | Request::ExplainAnalyze(plan, phi) => {
+                let analyze = matches!(request, Request::ExplainAnalyze(..));
+                let report = self.engine.explain(plan, *phi, analyze)?;
+                Ok(report.render().trim_end().to_string())
+            }
         }
     }
 
-    fn cmd_open(&self, args: &[&str], replace: bool) -> Result<String, String> {
-        let [name, workload, params @ ..] = args else {
-            return Err("usage: open|replace <db> <workload> [key=value ...]".to_string());
-        };
-        let params = parse_params(params)?;
-        let (instance, default_ranking) = generate_workload(workload, &params)?;
+    fn cmd_open(&self, db: &str, workload: &Workload, replace: bool) -> Reply {
+        let (instance, ranking) = generate(workload);
         let (query, database) = instance.into_parts();
-        let tuples = database.total_tuples();
-        let relations = database.num_relations();
-        if replace {
-            self.engine
-                .replace_database(name, database)
-                .map_err(|e| e.to_string())?;
-        } else {
-            self.engine
-                .create_database(name, database)
-                .map_err(|e| e.to_string())?;
+        let (tuples, relations) = (database.total_tuples(), database.num_relations());
+        match replace {
+            true => self.engine.replace_database(db, database)?,
+            false => self.engine.create_database(db, database)?,
         }
-        let generation = self.engine.catalog().get(name).unwrap().generation;
-        self.db_meta
-            .write()
-            .unwrap_or_else(PoisonError::into_inner)
-            .insert(
-                name.to_string(),
-                DbMeta {
-                    query,
-                    default_ranking,
-                },
-            );
+        let generation = self.engine.catalog().get(db).unwrap().generation;
+        let mut db_meta = self.db_meta.write().unwrap_or_else(PoisonError::into_inner);
+        db_meta.insert(db.to_string(), (query, ranking));
+        let workload = workload.name();
         Ok(format!(
-            "db {name}: {tuples} tuples across {relations} relations (workload {workload}, generation {generation})"
+            "db {db}: {tuples} tuples across {relations} relations (workload {workload}, generation {generation})"
         ))
     }
 
-    fn cmd_register(&self, args: &[&str]) -> Result<String, String> {
-        let [plan, db, params @ ..] = args else {
-            return Err("usage: register <plan> <db> [ranking=<spec>]".to_string());
-        };
-        let params = parse_params(params)?;
-        ensure_known_keys(&params, &["ranking"])?;
+    fn cmd_register(&self, plan: &str, db: &str, ranking: &Option<RankingSpec>) -> Reply {
         let (query, ranking) = {
             let db_meta = self.db_meta.read().unwrap_or_else(PoisonError::into_inner);
-            let meta = db_meta
-                .get(*db)
-                .ok_or_else(|| format!("no database named {db:?}; `open` one first"))?;
-            let ranking = match params.get("ranking") {
-                Some(spec) => parse_ranking(spec, &meta.query)?,
-                None => meta.default_ranking.clone(),
+            let Some((query, default)) = db_meta.get(db) else {
+                let message = format!("no database named {db:?}; `open` one first");
+                return Err(RequestError::new(ErrorClass::Unknown, message));
             };
-            (meta.query.clone(), ranking)
+            let ranking = match ranking {
+                Some(spec) => resolve_ranking(spec, query)?,
+                None => default.clone(),
+            };
+            (query.clone(), ranking)
         };
-        let plan = self
-            .engine
-            .register(plan, db, query, ranking)
-            .map_err(|e| e.to_string())?;
+        let plan = self.engine.register(plan, db, query, ranking)?;
         Ok(describe_plan(&plan))
     }
 
-    fn cmd_quantile(&self, args: &[&str]) -> Result<String, String> {
-        let [plan, phi, params @ ..] = args else {
-            return Err(
-                "usage: quantile <plan> <phi> [eps=<ε>] [delta=<δ>] [seed=<s>]".to_string(),
-            );
-        };
-        let phi = parse_phi(phi)?;
-        let params = parse_params(params)?;
-        ensure_known_keys(&params, &["eps", "delta", "seed"])?;
-        let accuracy = parse_accuracy(&params)?;
-        let answer = self
-            .engine
-            .quantile_with(plan, phi, accuracy)
-            .map_err(|e| e.to_string())?;
-        Ok(describe_answer(&answer))
-    }
-
-    fn cmd_batch(&self, args: &[&str]) -> Result<String, String> {
-        let [plan, rest @ ..] = args else {
-            return Err(
-                "usage: batch <plan> <phi> [<phi> ...] [eps=<ε>] [delta=<δ>] [seed=<s>]"
-                    .to_string(),
-            );
-        };
-        let (phi_tokens, param_tokens): (Vec<&str>, Vec<&str>) =
-            rest.iter().partition(|t| !t.contains('='));
-        if phi_tokens.is_empty() {
-            return Err("batch needs at least one φ".to_string());
-        }
-        let phis: Vec<f64> = phi_tokens
-            .iter()
-            .map(|t| parse_phi(t))
-            .collect::<Result<_, _>>()?;
-        let params = parse_params(&param_tokens)?;
-        ensure_known_keys(&params, &["eps", "delta", "seed"])?;
-        let accuracy = parse_accuracy(&params)?;
-        let answers = self
-            .engine
-            .quantile_batch_with(plan, &phis, accuracy)
-            .map_err(|e| e.to_string())?;
+    fn cmd_batch(&self, plan: &str, phis: &[f64], accuracy: Accuracy) -> Reply {
+        let answers = self.engine.quantile_batch_with(plan, phis, accuracy)?;
         let mut out = String::new();
         for answer in &answers {
             writeln!(out, "{}", describe_answer(answer)).unwrap();
@@ -327,80 +268,40 @@ impl CliSession {
         out
     }
 
-    fn cmd_stats_json(&self) -> String {
-        qjoin_telemetry::render_json(&self.engine.metrics_snapshot())
-    }
-
     fn cmd_metrics(&self) -> String {
         qjoin_telemetry::render_prometheus(&self.engine.metrics_snapshot())
             .trim_end()
             .to_string()
     }
 
-    /// `trace last [n]` / `trace id <id>` / `trace chrome <id|last>`: reads
-    /// recorded request traces back out of the engine's flight recorder.
-    fn cmd_trace(&self, args: &[&str]) -> Result<String, String> {
-        const USAGE: &str = "usage: trace last [n] | trace id <id> | trace chrome <id|last>";
+    /// `trace …`: reads recorded request traces back out of the engine's
+    /// flight recorder.
+    fn cmd_trace(&self, query: TraceQuery) -> Reply {
         let recorder = self.engine.recorder();
         if !recorder.is_enabled() {
-            return Err("span tracing is disabled (flight recorder capacity 0); \
-                 restart with a non-zero tracecap"
-                .to_string());
+            return Err(RequestError::new(
+                ErrorClass::Refused,
+                "span tracing is disabled (flight recorder capacity 0); \
+                 restart with a non-zero tracecap",
+            ));
         }
-        let last_trace = || {
-            recorder
-                .last(1)
-                .into_iter()
-                .next()
-                .ok_or_else(|| "no traces recorded yet".to_string())
+        let traces = match query.id {
+            None => recorder.last(query.count),
+            Some(id) => recorder.get(id).into_iter().collect(),
         };
-        let by_id = |raw: &str| {
-            let id = qjoin_telemetry::TraceId::parse(raw)
-                .ok_or_else(|| format!("invalid trace id {raw:?} (expected hex)"))?;
-            recorder
-                .get(id)
-                .ok_or_else(|| format!("trace {id} is not in the flight recorder (evicted?)"))
-        };
-        match args {
-            [] | ["last"] => Ok(qjoin_telemetry::render_tree(last_trace()?.as_ref())),
-            ["last", n] => {
-                let n: usize = n
-                    .parse()
-                    .map_err(|_| format!("invalid trace count {n:?}"))?;
-                let traces = recorder.last(n.max(1));
-                if traces.is_empty() {
-                    return Err("no traces recorded yet".to_string());
-                }
-                Ok(traces
-                    .iter()
-                    .map(|t| qjoin_telemetry::render_tree(t))
-                    .collect::<Vec<_>>()
-                    .join("\n"))
-            }
-            ["id", raw] => Ok(qjoin_telemetry::render_tree(by_id(raw)?.as_ref())),
-            ["chrome", "last"] => Ok(qjoin_telemetry::chrome_trace_json(last_trace()?.as_ref())),
-            ["chrome", raw] => Ok(qjoin_telemetry::chrome_trace_json(by_id(raw)?.as_ref())),
-            _ => Err(USAGE.to_string()),
+        if traces.is_empty() {
+            let message = match query.id {
+                None => "no traces recorded yet".to_string(),
+                Some(id) => format!("trace {id} is not in the flight recorder (evicted?)"),
+            };
+            return Err(RequestError::new(ErrorClass::Unknown, message));
         }
-    }
-
-    /// `explain [analyze] <plan> <phi>`: the §5 dichotomy class and plan shape,
-    /// plus (with `analyze`) one traced uncached solve's observed rounds.
-    fn cmd_explain(&self, args: &[&str]) -> Result<String, String> {
-        const USAGE: &str = "usage: explain [analyze] <plan> <phi>";
-        let (analyze, rest) = match args {
-            ["analyze", rest @ ..] => (true, rest),
-            rest => (false, rest),
+        let render = match query.chrome {
+            true => qjoin_telemetry::chrome_trace_json,
+            false => qjoin_telemetry::render_tree,
         };
-        let [plan, phi] = rest else {
-            return Err(USAGE.to_string());
-        };
-        let phi = parse_phi(phi)?;
-        let report = self
-            .engine
-            .explain(plan, phi, analyze)
-            .map_err(|e| e.to_string())?;
-        Ok(report.render().trim_end().to_string())
+        let rendered: Vec<String> = traces.iter().map(|t| render(t)).collect();
+        Ok(rendered.join("\n"))
     }
 }
 
@@ -455,302 +356,71 @@ fn describe_answer(answer: &crate::engine::EngineAnswer) -> String {
     )
 }
 
-/// Parses `key=value` tokens; rejects anything else.
-fn parse_params(tokens: &[&str]) -> Result<BTreeMap<String, String>, String> {
-    let mut params = BTreeMap::new();
-    for token in tokens {
-        let Some((key, value)) = token.split_once('=') else {
-            return Err(format!("expected key=value, got {token:?}"));
-        };
-        params.insert(key.to_string(), value.to_string());
-    }
-    Ok(params)
-}
-
-/// Rejects parameters outside the allowed set, so typos (`row=` for `rows=`) fail
-/// loudly instead of silently running on defaults.
-fn ensure_known_keys(params: &BTreeMap<String, String>, allowed: &[&str]) -> Result<(), String> {
-    for key in params.keys() {
-        if !allowed.contains(&key.as_str()) {
-            return Err(format!(
-                "unknown parameter {key:?}; expected one of: {}",
-                allowed.join(", ")
-            ));
-        }
-    }
-    Ok(())
-}
-
-fn param<T: std::str::FromStr>(
-    params: &BTreeMap<String, String>,
-    key: &str,
-    default: T,
-) -> Result<T, String> {
-    match params.get(key) {
-        Some(raw) => raw
-            .parse()
-            .map_err(|_| format!("invalid value {raw:?} for {key}")),
-        None => Ok(default),
-    }
-}
-
-fn parse_phi(token: &str) -> Result<f64, String> {
-    let phi: f64 = token.parse().map_err(|_| format!("invalid φ {token:?}"))?;
-    if !(0.0..=1.0).contains(&phi) {
-        return Err(format!("φ must be in [0, 1], got {phi}"));
-    }
-    Ok(phi)
-}
-
-/// `eps=` alone selects the deterministic ε-approximation; adding `delta=` and/or
-/// `seed=` switches to the randomized sampler (Hoeffding bound, reproducible by
-/// seed), defaulting δ = 0.01 and seed = 0x5eed.
-fn parse_accuracy(params: &BTreeMap<String, String>) -> Result<Accuracy, String> {
-    let epsilon = params
-        .get("eps")
-        .map(|raw| {
-            raw.parse::<f64>()
-                .map_err(|_| format!("invalid eps {raw:?}"))
-        })
-        .transpose()?;
-    let delta = params
-        .get("delta")
-        .map(|raw| {
-            raw.parse::<f64>()
-                .map_err(|_| format!("invalid delta {raw:?}"))
-        })
-        .transpose()?;
-    let seed = params
-        .get("seed")
-        .map(|raw| {
-            raw.parse::<u64>()
-                .map_err(|_| format!("invalid seed {raw:?}"))
-        })
-        .transpose()?;
-    match (epsilon, delta.is_some() || seed.is_some()) {
-        (None, false) => Ok(Accuracy::Exact),
-        (None, true) => {
-            Err("delta=/seed= request randomized sampling and need eps= too".to_string())
-        }
-        (Some(epsilon), false) => Ok(Accuracy::Approximate { epsilon }),
-        (Some(epsilon), true) => Ok(Accuracy::Bounded {
-            epsilon,
-            delta: delta.unwrap_or(0.01),
-            seed: seed.unwrap_or(0x5eed),
-        }),
-    }
-}
-
-/// Parses a ranking spec `kind:vars` (vars a comma list, or `*` for all query
-/// variables) against the query it will rank.
-fn parse_ranking(spec: &str, query: &JoinQuery) -> Result<Ranking, String> {
-    let (kind_str, vars_str) = spec
-        .split_once(':')
-        .ok_or_else(|| format!("ranking spec {spec:?} must look like kind:v1,v2 or kind:*"))?;
-    let vars: Vec<Variable> = if vars_str == "*" {
-        query.variables()
-    } else {
-        vars_str
-            .split(',')
-            .filter(|s| !s.is_empty())
-            .map(|name| {
-                let var = Variable::new(name);
-                if query.contains_variable(&var) {
-                    Ok(var)
-                } else {
-                    Err(format!("variable {name:?} does not occur in the query"))
-                }
-            })
-            .collect::<Result<_, _>>()?
+/// Resolves a ranking spec against the query it will rank.
+fn resolve_ranking(spec: &RankingSpec, query: &JoinQuery) -> Result<Ranking, RequestError> {
+    let Some(names) = &spec.vars else {
+        return Ok(Ranking::new(spec.kind, query.variables()));
     };
-    if vars.is_empty() {
-        return Err("ranking needs at least one variable".to_string());
+    let absent = |name: &&String| !query.contains_variable(&Variable::new(name));
+    if let Some(name) = names.iter().find(absent) {
+        let message = format!("variable {name:?} does not occur in the query");
+        return Err(RequestError::usage(message));
     }
-    let kind = match kind_str {
-        "sum" => AggregateKind::Sum,
-        "min" => AggregateKind::Min,
-        "max" => AggregateKind::Max,
-        "lex" => AggregateKind::Lex,
-        other => return Err(format!("unknown ranking kind {other:?}")),
+    Ok(Ranking::new(
+        spec.kind,
+        names.iter().map(Variable::new).collect(),
+    ))
+}
+
+/// Generates a workload instance plus its default ranking.
+fn generate(workload: &Workload) -> (Instance, Ranking) {
+    let (instance, ranking) = match workload {
+        Workload::Social(config) => (config.generate(), Some(config.likes_ranking())),
+        Workload::Path(config) => (config.generate(), None),
+        Workload::Star(config) => (config.generate(), None),
+        Workload::StarSchema(config) => (config.generate(), Some(config.revenue_ranking())),
+        Workload::Random(config) => (config.generate(), None),
     };
-    Ok(Ranking::new(kind, vars))
+    // The other generators rank by MAX over every variable.
+    let ranking = ranking.unwrap_or_else(|| Ranking::max(instance.query().variables()));
+    (instance, ranking)
 }
 
-/// A generator size the generators assert is at least 1.
-fn positive<T: std::str::FromStr + PartialOrd + From<u8>>(
-    params: &BTreeMap<String, String>,
-    key: &str,
-    default: T,
-) -> Result<T, String> {
-    let value = param(params, key, default)?;
-    if value < T::from(1) {
-        return Err(format!("{key} must be at least 1"));
-    }
-    Ok(value)
-}
-
-/// A Zipf skew: any number but NaN, which leaves the sampler an empty range.
-fn skew(params: &BTreeMap<String, String>, default: f64) -> Result<f64, String> {
-    let skew = param(params, "skew", default)?;
-    if skew.is_nan() {
-        return Err("skew must be a number, got NaN".to_string());
-    }
-    Ok(skew)
-}
-
-/// Generates a workload instance plus its default ranking. Every parameter a
-/// generator would panic on is refused here, so a bad `open` is an error reply.
-fn generate_workload(
-    kind: &str,
-    params: &BTreeMap<String, String>,
-) -> Result<(Instance, Ranking), String> {
-    match kind {
-        "social" => {
-            ensure_known_keys(
-                params,
-                &["rows", "seed", "users", "events", "likes", "skew"],
-            )?;
-            let rows = param(params, "rows", 200usize)?;
-            let config = SocialConfig {
-                users: positive(params, "users", rows.max(1))?,
-                events: positive(params, "events", (rows / 10).max(1))?,
-                rows_per_relation: rows,
-                max_likes: param(params, "likes", 1_000i64)?,
-                event_skew: skew(params, 0.8)?,
-                seed: param(params, "seed", 7u64)?,
-            };
-            let ranking = config.likes_ranking();
-            Ok((config.generate(), ranking))
-        }
-        "path" => {
-            ensure_known_keys(
-                params,
-                &["atoms", "rows", "domain", "weights", "skew", "seed"],
-            )?;
-            let rows = param(params, "rows", 100usize)?;
-            let config = PathConfig {
-                atoms: positive(params, "atoms", 3usize)?,
-                tuples_per_relation: rows,
-                join_domain: positive(params, "domain", (rows / 10).max(2))?,
-                weight_range: param(params, "weights", 1_000_000i64)?,
-                skew: skew(params, 0.2)?,
-                seed: param(params, "seed", 7u64)?,
-            };
-            let instance = config.generate();
-            let ranking = Ranking::max(instance.query().variables());
-            Ok((instance, ranking))
-        }
-        "star" => {
-            ensure_known_keys(
-                params,
-                &["arms", "rows", "domain", "weights", "skew", "seed"],
-            )?;
-            let rows = param(params, "rows", 100usize)?;
-            let config = StarConfig {
-                arms: positive(params, "arms", 3usize)?,
-                tuples_per_relation: rows,
-                center_domain: positive(params, "domain", (rows / 10).max(2))?,
-                weight_range: param(params, "weights", 1_000_000i64)?,
-                skew: skew(params, 0.2)?,
-                seed: param(params, "seed", 7u64)?,
-            };
-            let instance = config.generate();
-            let ranking = Ranking::max(instance.query().variables());
-            Ok((instance, ranking))
-        }
-        "starschema" => {
-            ensure_known_keys(
-                params,
-                &["lineitems", "orders", "parts", "weights", "skew", "seed"],
-            )?;
-            let lineitems = positive(params, "lineitems", 10_000usize)?;
-            let mut config = StarSchemaConfig::with_scale(lineitems);
-            config.orders = positive(params, "orders", config.orders)?;
-            config.parts = positive(params, "parts", config.parts)?;
-            config.weight_range = param(params, "weights", config.weight_range)?;
-            config.skew = skew(params, config.skew)?;
-            config.seed = param(params, "seed", config.seed)?;
-            let ranking = config.revenue_ranking();
-            Ok((config.generate(), ranking))
-        }
-        "random" => {
-            ensure_known_keys(params, &["atoms", "arity", "rows", "domain", "seed"])?;
-            let config = RandomAcyclicConfig {
-                atoms: positive(params, "atoms", 3usize)?,
-                max_arity: positive(params, "arity", 3usize)?,
-                tuples_per_relation: param(params, "rows", 20usize)?,
-                domain: positive(params, "domain", 6i64)?,
-                seed: param(params, "seed", 7u64)?,
-            };
-            let instance = config.generate();
-            let ranking = Ranking::max(instance.query().variables());
-            Ok((instance, ranking))
-        }
-        other => Err(format!(
-            "unknown workload {other:?} (expected social, path, star, starschema, or random)"
-        )),
-    }
-}
-
-/// Runs a one-shot subcommand by synthesizing the equivalent REPL script against a
-/// fresh session. Returns the lines to print.
-pub fn run_one_shot(args: &[String]) -> Result<String, String> {
+/// Runs a one-shot subcommand against a fresh session: the workload is opened
+/// as `db` and registered as `plan`, then asked. Returns the lines to print.
+pub fn run_one_shot(args: &[String]) -> Result<String, RequestError> {
     let [subcommand, workload, rest @ ..] = args else {
-        return Err(format!("missing arguments\n\n{HELP}"));
+        return Err(RequestError::usage(format!("missing arguments\n\n{HELP}")));
     };
-    let (bare, keyed): (Vec<&str>, Vec<&str>) = rest
-        .iter()
-        .map(String::as_str)
-        .partition(|t| !t.contains('='));
+    let (phis, keyed): (Vec<&str>, Vec<&str>) =
+        (rest.iter().map(String::as_str)).partition(|t| !t.contains('='));
     // `ranking=` goes to register, `eps=` to the query, the rest to the workload.
-    let mut open_params = Vec::new();
-    let mut register_params = Vec::new();
-    let mut query_params = Vec::new();
-    for token in keyed {
-        if token.starts_with("ranking=") {
-            register_params.push(token);
-        } else if token.starts_with("eps=") {
-            query_params.push(token);
-        } else {
-            open_params.push(token);
-        }
-    }
-
-    let session = CliSession::new();
-    let mut out = String::new();
-    let mut run = |session: &CliSession, command: String| -> Result<(), String> {
-        let output = session.execute(&command)?;
-        if !output.is_empty() {
-            writeln!(out, "{output}").unwrap();
-        }
-        Ok(())
-    };
-    run(
-        &session,
-        format!("open db {workload} {}", open_params.join(" ")),
-    )?;
-    run(
-        &session,
-        format!("register plan db {}", register_params.join(" ")),
-    )?;
+    let (ranking, keyed): (Vec<&str>, Vec<&str>) =
+        keyed.into_iter().partition(|t| t.starts_with("ranking="));
+    let (accuracy, open): (Vec<&str>, Vec<&str>) =
+        keyed.into_iter().partition(|t| t.starts_with("eps="));
+    let (db, plan) = ("db".to_string(), "plan".to_string());
+    let mut requests = vec![
+        Request::Open(db.clone(), Workload::parse(workload, &open)?),
+        Request::Register(plan.clone(), db, parse_ranking(&ranking)?),
+    ];
     match subcommand.as_str() {
         "register" => {}
+        "stats" => requests.push(Request::Stats),
         "quantile" | "batch" => {
-            if bare.is_empty() {
-                return Err(format!("{subcommand} needs at least one φ\n\n{HELP}"));
-            }
-            run(
-                &session,
-                format!("batch plan {} {}", bare.join(" "), query_params.join(" ")),
-            )?;
+            let (phis, accuracy) = (parse_phis(&phis)?, parse_accuracy(&accuracy)?);
+            requests.push(Request::Batch(plan, phis, accuracy));
         }
-        "stats" => {}
-        other => return Err(format!("unknown subcommand {other:?}\n\n{HELP}")),
+        other => {
+            let message = format!("unknown subcommand {other:?}\n\n{HELP}");
+            return Err(RequestError::usage(message));
+        }
     }
-    if *subcommand == "stats" {
-        run(&session, "stats".to_string())?;
-    }
-    Ok(out.trim_end().to_string())
+    let session = CliSession::new();
+    let outputs: Vec<String> = (requests.iter())
+        .map(|request| session.run(request))
+        .collect::<Result<_, _>>()?;
+    Ok(outputs.join("\n"))
 }
 
 /// The REPL: reads commands from stdin, printing a prompt when interactive.
@@ -771,10 +441,13 @@ pub fn run_repl() -> i32 {
             Ok(0) | Err(_) => return 0,
             Ok(_) => {}
         }
-        match session.execute(&line) {
+        let request = Request::parse(&line);
+        if matches!(request, Ok(Request::Quit | Request::Shutdown)) {
+            return 0;
+        }
+        match request.and_then(|request| session.run(&request)) {
             Ok(output) if output.is_empty() => {}
             Ok(output) => println!("{output}"),
-            Err(e) if e == "__quit__" => return 0,
             Err(e) => {
                 eprintln!("error: {e}");
                 if !interactive {
@@ -812,10 +485,13 @@ pub fn main_with_args(args: &[String]) -> i32 {
 mod tests {
     use super::*;
 
+    /// Parses and runs one command line.
+    fn execute(session: &CliSession, line: &str) -> Reply {
+        session.run(&Request::parse(line)?)
+    }
+
     fn ok(session: &CliSession, command: &str) -> String {
-        session
-            .execute(command)
-            .unwrap_or_else(|e| panic!("command {command:?} failed: {e}"))
+        execute(session, command).unwrap_or_else(|e| panic!("command {command:?} failed: {e}"))
     }
 
     #[test]
@@ -900,7 +576,7 @@ mod tests {
         );
 
         // `stats` with any other argument is a usage error.
-        assert!(session.execute("stats nonsense").is_err());
+        assert!(execute(&session, "stats nonsense").is_err());
     }
 
     #[test]
@@ -938,8 +614,9 @@ mod tests {
         ok(&session, "open p path atoms=3 rows=40 seed=4");
         let plan = ok(&session, "register fullsum p ranking=sum:*");
         assert!(plan.contains("sum-approximate-only"), "{plan}");
-        let err = session.execute("quantile fullsum 0.5").unwrap_err();
-        assert!(err.contains("cannot serve"), "{err}");
+        let err = execute(&session, "quantile fullsum 0.5").unwrap_err();
+        assert_eq!(err.class, ErrorClass::Refused, "{err}");
+        assert!(err.message.contains("cannot serve"), "{err}");
         let approx = ok(&session, "quantile fullsum 0.5 eps=0.1");
         assert!(approx.contains("eps=0.1"), "{approx}");
     }
@@ -958,32 +635,64 @@ mod tests {
         // request is refused with the witness on one clean error line.
         ok(&session, "open tiny social rows=10 seed=3");
         ok(&session, "register tinyplan tiny");
-        let err = session
-            .execute("quantile tinyplan 0.5 eps=0.05 delta=0.01 seed=1")
-            .unwrap_err();
-        assert!(err.contains("approximate solve refused"), "{err}");
-        assert!(!err.contains('\n'), "wire errors must be one line: {err}");
+        let err =
+            execute(&session, "quantile tinyplan 0.5 eps=0.05 delta=0.01 seed=1").unwrap_err();
+        assert_eq!(err.class, ErrorClass::Refused, "{err}");
+        assert!(err.message.contains("approximate solve refused"), "{err}");
+        assert!(
+            !err.message.contains('\n'),
+            "wire errors must be one line: {err}"
+        );
         // delta/seed without eps is a parse error, not a silent exact solve.
-        assert!(session.execute("quantile likes 0.5 delta=0.1").is_err());
+        let err = execute(&session, "quantile likes 0.5 delta=0.1").unwrap_err();
+        assert_eq!(err.class, ErrorClass::Usage, "{err}");
+    }
+
+    /// The class of the error `command` fails with.
+    fn class(session: &CliSession, command: &str) -> ErrorClass {
+        match execute(session, command) {
+            Ok(output) => panic!("command {command:?} succeeded: {output}"),
+            Err(e) => e.class,
+        }
     }
 
     #[test]
     fn errors_are_reported_not_panicked() {
+        use ErrorClass::{Refused, Unknown, Usage};
         let session = CliSession::new();
-        assert!(session.execute("open").is_err());
-        assert!(session.execute("open s nosuch").is_err());
-        assert!(session.execute("quantile nope 0.5").is_err());
-        assert!(session.execute("bogus").is_err());
-        assert!(session.execute("quantile nope 1.5").is_err());
+        assert_eq!(class(&session, "open"), Usage);
+        assert_eq!(class(&session, "open s nosuch"), Usage);
+        assert_eq!(class(&session, "quantile nope 0.5"), Unknown);
+        assert_eq!(class(&session, "bogus"), Usage);
+        assert_eq!(class(&session, "quantile nope 1.5"), Usage);
+        assert_eq!(class(&session, "register p nodb"), Unknown);
         ok(&session, "open s social rows=40");
-        assert!(session.execute("register p s ranking=sum:zz").is_err());
-        assert!(session.execute("register p s ranking=weird:*").is_err());
+        assert_eq!(class(&session, "open s social rows=40"), Refused);
+        assert_eq!(class(&session, "open t social rows=x"), Usage);
+        assert_eq!(class(&session, "register p s ranking=sum:zz"), Usage);
+        assert_eq!(class(&session, "register p s ranking=weird:*"), Usage);
         // Typoed parameter keys fail loudly instead of running on defaults.
-        assert!(session.execute("open t social row=500").is_err());
-        assert!(session.execute("register p s rankin=max:*").is_err());
+        assert_eq!(class(&session, "open t social row=500"), Usage);
+        assert_eq!(class(&session, "register p s rankin=max:*"), Usage);
         ok(&session, "register p s");
-        assert!(session.execute("quantile p 0.5 esp=0.1").is_err());
-        assert!(session.execute("batch p 0.5 esp=0.1").is_err());
+        assert_eq!(class(&session, "register p s"), Refused);
+        assert_eq!(class(&session, "quantile p 0.5 esp=0.1"), Usage);
+        assert_eq!(class(&session, "batch p 0.5 esp=0.1"), Usage);
+        assert_eq!(class(&session, "quantile p 0.5 eps=2"), Usage);
+        // A replacement whose query no longer fits the plan is refused.
+        assert_eq!(class(&session, "replace s path rows=40"), Refused);
+        // The slow-query log is the server's; the session refuses it.
+        assert_eq!(class(&session, "slowlog"), Refused);
+    }
+
+    #[test]
+    fn connection_verbs_answer_with_their_wire_replies() {
+        let session = CliSession::new();
+        assert_eq!(ok(&session, "ping"), "pong");
+        assert_eq!(ok(&session, "quit"), "bye");
+        assert_eq!(ok(&session, "shutdown"), "shutting down");
+        assert_eq!(ok(&session, "  "), "");
+        assert_eq!(class(&session, "ping pong"), ErrorClass::Usage);
     }
 
     #[test]
@@ -1033,9 +742,9 @@ mod tests {
         assert!(!warm.contains("solve"), "{warm}");
 
         // Errors are reported, not panicked.
-        assert!(session.execute("trace id zzz").is_err());
-        assert!(session.execute("trace id ffffffff").is_err());
-        assert!(session.execute("trace bogus").is_err());
+        assert_eq!(class(&session, "trace id zzz"), ErrorClass::Usage);
+        assert_eq!(class(&session, "trace id ffffffff"), ErrorClass::Unknown);
+        assert_eq!(class(&session, "trace bogus"), ErrorClass::Usage);
     }
 
     #[test]
@@ -1048,8 +757,9 @@ mod tests {
         ok(&session, "open s social rows=40 seed=1");
         ok(&session, "register likes s");
         ok(&session, "quantile likes 0.5");
-        let err = session.execute("trace last").unwrap_err();
-        assert!(err.contains("disabled"), "{err}");
+        let err = execute(&session, "trace last").unwrap_err();
+        assert_eq!(err.class, ErrorClass::Refused, "{err}");
+        assert!(err.message.contains("disabled"), "{err}");
     }
 
     #[test]
@@ -1081,9 +791,9 @@ mod tests {
         assert!(hard.contains("NP-hard"), "{hard}");
         assert!(hard.contains("approximate eps=0.05"), "{hard}");
 
-        assert!(session.execute("explain").is_err());
-        assert!(session.execute("explain nope 0.5").is_err());
-        assert!(session.execute("explain likes 1.5").is_err());
+        assert_eq!(class(&session, "explain"), ErrorClass::Usage);
+        assert_eq!(class(&session, "explain nope 0.5"), ErrorClass::Unknown);
+        assert_eq!(class(&session, "explain likes 1.5"), ErrorClass::Usage);
     }
 
     #[test]

@@ -26,9 +26,9 @@
 //!   `quantile_batch`, `stats`, …) take a brief read lock to clone the plan's
 //!   `Arc<PreparedPlan>` handle, then solve entirely outside the lock over the
 //!   plan's immutable `Arc`-shared code columns.
-//! * The result cache is **sharded by plan id** ([`ShardedLru`]): each shard has its
-//!   own mutex, so concurrent requests against different plans never serialize on
-//!   one cache lock, and a hot plan only contends on its own shard.
+//! * The result cache is **sharded by a hash of the key** ([`ShardedLru`]): each
+//!   shard has its own mutex, so concurrent requests seldom serialize on one cache
+//!   lock, and one plan's results spread over every shard's capacity.
 //! * Writers (`create_database`, `register`, `replace_database`, `drop_plan`)
 //!   serialise on one **writer mutex** and do their work in three steps: snapshot
 //!   what they need under a read lock; encode and compile with **no state lock
@@ -100,8 +100,8 @@ pub struct EngineConfig {
     /// Maximum number of cached quantile results across all shards (0 disables the
     /// cache).
     pub cache_capacity: usize,
-    /// Number of independent cache shards (selected by plan id). More shards means
-    /// less lock contention between plans; 1 degenerates to a single locked LRU.
+    /// Number of independent cache shards (selected by a hash of the key). More
+    /// shards means less lock contention; 1 degenerates to a single locked LRU.
     pub cache_shards: usize,
     /// Intra-solve parallelism degree. `Some(t)` gives the engine its own
     /// work-stealing pool of `t` threads (`1` is guaranteed purely sequential —
@@ -768,9 +768,9 @@ impl Engine {
 
     /// A cache lookup timed into the `qjoin_cache_lookup_seconds` histogram —
     /// the "cache" span of a request's lifecycle.
-    fn cache_get_timed(&self, plan_id: u64, key: &CacheKey) -> Option<QuantileResult> {
+    fn cache_get_timed(&self, key: &CacheKey) -> Option<QuantileResult> {
         let started = Instant::now();
-        let result = self.cache.get(plan_id, key);
+        let result = self.cache.get(key);
         self.cache_lookup.record_duration(started.elapsed());
         if let Some(ctx) = current_trace_context() {
             ctx.builder.record_new(
@@ -802,7 +802,7 @@ impl Engine {
         if current.is_some_and(|c| c.id == plan.id && c.generation == plan.generation) {
             for (&phi, result) in phis.iter().zip(results) {
                 let key = cache_key(plan, phi, accuracy);
-                self.cache.insert(plan.id, key, result.clone());
+                self.cache.insert(key, result.clone());
             }
         }
     }
@@ -856,7 +856,7 @@ impl Engine {
             .quantile_requests
             .fetch_add(phis.len() as u64, Ordering::Relaxed);
         let cached: Vec<Option<QuantileResult>> = (phis.iter())
-            .map(|&phi| self.cache_get_timed(plan.id, &cache_key(plan, phi, accuracy)))
+            .map(|&phi| self.cache_get_timed(&cache_key(plan, phi, accuracy)))
             .collect();
         let misses: Vec<f64> = (phis.iter().zip(&cached))
             .filter_map(|(&phi, hit)| hit.is_none().then_some(phi))
@@ -969,11 +969,6 @@ impl Engine {
         self.cache.stats()
     }
 
-    /// Per-shard cache counters, in shard order (shard = plan id mod shard count).
-    pub fn cache_shard_stats(&self) -> Vec<CacheStats> {
-        self.cache.shard_stats()
-    }
-
     /// A snapshot of the engine's state and counters.
     pub fn stats(&self) -> EngineStats {
         let (databases, plans) = {
@@ -1001,11 +996,6 @@ impl Engine {
     /// Time since the engine was constructed.
     pub fn uptime(&self) -> std::time::Duration {
         self.started.elapsed()
-    }
-
-    /// Live entries per cache shard, in shard order.
-    pub fn cache_shard_lens(&self) -> Vec<usize> {
-        self.cache.shard_lens()
     }
 
     /// Publishes the engine's counters, cache statistics, catalog gauges, and
@@ -1187,8 +1177,21 @@ mod tests {
         assert_eq!(stats.counters.quantile_requests, 2);
         assert_eq!(engine.cache_stats().hits, 1);
         // The per-shard breakdown sums to the aggregate.
-        let per_shard = engine.cache_shard_stats();
+        let per_shard = engine.cache.shard_stats();
         assert_eq!(per_shard.iter().map(|s| s.hits).sum::<u64>(), 1);
+    }
+
+    /// With the default 1024 entries over 8 shards, one plan keeps 512 results:
+    /// every repeat is a hit. Fails if the shard is picked by the plan id, which
+    /// leaves the plan one shard of 128 entries.
+    #[test]
+    fn one_plan_caches_more_results_than_one_shard_holds() {
+        let (engine, _) = social_engine(100, 7);
+        let phis: Vec<f64> = (0..512).map(|i| f64::from(i) / 511.0).collect();
+        engine.quantile_batch("likes", &phis).unwrap();
+        let again = engine.quantile_batch("likes", &phis).unwrap();
+        assert!(again.iter().all(|answer| answer.from_cache));
+        assert_eq!(engine.cache_stats().evictions, 0);
     }
 
     #[test]
@@ -1708,7 +1711,7 @@ mod tests {
         );
         assert!(snapshot.gauge("qjoin_uptime_seconds", &[]).unwrap() >= 0.0);
         // Shard occupancy gauges exist for every shard and sum to the entry count.
-        let shards = engine.cache_shard_lens();
+        let shards = engine.cache.shard_lens();
         assert_eq!(shards.len(), engine.stats().cache_shards);
         assert_eq!(shards.iter().sum::<usize>(), engine.stats().cache_entries);
 

@@ -1,5 +1,6 @@
 //! Error types for the engine layer.
 
+use crate::request::ErrorClass;
 use qjoin_core::CoreError;
 use std::fmt;
 
@@ -30,6 +31,30 @@ pub enum EngineError {
     },
     /// An algorithmic error from `qjoin-core`.
     Core(CoreError),
+}
+
+impl EngineError {
+    /// The class of reply this error is. The layer errors say that a plan's query
+    /// does not fit its database (a `replace` with another workload): refusals.
+    pub fn class(&self) -> ErrorClass {
+        use ErrorClass as C;
+        match self {
+            EngineError::UnknownDatabase(_) | EngineError::UnknownPlan(_) => C::Unknown,
+            EngineError::DuplicateDatabase(_) | EngineError::DuplicatePlan(_) => C::Refused,
+            EngineError::PlanCannotServe { .. } => C::Refused,
+            EngineError::TooLarge { .. } => C::TooLarge,
+            EngineError::Core(e) => match e {
+                CoreError::InvalidPhi(_) | CoreError::InvalidEpsilon(_) => C::Usage,
+                CoreError::InvalidDelta(_) => C::Usage,
+                CoreError::NoAnswers | CoreError::CyclicQuery(_) => C::Refused,
+                CoreError::IntractableSum(_) | CoreError::ApproxRefused(_) => C::Refused,
+                CoreError::UnsupportedRanking(_) => C::Refused,
+                CoreError::Exec(_) | CoreError::Query(_) | CoreError::Data(_) => C::Refused,
+                CoreError::QueryTooLarge { .. } | CoreError::TooLarge(_) => C::TooLarge,
+                CoreError::UnsupportedPredicate(_) | CoreError::Internal(_) => C::Internal,
+            },
+        }
+    }
 }
 
 impl fmt::Display for EngineError {

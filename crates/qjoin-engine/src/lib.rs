@@ -30,6 +30,7 @@
 //! | cross-request coalescing of cold exact solves, per plan | `coalesce` |
 //! | the serving facade | [`engine`] |
 //! | `explain` / `explain analyze` reports | [`explain`] |
+//! | the one parser of every verb, and typed errors | [`request`] |
 //! | the `qjoin` CLI session | [`cli`] |
 //!
 //! ## Quick example
@@ -66,6 +67,7 @@ pub mod engine;
 mod error;
 pub mod explain;
 pub mod plan;
+pub mod request;
 mod telemetry;
 
 pub use cache::{CacheStats, LruCache, ShardedLru};
@@ -77,3 +79,4 @@ pub use error::EngineError;
 pub use explain::{AnalyzeReport, AnalyzeRound, ExplainReport};
 pub use plan::PreparedPlan;
 pub use qjoin_core::Accuracy;
+pub use request::{ErrorClass, Request, RequestError};

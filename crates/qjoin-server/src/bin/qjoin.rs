@@ -1,8 +1,9 @@
 //! The `qjoin` binary: the engine CLI (REPL + one-shot subcommands) plus the
 //! network subcommands `serve` and `client` provided by this crate.
 
+use qjoin_engine::request::{param, parse_params};
+use qjoin_engine::{EngineConfig, Request, RequestError};
 use qjoin_server::{Client, ClientError, ServerConfig};
-use std::collections::BTreeMap;
 use std::io::BufRead;
 use std::time::Duration;
 
@@ -62,93 +63,49 @@ fn run(args: &[String]) -> i32 {
     }
 }
 
-/// Parses `key=value` arguments against an allowed set.
-fn parse_params(tokens: &[String], allowed: &[&str]) -> Result<BTreeMap<String, String>, String> {
-    let mut params = BTreeMap::new();
-    for token in tokens {
-        let Some((key, value)) = token.split_once('=') else {
-            return Err(format!("expected key=value, got {token:?}"));
-        };
-        if !allowed.contains(&key) {
-            return Err(format!(
-                "unknown parameter {key:?}; expected one of: {}",
-                allowed.join(", ")
-            ));
-        }
-        params.insert(key.to_string(), value.to_string());
+/// `qjoin serve`'s arguments: the bind address, the engine's configuration and
+/// the server's.
+fn serve_config(args: &[String]) -> Result<(String, EngineConfig, ServerConfig), RequestError> {
+    let tokens: Vec<&str> = args.iter().map(String::as_str).collect();
+    let keys = [
+        "addr", "workers", "queue", "cache", "slowms", "threads", "tracecap",
+    ];
+    let params = parse_params(&tokens, &keys)?;
+    // Absent, `threads` defers to the process-wide pool (QJOIN_THREADS or the
+    // host's available parallelism); `threads=1` is purely sequential.
+    let threads = (params.contains_key("threads"))
+        .then(|| param(&params, "threads", 0))
+        .transpose()?;
+    if threads == Some(0) {
+        return Err(RequestError::usage("threads must be at least 1"));
     }
-    Ok(params)
+    let engine = EngineConfig {
+        cache_capacity: param(&params, "cache", 1024)?,
+        threads,
+        flight_recorder_capacity: param(&params, "tracecap", 64)?,
+        ..Default::default()
+    };
+    let server = ServerConfig {
+        workers: param(&params, "workers", 4)?,
+        queue_depth: param(&params, "queue", 64)?,
+        slow_threshold: Duration::from_millis(param(&params, "slowms", 100)?),
+    };
+    // Ephemeral by default: parallel invocations never collide on a port.
+    let addr = param(&params, "addr", "127.0.0.1:0".to_string())?;
+    Ok((addr, engine, server))
 }
 
 fn cmd_serve(args: &[String]) -> i32 {
-    let params = match parse_params(
-        args,
-        &[
-            "addr", "workers", "queue", "cache", "slowms", "threads", "tracecap",
-        ],
-    ) {
-        Ok(p) => p,
+    let (addr, engine, config) = match serve_config(args) {
+        Ok(configs) => configs,
         Err(e) => {
             eprintln!("error: {e}\n\n{SERVE_HELP}");
             return 1;
         }
     };
-    let addr = params
-        .get("addr")
-        .map(String::as_str)
-        // Ephemeral by default: parallel invocations never collide on a port.
-        .unwrap_or("127.0.0.1:0")
-        .to_string();
-    let parse_usize = |key: &str, default: usize| -> Result<usize, String> {
-        match params.get(key) {
-            Some(raw) => raw
-                .parse()
-                .map_err(|_| format!("invalid value {raw:?} for {key}")),
-            None => Ok(default),
-        }
-    };
-    let (workers, queue, cache, slowms, tracecap, threads) = match (|| {
-        Ok::<_, String>((
-            parse_usize("workers", 4)?,
-            parse_usize("queue", 64)?,
-            parse_usize("cache", 1024)?,
-            parse_usize("slowms", 100)?,
-            parse_usize("tracecap", 64)?,
-            // `None` defers to the process-wide pool (QJOIN_THREADS or the
-            // host's available parallelism); `threads=1` is purely sequential.
-            params
-                .get("threads")
-                .map(|raw| {
-                    raw.parse::<usize>()
-                        .ok()
-                        .filter(|&t| t >= 1)
-                        .ok_or_else(|| format!("invalid value {raw:?} for threads"))
-                })
-                .transpose()?,
-        ))
-    })() {
-        Ok(v) => v,
-        Err(e) => {
-            eprintln!("error: {e}\n\n{SERVE_HELP}");
-            return 1;
-        }
-    };
-
-    let engine = std::sync::Arc::new(qjoin_engine::Engine::with_config(
-        qjoin_engine::EngineConfig {
-            cache_capacity: cache,
-            threads,
-            flight_recorder_capacity: tracecap,
-            ..Default::default()
-        },
-    ));
+    let workers = config.workers;
+    let engine = std::sync::Arc::new(qjoin_engine::Engine::with_config(engine));
     let session = std::sync::Arc::new(qjoin_engine::cli::CliSession::with_engine(engine));
-    let config = ServerConfig {
-        workers,
-        queue_depth: queue,
-        slow_threshold: Duration::from_millis(slowms as u64),
-        ..Default::default()
-    };
     let server = match qjoin_server::Server::bind(addr.as_str(), session, config) {
         Ok(server) => server,
         Err(e) => {
@@ -183,45 +140,38 @@ fn cmd_serve(args: &[String]) -> i32 {
     }
 }
 
-/// Drives the client from a line-per-command script (stdin mode): remote `err`
-/// replies are reported and the script keeps going, but any error — remote or
-/// transport — makes the final exit code nonzero, so shell pipelines can tell a
-/// clean run from a degraded one.
-fn run_script(client: &mut Client, input: impl BufRead) -> i32 {
+/// Sends each command in turn, printing payloads to stdout and errors to
+/// stderr, until one ends the conversation (`quit`/`exit`/`shutdown`). A remote
+/// `err` reply stops the run unless `keep_going` (stdin mode); a transport
+/// error always does. Any error makes the exit code 1, so shell pipelines can
+/// tell a clean run from a degraded one.
+fn run_script(
+    client: &mut Client,
+    commands: impl Iterator<Item = String>,
+    keep_going: bool,
+) -> i32 {
     let mut failed = false;
-    for line in input.lines() {
-        let line = match line {
-            Ok(line) => line,
-            Err(_) => break,
-        };
-        if line.trim().is_empty() {
-            continue;
-        }
-        match run_one(client, &line) {
-            Ok(true) => return i32::from(failed),
-            Ok(false) => {}
-            Err(ClientError::Remote(message)) => {
+    for command in commands.filter(|command| !command.trim().is_empty()) {
+        match client.send(&command) {
+            Ok(payload) => payload.iter().for_each(|line| println!("{line}")),
+            Err(ClientError::Remote(message)) if keep_going => {
                 eprintln!("error: {message}");
                 failed = true;
+                continue;
             }
             Err(e) => {
                 eprintln!("error: {e}");
                 return 1;
             }
         }
+        if matches!(
+            Request::parse(&command),
+            Ok(Request::Quit | Request::Shutdown)
+        ) {
+            break;
+        }
     }
     i32::from(failed)
-}
-
-/// Sends one command, prints its payload, and reports whether it ended the
-/// conversation (`quit`/`exit`/`shutdown`).
-fn run_one(client: &mut Client, command: &str) -> Result<bool, ClientError> {
-    let verb = command.split_whitespace().next().unwrap_or("");
-    let payload = client.send(command)?;
-    for line in &payload {
-        println!("{line}");
-    }
-    Ok(matches!(verb, "quit" | "exit" | "shutdown"))
 }
 
 fn cmd_client(args: &[String]) -> i32 {
@@ -239,32 +189,23 @@ fn cmd_client(args: &[String]) -> i32 {
     // Solves can take a while on big workloads, but a hung server should not hang
     // the client forever.
     let _ = client.set_read_timeout(Some(Duration::from_secs(300)));
-
     if commands.is_empty() {
         // Interactive / piped mode: one command per stdin line.
-        run_script(&mut client, std::io::stdin().lock())
-    } else {
-        // One-shot mode: each argument is a full command; stop at the first error.
-        for command in commands {
-            match run_one(&mut client, command) {
-                Ok(true) => return 0,
-                Ok(false) => {}
-                Err(e) => {
-                    eprintln!("error: {e}");
-                    return 1;
-                }
-            }
-        }
-        // Close the connection politely so the server's worker is freed at once.
-        let _ = client.quit();
-        0
+        let lines = std::io::stdin().lock().lines().map_while(Result::ok);
+        return run_script(&mut client, lines, true);
     }
+    // One-shot mode: each argument is a full command; stop at the first error.
+    // Dropping the client closes the connection; it never held a worker.
+    run_script(&mut client, commands.iter().cloned(), false)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::io::Cursor;
+
+    fn script(client: &mut Client, text: &str) -> i32 {
+        run_script(client, text.lines().map(String::from), true)
+    }
 
     fn with_client(test: impl FnOnce(&mut Client)) {
         let server = qjoin_server::Server::bind(
@@ -285,8 +226,8 @@ mod tests {
     #[test]
     fn clean_script_exits_zero() {
         with_client(|client| {
-            let script = "ping\n\nopen s social rows=60 seed=3\nquit\n";
-            assert_eq!(run_script(client, Cursor::new(script)), 0);
+            let text = "ping\n\nopen s social rows=60 seed=3\nquit\n";
+            assert_eq!(script(client, text), 0);
         });
     }
 
@@ -295,16 +236,14 @@ mod tests {
         // Regression: a failing command in stdin mode used to be reported on
         // stderr but swallowed by a 0 exit code.
         with_client(|client| {
-            let script = "ping\nfrobnicate\nping\n";
-            assert_eq!(run_script(client, Cursor::new(script)), 1);
+            assert_eq!(script(client, "ping\nfrobnicate\nping\n"), 1);
         });
     }
 
     #[test]
     fn quit_after_a_remote_error_still_exits_nonzero() {
         with_client(|client| {
-            let script = "frobnicate\nquit\n";
-            assert_eq!(run_script(client, Cursor::new(script)), 1);
+            assert_eq!(script(client, "frobnicate\nquit\n"), 1);
         });
     }
 }

@@ -5,7 +5,7 @@
 //! errors (`err ...` replies) surface as [`ClientError::Remote`], so transport
 //! failures and server-side rejections stay distinguishable.
 
-use crate::protocol::{ProtocolError, Response};
+use crate::protocol::Response;
 use std::fmt;
 use std::io::{self, BufReader, Write};
 use std::net::{TcpStream, ToSocketAddrs};
@@ -16,10 +16,11 @@ use std::time::Duration;
 pub enum ClientError {
     /// The connection failed (dial, read, or write).
     Io(io::Error),
-    /// The server replied with an `err` response; the payload is its message.
+    /// The server replied with an `err` response; the payload is its text,
+    /// `<class>: <message>`.
     Remote(String),
-    /// The server replied with bytes that are not valid protocol framing, or the
-    /// request itself cannot be represented on the wire.
+    /// The server replied with bytes that are not valid protocol framing, or
+    /// closed mid-response, or the request cannot be represented on the wire.
     Protocol(String),
 }
 
@@ -45,18 +46,6 @@ impl std::error::Error for ClientError {
 impl From<io::Error> for ClientError {
     fn from(e: io::Error) -> Self {
         ClientError::Io(e)
-    }
-}
-
-impl From<ProtocolError> for ClientError {
-    fn from(e: ProtocolError) -> Self {
-        match e {
-            ProtocolError::Io(e) => ClientError::Io(e),
-            ProtocolError::Closed => {
-                ClientError::Protocol("connection closed mid-response".to_string())
-            }
-            ProtocolError::Malformed(what) => ClientError::Protocol(what),
-        }
     }
 }
 
@@ -101,7 +90,7 @@ impl Client {
 
     /// Round-trips a `ping`.
     pub fn ping(&mut self) -> Result<(), ClientError> {
-        let payload = self.send("ping")?;
+        let payload = self.send(qjoin_engine::request::PING)?;
         if payload == ["pong"] {
             Ok(())
         } else {
@@ -109,41 +98,6 @@ impl Client {
                 "unexpected ping reply: {payload:?}"
             )))
         }
-    }
-
-    /// Serves one quantile: `quantile <plan> <phi>`; returns the answer line.
-    pub fn quantile(&mut self, plan: &str, phi: f64) -> Result<String, ClientError> {
-        let payload = self.send(&format!("quantile {plan} {phi}"))?;
-        payload
-            .into_iter()
-            .next()
-            .ok_or_else(|| ClientError::Protocol("empty quantile reply".to_string()))
-    }
-
-    /// Serves a batch: `batch <plan> <phi> ...`; returns all payload lines (one per
-    /// φ plus the summary line).
-    pub fn batch(&mut self, plan: &str, phis: &[f64]) -> Result<Vec<String>, ClientError> {
-        let phi_args = phis
-            .iter()
-            .map(f64::to_string)
-            .collect::<Vec<_>>()
-            .join(" ");
-        self.send(&format!("batch {plan} {phi_args}"))
-    }
-
-    /// Fetches the server's statistics dump.
-    pub fn stats(&mut self) -> Result<Vec<String>, ClientError> {
-        self.send("stats")
-    }
-
-    /// Politely closes this connection (`quit`). The connection is consumed.
-    pub fn quit(mut self) -> Result<(), ClientError> {
-        self.send("quit").map(|_| ())
-    }
-
-    /// Asks the server to shut down and drain. The connection is consumed.
-    pub fn shutdown(mut self) -> Result<(), ClientError> {
-        self.send("shutdown").map(|_| ())
     }
 }
 
@@ -169,7 +123,5 @@ mod tests {
         assert!(ClientError::Remote("nope".into())
             .to_string()
             .contains("nope"));
-        let from_closed: ClientError = ProtocolError::Closed.into();
-        assert!(matches!(from_closed, ClientError::Protocol(_)));
     }
 }

@@ -18,7 +18,7 @@
 //!
 //! | Component | Module |
 //! |---|---|
-//! | wire format (framing, verbs, errors) | [`protocol`] |
+//! | wire format (framing, typed error lines) | [`protocol`] |
 //! | `poll(2)` blocking and the wake descriptor | [`poll`] |
 //! | nonblocking connection + line assembly | [`conn`] |
 //! | bounded worker thread pool | [`pool`] |
@@ -46,9 +46,9 @@
 //! let mut client = Client::connect(addr).unwrap();
 //! client.send("open s social rows=60 seed=3").unwrap();
 //! client.send("register likes s").unwrap();
-//! let answer = client.quantile("likes", 0.5).unwrap();
-//! assert!(answer.contains("phi=0.5000"));
-//! client.shutdown().unwrap();   // drains workers and stops the reactor
+//! let answer = client.send("quantile likes 0.5").unwrap();
+//! assert!(answer[0].contains("phi=0.5000"));
+//! client.send("shutdown").unwrap();   // drains workers and stops the reactor
 //! join.join().unwrap();
 //! ```
 
@@ -68,5 +68,5 @@ pub use conn::{Conn, MAX_LINE_BYTES};
 pub use metrics::ServerMetrics;
 pub use poll::{Poller, Waker};
 pub use pool::WorkerPool;
-pub use protocol::{ProtocolError, Response, MAX_PAYLOAD_LINES};
+pub use protocol::{Response, MAX_PAYLOAD_LINES};
 pub use server::{Server, ServerConfig, ServerHandle, ServerSummary};

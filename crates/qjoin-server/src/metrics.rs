@@ -38,6 +38,9 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, PoisonError};
 use std::time::Duration;
 
+/// How many slow requests the `slowlog` ring keeps; the newest win.
+pub(crate) const SLOW_LOG_CAPACITY: usize = 128;
+
 /// Per-request telemetry sinks shared by every worker (see the module docs).
 pub struct ServerMetrics {
     requests: Arc<Counter>,
@@ -57,7 +60,8 @@ pub struct ServerMetrics {
 
 impl ServerMetrics {
     /// Registers the server's request-lifecycle series in `registry` (the
-    /// engine's, so one scrape covers both layers).
+    /// engine's, so one scrape covers both layers); the slow log keeps the
+    /// newest `slow_capacity` (at least 1) slow requests.
     pub fn new(registry: &Registry, slow_threshold: Duration, slow_capacity: usize) -> Self {
         ServerMetrics {
             requests: registry.counter("qjoin_requests_total", &[]),
@@ -170,19 +174,15 @@ impl SlowLog {
         write: Duration,
         trace: Option<TraceId>,
     ) {
-        if self.capacity == 0 || queue_wait + execute < self.threshold {
+        if queue_wait + execute < self.threshold {
             return;
         }
         let seq = self.seq.fetch_add(1, Ordering::Relaxed);
-        let mut command = command.to_string();
-        if command.len() > MAX_SLOW_COMMAND_BYTES {
-            let mut cut = MAX_SLOW_COMMAND_BYTES;
-            while !command.is_char_boundary(cut) {
-                cut -= 1;
-            }
-            command.truncate(cut);
-            command.push('…');
-        }
+        let cut = command.floor_char_boundary(MAX_SLOW_COMMAND_BYTES);
+        let command = match cut < command.len() {
+            true => format!("{}…", &command[..cut]),
+            false => command.to_string(),
+        };
         let entry = SlowEntry {
             seq,
             command,
@@ -283,24 +283,8 @@ mod tests {
     }
 
     #[test]
-    fn zero_capacity_disables_the_ring_and_long_commands_truncate() {
+    fn long_commands_truncate() {
         let registry = Registry::new();
-        let disabled = ServerMetrics::new(&registry, Duration::ZERO, 0);
-        disabled.record(
-            "anything",
-            Duration::ZERO,
-            Duration::ZERO,
-            Duration::ZERO,
-            None,
-        );
-        assert!(
-            disabled
-                .slowlog_dump()
-                .starts_with("slowlog: 0 entries shown, 0 recorded"),
-            "{}",
-            disabled.slowlog_dump()
-        );
-
         let logging = ServerMetrics::new(&registry, Duration::ZERO, 4);
         let long = "x".repeat(300);
         logging.record(&long, Duration::ZERO, Duration::ZERO, Duration::ZERO, None);

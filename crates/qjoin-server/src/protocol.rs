@@ -1,8 +1,7 @@
 //! The line-delimited wire protocol (see `docs/PROTOCOL.md` for the full spec).
 //!
-//! **Requests** are single lines of UTF-8 text, exactly the REPL command language
-//! (`open`, `replace`, `register`, `quantile`, `batch`, `plans`, `stats`, `help`),
-//! plus the connection verbs `ping`, `quit`/`exit`, and `shutdown`.
+//! **Requests** are single lines of UTF-8 text, the REPL's command language:
+//! every verb is parsed by [`qjoin_engine::Request::parse`].
 //!
 //! **Responses** are framed so a client can read them without guessing:
 //!
@@ -13,17 +12,19 @@
 //! <line n>\n
 //! ```
 //!
-//! or, for failures, a single line:
+//! or, for failures, a single line whose class is one of `usage`, `unknown`,
+//! `refused`, `too-large` and `internal` ([`qjoin_engine::ErrorClass`]):
 //!
 //! ```text
-//! err <message>\n
+//! err <class>: <message>\n
 //! ```
 //!
 //! Error messages are flattened to one line (embedded newlines become `"; "`).
 //! Both sides of the protocol live here so the server, the client library, and the
 //! tests cannot drift apart.
 
-use std::fmt;
+use crate::client::ClientError;
+use qjoin_engine::RequestError;
 use std::io::{self, BufRead, Write};
 
 /// Most payload lines a client accepts in one `ok <n>` frame. Real responses are
@@ -37,31 +38,11 @@ pub const MAX_PAYLOAD_LINES: usize = 1 << 20;
 pub enum Response {
     /// Success, carrying the payload lines.
     Ok(Vec<String>),
-    /// Failure, carrying a one-line error message.
+    /// Failure, carrying one line: `<class>: <message>`.
     Err(String),
 }
 
 impl Response {
-    /// A success response from a printable text block (split into lines; an empty
-    /// text becomes an empty payload).
-    pub fn from_text(text: &str) -> Response {
-        if text.is_empty() {
-            Response::Ok(Vec::new())
-        } else {
-            Response::Ok(text.lines().map(str::to_string).collect())
-        }
-    }
-
-    /// An error response; the message is flattened to a single line.
-    pub fn error(message: impl Into<String>) -> Response {
-        Response::Err(flatten(&message.into()))
-    }
-
-    /// True for [`Response::Ok`].
-    pub fn is_ok(&self) -> bool {
-        matches!(self, Response::Ok(_))
-    }
-
     /// Serializes the response onto a writer using the framing above.
     pub fn write_to(&self, w: &mut impl Write) -> io::Result<()> {
         match self {
@@ -78,19 +59,19 @@ impl Response {
         w.flush()
     }
 
-    /// Reads one framed response from a buffered reader.
+    /// Reads one framed response from a buffered reader. A connection closed
+    /// mid-response, or bytes that are not framing, are [`ClientError::Protocol`].
     ///
     /// The payload count is capped at [`MAX_PAYLOAD_LINES`]: a malformed or
-    /// hostile header like `ok 18446744073709551615` is rejected as
-    /// [`ProtocolError::Malformed`] instead of looping the client until EOF.
-    pub fn read_from(r: &mut impl BufRead) -> Result<Response, ProtocolError> {
+    /// hostile header like `ok 18446744073709551615` is rejected instead of
+    /// looping the client until EOF.
+    pub fn read_from(r: &mut impl BufRead) -> Result<Response, ClientError> {
         let header = read_line(r)?;
         if let Some(count) = header.strip_prefix("ok ") {
-            let count: usize = count.trim().parse().map_err(|_| {
-                ProtocolError::Malformed(format!("bad payload count in {header:?}"))
-            })?;
+            let count: usize = (count.trim().parse())
+                .map_err(|_| ClientError::Protocol(format!("bad payload count in {header:?}")))?;
             if count > MAX_PAYLOAD_LINES {
-                return Err(ProtocolError::Malformed(format!(
+                return Err(ClientError::Protocol(format!(
                     "payload count {count} exceeds the {MAX_PAYLOAD_LINES}-line cap"
                 )));
             }
@@ -102,19 +83,31 @@ impl Response {
         } else if let Some(message) = header.strip_prefix("err ") {
             Ok(Response::Err(message.to_string()))
         } else {
-            Err(ProtocolError::Malformed(format!(
+            Err(ClientError::Protocol(format!(
                 "expected `ok <n>` or `err <message>`, got {header:?}"
             )))
         }
     }
 }
 
+/// A request's reply: its output as payload lines (no output, no lines), or
+/// its error as one line, `<class>: <message>`.
+impl From<Result<String, RequestError>> for Response {
+    fn from(reply: Result<String, RequestError>) -> Response {
+        match reply {
+            Ok(text) => Response::Ok(text.lines().map(str::to_string).collect()),
+            Err(e) => Response::Err(flatten(&e.to_string())),
+        }
+    }
+}
+
 /// Reads one `\n`-terminated line, stripping the terminator (and a `\r` if present).
-fn read_line(r: &mut impl BufRead) -> Result<String, ProtocolError> {
+fn read_line(r: &mut impl BufRead) -> Result<String, ClientError> {
     let mut line = String::new();
-    let n = r.read_line(&mut line).map_err(ProtocolError::Io)?;
-    if n == 0 {
-        return Err(ProtocolError::Closed);
+    if r.read_line(&mut line)? == 0 {
+        return Err(ClientError::Protocol(
+            "connection closed mid-response".into(),
+        ));
     }
     while line.ends_with('\n') || line.ends_with('\r') {
         line.pop();
@@ -128,42 +121,6 @@ fn flatten(text: &str) -> String {
         text.replace("\r\n", "; ").replace('\n', "; ")
     } else {
         text.to_string()
-    }
-}
-
-/// Errors raised while reading the wire format.
-#[derive(Debug)]
-pub enum ProtocolError {
-    /// The underlying transport failed.
-    Io(io::Error),
-    /// The peer closed the connection mid-response (or before one started).
-    Closed,
-    /// The peer sent something that is not valid framing.
-    Malformed(String),
-}
-
-impl fmt::Display for ProtocolError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            ProtocolError::Io(e) => write!(f, "transport error: {e}"),
-            ProtocolError::Closed => write!(f, "connection closed by peer"),
-            ProtocolError::Malformed(what) => write!(f, "malformed response: {what}"),
-        }
-    }
-}
-
-impl std::error::Error for ProtocolError {
-    fn source(&self) -> Option<&(dyn std::error::Error + 'static)> {
-        match self {
-            ProtocolError::Io(e) => Some(e),
-            _ => None,
-        }
-    }
-}
-
-impl From<io::Error> for ProtocolError {
-    fn from(e: io::Error) -> Self {
-        ProtocolError::Io(e)
     }
 }
 
@@ -191,16 +148,16 @@ mod tests {
 
     #[test]
     fn err_responses_roundtrip_flattened() {
-        let response = Response::error("first\nsecond");
-        assert_eq!(response, Response::Err("first; second".into()));
+        let response = Response::from(Err(RequestError::usage("first\nsecond")));
+        assert_eq!(response, Response::Err("usage: first; second".into()));
         assert_eq!(roundtrip(&response), response);
     }
 
     #[test]
-    fn from_text_splits_lines() {
-        assert_eq!(Response::from_text(""), Response::Ok(vec![]));
+    fn replies_split_into_lines() {
+        assert_eq!(Response::from(Ok(String::new())), Response::Ok(vec![]));
         assert_eq!(
-            Response::from_text("a\nb"),
+            Response::from(Ok("a\nb".to_string())),
             Response::Ok(vec!["a".into(), "b".into()])
         );
     }
@@ -212,51 +169,33 @@ mod tests {
         assert_eq!(read_back, Response::Ok(vec!["evil; injection".into()]));
     }
 
+    /// The protocol error reading `wire` fails with.
+    fn refusal(wire: &[u8]) -> String {
+        match Response::read_from(&mut BufReader::new(wire)) {
+            Err(ClientError::Protocol(what)) => what,
+            other => panic!("expected a protocol error, got {other:?}"),
+        }
+    }
+
     #[test]
     fn malformed_headers_and_eof_are_errors() {
-        let mut empty = BufReader::new(&b""[..]);
-        assert!(matches!(
-            Response::read_from(&mut empty),
-            Err(ProtocolError::Closed)
-        ));
-        let mut garbage = BufReader::new(&b"what 3\n"[..]);
-        assert!(matches!(
-            Response::read_from(&mut garbage),
-            Err(ProtocolError::Malformed(_))
-        ));
-        let mut truncated = BufReader::new(&b"ok 2\nonly-one\n"[..]);
-        assert!(matches!(
-            Response::read_from(&mut truncated),
-            Err(ProtocolError::Closed)
-        ));
-        let mut bad_count = BufReader::new(&b"ok lots\n"[..]);
-        assert!(matches!(
-            Response::read_from(&mut bad_count),
-            Err(ProtocolError::Malformed(_))
-        ));
+        assert!(refusal(b"").contains("closed"));
+        assert!(refusal(b"what 3\n").contains("expected `ok <n>`"));
+        assert!(refusal(b"ok 2\nonly-one\n").contains("closed"));
+        assert!(refusal(b"ok lots\n").contains("bad payload count"));
     }
 
     #[test]
     fn hostile_payload_counts_are_rejected_not_looped() {
         // A server claiming u64::MAX payload lines used to make the client read
         // until EOF; now the cap rejects it up front.
-        let mut hostile = BufReader::new(&b"ok 18446744073709551615\nx\n"[..]);
-        match Response::read_from(&mut hostile) {
-            Err(ProtocolError::Malformed(m)) => assert!(m.contains("cap"), "{m}"),
-            other => panic!("expected Malformed, got {other:?}"),
-        }
+        assert!(refusal(b"ok 18446744073709551615\nx\n").contains("cap"));
         // Just over the cap: rejected.
         let wire = format!("ok {}\n", MAX_PAYLOAD_LINES + 1);
-        assert!(matches!(
-            Response::read_from(&mut BufReader::new(wire.as_bytes())),
-            Err(ProtocolError::Malformed(_))
-        ));
+        assert!(refusal(wire.as_bytes()).contains("cap"));
         // At the cap the count is structurally fine (the truncated body then
-        // surfaces as Closed, which is a transport-level truth, not a loop).
+        // surfaces as a closed connection, a transport-level truth, not a loop).
         let wire = format!("ok {}\n", MAX_PAYLOAD_LINES);
-        assert!(matches!(
-            Response::read_from(&mut BufReader::new(wire.as_bytes())),
-            Err(ProtocolError::Closed)
-        ));
+        assert!(refusal(wire.as_bytes()).contains("closed"));
     }
 }

@@ -8,8 +8,8 @@
 //!            │ assembles request lines)                                  │
 //!            │                │ one complete line = one job              │
 //!            │                ▼                                          │
-//!            │             worker pool (N threads): dispatch ping/quit/  │
-//!            │             shutdown, else Arc<CliSession> ─▶ Arc<Engine> │
+//!            │             worker pool (N threads): Request::parse,      │
+//!            │             then Arc<CliSession> ─▶ Arc<Engine>           │
 //!            │                │ write response, hand the                 │
 //!            │                ▼ connection back                          │
 //!            │             reactor (parks it again)                      │
@@ -35,11 +35,12 @@
 //! [`Server::run`] joins them before returning.
 
 use crate::conn::{Conn, FillOutcome};
-use crate::metrics::ServerMetrics;
+use crate::metrics::{ServerMetrics, SLOW_LOG_CAPACITY};
 use crate::poll::{Poller, Waker};
 use crate::pool::WorkerPool;
 use crate::protocol::Response;
 use qjoin_engine::cli::CliSession;
+use qjoin_engine::{ErrorClass, Request, RequestError};
 use qjoin_telemetry::{
     with_trace_context, ArgValue, FlightRecorder, SpanId, TraceBuilder, TraceContext,
 };
@@ -65,9 +66,6 @@ pub struct ServerConfig {
     /// Requests whose queue-wait plus execute time reaches this threshold are
     /// captured in the slow-query log (dumped by the `slowlog` verb).
     pub slow_threshold: Duration,
-    /// How many slow requests the ring buffer keeps (newest win); 0 disables
-    /// the slow log entirely.
-    pub slow_log_capacity: usize,
 }
 
 impl Default for ServerConfig {
@@ -76,7 +74,6 @@ impl Default for ServerConfig {
             workers: 4,
             queue_depth: 64,
             slow_threshold: Duration::from_millis(100),
-            slow_log_capacity: 128,
         }
     }
 }
@@ -227,7 +224,7 @@ impl Server {
         let metrics = Arc::new(ServerMetrics::new(
             self.session.engine().registry(),
             self.config.slow_threshold,
-            self.config.slow_log_capacity,
+            SLOW_LOG_CAPACITY,
         ));
         let pool = {
             let session = Arc::clone(&self.session);
@@ -314,8 +311,8 @@ fn execute_job(
             let message = (payload.downcast_ref::<&str>().copied())
                 .or_else(|| payload.downcast_ref::<String>().map(String::as_str))
                 .unwrap_or("the request panicked");
-            let reply = Response::error(format!("internal: {message}"));
-            (reply, Action::Continue)
+            let error = RequestError::new(ErrorClass::Internal, message);
+            (Response::from(Err(error)), Action::Continue)
         });
         let executed = Instant::now();
         let wrote = conn.write_response(&response).is_ok();
@@ -559,7 +556,7 @@ impl Reactor {
     /// silently, leaving clients to guess.)
     fn reject_flood(&mut self, i: usize) {
         let mut conn = self.conns.swap_remove(i);
-        let _ = conn.write_response(&Response::error("line too long"));
+        let _ = conn.write_response(&Response::from(Err(RequestError::usage("line too long"))));
     }
 }
 
@@ -570,31 +567,23 @@ enum Action {
     Shutdown,
 }
 
-/// Maps one request line to a response plus the follow-up action. Connection-level
-/// verbs (`ping`, `quit`/`exit`, `shutdown`, `slowlog`) are intercepted here;
-/// everything else is the shared REPL command language. The shutdown flag itself
-/// is set by the caller *after* the reply is written, so the client always sees
-/// the confirmation.
+/// Maps one request line to a response plus the follow-up action. The line is
+/// parsed once: the session answers every request but `slowlog` (the server's
+/// own log), and `quit`/`exit` and `shutdown` pick the action. The shutdown flag
+/// itself is set by the caller *after* the reply is written, so the client always
+/// sees the confirmation.
 fn dispatch(line: &str, session: &CliSession, metrics: &ServerMetrics) -> (Response, Action) {
-    match line.split_whitespace().next() {
-        None => (Response::Ok(Vec::new()), Action::Continue),
-        Some("ping") => (Response::Ok(vec!["pong".to_string()]), Action::Continue),
-        Some("quit") | Some("exit") => (Response::Ok(vec!["bye".to_string()]), Action::Close),
-        Some("shutdown") => (
-            Response::Ok(vec!["shutting down".to_string()]),
-            Action::Shutdown,
-        ),
-        Some("slowlog") => (
-            Response::from_text(&metrics.slowlog_dump()),
-            Action::Continue,
-        ),
-        Some(_) => match session.execute(line) {
-            Ok(output) => (Response::from_text(&output), Action::Continue),
-            // The REPL signals quit via a sentinel; treat it like `quit` for safety.
-            Err(e) if e == "__quit__" => (Response::Ok(vec!["bye".to_string()]), Action::Close),
-            Err(e) => (Response::error(e), Action::Continue),
-        },
-    }
+    let request = Request::parse(line);
+    let action = match request {
+        Ok(Request::Quit) => Action::Close,
+        Ok(Request::Shutdown) => Action::Shutdown,
+        _ => Action::Continue,
+    };
+    let reply = request.and_then(|request| match request {
+        Request::SlowLog => Ok(metrics.slowlog_dump()),
+        request => session.run(&request),
+    });
+    (Response::from(reply), action)
 }
 
 #[cfg(test)]
@@ -638,7 +627,7 @@ mod tests {
         let mut client = crate::Client::connect(handle.addr()).unwrap();
         match client.send("boom") {
             Err(crate::ClientError::Remote(message)) => {
-                assert_eq!(message, "internal: boom went the request")
+                assert_eq!(message, "internal: boom went the request");
             }
             other => panic!("expected an `err internal` reply, got {other:?}"),
         }
@@ -654,7 +643,7 @@ mod tests {
         assert_eq!(marked.len(), 1, "one request span is marked");
         assert_eq!(marked[0].arg("panic"), Some(&ArgValue::Bool(true)));
         assert_eq!(marked[0].arg("cmd"), Some(&ArgValue::Str("boom".into())));
-        client.shutdown().unwrap();
+        client.send("shutdown").unwrap();
         join.join().unwrap();
     }
 

@@ -68,7 +68,7 @@ fn run_herd(addr: std::net::SocketAddr, lines: Vec<String>) -> Duration {
                 let started = Instant::now();
                 client.send(&line).unwrap_or_else(|e| panic!("{line}: {e}"));
                 let elapsed = started.elapsed();
-                client.quit().unwrap();
+                client.send("quit").unwrap();
                 elapsed
             })
         })
@@ -116,7 +116,7 @@ fn coalescing_sizing_harness() {
                     ms(p75)
                 );
             }
-            setup.quit().unwrap();
+            setup.send("quit").unwrap();
             handle.shutdown();
             join.join().unwrap();
         }

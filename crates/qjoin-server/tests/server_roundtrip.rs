@@ -5,16 +5,24 @@
 //! test runs and CI jobs can never collide on a port.
 
 use qjoin_engine::cli::CliSession;
-use qjoin_engine::Engine;
+use qjoin_engine::{Engine, Request};
 use qjoin_server::{
     Client, ClientError, Response, Server, ServerConfig, ServerHandle, ServerSummary,
     MAX_LINE_BYTES,
 };
-use std::io::{BufReader, ErrorKind, Read, Write};
+use std::io::{BufRead, BufReader, ErrorKind, Read, Write};
 use std::net::{SocketAddr, TcpStream};
 use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
+
+/// `quantile <plan> <phi>`: the answer line.
+fn quantile(client: &mut Client, plan: &str, phi: f64) -> String {
+    client
+        .send(&format!("quantile {plan} {phi}"))
+        .unwrap()
+        .remove(0)
+}
 
 fn start_server(workers: usize) -> (SocketAddr, ServerHandle, JoinHandle<ServerSummary>) {
     let config = ServerConfig {
@@ -41,23 +49,23 @@ fn scripted_session_register_quantile_batch_stats_shutdown() {
     let registered = client.send("register likes s").unwrap();
     assert!(registered[0].contains("strategy=sum-adjacent-pair"));
 
-    let answer = client.quantile("likes", 0.5).unwrap();
+    let answer = quantile(&mut client, "likes", 0.5);
     assert!(answer.contains("phi=0.5000"), "{answer}");
 
     // The same φ again must come from the cache.
-    let cached = client.quantile("likes", 0.5).unwrap();
+    let cached = quantile(&mut client, "likes", 0.5);
     assert!(cached.contains("(cached)"), "{cached}");
 
-    let batch = client.batch("likes", &[0.25, 0.5, 0.75]).unwrap();
+    let batch = client.send("batch likes 0.25 0.5 0.75").unwrap();
     assert_eq!(batch.len(), 4, "3 answers + summary: {batch:?}");
     assert!(batch[3].contains("1 from cache"), "{batch:?}");
 
-    let stats = client.stats().unwrap();
+    let stats = client.send("stats").unwrap();
     let stats_text = stats.join("\n");
     assert!(stats_text.contains("plans:              1"), "{stats_text}");
     assert!(stats_text.contains("db s: generation=1"), "{stats_text}");
 
-    client.shutdown().unwrap();
+    client.send("shutdown").unwrap();
     let summary = join.join().unwrap();
     assert!(summary.requests >= 7, "{summary:?}");
     // The server is gone: a fresh dial must fail (or be refused immediately).
@@ -74,22 +82,46 @@ fn remote_errors_are_reported_not_fatal() {
     let (addr, handle, join) = start_server(1);
     let mut client = Client::connect(addr).unwrap();
 
-    // Unknown command.
-    let err = client.send("frobnicate").unwrap_err();
-    assert!(matches!(&err, ClientError::Remote(m) if m.contains("unknown command")));
-    // Unknown plan.
-    let err = client.send("quantile nope 0.5").unwrap_err();
-    assert!(matches!(&err, ClientError::Remote(m) if m.contains("no plan")));
-    // Out-of-range φ.
-    let err = client.send("quantile nope 1.5").unwrap_err();
-    assert!(matches!(&err, ClientError::Remote(m) if m.contains("[0, 1]")));
+    // Every error reply leads with its class.
+    let remote = |client: &mut Client, command: &str| match client.send(command) {
+        Err(ClientError::Remote(message)) => message,
+        other => panic!("{command:?}: expected an `err` reply, got {other:?}"),
+    };
+    let err = remote(&mut client, "frobnicate");
+    assert!(err.starts_with("usage: unknown command"), "{err}");
+    let err = remote(&mut client, "quantile nope 0.5");
+    assert!(err.starts_with("unknown: no plan"), "{err}");
+    let err = remote(&mut client, "quantile nope 1.5");
+    assert!(err.starts_with("usage: φ must be in [0, 1]"), "{err}");
+    let err = remote(&mut client, "ping ping");
+    assert!(err.starts_with("usage: "), "{err}");
     // The connection survives all of that.
     client.ping().unwrap();
-    // Multi-line engine errors (e.g. help-bearing usage errors) arrive flattened.
-    let err = client.send("open").unwrap_err();
-    assert!(matches!(&err, ClientError::Remote(m) if m.contains("usage")));
+    let err = remote(&mut client, "open");
+    assert!(err.starts_with("usage: open|replace <db>"), "{err}");
 
-    client.quit().unwrap();
+    client.send("quit").unwrap();
+    handle.shutdown();
+    join.join().unwrap();
+}
+
+/// The wire's error line is `err <class>: <message>`, read off the socket with no
+/// client library in between, and `ping` answers the wire as it answers the REPL.
+#[test]
+fn error_lines_carry_their_class_and_ping_matches_the_repl() {
+    let (addr, handle, join) = start_server(1);
+    let mut stream = TcpStream::connect(addr).unwrap();
+    stream
+        .set_read_timeout(Some(Duration::from_secs(10)))
+        .unwrap();
+    stream.write_all(b"quantile nope 0.5\nping\n").unwrap();
+    let mut lines = BufReader::new(stream).lines().map(Result::unwrap);
+    let expected = "err unknown: no plan named \"nope\" is registered";
+    assert_eq!(lines.next().as_deref(), Some(expected));
+    let repl = CliSession::new().run(&Request::parse("ping").unwrap());
+    let repl = repl.unwrap();
+    assert_eq!(lines.next().as_deref(), Some("ok 1"));
+    assert_eq!(lines.next(), Some(repl));
     handle.shutdown();
     join.join().unwrap();
 }
@@ -131,7 +163,7 @@ fn bad_generator_parameters_are_error_replies_not_panics() {
     // The connection and the server's only worker both survive.
     client.ping().unwrap();
     Client::connect(addr).unwrap().ping().unwrap();
-    client.quit().unwrap();
+    client.send("quit").unwrap();
     handle.shutdown();
     join.join().unwrap();
 }
@@ -147,11 +179,11 @@ fn concurrent_clients_share_one_engine_and_agree() {
     let expected: Vec<String> = [0.2, 0.5, 0.8]
         .iter()
         .map(|&phi| {
-            let line = setup.quantile("likes", phi).unwrap();
+            let line = quantile(&mut setup, "likes", phi);
             line.replace(" (cached)", "")
         })
         .collect();
-    setup.quit().unwrap();
+    setup.send("quit").unwrap();
 
     // Many clients hammer the same plan; every answer must match the serial one.
     let threads: Vec<_> = (0..8)
@@ -161,12 +193,12 @@ fn concurrent_clients_share_one_engine_and_agree() {
                 let mut client = Client::connect(addr).unwrap();
                 for round in 0..5 {
                     for (i, &phi) in [0.2, 0.5, 0.8].iter().enumerate() {
-                        let line = client.quantile("likes", phi).unwrap();
+                        let line = quantile(&mut client, "likes", phi);
                         let line = line.replace(" (cached)", "");
                         assert_eq!(line, expected[i], "round {round}");
                     }
                 }
-                client.quit().unwrap();
+                client.send("quit").unwrap();
             })
         })
         .collect();
@@ -176,12 +208,12 @@ fn concurrent_clients_share_one_engine_and_agree() {
 
     // One engine served everybody: stats must show the accumulated requests.
     let mut check = Client::connect(addr).unwrap();
-    let stats = check.stats().unwrap().join("\n");
+    let stats = check.send("stats").unwrap().join("\n");
     assert!(
         stats.contains("123 quantiles"),
         "3 setup + 8*5*3 hammered: {stats}"
     );
-    check.quit().unwrap();
+    check.send("quit").unwrap();
 
     handle.shutdown();
     join.join().unwrap();
@@ -195,15 +227,15 @@ fn more_connections_than_workers_all_get_served() {
     let mut setup = Client::connect(addr).unwrap();
     setup.send("open s social rows=60 seed=1").unwrap();
     setup.send("register likes s").unwrap();
-    setup.quit().unwrap();
+    setup.send("quit").unwrap();
 
     let threads: Vec<_> = (0..6)
         .map(|_| {
             std::thread::spawn(move || {
                 let mut client = Client::connect(addr).unwrap();
-                let answer = client.quantile("likes", 0.5).unwrap();
+                let answer = quantile(&mut client, "likes", 0.5);
                 assert!(answer.contains("phi=0.5000"));
-                client.quit().unwrap();
+                client.send("quit").unwrap();
             })
         })
         .collect();
@@ -218,8 +250,8 @@ fn more_connections_than_workers_all_get_served() {
 #[test]
 fn shutdown_verb_from_one_client_stops_the_whole_server() {
     let (addr, handle, join) = start_server(2);
-    let stopper = Client::connect(addr).unwrap();
-    stopper.shutdown().unwrap();
+    let mut stopper = Client::connect(addr).unwrap();
+    stopper.send("shutdown").unwrap();
     let summary = join.join().unwrap();
     assert!(handle.is_shutdown());
     assert_eq!(summary.requests, 1);
@@ -228,7 +260,7 @@ fn shutdown_verb_from_one_client_stops_the_whole_server() {
 #[test]
 fn over_long_lines_get_an_error_reply_before_close() {
     // Regression: a newline-free flood beyond MAX_LINE_BYTES used to close the
-    // connection silently; the client must now see `err line too long` first.
+    // connection silently; the client must now see `err usage: line too long` first.
     let (addr, handle, join) = start_server(2);
     let mut stream = TcpStream::connect(addr).unwrap();
     stream
@@ -239,8 +271,8 @@ fn over_long_lines_get_an_error_reply_before_close() {
 
     let mut reader = BufReader::new(stream.try_clone().unwrap());
     match Response::read_from(&mut reader) {
-        Ok(Response::Err(message)) => assert_eq!(message, "line too long"),
-        other => panic!("expected `err line too long`, got {other:?}"),
+        Ok(Response::Err(message)) => assert_eq!(message, "usage: line too long"),
+        other => panic!("expected `err usage: line too long`, got {other:?}"),
     }
     // After the reply the server closes: the next read is EOF.
     let mut rest = Vec::new();
@@ -300,9 +332,9 @@ fn idle_connections_do_not_pin_workers() {
     client.ping().unwrap();
     client.send("open s social rows=60 seed=2").unwrap();
     client.send("register likes s").unwrap();
-    let answer = client.quantile("likes", 0.5).unwrap();
+    let answer = quantile(&mut client, "likes", 0.5);
     assert!(answer.contains("phi=0.5000"), "{answer}");
-    client.quit().unwrap();
+    client.send("quit").unwrap();
 
     drop(idles);
     handle.shutdown();
@@ -345,7 +377,7 @@ fn concurrent_identical_cold_requests_coalesce_over_the_wire() {
     let mut coalesced = false;
     for attempt in 0..10 {
         let phi = 0.31 + attempt as f64 * 0.029;
-        let (batches_before, waiters_before) = coalescing_counters(&setup.stats().unwrap());
+        let (batches_before, waiters_before) = coalescing_counters(&setup.send("stats").unwrap());
 
         let barrier = Arc::new(std::sync::Barrier::new(k));
         let threads: Vec<_> = (0..k)
@@ -357,8 +389,8 @@ fn concurrent_identical_cold_requests_coalesce_over_the_wire() {
                         .set_read_timeout(Some(Duration::from_secs(60)))
                         .unwrap();
                     barrier.wait();
-                    let line = client.quantile("likes", phi).unwrap();
-                    client.quit().unwrap();
+                    let line = quantile(&mut client, "likes", phi);
+                    client.send("quit").unwrap();
                     line.replace(" (cached)", "")
                 })
             })
@@ -366,15 +398,12 @@ fn concurrent_identical_cold_requests_coalesce_over_the_wire() {
         let answers: Vec<String> = threads.into_iter().map(|t| t.join().unwrap()).collect();
 
         // Every concurrent answer is identical to the (now cached) serial answer.
-        let reference = setup
-            .quantile("likes", phi)
-            .unwrap()
-            .replace(" (cached)", "");
+        let reference = quantile(&mut setup, "likes", phi).replace(" (cached)", "");
         for answer in &answers {
             assert_eq!(answer, &reference, "attempt {attempt} phi {phi}");
         }
 
-        let (batches_after, waiters_after) = coalescing_counters(&setup.stats().unwrap());
+        let (batches_after, waiters_after) = coalescing_counters(&setup.send("stats").unwrap());
         if batches_after > batches_before && waiters_after - waiters_before >= (k as u64) - 1 {
             coalesced = true;
             break;
@@ -385,7 +414,7 @@ fn concurrent_identical_cold_requests_coalesce_over_the_wire() {
         "10 attempts of 8 concurrent identical cold requests never fully coalesced"
     );
 
-    setup.shutdown().unwrap();
+    setup.send("shutdown").unwrap();
     handle.shutdown();
     join.join().unwrap();
 }
@@ -411,7 +440,7 @@ fn concurrent_batch_requests_fold_into_shared_rounds_over_the_wire() {
         let phi_sets: Vec<Vec<f64>> = (0..k)
             .map(|i| vec![base, base + 0.2, base + 0.001 * i as f64])
             .collect();
-        let (batches_before, waiters_before) = coalescing_counters(&setup.stats().unwrap());
+        let (batches_before, waiters_before) = coalescing_counters(&setup.send("stats").unwrap());
 
         let barrier = Arc::new(std::sync::Barrier::new(k));
         let threads: Vec<_> = phi_sets
@@ -425,8 +454,10 @@ fn concurrent_batch_requests_fold_into_shared_rounds_over_the_wire() {
                         .set_read_timeout(Some(Duration::from_secs(60)))
                         .unwrap();
                     barrier.wait();
-                    let lines = client.batch("likes", &phis).unwrap();
-                    client.quit().unwrap();
+                    let phis: Vec<String> = phis.iter().map(f64::to_string).collect();
+                    let lines = client.send(&format!("batch likes {}", phis.join(" ")));
+                    let lines = lines.unwrap();
+                    client.send("quit").unwrap();
                     lines
                 })
             })
@@ -437,15 +468,12 @@ fn concurrent_batch_requests_fold_into_shared_rounds_over_the_wire() {
         for (phis, lines) in phi_sets.iter().zip(&replies) {
             assert_eq!(lines.len(), phis.len() + 1, "answers + summary: {lines:?}");
             for (&phi, line) in phis.iter().zip(lines) {
-                let reference = setup
-                    .quantile("likes", phi)
-                    .unwrap()
-                    .replace(" (cached)", "");
+                let reference = quantile(&mut setup, "likes", phi).replace(" (cached)", "");
                 assert_eq!(line.replace(" (cached)", ""), reference, "phi {phi}");
             }
         }
 
-        let (batches_after, waiters_after) = coalescing_counters(&setup.stats().unwrap());
+        let (batches_after, waiters_after) = coalescing_counters(&setup.send("stats").unwrap());
         if batches_after > batches_before && waiters_after > waiters_before {
             coalesced = true;
             break;
@@ -456,7 +484,7 @@ fn concurrent_batch_requests_fold_into_shared_rounds_over_the_wire() {
         "10 attempts of concurrent overlapping batch requests never coalesced"
     );
 
-    setup.shutdown().unwrap();
+    setup.send("shutdown").unwrap();
     handle.shutdown();
     join.join().unwrap();
 }
@@ -467,8 +495,8 @@ fn metrics_and_stats_json_over_the_wire() {
     let mut client = Client::connect(addr).unwrap();
     client.send("open s social rows=80 seed=3").unwrap();
     client.send("register likes s").unwrap();
-    client.quantile("likes", 0.5).unwrap(); // cold: row of solve spans
-    client.quantile("likes", 0.5).unwrap(); // warm: cache hit
+    quantile(&mut client, "likes", 0.5); // cold: row of solve spans
+    quantile(&mut client, "likes", 0.5); // warm: cache hit
 
     // Prometheus exposition: one `series value` per non-comment line.
     let metrics = client.send("metrics").unwrap();
@@ -519,7 +547,7 @@ fn metrics_and_stats_json_over_the_wire() {
         "{json}"
     );
 
-    client.shutdown().unwrap();
+    client.send("shutdown").unwrap();
     handle.shutdown();
     join.join().unwrap();
 }
@@ -530,7 +558,6 @@ fn slowlog_captures_requests_over_the_threshold() {
     let config = ServerConfig {
         workers: 2,
         slow_threshold: Duration::ZERO,
-        slow_log_capacity: 8,
         ..Default::default()
     };
     let server = Server::bind("127.0.0.1:0", Arc::new(CliSession::new()), config).unwrap();
@@ -552,7 +579,7 @@ fn slowlog_captures_requests_over_the_threshold() {
     assert!(text.contains("execute="), "{text}");
 
     // Default config (100ms threshold): cheap requests never land in the log.
-    client.quit().unwrap();
+    client.send("quit").unwrap();
     handle.shutdown();
     join.join().unwrap();
     let (addr, handle, join) = start_server(2);
@@ -560,7 +587,7 @@ fn slowlog_captures_requests_over_the_threshold() {
     client.ping().unwrap();
     let dump = client.send("slowlog").unwrap();
     assert!(dump[0].starts_with("slowlog: 0 entries shown"), "{dump:?}");
-    client.quit().unwrap();
+    client.send("quit").unwrap();
     handle.shutdown();
     join.join().unwrap();
 }
@@ -571,7 +598,6 @@ fn trace_verbs_and_slowlog_links_over_the_wire() {
     let config = ServerConfig {
         workers: 2,
         slow_threshold: Duration::ZERO,
-        slow_log_capacity: 16,
         ..Default::default()
     };
     let server = Server::bind("127.0.0.1:0", Arc::new(CliSession::new()), config).unwrap();
@@ -582,7 +608,7 @@ fn trace_verbs_and_slowlog_links_over_the_wire() {
     let mut client = Client::connect(addr).unwrap();
     client.send("open s social rows=80 seed=3").unwrap();
     client.send("register likes s").unwrap();
-    client.quantile("likes", 0.5).unwrap(); // cold: full solve trace
+    quantile(&mut client, "likes", 0.5); // cold: full solve trace
 
     // The cold request's trace shows the whole lifecycle: server-side
     // queue-wait/execute plus the engine's solve and all four phases.
@@ -638,7 +664,7 @@ fn trace_verbs_and_slowlog_links_over_the_wire() {
         "{explain}"
     );
 
-    client.shutdown().unwrap();
+    client.send("shutdown").unwrap();
     handle.shutdown();
     join.join().unwrap();
 }
@@ -649,15 +675,15 @@ fn replace_over_the_wire_invalidates_caches() {
     let mut client = Client::connect(addr).unwrap();
     client.send("open s social rows=60 seed=5").unwrap();
     client.send("register likes s").unwrap();
-    let before = client.quantile("likes", 0.5).unwrap();
-    assert!(client.quantile("likes", 0.5).unwrap().contains("(cached)"));
+    let before = quantile(&mut client, "likes", 0.5);
+    assert!(quantile(&mut client, "likes", 0.5).contains("(cached)"));
 
     client.send("replace s social rows=60 seed=99").unwrap();
-    let after = client.quantile("likes", 0.5).unwrap();
+    let after = quantile(&mut client, "likes", 0.5);
     assert!(!after.contains("(cached)"), "{after}");
     assert_ne!(before, after);
 
-    client.shutdown().unwrap();
+    client.send("shutdown").unwrap();
     handle.shutdown();
     join.join().unwrap();
 }
@@ -747,7 +773,10 @@ fn shutdown_ends_a_blocked_reactor_by_handle_and_by_verb() {
             let mut clients = connect_and_ping(handle.addr(), parked);
             wait_until_blocked(&engine, parked);
             if by_verb {
-                Client::connect(handle.addr()).unwrap().shutdown().unwrap();
+                Client::connect(handle.addr())
+                    .unwrap()
+                    .send("shutdown")
+                    .unwrap();
             } else {
                 handle.shutdown();
             }

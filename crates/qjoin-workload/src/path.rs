@@ -13,7 +13,7 @@ use rand::{Rng, SeedableRng};
 /// (`x_2, ..., x_k`) are drawn from a domain of `join_domain` values, which controls
 /// the join fan-out and therefore how much larger than the input the join result is;
 /// endpoint variables carry weights drawn from `0..weight_range`.
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct PathConfig {
     /// Number of atoms `k`.
     pub atoms: usize,

@@ -14,7 +14,7 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
 /// Parameters of the random-instance generator.
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct RandomAcyclicConfig {
     /// Number of atoms (at least 1).
     pub atoms: usize,

@@ -16,7 +16,7 @@ use rand::{Rng, SeedableRng};
 /// events make the join fan out) and its like count uniformly from `0..max_likes`.
 /// The motivating query of the paper asks for the 0.1-quantile of `l2 + l3` over the
 /// join, which is the partial SUM handled by Theorem 5.6's tractable side.
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct SocialConfig {
     /// Number of distinct users.
     pub users: usize,

@@ -14,7 +14,7 @@ use rand::{Rng, SeedableRng};
 /// leaves are the canonical *intractable* family of the dichotomy (the leaves form an
 /// independent set), which makes them the stress test for the deterministic
 /// approximation.
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct StarConfig {
     /// Number of relations `k`.
     pub arms: usize,

@@ -31,7 +31,7 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
 /// Parameters of the orders/lineitem/part instance.
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct StarSchemaConfig {
     /// Rows in the `Lineitem` fact table (the scale knob: 10^6–10^7 for the
     /// scaling experiment, smaller for tests).
