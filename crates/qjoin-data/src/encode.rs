@@ -3,8 +3,8 @@
 //!
 //! The trimming recursion of the quantile driver re-examines the same base tuples
 //! dozens of times per solve. In the row representation every round re-hashes
-//! [`Value`] enums (recursing through `Arc`s for composite identifiers) and allocates
-//! a projected [`Tuple`](crate::Tuple) per join-key lookup. This module provides the
+//! [`Value`] enums (through the `Arc` of every string) and allocates a projected
+//! [`Tuple`](crate::Tuple) per join-key lookup. This module provides the
 //! encoded substrate that the hot path runs on instead:
 //!
 //! * [`Dictionary`] — an **order-preserving** interner: every distinct value of a
@@ -12,8 +12,8 @@
 //!   `a < b`. Equality and ordering of codes therefore coincide with equality and
 //!   ordering of the values they stand for, so join keys, group keys, and
 //!   lexicographic tie-breaks can all operate on plain integers. It is built,
-//!   with the columns, by [`EncodedDatabase::encode`]: one hash probe per cell
-//!   and a sort of the distinct values only.
+//!   with the columns, by [`EncodedDatabase::encode`]: one [`FoldHasher`] probe
+//!   per cell and a sort of the distinct values only; no map outlives it.
 //! * [`EncodedColumns`] — one relation's tuples transposed into column-major
 //!   `Vec<u64>` code columns, shared behind `Arc`s.
 //! * [`EncodedRelation`] — a *view* over encoded columns: one selection vector
@@ -27,7 +27,55 @@
 
 use crate::{DataError, Database, Result, Value};
 use std::collections::{BTreeMap, HashMap};
+use std::hash::{BuildHasher, Hasher, RandomState};
 use std::sync::Arc;
+
+/// A seeded folded-multiply hasher, one multiply per word: `p = (state ^ word) · K`
+/// over 128 bits, `state = lo(p) ^ hi(p)`, so every input bit reaches both the low
+/// bits a table indexes with and the top bits it tags with. It is its own builder:
+/// `default` draws a seed from [`RandomState`], and each hash starts from a copy, so
+/// keys cannot be chosen to collide without knowing the seed.
+#[derive(Clone, Copy, Debug)]
+pub struct FoldHasher(u64);
+
+impl Default for FoldHasher {
+    fn default() -> FoldHasher {
+        FoldHasher(RandomState::new().hash_one(0u64))
+    }
+}
+
+impl BuildHasher for FoldHasher {
+    type Hasher = FoldHasher;
+    #[inline]
+    fn build_hasher(&self) -> FoldHasher {
+        *self
+    }
+}
+
+impl Hasher for FoldHasher {
+    #[inline]
+    fn finish(&self) -> u64 {
+        self.0
+    }
+    #[inline]
+    fn write(&mut self, bytes: &[u8]) {
+        for chunk in bytes.chunks(8) {
+            let mut word = [0u8; 8];
+            word[..chunk.len()].copy_from_slice(chunk);
+            self.write_u64(u64::from_le_bytes(word));
+        }
+    }
+    #[inline]
+    fn write_u64(&mut self, word: u64) {
+        // Knuth's MMIX multiplier; the golden ratio's spreads the low bits worse.
+        let p = u128::from(self.0 ^ word) * 0x5851_f42d_4c95_7f2d;
+        self.0 = p as u64 ^ (p >> 64) as u64;
+    }
+    #[inline]
+    fn write_usize(&mut self, v: usize) {
+        self.write_u64(v as u64);
+    }
+}
 
 /// An order-preserving interner from [`Value`]s to dense `u64` codes.
 ///
@@ -39,14 +87,15 @@ use std::sync::Arc;
 pub struct Dictionary {
     /// Code → value, in sorted value order.
     values: Vec<Value>,
-    /// Value → code.
-    index: HashMap<Value, u64>,
 }
 
 impl Dictionary {
-    /// The code of a value, if it belongs to the dictionary.
+    /// The code of a value, if it belongs to the dictionary (a binary search).
     pub fn encode(&self, value: &Value) -> Option<u64> {
-        self.index.get(value).copied()
+        self.values
+            .binary_search(value)
+            .ok()
+            .map(|code| code as u64)
     }
 
     /// The value behind a code. Panics if the code is out of range.
@@ -122,11 +171,13 @@ pub struct EncodedDatabase {
 }
 
 impl EncodedDatabase {
-    /// Encodes a database in one pass over its cells: every cell is interned once
-    /// into a provisional id (first occurrence wins), only the **distinct** values
-    /// are sorted, and the provisional columns are remapped in place through an
-    /// array to the final, order-preserving codes. The pass is sequential, so the
-    /// encoding is identical at any thread count.
+    /// Encodes a database in one pass over its cells. Each cell is interned once
+    /// into a provisional id, by first occurrence, in one of two maps under one
+    /// freshly seeded [`FoldHasher`]: integers by `i64`, strings by `Arc` (ids
+    /// tagged with the top bit). Only the **distinct** values are sorted, integers
+    /// first as in [`Value`]'s order, and one pass remaps the columns to the final
+    /// codes. The pass is sequential and reads no map in iteration order, so the
+    /// codes depend on neither the thread count nor the seed.
     pub fn encode(db: &Database) -> Result<EncodedDatabase> {
         if let Some(rel) = db.relations().find(|rel| rel.len() > u32::MAX as usize) {
             return Err(DataError::EncodingOverflow(format!(
@@ -135,37 +186,47 @@ impl EncodedDatabase {
                 rel.len()
             )));
         }
-        let mut index: HashMap<Value, u64> = HashMap::new();
+        const STR: u64 = 1 << 63;
+        let state = FoldHasher::default();
+        let mut ints: HashMap<i64, u64, FoldHasher> = HashMap::with_hasher(state);
+        let mut strs: HashMap<&Arc<str>, u64, FoldHasher> = HashMap::with_hasher(state);
         let mut relations: Vec<Vec<Vec<u64>>> = Vec::new();
         for rel in db.relations() {
             let mut columns = vec![Vec::with_capacity(rel.len()); rel.arity()];
             for tuple in rel.iter() {
                 for (column, value) in columns.iter_mut().zip(tuple.values()) {
-                    let id = match index.get(value) {
-                        Some(&id) => id,
-                        None => {
-                            let id = index.len() as u64;
-                            index.insert(value.clone(), id);
-                            id
+                    column.push(match value {
+                        Value::Int(i) => {
+                            let next = ints.len() as u64;
+                            *ints.entry(*i).or_insert(next)
                         }
-                    };
-                    column.push(id);
+                        Value::Str(s) => {
+                            let next = STR | strs.len() as u64;
+                            *strs.entry(s).or_insert(next)
+                        }
+                    });
                 }
             }
             relations.push(columns);
         }
         // A distinct value's code is its position in sorted order.
-        let mut sorted: Vec<(&Value, u64)> = index.iter().map(|(v, &id)| (v, id)).collect();
-        sorted.sort_unstable_by(|a, b| a.0.cmp(b.0));
-        let mut remap = vec![0u64; sorted.len()];
-        for (code, &(_, id)) in sorted.iter().enumerate() {
-            remap[id as usize] = code as u64;
+        let mut ints: Vec<(i64, u64)> = ints.into_iter().collect();
+        let mut strs: Vec<(&Arc<str>, u64)> = strs.into_iter().collect();
+        ints.sort_unstable();
+        strs.sort_unstable();
+        // An integer's remap slot is its id; a string's follows every integer's.
+        let slot = |id: u64| (id & !STR) as usize + (id >> 63) as usize * ints.len();
+        let mut remap = vec![0u64; ints.len() + strs.len()];
+        let ids = ints.iter().map(|v| v.1).chain(strs.iter().map(|v| v.1));
+        for (code, id) in ids.enumerate() {
+            remap[slot(id)] = code as u64;
         }
-        let values: Vec<Value> = sorted.into_iter().map(|(v, _)| v.clone()).collect();
-        let provisional = relations.iter_mut().flatten().flatten();
-        for id in index.values_mut().chain(provisional) {
-            *id = remap[*id as usize];
+        for id in relations.iter_mut().flatten().flatten() {
+            *id = remap[slot(*id)];
         }
+        let values = (ints.into_iter().map(|(i, _)| Value::Int(i)))
+            .chain(strs.into_iter().map(|(s, _)| Value::Str(Arc::clone(s))))
+            .collect();
         let relations = db
             .relations()
             .zip(relations)
@@ -179,7 +240,7 @@ impl EncodedDatabase {
             })
             .collect();
         Ok(EncodedDatabase {
-            dictionary: Arc::new(Dictionary { values, index }),
+            dictionary: Arc::new(Dictionary { values }),
             relations,
         })
     }
@@ -362,6 +423,7 @@ mod tests {
     use proptest::prelude::*;
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
+    use std::collections::HashSet;
 
     /// The sort-everything construction [`EncodedDatabase::encode`] replaced, kept
     /// as the oracle of `one_pass_encoding_matches_the_sort_everything_oracle`:
@@ -376,12 +438,7 @@ mod tests {
             }
             values.sort_unstable();
             values.dedup();
-            let index = values
-                .iter()
-                .enumerate()
-                .map(|(i, v)| (v.clone(), i as u64))
-                .collect();
-            Dictionary { values, index }
+            Dictionary { values }
         }
     }
 
@@ -401,16 +458,22 @@ mod tests {
         }
     }
 
-    /// Ints of both signs, strings and composites over a small domain, so values
-    /// repeat inside and across relations.
+    /// Ints and strings mixed in every column, over a small domain so values repeat
+    /// inside and across relations: ints of both signs, the extremes, multiples of
+    /// 2^32 and 2^48 (equal in their low 32 bits), and strings that read as ints.
     fn random_value(rng: &mut StdRng, domain: i64) -> Value {
-        match rng.random_range(0..4u32) {
-            0 | 1 => Value::from(rng.random_range(-domain..=domain)),
-            2 => Value::str(format!("s{}", rng.random_range(0..domain))),
-            _ => Value::pair(
-                Value::from(rng.random_range(0..domain)),
-                Value::str(format!("c{}", rng.random_range(0..3))),
-            ),
+        let k = rng.random_range(-domain..=domain);
+        match rng.random_range(0..8u32) {
+            0 | 1 => Value::from(k),
+            2 => Value::from(if rng.random_bool(0.5) {
+                i64::MIN
+            } else {
+                i64::MAX
+            }),
+            3 => Value::from(k << 32),
+            4 => Value::from(k << 48),
+            5 => Value::str(k.to_string()),
+            _ => Value::str(format!("s{}", k.abs())),
         }
     }
 
@@ -440,6 +503,8 @@ mod tests {
 
         /// The one-pass encoding yields the oracle's dictionary (sorted, distinct),
         /// the oracle's code columns and order-preserving codes, at 1 and 4 threads.
+        /// Mutations caught: strings coded before ints; a remap that reads a tagged
+        /// (string) id at the integers' slots.
         #[test]
         fn one_pass_encoding_matches_the_sort_everything_oracle(seed in 0u64..1_000_000) {
             let db = random_database(seed);
@@ -463,6 +528,75 @@ mod tests {
                     for col in 0..want.arity() {
                         prop_assert_eq!(got.column(col), want.column(col), "{} column {}", rel.name(), col);
                     }
+                }
+            }
+        }
+    }
+
+    /// Keys `i` rotated left by `s` bits under a fixed seed (at s = 56 a plain
+    /// shift would leave only 256 distinct keys): the low 12 bits, a 4096-slot
+    /// table's bucket index, and the top 7, its tag, stay spread at every `s`.
+    /// Mutation caught: keeping only the low half of the product, whose low 12 bits
+    /// see only the key's low 12.
+    #[test]
+    fn folded_multiply_spreads_every_input_bit() {
+        let state = FoldHasher(0x0123_4567_89ab_cdef);
+        for s in (0..=56).step_by(8) {
+            let keys = (0..4096u64).map(|i| i.rotate_left(s));
+            let hashes: Vec<u64> = keys.map(|key| state.hash_one(key)).collect();
+            let low: HashSet<u64> = hashes.iter().map(|h| h & 0xfff).collect();
+            let top: HashSet<u64> = hashes.iter().map(|h| h >> 57).collect();
+            assert!(low.len() >= 2048, "s={s}: {} low-12-bit values", low.len());
+            assert!(top.len() >= 96, "s={s}: {} top-7-bit values", top.len());
+        }
+    }
+
+    /// One database encoded twice, each encode under a fresh seed (`RandomState`
+    /// never repeats its keys within a thread): equal dictionaries and columns.
+    /// Mutation caught: codes assigned in the maps' iteration order.
+    #[test]
+    fn encoding_is_the_same_under_every_seed() {
+        for seed in 0..64 {
+            let db = random_database(seed);
+            let (a, b) = (EncodedDatabase::encode(&db), EncodedDatabase::encode(&db));
+            let (a, b) = (a.unwrap(), b.unwrap());
+            assert_eq!(
+                a.dictionary().values(),
+                b.dictionary().values(),
+                "db {seed}"
+            );
+            for ((name, x), (_, y)) in a.relations().zip(b.relations()) {
+                for col in 0..x.arity() {
+                    assert_eq!(x.column(col), y.column(col), "db {seed}: {name}.{col}");
+                }
+            }
+        }
+    }
+
+    /// `Dictionary::encode` finds every value at its code and no value beside it:
+    /// each int's neighbours, each string with a suffix and without its first
+    /// character, and the int extremes. Mutation caught: values left unsorted, or
+    /// strings before ints, so that the binary search misses.
+    #[test]
+    fn dictionary_lookup_finds_exactly_its_values() {
+        for seed in 0..64 {
+            let enc = EncodedDatabase::encode(&random_database(seed)).unwrap();
+            let dict = enc.dictionary();
+            for (code, value) in dict.values().iter().enumerate() {
+                assert_eq!(dict.encode(value), Some(code as u64), "{value:?}");
+                let near = match value {
+                    Value::Int(i) => vec![i.wrapping_sub(1), i.wrapping_add(1)]
+                        .into_iter()
+                        .map(Value::from)
+                        .collect(),
+                    Value::Str(s) => vec![Value::str(format!("{s}~")), Value::str(&s[1..])],
+                };
+                for probe in near
+                    .iter()
+                    .chain(&[Value::from(i64::MIN), Value::from(i64::MAX)])
+                {
+                    let present = dict.values().contains(probe);
+                    assert_eq!(dict.encode(probe).is_some(), present, "{probe:?}");
                 }
             }
         }

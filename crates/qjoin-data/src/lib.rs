@@ -11,9 +11,9 @@
 //! * a **database** `D` holds one finite relation per relational symbol,
 //! * the **size** of `D` is the total number of tuples `n`,
 //! * the **domain** is a set of constants; here modelled by [`Value`], which supports
-//!   integers and (interned) strings so that both join keys and the auxiliary columns
-//!   introduced by the trimming constructions of the paper (partition identifiers,
-//!   dyadic-interval identifiers, sketch-bucket identifiers) can be stored uniformly.
+//!   integers and (interned) strings. The auxiliary identifiers the paper's lossy
+//!   construction introduces (sketch buckets) are not values: the [`encode`] layer
+//!   stores them as synthesized code columns of a relation view.
 //!
 //! The crate has no query knowledge; queries, hypergraphs and join trees live in
 //! `qjoin-query`.

@@ -9,36 +9,24 @@ use std::sync::Arc;
 /// answers. They need to be cheaply clonable, hashable, and totally ordered so that they
 /// can serve as join keys, grouping keys, and lexicographic-order inputs.
 ///
-/// Three variants are supported:
+/// Two variants are supported, and every integer orders before every string:
 ///
 /// * [`Value::Int`] — the common case for identifiers and numeric attributes
 ///   (e.g. `#likes` in the paper's social-network example).
 /// * [`Value::Str`] — interned strings for symbolic identifiers. Stored behind an
-///   [`Arc`] so copies of tuples made by the trimming constructions stay cheap.
-/// * [`Value::Composite`] — an ordered pair of values, used by the trimming
-///   constructions of the paper when a freshly introduced column needs to carry a
-///   structured identifier (e.g. "(join-group, dyadic-interval)" or
-///   "(partition id, bucket id)"). Keeping this inside [`Value`] means the rewritten
-///   databases remain ordinary databases that every algorithm in the stack can process.
+///   [`Arc`] so cloning a tuple or a dictionary entry is a reference-count bump.
 #[derive(Clone, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub enum Value {
     /// A 64-bit signed integer constant.
     Int(i64),
     /// An interned string constant.
     Str(Arc<str>),
-    /// An ordered pair of constants (used for synthesized identifier columns).
-    Composite(Arc<(Value, Value)>),
 }
 
 impl Value {
     /// Builds a string value, interning the given text.
     pub fn str(s: impl AsRef<str>) -> Self {
         Value::Str(Arc::from(s.as_ref()))
-    }
-
-    /// Builds a composite (pair) value.
-    pub fn pair(a: Value, b: Value) -> Self {
-        Value::Composite(Arc::new((a, b)))
     }
 
     /// Returns the integer payload if this is an [`Value::Int`].
@@ -106,7 +94,6 @@ impl fmt::Debug for Value {
         match self {
             Value::Int(i) => write!(f, "{i}"),
             Value::Str(s) => write!(f, "{s:?}"),
-            Value::Composite(p) => write!(f, "({:?},{:?})", p.0, p.1),
         }
     }
 }
@@ -116,7 +103,6 @@ impl fmt::Display for Value {
         match self {
             Value::Int(i) => write!(f, "{i}"),
             Value::Str(s) => write!(f, "{s}"),
-            Value::Composite(p) => write!(f, "({},{})", p.0, p.1),
         }
     }
 }
@@ -156,22 +142,13 @@ mod tests {
     }
 
     #[test]
-    fn composite_values_distinguish_components() {
-        let a = Value::pair(Value::from(1), Value::from(2));
-        let b = Value::pair(Value::from(1), Value::from(3));
-        assert_ne!(a, b);
-        assert!(a < b);
-    }
-
-    #[test]
     fn values_are_hashable_and_deduplicate() {
         let set: HashSet<Value> = [
             Value::from(1),
             Value::from(1),
             Value::from("a"),
             Value::from("a"),
-            Value::pair(Value::from(1), Value::from("a")),
-            Value::pair(Value::from(1), Value::from("a")),
+            Value::from("1"),
         ]
         .into_iter()
         .collect();
@@ -183,10 +160,7 @@ mod tests {
         assert_eq!(Value::from(7).to_string(), "7");
         assert_eq!(Value::from("ev").to_string(), "ev");
         assert_eq!(format!("{:?}", Value::from("ev")), "\"ev\"");
-        assert_eq!(
-            Value::pair(Value::from(1), Value::from(2)).to_string(),
-            "(1,2)"
-        );
+        assert_eq!(format!("{:?}", Value::from(-7)), "-7");
     }
 
     #[test]

@@ -49,6 +49,7 @@
 //! here and in the cross-crate equivalence suite assert this.
 
 use crate::{ExecError, Result};
+use qjoin_data::encode::FoldHasher;
 use qjoin_query::{acyclicity, EncodedInstance, JoinQuery, JoinTree, Variable};
 use std::collections::HashMap;
 use std::sync::{Arc, OnceLock};
@@ -84,46 +85,9 @@ impl Key {
     }
 }
 
-/// A fast, deterministic hasher for dictionary-code join keys (the classic
-/// multiply-rotate "Fx" scheme). The context build hashes a key per row and join
-/// edge — millions per solve at benchmark scale — and SipHash's keyed security
-/// buys nothing here: key maps are probed and interned in canonical row order,
-/// never iterated in hash order, so an unkeyed multiplicative hash changes
-/// nothing observable.
-#[derive(Clone, Default)]
-struct KeyHasher(u64);
-
-impl KeyHasher {
-    #[inline]
-    fn add(&mut self, v: u64) {
-        const SEED: u64 = 0x51_7c_c1_b7_27_22_0a_95;
-        self.0 = (self.0.rotate_left(5) ^ v).wrapping_mul(SEED);
-    }
-}
-
-impl std::hash::Hasher for KeyHasher {
-    #[inline]
-    fn finish(&self) -> u64 {
-        self.0
-    }
-    #[inline]
-    fn write(&mut self, bytes: &[u8]) {
-        for &b in bytes {
-            self.add(u64::from(b));
-        }
-    }
-    #[inline]
-    fn write_u64(&mut self, v: u64) {
-        self.add(v);
-    }
-    #[inline]
-    fn write_usize(&mut self, v: usize) {
-        self.add(v as u64);
-    }
-}
-
-/// A join-key map with the [`KeyHasher`].
-type KeyMap<V> = HashMap<Key, V, std::hash::BuildHasherDefault<KeyHasher>>;
+/// A join-key map under the data layer's seeded [`FoldHasher`]: probed and interned
+/// in row order, never iterated in hash order, so the seed changes nothing.
+type KeyMap<V> = HashMap<Key, V, FoldHasher>;
 
 /// Per-node state of an [`EncodedContext`].
 #[derive(Clone, Debug)]
