@@ -199,6 +199,12 @@ impl<K: Eq + Hash + Clone, V: Clone> ShardedLru<K, V> {
         lock(&self.shards[self.shard_index(key)]).get(key)
     }
 
+    /// Looks up a key in its shard without moving any statistic or its recency.
+    pub fn peek(&self, key: &K) -> Option<V> {
+        let shard = lock(&self.shards[self.shard_index(key)]);
+        shard.map.get(key).map(|slot| slot.value.clone())
+    }
+
     /// Inserts (or refreshes) an entry in its shard.
     pub fn insert(&self, key: K, value: V) {
         lock(&self.shards[self.shard_index(&key)]).insert(key, value);
@@ -271,6 +277,20 @@ mod tests {
         assert_eq!(cache.get(&"b"), None);
         assert_eq!(cache.get(&"c"), Some(3));
         assert_eq!(cache.stats().evictions, 1);
+    }
+
+    /// Mutation: peek with `get` and "a" is the most recent, so "b" survives the
+    /// insert, and the statistics read two lookups.
+    #[test]
+    fn a_peek_moves_no_statistic_and_no_recency() {
+        let cache: ShardedLru<&str, i32> = ShardedLru::new(2, 1);
+        cache.insert("a", 1);
+        cache.insert("b", 2);
+        assert_eq!((cache.peek(&"a"), cache.peek(&"z")), (Some(1), None));
+        assert_eq!(cache.stats(), CacheStats::default());
+        cache.insert("c", 3); // "a" is still the least recent: it goes
+        let live = ["a", "b", "c"].map(|key| cache.peek(&key));
+        assert_eq!(live, [None, Some(2), Some(3)]);
     }
 
     #[test]

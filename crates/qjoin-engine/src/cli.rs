@@ -26,7 +26,7 @@ use std::io::{BufRead, IsTerminal, Write as _};
 use std::sync::{Arc, PoisonError, RwLock};
 
 /// What running a request gives: its printable output, or its typed error.
-type Reply = Result<String, RequestError>;
+pub type Reply = Result<String, RequestError>;
 
 /// Usage text shared by `help`, `--help`, and parse errors.
 pub const HELP: &str = "\
@@ -130,7 +130,10 @@ impl CliSession {
                 let answer = self.engine.quantile_with(plan, *phi, *accuracy)?;
                 Ok(describe_answer(&answer))
             }
-            Request::Batch(plan, phis, accuracy) => self.cmd_batch(plan, phis, *accuracy),
+            Request::Batch(plan, phis, accuracy) => {
+                let answers = self.engine.quantile_batch_with(plan, phis, *accuracy)?;
+                Ok(describe_batch(&answers))
+            }
             Request::Plans => Ok(self.cmd_plans()),
             Request::Stats => Ok(self.cmd_stats()),
             Request::StatsJson => Ok(render_json(&self.engine.metrics_snapshot())),
@@ -142,6 +145,17 @@ impl CliSession {
                 Ok(report.render().trim_end().to_string())
             }
         }
+    }
+
+    /// Runs a `quantile` or `batch` the cache answers whole
+    /// ([`Engine::serve_cached`]), byte for byte as [`CliSession::run`] would;
+    /// `None` for any other request.
+    pub fn run_cached(&self, request: &Request) -> Option<Reply> {
+        let answers = self.engine.serve_cached(request)?;
+        Some(Ok(match request {
+            Request::Batch(..) => describe_batch(&answers),
+            _ => describe_answer(&answers[0]),
+        }))
     }
 
     fn cmd_open(&self, db: &str, workload: &Workload, replace: bool) -> Reply {
@@ -176,24 +190,6 @@ impl CliSession {
         };
         let plan = self.engine.register(plan, db, query, ranking)?;
         Ok(describe_plan(&plan))
-    }
-
-    fn cmd_batch(&self, plan: &str, phis: &[f64], accuracy: Accuracy) -> Reply {
-        let answers = self.engine.quantile_batch_with(plan, phis, accuracy)?;
-        let mut out = String::new();
-        for answer in &answers {
-            writeln!(out, "{}", describe_answer(answer)).unwrap();
-        }
-        let solved = answers.iter().filter(|a| !a.from_cache).count();
-        write!(
-            out,
-            "batch of {}: {} solved in one shared pass, {} from cache",
-            answers.len(),
-            solved,
-            answers.len() - solved
-        )
-        .unwrap();
-        Ok(out)
     }
 
     fn cmd_plans(&self) -> String {
@@ -354,6 +350,17 @@ fn describe_answer(answer: &crate::engine::EngineAnswer) -> String {
         answer.result.iterations,
         if answer.from_cache { " (cached)" } else { "" }
     )
+}
+
+/// A batch's answers, one line each, then how many were solved and cached.
+fn describe_batch(answers: &[crate::engine::EngineAnswer]) -> String {
+    let solved = answers.iter().filter(|a| !a.from_cache).count();
+    let (n, cached) = (answers.len(), answers.len() - solved);
+    let mut lines: Vec<String> = answers.iter().map(describe_answer).collect();
+    lines.push(format!(
+        "batch of {n}: {solved} solved in one shared pass, {cached} from cache"
+    ));
+    lines.join("\n")
 }
 
 /// Resolves a ranking spec against the query it will rank.

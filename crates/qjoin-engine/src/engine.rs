@@ -50,6 +50,7 @@ use crate::cache::{CacheStats, ShardedLru};
 use crate::catalog::Catalog;
 use crate::error::EngineError;
 use crate::plan::PreparedPlan;
+use crate::request::Request;
 use crate::telemetry::SolveRecorder;
 use qjoin_core::{Accuracy, CoreError, QuantileResult};
 use qjoin_data::{Database, EncodedDatabase};
@@ -636,7 +637,7 @@ impl Engine {
         ];
         self.with_request_trace("request", args, || {
             let plan = self.plan(plan_name)?;
-            let mut answers = self.serve(&plan, &[phi], accuracy)?;
+            let mut answers = self.serve(&plan, &[phi], accuracy, &[])?;
             let lost = || CoreError::Internal("a one-φ request got no answer".into());
             Ok(answers.pop().ok_or_else(lost)?)
         })
@@ -840,23 +841,47 @@ impl Engine {
         self.with_request_trace("request", args, || {
             let plan = self.plan(plan_name)?;
             self.counters.batch_requests.fetch_add(1, Ordering::Relaxed);
-            self.serve(&plan, phis, accuracy)
+            self.serve(&plan, phis, accuracy, &[])
         })
     }
 
-    /// The one miss path behind `quantile_with` and `quantile_batch_with`: one cache
-    /// lookup per φ, then one shared solve of the misses, answers in request order.
+    /// A `quantile` or `batch` answered from the cache alone, counted and traced
+    /// (under the caller's trace) as a solving one: `None`, counting nothing,
+    /// unless its plan exists and a peek (no statistic, no recency) finds every φ.
+    pub fn serve_cached(&self, request: &Request) -> Option<Vec<EngineAnswer>> {
+        let (plan, phis, accuracy) = match request {
+            Request::Quantile(plan, phi, accuracy) => (plan, std::slice::from_ref(phi), *accuracy),
+            Request::Batch(plan, phis, accuracy) => (plan, &phis[..], *accuracy),
+            _ => return None,
+        };
+        let plan = self.plan(plan).ok()?;
+        let peeked: Vec<QuantileResult> = (phis.iter())
+            .map(|&phi| self.cache.peek(&cache_key(&plan, phi, accuracy)))
+            .collect::<Option<_>>()?;
+        if let Request::Batch(..) = request {
+            self.counters.batch_requests.fetch_add(1, Ordering::Relaxed);
+        }
+        self.serve(&plan, phis, accuracy, &peeked).ok()
+    }
+
+    /// The one miss path behind every quantile entry point: one cache lookup per
+    /// φ (a miss falls back to `peeked`: an entry swept since a peek is answered
+    /// from it), then one shared solve of the misses, answers in request order.
     fn serve(
         &self,
         plan: &PreparedPlan,
         phis: &[f64],
         accuracy: Accuracy,
+        peeked: &[QuantileResult],
     ) -> Result<Vec<EngineAnswer>, EngineError> {
         self.counters
             .quantile_requests
             .fetch_add(phis.len() as u64, Ordering::Relaxed);
-        let cached: Vec<Option<QuantileResult>> = (phis.iter())
-            .map(|&phi| self.cache_get_timed(&cache_key(plan, phi, accuracy)))
+        let cached: Vec<Option<QuantileResult>> = (phis.iter().enumerate())
+            .map(|(i, &phi)| {
+                let hit = self.cache_get_timed(&cache_key(plan, phi, accuracy));
+                hit.or_else(|| peeked.get(i).cloned())
+            })
             .collect();
         let misses: Vec<f64> = (phis.iter().zip(&cached))
             .filter_map(|(&phi, hit)| hit.is_none().then_some(phi))
@@ -1179,6 +1204,34 @@ mod tests {
         // The per-shard breakdown sums to the aggregate.
         let per_shard = engine.cache.shard_stats();
         assert_eq!(per_shard.iter().map(|s| s.hits).sum::<u64>(), 1);
+    }
+
+    /// Served from the cache alone: a miss declines with nothing counted, a
+    /// hit counts as a solving request's does, and an entry swept between the
+    /// peek and the lookup is answered from the peek, counted once and never
+    /// solved. Mutations: count the peek, or solve the swept φ.
+    #[test]
+    fn a_cached_only_request_counts_each_phi_once_and_never_solves() {
+        let (engine, _) = social_engine(100, 7);
+        let batch = Request::Batch("likes".into(), vec![0.5, 0.75], Accuracy::Exact);
+        engine.quantile("likes", 0.5).unwrap();
+        let before = engine.stats();
+        assert!(engine.serve_cached(&batch).is_none());
+        assert!(engine.serve_cached(&Request::Ping).is_none());
+        assert_eq!(engine.stats().cache, before.cache);
+        let one = Request::Quantile("likes".into(), 0.5, Accuracy::Exact);
+        let served = engine.serve_cached(&one).unwrap();
+        assert!(served[0].from_cache);
+        let plan = engine.plan("likes").unwrap();
+        let peeked = engine.cache.peek(&cache_key(&plan, 0.5, Accuracy::Exact));
+        engine.cache.invalidate(|_| true);
+        let raced = engine.serve(&plan, &[0.5], Accuracy::Exact, &[peeked.unwrap()]);
+        let raced = raced.unwrap().remove(0);
+        assert!(raced.from_cache && raced.result.weight == served[0].result.weight);
+        let stats = engine.stats();
+        assert_eq!((stats.cache.hits, stats.cache.misses), (1, 2));
+        assert_eq!(stats.counters.solved, 1);
+        assert_eq!(stats.counters.quantile_requests, 3);
     }
 
     /// With the default 1024 entries over 8 shards, one plan keeps 512 results:

@@ -328,12 +328,35 @@ pub enum ErrorClass {
     TooLarge,
     /// A bug: two stages of a solve disagreed, or the request panicked.
     Internal,
+    /// The server's worker queue is full: nothing was run; ask again later.
+    Busy,
+}
+
+impl ErrorClass {
+    /// Every class and its wire label, in declaration order.
+    pub const ALL: [(ErrorClass, &'static str); 6] = [
+        (ErrorClass::Usage, "usage"),
+        (ErrorClass::Unknown, "unknown"),
+        (ErrorClass::Refused, "refused"),
+        (ErrorClass::TooLarge, "too-large"),
+        (ErrorClass::Internal, "internal"),
+        (ErrorClass::Busy, "busy"),
+    ];
 }
 
 impl fmt::Display for ErrorClass {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        let labels = ["usage", "unknown", "refused", "too-large", "internal"];
-        f.write_str(labels[*self as usize])
+        f.write_str(ErrorClass::ALL[*self as usize].1)
+    }
+}
+
+/// Reads a `<class>` back, as a client does off an `err` line.
+impl FromStr for ErrorClass {
+    type Err = String;
+    fn from_str(label: &str) -> Result<ErrorClass, String> {
+        let named = |&(class, name): &(ErrorClass, &str)| (name == label).then_some(class);
+        let class = ErrorClass::ALL.iter().find_map(named);
+        class.ok_or_else(|| format!("unknown error class {label:?}"))
     }
 }
 
@@ -773,7 +796,7 @@ mod tests {
     /// Mutation: two class arms swapped.
     #[test]
     fn every_error_variant_has_its_class() {
-        use ErrorClass::{Internal, Refused, TooLarge, Unknown, Usage};
+        use ErrorClass::{Busy, Internal, Refused, TooLarge, Unknown, Usage};
         let name = || "x".to_string();
         let core = |e: CoreError| EngineError::Core(e);
         let query = qjoin_query::QueryError::EmptyQuery;
@@ -822,10 +845,31 @@ mod tests {
             let reply = RequestError::from(error.clone());
             assert_eq!(reply.to_string(), format!("{class}: {error}"));
         }
-        let labels = [Usage, Unknown, Refused, TooLarge, Internal].map(|c| c.to_string());
+        let labels = [Usage, Unknown, Refused, TooLarge, Internal, Busy].map(|c| c.to_string());
         assert_eq!(
             labels,
-            ["usage", "unknown", "refused", "too-large", "internal"]
+            [
+                "usage",
+                "unknown",
+                "refused",
+                "too-large",
+                "internal",
+                "busy"
+            ]
         );
+    }
+
+    /// Mutation: a row of `ALL` out of declaration order, and a class prints,
+    /// or reads back, as another.
+    #[test]
+    fn every_error_class_reads_back_from_its_label() {
+        for (class, label) in ErrorClass::ALL {
+            assert_eq!(
+                (class.to_string(), label.parse()),
+                (label.to_string(), Ok(class))
+            );
+        }
+        assert!("Usage".parse::<ErrorClass>().is_err());
+        assert!("".parse::<ErrorClass>().is_err());
     }
 }

@@ -19,7 +19,7 @@ USAGE:
            The bound address is printed as `qjoin-server listening on <addr> ...`.
   workers  worker threads executing requests (connections are multiplexed
            over a reactor, so idle connections hold no worker)  (default 4)
-  queue    dispatched-request queue depth before backpressure   (default 64)
+  queue    dispatched-request queue depth before shedding       (default 64)
   cache    engine result-cache capacity, 0 disables   (default 1024)
   slowms   slow-query log threshold in milliseconds: requests whose
            queue-wait + execute time reaches it are kept for the
@@ -154,8 +154,8 @@ fn run_script(
     for command in commands.filter(|command| !command.trim().is_empty()) {
         match client.send(&command) {
             Ok(payload) => payload.iter().for_each(|line| println!("{line}")),
-            Err(ClientError::Remote(message)) if keep_going => {
-                eprintln!("error: {message}");
+            Err(ClientError::Remote { class, message }) if keep_going => {
+                eprintln!("error: {class}: {message}");
                 failed = true;
                 continue;
             }

@@ -2,10 +2,12 @@
 //!
 //! One [`Client`] wraps one TCP connection and speaks the line protocol from
 //! [`crate::protocol`]: send a command line, read one framed response. Remote
-//! errors (`err ...` replies) surface as [`ClientError::Remote`], so transport
-//! failures and server-side rejections stay distinguishable.
+//! errors (`err <class>: <message>` replies) surface as [`ClientError::Remote`]
+//! with the class parsed, so transport failures and server-side rejections stay
+//! distinguishable, and a caller acts on the class, never on message text.
 
 use crate::protocol::Response;
+use qjoin_engine::ErrorClass;
 use std::fmt;
 use std::io::{self, BufReader, Write};
 use std::net::{TcpStream, ToSocketAddrs};
@@ -16,9 +18,13 @@ use std::time::Duration;
 pub enum ClientError {
     /// The connection failed (dial, read, or write).
     Io(io::Error),
-    /// The server replied with an `err` response; the payload is its text,
-    /// `<class>: <message>`.
-    Remote(String),
+    /// The server replied `err <class>: <message>`.
+    Remote {
+        /// What kind of failure.
+        class: ErrorClass,
+        /// What went wrong.
+        message: String,
+    },
     /// The server replied with bytes that are not valid protocol framing, or
     /// closed mid-response, or the request cannot be represented on the wire.
     Protocol(String),
@@ -28,7 +34,9 @@ impl fmt::Display for ClientError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             ClientError::Io(e) => write!(f, "connection error: {e}"),
-            ClientError::Remote(message) => write!(f, "server error: {message}"),
+            ClientError::Remote { class, message } => {
+                write!(f, "server error: {class}: {message}")
+            }
             ClientError::Protocol(what) => write!(f, "protocol error: {what}"),
         }
     }
@@ -73,7 +81,8 @@ impl Client {
     }
 
     /// Sends one command line and reads the framed reply. Returns the payload lines
-    /// on success; a remote `err` reply becomes [`ClientError::Remote`].
+    /// on success; a remote `err` reply becomes [`ClientError::Remote`], and one
+    /// whose class is not a known [`ErrorClass`] a [`ClientError::Protocol`].
     pub fn send(&mut self, command: &str) -> Result<Vec<String>, ClientError> {
         if command.contains('\n') || command.contains('\r') {
             return Err(ClientError::Protocol(
@@ -84,7 +93,13 @@ impl Client {
         self.writer.flush()?;
         match Response::read_from(&mut self.reader)? {
             Response::Ok(lines) => Ok(lines),
-            Response::Err(message) => Err(ClientError::Remote(message)),
+            Response::Err(text) => {
+                let (class, message) = text.split_once(": ").unwrap_or((&text, ""));
+                let unclassified = || ClientError::Protocol(format!("unclassified reply {text:?}"));
+                let class = class.parse().map_err(|_| unclassified())?;
+                let message = message.to_string();
+                Err(ClientError::Remote { class, message })
+            }
         }
     }
 
@@ -116,12 +131,35 @@ mod tests {
         assert!(matches!(err, ClientError::Protocol(_)));
     }
 
+    /// Mutation: hand the `err` text over unparsed and no caller sees `Busy`.
+    #[test]
+    fn err_replies_carry_their_parsed_class() {
+        let listener = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
+        let mut client = Client::connect(listener.local_addr().unwrap()).unwrap();
+        let (mut server, _) = listener.accept().unwrap();
+        server
+            .write_all(b"err busy: the queue: full\nerr nonsense\n")
+            .unwrap();
+        match client.send("x") {
+            Err(ClientError::Remote { class, message }) => {
+                assert_eq!(
+                    (class, message.as_str()),
+                    (ErrorClass::Busy, "the queue: full")
+                );
+            }
+            other => panic!("expected an `err busy` reply, got {other:?}"),
+        }
+        assert!(matches!(client.send("y"), Err(ClientError::Protocol(_))));
+    }
+
     #[test]
     fn error_types_display_their_cause() {
         let io: ClientError = io::Error::other("boom").into();
         assert!(io.to_string().contains("boom"));
-        assert!(ClientError::Remote("nope".into())
-            .to_string()
-            .contains("nope"));
+        let remote = ClientError::Remote {
+            class: ErrorClass::Busy,
+            message: "nope".into(),
+        };
+        assert_eq!(remote.to_string(), "server error: busy: nope");
     }
 }

@@ -12,20 +12,18 @@
 //! [`Conn::over_line_limit`] flags a violation (whether the newline eventually
 //! arrived or not) and the server replies `err line too long` before dropping the
 //! connection — the one protocol error that is fatal to the conversation.
+//!
+//! No thread waits on a write either: [`Conn::write_once`] hands the kernel what
+//! its send buffer takes of the [`Conn::queue`]d replies; the rest stays
+//! [`Conn::pending`], and the server serves no line behind it until it is written.
 
 use crate::protocol::Response;
 use std::io::{self, Read, Write};
 use std::net::TcpStream;
-use std::time::{Duration, Instant};
 
 /// Longest accepted request line (bytes, including the terminator). Anything
 /// larger is answered with `err line too long` and the connection is closed.
 pub const MAX_LINE_BYTES: usize = 64 * 1024;
-
-/// How long [`Conn::write_response`] retries `WouldBlock` before giving up.
-/// Responses are small (a handful of short lines), so a full send buffer clears
-/// in microseconds unless the client has genuinely stalled.
-const WRITE_PATIENCE: Duration = Duration::from_secs(5);
 
 /// What one [`Conn::fill`] call observed.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -43,6 +41,8 @@ pub enum FillOutcome {
 pub struct Conn {
     stream: TcpStream,
     buf: Vec<u8>,
+    /// Framed replies the kernel has not taken yet.
+    out: Vec<u8>,
 }
 
 impl Conn {
@@ -53,6 +53,7 @@ impl Conn {
         Ok(Conn {
             stream,
             buf: Vec::new(),
+            out: Vec::new(),
         })
     }
 
@@ -113,32 +114,28 @@ impl Conn {
         Some(line)
     }
 
-    /// Writes one framed response, retrying `WouldBlock` (bounded by a 5-second
-    /// patience deadline) since the stream is nonblocking.
-    pub fn write_response(&mut self, response: &Response) -> io::Result<()> {
-        let mut wire = Vec::new();
-        response.write_to(&mut wire)?;
-        self.write_all_nonblocking(&wire)
+    /// Frames `response` behind any reply not yet written.
+    pub fn queue(&mut self, response: &Response) {
+        // Writing into a `Vec` cannot fail.
+        let _ = response.write_to(&mut self.out);
     }
 
-    fn write_all_nonblocking(&mut self, mut data: &[u8]) -> io::Result<()> {
-        let deadline = Instant::now() + WRITE_PATIENCE;
-        while !data.is_empty() {
-            match self.stream.write(data) {
-                Ok(0) => return Err(io::ErrorKind::WriteZero.into()),
-                Ok(n) => data = &data[n..],
-                Err(e) if e.kind() == io::ErrorKind::WouldBlock => {
-                    if Instant::now() >= deadline {
-                        return Err(io::ErrorKind::TimedOut.into());
-                    }
-                    // The kernel send buffer is full; tiny responses clear fast.
-                    std::thread::sleep(Duration::from_micros(50));
-                }
-                Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
-                Err(e) => return Err(e),
-            }
-        }
-        Ok(())
+    /// True while a queued reply is not fully written.
+    pub fn pending(&self) -> bool {
+        !self.out.is_empty()
+    }
+
+    /// One nonblocking write of the queued replies: how many bytes the kernel
+    /// took (0 when its send buffer is full); the rest stays queued.
+    pub fn write_once(&mut self) -> io::Result<usize> {
+        use io::ErrorKind::{Interrupted, WouldBlock, WriteZero};
+        let n = match self.stream.write(&self.out) {
+            Ok(0) if self.pending() => return Err(WriteZero.into()),
+            Err(e) if matches!(e.kind(), WouldBlock | Interrupted) => 0,
+            written => written?,
+        };
+        self.out.drain(..n);
+        Ok(n)
     }
 }
 
@@ -147,6 +144,7 @@ mod tests {
     use super::*;
     use std::io::BufRead;
     use std::net::TcpListener;
+    use std::time::{Duration, Instant};
 
     fn pair() -> (TcpStream, Conn) {
         let listener = TcpListener::bind("127.0.0.1:0").unwrap();
@@ -224,11 +222,29 @@ mod tests {
         assert_eq!(conn.next_line().as_deref(), Some("hello world"));
     }
 
+    /// Mutation: a `write_once` that waits on `WouldBlock` never returns here.
+    #[test]
+    fn one_write_leaves_what_the_kernel_does_not_take() {
+        let (client, mut conn) = pair();
+        let line = "x".repeat(4 << 20);
+        conn.queue(&Response::Ok(vec![line; 4]));
+        let framed = conn.out.len();
+        let taken = conn.write_once().unwrap();
+        assert!(taken < framed && conn.pending(), "16 MiB fit the socket");
+        let reader = std::thread::spawn(move || std::io::copy(&mut &client, &mut std::io::sink()));
+        while conn.pending() {
+            conn.write_once().unwrap();
+        }
+        drop(conn);
+        assert_eq!(reader.join().unwrap().unwrap(), framed as u64);
+    }
+
     #[test]
     fn writes_responses_the_blocking_client_can_read() {
         let (client, mut conn) = pair();
-        conn.write_response(&Response::Ok(vec!["pong".into()]))
-            .unwrap();
+        conn.queue(&Response::Ok(vec!["pong".into()]));
+        assert_eq!(conn.write_once().unwrap(), "ok 1\npong\n".len());
+        assert!(!conn.pending());
         let mut reader = std::io::BufReader::new(client);
         let mut line = String::new();
         reader.read_line(&mut line).unwrap();

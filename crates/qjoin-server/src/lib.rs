@@ -11,10 +11,11 @@
 //! crate's single `extern "C"` item and called from its single `unsafe` block
 //! (std already links libc; no dependency is added). The crate is **unix-only**.
 //! Connections are **multiplexed**: a reactor parks nonblocking connections,
-//! sleeps in the kernel while they are quiet, and dispatches complete request
-//! lines to the worker pool, so idle connections cost zero worker threads and an
-//! idle server costs no CPU; concurrent cold exact requests against one plan
-//! coalesce into shared batched solves inside the engine. The pieces:
+//! sleeps in the kernel while they are quiet, answers cache hits itself and
+//! hands other request lines to the worker pool (or sheds them), so idle
+//! connections cost zero workers and an idle server costs no CPU; concurrent
+//! cold exact requests against one plan coalesce into shared batched solves
+//! inside the engine. The pieces:
 //!
 //! | Component | Module |
 //! |---|---|

@@ -1,29 +1,32 @@
 //! Server-side request telemetry: the lifecycle of every wire request split
 //! into **queue-wait → execute → write**, plus a slow-query ring buffer.
 //!
-//! The reactor stamps each [`crate::server`] job when it is dispatched; the
-//! worker that picks it up measures how long it sat in the pool queue, how long
-//! the engine took to execute it, and how long the response write took, and
+//! The thread that parses a request line stamps it; the thread that serves it
+//! (the reactor for a cache hit, else a worker) measures how long it waited, how
+//! long the engine took to execute it, and how long the response write took, and
 //! records all three into histograms registered in the **engine's** shared
 //! [`Registry`]. That makes the server series come out of the same `metrics` /
 //! `stats json` scrape as the engine's solve spans — one registry, one surface:
 //!
 //! * `qjoin_requests_total` — non-empty commands whose reply reached the client
 //!   (the live counterpart of [`crate::server::ServerSummary::requests`]);
-//! * `qjoin_queue_wait_seconds` — dispatch-to-pickup latency. Pipelined lines a
-//!   worker serves inline without a reactor round-trip record (near-)zero wait;
+//! * `qjoin_queue_wait_seconds` — parse-to-execution latency: the pool queue's
+//!   wait, (near-)zero for the reactor's own answers and for pipelined lines;
 //! * `qjoin_execute_seconds` — command dispatch through the engine session;
 //! * `qjoin_write_seconds` — serializing the response back onto the socket.
 //!
 //! * `qjoin_queue_depth` — dispatched-but-unstarted jobs currently sitting in
-//!   the worker pool queue (the live backlog behind the reactor's
-//!   backpressure), updated on every enqueue/pickup.
+//!   the worker pool queue (the live backlog; a full queue sheds), updated on
+//!   every enqueue/pickup.
 //! * `qjoin_connections_parked` — connections idle in the reactor's registry
 //!   (a connection whose request a worker is executing is not parked);
 //! * `qjoin_reactor_blocking_polls_total` — how often the reactor went to sleep
 //!   in `poll(2)`. It sleeps without a timeout, so an idle server does not move it.
 //! * `qjoin_panics_total` — requests whose dispatch panicked (each answered
 //!   `err internal: …` on its still-open connection).
+//! * `qjoin_shed_total` — requests answered `err busy` on a full worker queue
+//!   (they ran nothing, and are not in `qjoin_requests_total`);
+//! * `qjoin_errors_total{class}` — `err` replies by [`ErrorClass`].
 //!
 //! Requests whose queue-wait + execute time reaches the configured threshold
 //! additionally land in a bounded ring buffer, dumped on demand by the
@@ -32,6 +35,8 @@
 //! explaining the slow request is one `trace id <id>` away (`trace=-` when
 //! tracing was off).
 
+use crate::protocol::Response;
+use qjoin_engine::{ErrorClass, RequestError};
 use qjoin_telemetry::{Counter, Gauge, Histogram, Registry, TraceId};
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -49,12 +54,14 @@ pub struct ServerMetrics {
     write: Arc<Histogram>,
     /// Dispatched-but-unstarted jobs in the worker pool queue, mirrored into
     /// the `qjoin_queue_depth` gauge on every change so a scrape sees the live
-    /// backlog the reactor's backpressure is holding.
+    /// backlog (a full queue sheds).
     queue_depth: AtomicU64,
     queue_depth_gauge: Arc<Gauge>,
     parked: Arc<Gauge>,
     blocking_polls: Arc<Counter>,
     panics: Arc<Counter>,
+    shed: Arc<Counter>,
+    errors: [Arc<Counter>; 6],
     slow: SlowLog,
 }
 
@@ -73,6 +80,9 @@ impl ServerMetrics {
             parked: registry.gauge("qjoin_connections_parked", &[]),
             blocking_polls: registry.counter("qjoin_reactor_blocking_polls_total", &[]),
             panics: registry.counter("qjoin_panics_total", &[]),
+            shed: registry.counter("qjoin_shed_total", &[]),
+            errors: ErrorClass::ALL
+                .map(|(_, label)| registry.counter("qjoin_errors_total", &[("class", label)])),
             slow: SlowLog::new(slow_threshold, slow_capacity),
         }
     }
@@ -105,6 +115,18 @@ impl ServerMetrics {
     /// A request's dispatch panicked.
     pub fn panicked(&self) {
         self.panics.inc();
+    }
+
+    /// Frames any reply the server sends, counting an `err` one by its class
+    /// (a `busy` one is a shed request).
+    pub fn frame(&self, reply: Result<String, RequestError>) -> Response {
+        if let Err(error) = &reply {
+            self.errors[error.class as usize].inc();
+            if error.class == ErrorClass::Busy {
+                self.shed.inc();
+            }
+        }
+        Response::from(reply)
     }
 
     /// Records one served request: bumps the live counter, feeds the three

@@ -3,10 +3,10 @@
 //!
 //! A quiet reactor (see [`crate::server`]) hands [`Poller::block`] the listener
 //! and every parked connection and sleeps in the kernel with **no timeout** until
-//! one of them is readable or hangs up, or a [`Waker`] rings. There is no tick: an
-//! idle server costs nothing, and a request is noticed when the kernel delivers
-//! it. `poll` is this crate's one foreign item (std already links libc, so
-//! declaring it adds no dependency); the crate is unix-only.
+//! one of them is ready (readable, or writable for a reply that waits on its
+//! client) or hangs up, or a [`Waker`] rings. There is no tick: an idle server
+//! costs nothing, and a request is noticed when the kernel delivers it. `poll` is
+//! this crate's one foreign item (std links libc already); it is unix-only.
 //!
 //! **No lost wake.** A thread reaches the reactor by publishing something the
 //! reactor looks at (a message in its inbox, the shutdown flag) and *then* calling
@@ -24,6 +24,7 @@ use std::sync::atomic::{fence, AtomicBool, Ordering};
 use std::sync::Arc;
 
 const POLLIN: c_short = 0x001;
+const POLLOUT: c_short = 0x004;
 
 #[cfg(target_os = "linux")]
 type Nfds = std::ffi::c_ulong;
@@ -134,13 +135,14 @@ impl Poller {
         self.waker.sleeping.store(false, Ordering::SeqCst);
     }
 
-    /// Blocks, with no timeout, until a source is readable or closed or a waker
-    /// rings; [`flagged`](Self::flagged) then tells which sources it was.
-    pub fn block(&mut self, sources: impl IntoIterator<Item = RawFd>) -> io::Result<()> {
-        let fds = std::iter::once(self.ear.as_raw_fd()).chain(sources);
-        let listen = |fd| PollFd {
+    /// Blocks, with no timeout, until a source is ready or closed or a waker
+    /// rings; [`flagged`](Self::flagged) then tells which sources it was. A
+    /// source is a descriptor and whether it is watched for writing, not reading.
+    pub fn block(&mut self, sources: impl IntoIterator<Item = (RawFd, bool)>) -> io::Result<()> {
+        let fds = std::iter::once((self.ear.as_raw_fd(), false)).chain(sources);
+        let listen = |(fd, write)| PollFd {
             fd,
-            events: POLLIN,
+            events: if write { POLLOUT } else { POLLIN },
             revents: 0,
         };
         self.fds.clear();
@@ -155,7 +157,7 @@ impl Poller {
     }
 
     /// Whether the last [`block`](Self::block) found its `source`-th source
-    /// readable, hung up or failed — in every case, worth a read.
+    /// ready, hung up or failed — in every case, worth a read or a write.
     pub fn flagged(&self, source: usize) -> bool {
         self.fds[source + 1].revents != 0
     }
@@ -200,7 +202,10 @@ mod tests {
         });
         let start = Instant::now();
         poller.announce();
-        let sources = [talked_to.as_raw_fd(), quiet_end.as_raw_fd()];
+        let sources = [
+            (talked_to.as_raw_fd(), false),
+            (quiet_end.as_raw_fd(), false),
+        ];
         poller.block(sources).unwrap();
         // Nothing ended the block early: no tick, no spurious wake.
         assert!(start.elapsed() >= Duration::from_millis(100));
@@ -219,7 +224,7 @@ mod tests {
             waker.wake();
         });
         let start = Instant::now();
-        poller.block([server.as_raw_fd()]).unwrap();
+        poller.block([(server.as_raw_fd(), false)]).unwrap();
         assert!(start.elapsed() < Duration::from_secs(5));
         assert!(!poller.flagged(0));
         ringer.join().unwrap();
@@ -255,8 +260,30 @@ mod tests {
         assert_eq!(glance(&reader), POLLHUP);
         let mut poller = Poller::new().unwrap();
         poller.announce();
-        poller.block([reader.as_raw_fd()]).unwrap();
+        poller.block([(reader.as_raw_fd(), false)]).unwrap();
         assert!(poller.flagged(0));
+    }
+
+    /// A source watched for writing is flagged once its send buffer has room,
+    /// and only then. Mutation: watch every source for reading, and the block
+    /// never ends.
+    #[test]
+    fn a_source_watched_for_writing_is_flagged_when_it_has_room() {
+        let (client, server) = pair();
+        server.set_nonblocking(true).unwrap();
+        let chunk = vec![0u8; 1 << 16];
+        while (&server).write(&chunk).is_ok() {} // fill the send buffer
+        let mut poller = Poller::new().unwrap();
+        let reader = std::thread::spawn(move || {
+            std::thread::sleep(Duration::from_millis(50));
+            std::io::copy(&mut &client, &mut std::io::sink())
+        });
+        let start = Instant::now();
+        poller.announce();
+        poller.block([(server.as_raw_fd(), true)]).unwrap();
+        assert!(poller.flagged(0) && start.elapsed() >= Duration::from_millis(40));
+        drop(server);
+        reader.join().unwrap().unwrap();
     }
 
     #[test]

@@ -1,8 +1,9 @@
 //! A bounded worker thread pool, std-only.
 //!
-//! Jobs are fed through an [`mpsc::sync_channel`], so [`WorkerPool::submit`] blocks
-//! once the queue holds `queue_depth` unstarted jobs — natural backpressure for the
-//! reactor's dispatch instead of an unbounded pile-up. Workers share the receiver
+//! Jobs are fed through an [`mpsc::sync_channel`] holding at most `queue_depth`
+//! unstarted jobs. [`WorkerPool::try_submit`] never waits: on a full queue it
+//! hands the job back, and the caller (the reactor) sheds it instead of
+//! stalling, or piling up without bound. Workers share the receiver
 //! behind a mutex and run the (shared) handler on each job. A job that panics
 //! unwinds only itself: what it owned (for the server, the request's connection)
 //! is dropped, and its worker goes on to the next job.
@@ -73,12 +74,14 @@ impl<T: Send + 'static> WorkerPool<T> {
         self.workers.len()
     }
 
-    /// Enqueues a job, blocking while the queue is full. Returns the job back if the
-    /// pool is already shut down (cannot happen while the pool is alive, since `join`
-    /// consumes it — but kept total for safety).
-    pub fn submit(&self, job: T) -> Result<(), T> {
+    /// Enqueues a job without waiting. Returns the job back when the queue is
+    /// full, or when the pool is shut down (which cannot happen while it is
+    /// alive, since `join` consumes it — but kept total for safety).
+    pub fn try_submit(&self, job: T) -> Result<(), T> {
         match &self.sender {
-            Some(sender) => sender.send(job).map_err(|e| e.0),
+            Some(sender) => sender.try_send(job).map_err(|e| match e {
+                mpsc::TrySendError::Full(job) | mpsc::TrySendError::Disconnected(job) => job,
+            }),
             None => Err(job),
         }
     }
@@ -114,13 +117,13 @@ mod tests {
         let done = Arc::new(AtomicUsize::new(0));
         let pool = {
             let done = Arc::clone(&done);
-            WorkerPool::new("t", 4, 8, move |n: usize| {
+            WorkerPool::new("t", 4, 32, move |n: usize| {
                 thread::sleep(Duration::from_millis(n as u64 % 3));
                 done.fetch_add(1, Ordering::SeqCst);
             })
         };
         for i in 0..32 {
-            pool.submit(i).unwrap();
+            pool.try_submit(i).unwrap();
         }
         pool.join(); // must drain everything queued before returning
         assert_eq!(done.load(Ordering::SeqCst), 32);
@@ -136,51 +139,49 @@ mod tests {
             })
         };
         assert_eq!(pool.workers(), 1);
-        pool.submit(()).unwrap();
+        pool.try_submit(()).unwrap();
         pool.join();
         assert_eq!(done.load(Ordering::SeqCst), 1);
     }
 
+    /// Mutation: a blocking `send` in `try_submit` hangs on job 2.
     #[test]
-    fn submit_blocks_on_a_full_queue_instead_of_dropping() {
-        // 1 worker, queue depth 1. The worker is parked on a gate, so: job 1 is
-        // being handled (blocked), job 2 fills the queue, and job 3's submit must
-        // *block* until the worker frees a slot — never drop or error.
+    fn try_submit_hands_a_job_back_on_a_full_queue() {
+        // 1 worker, queue depth 1. The worker is parked on a gate, so: job 0 is
+        // being handled (blocked), job 1 fills the queue, and job 2 comes back
+        // at once — nothing waits and nothing is dropped.
+        let (started, picked_up) = mpsc::channel();
         let gate = Arc::new(std::sync::Barrier::new(2));
         let handled = Arc::new(AtomicUsize::new(0));
-        let pool = Arc::new({
+        let pool = {
             let (gate, handled) = (Arc::clone(&gate), Arc::clone(&handled));
             WorkerPool::new("t", 1, 1, move |n: usize| {
                 if n == 0 {
+                    started.send(()).unwrap();
                     gate.wait(); // hold the worker until the test releases it
                 }
                 handled.fetch_add(1, Ordering::SeqCst);
             })
-        });
-        pool.submit(0).unwrap(); // picked up by the worker, which parks on `gate`
-        pool.submit(1).unwrap(); // sits in the queue (now full)
-        let blocked_submit = {
-            let pool = Arc::clone(&pool);
-            let submitted = Arc::new(std::sync::atomic::AtomicBool::new(false));
-            let flag = Arc::clone(&submitted);
-            let t = thread::spawn(move || {
-                pool.submit(2).unwrap();
-                flag.store(true, Ordering::SeqCst);
-            });
-            (t, submitted)
         };
-        // The third submit must still be blocked while the queue is full.
-        thread::sleep(Duration::from_millis(100));
-        assert!(
-            !blocked_submit.1.load(Ordering::SeqCst),
-            "submit returned with the queue still full"
+        pool.try_submit(0).unwrap();
+        picked_up.recv().unwrap(); // the worker holds job 0: the queue is empty
+        pool.try_submit(1).unwrap(); // sits in the queue (now full)
+        assert_eq!(
+            pool.try_submit(2),
+            Err(2),
+            "a full queue hands the job back"
         );
         assert_eq!(handled.load(Ordering::SeqCst), 0);
-        // Release the worker: the queue drains and the blocked submit completes.
+        // Release the worker: the queue drains, and a slot is free again.
         gate.wait();
-        blocked_submit.0.join().unwrap();
-        assert!(blocked_submit.1.load(Ordering::SeqCst));
-        let pool = Arc::try_unwrap(pool).unwrap_or_else(|_| panic!("pool still shared"));
+        let deadline = std::time::Instant::now() + Duration::from_secs(10);
+        while let Err(job) = pool.try_submit(2) {
+            assert!(
+                std::time::Instant::now() < deadline,
+                "job {job}: queue never drained"
+            );
+            thread::yield_now();
+        }
         pool.join();
         assert_eq!(handled.load(Ordering::SeqCst), 3, "no job was dropped");
     }
@@ -194,7 +195,7 @@ mod tests {
             let _ = done.send(n);
         });
         for n in 0..4 {
-            let _ = pool.submit(n);
+            let _ = pool.try_submit(n);
         }
         let ran: Vec<usize> = (1..4)
             .map(|_| ran.recv_timeout(Duration::from_secs(10)))
@@ -217,7 +218,7 @@ mod tests {
             })
         };
         for _ in 0..4 {
-            pool.submit(()).unwrap();
+            pool.try_submit(()).unwrap();
         }
         pool.join();
     }

@@ -13,7 +13,7 @@
 //! ```
 //!
 //! or, for failures, a single line whose class is one of `usage`, `unknown`,
-//! `refused`, `too-large` and `internal` ([`qjoin_engine::ErrorClass`]):
+//! `refused`, `too-large`, `internal` and `busy` ([`qjoin_engine::ErrorClass`]):
 //!
 //! ```text
 //! err <class>: <message>\n

@@ -5,7 +5,8 @@
 //! test runs and CI jobs can never collide on a port.
 
 use qjoin_engine::cli::CliSession;
-use qjoin_engine::{Engine, Request};
+use qjoin_engine::{Engine, EngineConfig, Request};
+use qjoin_server::server::INLINE_PHIS;
 use qjoin_server::{
     Client, ClientError, Response, Server, ServerConfig, ServerHandle, ServerSummary,
     MAX_LINE_BYTES,
@@ -84,7 +85,7 @@ fn remote_errors_are_reported_not_fatal() {
 
     // Every error reply leads with its class.
     let remote = |client: &mut Client, command: &str| match client.send(command) {
-        Err(ClientError::Remote(message)) => message,
+        Err(ClientError::Remote { class, message }) => format!("{class}: {message}"),
         other => panic!("{command:?}: expected an `err` reply, got {other:?}"),
     };
     let err = remote(&mut client, "frobnicate");
@@ -156,7 +157,7 @@ fn bad_generator_parameters_are_error_replies_not_panics() {
     for (i, (params, key)) in refused.into_iter().enumerate() {
         let err = client.send(&format!("open d{i} {params}")).unwrap_err();
         assert!(
-            matches!(&err, ClientError::Remote(m) if m.contains(key)),
+            matches!(&err, ClientError::Remote { message, .. } if message.contains(key)),
             "{params}: {err:?}"
         );
     }
@@ -547,6 +548,13 @@ fn metrics_and_stats_json_over_the_wire() {
         "{json}"
     );
 
+    // An `err` reply is counted by its class; nothing was shed.
+    client.send("frobnicate").unwrap_err();
+    let text3 = client.send("metrics").unwrap().join("\n");
+    let usage = "\nqjoin_errors_total{class=\"usage\"} 1\n";
+    assert!(text3.contains(usage), "{text3}");
+    assert!(text3.contains("\nqjoin_shed_total 0\n"), "{text3}");
+
     client.send("shutdown").unwrap();
     handle.shutdown();
     join.join().unwrap();
@@ -684,6 +692,92 @@ fn replace_over_the_wire_invalidates_caches() {
     assert_ne!(before, after);
 
     client.send("shutdown").unwrap();
+    handle.shutdown();
+    join.join().unwrap();
+}
+
+// ---- hits on the reactor ------------------------------------------------------
+
+/// A batch with one cached φ and one uncached φ, then a pure hit: the cache's
+/// counters move by exactly one per φ, however the reactor decided where each
+/// request runs. Mutation: the reactor decides with counting lookups, and both
+/// counters read more.
+#[test]
+fn each_phi_is_counted_once_wherever_it_is_served() {
+    let (engine, handle, join) = start_observed_server();
+    let mut client = Client::connect(handle.addr()).unwrap();
+    client.send("open s social rows=60 seed=3").unwrap();
+    client.send("register likes s").unwrap();
+    quantile(&mut client, "likes", 0.5);
+    let before = engine.cache_stats();
+    let batch = client.send("batch likes 0.5 0.75").unwrap();
+    assert!(batch[2].ends_with("1 solved in one shared pass, 1 from cache"));
+    assert!(quantile(&mut client, "likes", 0.75).ends_with(" (cached)"));
+    let after = engine.cache_stats();
+    let moved = (after.hits - before.hits, after.misses - before.misses);
+    assert_eq!(moved, (2, 1), "hits and misses: {before:?} → {after:?}");
+    handle.shutdown();
+    join.join().unwrap();
+}
+
+/// A client that sends cached requests and never reads fills the server's send
+/// buffer; another client's pings are still answered at once. Mutation: the
+/// reactor writes with the 5 s-patience loop, and a ping waits it out.
+#[test]
+fn a_stalled_reader_stalls_no_one() {
+    // No span traces: they would hold every one of the many lookups.
+    let config = EngineConfig {
+        flight_recorder_capacity: 0,
+        ..EngineConfig::default()
+    };
+    let engine = Arc::new(Engine::with_config(config));
+    let session = Arc::new(CliSession::with_engine(Arc::clone(&engine)));
+    let server = Server::bind("127.0.0.1:0", session, ServerConfig::default()).unwrap();
+    let handle = server.handle().unwrap();
+    let join = std::thread::spawn(move || server.run().unwrap());
+    let mut client = Client::connect(handle.addr()).unwrap();
+    client.send("open s social rows=60 seed=3").unwrap();
+    client.send("register likes s").unwrap();
+    quantile(&mut client, "likes", 0.5);
+    // Each line asks for the most cached answers the reactor serves itself:
+    // ~1 KiB of reply for 76 bytes sent.
+    let line = format!("batch likes{}\n", " 0.5".repeat(INLINE_PHIS));
+    let stalled = TcpStream::connect(handle.addr()).unwrap();
+    let writer = {
+        let mut stream = stalled.try_clone().unwrap();
+        std::thread::spawn(move || {
+            for _ in 0..50_000 {
+                if stream.write_all(line.as_bytes()).is_err() {
+                    break;
+                }
+            }
+        })
+    };
+    // The replies back up until the server stops serving the connection: its
+    // cache hits stand still for a second. All the while another client pings
+    // every 100 ms, and every ping is answered at once. A reactor that waited
+    // on the stalled socket would hold a ping until the socket took the reply
+    // or its patience ran out; and its hits could stand still only after that.
+    let deadline = Instant::now() + Duration::from_secs(60);
+    let (mut hits, mut still, mut slowest) = (engine.cache_stats().hits, 0, Duration::ZERO);
+    while still < 10 {
+        std::thread::sleep(Duration::from_millis(100));
+        let asked = Instant::now();
+        client.ping().unwrap();
+        slowest = slowest.max(asked.elapsed());
+        let now = engine.cache_stats().hits;
+        still = if now == hits && now > 20_000 {
+            still + 1
+        } else {
+            0
+        };
+        assert!(Instant::now() < deadline, "{now} hits, still serving");
+        hits = now;
+    }
+    assert!(slowest < Duration::from_secs(1), "a ping took {slowest:?}");
+    stalled.shutdown(std::net::Shutdown::Both).unwrap();
+    writer.join().unwrap();
+    drop(stalled);
     handle.shutdown();
     join.join().unwrap();
 }
